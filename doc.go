@@ -16,7 +16,7 @@
 //	g := repro.GenerateGraph(repro.BarabasiAlbert, 10_000, 50_000, 1)
 //	p, err := g.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj"})
 //	n, err := p.Count(ctx)            // pure execution, no re-planning
-//	for row := range p.Rows(ctx) {    // streaming iterator; break stops early
+//	for row := range p.Rows(ctx) {    // streaming iterator; each row is yours to keep; break stops early
 //		...
 //	}
 //	fmt.Print(p.Explain())            // GAO, per-atom index, AGM bound

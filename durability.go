@@ -174,19 +174,30 @@ func (s *Store) applyDeltas(batches []core.DeltaBatch) error {
 
 // maybeCheckpoint starts a background checkpoint when the un-pruned log has
 // outgrown DurabilityOptions.CheckpointBytes. Called after every
-// acknowledged write; the CAS keeps at most one checkpoint in flight, and a
-// failure is simply retried by the next write that still sees an oversized
-// log — checkpointing is an optimization, never a correctness requirement.
+// acknowledged write; at most one checkpoint is in flight, none starts once
+// Close has begun, and a failure is simply retried by the next write that
+// still sees an oversized log — checkpointing is an optimization, never a
+// correctness requirement.
 func (s *Store) maybeCheckpoint() {
 	if s.ckptBytes <= 0 || s.dur.UnprunedBytes() < uint64(s.ckptBytes) {
 		return
 	}
-	if !s.ckptBusy.CompareAndSwap(false, true) {
+	s.ckptMu.Lock()
+	start := !s.ckptBusy && !s.ckptClosed
+	if start {
+		s.ckptBusy = true
+		s.ckptDone.Add(1)
+	}
+	s.ckptMu.Unlock()
+	if !start {
 		return
 	}
 	go func() {
-		defer s.ckptBusy.Store(false)
+		defer s.ckptDone.Done()
 		s.Checkpoint()
+		s.ckptMu.Lock()
+		s.ckptBusy = false
+		s.ckptMu.Unlock()
 	}()
 }
 
@@ -223,11 +234,18 @@ func (s *Store) LastLSN() uint64 {
 // Close fsyncs and closes the durable log; further writes fail. Queries keep
 // working — the in-memory state is intact — but the store no longer persists
 // anything. Close on an in-memory store is a no-op. Close does not
-// checkpoint; call Checkpoint first for a replay-free next start.
+// checkpoint; call Checkpoint first for a replay-free next start. It does
+// wait for a size-triggered background checkpoint in flight, so once Close
+// returns nothing of this store touches the directory again and another
+// OpenStore may take it over.
 func (s *Store) Close() error {
 	if s.dur == nil {
 		return nil
 	}
+	s.ckptMu.Lock()
+	s.ckptClosed = true
+	s.ckptMu.Unlock()
+	s.ckptDone.Wait()
 	err := s.dur.Close()
 	if err != nil && errors.Is(err, durable.ErrClosed) {
 		return nil

@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -489,6 +491,68 @@ func TestCheckpointBytesTrigger(t *testing.T) {
 	}
 	if d := diffStates(storeState(t, st2), want); d != "" {
 		t.Fatalf("recovered state after size-triggered checkpoint: %s", d)
+	}
+}
+
+// TestCloseJoinsBackgroundCheckpoint pins Close against the size-triggered
+// checkpoint: with a one-byte budget every acknowledged Apply leaves a
+// background checkpoint starting or running, so Close lands in the middle of
+// one. When Close returns, that checkpoint must be over — nothing of the
+// closed store may still snapshot or prune under whoever opens the directory
+// next — and the next OpenStore must recover exactly the acknowledged writes.
+func TestCloseJoinsBackgroundCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurabilityOptions{Sync: "none", CheckpointBytes: 1}
+	next := int64(0) // tuples acknowledged so far, all distinct
+	stacks := make([]byte, 1<<20)
+	for round := 0; round < 6; round++ {
+		st, _, err := OpenStore(dir, opts)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if round == 0 {
+			if err := st.DefineRelation("e", 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(storeState(t, st)["e"]); got != int(next) {
+			t.Fatalf("round %d: recovered %d tuples, %d were acknowledged", round, got, next)
+		}
+		for i := 0; i < 3; i++ {
+			ins := make([][]int64, 2048)
+			for j := range ins {
+				ins[j] = []int64{next, next % 1013}
+				next++
+			}
+			if err := st.Apply("e", ins, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		inFlight := func() bool {
+			st.ckptMu.Lock()
+			defer st.ckptMu.Unlock()
+			return st.ckptBusy
+		}
+		if inFlight() {
+			t.Fatalf("round %d: a background checkpoint is in flight after Close", round)
+		}
+		if all := stacks[:runtime.Stack(stacks, true)]; bytes.Contains(all, []byte("repro.(*Store).Checkpoint")) {
+			t.Fatalf("round %d: a goroutine is still checkpointing after Close:\n%s", round, all)
+		}
+		if st.maybeCheckpoint(); inFlight() {
+			t.Fatalf("round %d: a background checkpoint started after Close", round)
+		}
+	}
+	st, _, err := OpenStore(dir, DurabilityOptions{Sync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := len(storeState(t, st)["e"]); got != int(next) {
+		t.Fatalf("final open: recovered %d tuples, %d were acknowledged", got, next)
 	}
 }
 

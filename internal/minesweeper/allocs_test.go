@@ -1,0 +1,60 @@
+//go:build !race
+
+package minesweeper
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/query"
+)
+
+// TestMinesweeperSteadyStateAllocs is the allocation gate of the execution
+// frame: once a compiled plan has run twice, so that a pooled frame has grown
+// to the query's size, another Count or Enumerate allocates a handful of
+// objects however many probes, constraints and CDS nodes the run goes
+// through. The race detector changes allocation counts, hence the build tag.
+func TestMinesweeperSteadyStateAllocs(t *testing.T) {
+	db := dataset.DB(dataset.Generate(dataset.HolmeKim, 1000, 5500, 107), 8, 107)
+	q := query.Path(3)
+	gao, inSkel, _, err := resolvePlan(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atoms, err := core.BindAtoms(q, db, gao, core.DefaultBackend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := Engine{Opts: Options{Plan: &core.Plan{Query: q, GAO: gao, Atoms: atoms, InSkel: inSkel}}}
+	ctx := context.Background()
+	var stats Stats
+	if _, err := (Engine{Opts: Options{Plan: eng.Opts.Plan, Stats: &stats}}).Count(ctx, q, db); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Constraints < 1000 || stats.Outputs == 0 {
+		t.Fatalf("the instance is too small to gate anything: %+v", stats)
+	}
+	runs := map[string]func(){
+		"Count": func() {
+			if _, err := eng.Count(ctx, q, db); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Enumerate": func() {
+			if err := eng.Enumerate(ctx, q, db, func([]int64) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, run := range runs {
+		run()
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs > 16 {
+			t.Errorf("%s allocates %.1f objects per steady-state execution, want <= 16 (%d constraints inserted)", name, allocs, stats.Constraints)
+		} else {
+			t.Logf("%s: %.1f allocs per execution, %d constraints inserted", name, allocs, stats.Constraints)
+		}
+	}
+}

@@ -13,26 +13,27 @@ func BenchmarkInsertInterval(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
+	c := NewCDS(1, false)
 	for i := 0; i < b.N; i++ {
-		nd := newNode(0, nil, 0, false)
+		c.reset(1, false)
 		for j := 0; j < 1000; j++ {
 			l := int64(rng.Intn(100_000))
-			nd.insertInterval(l, l+int64(rng.Intn(50)))
+			c.insertInterval(rootID, l, l+int64(rng.Intn(50)))
 		}
 	}
 }
 
 func BenchmarkNodeNext(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	nd := newNode(0, nil, 0, false)
+	c := NewCDS(1, false)
 	for j := 0; j < 1000; j++ {
 		l := int64(rng.Intn(100_000))
-		nd.insertInterval(l, l+int64(rng.Intn(50)))
+		c.insertInterval(rootID, l, l+int64(rng.Intn(50)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nd.next(int64(i % 100_000))
+		c.next(rootID, int64(i%100_000))
 	}
 }
 

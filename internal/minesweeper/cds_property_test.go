@@ -2,6 +2,7 @@ package minesweeper
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,16 +13,19 @@ import (
 // oracle: after inserting random gap-box constraints over a small domain
 // (plus upper-bound constraints so enumeration terminates), advancing
 // through ComputeFreeTuple must visit exactly the tuples not covered by any
-// constraint, in lexicographic order.
+// constraint, in lexicographic order. Every instance runs twice on one CDS
+// that is recycled through the whole test and once on a fresh one: a finger,
+// block, free list or complete flag that survived reset would show as a
+// different sequence.
 func TestFreeTupleEnumerationOracle(t *testing.T) {
 	const (
 		n      = 3
 		maxVal = 6
 	)
+	recycled := NewCDS(n, false)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, disableComplete := range []bool{false, true} {
-			c := NewCDS(n, disableComplete)
 			var cons []Constraint
 			// Random gap boxes.
 			for k := 0; k < 2+rng.Intn(10); k++ {
@@ -48,9 +52,6 @@ func TestFreeTupleEnumerationOracle(t *testing.T) {
 			for d := 0; d < n; d++ {
 				cons = append(cons, Constraint{Col: d, Lo: maxVal, Hi: relation.PosInf})
 			}
-			for _, con := range cons {
-				c.InsConstraint(con)
-			}
 
 			// Oracle: all tuples over [-1, maxVal]^n not inside any box.
 			var want [][3]int64
@@ -73,20 +74,26 @@ func TestFreeTupleEnumerationOracle(t *testing.T) {
 			}
 			enumerate(0)
 
-			var got [][3]int64
-			for c.ComputeFreeTuple() {
-				ft := c.Frontier()
-				got = append(got, [3]int64{ft[0], ft[1], ft[2]})
-				if len(got) > len(want)+8 {
-					return false // runaway enumeration
+			for run := 0; run < 3; run++ {
+				c := recycled
+				if run == 2 {
+					c = NewCDS(n, disableComplete)
+				} else {
+					c.reset(n, disableComplete)
 				}
-				c.AdvanceOutput()
-			}
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
+				for _, con := range cons {
+					c.InsConstraint(con)
+				}
+				var got [][3]int64
+				for c.ComputeFreeTuple() {
+					ft := c.Frontier()
+					got = append(got, [3]int64{ft[0], ft[1], ft[2]})
+					if len(got) > len(want)+8 {
+						return false // runaway enumeration
+					}
+					c.AdvanceOutput()
+				}
+				if !slices.Equal(got, want) {
 					return false
 				}
 			}
@@ -95,6 +102,76 @@ func TestFreeTupleEnumerationOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestArenaChurn forces the slabs to grow and the free lists to be used:
+// each round plants a few hundred children under the root, grows each
+// child's pointList through several size classes, checks the children
+// against a reference set, and then kills them all with root intervals that
+// delete interior points carrying children. Dead nodes and abandoned blocks
+// must come back: after the first round the arena stops growing however long
+// the churn goes on, and the recycled memory behaves like fresh memory.
+func TestArenaChurn(t *testing.T) {
+	const (
+		rounds   = 30
+		width    = 4096 // root values a round owns
+		children = 300
+	)
+	rng := rand.New(rand.NewSource(8))
+	c := NewCDS(2, false)
+	var nodesAfterFirst, valsAfterFirst int
+	inserts := 0
+	for round := 0; round < rounds; round++ {
+		base := int64(round) * width
+		covered := map[nodeID]map[int64]bool{}
+		for k := 0; k < children; k++ {
+			ch := c.ensureChild(rootID, base+1+rng.Int63n(width-2))
+			if covered[ch] == nil {
+				covered[ch] = map[int64]bool{}
+			}
+			for j := 1 + rng.Intn(24); j > 0; j-- {
+				l := rng.Int63n(200)
+				r := l + 2 + rng.Int63n(3)
+				c.insertInterval(ch, l, r)
+				inserts++
+				for v := l + 1; v < r; v++ {
+					covered[ch][v] = true
+				}
+			}
+		}
+		for ch, set := range covered {
+			for v := int64(-1); v < 210; v++ {
+				if c.covered(ch, v) != set[v] {
+					t.Fatalf("round %d: child %d covered(%d) = %v, want %v", round, ch, v, !set[v], set[v])
+				}
+			}
+		}
+		// Kill the round's children in 16 bites, in random order, so interior
+		// deletion meets children both beside and inside earlier intervals.
+		for _, bite := range rng.Perm(16) {
+			lo := base + int64(bite)*width/16
+			c.insertInterval(rootID, lo, lo+width/16+1)
+			inserts++
+		}
+		if got := c.next(rootID, base+1); got != base+width+1 {
+			t.Fatalf("round %d: root next(%d) = %d, want %d", round, base+1, got, base+width+1)
+		}
+		if vals, _ := c.points(rootID); len(vals) != 2 {
+			t.Fatalf("round %d: root pointList = %v, want one merged interval", round, vals)
+		}
+		if round == 0 {
+			nodesAfterFirst, valsAfterFirst = len(c.nodes), len(c.vals)
+		}
+	}
+	if inserts < 5000 {
+		t.Fatalf("only %d insertIntervals, the test wants thousands", inserts)
+	}
+	// Rounds differ in how many points their children draw, so allow the
+	// largest round some slack over the first — not 30 rounds' worth.
+	if len(c.nodes) > nodesAfterFirst+children/4 || len(c.vals) > 2*valsAfterFirst {
+		t.Errorf("arena grew with churn: %d nodes and %d slab entries after %d rounds, %d and %d after the first",
+			len(c.nodes), len(c.vals), rounds, nodesAfterFirst, valsAfterFirst)
 	}
 }
 

@@ -7,19 +7,31 @@ import (
 	"testing/quick"
 )
 
+// intervals returns the node's interval list.
+func (c *CDS) intervals(id nodeID) [][2]int64 {
+	var out [][2]int64
+	vals, meta := c.points(id)
+	for i := range vals {
+		if meta[i]&flagL != 0 {
+			out = append(out, [2]int64{vals[i], vals[i+1]})
+		}
+	}
+	return out
+}
+
 func TestPointListInsertAndNext(t *testing.T) {
-	nd := newNode(0, nil, 0, false)
-	nd.insertInterval(5, 7)
-	if got := nd.intervals(); !reflect.DeepEqual(got, [][2]int64{{5, 7}}) {
+	c, nd := NewCDS(1, false), rootID
+	c.insertInterval(nd, 5, 7)
+	if got := c.intervals(nd); !reflect.DeepEqual(got, [][2]int64{{5, 7}}) {
 		t.Fatalf("intervals = %v", got)
 	}
-	if nd.next(6) != 7 {
-		t.Errorf("next(6) = %d, want 7", nd.next(6))
+	if c.next(nd, 6) != 7 {
+		t.Errorf("next(6) = %d, want 7", c.next(nd, 6))
 	}
-	if nd.next(5) != 5 || nd.next(7) != 7 {
+	if c.next(nd, 5) != 5 || c.next(nd, 7) != 7 {
 		t.Error("open endpoints must stay free")
 	}
-	if nd.covered(6) != true || nd.covered(5) != false {
+	if c.covered(nd, 6) != true || c.covered(nd, 5) != false {
 		t.Error("covered wrong on endpoints/interior")
 	}
 }
@@ -27,89 +39,89 @@ func TestPointListInsertAndNext(t *testing.T) {
 // TestPointListPaperExample replays the Figure 2 bottom node v with
 // intervals (1,3),(3,9),(10,14): pointList 1(L),3(L&R),9(R),10(L),14(R).
 func TestPointListPaperExample(t *testing.T) {
-	nd := newNode(0, nil, 0, false)
-	nd.insertInterval(3, 9)
-	nd.insertInterval(1, 3)
-	nd.insertInterval(10, 14)
+	c, nd := NewCDS(1, false), rootID
+	c.insertInterval(nd, 3, 9)
+	c.insertInterval(nd, 1, 3)
+	c.insertInterval(nd, 10, 14)
 	want := [][2]int64{{1, 3}, {3, 9}, {10, 14}}
-	if got := nd.intervals(); !reflect.DeepEqual(got, want) {
+	if got := c.intervals(nd); !reflect.DeepEqual(got, want) {
 		t.Fatalf("intervals = %v, want %v", got, want)
 	}
-	p := nd.points
-	if len(p) != 5 {
-		t.Fatalf("pointList has %d entries, want 5", len(p))
+	vals, meta := c.points(nd)
+	if len(vals) != 5 {
+		t.Fatalf("pointList has %d entries, want 5", len(vals))
 	}
 	// 3 is both a left and a right endpoint, like the paper's example.
-	if !p[1].isL || !p[1].isR || p[1].v != 3 {
-		t.Errorf("point 3 = %+v, want L&R", p[1])
+	if vals[1] != 3 || meta[1] != flagL|flagR {
+		t.Errorf("point 1 = %d flags %b, want 3 with L&R", vals[1], meta[1])
 	}
-	if nd.next(2) != 3 || nd.next(4) != 9 || nd.next(11) != 14 || nd.next(9) != 9 {
+	if c.next(nd, 2) != 3 || c.next(nd, 4) != 9 || c.next(nd, 11) != 14 || c.next(nd, 9) != 9 {
 		t.Error("next over the paper example is wrong")
 	}
 	// Inserting (2,4) bridges the touching intervals into (1,9).
-	nd.insertInterval(2, 4)
+	c.insertInterval(nd, 2, 4)
 	want = [][2]int64{{1, 9}, {10, 14}}
-	if got := nd.intervals(); !reflect.DeepEqual(got, want) {
+	if got := c.intervals(nd); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after merge: intervals = %v, want %v", got, want)
 	}
 }
 
 func TestInsertIntervalMergesOverlaps(t *testing.T) {
-	nd := newNode(0, nil, 0, false)
-	nd.insertInterval(1, 5)
-	nd.insertInterval(3, 9)
-	if got := nd.intervals(); !reflect.DeepEqual(got, [][2]int64{{1, 9}}) {
+	c, nd := NewCDS(1, false), rootID
+	c.insertInterval(nd, 1, 5)
+	c.insertInterval(nd, 3, 9)
+	if got := c.intervals(nd); !reflect.DeepEqual(got, [][2]int64{{1, 9}}) {
 		t.Fatalf("intervals = %v, want [(1,9)]", got)
 	}
-	nd.insertInterval(0, 20)
-	if got := nd.intervals(); !reflect.DeepEqual(got, [][2]int64{{0, 20}}) {
+	c.insertInterval(nd, 0, 20)
+	if got := c.intervals(nd); !reflect.DeepEqual(got, [][2]int64{{0, 20}}) {
 		t.Fatalf("intervals = %v, want [(0,20)]", got)
 	}
 }
 
 func TestInsertIntervalEmpty(t *testing.T) {
-	nd := newNode(0, nil, 0, false)
-	nd.insertInterval(5, 6) // open (5,6) covers no integer
-	nd.insertInterval(5, 5)
-	if len(nd.points) != 0 {
-		t.Errorf("empty intervals must not be stored: %v", nd.points)
+	c, nd := NewCDS(1, false), rootID
+	c.insertInterval(nd, 5, 6) // open (5,6) covers no integer
+	c.insertInterval(nd, 5, 5)
+	if vals, _ := c.points(nd); len(vals) != 0 {
+		t.Errorf("empty intervals must not be stored: %v", vals)
 	}
 }
 
 func TestInsertIntervalRemovesChildren(t *testing.T) {
-	nd := newNode(0, nil, 0, false)
-	nd.ensureChild(5)
-	nd.ensureChild(8)
-	nd.insertInterval(4, 7) // kills child 5, keeps child 8
-	if nd.childAt(5) != nil {
+	c, nd := NewCDS(1, false), rootID
+	c.ensureChild(nd, 5)
+	c.ensureChild(nd, 8)
+	c.insertInterval(nd, 4, 7) // kills child 5, keeps child 8
+	if c.childAt(nd, 5) != 0 {
 		t.Error("child 5 should be eliminated by the covering interval")
 	}
-	if nd.childAt(8) == nil {
+	if c.childAt(nd, 8) == 0 {
 		t.Error("child 8 should survive")
 	}
 }
 
 func TestChildOnEndpointSurvives(t *testing.T) {
-	nd := newNode(0, nil, 0, false)
-	nd.ensureChild(5)
-	nd.insertInterval(5, 9) // 5 is an open endpoint: not covered
-	if nd.childAt(5) == nil {
+	c, nd := NewCDS(1, false), rootID
+	c.ensureChild(nd, 5)
+	c.insertInterval(nd, 5, 9) // 5 is an open endpoint: not covered
+	if c.childAt(nd, 5) == 0 {
 		t.Error("child at the open endpoint must survive")
 	}
-	if !nd.points[nd.find(5)].isL {
+	if _, meta := c.points(nd); meta[c.find(nd, 5)]&flagL == 0 {
 		t.Error("endpoint flag missing on the child point")
 	}
 }
 
 func TestHasNoFreeValue(t *testing.T) {
-	nd := newNode(0, nil, 0, false)
-	if nd.hasNoFreeValue() {
+	c, nd := NewCDS(1, false), rootID
+	if c.hasNoFreeValue(nd) {
 		t.Error("fresh node should have free values")
 	}
-	nd.insertInterval(negInf, 5)
-	nd.insertInterval(4, posInf)
-	if !nd.hasNoFreeValue() {
-		t.Errorf("(-inf,5)+(4,+inf) should cover everything: %v", nd.intervals())
+	c.insertInterval(nd, negInf, 5)
+	c.insertInterval(nd, 4, posInf)
+	if !c.hasNoFreeValue(nd) {
+		t.Errorf("(-inf,5)+(4,+inf) should cover everything: %v", c.intervals(nd))
 	}
 }
 
@@ -118,31 +130,32 @@ func TestHasNoFreeValue(t *testing.T) {
 func TestIntervalSetProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nd := newNode(0, nil, 0, false)
+		c, nd := NewCDS(1, false), rootID
 		covered := make(map[int64]bool)
 		const domain = 40
 		for op := 0; op < 30; op++ {
 			l := int64(rng.Intn(domain) - 2)
 			r := l + int64(rng.Intn(10))
-			nd.insertInterval(l, r)
+			c.insertInterval(nd, l, r)
 			for v := l + 1; v < r; v++ {
 				covered[v] = true
 			}
 			// Validate pointList invariants: sorted, L followed by R.
-			for i := 1; i < len(nd.points); i++ {
-				if nd.points[i-1].v >= nd.points[i].v {
+			vals, meta := c.points(nd)
+			for i := 1; i < len(vals); i++ {
+				if vals[i-1] >= vals[i] {
 					return false
 				}
-				if nd.points[i-1].isL && !nd.points[i].isR {
+				if meta[i-1]&flagL != 0 && meta[i]&flagR == 0 {
 					return false
 				}
 			}
-			if len(nd.points) > 0 && nd.points[len(nd.points)-1].isL {
+			if len(vals) > 0 && meta[len(vals)-1]&flagL != 0 {
 				return false
 			}
 		}
 		for v := int64(-3); v < domain+10; v++ {
-			if nd.covered(v) != covered[v] {
+			if c.covered(nd, v) != covered[v] {
 				return false
 			}
 			// next returns the least free value >= v.
@@ -150,7 +163,7 @@ func TestIntervalSetProperty(t *testing.T) {
 			for covered[want] {
 				want++
 			}
-			if nd.next(v) != want {
+			if c.next(nd, v) != want {
 				return false
 			}
 		}
@@ -170,16 +183,17 @@ func TestCDSFigure2(t *testing.T) {
 	// <*,*,7,*,(4,9)>
 	c.InsConstraint(Constraint{EqPos: []int{2}, EqVal: []int64{7}, Col: 4, Lo: 4, Hi: 9})
 	// star-star path to depth 2 holds (5,7).
-	n2 := c.root.star.star
-	if got := n2.intervals(); !reflect.DeepEqual(got, [][2]int64{{5, 7}}) {
+	star := func(id nodeID) nodeID { return c.nodes[id].star }
+	n2 := star(star(rootID))
+	if got := c.intervals(n2); !reflect.DeepEqual(got, [][2]int64{{5, 7}}) {
 		t.Fatalf("depth-2 node intervals = %v", got)
 	}
 	// the 7-child path holds (4,9) at depth 4.
-	n4 := n2.childAt(7).star
-	if n4 == nil {
+	n4 := star(c.childAt(n2, 7))
+	if n4 == 0 {
 		t.Fatal("missing <*,*,7,*> node")
 	}
-	if got := n4.intervals(); !reflect.DeepEqual(got, [][2]int64{{4, 9}}) {
+	if got := c.intervals(n4); !reflect.DeepEqual(got, [][2]int64{{4, 9}}) {
 		t.Fatalf("depth-4 node intervals = %v", got)
 	}
 	// Further constraints from the figure.
@@ -190,17 +204,18 @@ func TestCDSFigure2(t *testing.T) {
 	c.InsConstraint(Constraint{EqPos: []int{1, 2, 3}, EqVal: []int64{1, 3, 5}, Col: 4, Lo: 1, Hi: 3})
 	c.InsConstraint(Constraint{EqPos: []int{1, 2, 3}, EqVal: []int64{1, 3, 5}, Col: 4, Lo: 10, Hi: 14})
 	c.InsConstraint(Constraint{EqPos: []int{1, 2}, EqVal: []int64{1, 3}, Col: 4, Lo: 5, Hi: 10})
-	v := c.root.star.childAt(1).childAt(3).childAt(5)
-	if v == nil {
+	n13 := c.childAt(c.childAt(star(rootID), 1), 3)
+	v := c.childAt(n13, 5)
+	if v == 0 {
 		t.Fatal("missing <*,1,3,5> node")
 	}
 	want := [][2]int64{{1, 3}, {3, 9}, {10, 14}}
-	if got := v.intervals(); !reflect.DeepEqual(got, want) {
+	if got := c.intervals(v); !reflect.DeepEqual(got, want) {
 		t.Fatalf("<*,1,3,5> intervals = %v, want %v", got, want)
 	}
-	w := c.root.star.childAt(1).childAt(3).star
-	if w == nil || !reflect.DeepEqual(w.intervals(), [][2]int64{{5, 10}}) {
-		t.Fatalf("<*,1,3,*> node wrong: %+v", w)
+	w := star(n13)
+	if w == 0 || !reflect.DeepEqual(c.intervals(w), [][2]int64{{5, 10}}) {
+		t.Fatalf("<*,1,3,*> node wrong: %v", c.intervals(w))
 	}
 }
 
@@ -209,7 +224,7 @@ func TestConstraintSubsumption(t *testing.T) {
 	c.InsConstraint(Constraint{Col: 0, Lo: 2, Hi: 9})
 	// A constraint whose pattern value 5 is covered at the root is subsumed.
 	c.InsConstraint(Constraint{EqPos: []int{0}, EqVal: []int64{5}, Col: 1, Lo: 0, Hi: 100})
-	if c.root.childAt(5) != nil {
+	if c.childAt(rootID, 5) != 0 {
 		t.Error("subsumed constraint should not create a branch")
 	}
 }
@@ -273,7 +288,7 @@ func TestTruncation(t *testing.T) {
 		t.Fatalf("free tuple = %v, want first coordinate 9 (4 truncated)", c.Frontier())
 	}
 	// The truncation must have inserted (3,5) at the root.
-	if !c.root.covered(4) {
+	if !c.covered(rootID, 4) {
 		t.Error("value 4 should be covered at the root after truncation")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -64,18 +65,22 @@ func TestCounterContextShape(t *testing.T) {
 	if len(gao) != 4 {
 		t.Fatalf("gao = %v", gao)
 	}
-	ex := &exec{}
-	c := newCounter(ex, q, gao)
+	atoms, err := core.BindAtoms(q, testutil.GraphDB(testutil.K4, map[string][]int64{query.Sample1: {0}, query.Sample2: {1}}), gao, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c counter
+	c.reset(&exec{n: len(gao), atoms: atoms})
 	// The last-but-one depth's context must be small (enabling the paper's
 	// low-selectivity reuse): it is {that position} plus at most one earlier
 	// position.
 	d := len(gao) - 2
-	if len(c.ctxPos[d]) > 2 {
-		t.Errorf("ctx(%d) = %v, want at most 2 positions", d, c.ctxPos[d])
+	if len(c.ctxPos(d)) > 2 {
+		t.Errorf("ctx(%d) = %v, want at most 2 positions", d, c.ctxPos(d))
 	}
 	// Depth 0 contains v1 only when a sample is the sole prefix atom.
-	if len(c.contained[len(gao)-1]) != len(q.Atoms) {
-		t.Errorf("all atoms must be contained at the last depth, got %v", c.contained[len(gao)-1])
+	if len(c.contained(len(gao)-1)) != len(q.Atoms) {
+		t.Errorf("all atoms must be contained at the last depth, got %v", c.contained(len(gao)-1))
 	}
 }
 

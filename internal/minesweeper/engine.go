@@ -3,6 +3,8 @@ package minesweeper
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
@@ -34,7 +36,7 @@ type Options struct {
 	// fixpoint iteration wherever chains break.
 	DisableSkeleton bool
 	// DisableCountMemo turns off the #Minesweeper-style count-mode subtree
-	// reuse (Idea 8; see DESIGN.md §4).
+	// reuse (Idea 8; see ARCHITECTURE.md, "Count-memo soundness").
 	DisableCountMemo bool
 	// FirstVarRange restricts the first GAO variable for parallel jobs.
 	FirstVarRange *Range
@@ -73,23 +75,89 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	return err
 }
 
+// exec is one execution frame: the run's parameters plus every piece of
+// state the run mutates — the CDS arena, the probe memos and their points,
+// the scratch tuples, the count memo — in flat buffers. Frames live in a
+// sync.Pool: a run takes one, resets it (lengths to zero, frontier and
+// fingers re-seeded, capacity kept) and gives it back, so steady-state
+// executions allocate nothing, every concurrent execution and every §4.10
+// worker has its own, and an idle frame is the garbage collector's to drop.
 type exec struct {
-	n       int
-	atoms   []core.AtomIndex
-	inSkel  []bool
-	cds     *CDS
-	probes  []probeMemo
+	n      int
+	atoms  []core.AtomIndex
+	inSkel []bool
+	cds    CDS
+	probes []probeMemo
+	// points backs every probes[i].point, scratch the projection under test.
+	points  []int64
 	scratch []int64
-	tick    *core.Ticker
+	tick    core.Ticker
 	emit    func([]int64) bool
 	outPerm []int
 	out     []int64
-	counter *counter
-	opts    Options
-	push    *core.Pushdown
-	prefix  int // >0: emit only the leading prefix columns, deduped
-	total   int64
-	stats   Stats
+	// adv and cand hold the best and the current Idea 7 frontier advance.
+	adv, cand []int64
+	counter   counter
+	counting  bool // count-mode subtree reuse (Idea 8) is on for this run
+	noMemo    bool // Options.DisableMemo
+	push      *core.Pushdown
+	prefix    int // >0: emit only the leading prefix columns, deduped
+	total     int64
+	stats     Stats
+}
+
+var frames = sync.Pool{New: func() any { return new(exec) }}
+
+// maxPooledFrame bounds the bytes a pooled frame may keep: a run that grew
+// its slabs past it (a huge certificate) returns them to the collector
+// instead of pinning them for the next, probably smaller, run.
+const maxPooledFrame = 16 << 20
+
+// reset prepares the frame for a run over the bound atoms.
+func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms []core.AtomIndex, inSkel []bool, push *core.Pushdown, emit func([]int64) bool, opts Options) {
+	n := len(gao)
+	ex.n, ex.atoms, ex.inSkel, ex.push, ex.emit, ex.noMemo = n, atoms, inSkel, push, emit, opts.DisableMemo
+	ex.total, ex.stats, ex.prefix, ex.counting = 0, Stats{}, 0, false
+	if push != nil {
+		ex.prefix = push.Prefix
+	}
+	ex.tick = *core.NewTicker(ctx)
+	ex.cds.reset(n, opts.DisableComplete)
+	ex.cds.tick = &ex.tick
+
+	arity, maxArity := 0, 0
+	for _, a := range atoms {
+		arity += len(a.VarPos)
+		maxArity = max(maxArity, len(a.VarPos))
+	}
+	ex.points, ex.scratch = zeroed(ex.points, arity), zeroed(ex.scratch, maxArity)
+	ex.probes = ex.probes[:0]
+	off := 0
+	for _, a := range atoms {
+		ex.probes = append(ex.probes, probeMemo{point: ex.points[off : off+len(a.VarPos) : off+len(a.VarPos)]})
+		off += len(a.VarPos)
+	}
+	ex.adv, ex.cand, ex.out = zeroed(ex.adv, n), zeroed(ex.cand, n), zeroed(ex.out, n)
+	ex.outPerm = ex.outPerm[:0]
+	vars := q.Vars()
+	for _, v := range gao {
+		ex.outPerm = append(ex.outPerm, slices.Index(vars, v))
+	}
+}
+
+// zeroed returns buf resized to n zeros, reusing its storage when it can.
+func zeroed(buf []int64, n int) []int64 {
+	return append(buf[:0], make([]int64, n)...)
+}
+
+// release drops the run's references and returns the frame to the pool
+// unless it outgrew maxPooledFrame.
+func (ex *exec) release() {
+	ex.atoms, ex.inSkel, ex.push, ex.emit = nil, nil, nil, nil
+	ex.tick = core.Ticker{}
+	if ex.cds.retained()+ex.counter.retained() <= maxPooledFrame {
+		frames.Put(ex)
+	}
 }
 
 func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) (int64, error) {
@@ -131,13 +199,9 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 			return 0, err
 		}
 	}
-	maxArity := 0
 	for i, a := range atoms {
 		if a.Index.Arity() != len(q.Atoms[i].Vars) {
 			return 0, fmt.Errorf("minesweeper: atom %s arity mismatch with its %d-ary index", q.Atoms[i], a.Index.Arity())
-		}
-		if a.Index.Arity() > maxArity {
-			maxArity = a.Index.Arity()
 		}
 	}
 	// Pin overlay-backed indexes to one snapshot for this whole run, so a
@@ -152,26 +216,9 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 		// exact for every free tuple inside the job's range.
 		atoms = core.RestrictAtoms(atoms, r.Lo, r.Hi)
 	}
-	ex := &exec{
-		n:       len(gao),
-		atoms:   atoms,
-		inSkel:  inSkel,
-		cds:     NewCDS(len(gao), e.Opts.DisableComplete),
-		probes:  make([]probeMemo, len(atoms)),
-		scratch: make([]int64, maxArity),
-		tick:    core.NewTicker(ctx),
-		emit:    emit,
-		opts:    e.Opts,
-		push:    push,
-	}
-	if push != nil {
-		ex.prefix = push.Prefix
-	}
-	idx := q.VarIndex()
-	ex.outPerm = make([]int, len(gao))
-	for g, v := range gao {
-		ex.outPerm[g] = idx[v]
-	}
+	ex := frames.Get().(*exec)
+	defer ex.release()
+	ex.reset(ctx, q, gao, atoms, inSkel, push, emit, e.Opts)
 	if r := e.Opts.FirstVarRange; r != nil {
 		if r.Lo > -1 {
 			ex.cds.t[0] = r.Lo
@@ -195,12 +242,12 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 			}
 		}
 	}
-	ex.cds.Tick = ex.tick.Tick
 	// The count-mode subtree reuse assumes plain full-binding semantics;
 	// residual predicates and projection dedup both break its memo, so
 	// extended queries always take the exact path.
 	if emit == nil && !e.Opts.DisableCountMemo && push == nil {
-		ex.counter = newCounter(ex, q, gao)
+		ex.counting = true
+		ex.counter.reset(ex)
 	}
 	err := ex.loop()
 	ex.stats.FreeTupleSteps = int64(ex.cds.Steps())
@@ -302,17 +349,11 @@ func (ex *exec) loop() error {
 			return err
 		}
 		t := ex.cds.Frontier()
-		if ex.counter != nil {
-			reused, err := ex.counter.visit(t)
-			if err != nil {
-				return err
-			}
-			if reused {
-				continue
-			}
+		if ex.counting && ex.counter.visit(t) {
+			continue
 		}
 		gapFound := false
-		var adv []int64
+		advanced := false // ex.adv holds an Idea 7 advance for this tuple
 		done := false
 		for i := range ex.atoms {
 			gap, found := ex.probeAtom(i, t)
@@ -328,13 +369,13 @@ func (ex *exec) loop() error {
 					pm.insertedCur = true
 				}
 			} else {
-				cand, exhausted := ex.advanceFrom(t, ex.atoms[i].VarPos[gap.Col], gap.Hi)
-				if exhausted {
+				if ex.advanceFrom(t, ex.atoms[i].VarPos[gap.Col], gap.Hi) {
 					done = true
 					break
 				}
-				if adv == nil || relation.CompareTuples(cand, adv) > 0 {
-					adv = cand
+				if !advanced || relation.CompareTuples(ex.cand, ex.adv) > 0 {
+					ex.adv, ex.cand = ex.cand, ex.adv
+					advanced = true
 				}
 			}
 		}
@@ -355,25 +396,20 @@ func (ex *exec) loop() error {
 				// Early duplicate elimination: every deeper tuple shares the
 				// just-emitted output prefix, so skip the whole prefix
 				// subtree instead of enumerating (and deduplicating) it.
-				adv := append([]int64(nil), t...)
-				adv[ex.prefix-1]++
-				for i := ex.prefix; i < ex.n; i++ {
-					adv[i] = -1
-				}
-				ex.cds.SetFrontier(adv)
+				ex.cds.AdvancePast(ex.prefix - 1)
 				continue
 			}
 			ex.cds.AdvanceOutput()
 			continue
 		}
-		if adv != nil && relation.CompareTuples(adv, t) > 0 {
-			ex.cds.SetFrontier(adv)
+		if advanced && relation.CompareTuples(ex.adv, t) > 0 {
+			ex.cds.SetFrontier(ex.adv)
 		}
 	}
 	if ex.cds.Err != nil {
 		return ex.cds.Err
 	}
-	if ex.counter != nil {
+	if ex.counting {
 		ex.counter.finish()
 	}
 	return nil
@@ -397,7 +433,7 @@ func (ex *exec) residualsOK(t []int64) bool {
 // false to stop enumeration.
 func (ex *exec) output(t []int64) bool {
 	ex.total++
-	if ex.counter != nil {
+	if ex.counting {
 		ex.counter.onOutput()
 		return true
 	}
@@ -407,14 +443,9 @@ func (ex *exec) output(t []int64) bool {
 	if ex.prefix > 0 {
 		// The planner guarantees the leading GAO columns are the query's
 		// output prefix in execution order; emit them directly.
-		if ex.out == nil {
-			ex.out = make([]int64, ex.prefix)
-		}
-		copy(ex.out, t[:ex.prefix])
-		return ex.emit(ex.out)
-	}
-	if ex.out == nil {
-		ex.out = make([]int64, ex.n)
+		out := ex.out[:ex.prefix]
+		copy(out, t)
+		return ex.emit(out)
 	}
 	for g, v := range ex.outPerm {
 		ex.out[v] = t[g]
@@ -422,38 +453,35 @@ func (ex *exec) output(t []int64) bool {
 	return ex.emit(ex.out)
 }
 
-// advanceFrom computes the Idea 7 frontier advance for a gap on global
-// position pos with least present upper value hi: skip to (t[..pos-1], hi)
-// or, when the atom has nothing above, past the enclosing prefix.
-// exhausted == true means the whole remaining space is dead.
-func (ex *exec) advanceFrom(t []int64, pos int, hi int64) (cand []int64, exhausted bool) {
-	cand = append([]int64(nil), t...)
-	if hi < posInf {
-		cand[pos] = hi
-		for i := pos + 1; i < ex.n; i++ {
-			cand[i] = -1
+// advanceFrom computes into ex.cand the Idea 7 frontier advance for a gap on
+// global position pos with least present upper value hi: skip to
+// (t[..pos-1], hi) or, when the atom has nothing above, past the enclosing
+// prefix. exhausted == true means the whole remaining space is dead.
+func (ex *exec) advanceFrom(t []int64, pos int, hi int64) (exhausted bool) {
+	cand := ex.cand
+	copy(cand, t)
+	if hi >= posInf {
+		if pos == 0 {
+			return true
 		}
-		return cand, false
+		pos--
+		hi = cand[pos] + 1
 	}
-	if pos == 0 {
-		return nil, true
-	}
-	cand[pos-1]++
-	for i := pos; i < ex.n; i++ {
+	cand[pos] = hi
+	for i := pos + 1; i < ex.n; i++ {
 		cand[i] = -1
 	}
-	return cand, false
+	return false
 }
 
 // constraintFor builds the CDS constraint for atom i's current gap, using
-// the probe memo's stored projection (paper §4.5).
+// the probe memo's stored projection (paper §4.5). The slices are the plan's
+// and the memo's own: InsConstraint only reads them.
 func (ex *exec) constraintFor(i int, gap relation.Gap) Constraint {
-	vp := ex.atoms[i].VarPos
-	pm := &ex.probes[i]
 	return Constraint{
-		EqPos: append([]int(nil), vp[:gap.Col]...),
-		EqVal: append([]int64(nil), pm.point[:gap.Col]...),
-		Col:   vp[gap.Col],
+		EqPos: ex.atoms[i].VarPos[:gap.Col],
+		EqVal: ex.probes[i].point[:gap.Col],
+		Col:   ex.atoms[i].VarPos[gap.Col],
 		Lo:    gap.Lo,
 		Hi:    gap.Hi,
 	}
@@ -478,14 +506,11 @@ func (ex *exec) probeAtom(i int, t []int64) (relation.Gap, bool) {
 	same := pm.valid
 	for k, p := range vp {
 		proj[k] = t[p]
-		if pm.point == nil || proj[k] != pm.point[k] {
+		if proj[k] != pm.point[k] {
 			same = false
 		}
 	}
-	if pm.point == nil {
-		pm.point = make([]int64, len(vp))
-	}
-	if !ex.opts.DisableMemo && pm.valid {
+	if !ex.noMemo && pm.valid {
 		if same {
 			ex.stats.ProbeMemoHits++
 			return pm.gap, pm.found

@@ -1,0 +1,145 @@
+package minesweeper
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/query"
+	"repro/internal/testutil"
+)
+
+// goldenQueries is the paper's suite without its three widest queries
+// (which only add minutes) plus three extended queries, so the pushdown
+// seeds, the residual path and the projected-prefix frontier advance are
+// inside the pinned behaviour too.
+func goldenQueries() []*query.Query {
+	return append([]*query.Query{
+		query.Clique(3), query.Clique(4), query.Cycle(4), query.Path(3),
+		query.Tree(1), query.Comb(), query.Lollipop(2)},
+		query.MustParse("band", "out(a,b,c) :- edge(a,b), edge(b,c), a >= 2, a < 9"),
+		query.MustParse("resid", "out(a,b,c) :- edge(a,b), edge(b,c), a != c"),
+		query.MustParse("proj", "out(a,b) :- edge(a,b), edge(b,c), fwd(c,d)"),
+	)
+}
+
+// goldenRun executes every golden query in count and in enumerate mode on
+// five random instances drawn from seed, under the Disable* combination in
+// mask (bit 0 memo, 1 complete, 2 skeleton, 3 count memo), and returns the
+// summed counters.
+func goldenRun(t *testing.T, seed int64, mask int) Stats {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var s Stats
+	opts := Options{
+		DisableMemo:      mask&1 != 0,
+		DisableComplete:  mask&2 != 0,
+		DisableSkeleton:  mask&4 != 0,
+		DisableCountMemo: mask&8 != 0,
+		Stats:            &s,
+	}
+	ctx := context.Background()
+	for trial := 0; trial < 5; trial++ {
+		db := testutil.RandomGraphDB(rng, 5+rng.Intn(8), 8+rng.Intn(22), 1+rng.Intn(3))
+		for _, q := range goldenQueries() {
+			n, err := Engine{Opts: opts}.Count(ctx, q, db)
+			if err != nil {
+				t.Fatalf("seed %d mask %d %s: %v", seed, mask, q.Name, err)
+			}
+			var rows int64
+			if err := (Engine{Opts: opts}).Enumerate(ctx, q, db, func([]int64) bool { rows++; return true }); err != nil {
+				t.Fatalf("seed %d mask %d %s: %v", seed, mask, q.Name, err)
+			}
+			if rows != n {
+				t.Fatalf("seed %d mask %d %s: Count = %d, Enumerate yields %d rows", seed, mask, q.Name, n, rows)
+			}
+		}
+	}
+	return s
+}
+
+// goldenStats holds goldenRun's counters as the pointer-based CDS produced
+// them, recorded at the commit before the flat-arena rewrite: the rewrite is
+// a change of representation only, so every probe, constraint, free-tuple
+// step, reuse and memo store must repeat exactly, under every ablation.
+// Fields: Probes, ProbeMemoHits, Constraints, FreeTupleSteps, Outputs,
+// ReuseHits, MemoStores; index = mask.
+var goldenStats = map[int64][16]Stats{
+	11: {
+		{21298, 29590, 4002, 48363, 7328, 329, 686},
+		{50888, 0, 4002, 48363, 7328, 329, 686},
+		{21298, 29590, 4002, 48363, 7328, 329, 686},
+		{50888, 0, 4002, 48363, 7328, 329, 686},
+		{17633, 21635, 4420, 40112, 7328, 318, 630},
+		{39268, 0, 4420, 40112, 7328, 318, 630},
+		{17633, 21635, 4420, 40112, 7328, 318, 630},
+		{39268, 0, 4420, 40112, 7328, 318, 630},
+		{29868, 37802, 4002, 67844, 7328, 0, 0},
+		{67670, 0, 4002, 67844, 7328, 0, 0},
+		{29868, 37802, 4002, 67844, 7328, 0, 0},
+		{67670, 0, 4002, 67844, 7328, 0, 0},
+		{23652, 24760, 4420, 53040, 7328, 0, 0},
+		{48412, 0, 4420, 53040, 7328, 0, 0},
+		{23652, 24760, 4420, 53040, 7328, 0, 0},
+		{48412, 0, 4420, 53040, 7328, 0, 0},
+	},
+	23: {
+		{34787, 49855, 5614, 77590, 12560, 529, 907},
+		{84642, 0, 5614, 77590, 12560, 529, 907},
+		{34787, 49855, 5614, 77590, 12560, 529, 907},
+		{84642, 0, 5614, 77590, 12560, 529, 907},
+		{28036, 34579, 6164, 61322, 12560, 513, 845},
+		{62615, 0, 6164, 61322, 12560, 513, 845},
+		{28036, 34579, 6164, 61322, 12560, 513, 845},
+		{62615, 0, 6164, 61322, 12560, 513, 845},
+		{51938, 68474, 5614, 115892, 12560, 0, 0},
+		{120412, 0, 5614, 115892, 12560, 0, 0},
+		{51938, 68474, 5614, 115892, 12560, 0, 0},
+		{120412, 0, 5614, 115892, 12560, 0, 0},
+		{39786, 41574, 6164, 85772, 12560, 0, 0},
+		{81360, 0, 6164, 85772, 12560, 0, 0},
+		{39786, 41574, 6164, 85772, 12560, 0, 0},
+		{81360, 0, 6164, 85772, 12560, 0, 0},
+	},
+	47: {
+		{23071, 32101, 4840, 52691, 6632, 339, 767},
+		{55172, 0, 4840, 52691, 6632, 339, 767},
+		{23071, 32101, 4840, 52691, 6632, 339, 767},
+		{55172, 0, 4840, 52691, 6632, 339, 767},
+		{18453, 22338, 5338, 41985, 6632, 328, 703},
+		{40791, 0, 5338, 41985, 6632, 328, 703},
+		{18453, 22338, 5338, 41985, 6632, 328, 703},
+		{40791, 0, 5338, 41985, 6632, 328, 703},
+		{31158, 38646, 4840, 71174, 6632, 0, 0},
+		{69804, 0, 4840, 71174, 6632, 0, 0},
+		{31158, 38646, 4840, 71174, 6632, 0, 0},
+		{69804, 0, 4840, 71174, 6632, 0, 0},
+		{23184, 22622, 5338, 52092, 6632, 0, 0},
+		{45806, 0, 5338, 52092, 6632, 0, 0},
+		{23184, 22622, 5338, 52092, 6632, 0, 0},
+		{45806, 0, 5338, 52092, 6632, 0, 0},
+	},
+}
+
+func TestStatsGoldenAcrossAblations(t *testing.T) {
+	for _, seed := range []int64{11, 23, 47} {
+		want, ok := goldenStats[seed]
+		for mask := 0; mask < 16; mask++ {
+			got := goldenRun(t, seed, mask)
+			if !ok {
+				t.Logf("seed %d mask %2d: {%d, %d, %d, %d, %d, %d, %d},", seed, mask,
+					got.Probes, got.ProbeMemoHits, got.Constraints, got.FreeTupleSteps, got.Outputs, got.ReuseHits, got.MemoStores)
+				continue
+			}
+			if got != want[mask] {
+				t.Errorf("seed %d mask %d: stats = %+v, golden %+v", seed, mask, got, want[mask])
+			}
+			if got.Outputs != want[0].Outputs {
+				t.Errorf("seed %d mask %d: %d outputs, %d without ablation", seed, mask, got.Outputs, want[0].Outputs)
+			}
+		}
+		if !ok {
+			t.Errorf("seed %d has no golden row", seed)
+		}
+	}
+}

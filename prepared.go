@@ -227,9 +227,9 @@ func (p *Prepared) runEnumerate(ctx context.Context, eng core.Engine, emit func(
 }
 
 // Rows executes the compiled plan as a streaming iterator over result
-// tuples, in the same output order as Enumerate. Each yielded slice is a fresh
-// copy owned by the consumer. Breaking out of the range stops execution
-// early. The sequence ends early if ctx is cancelled or the engine fails
+// tuples, in the same output order as Enumerate. Each yielded slice is the
+// consumer's own: it may be kept, modified and appended to, and no later row
+// overwrites it. Breaking out of the range stops execution early. The sequence ends early if ctx is cancelled or the engine fails
 // mid-stream; Rows discards that error, so callers that must distinguish a
 // complete stream from a truncated one should use RowsErr (or Enumerate).
 // For the compiled engines the only mid-stream failure is cancellation, so
@@ -246,13 +246,37 @@ func (p *Prepared) RowsErr(ctx context.Context) iter.Seq2[[]int64, error] {
 	return rowsErrSeq(p.Enumerate, ctx)
 }
 
+// rowChunk hands a stream's consumer its rows: each is copied out of the
+// engine's reused buffer into a chunk shared with its neighbours, so a stream
+// costs one allocation per chunk (8 rows, doubling to 256) instead of one per
+// row. A row is cut with its capacity clamped to its length, so appending to
+// it reallocates and never writes into the next row; keeping one row alive
+// keeps its chunk alive.
+type rowChunk struct {
+	buf  []int64
+	rows int // rows in the chunk buf was cut from
+}
+
+func (c *rowChunk) own(t []int64) []int64 {
+	n := len(t)
+	if len(c.buf) < n {
+		c.rows = min(max(2*c.rows, 8), 256)
+		c.buf = make([]int64, c.rows*n)
+	}
+	row := c.buf[:n:n]
+	c.buf = c.buf[n:]
+	copy(row, t)
+	return row
+}
+
 // rowsSeq adapts an Enumerate-shaped execution into a streaming iterator
 // with owned tuple copies, discarding any mid-stream error (Prepared.Rows
 // and Txn.Rows share it).
 func rowsSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq[[]int64] {
 	return func(yield func([]int64) bool) {
+		var rows rowChunk
 		_ = enumerate(ctx, func(t []int64) bool {
-			return yield(append([]int64(nil), t...))
+			return yield(rows.own(t))
 		})
 	}
 }
@@ -262,9 +286,10 @@ func rowsSeq(enumerate func(context.Context, func([]int64) bool) error, ctx cont
 // consumer stopped.
 func rowsErrSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq2[[]int64, error] {
 	return func(yield func([]int64, error) bool) {
+		var rows rowChunk
 		stopped := false
 		err := enumerate(ctx, func(t []int64) bool {
-			ok := yield(append([]int64(nil), t...), nil)
+			ok := yield(rows.own(t), nil)
 			stopped = !ok
 			return ok
 		})

@@ -3,6 +3,8 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,52 +58,85 @@ func TestPrepareExecuteCompilesOnce(t *testing.T) {
 
 // TestPreparedConcurrentUse shares one handle across goroutines mixing
 // Count, Enumerate, and Rows (run with -race to check the synchronization).
+// The Minesweeper handle counts with Workers: 4, so pooled execution frames
+// are taken and returned by 8 callers and their shard workers at once; every
+// execution must reproduce LFTJ's count and row checksum.
 func TestPreparedConcurrentUse(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 400, 2000, 3)
-	p, err := g.Prepare(Triangles(), Options{Algorithm: "lftj"})
-	if err != nil {
-		t.Fatal(err)
+	// The engines emit in their own GAO orders: sum a hash of each row.
+	checksum := func(sum int64, row []int64) int64 {
+		h := int64(17)
+		for _, v := range row {
+			h = h*1000003 + v
+		}
+		return sum + h*h
 	}
-	want, err := p.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(mode int) {
-			defer wg.Done()
-			var got int64
-			var err error
-			switch mode % 3 {
-			case 0:
-				got, err = p.Count(ctx)
-			case 1:
-				err = p.Enumerate(ctx, func([]int64) bool { got++; return true })
-			default:
-				for range p.Rows(ctx) {
-					got++
+	var want, wantSum int64
+	for _, opts := range []Options{{Algorithm: LFTJ}, {Algorithm: MS, Workers: 4}} {
+		t.Run(string(opts.Algorithm), func(t *testing.T) {
+			p, err := g.Prepare(Triangles(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts.Algorithm == LFTJ {
+				if err := p.Enumerate(ctx, func(row []int64) bool {
+					want++
+					wantSum = checksum(wantSum, row)
+					return true
+				}); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if err != nil {
-				errCh <- err
-				return
+			const goroutines = 8
+			var wg sync.WaitGroup
+			errCh := make(chan error, goroutines)
+			for i := 0; i < goroutines; i++ {
+				wg.Add(1)
+				go func(mode int) {
+					defer wg.Done()
+					var got int64
+					gotSum := wantSum
+					var err error
+					switch mode % 3 {
+					case 0:
+						got, err = p.Count(ctx)
+					case 1:
+						gotSum = 0
+						err = p.Enumerate(ctx, func(row []int64) bool {
+							got++
+							gotSum = checksum(gotSum, row)
+							return true
+						})
+					default:
+						gotSum = 0
+						for row := range p.Rows(ctx) {
+							got++
+							gotSum = checksum(gotSum, row)
+						}
+					}
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if got != want || gotSum != wantSum {
+						errCh <- fmt.Errorf("mode %d: count %d checksum %d, want %d and %d", mode%3, got, gotSum, want, wantSum)
+					}
+				}(i)
 			}
-			if got != want {
-				errCh <- errors.New("concurrent execution count mismatch")
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Error(err)
 			}
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	if st := p.Stats(); st.Executions != goroutines+1 {
-		t.Errorf("Executions = %d, want %d", st.Executions, goroutines+1)
+			runs := int64(goroutines)
+			if opts.Algorithm == LFTJ {
+				runs++
+			}
+			if st := p.Stats(); st.Executions != runs {
+				t.Errorf("Executions = %d, want %d", st.Executions, runs)
+			}
+		})
 	}
 }
 
@@ -215,6 +250,46 @@ func TestRowsEarlyStop(t *testing.T) {
 	}
 	if n != 4 {
 		t.Errorf("count after early stop = %d, want 4", n)
+	}
+}
+
+// TestRowsAreOwned pins the ownership contract of Rows over the chunked
+// copies: a consumer that keeps every row of a long stream and appends to
+// each still sees exactly what Enumerate emitted — no later row, and no
+// neighbour's append, writes into a row already handed out.
+func TestRowsAreOwned(t *testing.T) {
+	ctx := context.Background()
+	g := GenerateGraph(HolmeKim, 300, 1500, 3)
+	for _, alg := range []Algorithm{LFTJ, MS} {
+		p, err := g.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]int64
+		if err := p.Enumerate(ctx, func(row []int64) bool {
+			want = append(want, append([]int64(nil), row...))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) < 1000 {
+			t.Fatalf("%s: only %d rows, the test wants a stream of 1000+", alg, len(want))
+		}
+		var kept [][]int64
+		for row := range p.Rows(ctx) {
+			kept = append(kept, row)
+		}
+		for i := range kept {
+			kept[i] = append(kept[i], int64(-i))
+		}
+		if len(kept) != len(want) {
+			t.Fatalf("%s: Rows yields %d rows, Enumerate %d", alg, len(kept), len(want))
+		}
+		for i, row := range kept {
+			if !slices.Equal(row[:len(row)-1], want[i]) || row[len(row)-1] != int64(-i) {
+				t.Fatalf("%s: kept row %d = %v, want %v then %d", alg, i, row, want[i], -i)
+			}
+		}
 	}
 }
 

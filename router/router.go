@@ -451,7 +451,7 @@ func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuer
 		r: r, q: q, alg: hosts[0].Algorithm(),
 		hosts: hosts, hostIdx: hostIdx,
 		mergeCol: mergeCol, globalAgg: globalAgg, aggs: q.Aggs,
-		shards:   shards,
+		shards: shards,
 		routeNote: fmt.Sprintf("fan-out over %d hosts, %s-partitioned on leading attribute %s",
 			n, r.part.Name(), gao[0]),
 	}, nil

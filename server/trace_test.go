@@ -75,6 +75,10 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server logs a request after answering it: wait for the count's line.
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(log.String(), `"type":"count"`) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
 	if len(lines) < 2 { // at least the prepare and the count
 		t.Fatalf("slow-query log has %d lines, want >= 2:\n%s", len(lines), log.String())

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/agm"
 	"repro/internal/core"
@@ -72,10 +71,15 @@ type Store struct {
 	// dur is the durability manager for stores opened with OpenStore; nil
 	// for in-memory stores, which skip logging entirely.
 	dur *durable.Manager
-	// ckptBytes is DurabilityOptions.CheckpointBytes; ckptBusy keeps at
-	// most one size-triggered background checkpoint in flight.
-	ckptBytes int64
-	ckptBusy  atomic.Bool
+	// ckptBytes is DurabilityOptions.CheckpointBytes. Under ckptMu, ckptBusy
+	// keeps at most one size-triggered background checkpoint in flight and
+	// ckptClosed, set by Close, stops new ones; Close waits on ckptDone for
+	// the one in flight.
+	ckptBytes  int64
+	ckptMu     sync.Mutex
+	ckptBusy   bool
+	ckptClosed bool
+	ckptDone   sync.WaitGroup
 }
 
 // NewStore returns an empty store.
