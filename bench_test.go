@@ -353,6 +353,87 @@ func BenchmarkViewMaintenance(b *testing.B) {
 	}
 }
 
+// applyBatchFixture builds, in memory, the write shape of the committed
+// benchmark's durable_churn workload: a binary relation of n tuples with two
+// attribute orders bound by a prepared query, and a churn of 64-insert +
+// 64-delete batches over a ring of 16 slots — each batch deletes what the
+// previous round wrote to its slot, so inserts are always new, deletes
+// always present, and the overlay logs sit at a steady ~1k tuples.
+func applyBatchFixture(tb testing.TB, n int) (st *Store, next func() (ins, dels [][]int64)) {
+	tb.Helper()
+	const ring, size = 16, 64
+	st = NewStore()
+	if err := st.DefineRelation("e", 2); err != nil {
+		tb.Fatal(err)
+	}
+	side := int64(1)
+	for side*side < int64(n) {
+		side++
+	}
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i) / side, int64(i) % side}
+	}
+	if err := st.Load("e", rows); err != nil {
+		tb.Fatal(err)
+	}
+	q, err := st.ParseQuery("both_orders", "e(a, b), e(c, b)")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := st.Prepare(q, Options{Workers: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	var slots [ring][2][][]int64
+	for s := range slots {
+		for b := range slots[s] {
+			for i := 0; i < size; i++ {
+				slots[s][b] = append(slots[s][b], []int64{side + int64(s), 0})
+			}
+		}
+	}
+	calls := 0
+	next = func() (ins, dels [][]int64) {
+		slot, round := calls%ring, calls/ring
+		calls++
+		ins = slots[slot][round%2]
+		for i := range ins {
+			ins[i][1] = int64(round*size+i) % (2 * side)
+		}
+		if round > 0 {
+			dels = slots[slot][(round-1)%2]
+		}
+		return ins, dels
+	}
+	return st, next
+}
+
+// BenchmarkApplyBatch is one 64+64-tuple Store.Apply at two relation sizes:
+// the write path folds the batch into the small overlay logs and never
+// touches the base rows, so time and B/op must not grow with the relation
+// (TestApplyAllocsIndependentOfRelationSize gates the bytes).
+func BenchmarkApplyBatch(b *testing.B) {
+	for _, n := range []int{20000, 80000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			st, next := applyBatchFixture(b, n)
+			for i := 0; i < 64; i++ { // fill the ring: steady-state logs
+				ins, dels := next()
+				if err := st.Apply("e", ins, dels); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ins, dels := next()
+				if err := st.Apply("e", ins, dels); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkViewMaintainAndServe is the serving regime the csr default is
 // chosen for: each iteration applies one edge batch and then answers five
 // prepared pattern counts on the updated graph (re-preparing per batch —

@@ -309,11 +309,7 @@ func importStore(dst, src *repro.Store) error {
 		if err != nil {
 			return err
 		}
-		tuples := make([][]int64, r.Len())
-		for i := range tuples {
-			tuples[i] = r.Tuple(i)
-		}
-		if err := dst.Load(name, tuples); err != nil {
+		if err := dst.Load(name, r.Tuples()); err != nil {
 			return err
 		}
 	}

@@ -41,7 +41,9 @@ type DurabilityOptions struct {
 	// size-based complement to a timer-driven Checkpoint loop, bounding
 	// recovery replay by data volume rather than wall clock. The checkpoint
 	// runs in the background off the write path; at most one runs at a
-	// time, and a failed attempt is retried by the next qualifying write.
+	// time, one overtaken by writes is followed by another until the log is
+	// back under the budget, and a failed attempt is retried by the next
+	// qualifying write.
 	CheckpointBytes int64
 }
 
@@ -66,8 +68,10 @@ type RecoveryInfo struct {
 
 // OpenStore opens (or initializes) a durable store rooted at dir. Recovery
 // runs first: the newest valid snapshot is loaded, then the log tail is
-// replayed through the same delta path live writes take, so cached CSR
-// indexes warm up through the ordinary overlay fold-in. After OpenStore
+// replayed through the same delta path live writes take — O(batch) per
+// record after the first delta binds each written relation's canonical
+// index — so cached CSR indexes warm up through the ordinary overlay
+// fold-in. After OpenStore
 // returns, every mutation — DefineRelation, Load, Apply, ApplyAll, and the
 // Graph wrappers routing through them — is appended to the write-ahead log
 // and fsynced per opts.Sync before the call returns, so an acknowledged
@@ -115,19 +119,17 @@ func replay(db *core.DB, records []durable.Record) error {
 		var err error
 		switch r.Op {
 		case durable.OpDefine:
-			if cur, lookErr := db.Relation(r.Name); lookErr == nil {
-				if cur.Arity() != r.Arity {
-					err = fmt.Errorf("define %q arity %d over existing arity %d", r.Name, r.Arity, cur.Arity())
+			if arity, lookErr := db.Arity(r.Name); lookErr == nil {
+				if arity != r.Arity {
+					err = fmt.Errorf("define %q arity %d over existing arity %d", r.Name, r.Arity, arity)
 				}
 				// Same arity: the no-op redefine, same as live.
 			} else {
 				db.Add(relation.NewBuilder(r.Name, r.Arity).Build())
 			}
 		case durable.OpLoad:
-			var arity int
-			if cur, lookErr := db.Relation(r.Name); lookErr == nil {
-				arity = cur.Arity()
-			} else {
+			arity, lookErr := db.Arity(r.Name)
+			if lookErr != nil {
 				err = fmt.Errorf("load into undefined relation %q", r.Name)
 				break
 			}
@@ -174,10 +176,13 @@ func (s *Store) applyDeltas(batches []core.DeltaBatch) error {
 
 // maybeCheckpoint starts a background checkpoint when the un-pruned log has
 // outgrown DurabilityOptions.CheckpointBytes. Called after every
-// acknowledged write; at most one checkpoint is in flight, none starts once
-// Close has begun, and a failure is simply retried by the next write that
-// still sees an oversized log — checkpointing is an optimization, never a
-// correctness requirement.
+// acknowledged write; at most one checkpoint is in flight and none starts
+// once Close has begun. A checkpoint that succeeds but was overtaken —
+// writes landed while it ran and the log is still over budget — is followed
+// by another at once, so a burst of writes leaves the log under budget when
+// it pauses rather than waiting for the next write; a failed one is simply
+// retried by the next write that still sees an oversized log —
+// checkpointing is an optimization, never a correctness requirement.
 func (s *Store) maybeCheckpoint() {
 	if s.ckptBytes <= 0 || s.dur.UnprunedBytes() < uint64(s.ckptBytes) {
 		return
@@ -194,32 +199,56 @@ func (s *Store) maybeCheckpoint() {
 	}
 	go func() {
 		defer s.ckptDone.Done()
-		s.Checkpoint()
-		s.ckptMu.Lock()
-		s.ckptBusy = false
-		s.ckptMu.Unlock()
+		for {
+			lsn, err := s.checkpoint()
+			s.ckptMu.Lock()
+			again := err == nil && !s.ckptClosed && s.dur.LastLSN() > lsn &&
+				s.dur.UnprunedBytes() >= uint64(s.ckptBytes)
+			if !again {
+				s.ckptBusy = false
+			}
+			s.ckptMu.Unlock()
+			if !again {
+				return
+			}
+		}
 	}()
 }
 
-// Checkpoint snapshots every relation's base rows at the current log
-// position and prunes the log and older snapshots the new snapshot
-// supersedes. Recovery after a checkpoint replays only records written
-// since, so periodic checkpoints bound both log growth and restart time.
-// The capture is consistent (one database lock acquisition paired with the
-// current LSN under the store's write lock); serialization and file I/O
-// happen outside the write path, concurrent with new writes. On an
-// in-memory store Checkpoint is a no-op.
+// Checkpoint snapshots every relation at the current log position and prunes
+// the log and older snapshots the new snapshot supersedes. Recovery after a
+// checkpoint replays only records written since, so periodic checkpoints
+// bound both log growth and restart time. The capture is consistent and
+// O(#relations): one database lock acquisition, paired with the current LSN
+// under the store's write lock, collects immutable relation and overlay
+// snapshots. Merging an overlay into flat rows, serialization and file I/O
+// all happen after both locks are released, concurrent with new writes, and
+// the merged copy is dropped with the call. On an in-memory store
+// Checkpoint is a no-op.
 func (s *Store) Checkpoint() error {
 	if s.dur == nil {
 		return nil
 	}
+	_, err := s.checkpoint()
+	return err
+}
+
+// checkpoint is Checkpoint on a durable store; it also reports the log
+// position the snapshot was taken at.
+func (s *Store) checkpoint() (lsn uint64, err error) {
 	// LastLSN and the relation capture must agree: hold the write lock so
 	// no append lands between reading one and the other.
 	s.mu.Lock()
-	lsn := s.dur.LastLSN()
-	rels := s.db.Snapshot()
+	lsn = s.dur.LastLSN()
+	snaps := s.db.Snapshot()
 	s.mu.Unlock()
-	return s.dur.Checkpoint(lsn, rels)
+	return lsn, s.dur.Checkpoint(lsn, func() []*relation.Relation {
+		rels := make([]*relation.Relation, len(snaps))
+		for i, sn := range snaps {
+			rels[i] = sn.Flat()
+		}
+		return rels
+	})
 }
 
 // LastLSN returns the store's current log position (0 on an in-memory

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -588,5 +589,220 @@ func TestCheckpointBytesDisabled(t *testing.T) {
 	}
 	if st.dur.UnprunedBytes() < 16<<10 {
 		t.Fatalf("write volume too small to have crossed the budget: %d bytes", st.dur.UnprunedBytes())
+	}
+}
+
+// TestChurnUnderTinyCheckpointsRecovers drives the O(batch) write path and
+// the capture-then-merge checkpointer against each other: a churn long
+// enough to compact the overlays several times runs with a checkpoint budget
+// of a few records, so background checkpoints keep capturing overlay
+// snapshots mid-churn. The live store, the store recovered after Close, and
+// the store recovered from every kill-point in the last log segment (a
+// record appended — wholly or in part — whose apply the crash pre-empted)
+// must each equal the in-memory oracle replayed to the same log position.
+func TestChurnUnderTinyCheckpointsRecovers(t *testing.T) {
+	ops := durWorkload(53, 160)
+	srcDir := t.TempDir()
+	st, _, err := OpenStore(srcDir, DurabilityOptions{Sync: "none", CheckpointBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range ops {
+		if err := op(st); err != nil {
+			t.Fatalf("op %d: %v", i+1, err)
+		}
+	}
+	want := storeState(t, oracleAt(t, ops, uint64(len(ops))))
+	if d := diffStates(storeState(t, st), want); d != "" {
+		t.Fatalf("live state after the churn: %s", d)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(srcDir, "snap-*.snap")); len(snaps) == 0 {
+		t.Fatal("no background checkpoint landed during the churn")
+	}
+
+	seg := newestSegment(t, srcDir)
+	segData, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(59))
+	offsets := []int64{int64(len(segData))} // the clean reopen
+	for i := 0; i < 12 && len(segData) > 0; i++ {
+		offsets = append(offsets, rng.Int63n(int64(len(segData))))
+	}
+	for _, off := range offsets {
+		dir := t.TempDir()
+		copyDir(t, srcDir, dir)
+		if err := os.Truncate(filepath.Join(dir, filepath.Base(seg)), off); err != nil {
+			t.Fatal(err)
+		}
+		rec, info, err := OpenStore(dir, DurabilityOptions{Sync: "none"})
+		if err != nil {
+			t.Fatalf("open with the last segment cut at %d: %v", off, err)
+		}
+		if off == int64(len(segData)) && info.LastLSN != uint64(len(ops)) {
+			t.Errorf("clean reopen reached LSN %d, want %d", info.LastLSN, len(ops))
+		}
+		oracle := storeState(t, oracleAt(t, ops, info.LastLSN))
+		if d := diffStates(storeState(t, rec), oracle); d != "" {
+			t.Errorf("last segment cut at %d (LSN %d): %s", off, info.LastLSN, d)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentWritersReadersCheckpoints (run it under -race): two writers
+// churn one relation of a durable store while one goroutine reads the flat
+// view and another loops Checkpoint and validates what Checkpoint captures
+// (DB.Snapshot merged outside the locks). Writer w's k-th batch inserts
+// (w, 8k..8k+7) and deletes batch k-2, so a state is legal iff, per writer,
+// it holds exactly the last two batches of some prefix of that writer's
+// stream. Every flat view must be legal and never go backwards, and after
+// Close the directory — whichever checkpoint it last took, plus the log
+// behind it — must recover the final state.
+func TestConcurrentWritersReadersCheckpoints(t *testing.T) {
+	const writers, batches, width = 2, 400, 8
+	dir := t.TempDir()
+	st, _, err := OpenStore(dir, DurabilityOptions{Sync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DefineRelation("r", 2); err != nil {
+		t.Fatal(err)
+	}
+	q, err := st.ParseQuery("both_orders", "r(a, b), r(c, b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Prepare(q, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(w, k int) [][]int64 {
+		if k < 0 {
+			return nil
+		}
+		out := make([][]int64, width)
+		for i := range out {
+			out[i] = []int64{int64(w), int64(k*width + i)}
+		}
+		return out
+	}
+	// prefixOf validates one observed state and returns how many batches of
+	// each writer it reflects.
+	prefixOf := func(tuples [][]int64) (seen [writers]int, err error) {
+		var got [writers][]int64
+		for _, tp := range tuples {
+			got[tp[0]] = append(got[tp[0]], tp[1])
+		}
+		for w, vals := range got {
+			if len(vals) == 0 {
+				continue
+			}
+			k := int(vals[len(vals)-1]) / width // newest batch present
+			lo := max(k-1, 0) * width
+			if len(vals) != (k+1)*width-lo {
+				return seen, fmt.Errorf("writer %d: %d tuples ending in batch %d: a torn batch", w, len(vals), k)
+			}
+			for i, v := range vals {
+				if v != int64(lo+i) {
+					return seen, fmt.Errorf("writer %d: tuple %d is %d, want %d", w, i, v, lo+i)
+				}
+			}
+			seen[w] = k + 1
+		}
+		return seen, nil
+	}
+
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	side.Add(2)
+	go func() { // the flat-view reader
+		defer side.Done()
+		var last [writers]int
+		for {
+			r, err := st.DB().Relation("r")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			seen, err := prefixOf(r.Tuples())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for w := range seen {
+				if seen[w] < last[w] {
+					t.Errorf("writer %d went back from %d batches to %d", w, last[w], seen[w])
+					return
+				}
+			}
+			last = seen
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	checkpoints := 0
+	go func() { // the checkpointer
+		defer side.Done()
+		for {
+			if err := st.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+			checkpoints++
+			// What a checkpoint captures ("r" is the only relation),
+			// merged outside the locks the way Checkpoint merges it.
+			if _, err := prefixOf(st.DB().Snapshot()[0].Flat().Tuples()); err != nil {
+				t.Errorf("captured snapshot: %v", err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	var ws sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ws.Add(1)
+		go func(w int) {
+			defer ws.Done()
+			for k := 0; k < batches; k++ {
+				if err := st.Apply("r", batch(w, k), batch(w, k-2)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	ws.Wait()
+	close(stop)
+	side.Wait()
+	if checkpoints == 0 {
+		t.Error("no checkpoint completed")
+	}
+	final := relTuples(t, st, "r")
+	if seen, err := prefixOf(final); err != nil || seen != [writers]int{batches, batches} {
+		t.Errorf("final state reflects %v batches (err %v), want all %d of each writer", seen, err, batches)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := OpenStore(dir, DurabilityOptions{Sync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if d := diffStates(map[string][][]int64{"r": relTuples(t, rec, "r")}, map[string][][]int64{"r": final}); d != "" {
+		t.Errorf("recovered after concurrent checkpoints: %s", d)
 	}
 }

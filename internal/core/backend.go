@@ -137,7 +137,10 @@ func (f flatIndex) ProbeGap(point []int64) (relation.Gap, bool) {
 // pointer is swapped atomically by DB.ApplyDelta, so executions in flight
 // keep the snapshot they pinned (via Snapshot or NewCursor) while new
 // executions see the updated contents — this is what keeps plans compiled
-// against the CSR backend valid across incremental updates.
+// against the CSR backend valid across incremental updates. The index over
+// a relation's identity attribute order doubles as that relation's source of
+// truth once a delta has landed (relState.canon): the database keeps no flat
+// copy beside it.
 type csrIndex struct {
 	ov atomic.Pointer[relation.Overlay]
 }
@@ -161,11 +164,11 @@ func (c *csrIndex) ProbeGap(point []int64) (relation.Gap, bool) {
 // through it reads one consistent index state.
 func (c *csrIndex) Snapshot() IndexBackend { return overlayView{ov: c.ov.Load()} }
 
-// applyDelta folds an update batch (already permuted into this index's
+// applyDelta folds an update batch (already sorted in this index's
 // attribute order and filtered to the overlay invariants) into a new
 // overlay snapshot. Callers serialize applyDelta under the DB lock.
-func (c *csrIndex) applyDelta(ins, dels [][]int64) {
-	c.ov.Store(c.ov.Load().Apply(ins, dels))
+func (c *csrIndex) applyDelta(ins, dels *relation.Relation) {
+	c.ov.Store(c.ov.Load().ApplySorted(ins, dels))
 }
 
 // PendingDelta returns the overlay log size (tuples applied since the last

@@ -35,7 +35,7 @@ var (
 // relation by Add.
 type DB struct {
 	mu      sync.Mutex
-	rels    map[string]*relation.Relation
+	rels    map[string]*relState
 	indexes map[string]*relation.Relation
 	tries   map[string]trieEntry
 	plans   map[string]*Plan
@@ -44,6 +44,38 @@ type DB struct {
 	// mid-compile is never cached (it would otherwise dodge Add's
 	// invalidation sweep forever).
 	version int64
+}
+
+// relState is one relation's contents. Add registers a flat relation; from
+// the first delta on, the identity-order CSR index (canon) is the source of
+// truth — ApplyDelta advances its overlay in O(batch) and never re-merges
+// the flat form, which becomes a view materialised on demand (Relation).
+type relState struct {
+	arity int
+	// flat is the relation in flat form when that is known: what Add
+	// registered or, once canon is bound, what Relation last merged from the
+	// current overlay snapshot. ApplyDelta resets it, so no flat copy
+	// outlives the write generation it was made for.
+	flat *relation.Relation
+	// canon is the cached csr index over the identity attribute order
+	// (shared with every plan that binds that order); nil until the first
+	// delta, so Load-only databases never build it.
+	canon *csrIndex
+}
+
+func (st *relState) size() int {
+	if st.flat != nil {
+		return st.flat.Len()
+	}
+	return st.canon.Len()
+}
+
+func (st *relState) contains(t []int64) bool {
+	if st.canon != nil {
+		_, found := st.canon.ProbeGap(t)
+		return found
+	}
+	return st.flat.Contains(t)
 }
 
 // trieEntry is one cached physical index together with the permutation and
@@ -58,7 +90,7 @@ type trieEntry struct {
 // NewDB returns an empty database.
 func NewDB() *DB {
 	return &DB{
-		rels:    make(map[string]*relation.Relation),
+		rels:    make(map[string]*relState),
 		indexes: make(map[string]*relation.Relation),
 		tries:   make(map[string]trieEntry),
 		plans:   make(map[string]*Plan),
@@ -89,7 +121,7 @@ func (db *DB) AddAll(rels []*relation.Relation) {
 
 func (db *DB) addLocked(r *relation.Relation) {
 	db.version++
-	db.rels[r.Name()] = r
+	db.rels[r.Name()] = &relState{arity: r.Arity(), flat: r}
 	prefix := r.Name() + "/"
 	for k := range db.indexes {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
@@ -133,16 +165,16 @@ func (db *DB) Version() int64 {
 	return db.version
 }
 
-// ApplyDelta applies an in-place update batch to the named relation:
-// registers the merged relation (one linear merge, no re-sort) and then
-// maintains the cached physical design incrementally instead of discarding
-// it — every cached CSR index absorbs the batch through its delta overlay
-// (relation.Overlay) in time proportional to the small log — no trie
-// rebuild — and plans compiled against the CSR
+// ApplyDelta applies an in-place update batch to the named relation in time
+// proportional to the batch and the small overlay logs, never to the
+// relation: the batch is reduced to its canonical delta against the
+// relation's canonical index (the identity-order CSR overlay, bound at the
+// first delta), sorted once, and handed to every cached CSR index as a log
+// increment in that index's own attribute order (relation.Overlay) — no
+// trie rebuild, no merge of the base rows. Plans compiled against the CSR
 // backend stay valid because their index objects are advanced in place.
 // Flat and sharded indexes, and plans bound to them, are invalidated and
-// rebuilt lazily (the flat permuted relations are re-derived from the merged
-// relation on next use; sharded tries are rebuilt on next bind).
+// rebuilt lazily from the flat view Relation materialises on demand.
 //
 // Inserts already present and deletes absent are ignored, and a tuple
 // appearing on both sides of one batch resolves as delete-after-insert (an
@@ -186,19 +218,27 @@ func (db *DB) ApplyDeltas(batches []DeltaBatch) error {
 }
 
 func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
-	r, ok := db.rels[name]
+	st, ok := db.rels[name]
 	if !ok {
 		return fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
-	ins, dels := CanonicalDelta(r, inserts, deletes)
-	if len(ins) == 0 && len(dels) == 0 {
+	ins, dels := st.canonicalDelta(name, inserts, deletes)
+	if ins.Len() == 0 && dels.Len() == 0 {
 		return nil
 	}
+	if st.canon == nil {
+		identity := make([]int, st.arity)
+		for k := range identity {
+			identity[k] = k
+		}
+		idx, err := db.trieIndexLocked(name, identity, BackendCSR)
+		if err != nil {
+			return err
+		}
+		st.canon = idx.(*csrIndex)
+	}
+	st.flat = nil
 	db.version++
-	arity := r.Arity()
-	insRel := relation.FromTuples(name, arity, ins)
-	delsRel := relation.FromTuples(name, arity, dels)
-	db.rels[name] = relation.MergeDelta(r, insRel, delsRel)
 	prefix := name + "/"
 	for k := range db.indexes {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
@@ -210,7 +250,7 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 			continue
 		}
 		if e.backend == BackendCSR {
-			e.idx.(*csrIndex).applyDelta(permuteTuples(ins, e.perm), permuteTuples(dels, e.perm))
+			e.idx.(*csrIndex).applyDelta(ins.Permute(e.perm), dels.Permute(e.perm))
 			continue
 		}
 		delete(db.tries, k)
@@ -223,91 +263,133 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 	return nil
 }
 
-// CanonicalDelta reduces a raw update batch to the canonical delta against r:
-// deletes restricted to present tuples, inserts to absent ones, both
-// deduplicated. A tuple appearing on both sides resolves as
-// delete-after-insert: a no-op for absent tuples, a delete for present
-// ones. The result satisfies the overlay invariants (ins ∩ r = ∅,
-// dels ⊆ r, ins ∩ dels = ∅). Exported because the incremental views
-// canonicalize their batches the same way before deriving correction terms,
-// so view maintenance and the raw ApplyDelta path agree on batch semantics.
-func CanonicalDelta(r *relation.Relation, inserts, deletes [][]int64) (ins, dels [][]int64) {
-	seenDel := make(map[string]bool)
+// canonicalDelta reduces a raw update batch to the canonical delta against
+// the relation, as two sorted relations: deletes restricted to present
+// tuples, inserts to absent ones, both deduplicated. A tuple appearing on
+// both sides resolves as delete-after-insert: a no-op for absent tuples, a
+// delete for present ones. The result satisfies the overlay invariants
+// (ins ∩ r = ∅, dels ⊆ r, ins ∩ dels = ∅). Each side is sorted once and
+// probed against the relation's index — no per-tuple keys. Tuples of the
+// wrong arity are skipped, as are deletes outside the storage domain (they
+// cannot be present).
+func (st *relState) canonicalDelta(name string, inserts, deletes [][]int64) (ins, dels *relation.Relation) {
+	delB := relation.NewBuilder(name, st.arity)
 	for _, t := range deletes {
-		if len(t) != r.Arity() {
-			continue
+		if len(t) == st.arity && relation.InDomain(t) {
+			delB.Add(t...)
 		}
-		k := relation.TupleKey(t)
-		if !seenDel[k] && r.Contains(t) {
-			dels = append(dels, t)
-		}
-		seenDel[k] = true
 	}
-	seenIns := make(map[string]bool)
+	allDels := delB.Build()
+	insB := relation.NewBuilder(name, st.arity)
 	for _, t := range inserts {
-		if len(t) != r.Arity() || r.Contains(t) {
-			continue
-		}
-		k := relation.TupleKey(t)
-		if !seenIns[k] && !seenDel[k] {
-			seenIns[k] = true
-			ins = append(ins, t)
+		if len(t) == st.arity {
+			insB.Add(t...)
 		}
 	}
+	dels = allDels.Filter(st.contains)
+	ins = insB.Build().Filter(func(t []int64) bool { return !allDels.Contains(t) && !st.contains(t) })
 	return ins, dels
 }
 
-// permuteTuples reorders every tuple's columns by perm (output column k
-// holds input column perm[k]) — the delta-batch counterpart of
-// Relation.Permute.
-func permuteTuples(tuples [][]int64, perm []int) [][]int64 {
-	if len(tuples) == 0 {
-		return nil
-	}
-	identity := true
-	for k, p := range perm {
-		if p != k {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		return tuples
-	}
-	out := make([][]int64, len(tuples))
-	for i, t := range tuples {
-		pt := make([]int64, len(perm))
-		for k, p := range perm {
-			pt[k] = t[p]
-		}
-		out[i] = pt
-	}
-	return out
-}
-
-// Snapshot returns the current relation set under one lock acquisition.
-// Relations are immutable, so the returned pointers form a consistent
-// point-in-time view of the database — the capture the durability layer's
-// checkpointer pairs with the WAL position it holds while calling.
-func (db *DB) Snapshot() []*relation.Relation {
+// CanonicalDelta returns the canonical form of a raw update batch against
+// the named relation's current contents — exactly the delta ApplyDelta would
+// land, in sorted order — without applying it and without materialising the
+// relation. The incremental views canonicalize their batches through it
+// before deriving correction terms, so view maintenance and the raw
+// ApplyDelta path agree on batch semantics.
+func (db *DB) CanonicalDelta(name string, inserts, deletes [][]int64) (ins, dels [][]int64, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]*relation.Relation, 0, len(db.rels))
-	for _, r := range db.rels {
-		out = append(out, r)
+	st, ok := db.rels[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
+	}
+	insRel, delsRel := st.canonicalDelta(name, inserts, deletes)
+	return insRel.Tuples(), delsRel.Tuples(), nil
+}
+
+// RelationSnapshot is one relation's immutable contents at the moment
+// DB.Snapshot captured it: the flat relation if one is at hand, else the
+// canonical overlay snapshot.
+type RelationSnapshot struct {
+	flat *relation.Relation
+	ov   *relation.Overlay
+}
+
+// Flat returns the captured contents as a flat relation — for a relation
+// captured as an overlay, one linear merge per call, done here and kept
+// nowhere, so the caller decides under which locks (none) it is paid and
+// how long the copy lives.
+func (s RelationSnapshot) Flat() *relation.Relation {
+	if s.flat != nil {
+		return s.flat
+	}
+	return s.ov.Flat()
+}
+
+// Snapshot captures every relation under one lock acquisition, in
+// O(#relations): relations and overlay snapshots are immutable, so the
+// captures form a consistent point-in-time view of the database — the
+// capture the durability layer's checkpointer pairs with the WAL position it
+// holds while calling, and materialises (RelationSnapshot.Flat) after it has
+// let go of every lock.
+func (db *DB) Snapshot() []RelationSnapshot {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	out := make([]RelationSnapshot, 0, len(db.rels))
+	for _, st := range db.rels {
+		s := RelationSnapshot{flat: st.flat}
+		if s.flat == nil {
+			s.ov = st.canon.ov.Load()
+		}
+		out = append(out, s)
 	}
 	return out
 }
 
-// Relation returns the named relation.
+// Relation returns the named relation in flat form. Once a delta has landed
+// that form is a view: it is merged from the canonical overlay on the first
+// call after a write and kept until the next write, so the engines and
+// backends that read flat rows (flat and sharded binds, splitJobs, the
+// pairwise engines) pay one linear merge per write generation, and only if
+// they ask. Use Arity and Len for metadata — they never materialise.
 func (db *DB) Relation(name string) (*relation.Relation, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	r, ok := db.rels[name]
+	return db.relationLocked(name)
+}
+
+func (db *DB) relationLocked(name string) (*relation.Relation, error) {
+	st, ok := db.rels[name]
 	if !ok {
 		return nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
-	return r, nil
+	if st.flat == nil {
+		st.flat = st.canon.ov.Load().Flat()
+	}
+	return st.flat, nil
+}
+
+// Arity returns the named relation's arity.
+func (db *DB) Arity(name string) (int, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	st, ok := db.rels[name]
+	if !ok {
+		return 0, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
+	}
+	return st.arity, nil
+}
+
+// Len returns the named relation's tuple count.
+func (db *DB) Len(name string) (int, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	st, ok := db.rels[name]
+	if !ok {
+		return 0, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
+	}
+	return st.size(), nil
 }
 
 // Names returns the registered relation names (unordered).
@@ -343,9 +425,9 @@ func (db *DB) indexLocked(name string, perm []int) (*relation.Relation, error) {
 	if idx, ok := db.indexes[key]; ok {
 		return idx, nil
 	}
-	r, ok := db.rels[name]
-	if !ok {
-		return nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
+	r, err := db.relationLocked(name)
+	if err != nil {
+		return nil, err
 	}
 	idx := r.Permute(perm)
 	db.indexes[key] = idx
@@ -364,9 +446,13 @@ func (db *DB) TrieIndex(name string, perm []int, backend Backend) (IndexBackend,
 	if backend == "" {
 		backend = DefaultBackend
 	}
-	key := indexKey(name, perm) + "#" + string(backend)
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.trieIndexLocked(name, perm, backend)
+}
+
+func (db *DB) trieIndexLocked(name string, perm []int, backend Backend) (IndexBackend, error) {
+	key := indexKey(name, perm) + "#" + string(backend)
 	if e, ok := db.tries[key]; ok {
 		return e.idx, nil
 	}

@@ -245,18 +245,23 @@ func (m *Manager) LastLSN() uint64 {
 // size-triggered checkpointing watches.
 func (m *Manager) UnprunedBytes() uint64 { return m.log.unprunedBytes() }
 
-// Checkpoint durably writes rels as the snapshot at lsn — which must be the
-// last LSN already applied to that relation set — then rotates the log and
-// prunes segments and snapshots the new snapshot supersedes. After a
-// successful checkpoint, recovery replays only records past lsn.
-func (m *Manager) Checkpoint(lsn uint64, rels []*relation.Relation) error {
+// Checkpoint rotates the log, durably writes the relations rels returns as
+// the snapshot at lsn — which must be the last LSN already applied to that
+// relation set — and prunes the segments and snapshots the new snapshot
+// supersedes. After a successful checkpoint, recovery replays only records
+// past lsn. rels runs after the rotation, with no lock held: the caller
+// pairs lsn with a cheap capture of immutable state and defers whatever it
+// costs to turn that into flat relations to here, so the segment being
+// rotated away closes as soon after lsn as it can (a record past lsn in it
+// would keep the whole segment from being pruned this time round).
+func (m *Manager) Checkpoint(lsn uint64, rels func() []*relation.Relation) error {
 	start := time.Now()
 	// Rotation fsyncs all appended records, so the snapshot never claims an
 	// LSN the log hasn't durably reached.
 	if err := m.log.rotate(); err != nil {
 		return err
 	}
-	if _, err := writeSnapshot(m.dir, lsn, rels); err != nil {
+	if _, err := writeSnapshot(m.dir, lsn, rels()); err != nil {
 		return err
 	}
 	m.log.prune(lsn)

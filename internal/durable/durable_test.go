@@ -130,7 +130,7 @@ func TestCheckpointPrunesAndRecovers(t *testing.T) {
 		appendCommit(t, m, OpDeltas, i)
 	}
 	rel := relation.FromTuples("e", 2, [][]int64{{1, 2}, {3, 4}})
-	if err := m.Checkpoint(10, []*relation.Relation{rel}); err != nil {
+	if err := m.Checkpoint(10, func() []*relation.Relation { return []*relation.Relation{rel} }); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	// Records after the checkpoint replay on top of the snapshot.
@@ -150,7 +150,7 @@ func TestCheckpointPrunesAndRecovers(t *testing.T) {
 		t.Fatalf("post-snapshot records = %+v", rec.Records)
 	}
 	// A second checkpoint supersedes the first snapshot and the old segments.
-	if err := m2.Checkpoint(11, []*relation.Relation{rel}); err != nil {
+	if err := m2.Checkpoint(11, func() []*relation.Relation { return []*relation.Relation{rel} }); err != nil {
 		t.Fatalf("checkpoint 2: %v", err)
 	}
 	if err := m2.Close(); err != nil {
@@ -238,12 +238,12 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	m, _ := openT(t, dir, Options{Sync: SyncNone})
 	rel := relation.FromTuples("e", 2, [][]int64{{1, 2}})
 	appendCommit(t, m, OpDeltas, 0)
-	if err := m.Checkpoint(1, []*relation.Relation{rel}); err != nil {
+	if err := m.Checkpoint(1, func() []*relation.Relation { return []*relation.Relation{rel} }); err != nil {
 		t.Fatal(err)
 	}
 	appendCommit(t, m, OpDeltas, 1)
 	rel2 := relation.FromTuples("e", 2, [][]int64{{1, 2}, {3, 4}, {5, 6}})
-	if err := m.Checkpoint(2, []*relation.Relation{rel2}); err != nil {
+	if err := m.Checkpoint(2, func() []*relation.Relation { return []*relation.Relation{rel2} }); err != nil {
 		t.Fatal(err)
 	}
 	// Resurrect an older snapshot alongside, then corrupt the newest.
@@ -304,5 +304,31 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("fsync"); err == nil {
 		t.Fatal("ParsePolicy accepted junk")
+	}
+}
+
+// TestBackToBackCheckpoints: a checkpoint with no write since the previous
+// one finds the active segment still empty; rotating must keep it rather
+// than try to create a second segment under the same first LSN (which used
+// to fail and leave the log without an open file).
+func TestBackToBackCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	m, _ := openT(t, dir, Options{Sync: SyncNone})
+	rel := relation.FromTuples("e", 2, [][]int64{{1, 2}})
+	rels := func() []*relation.Relation { return []*relation.Relation{rel} }
+	appendCommit(t, m, OpDeltas, 0)
+	for i := 0; i < 3; i++ {
+		if err := m.Checkpoint(1, rels); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+	}
+	appendCommit(t, m, OpDeltas, 1)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, rec := openT(t, dir, Options{})
+	defer m2.Close()
+	if rec.SnapshotLSN != 1 || rec.LastLSN != 2 || len(rec.Records) != 1 {
+		t.Fatalf("recovered snapshot LSN %d, last LSN %d, %d records; want 1, 2, 1", rec.SnapshotLSN, rec.LastLSN, len(rec.Records))
 	}
 }

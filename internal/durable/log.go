@@ -322,7 +322,9 @@ func (l *log) releaseIOLatch(synced uint64, err error) {
 }
 
 // rotate durably finishes the active segment and starts a fresh one; every
-// previously appended record is fsynced as a side effect.
+// previously appended record is fsynced as a side effect. An active segment
+// that holds no record yet (two checkpoints with no write between them)
+// already is the fresh one and stays.
 func (l *log) rotate() error {
 	if !l.acquireIOLatch() {
 		return ErrClosed
@@ -333,7 +335,7 @@ func (l *log) rotate() error {
 	if err == nil {
 		err = l.f.Sync()
 	}
-	if err == nil {
+	if err == nil && l.segs[len(l.segs)-1].first != l.nextLSN {
 		err = l.f.Close()
 		l.f = nil
 		if err == nil {

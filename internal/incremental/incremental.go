@@ -6,7 +6,7 @@
 // [14]); this package implements the classical delta-query approach via
 // multilinearity. An update batch takes each relation R → F = (R ∖ D) ∪ I,
 // with D the deletes actually present and I the inserts actually absent
-// (core.CanonicalDelta's normal form), so pointwise
+// (core.DB.CanonicalDelta's normal form), so pointwise
 //
 //	χ_F = χ_R − χ_D + χ_I,
 //
@@ -274,11 +274,10 @@ func (v *View) Update(ctx context.Context, batches []core.DeltaBatch) error {
 			return fmt.Errorf("incremental: relation %q appears twice in one update batch", b.Name)
 		}
 		seen[b.Name] = true
-		r, err := v.db.Relation(b.Name)
+		ins, dels, err := v.db.CanonicalDelta(b.Name, b.Inserts, b.Deletes)
 		if err != nil {
 			return err
 		}
-		ins, dels := core.CanonicalDelta(r, b.Inserts, b.Deletes)
 		if len(ins) == 0 && len(dels) == 0 {
 			continue
 		}
@@ -291,11 +290,11 @@ func (v *View) Update(ctx context.Context, batches []core.DeltaBatch) error {
 		var c occChoice
 		if len(dels) > 0 {
 			c.del = b.Name + delSuffix
-			v.db.Add(tuplesToRelation(c.del, r.Arity(), dels))
+			v.db.Add(tuplesToRelation(c.del, len(dels[0]), dels))
 		}
 		if len(ins) > 0 {
 			c.ins = b.Name + insSuffix
-			v.db.Add(tuplesToRelation(c.ins, r.Arity(), ins))
+			v.db.Add(tuplesToRelation(c.ins, len(ins[0]), ins))
 		}
 		for _, ai := range v.occ[b.Name] {
 			c.atom = ai

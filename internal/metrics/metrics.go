@@ -207,6 +207,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 type funcMetric struct {
 	mu   sync.Mutex
 	fn   func() float64
+	gen  uint64 // bumped by every setFunc; identifies the registration that owns fn
 	lbls string
 }
 
@@ -221,20 +222,35 @@ func (f *funcMetric) value() float64 {
 
 // setFunc swaps the polled function; re-registering a func series replaces
 // its source, so a store re-opened over the same name reports the live
-// object, not a stale closure.
-func (f *funcMetric) setFunc(fn func() float64) {
+// object, not a stale closure. The returned release re-points the series at
+// a constant zero — dropping fn and whatever it closes over — unless a later
+// registration has taken the series over in the meantime.
+func (f *funcMetric) setFunc(fn func() float64) (release func()) {
 	f.mu.Lock()
 	f.fn = fn
+	f.gen++
+	gen := f.gen
 	f.mu.Unlock()
+	return func() {
+		f.mu.Lock()
+		if f.gen == gen {
+			f.fn = func() float64 { return 0 }
+		}
+		f.mu.Unlock()
+	}
 }
 
 // GaugeFunc registers (or re-points) a gauge whose value is fn() at export.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
+// The registry is process-wide and outlives the objects it instruments:
+// call release when the instrumented object is closed, or the series keeps
+// fn — and everything fn closes over — reachable for the life of the
+// process. After release the series reads 0.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) (release func()) {
 	lbls := renderLabels(kv)
 	m := r.register(name, help, "gauge", lbls, func() metric {
 		return &funcMetric{fn: fn, lbls: lbls}
 	}).(*funcMetric)
-	m.setFunc(fn)
+	return m.setFunc(fn)
 }
 
 // CounterFunc registers (or re-points) a counter whose value is fn() at

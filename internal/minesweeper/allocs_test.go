@@ -4,6 +4,7 @@ package minesweeper
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -55,6 +56,18 @@ func TestMinesweeperSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.1f objects per steady-state execution, want <= 16 (%d constraints inserted)", name, allocs, stats.Constraints)
 		} else {
 			t.Logf("%s: %.1f allocs per execution, %d constraints inserted", name, allocs, stats.Constraints)
+		}
+		// Two collections empty a sync.Pool. A sequential stream of
+		// executions must get its frame back all the same (hotFrame), or
+		// its allocation rate depends on the collector's cadence.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if allocs := after.Mallocs - before.Mallocs; allocs > 16 {
+			t.Errorf("%s allocates %d objects on the first execution after two collections, want <= 16: the frame was dropped", name, allocs)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
@@ -81,7 +82,8 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 // sync.Pool: a run takes one, resets it (lengths to zero, frontier and
 // fingers re-seeded, capacity kept) and gives it back, so steady-state
 // executions allocate nothing, every concurrent execution and every §4.10
-// worker has its own, and an idle frame is the garbage collector's to drop.
+// worker has its own, and an idle frame is the garbage collector's to drop —
+// all but the one most recently released, which hotFrame keeps.
 type exec struct {
 	n      int
 	atoms  []core.AtomIndex
@@ -107,6 +109,23 @@ type exec struct {
 }
 
 var frames = sync.Pool{New: func() any { return new(exec) }}
+
+// hotFrame holds the most recently released frame by a strong reference. A
+// sync.Pool alone loses a frame parked in another P's private slot, and
+// empties within two collections: a steady stream of executions would then
+// re-grow its frame (0.7 MiB on the benchmark's path3) whenever scheduling
+// and GC cadence lined up, which made bytes allocated per operation depend
+// on the heap size. One frame — at most maxPooledFrame bytes — stays
+// reachable for the life of the process; every further concurrent frame is
+// still the pool's, and the collector's.
+var hotFrame atomic.Pointer[exec]
+
+func takeFrame() *exec {
+	if ex := hotFrame.Swap(nil); ex != nil {
+		return ex
+	}
+	return frames.Get().(*exec)
+}
 
 // maxPooledFrame bounds the bytes a pooled frame may keep: a run that grew
 // its slabs past it (a huge certificate) returns them to the collector
@@ -155,7 +174,10 @@ func zeroed(buf []int64, n int) []int64 {
 func (ex *exec) release() {
 	ex.atoms, ex.inSkel, ex.push, ex.emit = nil, nil, nil, nil
 	ex.tick = core.Ticker{}
-	if ex.cds.retained()+ex.counter.retained() <= maxPooledFrame {
+	if ex.cds.retained()+ex.counter.retained() > maxPooledFrame {
+		return
+	}
+	if !hotFrame.CompareAndSwap(nil, ex) {
 		frames.Put(ex)
 	}
 }
@@ -216,7 +238,7 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 		// exact for every free tuple inside the job's range.
 		atoms = core.RestrictAtoms(atoms, r.Lo, r.Hi)
 	}
-	ex := frames.Get().(*exec)
+	ex := takeFrame()
 	defer ex.release()
 	ex.reset(ctx, q, gao, atoms, inSkel, push, emit, e.Opts)
 	if r := e.Opts.FirstVarRange; r != nil {

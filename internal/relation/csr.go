@@ -40,39 +40,63 @@ type csrLevel struct {
 func (l *csrLevel) span(pos int32) int32 { return l.rows[pos+1] - l.rows[pos] }
 
 // NewCSRTrie materializes the attribute trie of a sorted, deduplicated
-// relation. Build cost is one linear pass per level, O(arity · n) total.
+// relation in two linear passes over the rows: the first counts each level's
+// nodes so every array is allocated once at its final size (no append
+// growth, no slack left on the built trie), the second fills them.
 func NewCSRTrie(r *Relation) *CSRTrie {
 	if int64(r.Len()) > math.MaxInt32 {
 		panic(fmt.Sprintf("relation: CSR trie over %d tuples exceeds int32 offsets", r.Len()))
 	}
-	t := &CSRTrie{name: r.name, arity: r.arity, n: r.n, levels: make([]csrLevel, r.arity)}
-	// Row ranges of the previous level's nodes; the virtual root spans all
-	// rows. Runs of equal values within a parent's range become the nodes of
-	// the current level, carrying their row ranges down for the next one.
-	prevLo := []int32{0}
-	prevHi := []int32{int32(r.n)}
-	for d := 0; d < r.arity; d++ {
-		lvl := &t.levels[d]
-		lvl.start = make([]int32, 1, len(prevLo)+1)
-		var curLo, curHi []int32
-		for p := range prevLo {
-			for row := prevLo[p]; row < prevHi[p]; {
-				v := r.rows[int(row)*r.arity+d]
-				end := row + 1
-				for end < prevHi[p] && r.rows[int(end)*r.arity+d] == v {
-					end++
-				}
-				lvl.vals = append(lvl.vals, v)
-				curLo = append(curLo, row)
-				curHi = append(curHi, end)
-				row = end
-			}
-			lvl.start = append(lvl.start, int32(len(lvl.vals)))
+	a := r.arity
+	t := &CSRTrie{name: r.name, arity: a, n: r.n, levels: make([]csrLevel, a)}
+	// A row opens a new node at every level from its first column that
+	// differs from the previous row down to the leaf.
+	firstDiff := func(i int) int {
+		if i == 0 {
+			return 0
 		}
-		// Nodes partition the sorted rows in order, so curHi[i] == curLo[i+1]
-		// and the span array is curLo with the total row count appended.
-		lvl.rows = append(curLo, int32(r.n))
-		prevLo, prevHi = curLo, curHi
+		row, prev := r.rows[i*a:(i+1)*a], r.rows[(i-1)*a:i*a]
+		d := 0
+		for d < a-1 && row[d] == prev[d] {
+			d++
+		}
+		return d
+	}
+	opened := make([]int, a) // opened[d]: rows whose first differing column is d
+	for i := 0; i < r.n; i++ {
+		opened[firstDiff(i)]++
+	}
+	parents := 1 // the virtual root
+	for d, nodes := 0, 0; d < a; d++ {
+		nodes += opened[d]
+		t.levels[d] = csrLevel{
+			vals:  make([]int64, nodes),
+			start: make([]int32, parents+1),
+			rows:  make([]int32, nodes+1),
+		}
+		parents = nodes
+	}
+	next := opened // reused: next[d] is the next free node slot at level d
+	clear(next)
+	for i := 0; i < r.n; i++ {
+		for d := firstDiff(i); d < a; d++ {
+			lvl, k := &t.levels[d], next[d]
+			lvl.vals[k] = r.rows[i*a+d]
+			lvl.rows[k] = int32(i)
+			if d+1 < a {
+				t.levels[d+1].start[k] = int32(next[d+1])
+			}
+			next[d]++
+		}
+	}
+	// Close every level: the end offset of the last parent's children and
+	// the end row of the last node.
+	t.levels[0].start[1] = int32(next[0])
+	for d := 0; d < a; d++ {
+		t.levels[d].rows[next[d]] = int32(r.n)
+		if d+1 < a {
+			t.levels[d+1].start[next[d]] = int32(next[d+1])
+		}
 	}
 	return t
 }

@@ -203,3 +203,31 @@ func TestCSREmptyAndSingleton(t *testing.T) {
 		t.Errorf("singleton Nodes = %d, want 2", single.Nodes())
 	}
 }
+
+// TestCSRTrieBuiltAtFinalSize: the build counts each level's nodes before it
+// allocates, so no array carries append-growth slack into the built trie, and
+// the spans it records partition the rows.
+func TestCSRTrieBuiltAtFinalSize(t *testing.T) {
+	for _, arity := range []int{1, 2, 3, 4} {
+		r := randomRelation(rand.New(rand.NewSource(int64(70+arity))), arity, 500, 7)
+		trie := NewCSRTrie(r)
+		parents := 1
+		for d, lvl := range trie.levels {
+			if want := r.DistinctPrefixes(d + 1); len(lvl.vals) != want {
+				t.Fatalf("arity %d level %d: %d nodes, want %d distinct prefixes", arity, d, len(lvl.vals), want)
+			}
+			if cap(lvl.vals) != len(lvl.vals) || cap(lvl.start) != len(lvl.start) || cap(lvl.rows) != len(lvl.rows) {
+				t.Errorf("arity %d level %d: slack left on the built trie (vals %d/%d, start %d/%d, rows %d/%d)", arity, d,
+					len(lvl.vals), cap(lvl.vals), len(lvl.start), cap(lvl.start), len(lvl.rows), cap(lvl.rows))
+			}
+			if len(lvl.start) != parents+1 || len(lvl.rows) != len(lvl.vals)+1 {
+				t.Fatalf("arity %d level %d: start has %d entries for %d parents, rows %d for %d nodes",
+					arity, d, len(lvl.start), parents, len(lvl.rows), len(lvl.vals))
+			}
+			if lvl.start[0] != 0 || int(lvl.start[parents]) != len(lvl.vals) || lvl.rows[0] != 0 || int(lvl.rows[len(lvl.vals)]) != r.Len() {
+				t.Errorf("arity %d level %d: offsets do not span the level", arity, d)
+			}
+			parents = len(lvl.vals)
+		}
+	}
+}

@@ -81,66 +81,42 @@ func (o *Overlay) LogLen() int {
 // pristine reports whether the overlay carries no pending deltas.
 func (o *Overlay) pristine() bool { return o.LogLen() == 0 }
 
-// Apply returns a new overlay snapshot with the update batch folded into
-// the logs (or, past the compaction threshold, into a fresh base trie).
-// ins must be absent from the overlay's current contents and dels present
-// in them, with ins ∩ dels = ∅ — core.DB.ApplyDelta filters the raw batch
-// down to exactly that before calling. Tuples that cancel a pending log
-// entry (re-inserting a deleted tuple, deleting a pending insert) shrink
-// the logs instead of growing them. Cost per batch is one linear merge of
-// each log plus the rebuild of the two small log tries — O(|log| +
-// |batch|·log n), with |log| bounded by the compaction threshold.
+// Apply is ApplySorted over raw tuple lists: it sorts and deduplicates each
+// side first. The write path (core.DB.ApplyDelta) already holds its batch as
+// sorted relations and calls ApplySorted directly.
 func (o *Overlay) Apply(ins, dels [][]int64) *Overlay {
-	if len(ins) == 0 && len(dels) == 0 {
+	return o.ApplySorted(FromTuples(o.rel.name, o.rel.arity, ins), FromTuples(o.rel.name, o.rel.arity, dels))
+}
+
+// ApplySorted returns a new overlay snapshot with the update batch folded
+// into the logs (or, past the compaction threshold, into a fresh base trie).
+// ins must be absent from the overlay's current contents and dels present in
+// them — core.DB.ApplyDelta filters the raw batch down to exactly that
+// before calling; a tuple on both sides is an insert-then-delete, a no-op
+// here. Tuples that cancel a pending log entry (re-inserting a deleted
+// tuple, deleting a pending insert) shrink the logs instead of growing
+// them. Cost per batch is one linear merge of each log plus one presized
+// build of the two small log tries — O(|log| + |batch|·log |log|), with
+// |log| bounded by the compaction threshold and no dependence on the base.
+func (o *Overlay) ApplySorted(ins, dels *Relation) *Overlay {
+	ins, dels = ins.minus(dels), dels.minus(ins)
+	if ins.n == 0 && dels.n == 0 {
 		return o
 	}
-	// A tuple on both sides of one batch is an insert-then-delete: a no-op
-	// for the overlay (DB.ApplyDelta never sends these, but be robust).
-	var both map[string]bool
-	if len(ins) > 0 && len(dels) > 0 {
-		insKeys := make(map[string]bool, len(ins))
-		for _, t := range ins {
-			insKeys[TupleKey(t)] = true
-		}
-		for _, t := range dels {
-			if k := TupleKey(t); insKeys[k] {
-				if both == nil {
-					both = make(map[string]bool)
-				}
-				both[k] = true
-			}
-		}
-	}
-	// Split the batch against the pending logs. An insert either restores a
-	// tuple with a pending tombstone (shrinking dels) or is genuinely new
-	// (growing adds); a delete either cancels a pending insert (shrinking
-	// adds) or tombstones a base tuple (growing dels).
-	var insNew, insRestored, delsBase, delsPending [][]int64
-	for _, t := range ins {
-		if both[TupleKey(t)] {
-			continue
-		}
-		if o.dels != nil && o.dels.Contains(t) {
-			insRestored = append(insRestored, t)
-		} else {
-			insNew = append(insNew, t)
-		}
-	}
-	for _, t := range dels {
-		if both[TupleKey(t)] {
-			continue
-		}
-		if o.adds != nil && o.adds.Contains(t) {
-			delsPending = append(delsPending, t)
-		} else {
-			delsBase = append(delsBase, t)
-		}
-	}
+	// An insert either restores a tuple with a pending tombstone (shrinking
+	// dels) or is genuinely new (growing adds); a delete either cancels a
+	// pending insert (shrinking adds) or tombstones a base tuple (growing
+	// dels).
+	insNew := ins.minus(o.dels)
+	insRestored := ins.minus(insNew)
+	delsBase := dels.minus(o.adds)
+	delsPending := dels.minus(delsBase)
 	next := &Overlay{rel: o.rel, base: o.base}
-	next.adds = mergeLog(o.adds, o.rel.name+"+", o.rel.arity, insNew, delsPending)
-	next.dels = mergeLog(o.dels, o.rel.name+"-", o.rel.arity, delsBase, insRestored)
+	next.adds = mergeLog(o.adds, insNew, delsPending)
+	next.dels = mergeLog(o.dels, delsBase, insRestored)
 	if n := next.LogLen(); n >= overlayCompactMax || (n >= overlayCompactMin && 4*n >= o.rel.n) {
-		return next.compact()
+		compactions.Add(1)
+		return NewOverlay(next.Flat())
 	}
 	if next.adds != nil {
 		next.addsT = NewCSRTrie(next.adds)
@@ -151,28 +127,27 @@ func (o *Overlay) Apply(ins, dels [][]int64) *Overlay {
 	return next
 }
 
-// mergeLog folds additions and removals into a sorted log with one linear
-// merge (add ∩ log = ∅ and remove ⊆ log hold by construction in Apply).
-// Empty logs stay nil so the pristine fast path keeps applying.
-func mergeLog(log *Relation, name string, arity int, add, remove [][]int64) *Relation {
-	if log == nil {
-		if len(add) == 0 {
-			return nil
-		}
-		return FromTuples(name, arity, add)
+// mergeLog returns log ∪ add \ remove by one linear merge (add ∩ log = ∅ and
+// remove ⊆ log hold by construction in ApplySorted). Empty logs stay nil so
+// the pristine fast path keeps applying.
+func mergeLog(log, add, remove *Relation) *Relation {
+	merged := add
+	if log != nil {
+		merged = MergeDelta(log, add, remove)
 	}
-	merged := MergeDelta(log, FromTuples(name, arity, add), FromTuples(name, arity, remove))
-	if merged.Len() == 0 {
+	if merged.n == 0 {
 		return nil
 	}
 	return merged
 }
 
-// compact folds the logs into a fresh base relation and trie.
-func (o *Overlay) compact() *Overlay {
-	compactions.Add(1)
-	return NewOverlay(MergeDelta(o.rel, o.adds, o.dels))
-}
+// Flat materialises the overlay's contents, base ∪ adds \ dels, as a flat
+// relation: one linear merge, or the base rows themselves while the logs
+// are empty. It is the single place that merge happens — compaction, the
+// database's on-demand flat view (core.DB.Relation) and checkpoints all
+// come through here — and it is not memoised: callers that want to keep the
+// result hold it themselves.
+func (o *Overlay) Flat() *Relation { return MergeDelta(o.rel, o.adds, o.dels) }
 
 // NewCursor returns a trie cursor over the overlay's merged contents. A
 // pristine overlay hands out the base trie's cursor directly — the overlay

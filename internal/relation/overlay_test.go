@@ -1,10 +1,14 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// tupleKey encodes a tuple as a map key for the fixture's live set.
+func tupleKey(t []int64) string { return fmt.Sprint(t) }
 
 // overlayFixture builds an overlay by applying random insert/delete batches
 // on top of a random base, alongside the flat relation holding the same
@@ -17,7 +21,7 @@ func overlayFixture(t *testing.T, seed int64, arity, n, domain, batches, batchSi
 	live := make(map[string][]int64, base.Len())
 	for i := 0; i < base.Len(); i++ {
 		tp := append([]int64(nil), base.Tuple(i)...)
-		live[TupleKey(tp)] = tp
+		live[tupleKey(tp)] = tp
 	}
 	tuple := make([]int64, arity)
 	for b := 0; b < batches; b++ {
@@ -28,7 +32,7 @@ func overlayFixture(t *testing.T, seed int64, arity, n, domain, batches, batchSi
 				tuple[j] = int64(rng.Intn(domain))
 			}
 			cp := append([]int64(nil), tuple...)
-			key := TupleKey(cp)
+			key := tupleKey(cp)
 			if touched[key] {
 				continue // keep each batch's sides disjoint (the Apply contract)
 			}
@@ -63,6 +67,9 @@ func TestOverlayWalkMatchesFlat(t *testing.T) {
 		ov, want := overlayFixture(t, int64(tc.arity*31), tc.arity, tc.n, tc.domain, 6, 5)
 		if ov.Len() != want.Len() {
 			t.Fatalf("arity %d: overlay Len %d, want %d", tc.arity, ov.Len(), want.Len())
+		}
+		if merged := ov.Flat(); !reflect.DeepEqual(merged.Tuples(), want.Tuples()) {
+			t.Errorf("arity %d: Flat() differs from the reference relation", tc.arity)
 		}
 		flat := walk(NewTrieIterator(want), want.Arity())
 		got := walk(ov.NewCursor(), ov.Arity())
@@ -129,6 +136,26 @@ func TestOverlayLogCancellation(t *testing.T) {
 	}
 	if _, found := ov.ProbeGap([]int64{9, 9}); found {
 		t.Error("cancelled insert still present")
+	}
+}
+
+// TestApplySortedBothSides: a tuple on both sides of one sorted batch is an
+// insert-then-delete — it must touch neither log, whether it is absent from
+// the overlay or pending in it.
+func TestApplySortedBothSides(t *testing.T) {
+	base := FromTuples("R", 2, [][]int64{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}, {7, 7}, {8, 8}})
+	ov := NewOverlay(base).Apply([][]int64{{9, 9}}, [][]int64{{1, 1}})
+	rel := func(tuples ...[]int64) *Relation { return FromTuples("R", 2, tuples) }
+	next := ov.ApplySorted(rel([]int64{1, 1}, []int64{20, 20}, []int64{30, 30}), rel([]int64{2, 2}, []int64{20, 20}))
+	want := rel([]int64{1, 1}, []int64{3, 3}, []int64{4, 4}, []int64{5, 5}, []int64{6, 6}, []int64{7, 7}, []int64{8, 8}, []int64{9, 9}, []int64{30, 30})
+	if got := next.Flat(); !reflect.DeepEqual(got.Tuples(), want.Tuples()) {
+		t.Errorf("contents %v, want %v", got.Tuples(), want.Tuples())
+	}
+	if next.LogLen() != 3 { // +{9,9} +{30,30} −{2,2}; {1,1} restored, {20,20} never lands
+		t.Errorf("log holds %d tuples, want 3", next.LogLen())
+	}
+	if same := next.ApplySorted(rel([]int64{40, 40}), rel([]int64{40, 40})); same != next {
+		t.Error("a batch that cancels itself produced a new snapshot")
 	}
 }
 

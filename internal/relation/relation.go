@@ -43,6 +43,15 @@ func (r *Relation) Tuple(i int) []int64 {
 	return r.rows[i*r.arity : (i+1)*r.arity]
 }
 
+// Tuples returns every row in order, each a read-only view like Tuple's.
+func (r *Relation) Tuples() [][]int64 {
+	out := make([][]int64, r.n)
+	for i := range out {
+		out[i] = r.Tuple(i)
+	}
+	return out
+}
+
 // Value returns column col of row i.
 func (r *Relation) Value(i, col int) int64 { return r.rows[i*r.arity+col] }
 
@@ -75,12 +84,21 @@ func (b *Builder) Add(tuple ...int64) {
 	if len(tuple) != b.arity {
 		panic(fmt.Sprintf("relation %s: Add got %d values, want %d", b.name, len(tuple), b.arity))
 	}
-	for _, v := range tuple {
-		if v < 0 || v >= PosInf {
-			panic(fmt.Sprintf("relation %s: value %d outside the domain [0, PosInf)", b.name, v))
-		}
+	if !InDomain(tuple) {
+		panic(fmt.Sprintf("relation %s: tuple %v has a value outside the domain [0, PosInf)", b.name, tuple))
 	}
 	b.rows = append(b.rows, tuple...)
+}
+
+// InDomain reports whether every value of the tuple lies in the storage
+// domain [0, PosInf).
+func InDomain(tuple []int64) bool {
+	for _, v := range tuple {
+		if v < 0 || v >= PosInf {
+			return false
+		}
+	}
+	return true
 }
 
 // Build sorts, deduplicates, and returns the immutable Relation. The Builder
@@ -111,11 +129,10 @@ func fromSortedRows(name string, arity int, rows []int64) *Relation {
 }
 
 // MergeDelta returns r ∪ ins \ dels as a new relation by one linear merge
-// of the three sorted row sets — no re-sort, so applying a small update
-// batch to a large relation costs O(n) copying instead of O(n log n). ins
-// must be disjoint from r and dels a subset of r (both may be nil); the
-// incremental-maintenance path (core.DB.ApplyDelta) establishes exactly
-// these invariants before calling.
+// of the three sorted row sets — no re-sort, so the cost is O(n) copying
+// instead of O(n log n). ins must be disjoint from r and dels a subset of r
+// (both may be nil). This is the one merge behind the overlay's small logs and its flat materialisation
+// (Overlay.Flat) — the write path itself never runs it over a base relation.
 func MergeDelta(r, ins, dels *Relation) *Relation {
 	insN, delsN := 0, 0
 	if ins != nil {
@@ -153,6 +170,42 @@ func MergeDelta(r, ins, dels *Relation) *Relation {
 		out = append(out, t...)
 	}
 	return fromSortedRows(r.name, a, out)
+}
+
+// Filter returns the sub-relation of tuples keep accepts, in order (no
+// re-sort). When every tuple is kept it returns r itself and when none is it
+// allocates no rows, so splitting an already canonical update batch against
+// the overlay logs costs nothing.
+func (r *Relation) Filter(keep func(tuple []int64) bool) *Relation {
+	i := 0
+	for i < r.n && keep(r.Tuple(i)) {
+		i++
+	}
+	if i == r.n {
+		return r
+	}
+	var rows []int64
+	if i > 0 {
+		rows = make([]int64, i*r.arity, (r.n-1)*r.arity)
+		copy(rows, r.rows)
+	}
+	for i++; i < r.n; i++ {
+		if t := r.Tuple(i); keep(t) {
+			if rows == nil {
+				rows = make([]int64, 0, (r.n-i)*r.arity)
+			}
+			rows = append(rows, t...)
+		}
+	}
+	return fromSortedRows(r.name, r.arity, rows)
+}
+
+// minus returns r \ b (r itself when nothing is removed); b may be nil.
+func (r *Relation) minus(b *Relation) *Relation {
+	if b == nil || b.n == 0 {
+		return r
+	}
+	return r.Filter(func(t []int64) bool { return !b.Contains(t) })
 }
 
 // rowSorter sorts a flat row-major slice lexicographically without
@@ -310,19 +363,6 @@ func prefixEqual(r *Relation, i, j, length int) bool {
 		}
 	}
 	return true
-}
-
-// TupleKey encodes a tuple as a comparison-stable byte string, for use as a
-// map key (8 bytes per value). The one tuple-set encoding shared by the
-// layers that deduplicate tuples (delta filtering, incremental views).
-func TupleKey(t []int64) string {
-	b := make([]byte, 0, len(t)*8)
-	for _, v := range t {
-		u := uint64(v)
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return string(b)
 }
 
 // CompareTuples compares two equal-length tuples lexicographically.

@@ -472,11 +472,11 @@ func (p *Prepared) Explain() Explanation {
 func relationSizes(db *core.DB, q *Query) ([]int, error) {
 	sizes := make([]int, len(q.Atoms))
 	for i, a := range q.Atoms {
-		r, err := db.Relation(a.Rel)
+		n, err := db.Len(a.Rel)
 		if err != nil {
 			return nil, err
 		}
-		sizes[i] = r.Len()
+		sizes[i] = n
 	}
 	return sizes, nil
 }

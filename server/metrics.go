@@ -143,17 +143,10 @@ type admission struct {
 	waiters []chan struct{}
 }
 
-// newAdmission returns the store's admission gate and registers its
-// occupancy gauges.
+// newAdmission returns the store's admission gate; Server.registerGauges
+// exports its occupancy.
 func newAdmission(store string, lim Limits) *admission {
-	a := &admission{store: store, maxInflight: lim.MaxInflight, maxQueued: lim.MaxQueued}
-	reg := metrics.Default()
-	reg.GaugeFunc("graphjoind_inflight_requests",
-		"Requests currently running (admitted, response not yet complete).",
-		a.activeCount, "store", store)
-	reg.GaugeFunc("graphjoind_queued_requests",
-		"Requests waiting for an in-flight slot.", a.queuedDepth, "store", store)
-	return a
+	return &admission{store: store, maxInflight: lim.MaxInflight, maxQueued: lim.MaxQueued}
 }
 
 func (a *admission) activeCount() float64 {
@@ -236,14 +229,8 @@ type leaseTracker struct {
 	open map[uint64]time.Time
 }
 
-func newLeaseTracker(store string) *leaseTracker {
-	lt := &leaseTracker{open: make(map[uint64]time.Time)}
-	reg := metrics.Default()
-	reg.GaugeFunc("graphjoind_open_leases",
-		"Read-transactions currently pinning a snapshot.", lt.count, "store", store)
-	reg.GaugeFunc("graphjoind_oldest_lease_age_seconds",
-		"Age of the oldest open read-transaction (0 when none).", lt.oldestAge, "store", store)
-	return lt
+func newLeaseTracker() *leaseTracker {
+	return &leaseTracker{open: make(map[uint64]time.Time)}
 }
 
 func (lt *leaseTracker) add() uint64 {
@@ -281,13 +268,35 @@ func (lt *leaseTracker) oldestAge() float64 {
 	return time.Since(oldest).Seconds()
 }
 
-// registerStoreGauges wires the store-level polled gauges: CSR overlay depth
-// per store and the process-wide overlay compaction counter.
-func registerStoreGauges(name string, st interface{ OverlayDepth() int }) {
+// overlayDepther is the optional store surface behind
+// graphjoind_overlay_depth (*repro.Store has it; remote queriers do not).
+type overlayDepther interface{ OverlayDepth() int }
+
+// registerGauges wires one hosted store's polled gauges — admission
+// occupancy, open leases, and (for stores that report it) CSR overlay depth —
+// into the process-wide registry, keeping each series' release for
+// beginClose: the registry outlives the server, and a series left pointing
+// at a closed server's store would pin that store for the life of the
+// process.
+func (s *Server) registerGauges(name string, depth overlayDepther) {
 	reg := metrics.Default()
-	reg.GaugeFunc("graphjoind_overlay_depth",
-		"Tuples pending in CSR delta-overlay logs across the store's cached indexes.",
-		func() float64 { return float64(st.OverlayDepth()) }, "store", name)
+	gauge := func(metric, help string, fn func() float64) {
+		s.gaugeReleases = append(s.gaugeReleases, reg.GaugeFunc(metric, help, fn, "store", name))
+	}
+	a, lt := s.admissions[name], s.leases[name]
+	gauge("graphjoind_inflight_requests",
+		"Requests currently running (admitted, response not yet complete).", a.activeCount)
+	gauge("graphjoind_queued_requests",
+		"Requests waiting for an in-flight slot.", a.queuedDepth)
+	gauge("graphjoind_open_leases",
+		"Read-transactions currently pinning a snapshot.", lt.count)
+	gauge("graphjoind_oldest_lease_age_seconds",
+		"Age of the oldest open read-transaction (0 when none).", lt.oldestAge)
+	if depth != nil {
+		gauge("graphjoind_overlay_depth",
+			"Tuples pending in CSR delta-overlay logs across the store's cached indexes.",
+			func() float64 { return float64(depth.OverlayDepth()) })
+	}
 	reg.CounterFunc("graphjoind_overlay_compactions_total",
 		"CSR overlay log compactions performed by this process.",
 		func() float64 { return float64(relation.OverlayCompactions()) })

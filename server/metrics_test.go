@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -48,6 +49,20 @@ func parkStreams(t *testing.T, ctx context.Context, p repro.PreparedQuery, n int
 	return &wg
 }
 
+// gaugeValue reads one per-store series straight from the process registry.
+func gaugeValue(t *testing.T, metric, store string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := metrics.Default().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return metrics.SumSamples(samples, metric, "store", store)
+}
+
 // countWithRetry polls Count until it succeeds (slots free asynchronously
 // after a stream unparks) or the deadline passes.
 func countWithRetry(ctx context.Context, p repro.PreparedQuery) (int64, error) {
@@ -79,6 +94,14 @@ func TestAdmissionOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The Prepare's slot frees only after its reply is on the wire; with no
+	// queue, a stream that arrives before then is refused. Wait it out.
+	for deadline := time.Now().Add(5 * time.Second); gaugeValue(t, "graphjoind_inflight_requests", "adm-overload") != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the Prepare request never left the in-flight gauge")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	base := runtime.NumGoroutine()
 	release := make(chan struct{})
 	wg := parkStreams(t, ctx, p, K, release)
@@ -276,5 +299,67 @@ func TestMetricsLeaseGauges(t *testing.T) {
 	}
 	if got := leases(); got != 0 {
 		t.Errorf("open_leases after End = %g, want 0", got)
+	}
+}
+
+// TestClosedServerReleasesItsStore: the process-wide registry outlives every
+// server, so Close must detach the polled gauges that close over a hosted
+// store — otherwise each closed server pins its store (base rows, tries,
+// overlays) for the life of the process.
+func TestClosedServerReleasesItsStore(t *testing.T) {
+	ctx := context.Background()
+	const name = "metr-gc"
+	depth := func() float64 { return gaugeValue(t, "graphjoind_overlay_depth", name) }
+
+	collected := make(chan struct{})
+	// Everything that references the store lives in this call's frame.
+	func() {
+		st := repro.GenerateGraph(repro.HolmeKim, 60, 150, 3).Store()
+		runtime.SetFinalizer(st, func(*repro.Store) { close(collected) })
+		srv := server.New(server.Config{Stores: map[string]*repro.Store{name: st}})
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(l) }()
+		remote, err := client.Dial(ctx, l.Addr().String(), client.WithStore(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := remote.Prepare(query.Clique(3), repro.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Count(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := remote.Apply(query.Fwd, [][]int64{{1000, 1001}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := depth(); got == 0 {
+			t.Error("overlay_depth = 0 with a delta pending on a served store")
+		}
+		remote.Close()
+		srv.Close()
+		if err := <-done; !errors.Is(err, server.ErrServerClosed) {
+			t.Errorf("Serve returned %v, want ErrServerClosed", err)
+		}
+	}()
+	if got := depth(); got != 0 {
+		t.Errorf("overlay_depth = %g after Close, want the released series' 0", got)
+	}
+	// Connection goroutines unwind asynchronously after Close; collect until
+	// the finalizer reports in.
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("store still reachable after its server closed")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

@@ -82,6 +82,9 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	conns     map[*conn]struct{}
 	closed    bool
+	// gaugeReleases detaches this server's polled gauges from the
+	// process-wide registry (see registerGauges); run once, by beginClose.
+	gaugeReleases []func()
 
 	// inflight counts requests being handled across all connections;
 	// Shutdown waits on it to drain.
@@ -103,24 +106,22 @@ func New(cfg Config) *Server {
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[*conn]struct{}),
 	}
-	register := func(name string, q repro.Querier) {
+	register := func(name string, q repro.Querier, depth overlayDepther) {
 		s.stores[name] = q
 		s.metrics[name] = newStoreMetrics(name)
 		s.admissions[name] = newAdmission(name, cfg.Limits[name])
-		s.leases[name] = newLeaseTracker(name)
+		s.leases[name] = newLeaseTracker()
+		s.registerGauges(name, depth)
 	}
 	for name, q := range cfg.Queriers {
 		if q != nil {
-			register(name, q)
-			if st, ok := q.(interface{ OverlayDepth() int }); ok {
-				registerStoreGauges(name, st)
-			}
+			depth, _ := q.(overlayDepther)
+			register(name, q, depth)
 		}
 	}
 	for name, st := range cfg.Stores {
 		if st != nil {
-			register(name, repro.Local(st))
-			registerStoreGauges(name, st)
+			register(name, repro.Local(st), st)
 		}
 	}
 	if s.logf == nil {
@@ -229,6 +230,10 @@ func (s *Server) beginClose() bool {
 	for l := range s.listeners {
 		l.Close()
 	}
+	for _, release := range s.gaugeReleases {
+		release()
+	}
+	s.gaugeReleases = nil
 	return true
 }
 

@@ -36,10 +36,8 @@ func checkDomain(op, name string, arity int, t []int64) error {
 	if len(t) != arity {
 		return fmt.Errorf("store: %w: %s of %d-ary tuple %v, relation %q has arity %d", ErrArityMismatch, op, len(t), t, name, arity)
 	}
-	for _, v := range t {
-		if v < 0 || v >= relation.PosInf {
-			return fmt.Errorf("store: %w: %s of tuple %v into %q (values must be in [0, %d))", ErrValueOutOfRange, op, t, name, relation.PosInf)
-		}
+	if !relation.InDomain(t) {
+		return fmt.Errorf("store: %w: %s of tuple %v into %q (values must be in [0, %d))", ErrValueOutOfRange, op, t, name, relation.PosInf)
 	}
 	return nil
 }
@@ -108,12 +106,12 @@ func (s *Store) DefineRelation(name string, arity int) error {
 		return fmt.Errorf("store: relation %q: arity %d out of range (want >= 1)", name, arity)
 	}
 	s.mu.Lock()
-	if cur, err := s.db.Relation(name); err == nil {
+	if cur, err := s.db.Arity(name); err == nil {
 		defer s.mu.Unlock()
-		if cur.Arity() == arity {
+		if cur == arity {
 			return nil
 		}
-		return fmt.Errorf("store: %w: %q has arity %d, redefined as %d", ErrRelationExists, name, cur.Arity(), arity)
+		return fmt.Errorf("store: %w: %q has arity %d, redefined as %d", ErrRelationExists, name, cur, arity)
 	}
 	var lsn uint64
 	if s.dur != nil {
@@ -141,13 +139,7 @@ func (s *Store) Relations() []string {
 
 // Arity returns the declared arity of the named relation
 // (ErrUnknownRelation if it does not exist).
-func (s *Store) Arity(name string) (int, error) {
-	r, err := s.db.Relation(name)
-	if err != nil {
-		return 0, err
-	}
-	return r.Arity(), nil
-}
+func (s *Store) Arity(name string) (int, error) { return s.db.Arity(name) }
 
 // Load replaces the named relation's contents with the given tuples in one
 // bulk registration (duplicates merge; tuples must match the declared arity
@@ -193,11 +185,13 @@ func (s *Store) Load(name string, tuples [][]int64) error {
 // both sides of one batch resolves as delete-after-insert — an absent tuple
 // stays absent, a present one is deleted. The batch routes through the
 // database's delta path (core.DB.ApplyDelta), which folds it into the cached
-// CSR indexes' delta overlays — compiled plans on the CSR backend (the
-// default) stay valid and keep serving current data, which is what makes
-// prepare-once / execute-repeatedly hold under a live write stream. Plans on
-// the flat and csr-sharded backends hold immutable indexes and keep serving
-// their Prepare-time state; re-Prepare those after writes.
+// CSR indexes' delta overlays in time proportional to the batch, not the
+// relation — the flat rows are never re-merged on a write. Compiled plans on
+// the CSR backend (the default) stay valid and keep serving current data,
+// which is what makes prepare-once / execute-repeatedly hold under a live
+// write stream. Plans on the flat and csr-sharded backends hold immutable
+// indexes and keep serving their Prepare-time state; re-Prepare those after
+// writes.
 func (s *Store) Apply(name string, inserts, deletes [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {
