@@ -5,14 +5,13 @@ import (
 )
 
 // aggSpec is the compiled streaming-aggregation shape of a query with
-// aggregate terms: the engines emit rows grouped by the output prefix
-// (group keys first, then the aggregated variables — the planner pins the
-// GAO to that prefix), so one output row per group can be folded on the fly
-// without materializing anything.
+// aggregate terms: the engines emit rows of q.Emitted() — group keys first,
+// then the aggregated variables — distinct and ascending in that order under
+// every GAO (core.Pushdown), hence grouped by the keys, so one output row per
+// group can be folded on the fly without materializing anything.
 //
 // Aggregates follow set semantics over the query result: each fold step sees
-// one distinct binding of (group keys, aggregated variables) — the engines'
-// early duplicate elimination guarantees distinctness — so count(v) is the
+// one distinct binding of (group keys, aggregated variables), so count(v) is the
 // number of distinct v values per group, and sum(v) adds each distinct value
 // once.
 type aggSpec struct {

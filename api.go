@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/hypergraph"
 	"repro/internal/incremental"
 	"repro/internal/minesweeper"
 	"repro/internal/query"
@@ -81,6 +82,10 @@ const (
 	BackendCSR        = core.BackendCSR
 	BackendCSRSharded = core.BackendCSRSharded
 )
+
+// GAOScore is the structural score the planner ranks candidate attribute
+// orders by; Explanation carries the chosen order's and the runner-up's.
+type GAOScore = hypergraph.OrderScore
 
 // Query is a graph-pattern join query. Build one with the pattern
 // constructors below or parse the paper's Datalog syntax with ParseQuery.
@@ -430,10 +435,13 @@ const (
 // the leading GAO attribute. Partitions of either kind are disjoint and
 // cover the domain, so per-shard counts sum to the unsharded count and
 // per-shard streams merge (ordered on the leading attribute) into the
-// unsharded stream. Aggregate queries group on a prefix led by the same
-// attribute, so every group lands wholly inside one shard — except the
-// global aggregates of an empty group-by head, which each shard reports as
-// a partial for the coordinator to fold.
+// unsharded stream. The attribute must be an output column — a group key for
+// aggregate queries, so every group lands wholly inside one shard (the
+// global aggregates of an empty group-by head are reported by each shard as
+// a partial for the coordinator to fold) — or be pinned to a constant, in
+// which case the shard owning the constant holds the whole result. Prepare
+// rejects anything else with ErrUnsupportedQuery; the planner's own orders
+// always qualify.
 type Shard struct {
 	// Kind selects the partitioning strategy: ShardRange or ShardHash.
 	Kind string

@@ -32,6 +32,11 @@ func TestExtendedRemoteDifferential(t *testing.T) {
 		"stats(a, sum(c), min(c), max(c)) :- edge(a, b), edge(b, c)",
 		"total(count(a)) :- edge(a, b), a >= 5",
 		"hot(b, count(c)) :- edge(2, b), edge(b, c)",
+		"agg(a, count(c)) :- edge(a, b), edge(b, c), a < 40",
+		"hop3(a, d) :- edge(a, b), edge(b, c), edge(c, d)",
+		"out(a, c) :- edge(a, b), edge(b, c), edge(c, d)",
+		"edge(a, 3), edge(7, b)",
+		"both(count(a), count(c)) :- edge(a, b), edge(b, c)",
 	}
 	for _, src := range srcs {
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {

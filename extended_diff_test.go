@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,19 +12,44 @@ import (
 	"repro/internal/relation"
 )
 
+// extendedCase is one entry of the query-language corpus: the query text
+// and, for the entries that pin one, a user-supplied attribute order.
+type extendedCase struct {
+	src string
+	gao []string
+}
+
+func (c extendedCase) String() string {
+	if c.gao == nil {
+		return c.src
+	}
+	return fmt.Sprintf("%s under %v", c.src, c.gao)
+}
+
 // extendedCorpus is the query-language corpus: projection, in-atom
 // constants, comparison predicates, aggregation, and combinations — the
 // shapes the plain corpus in backend_diff_test.go cannot express.
-func extendedCorpus() []string {
-	return []string{
+func extendedCorpus() []extendedCase {
+	var corpus []extendedCase
+	for _, src := range []string{
 		// Projection.
 		"out(a) :- edge(a, b)",
 		"mid(b) :- edge(a, b), edge(b, c)",
 		"pair(a, c) :- edge(a, b), edge(b, c)",
 		"rev(c, a) :- edge(a, b), edge(b, c)",
-		// In-atom constants (desugared to placeholder equality bounds).
+		// Projection whose join variables precede projected ones in the
+		// GAO: buffered per key group, with and without an existence probe
+		// below the deepest emitted level.
+		"hop3(a, d) :- edge(a, b), edge(b, c), edge(c, d)",
+		"out(a, c) :- edge(a, b), edge(b, c), edge(c, d)",
+		// In-atom constants (desugared to placeholder equality bounds,
+		// which lead the GAO).
 		"edge(3, b)",
 		"edge(a, 7), edge(7, b)",
+		"edge(3, b), edge(b, c)",
+		"edge(a, 3), edge(7, b)",
+		"out(b) :- edge(a, b), a = 3",
+		"out(c) :- edge(3, b), edge(b, c)",
 		// Comparison predicates: bounds and residuals.
 		"edge(a, b), a < b",
 		"edge(a, b), a >= 10, b < 100",
@@ -34,10 +60,22 @@ func extendedCorpus() []string {
 		"deg2(a, count(c)) :- edge(a, b), edge(b, c)",
 		"stats(a, min(b), max(b), sum(b)) :- edge(a, b)",
 		"total(count(a)) :- edge(a, b)",
+		"agg(a, count(c)) :- edge(a, b), edge(b, c), a < 40",
+		"both(count(a), count(c)) :- edge(a, b), edge(b, c)",
 		// Everything at once.
 		"hot(a, count(b)) :- edge(a, b), b > 20, a != 5",
 		"sel(a) :- edge(a, b), edge(b, c), c >= 2, a < 200",
+	} {
+		corpus = append(corpus, extendedCase{src: src})
 	}
+	// User-supplied orders that do not lead with the head: every
+	// permutation is a valid order, and the output contract holds under it.
+	return append(corpus,
+		extendedCase{"pair(a, c) :- edge(a, b), edge(b, c)", []string{"b", "a", "c"}},
+		extendedCase{"rev(c, a) :- edge(a, b), edge(b, c)", []string{"a", "b", "c"}},
+		extendedCase{"deg2(a, count(c)) :- edge(a, b), edge(b, c)", []string{"c", "b", "a"}},
+		extendedCase{"edge(3, b), edge(b, c)", []string{"c", "b", "$1"}},
+	)
 }
 
 // referenceEval evaluates an extended query by brute force: enumerate the
@@ -177,23 +215,25 @@ func requireSameRows(t *testing.T, label string, got, want [][]int64) {
 }
 
 // TestExtendedDifferential runs the extended corpus under both trie-driven
-// engines on every index backend and requires identical counts and row sets
+// engines on every index backend and requires identical counts and rows
 // everywhere — checked against an independent brute-force reference
-// (enumerate-then-filter-then-group), not just engine-vs-engine.
+// (enumerate-then-filter-then-group), not just engine-vs-engine. The order
+// contract is part of the wall: projected and aggregate rows must arrive
+// ascending in head order, so only full-binding rows are sorted first.
 func TestExtendedDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
 	s := g.Store()
-	for _, src := range extendedCorpus() {
-		q, err := s.ParseQuery("q", src)
+	for _, c := range extendedCorpus() {
+		q, err := s.ParseQuery("q", c.src)
 		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
+			t.Fatalf("parse %q: %v", c.src, err)
 		}
 		want := referenceEval(t, s, q)
 		for _, alg := range []Algorithm{LFTJ, MS} {
 			for _, backend := range backendMatrix {
-				t.Run(fmt.Sprintf("%s/%s/%s", src, alg, backend), func(t *testing.T) {
-					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend})
+				t.Run(fmt.Sprintf("%s/%s/%s", c, alg, backend), func(t *testing.T) {
+					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend, GAO: c.gao})
 					if err != nil {
 						t.Fatalf("prepare: %v", err)
 					}
@@ -210,8 +250,19 @@ func TestExtendedDifferential(t *testing.T) {
 							t.Fatalf("row width %d, want OutWidth %d", len(r), q.OutWidth())
 						}
 					}
-					sortedRows(rows)
+					if !q.PrefixOrdered() {
+						sortedRows(rows)
+					}
 					requireSameRows(t, fmt.Sprintf("%s/%s", alg, backend), rows, want)
+					// Parallel counting splits on the leading attribute (or
+					// not at all when that would split a row's duplicates).
+					par, err := s.Prepare(q, Options{Algorithm: alg, Workers: 4, Backend: backend, GAO: c.gao})
+					if err != nil {
+						t.Fatalf("prepare Workers=4: %v", err)
+					}
+					if pn, err := par.Count(ctx); err != nil || pn != n {
+						t.Fatalf("Workers=4 count %d (%v), sequential %d", pn, err, n)
+					}
 				})
 			}
 		}
@@ -243,6 +294,9 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 		"edge(3, b)",
 		"deg(a, count(b)) :- edge(a, b)",
 		"hot(a, sum(b)) :- edge(a, b), b >= 5",
+		"pair(a, c) :- edge(a, b), edge(b, c)",
+		"edge(3, b), edge(b, c)",
+		"deg2(a, count(c)) :- edge(a, b), edge(b, c)",
 	}
 	queries := make([]*Query, len(srcs))
 	for i, src := range srcs {
@@ -274,7 +328,9 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 						t.Fatalf("step %d %s/%s/%s prepare: %v", step, srcs[qi], alg, backend, err)
 					}
 					rows := collectRows(t, p)
-					sortedRows(rows)
+					if !q.PrefixOrdered() {
+						sortedRows(rows)
+					}
 					requireSameRows(t, fmt.Sprintf("step %d %s/%s/%s", step, srcs[qi], alg, backend), rows, want)
 				}
 			}
@@ -349,5 +405,110 @@ func TestExtendedTxnAndBatch(t *testing.T) {
 			}
 		}
 		requireSameRows(t, "batch rows "+src, res[0].Rows, want)
+	}
+}
+
+// TestShardOnPinnedLeadingVariable covers the shard restriction when the
+// planner leads the GAO with a variable pinned to a constant — a placeholder
+// that is not an output column at all, or a hidden head-less variable: the
+// shard owning the constant has the whole result and every other shard
+// nothing, so the union over a 3-way hash shard (and a 3-way range shard)
+// is the unsharded stream, each row exactly once. Parallel counting splits
+// on the same attribute and must agree with the sequential answer.
+func TestShardOnPinnedLeadingVariable(t *testing.T) {
+	ctx := context.Background()
+	s := GenerateGraph(HolmeKim, 250, 900, 3).Store()
+	partitions := map[string][]Shard{
+		"hash": {
+			{Kind: ShardHash, Mod: 3, Res: 0},
+			{Kind: ShardHash, Mod: 3, Res: 1},
+			{Kind: ShardHash, Mod: 3, Res: 2},
+		},
+		"range": {
+			{Kind: ShardRange, Lo: math.MinInt64, Hi: 3},
+			{Kind: ShardRange, Lo: 3, Hi: 4},
+			{Kind: ShardRange, Lo: 4, Hi: math.MaxInt64},
+		},
+	}
+	for _, src := range []string{
+		"edge(3, b), edge(b, c)",
+		"out(b) :- edge(a, b), a = 3",
+		"hot(b, count(c)) :- edge(3, b), edge(b, c)",
+	} {
+		q, err := s.ParseQuery("q", src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		for _, alg := range []Algorithm{LFTJ, MS} {
+			whole, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s/%s: prepare: %v", src, alg, err)
+			}
+			want := collectRows(t, whole)
+			if len(want) == 0 {
+				t.Fatalf("%s/%s: empty result makes the test vacuous", src, alg)
+			}
+			for kind, shards := range partitions {
+				var got [][]int64
+				owners := 0
+				for _, sh := range shards {
+					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Shard: &sh})
+					if err != nil {
+						t.Fatalf("%s/%s/%s: prepare shard %+v: %v", src, alg, kind, sh, err)
+					}
+					rows := collectRows(t, p)
+					n, err := p.Count(ctx)
+					if err != nil {
+						t.Fatalf("%s/%s/%s: count: %v", src, alg, kind, err)
+					}
+					if n != int64(len(rows)) {
+						t.Errorf("%s/%s/%s: shard %+v counts %d, streams %d rows", src, alg, kind, sh, n, len(rows))
+					}
+					if len(rows) > 0 {
+						owners++
+					}
+					got = append(got, rows...)
+				}
+				if owners != 1 {
+					t.Errorf("%s/%s/%s: %d shards hold rows, want exactly the constant's owner", src, alg, kind, owners)
+				}
+				requireSameRows(t, fmt.Sprintf("%s/%s/%s union", src, alg, kind), got, want)
+			}
+			par, err := s.Prepare(q, Options{Algorithm: alg, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := par.Count(ctx)
+			if err != nil {
+				t.Fatalf("%s/%s: parallel count: %v", src, alg, err)
+			}
+			if n != int64(len(want)) {
+				t.Errorf("%s/%s: Workers=4 counts %d, sequential %d", src, alg, n, len(want))
+			}
+			requireSameRows(t, fmt.Sprintf("%s/%s Workers=4 rows", src, alg), collectRows(t, par), want)
+		}
+	}
+
+	// A user order leading with a variable outside the output has no
+	// attribute that partitions the rows: sharding it is refused, typed.
+	q, err := s.ParseQuery("q", "pair(a, c) :- edge(a, b), edge(b, c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Prepare(q, Options{GAO: []string{"b", "a", "c"}, Shard: &Shard{Kind: ShardHash, Mod: 2}})
+	if !errors.Is(err, ErrUnsupportedQuery) {
+		t.Errorf("shard on a hidden leading variable: error %v, want ErrUnsupportedQuery", err)
+	}
+	// Unsharded, the same order counts in parallel without splitting on it.
+	p, err := s.Prepare(q, Options{GAO: []string{"b", "a", "c"}, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := p.Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceEval(t, s, q); n != int64(len(want)) {
+		t.Errorf("Workers=4 under a hidden leading variable counts %d, want %d", n, len(want))
 	}
 }

@@ -33,7 +33,7 @@ type Plan struct {
 	// parallel-granularity default and Minesweeper's skeleton split).
 	BetaCyclic bool
 	// Push carries the compiled selection bounds, residual predicates, and
-	// projection prefix of an extended query; nil for plain joins.
+	// output shape (Emit/Keys) of an extended query; nil for plain joins.
 	Push *Pushdown
 }
 

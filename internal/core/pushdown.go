@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
+	"repro/internal/hypergraph"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -67,11 +70,150 @@ type Pushdown struct {
 	// ordered by Depth so engines can check each at the shallowest level
 	// that binds it.
 	Residuals []ResidualPred
-	// Prefix, when non-zero, restricts emission to the leading Prefix GAO
-	// positions with early duplicate elimination: once a binding of the
-	// prefix is emitted, the engine skips the rest of that prefix's subtree
-	// instead of enumerating (and deduplicating) full bindings.
-	Prefix int
+	// Emit, for projected and aggregate queries, lists the GAO positions of
+	// the emitted columns (q.Emitted()) in output order; their rows are
+	// distinct and ascend lexicographically in that order under every GAO.
+	// nil means full bindings in q.Vars() order, enumerated in GAO order.
+	Emit []int
+	// Keys is the number of leading Emit columns the GAO itself enumerates
+	// in output order (hypergraph.OutputShape). When Keys == len(Emit) the
+	// engine streams: it binds down to the deepest emitted level, replaces
+	// everything below with one existence probe, and emits. Otherwise it
+	// hands each such binding to a GroupSink, which restores the order of
+	// the remaining columns one key group at a time.
+	Keys int
+}
+
+// Buffered reports whether execution needs a GroupSink.
+func (ps *Pushdown) Buffered() bool { return ps != nil && ps.Keys < len(ps.Emit) }
+
+// EmitDepth returns the number of leading GAO levels a run over n variables
+// binds before a row is decided: through the deepest emitted column. Levels
+// below only need a witness.
+func (ps *Pushdown) EmitDepth(n int) int {
+	if ps == nil || ps.Emit == nil {
+		return n
+	}
+	return slices.Max(ps.Emit) + 1
+}
+
+// EmitPositions appends to dst, for each column of an engine row, the GAO
+// position it is read from: the compiled Emit of a projected or aggregate
+// query, else the position of every q.Vars() variable.
+func EmitPositions(dst []int, q *query.Query, gao []string, ps *Pushdown) []int {
+	if ps != nil && ps.Emit != nil {
+		return append(dst, ps.Emit...)
+	}
+	for _, v := range q.Vars() {
+		dst = append(dst, slices.Index(gao, v))
+	}
+	return dst
+}
+
+// GroupSink restores the output contract under a GAO that does not enumerate
+// the emitted columns in output order (Pushdown.Buffered). The engine adds
+// every binding of the leading EmitDepth levels, in GAO order; bindings that
+// agree on the Keys columns arrive together, so the sink buffers only their
+// remaining columns, and at each group boundary sorts them, drops
+// duplicates, and forwards the rows — memory is bounded by the largest
+// group. The zero value is ready for Reset; buffers are kept across groups
+// and across Resets, so a pooled sink allocates nothing in steady state.
+type GroupSink struct {
+	emit    []int
+	keys    int
+	forward func([]int64) bool // nil: count only
+	stopped bool               // forward returned false: the run is over
+	open    bool               // cur holds the key of a group being buffered
+	cur     []int64            // key columns of the open group
+	buf     []int64            // non-key columns of its bindings, row after row
+	row     []int64            // the row handed to forward
+	// Rows is the number of distinct rows forwarded since Reset.
+	Rows int64
+}
+
+// Reset readies the sink for one run under ps; forward receives each output
+// row (a slice the sink reuses) and returns false to stop the run. A nil
+// forward only counts rows.
+func (s *GroupSink) Reset(ps *Pushdown, forward func([]int64) bool) {
+	s.emit, s.keys, s.forward = ps.Emit, ps.Keys, forward
+	s.stopped, s.open, s.Rows = false, false, 0
+	s.cur = append(s.cur[:0], make([]int64, ps.Keys)...)
+	s.row = append(s.row[:0], make([]int64, len(ps.Emit))...)
+	s.buf = s.buf[:0]
+}
+
+// Release drops the run's references so a pooled sink pins neither the plan
+// nor the consumer.
+func (s *GroupSink) Release() { s.emit, s.forward = nil, nil }
+
+// Add takes one binding (in GAO order). It returns false when forward
+// stopped the run.
+func (s *GroupSink) Add(binding []int64) bool {
+	same := s.open
+	for i := 0; same && i < s.keys; i++ {
+		same = binding[s.emit[i]] == s.cur[i]
+	}
+	if !same {
+		if !s.Flush() {
+			return false
+		}
+		s.open = true
+		for i := range s.cur {
+			s.cur[i] = binding[s.emit[i]]
+		}
+	}
+	for _, g := range s.emit[s.keys:] {
+		s.buf = append(s.buf, binding[g])
+	}
+	return true
+}
+
+// Flush forwards the open group, if any; engines call it once after the last
+// Add. It returns false when forward stopped the run, now or earlier.
+func (s *GroupSink) Flush() bool {
+	if !s.open {
+		return !s.stopped
+	}
+	s.open = false
+	w := len(s.emit) - s.keys
+	if w == 1 {
+		slices.Sort(s.buf)
+	} else {
+		sort.Sort((*sinkRows)(s))
+	}
+	copy(s.row, s.cur)
+	tail := s.row[s.keys:]
+	for i := 0; i < len(s.buf); i += w {
+		r := s.buf[i : i+w]
+		if i > 0 && slices.Equal(r, tail) {
+			continue
+		}
+		copy(tail, r)
+		s.Rows++
+		if s.forward != nil && !s.forward(s.row) {
+			s.stopped = true
+			break
+		}
+	}
+	s.buf = s.buf[:0]
+	return !s.stopped
+}
+
+// sinkRows sorts a sink's buffered rows in place.
+type sinkRows GroupSink
+
+func (s *sinkRows) width() int { return len(s.emit) - s.keys }
+func (s *sinkRows) Len() int   { return len(s.buf) / s.width() }
+func (s *sinkRows) Less(i, j int) bool {
+	w := s.width()
+	return slices.Compare(s.buf[i*w:(i+1)*w], s.buf[j*w:(j+1)*w]) < 0
+}
+func (s *sinkRows) Swap(i, j int) {
+	w := s.width()
+	a, b := s.buf[i*w:(i+1)*w], s.buf[j*w:(j+1)*w]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
 }
 
 // ResidualsAt returns the residual predicates decided exactly at depth d.
@@ -100,11 +242,9 @@ func incSat(v int64) int64 {
 // CompilePushdown compiles a query's predicates and projection against a
 // concrete GAO. Constant comparisons other than != become per-depth seek
 // bounds; disequalities and variable-variable comparisons become residual
-// filters. Projection (including the implicit projection of aggregate
-// queries) requires the GAO to lead with the query's output prefix in
-// execution order — that prefix ordering is what makes early duplicate
-// elimination a local prefix-advance and keeps the emission order identical
-// across engines.
+// filters. Projected and aggregate queries get their Emit/Keys shape, which
+// any permutation of the variables admits: the output order is restored by a
+// GroupSink wherever the GAO does not provide it.
 func CompilePushdown(q *query.Query, gao []string) (*Pushdown, error) {
 	if !q.Extended() {
 		return nil, nil
@@ -165,20 +305,9 @@ func CompilePushdown(q *query.Query, gao []string) (*Pushdown, error) {
 	if !any {
 		bounds = nil
 	}
-	prefix := 0
+	ps := &Pushdown{Bounds: bounds}
 	if q.PrefixOrdered() {
-		vars := q.Vars()
-		for i := 0; i < q.Prefix(); i++ {
-			if gao[i] != vars[i] {
-				return nil, fmt.Errorf("core: projected/aggregate query %q requires a GAO leading with its output prefix %v, got %v", q.Name, vars[:q.Prefix()], gao)
-			}
-		}
-		if q.Projected() {
-			prefix = q.Prefix()
-		}
-	}
-	if bounds == nil && residuals == nil && prefix == 0 {
-		return nil, nil
+		ps.Keys, ps.Emit = hypergraph.OutputShape(q, gao)
 	}
 	// Order residuals by depth so engines can slice them per level.
 	for i := 1; i < len(residuals); i++ {
@@ -186,5 +315,9 @@ func CompilePushdown(q *query.Query, gao []string) (*Pushdown, error) {
 			residuals[j-1], residuals[j] = residuals[j], residuals[j-1]
 		}
 	}
-	return &Pushdown{Bounds: bounds, Residuals: residuals, Prefix: prefix}, nil
+	if bounds == nil && residuals == nil && ps.Emit == nil {
+		return nil, nil
+	}
+	ps.Residuals = residuals
+	return ps, nil
 }

@@ -196,16 +196,14 @@ func (p *parallel) Name() string { return string(p.opts.Algorithm) }
 
 func (p *parallel) single() core.Engine {
 	if p.opts.Algorithm == LFTJ {
-		opts := lftj.Options{GAO: p.gao(), Backend: p.opts.Backend, Plan: p.opts.Plan, Stats: p.opts.Stats}
+		opts := lftj.Options{GAO: p.opts.GAO, Backend: p.opts.Backend, Plan: p.opts.Plan, Stats: p.opts.Stats}
 		if r := p.opts.FirstVarRange; r != nil {
 			opts.FirstVarRange = &lftj.Range{Lo: r.Lo, Hi: r.Hi}
 		}
 		return lftj.Engine{Opts: opts}
 	}
 	ms := p.opts.MS
-	if ms.GAO == nil {
-		ms.GAO = p.opts.GAO
-	}
+	ms.GAO = p.opts.userGAO()
 	if ms.Backend == "" {
 		ms.Backend = p.opts.Backend
 	}
@@ -216,8 +214,6 @@ func (p *parallel) single() core.Engine {
 	ms.Collector = p.opts.Stats
 	return minesweeper.Engine{Opts: ms}
 }
-
-func (p *parallel) gao() []string { return p.opts.GAO }
 
 func (p *parallel) workers() int {
 	if p.opts.Workers > 0 {
@@ -310,13 +306,11 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 
 func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, lo, hi int64) (int64, error) {
 	if p.opts.Algorithm == LFTJ {
-		e := lftj.Engine{Opts: lftj.Options{GAO: p.gao(), Backend: p.opts.Backend, FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: p.opts.Plan, Stats: p.opts.Stats}}
+		e := lftj.Engine{Opts: lftj.Options{GAO: p.opts.GAO, Backend: p.opts.Backend, FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: p.opts.Plan, Stats: p.opts.Stats}}
 		return e.Count(ctx, q, db)
 	}
 	ms := p.opts.MS
-	if ms.GAO == nil {
-		ms.GAO = p.opts.GAO
-	}
+	ms.GAO = p.opts.userGAO()
 	if ms.Backend == "" {
 		ms.Backend = p.opts.Backend
 	}
@@ -334,34 +328,27 @@ func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, 
 // "p equal-sized parts" of the output space). Under the csr-sharded backend
 // the cut points are taken from the shard boundaries instead, so every job
 // maps one-to-one onto a physically disjoint shard of the indexes leading
-// on the first attribute.
+// on the first attribute. A projected query whose first attribute is not in
+// its output is left whole: the same row could surface in several parts.
 func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, error) {
+	var gao []string
+	if p.opts.Plan != nil {
+		gao = p.opts.Plan.GAO
+	} else {
+		var err error
+		if gao, err = ResolveGAO(p.opts, q); err != nil {
+			return nil, err
+		}
+	}
+	first := gao[0]
+	if _, pinned := q.Pinned(first); !pinned && !q.PartitionedBy(first) {
+		return nil, nil
+	}
 	if plan := p.opts.Plan; plan != nil && plan.Backend == core.BackendCSRSharded {
 		if jobs := shardJobs(plan); len(jobs) > 1 {
 			return jobs, nil
 		}
 	}
-	var gao []string
-	if p.opts.Plan != nil {
-		gao = p.opts.Plan.GAO
-	} else {
-		if err := q.Validate(); err != nil {
-			return nil, err
-		}
-		gao = p.opts.GAO
-		if gao == nil {
-			if p.opts.Algorithm == MS {
-				plan, err := hypergraph.PlanQuery(q)
-				if err != nil {
-					return nil, err
-				}
-				gao = plan.GAO
-			} else {
-				gao = q.Vars()
-			}
-		}
-	}
-	first := gao[0]
 	atoms := q.AtomsWith(first)
 	if len(atoms) == 0 {
 		return nil, fmt.Errorf("engine: variable %q unbound", first)

@@ -54,10 +54,11 @@ func Prepare(opts Options, q *query.Query, db *core.DB) (core.Engine, *core.Plan
 }
 
 // ResolveGAO derives the global attribute order Prepare would fix for the
-// query under these options, without touching any data: GAO resolution is
-// purely structural (query shape plus planner toggles), so a coordinator can
-// compute the order a remote host will execute under and partition or merge
-// on its leading attribute. Mirrors CompilePlan's resolution exactly.
+// query under these options, without touching any data: the order is the
+// user's (Options.GAO, or MS.GAO for Minesweeper) or else
+// hypergraph.ChooseGAO's, which reads only the query's structure — so a
+// coordinator computes the very order a remote host will execute under and
+// partitions or merges on its leading attribute.
 func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 	alg, err := ParseAlgorithm(string(opts.Algorithm))
 	if err != nil {
@@ -66,23 +67,24 @@ func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	userGAO := opts.GAO
-	if alg == MS {
-		if opts.MS.GAO != nil {
-			userGAO = opts.MS.GAO
+	opts.Algorithm = alg
+	if gao := opts.userGAO(); gao != nil {
+		if len(gao) != q.NumVars() {
+			return nil, fmt.Errorf("engine: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
 		}
-		if userGAO == nil && q.PrefixOrdered() {
-			userGAO = q.Vars()
-		}
-		msOpts := opts.MS
-		msOpts.GAO = userGAO
-		gao, _, _, err := minesweeper.ResolvePlan(q, msOpts)
-		return gao, err
+		return gao, nil
 	}
-	if userGAO != nil {
-		return userGAO, nil
+	gao, _ := hypergraph.ChooseGAO(q, string(alg))
+	return gao, nil
+}
+
+// userGAO returns the attribute order the caller supplied for the
+// configured algorithm, nil when the planner is to choose.
+func (o Options) userGAO() []string {
+	if o.Algorithm == MS && o.MS.GAO != nil {
+		return o.MS.GAO
 	}
-	return q.Vars(), nil
+	return o.GAO
 }
 
 // CompilePlan resolves the GAO and binds the GAO-consistent indexes for a
@@ -95,6 +97,7 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 	if alg == "" {
 		alg = LFTJ
 	}
+	opts.Algorithm = alg
 	backend, err := core.ParseBackend(string(opts.Backend))
 	if err != nil {
 		return nil, err
@@ -103,22 +106,10 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 		// Generic join executes over flat row spans; see genericjoin.
 		backend = core.BackendFlat
 	}
-	userGAO := opts.GAO
+	userGAO := opts.userGAO()
 	variant := ""
-	if alg == MS {
-		if opts.MS.GAO != nil {
-			userGAO = opts.MS.GAO
-		}
-		if opts.MS.DisableSkeleton {
-			variant = "noskel"
-		}
-		if userGAO == nil && q.PrefixOrdered() {
-			// Projected/aggregate queries must enumerate grouped by the
-			// output prefix; pin Minesweeper to the query's own variable
-			// order instead of the hypergraph-chosen one. (LFTJ's default
-			// GAO is already q.Vars().)
-			userGAO = q.Vars()
-		}
+	if alg == MS && opts.MS.DisableSkeleton {
+		variant = "noskel"
 	}
 	key := core.PlanKey(string(alg), variant, backend, userGAO, q)
 	p, version, ok := db.CachedPlan(key)
@@ -126,26 +117,19 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 		opts.Stats.Add(core.Stats{PlanCacheHits: 1})
 		return p, nil
 	}
-	if err := q.Validate(); err != nil {
+	gao, err := ResolveGAO(opts, q)
+	if err != nil {
 		return nil, err
 	}
-	var gao []string
 	var inSkel []bool
 	betaCyclic := false
-	switch alg {
-	case MS:
+	if alg == MS {
 		msOpts := opts.MS
-		msOpts.GAO = userGAO
-		var err error
-		gao, inSkel, betaCyclic, err = minesweeper.ResolvePlan(q, msOpts)
-		if err != nil {
+		msOpts.GAO = gao
+		if gao, inSkel, betaCyclic, err = minesweeper.ResolvePlan(q, msOpts); err != nil {
 			return nil, err
 		}
-	default:
-		gao = userGAO
-		if gao == nil {
-			gao = q.Vars()
-		}
+	} else {
 		_, acyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
 		betaCyclic = !acyclic
 	}

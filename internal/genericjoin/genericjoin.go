@@ -19,13 +19,14 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/hypergraph"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
 // Engine is the materializing generic-join engine.
 type Engine struct {
-	// GAO overrides the variable order (default: first-appearance).
+	// GAO overrides the variable order; empty means hypergraph.ChooseGAO's.
 	GAO []string
 	// Plan, when set, is a compiled plan for the query: validation, GAO
 	// resolution, and index binding are skipped.
@@ -57,7 +58,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		}
 		gao = e.GAO
 		if gao == nil {
-			gao = q.Vars()
+			gao, _ = hypergraph.ChooseGAO(q, e.Name())
 		}
 		if len(gao) != q.NumVars() {
 			return fmt.Errorf("genericjoin: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)

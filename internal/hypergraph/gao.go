@@ -122,8 +122,8 @@ func FindChainGAO(vars []string, atoms []query.Atom) (gao []string, ok bool) {
 	return order, true
 }
 
-func permute(p []string, k int, visit func([]string)) {
-	if k == len(p) {
+func permute[T any](p []T, k int, visit func([]T)) {
+	if k >= len(p) {
 		visit(p)
 		return
 	}

@@ -8,8 +8,10 @@ package lftj
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/hypergraph"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -22,8 +24,7 @@ type Range struct {
 
 // Options configure the engine.
 type Options struct {
-	// GAO overrides the variable order; empty means the query's
-	// first-appearance order.
+	// GAO overrides the variable order; empty means hypergraph.ChooseGAO's.
 	GAO []string
 	// Backend selects the index backend for the unplanned path (empty means
 	// core.DefaultBackend); a compiled Plan carries its own backend.
@@ -69,7 +70,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		}
 		gao = e.Opts.GAO
 		if gao == nil {
-			gao = q.Vars()
+			gao, _ = hypergraph.ChooseGAO(q, e.Name())
 		}
 		if len(gao) != q.NumVars() {
 			return fmt.Errorf("lftj: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
@@ -100,15 +101,24 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	}
 	ex := &exec{
 		n:       len(gao),
+		last:    push.EmitDepth(len(gao)) - 1,
 		binding: make([]int64, len(gao)),
+		emitPos: core.EmitPositions(make([]int, 0, len(gao)), q, gao, push),
 		emit:    emit,
 		tick:    core.NewTicker(ctx),
+	}
+	if push.Buffered() {
+		ex.sink = sinks.Get().(*core.GroupSink)
+		ex.sink.Reset(push, emit)
+		defer func() {
+			ex.sink.Release()
+			sinks.Put(ex.sink)
+		}()
 	}
 	// Fold the compiled seek bounds and the parallel job's first-variable
 	// range into one per-depth [lo, hi) table; residual predicates are
 	// bucketed by the depth that decides them.
 	if push != nil {
-		ex.prefix = push.Prefix
 		if push.Bounds != nil {
 			ex.lo = make([]int64, len(gao))
 			ex.hi = make([]int64, len(gao))
@@ -134,12 +144,6 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		ex.lo[0] = max(ex.lo[0], rng.Lo)
 		ex.hi[0] = min(ex.hi[0], rng.Hi)
 	}
-	// outPerm maps GAO position to q.Vars() position for emitted tuples.
-	idx := q.VarIndex()
-	ex.outPerm = make([]int, len(gao))
-	for g, v := range gao {
-		ex.outPerm[g] = idx[v]
-	}
 	// For each GAO depth, the cursors of participating atoms.
 	ex.byVar = make([][]core.TrieCursor, len(gao))
 	iters := make([]core.TrieCursor, len(atoms))
@@ -155,22 +159,33 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		}
 	}
 	_, err := ex.run(0)
+	if ex.sink != nil {
+		if err == nil {
+			ex.sink.Flush()
+		}
+		ex.outputs = ex.sink.Rows
+	}
 	if sc := e.Opts.Stats; sc != nil {
 		sc.Add(core.Stats{Outputs: ex.outputs, Seeks: ex.seeks})
 	}
 	return err
 }
 
+// sinks pools the group sinks of buffered executions, so their buffers are
+// reused across executions rather than regrown by each.
+var sinks = sync.Pool{New: func() any { return new(core.GroupSink) }}
+
 type exec struct {
 	n       int
+	last    int // deepest level a row reads; below it one witness suffices
 	byVar   [][]core.TrieCursor
 	binding []int64
-	outPerm []int
+	emitPos []int // GAO position of each emitted column
 	emit    func([]int64) bool
+	sink    *core.GroupSink // non-nil: rows go through it (core.Pushdown.Buffered)
 	tick    *core.Ticker
 	lo, hi  []int64               // per-depth seek bounds [lo, hi); nil when unbounded
 	resAt   [][]core.ResidualPred // residual predicates decided at each depth
-	prefix  int                   // >0: emit only the leading prefix depths, deduped
 	out     []int64
 	outputs int64
 	seeks   int64
@@ -226,19 +241,18 @@ func (ex *exec) run(d int) (bool, error) {
 			}
 			continue
 		}
-		if d == ex.n-1 {
-			if !ex.emitTuple() {
-				return false, nil
+		if d == ex.last {
+			// Deepest emitted level: one existence probe below it replaces
+			// the full sub-enumeration — this is the early duplicate
+			// elimination, and it reports each binding down to here once.
+			found := true
+			if d < ex.n-1 {
+				var err error
+				if found, err = ex.exists(d + 1); err != nil {
+					return false, err
+				}
 			}
-		} else if ex.prefix > 0 && d == ex.prefix-1 {
-			// Deepest projected level: one existence probe below the prefix
-			// replaces the full sub-enumeration — this is the early duplicate
-			// elimination, and it emits each prefix exactly once.
-			found, err := ex.exists(d + 1)
-			if err != nil {
-				return false, err
-			}
-			if found && !ex.emitPrefix() {
+			if found && !ex.output() {
 				return false, nil
 			}
 		} else {
@@ -299,26 +313,19 @@ func (ex *exec) exists(d int) (bool, error) {
 	}
 }
 
-func (ex *exec) emitTuple() bool {
+// output reports the current binding: into the group sink when the GAO does
+// not enumerate in output order, else straight to emit.
+func (ex *exec) output() bool {
+	if ex.sink != nil {
+		return ex.sink.Add(ex.binding)
+	}
 	ex.outputs++
 	if ex.out == nil {
-		ex.out = make([]int64, ex.n)
+		ex.out = make([]int64, len(ex.emitPos))
 	}
-	for g, v := range ex.outPerm {
-		ex.out[v] = ex.binding[g]
+	for i, g := range ex.emitPos {
+		ex.out[i] = ex.binding[g]
 	}
-	return ex.emit(ex.out)
-}
-
-// emitPrefix emits the projected prefix. The planner guarantees the leading
-// GAO positions are the query's output prefix in execution order, so no
-// permutation is needed.
-func (ex *exec) emitPrefix() bool {
-	ex.outputs++
-	if ex.out == nil {
-		ex.out = make([]int64, ex.prefix)
-	}
-	copy(ex.out, ex.binding[:ex.prefix])
 	return ex.emit(ex.out)
 }
 

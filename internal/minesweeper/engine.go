@@ -3,7 +3,6 @@ package minesweeper
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,7 +94,8 @@ type exec struct {
 	scratch []int64
 	tick    core.Ticker
 	emit    func([]int64) bool
-	outPerm []int
+	emitPos []int // GAO position of each emitted column
+	last    int   // deepest column a row reads; the subtree below it is skipped
 	out     []int64
 	// adv and cand hold the best and the current Idea 7 frontier advance.
 	adv, cand []int64
@@ -103,9 +103,11 @@ type exec struct {
 	counting  bool // count-mode subtree reuse (Idea 8) is on for this run
 	noMemo    bool // Options.DisableMemo
 	push      *core.Pushdown
-	prefix    int // >0: emit only the leading prefix columns, deduped
 	total     int64
 	stats     Stats
+	// sink restores the output order when the GAO does not provide it
+	// (push.Buffered()).
+	sink core.GroupSink
 }
 
 var frames = sync.Pool{New: func() any { return new(exec) }}
@@ -136,9 +138,10 @@ const maxPooledFrame = 16 << 20
 func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms []core.AtomIndex, inSkel []bool, push *core.Pushdown, emit func([]int64) bool, opts Options) {
 	n := len(gao)
 	ex.n, ex.atoms, ex.inSkel, ex.push, ex.emit, ex.noMemo = n, atoms, inSkel, push, emit, opts.DisableMemo
-	ex.total, ex.stats, ex.prefix, ex.counting = 0, Stats{}, 0, false
-	if push != nil {
-		ex.prefix = push.Prefix
+	ex.total, ex.stats, ex.counting = 0, Stats{}, false
+	ex.emitPos, ex.last = core.EmitPositions(ex.emitPos[:0], q, gao, push), push.EmitDepth(n)-1
+	if push.Buffered() {
+		ex.sink.Reset(push, emit)
 	}
 	ex.tick = *core.NewTicker(ctx)
 	ex.cds.reset(n, opts.DisableComplete)
@@ -157,11 +160,6 @@ func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms [
 		off += len(a.VarPos)
 	}
 	ex.adv, ex.cand, ex.out = zeroed(ex.adv, n), zeroed(ex.cand, n), zeroed(ex.out, n)
-	ex.outPerm = ex.outPerm[:0]
-	vars := q.Vars()
-	for _, v := range gao {
-		ex.outPerm = append(ex.outPerm, slices.Index(vars, v))
-	}
 }
 
 // zeroed returns buf resized to n zeros, reusing its storage when it can.
@@ -173,6 +171,7 @@ func zeroed(buf []int64, n int) []int64 {
 // unless it outgrew maxPooledFrame.
 func (ex *exec) release() {
 	ex.atoms, ex.inSkel, ex.push, ex.emit = nil, nil, nil, nil
+	ex.sink.Release()
 	ex.tick = core.Ticker{}
 	if ex.cds.retained()+ex.counter.retained() > maxPooledFrame {
 		return
@@ -200,15 +199,8 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 		if err := q.Validate(); err != nil {
 			return 0, err
 		}
-		opts := e.Opts
-		if q.PrefixOrdered() && opts.GAO == nil {
-			// Projected/aggregate queries must enumerate grouped by the
-			// output prefix: pin the GAO to the query's own variable order
-			// instead of the hypergraph-chosen one.
-			opts.GAO = q.Vars()
-		}
 		var err error
-		gao, inSkel, _, err = resolvePlan(q, opts)
+		gao, inSkel, _, err = resolvePlan(q, e.Opts)
 		if err != nil {
 			return 0, err
 		}
@@ -302,11 +294,12 @@ func ResolvePlan(q *query.Query, opts Options) (gao []string, inSkel []bool, bet
 	return resolvePlan(q, opts)
 }
 
-// resolvePlan picks the GAO and skeleton (§4.8, §4.9). A user-provided GAO
-// keeps all atoms in the skeleton when it satisfies the chain condition or
-// when the query is β-acyclic anyway (Table 4 runs non-NEO orders through
-// the cache-free fallback); for β-cyclic queries a greedy chain-valid subset
-// is used unless Idea 7 is disabled.
+// resolvePlan picks the GAO and skeleton (§4.8, §4.9). The order is the
+// user's, else hypergraph.ChooseGAO's. All atoms stay in the skeleton when
+// the order satisfies the chain condition or when the query is β-acyclic
+// anyway (Table 4 runs non-NEO orders through the cache-free fallback); for
+// β-cyclic queries a greedy chain-valid subset is used unless Idea 7 is
+// disabled.
 func resolvePlan(q *query.Query, opts Options) (gao []string, inSkel []bool, betaCyclic bool, err error) {
 	all := func() []bool {
 		s := make([]bool, len(q.Atoms))
@@ -316,18 +309,7 @@ func resolvePlan(q *query.Query, opts Options) (gao []string, inSkel []bool, bet
 		return s
 	}
 	if opts.GAO == nil {
-		plan, err := hypergraph.PlanQuery(q)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if opts.DisableSkeleton || !plan.BetaCyclic {
-			return plan.GAO, all(), plan.BetaCyclic, nil
-		}
-		inSkel = make([]bool, len(q.Atoms))
-		for _, i := range plan.Skeleton {
-			inSkel[i] = true
-		}
-		return plan.GAO, inSkel, true, nil
+		opts.GAO, _ = hypergraph.ChooseGAO(q, Engine{}.Name())
 	}
 	gao = opts.GAO
 	if len(gao) != q.NumVars() {
@@ -414,14 +396,11 @@ func (ex *exec) loop() error {
 			if !ex.output(t) {
 				break
 			}
-			if ex.prefix > 0 {
-				// Early duplicate elimination: every deeper tuple shares the
-				// just-emitted output prefix, so skip the whole prefix
-				// subtree instead of enumerating (and deduplicating) it.
-				ex.cds.AdvancePast(ex.prefix - 1)
-				continue
-			}
-			ex.cds.AdvanceOutput()
+			// Early duplicate elimination: every deeper tuple shares the
+			// columns just reported, so skip the whole subtree below the
+			// deepest of them (for full bindings, just the tuple itself —
+			// Idea 2: no unit gap box is inserted).
+			ex.cds.AdvancePast(ex.last)
 			continue
 		}
 		if advanced && relation.CompareTuples(ex.adv, t) > 0 {
@@ -433,6 +412,10 @@ func (ex *exec) loop() error {
 	}
 	if ex.counting {
 		ex.counter.finish()
+	}
+	if ex.push.Buffered() {
+		ex.sink.Flush()
+		ex.total = ex.sink.Rows
 	}
 	return nil
 }
@@ -454,6 +437,9 @@ func (ex *exec) residualsOK(t []int64) bool {
 // output reports the free tuple (verified to be in every atom). It returns
 // false to stop enumeration.
 func (ex *exec) output(t []int64) bool {
+	if ex.push.Buffered() {
+		return ex.sink.Add(t)
+	}
 	ex.total++
 	if ex.counting {
 		ex.counter.onOutput()
@@ -462,17 +448,11 @@ func (ex *exec) output(t []int64) bool {
 	if ex.emit == nil {
 		return true
 	}
-	if ex.prefix > 0 {
-		// The planner guarantees the leading GAO columns are the query's
-		// output prefix in execution order; emit them directly.
-		out := ex.out[:ex.prefix]
-		copy(out, t)
-		return ex.emit(out)
+	out := ex.out[:len(ex.emitPos)]
+	for i, g := range ex.emitPos {
+		out[i] = t[g]
 	}
-	for g, v := range ex.outPerm {
-		ex.out[v] = t[g]
-	}
-	return ex.emit(ex.out)
+	return ex.emit(out)
 }
 
 // advanceFrom computes into ex.cand the Idea 7 frontier advance for a gap on

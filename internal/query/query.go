@@ -130,12 +130,11 @@ type Query struct {
 	Preds []Pred // conjunctive comparison predicates over body variables
 	Aggs  []Agg  // aggregate head terms, emitted after the plain head vars
 
-	// vars is the execution variable order. For plain queries it is
+	// vars is the query's variable order. For plain queries it is
 	// first-appearance (or head) order. For extended queries it is output
 	// variables first (head order), then aggregated variables, then the
-	// remaining body variables — so the default GAO enumerates results
-	// grouped by the output prefix and early duplicate elimination is a
-	// prefix-distinctness check.
+	// remaining body variables — the order engine rows are laid out in, and
+	// the order the GAO planner stays closest to.
 	vars []string
 	// out is the projection: the plain head variables. nil means "all vars"
 	// (no rule head, or legacy full-cover head).
@@ -254,10 +253,11 @@ func NewRule(name string, head []string, aggs []Agg, preds []Pred, atoms ...Atom
 	return q, nil
 }
 
-// Vars returns the query's execution variables: output variables first (head
-// order), then aggregated variables, then the remaining body variables. For
-// plain queries this is first-appearance (or head) order. The returned slice
-// must not be modified.
+// Vars returns the query's variables: output variables first (head order),
+// then aggregated variables, then the remaining body variables. For plain
+// queries this is first-appearance (or head) order. It is the column order
+// of engine rows, not necessarily the order execution binds them in (see
+// hypergraph.ChooseGAO). The returned slice must not be modified.
 func (q *Query) Vars() []string { return q.vars }
 
 // NumVars returns n = |vars(Q)|.
@@ -290,11 +290,32 @@ func (q *Query) Prefix() int {
 // variables (projection or aggregation hiding at least one body variable).
 func (q *Query) Projected() bool { return q.Prefix() < len(q.vars) }
 
-// PrefixOrdered reports whether execution must follow the query's own
-// variable order: projected and aggregate queries depend on engines emitting
-// results grouped by (and ordered on) the leading output prefix, so the GAO
-// must lead with Vars()[:Prefix()].
+// Emitted returns the variables of an engine row, in column order: the
+// output variables, then any aggregated variables not already output. The
+// returned slice must not be modified.
+func (q *Query) Emitted() []string { return q.vars[:q.Prefix()] }
+
+// PrefixOrdered reports whether the query's rows carry an order contract:
+// projected and aggregate queries emit distinct rows of Emitted(), ascending
+// lexicographically in that column order, under every attribute order.
 func (q *Query) PrefixOrdered() bool { return len(q.Aggs) > 0 || q.Projected() }
+
+// PartitionedBy reports whether splitting execution on the values of v
+// partitions the output rows, so that per-part results concatenate (or, for
+// a key-less aggregate, fold) into the whole: v must be an output variable,
+// or an aggregated one when the head has no plain variables.
+func (q *Query) PartitionedBy(v string) bool {
+	cols := q.Out()
+	if len(cols) == 0 {
+		cols = q.Emitted()
+	}
+	for _, w := range cols {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
 
 // Extended reports whether the query uses any feature beyond a plain natural
 // join — projection, comparison predicates (including desugared constants),
@@ -304,8 +325,9 @@ func (q *Query) Extended() bool {
 	return len(q.Preds) > 0 || len(q.Aggs) > 0 || q.Projected()
 }
 
-// constValue returns the constant pinning a placeholder variable, if any.
-func (q *Query) constValue(v string) (int64, bool) {
+// Pinned returns the constant an equality predicate fixes v to — an in-atom
+// constant's placeholder and a written v = K alike — if any.
+func (q *Query) Pinned(v string) (int64, bool) {
 	for _, p := range q.Preds {
 		if p.Left == v && p.Op == OpEq && !p.IsVar {
 			return p.Const, true
@@ -329,7 +351,7 @@ func (q *Query) bodyString() string {
 				b.WriteString(", ")
 			}
 			if Placeholder(v) {
-				if c, ok := q.constValue(v); ok {
+				if c, ok := q.Pinned(v); ok {
 					b.WriteString(strconv.FormatInt(c, 10))
 					continue
 				}

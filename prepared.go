@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 
 	"repro/internal/agm"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/trace"
 )
@@ -44,6 +46,9 @@ type Prepared struct {
 	// shard's residue class; applied to the engine's emission before any
 	// aggregation. nil otherwise (range shards restrict inside the engine).
 	shardFilter func([]int64) bool
+	// shardEmpty marks a hash-sharded handle whose leading attribute is
+	// pinned to a constant another shard owns: it has no rows at all.
+	shardEmpty bool
 }
 
 // prepare compiles the query against a store (schema checks already done by
@@ -73,23 +78,26 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 		sc:      sc,
 		agg:     newAggSpec(q),
 	}
-	if sh := opts.Shard; sh != nil && sh.Kind == ShardHash {
-		// The emitted row carries the leading GAO attribute at its q.Vars()
-		// position (engines emit full or prefix rows in Vars() order, and a
-		// prefix-ordered GAO leads with Vars()[0]).
-		col := -1
-		for i, v := range q.Vars() {
-			if v == plan.GAO[0] {
-				col = i
-				break
+	if sh := opts.Shard; sh != nil {
+		// A shard is a part of the leading GAO attribute's domain. Pinned to
+		// a constant, the attribute puts the whole result in the one shard
+		// owning that constant (a range shard's engine-side restriction
+		// already says so); otherwise it must be an output column, or the
+		// parts would not be disjoint sets of rows.
+		lead := plan.GAO[0]
+		k, pinned := q.Pinned(lead)
+		switch {
+		case pinned:
+			p.shardEmpty = sh.Kind == ShardHash && core.ShardHash(k)%sh.Mod != sh.Res
+		case !q.PartitionedBy(lead):
+			return nil, fmt.Errorf("repro: query %q cannot be sharded on its leading attribute %q: %w (it is not an output column; lead the GAO with one)",
+				q.Name, lead, ErrUnsupportedQuery)
+		case sh.Kind == ShardHash:
+			col := slices.Index(q.Emitted(), lead)
+			mod, res := sh.Mod, sh.Res
+			p.shardFilter = func(t []int64) bool {
+				return core.ShardHash(t[col])%mod == res
 			}
-		}
-		if col < 0 {
-			return nil, fmt.Errorf("repro: shard attribute %q not an output of query %q", plan.GAO[0], q.Name)
-		}
-		mod, res := sh.Mod, sh.Res
-		p.shardFilter = func(t []int64) bool {
-			return core.ShardHash(t[col])%mod == res
 		}
 	}
 	return p, nil
@@ -197,6 +205,9 @@ func (p *Prepared) startEngineSpan(ctx context.Context, stage string) (context.C
 func (p *Prepared) runCount(ctx context.Context, eng core.Engine) (int64, error) {
 	ctx, finish := p.startEngineSpan(ctx, "engine.count")
 	defer finish()
+	if p.shardEmpty {
+		return 0, nil
+	}
 	if p.agg != nil {
 		return p.agg.count(func(emit func([]int64) bool) error {
 			return p.rawEnumerate(ctx, eng, emit)
@@ -218,6 +229,9 @@ func (p *Prepared) runCount(ctx context.Context, eng core.Engine) (int64, error)
 func (p *Prepared) runEnumerate(ctx context.Context, eng core.Engine, emit func([]int64) bool) error {
 	ctx, finish := p.startEngineSpan(ctx, "engine.enumerate")
 	defer finish()
+	if p.shardEmpty {
+		return nil
+	}
 	if p.agg != nil {
 		return p.agg.run(func(e func([]int64) bool) error {
 			return p.rawEnumerate(ctx, eng, e)
@@ -334,6 +348,19 @@ type Explanation struct {
 	Planned bool
 	// GAO is the resolved global attribute order (nil when not Planned).
 	GAO []string
+	// UserGAO reports that the order was supplied through Options.GAO rather
+	// than chosen by the planner.
+	UserGAO bool
+	// Score is the order's structural score — what the planner ranks
+	// candidate orders by, field by field: cross-join levels, output
+	// variables displaced from the key prefix, chain validity (Minesweeper
+	// only), distance from the query's own variable order.
+	Score GAOScore
+	// RunnerUp is the best order the planner ranked below GAO, and
+	// RunnerUpScore its score; nil when the order was user-supplied or had
+	// no competitor.
+	RunnerUp      []string
+	RunnerUpScore GAOScore
 	// Backend is the index backend every atom is bound under (BackendFlat,
 	// BackendCSR, or BackendCSRSharded; empty when not Planned).
 	Backend Backend
@@ -352,10 +379,14 @@ type Explanation struct {
 	// Residuals renders the predicates that could not become seek bounds
 	// and are evaluated as filters during enumeration.
 	Residuals []string
-	// Projection is the number of leading GAO variables emission is
-	// restricted to (with early duplicate elimination); 0 when the engine
-	// enumerates full bindings.
-	Projection int
+	// Project names the columns engine rows are restricted to when the
+	// query projects and the GAO enumerates them in output order: duplicates
+	// are eliminated early, by an existence probe below the deepest of them.
+	Project []string
+	// Keys and Buffer split those columns when the GAO does not: bindings
+	// arrive grouped by Keys, and the Buffer columns are sorted and
+	// deduplicated once per group to restore the output order.
+	Keys, Buffer []string
 	// AGMBound is the Atserias–Grohe–Marx worst-case output bound on this
 	// graph's relation sizes (0 when the LP is unavailable for the query).
 	AGMBound float64
@@ -375,6 +406,14 @@ func (e Explanation) String() string {
 			b.WriteString("  [beta-cyclic]")
 		}
 		b.WriteString("\n")
+		fmt.Fprintf(&b, "score %s", scoreString(e.Score))
+		switch {
+		case e.UserGAO:
+			b.WriteString("  [user order]")
+		case e.RunnerUp != nil:
+			fmt.Fprintf(&b, "  (runner-up %s: %s)", strings.Join(e.RunnerUp, " < "), scoreString(e.RunnerUpScore))
+		}
+		b.WriteString("\n")
 		if e.Backend != "" {
 			fmt.Fprintf(&b, "backend %s\n", e.Backend)
 		}
@@ -391,8 +430,11 @@ func (e Explanation) String() string {
 		if len(e.Residuals) > 0 {
 			fmt.Fprintf(&b, "residual %s\n", strings.Join(e.Residuals, ", "))
 		}
-		if e.Projection > 0 {
-			fmt.Fprintf(&b, "project %s  [early dedup]\n", strings.Join(e.GAO[:e.Projection], ", "))
+		if len(e.Project) > 0 {
+			fmt.Fprintf(&b, "project %s  [early dedup]\n", strings.Join(e.Project, ", "))
+		}
+		if len(e.Buffer) > 0 {
+			fmt.Fprintf(&b, "keys %s | buffer %s  [sort+dedup per group]\n", strings.Join(e.Keys, ", "), strings.Join(e.Buffer, ", "))
 		}
 	}
 	if len(e.Output) > 0 {
@@ -402,6 +444,16 @@ func (e Explanation) String() string {
 		fmt.Fprintf(&b, "agm bound %.4g\n", e.AGMBound)
 	}
 	return b.String()
+}
+
+// scoreString renders a GAO score; the chain criterion shows only when it
+// fails (it is Minesweeper's alone).
+func scoreString(s GAOScore) string {
+	chain := ""
+	if s.NonChain {
+		chain = " non-chain"
+	}
+	return fmt.Sprintf("cross=%d displaced=%d%s distance=%d", s.Cross, s.Displaced, chain, s.Distance)
 }
 
 // Explain describes the compiled plan.
@@ -421,6 +473,12 @@ func (p *Prepared) Explain() Explanation {
 	}
 	e.Planned = true
 	e.GAO = append([]string(nil), plan.GAO...)
+	if e.UserGAO = p.engOpts.GAO != nil; e.UserGAO {
+		e.Score = hypergraph.ScoreGAO(p.q, p.alg, plan.GAO)
+	} else {
+		best, second := hypergraph.RankGAO(p.q, p.alg)
+		e.Score, e.RunnerUp, e.RunnerUpScore = best.Score, second.GAO, second.Score
+	}
 	e.Backend = plan.Backend
 	e.BetaCyclic = plan.BetaCyclic
 	for i, a := range plan.Atoms {
@@ -463,7 +521,13 @@ func (p *Prepared) Explain() Explanation {
 			}
 			e.Residuals = append(e.Residuals, fmt.Sprintf("%s %s %s", plan.GAO[r.LPos], r.Op, rhs))
 		}
-		e.Projection = push.Prefix
+		cols := p.q.Emitted()
+		switch {
+		case push.Buffered():
+			e.Keys, e.Buffer = cols[:push.Keys:push.Keys], cols[push.Keys:]
+		case p.q.Projected():
+			e.Project = cols
+		}
 	}
 	return e
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,24 +16,41 @@ import (
 	"repro/server"
 )
 
+// wallCase is one corpus entry: the query text and, where the entry pins
+// one, a user-supplied attribute order.
+type wallCase struct {
+	src string
+	gao []string
+}
+
 // wallCorpus spans the query language surface the router must merge
 // correctly: full joins, projection, reordered heads, in-atom constants,
-// comparison predicates, grouped and global aggregates, empty results, and
-// the single-shard fast path.
-var wallCorpus = []string{
-	"edge(a, b), edge(b, c)",
-	"out(a) :- edge(a, b), edge(b, c)",
-	"out(c, a) :- edge(a, b), edge(b, c)",
-	"edge(3, b), edge(b, c)",
-	"edge(a, b), a < 50, b >= 20",
-	"edge(a, b), edge(b, c), a != c",
-	"edge(a, b), edge(b, c), a = 7",
-	"deg(a, count(b)) :- edge(a, b)",
-	"stats(a, sum(c), min(c), max(c)) :- edge(a, b), edge(b, c)",
-	"total(count(a)) :- edge(a, b), a >= 50",
-	"total(sum(b), min(b), max(b)) :- edge(a, b)",
-	"total(count(a)) :- edge(a, b), a >= 1000",
-	"hot(b, count(c)) :- edge(2, b), edge(b, c)",
+// comparison predicates, grouped and global aggregates, empty results, the
+// single-shard fast path, projections buffered per key group, and user
+// orders that do not lead with the head.
+var wallCorpus = []wallCase{
+	{src: "edge(a, b), edge(b, c)"},
+	{src: "out(a) :- edge(a, b), edge(b, c)"},
+	{src: "out(c, a) :- edge(a, b), edge(b, c)"},
+	{src: "edge(3, b), edge(b, c)"},
+	{src: "edge(a, b), a < 50, b >= 20"},
+	{src: "edge(a, b), edge(b, c), a != c"},
+	{src: "edge(a, b), edge(b, c), a = 7"},
+	{src: "deg(a, count(b)) :- edge(a, b)"},
+	{src: "stats(a, sum(c), min(c), max(c)) :- edge(a, b), edge(b, c)"},
+	{src: "total(count(a)) :- edge(a, b), a >= 50"},
+	{src: "total(sum(b), min(b), max(b)) :- edge(a, b)"},
+	{src: "total(count(a)) :- edge(a, b), a >= 1000"},
+	{src: "hot(b, count(c)) :- edge(2, b), edge(b, c)"},
+	{src: "agg(a, count(c)) :- edge(a, b), edge(b, c), a < 40"},
+	{src: "hop3(a, d) :- edge(a, b), edge(b, c), edge(c, d)"},
+	{src: "out(a, c) :- edge(a, b), edge(b, c), edge(c, d)"},
+	{src: "edge(a, 3), edge(7, b)"},
+	{src: "both(count(a), count(c)) :- edge(a, b), edge(b, c)"},
+	{src: "out(b) :- edge(a, b), a = 3"},
+	{src: "out(c, a) :- edge(a, b), edge(b, c)", gao: []string{"a", "b", "c"}},
+	{src: "out(a, c) :- edge(a, b), edge(b, c)", gao: []string{"b", "a", "c"}},
+	{src: "deg2(a, count(c)) :- edge(a, b), edge(b, c)", gao: []string{"c", "b", "a"}},
 }
 
 // wallEdges is the shared deterministic edge set (keys in [0, 100)).
@@ -109,13 +127,14 @@ func TestRouterDifferentialWall(t *testing.T) {
 		for pname, part := range parts {
 			t.Run(fmt.Sprintf("shards=%d/%s", n, pname), func(t *testing.T) {
 				oracle, r := cluster(t, n, part)
-				for _, src := range wallCorpus {
+				for _, c := range wallCorpus {
+					src := c.src
 					q, err := oracle.ParseQuery("q", src)
 					if err != nil {
 						t.Fatalf("%s: %v", src, err)
 					}
 					for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-						opts := repro.Options{Algorithm: alg, Workers: 1}
+						opts := repro.Options{Algorithm: alg, Workers: 1, GAO: c.gao}
 						wantN, err := oracle.Count(ctx, q, opts)
 						if err != nil {
 							t.Fatalf("%s/%s: oracle count: %v", src, alg, err)
@@ -145,6 +164,11 @@ func TestRouterDifferentialWall(t *testing.T) {
 						for i := range want {
 							if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
 								t.Fatalf("%s/%s: row %d: routed %v, oracle %v", src, alg, i, got[i], want[i])
+							}
+							// The order contract: projected and aggregate
+							// rows ascend in head order under any GAO.
+							if q.PrefixOrdered() && i > 0 && slices.Compare(want[i-1], want[i]) >= 0 {
+								t.Fatalf("%s/%s: oracle rows %d, %d out of order: %v, %v", src, alg, i-1, i, want[i-1], want[i])
 							}
 						}
 					}
@@ -601,12 +625,13 @@ func TestRouterOverWire(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			for _, src := range wallCorpus {
+			for _, c := range wallCorpus {
+				src := c.src
 				q, err := oracle.ParseQuery("q", src)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := repro.Options{Algorithm: repro.LFTJ, Workers: 1}
+				opts := repro.Options{Algorithm: repro.LFTJ, Workers: 1, GAO: c.gao}
 				wantN, err := oracle.Count(ctx, q, opts)
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", src, err)

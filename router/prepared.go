@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,10 +34,11 @@ type Prepared struct {
 	hostIdx []int
 	single  bool
 
-	// mergeCol is the output-row column carrying the leading GAO attribute
-	// — the k-way merge key. Shards partition exactly that attribute, so
-	// per-host value sets are disjoint and merging on it reproduces the
-	// single-store enumeration order.
+	// mergeCol is the k-way merge key. Shards partition the leading GAO
+	// attribute, so per-host row sets are disjoint. Full-binding rows arrive
+	// in GAO order, and merging on that attribute's column (mergeCol >= 0)
+	// reproduces the single-store order; projected and aggregate rows ascend
+	// lexicographically on every host, and merge on the whole row (-1).
 	mergeCol int
 	// globalAgg marks an empty-group-by aggregate query: each host reports
 	// one partial row (or none), folded rather than merged.
@@ -306,9 +308,9 @@ func (p *Prepared) foldPartials(ctx context.Context, txns []repro.QueryTxn, emit
 }
 
 // mergeStreams runs every host's shard stream concurrently and k-way-merges
-// them on the leading GAO attribute. Shards partition that attribute, so
-// per-host value sets are disjoint and picking the smallest head value
-// reproduces the single-store GAO-lexicographic order exactly. A host
+// them (see mergeCol). Shards partition the leading GAO attribute, so
+// per-host row sets are disjoint and picking the smallest head row
+// reproduces the single-store order exactly. A host
 // failing mid-stream (killed, overloaded, unreachable) cancels the others
 // and fails the merge with a typed *HostError — never a silently truncated
 // stream. The consumer stopping (emit false) cancels every host's
@@ -405,7 +407,7 @@ func (p *Prepared) mergeStreams(ctx context.Context, txns []repro.QueryTxn, emit
 			if h == nil {
 				continue
 			}
-			if best == -1 || h[p.mergeCol] < heads[best][p.mergeCol] {
+			if best == -1 || p.rowBefore(h, heads[best]) {
 				best = i
 			}
 		}
@@ -422,6 +424,14 @@ func (p *Prepared) mergeStreams(ctx context.Context, txns []repro.QueryTxn, emit
 		}
 	}
 	return nil
+}
+
+// rowBefore orders two hosts' head rows for the merge; see mergeCol.
+func (p *Prepared) rowBefore(a, b []int64) bool {
+	if p.mergeCol < 0 {
+		return slices.Compare(a, b) < 0
+	}
+	return a[p.mergeCol] < b[p.mergeCol]
 }
 
 // rowsSeq adapts an Enumerate-shaped execution into a streaming iterator,

@@ -59,7 +59,6 @@ import (
 
 	"repro"
 	"repro/client"
-	"repro/internal/query"
 )
 
 // ErrClosed reports an operation on a closed router.
@@ -405,31 +404,31 @@ func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuer
 	if err != nil {
 		return nil, err
 	}
-	// Single-shard fast path: an equality predicate pinning the leading GAO
-	// attribute to a constant (including in-atom constants, which the parser
-	// desugars into exactly this shape) confines every result row to the
-	// constant's owner.
-	for _, pr := range q.Preds {
-		if pr.Left == gao[0] && pr.Op == query.OpEq && !pr.IsVar {
-			return r.prepareSingle(q, opts, r.part.Owner(pr.Const, n),
-				fmt.Sprintf("pinned: leading attribute %s = %d under %s partitioning",
-					gao[0], pr.Const, r.part.Name()))
-		}
+	// Single-shard fast path: the planner leads the GAO with any variable an
+	// equality pins to a constant — written a = K, or in-atom edge(K, b),
+	// which the parser desugars into the same shape — and that confines
+	// every result row to the constant's owner.
+	if k, pinned := q.Pinned(gao[0]); pinned {
+		return r.prepareSingle(q, opts, r.part.Owner(k, n),
+			fmt.Sprintf("pinned: leading attribute %s = %d under %s partitioning",
+				gao[0], k, r.part.Name()))
+	}
+	if !q.PartitionedBy(gao[0]) {
+		// Only a user-supplied order leads with a variable outside the
+		// output; parts of its domain would not be disjoint sets of rows.
+		return r.prepareSingle(q, opts, 0,
+			fmt.Sprintf("leading attribute %s not in output; unsharded", gao[0]))
 	}
 	shards, err := r.part.Shards(n)
 	if err != nil {
 		return nil, err
 	}
 	globalAgg := len(q.Out()) == 0 && len(q.Aggs) > 0
-	mergeCol := 0
-	if !globalAgg {
-		col, ok := q.VarIndex()[gao[0]]
-		if !ok {
-			// Defensive: a resolved GAO always draws from the query's
-			// variables; fall back to single-host routing if not.
-			return r.prepareSingle(q, opts, 0, "leading attribute not in output; unsharded")
-		}
-		mergeCol = col
+	// Rows with an order contract merge on the whole row; full-binding rows
+	// arrive in GAO order and merge on the leading attribute's column.
+	mergeCol := -1
+	if !q.PrefixOrdered() {
+		mergeCol = q.VarIndex()[gao[0]]
 	}
 	hosts := make([]repro.PreparedQuery, n)
 	hostIdx := make([]int, n)

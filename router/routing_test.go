@@ -83,42 +83,48 @@ func TestRoutingDecisions(t *testing.T) {
 	}
 	p.Close()
 
-	// An in-atom constant does not pin the leading GAO attribute — the
-	// planner orders its placeholder late — so that shape still fans out,
-	// and sharding on the true leading attribute keeps it correct.
-	p, err = r.Prepare(parse("edge(7, b), edge(b, c)"), repro.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// A constant pinning a variable — written as an equality predicate or
+	// inside an atom — makes that variable the leading GAO attribute, and
+	// the query routes to one host: the constant's owner under the
+	// partitioner. Its result matches the oracle.
+	for _, src := range []string{
+		"edge(a, b), edge(b, c), a = 7",
+		"edge(7, b), edge(b, c)",
+		"out(b) :- edge(a, b), a = 7",
+	} {
+		p, err = r.Prepare(parse(src), repro.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp = p.(*Prepared)
+		if !rp.single {
+			t.Fatalf("%s: constant-pinned query fanned out over %d hosts", src, len(rp.hosts))
+		}
+		if want := HashPartitioner().Owner(7, 3); rp.hostIdx[0] != want {
+			t.Fatalf("%s: constant 7 routed to host %d, want owner %d", src, rp.hostIdx[0], want)
+		}
+		n, err := p.Count(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Count(ctx, parse(src), repro.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			t.Fatalf("%s: single-shard count %d, oracle %d", src, n, want)
+		}
+		p.Close()
 	}
-	if rp = p.(*Prepared); rp.single {
-		t.Fatal("in-atom constant unexpectedly routed single-shard")
-	}
-	p.Close()
 
-	// An equality predicate pinning the leading attribute routes to one
-	// host — the constant's owner under the partitioner.
-	p, err = r.Prepare(parse("edge(a, b), edge(b, c), a = 7"), repro.Options{})
+	// A user-supplied order leading with a variable outside the output has
+	// no attribute to partition rows on: it runs unsharded on one host.
+	p, err = r.Prepare(parse("out(a, c) :- edge(a, b), edge(b, c)"), repro.Options{GAO: []string{"b", "a", "c"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp = p.(*Prepared)
-	if !rp.single {
-		t.Fatalf("constant-pinned query fanned out over %d hosts", len(rp.hosts))
-	}
-	if want := HashPartitioner().Owner(7, 3); rp.hostIdx[0] != want {
-		t.Fatalf("constant 7 routed to host %d, want owner %d", rp.hostIdx[0], want)
-	}
-	// And its result matches the oracle.
-	n, err := p.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Count(ctx, parse("edge(a, b), edge(b, c), a = 7"), repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != want {
-		t.Fatalf("single-shard count %d, oracle %d", n, want)
+	if rp = p.(*Prepared); !rp.single {
+		t.Fatalf("order led by a hidden variable fanned out over %d hosts", len(rp.hosts))
 	}
 	p.Close()
 
@@ -132,11 +138,11 @@ func TestRoutingDecisions(t *testing.T) {
 	if !rp.single {
 		t.Fatalf("unshardable algorithm fanned out over %d hosts", len(rp.hosts))
 	}
-	n, err = p.Count(ctx)
+	n, err := p.Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = oracle.Count(ctx, parse("edge(a, b), edge(b, c)"), repro.Options{Algorithm: repro.PSQL})
+	want, err := oracle.Count(ctx, parse("edge(a, b), edge(b, c)"), repro.Options{Algorithm: repro.PSQL})
 	if err != nil {
 		t.Fatal(err)
 	}

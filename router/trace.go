@@ -65,9 +65,12 @@ func (p *Prepared) Explain(ctx context.Context) (string, error) {
 			hi := p.hostIdx[i]
 			fmt.Fprintf(&b, "  host %d (%s): %s\n", hi, p.r.names[hi], shardDesc(p.shards[i]))
 		}
-		if p.globalAgg {
+		switch {
+		case p.globalAgg:
 			fmt.Fprintf(&b, "merge: fold of per-host aggregate partials\n")
-		} else {
+		case p.mergeCol < 0:
+			fmt.Fprintf(&b, "merge: k-way on the whole row (rows ascend in head order on every host)\n")
+		default:
 			fmt.Fprintf(&b, "merge: k-way on leading attribute (output column %d)\n", p.mergeCol)
 		}
 	}
