@@ -12,7 +12,7 @@ help:
 	@echo "  make race         - Run the test suite under the race detector"
 	@echo "  make lint         - gofmt check + go vet + staticcheck (if installed)"
 	@echo "  make integration  - graphjoind/graphjoin client-server smoke test"
-	@echo "  make bench        - Run all benchmarks (every index backend)"
+	@echo "  make bench        - Run all benchmarks"
 	@echo "  make bench-smoke  - Run every benchmark once (the CI smoke job)"
 	@echo "  make bench-gate   - Gate bench-smoke.txt against bench-smoke.old.txt"
 	@echo "  make load-smoke   - Boot graphjoind and drive it with graphjoinload"
@@ -82,6 +82,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime $(FUZZTIME) ./internal/wire
+	go test -run '^$$' -fuzz '^FuzzDecodeOptions$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 clean:
 	rm -f bench-smoke.txt bench-smoke.old.txt load-smoke.json load-smoke.old.json *.prof

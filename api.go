@@ -46,9 +46,6 @@ var (
 	// ErrUnknownAlgorithm reports an Options.Algorithm outside the
 	// registered set; Prepare validates eagerly, before engine selection.
 	ErrUnknownAlgorithm = engine.ErrUnknownAlgorithm
-	// ErrUnknownBackend reports an Options.Backend outside the registered
-	// set; Prepare validates eagerly, before index binding.
-	ErrUnknownBackend = core.ErrUnknownBackend
 )
 
 // Algorithm names a join engine; the names match the paper's system labels
@@ -70,18 +67,6 @@ const (
 
 // Algorithms lists every registered algorithm.
 func Algorithms() []Algorithm { return engine.Algorithms() }
-
-// Backend names a physical index backend for the trie-driven engines. The
-// zero value selects the default (CSR). Prepare rejects anything outside the
-// registered set with ErrUnknownBackend.
-type Backend = core.Backend
-
-// Registered index backends.
-const (
-	BackendFlat       = core.BackendFlat
-	BackendCSR        = core.BackendCSR
-	BackendCSRSharded = core.BackendCSRSharded
-)
 
 // GAOScore is the structural score the planner ranks candidate attribute
 // orders by; Explanation carries the chosen order's and the runner-up's.
@@ -249,7 +234,7 @@ func (g *Graph) Store() *Store { return g.s }
 // and edge accounting (Nodes, Edges, the population SetSelectivity samples
 // from) follows the writes. Self-loops are dropped; an edge on both sides
 // of one batch resolves as delete-after-insert. Like Store.Apply, it keeps
-// prepared handles on the default CSR backend serving current data.
+// prepared handles serving current data.
 // (CountView.ApplyEdges additionally corrects a maintained count; this is
 // the view-less counterpart.)
 func (g *Graph) ApplyEdges(insert, remove [][2]int64) error {
@@ -379,11 +364,10 @@ func (g *Graph) Prepare(q *Query, opts Options) (*Prepared, error) {
 // DB exposes the underlying database (for the benchmark harness).
 func (g *Graph) DB() *core.DB { return g.s.db }
 
-// Options select and configure an engine. Algorithm and Backend are typed —
-// use the exported constants (LFTJ, MS, ..., BackendFlat, BackendCSR,
-// BackendCSRSharded); string literals still assign for convenience, and
-// Prepare rejects unknown names eagerly with ErrUnknownAlgorithm /
-// ErrUnknownBackend.
+// Options select and configure an engine. Algorithm is typed — use the
+// exported constants (LFTJ, MS, ...); string literals still assign for
+// convenience, and Prepare rejects unknown names eagerly with
+// ErrUnknownAlgorithm.
 type Options struct {
 	// Algorithm selects the engine: LFTJ, MS, Hybrid, PSQL, MonetDB,
 	// Yannakakis, GraphLab, or GenericJoin. Empty defaults to LFTJ.
@@ -394,16 +378,6 @@ type Options struct {
 	Granularity int
 	// GAO overrides the global attribute order (Table 4 experiments).
 	GAO []string
-	// Backend selects the physical index backend for the trie-driven
-	// engines (lftj, ms): BackendCSR (the default — materialized CSR trie
-	// levels, built once per index at Prepare time, with O(1) child-range
-	// resolution on the join hot path and incremental maintenance through
-	// delta overlays), BackendCSRSharded (the CSR trie partitioned into
-	// disjoint first-attribute shards; parallel Counts bind one shard per
-	// worker job), or BackendFlat (binary search over the sorted rows — no
-	// extra memory, and the reference the other backends are
-	// differential-tested against). Other engines ignore it.
-	Backend Backend
 	// Idea toggles for the ablation experiments (all ideas default on).
 	DisableProbeMemo  bool // Idea 4
 	DisableComplete   bool // Idea 6
@@ -461,7 +435,6 @@ func (o Options) engineOptions() engine.Options {
 		Workers:     o.Workers,
 		Granularity: o.Granularity,
 		GAO:         o.GAO,
-		Backend:     o.Backend,
 		MaxRows:     o.MaxRows,
 		MS: minesweeper.Options{
 			DisableMemo:      o.DisableProbeMemo,

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/incremental"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -36,141 +37,84 @@ func sortedRows(rows [][]int64) {
 	})
 }
 
-// backendMatrix is every index backend, reference first.
-var backendMatrix = []Backend{BackendFlat, BackendCSR, BackendCSRSharded}
+// naiveRows enumerates q with the brute-force oracle (naive.Engine over the
+// flat view of every relation) and returns its rows sorted.
+func naiveRows(t *testing.T, q *Query, db *core.DB) [][]int64 {
+	t.Helper()
+	var rows [][]int64
+	err := naive.Engine{}.Enumerate(context.Background(), q, db, func(tuple []int64) bool {
+		rows = append(rows, append([]int64(nil), tuple...))
+		return true
+	})
+	if err != nil {
+		t.Fatalf("naive enumerate %s: %v", q.Name, err)
+	}
+	sortedRows(rows)
+	return rows
+}
 
 // TestBackendDifferential runs every corpus query under both trie-driven
-// engines on every index backend and requires identical counts and identical
-// enumerated result sets — the flat backend is the reference implementation
-// the CSR backends must reproduce exactly.
+// engines, sequentially and on four workers, and requires counts and sorted
+// rows identical to the brute-force oracle's (naive.Engine, which reads the
+// flat rows) — the trie index must reproduce the flat reference exactly.
 func TestBackendDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
 	g.SetSelectivity(25, 5)
 	for _, q := range corpusQueries() {
+		want := naiveRows(t, q, g.DB())
 		for _, alg := range []Algorithm{LFTJ, MS} {
 			t.Run(fmt.Sprintf("%s/%s", q.Name, string(alg)), func(t *testing.T) {
-				var counts []int64
-				var rows [][][]int64
-				for _, backend := range backendMatrix {
-					p, err := g.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend})
+				for _, workers := range []int{1, 4} {
+					p, err := g.Prepare(q, Options{Algorithm: alg, Workers: workers})
 					if err != nil {
-						t.Fatalf("%s prepare: %v", backend, err)
-					}
-					if got := p.Explain().Backend; got != backend {
-						t.Fatalf("Explain reports backend %q, want %q", got, backend)
+						t.Fatalf("Workers=%d prepare: %v", workers, err)
 					}
 					n, err := p.Count(ctx)
 					if err != nil {
-						t.Fatalf("%s count: %v", backend, err)
+						t.Fatalf("Workers=%d count: %v", workers, err)
 					}
-					var rs [][]int64
-					err = p.Enumerate(ctx, func(tuple []int64) bool {
-						rs = append(rs, append([]int64(nil), tuple...))
-						return true
-					})
-					if err != nil {
-						t.Fatalf("%s enumerate: %v", backend, err)
+					if n != int64(len(want)) {
+						t.Fatalf("Workers=%d count %d, naive %d", workers, n, len(want))
 					}
-					if int64(len(rs)) != n {
-						t.Fatalf("%s: count %d != enumerated %d", backend, n, len(rs))
-					}
-					sortedRows(rs)
-					counts = append(counts, n)
-					rows = append(rows, rs)
-				}
-				for b := 1; b < len(backendMatrix); b++ {
-					if counts[0] != counts[b] {
-						t.Fatalf("count mismatch: flat %d, %s %d", counts[0], backendMatrix[b], counts[b])
-					}
-					for i := range rows[0] {
-						if relation.CompareTuples(rows[0][i], rows[b][i]) != 0 {
-							t.Fatalf("row %d mismatch: flat %v, %s %v", i, rows[0][i], backendMatrix[b], rows[b][i])
-						}
-					}
+					rows := collectRows(t, p)
+					sortedRows(rows)
+					requireSameRows(t, fmt.Sprintf("Workers=%d", workers), rows, want)
 				}
 			})
 		}
 	}
 }
 
-// TestBackendParallelDifferential checks the partitioned §4.10 count path —
-// including the per-shard job binding of the csr-sharded backend — against
-// the sequential flat reference, on both cyclic and acyclic shapes.
+// TestBackendParallelDifferential checks the partitioned §4.10 count path
+// against the sequential answer, on both cyclic and acyclic shapes, with
+// many more jobs than workers.
 func TestBackendParallelDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 2000, 10000, 11)
 	g.SetSelectivity(10, 3)
 	for _, q := range []*Query{Triangles(), Cliques(4), Paths(3)} {
-		want, err := Count(ctx, g, q, Options{Algorithm: "lftj", Workers: 1, Backend: "flat"})
+		want, err := Count(ctx, g, q, Options{Algorithm: LFTJ, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			for _, backend := range []Backend{BackendCSR, BackendCSRSharded} {
-				got, err := Count(ctx, g, q, Options{Algorithm: alg, Workers: 4, Granularity: 8, Backend: backend})
-				if err != nil {
-					t.Fatalf("%s/%s/%s parallel: %v", q.Name, alg, backend, err)
-				}
-				if got != want {
-					t.Errorf("%s/%s/%s parallel count = %d, want %d", q.Name, alg, backend, got, want)
-				}
+			got, err := Count(ctx, g, q, Options{Algorithm: alg, Workers: 4, Granularity: 8})
+			if err != nil {
+				t.Fatalf("%s/%s parallel: %v", q.Name, alg, err)
+			}
+			if got != want {
+				t.Errorf("%s/%s parallel count = %d, want %d", q.Name, alg, got, want)
 			}
 		}
 	}
 }
 
-// TestBackendDefault pins the default backend: an unset Options.Backend
-// compiles against csr.
-func TestBackendDefault(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 100, 300, 2)
-	p, err := g.Prepare(Triangles(), Options{Algorithm: "lftj"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Explain().Backend; got != "csr" {
-		t.Errorf("default backend = %q, want csr", got)
-	}
-}
-
-// TestBackendPlanCaching pins the backend as a plan-cache dimension: the
-// same shape prepared under both backends compiles twice, and re-preparing
-// either hits its cached plan.
-func TestBackendPlanCaching(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 200, 600, 1)
-	q := Triangles()
-	before := g.DB().CachedPlanCount()
-	for _, backend := range backendMatrix {
-		if _, err := g.Prepare(q, Options{Algorithm: "lftj", Backend: backend}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := g.DB().CachedPlanCount() - before; got != len(backendMatrix) {
-		t.Errorf("expected %d cached plans (one per backend), got %d", len(backendMatrix), got)
-	}
-	p, err := g.Prepare(q, Options{Algorithm: "lftj", Backend: "csr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.PlanCacheHits != 1 {
-		t.Errorf("re-prepare under csr: PlanCacheHits = %d, want 1", st.PlanCacheHits)
-	}
-}
-
-// TestBackendUnknown rejects a misspelled backend at Prepare time.
-func TestBackendUnknown(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 50, 100, 1)
-	if _, err := g.Prepare(Triangles(), Options{Algorithm: "lftj", Backend: "btree"}); err == nil {
-		t.Error("unknown backend should fail Prepare")
-	}
-}
-
-// TestViewBackendDifferential maintains the same views on every backend
-// through a long randomized ApplyEdges churn and requires identical counts
-// after every batch — with a full recount as ground truth. On the CSR
-// backend the batches land in the cached indexes' delta overlays, so this
-// drives the overlay merge paths (cursor, probe, compaction) through the
-// whole engine stack; flat re-binds per batch and is the reference.
+// TestViewBackendDifferential maintains views through a long randomized
+// ApplyEdges churn and requires, after every batch, the maintained count to
+// equal the brute-force oracle's count over the flat rows. The batches land
+// in the cached indexes' delta overlays, so this drives the overlay merge
+// paths (cursor, probe, compaction) through the whole engine stack.
 func TestViewBackendDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1234))
@@ -182,18 +126,10 @@ func TestViewBackendDifferential(t *testing.T) {
 				edges = append(edges, [2]int64{u, v})
 			}
 		}
-		graphs := make([]*Graph, len(backendMatrix))
-		views := make([]*incremental.GraphView, len(backendMatrix))
-		for i, backend := range backendMatrix {
-			graphs[i] = NewGraph(edges)
-			v, err := incremental.NewGraphViewBackend(ctx, q, graphs[i].DB(), core.Backend(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Backend() != core.Backend(backend) {
-				t.Fatalf("view backend = %q, want %q", v.Backend(), backend)
-			}
-			views[i] = v
+		g := NewGraph(edges)
+		v, err := incremental.NewGraphView(ctx, q, g.DB())
+		if err != nil {
+			t.Fatal(err)
 		}
 		for step := 0; step < 15; step++ {
 			var ins, del [][2]int64
@@ -208,32 +144,28 @@ func TestViewBackendDifferential(t *testing.T) {
 					del = append(del, e)
 				}
 			}
-			for i, v := range views {
-				if err := v.ApplyEdges(ctx, ins, del); err != nil {
-					t.Fatalf("%s %s step %d: %v", q.Name, backendMatrix[i], step, err)
-				}
+			if err := v.ApplyEdges(ctx, ins, del); err != nil {
+				t.Fatalf("%s step %d: %v", q.Name, step, err)
 			}
-			want, err := views[0].Recount(ctx)
+			want, err := naive.Engine{}.Count(ctx, q, g.DB())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, v := range views {
-				if v.Count() != want {
-					t.Fatalf("%s step %d: %s view = %d, recount = %d (ins=%v del=%v)",
-						q.Name, step, backendMatrix[i], v.Count(), want, ins, del)
-				}
+			if v.Count() != want {
+				t.Fatalf("%s step %d: view = %d, naive = %d (ins=%v del=%v)",
+					q.Name, step, v.Count(), want, ins, del)
 			}
 		}
 	}
 }
 
 // TestViewPlanReuseOnCSR pins the overlay payoff: across many batches the
-// CSR-backed view derives its GAO once and never re-binds a base-relation
-// index — only the tiny delta atoms re-bind.
+// view derives its GAO once and never re-binds a base-relation index — only
+// the tiny delta atoms re-bind.
 func TestViewPlanReuseOnCSR(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 300, 1200, 7)
-	v, err := incremental.NewGraphViewBackend(ctx, Triangles(), g.DB(), core.BackendCSR)
+	v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
 	if err != nil {
 		t.Fatal(err)
 	}

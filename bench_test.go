@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/incremental"
 	"repro/internal/query"
@@ -270,86 +269,25 @@ func BenchmarkTracingOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkBackend contrasts the two index backends on the worst-case-
-// optimal hot path: triangle and 4-clique counting with prepared plans, so
-// the measured loop is pure join execution. The CSR backend materializes
-// each trie level once at Prepare time; flat re-derives child ranges by
-// binary search on every cursor operation.
-func BenchmarkBackend(b *testing.B) {
-	ctx := context.Background()
-	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 1)
-	for _, q := range []*Query{Cliques(3), Cliques(4)} {
-		for _, backend := range []Backend{BackendFlat, BackendCSR, BackendCSRSharded} {
-			p, err := g.Prepare(q, Options{Algorithm: "lftj", Workers: 1, Backend: backend})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/%s", q.Name, backend), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Count(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkBackendParallel is the csr-sharded acceptance benchmark: the
-// §4.10 parallel clique count, csr (shared index, per-execution value-split
-// jobs) against csr-sharded (jobs mapped one-to-one onto physically
-// disjoint shards). The sharded gains come from two places: job derivation
-// reads precomputed shard boundaries instead of scanning the smallest
-// relation's distinct values on every Count, and on multi-core hardware the
-// workers touch disjoint index arrays (no shared cache-line traffic).
-func BenchmarkBackendParallel(b *testing.B) {
-	ctx := context.Background()
-	g := benchGraph(b, dataset.HolmeKim, 20000, 120000, 1)
-	for _, q := range []*Query{Cliques(3), Cliques(4)} {
-		for _, backend := range []Backend{BackendCSR, BackendCSRSharded} {
-			p, err := g.Prepare(q, Options{Algorithm: "lftj", Workers: 4, Backend: backend})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/%s", q.Name, backend), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Count(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkViewMaintenance contrasts pure incremental-view upkeep across
-// backends: one small ApplyEdges batch per iteration. On the csr backend
-// the batch lands in the cached indexes' delta overlays instead of forcing
-// an O(arity·n) trie rebuild (see BenchmarkOverlayApply vs
-// BenchmarkCSRBuild100k for that contrast in isolation); upkeep lands
-// within ~15% of the flat reference, and the payoff is that every read
-// between batches runs on the fast backend — BenchmarkViewMaintainAndServe
-// measures that regime.
+// BenchmarkViewMaintenance is pure incremental-view upkeep: one small
+// ApplyEdges batch per iteration. The batch lands in the cached indexes'
+// delta overlays instead of forcing an O(arity·n) trie rebuild (see
+// BenchmarkOverlayApply vs BenchmarkCSRBuild100k for that contrast in
+// isolation); BenchmarkViewMaintainAndServe adds the reads between batches.
 func BenchmarkViewMaintenance(b *testing.B) {
 	ctx := context.Background()
-	for _, backend := range []Backend{BackendFlat, BackendCSR} {
-		b.Run(string(backend), func(b *testing.B) {
-			g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
-			v, err := incremental.NewGraphViewBackend(ctx, Triangles(), g.DB(), core.Backend(backend))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				u := int64(i % 2999)
-				if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
+	v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := int64(i % 2999)
+		if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -434,62 +372,35 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkViewMaintainAndServe is the serving regime the csr default is
-// chosen for: each iteration applies one edge batch and then answers five
-// prepared pattern counts on the updated graph (re-preparing per batch —
-// a plan-cache hit on csr, whose indexes advance in place; a recompile on
-// flat, whose plans the update invalidated).
+// BenchmarkViewMaintainAndServe is the serving regime: each iteration
+// applies one edge batch and then answers five prepared pattern counts on
+// the updated graph (re-preparing per batch — a plan-cache hit, because the
+// indexes advance in place).
 func BenchmarkViewMaintainAndServe(b *testing.B) {
 	ctx := context.Background()
-	for _, backend := range []Backend{BackendFlat, BackendCSR} {
-		b.Run(string(backend), func(b *testing.B) {
-			g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
-			v, err := incremental.NewGraphViewBackend(ctx, Triangles(), g.DB(), core.Backend(backend))
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := Cliques(3)
-			opts := Options{Algorithm: "lftj", Workers: 1, Backend: backend}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				u := int64(i % 2999)
-				if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
-					b.Fatal(err)
-				}
-				p, err := g.Prepare(q, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < 5; j++ {
-					if _, err := p.Count(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+	g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
+	v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkBackendProbes contrasts the backends under Minesweeper's gap-
-// probe access pattern (LUB/GLB probes instead of leapfrog seeks).
-func BenchmarkBackendProbes(b *testing.B) {
-	ctx := context.Background()
-	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 1)
 	q := Cliques(3)
-	for _, backend := range []Backend{BackendFlat, BackendCSR, BackendCSRSharded} {
-		p, err := g.Prepare(q, Options{Algorithm: "ms", Workers: 1, Backend: backend})
+	opts := Options{Algorithm: "lftj", Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := int64(i % 2999)
+		if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
+			b.Fatal(err)
+		}
+		p, err := g.Prepare(q, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(string(backend), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Count(ctx); err != nil {
-					b.Fatal(err)
-				}
+		for j := 0; j < 5; j++ {
+			if _, err := p.Count(ctx); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
 }
 

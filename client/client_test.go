@@ -148,9 +148,6 @@ func TestTypedErrorsAcrossWire(t *testing.T) {
 	if _, err := c.Prepare(q, repro.Options{Algorithm: "nope"}); !errors.Is(err, repro.ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm: %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := c.Prepare(q, repro.Options{Backend: "btree"}); !errors.Is(err, repro.ErrUnknownBackend) {
-		t.Errorf("unknown backend: %v, want ErrUnknownBackend", err)
-	}
 	if _, err := c.Arity("nope"); !errors.Is(err, repro.ErrUnknownRelation) {
 		t.Errorf("arity unknown: %v, want ErrUnknownRelation", err)
 	}

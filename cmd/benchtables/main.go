@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -32,15 +31,11 @@ func main() {
 		timeout = flag.Duration("timeout", 5*time.Second, "per-execution timeout (paper: 30m)")
 		repeats = flag.Int("repeats", 1, "executions per cell (paper: 3, averaging the last 2)")
 		workers = flag.Int("workers", 0, "worker pool size (0 = all cores)")
-		backend = flag.String("backend", "", "index backend for lftj/ms: flat | csr | csr-sharded (empty = csr)")
 		seed    = flag.Int64("seed", 1, "random sample seed")
 	)
 	flag.Parse()
 	if *table == 0 && *figure == 0 {
 		*all = true
-	}
-	if _, err := core.ParseBackend(*backend); err != nil {
-		log.Fatal(err)
 	}
 
 	h := bench.NewHarness(bench.Config{
@@ -49,7 +44,6 @@ func main() {
 		Scale:      *scale,
 		Repeats:    *repeats,
 		Workers:    *workers,
-		Backend:    *backend,
 		SampleSeed: *seed,
 	})
 

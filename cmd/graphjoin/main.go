@@ -70,7 +70,6 @@ func run() error {
 		queryName   = flag.String("query", "3-clique", "named benchmark query")
 		datalog     = flag.String("datalog", "", "inline Datalog query body (overrides -query)")
 		engineName  = flag.String("engine", "lftj", "lftj | ms | hybrid | psql | monetdb | yannakakis | graphlab")
-		backendName = flag.String("backend", "", "index backend for lftj/ms: flat | csr | csr-sharded (empty = csr)")
 		selectivity = flag.Int("selectivity", 10, "node-sample selectivity s (samples pick nodes w.p. 1/s)")
 		timeout     = flag.Duration("timeout", 30*time.Minute, "execution timeout (paper protocol: 30m)")
 		workers     = flag.Int("workers", 0, "worker pool size (0 = all cores)")
@@ -198,7 +197,6 @@ func run() error {
 	p, err := qr.Prepare(q, repro.Options{
 		Algorithm: repro.Algorithm(*engineName),
 		Workers:   *workers,
-		Backend:   repro.Backend(*backendName),
 	})
 	if err != nil {
 		return fmt.Errorf("%s: %w", *engineName, err)

@@ -36,8 +36,8 @@ func Remove(tuple ...int64) Delta { return Delta{Tuple: tuple, Delete: true} }
 // front — unknown relations (ErrUnknownRelation), arity mismatches
 // (ErrArityMismatch), and out-of-domain values (ErrValueOutOfRange) fail the
 // whole call before anything is applied. Like Apply, the write routes through
-// the delta path, so compiled plans on the default CSR backend stay valid and
-// keep serving current data.
+// the delta path, so compiled plans stay valid and every Prepared handle
+// follows the write.
 func (s *Store) ApplyAll(batches map[string][]Delta) error {
 	names := make([]string, 0, len(batches))
 	for name := range batches {

@@ -22,12 +22,14 @@
 //	fmt.Print(p.Explain())            // GAO, per-atom index, AGM bound
 //	st := p.Stats()                   // unified counters across executions
 //
-// A Prepared handle is safe for concurrent use and pins the physical design
-// it was compiled against; compiled plans are also cached on the store
-// (keyed on query shape × algorithm × backend × GAO, invalidated when a
-// relation they read is replaced), so re-preparing an unchanged shape is
-// cheap. One-shot helpers (Count, Enumerate, CountWithStats) remain as thin
-// wrappers over Prepare.
+// A Prepared handle is safe for concurrent use and follows incremental
+// writes: its indexes advance in place, so the next execution counts the
+// post-write state. Compiled plans are also cached on the store (keyed on
+// query shape × algorithm × GAO, invalidated when a relation they read is
+// replaced), so re-preparing an unchanged shape is cheap. A ReadTxn pins at
+// begin: executions through it keep reading the state it opened on. One-shot
+// helpers (Count, Enumerate, CountWithStats) remain as thin wrappers over
+// Prepare.
 //
 // # General schemas: Store
 //
@@ -98,49 +100,30 @@
 // as an operational signal — the store is consistent, but the previous
 // process died uncleanly.
 //
-// # Storage and index backends
+// # Storage and the index
 //
 // Relations are immutable, lexicographically sorted tuple sets over int64
 // domains (internal/relation). Every atom of a compiled query is bound to a
 // GAO-consistent index — the relation with its columns permuted into global
-// attribute order (§4.1) — and those indexes are served through a pluggable
-// backend (Options.Backend) implementing the trie contract the paper's
-// engines assume:
+// attribute order (§4.1) — and every such index is one structure, the trie
+// contract the paper's engines assume: a materialized CSR attribute trie
+// (one contiguous key array per level plus child-offset arrays, the
+// TrieJax/EmptyHeaded layout) served through a delta overlay. Cursor
+// Open/Next are O(1) array arithmetic, SeekGE gallops over a dense
+// cache-resident array, and gap probes run one bounded binary search per
+// level. The trie is built once per relation × attribute order at Prepare
+// time, for up to ~1.5·arity·n extra keys of memory, and maintained
+// incrementally: update batches (Store.Apply, DB.ApplyDelta) fold into a
+// small sorted delta overlay — an adds log plus delete tombstones merged at
+// cursor level and compacted past a threshold — so an update costs time
+// proportional to the small log, not an O(arity·n) trie rebuild, and
+// compiled plans stay valid and current across updates.
 //
-//   - "csr" (default) — a materialized CSR attribute trie (one contiguous
-//     key array per level plus child-offset arrays, the TrieJax/EmptyHeaded
-//     layout): cursor Open/Next are O(1) array arithmetic, SeekGE gallops
-//     over a dense cache-resident array, and gap probes run one bounded
-//     binary search per level. Built once per index at Prepare time for up
-//     to ~1.5·arity·n extra keys of memory, and maintained incrementally:
-//     update batches (DB.ApplyDelta, driven by the incremental views) fold
-//     into a small sorted delta overlay — an adds log plus delete
-//     tombstones merged at cursor level and compacted past a threshold —
-//     so an update costs time proportional to the small log, not an
-//     O(arity·n) trie rebuild, and compiled
-//     plans stay valid across updates.
-//   - "csr-sharded" — the CSR trie partitioned into disjoint shards by
-//     contiguous ranges of the first GAO attribute. Sequential execution
-//     matches "csr"; the §4.10 parallel Count maps its jobs one-to-one
-//     onto shard ranges and each worker binds only its own shard —
-//     physically disjoint indexes, no shared-array contention between
-//     cores, and no per-execution scan to derive job cut points. Atoms
-//     whose index does not lead on the first GAO attribute bind plain CSR
-//     tries (sharding would not help them). Rebuilt, not overlaid, on
-//     updates.
-//   - "flat" — the sorted rows themselves; trie-cursor moves and
-//     Minesweeper's LUB/GLB gap probes re-derive child ranges by binary
-//     search over row ranges on each operation. Zero extra memory and
-//     build cost; the reference implementation the other backends are
-//     differential-tested against.
-//
-// Pick "csr-sharded" for parallel Counts on multi-core hardware, "flat"
-// for one-shot queries on memory-tight settings, and the "csr" default
-// otherwise — including under incremental view maintenance.
-// BenchmarkBackend and BenchmarkBackendParallel in bench_test.go track the
-// speedups; all backends must produce identical results on the whole query
-// corpus, including under parallel execution and view maintenance
-// (backend_diff_test.go).
+// The flat sorted rows remain the reference implementation: the relation
+// package's cursor, seek and probe tests check the trie against them, and
+// the engine-level differential (backend_diff_test.go) checks lftj and ms
+// against a brute-force engine over the whole query corpus, including under
+// parallel execution and view maintenance.
 //
 // # Engines
 //
@@ -156,9 +139,10 @@
 //   - "graphlab" — a specialized parallel clique counter;
 //   - "genericjoin" — the paper's Algorithm 1, an implementation ablation.
 //
-// The lftj, ms, and genericjoin engines execute pinned compiled plans; the
-// remaining engines re-derive their internal state per run but share the
-// same Prepared interface and unified stats surface.
+// The lftj and ms engines execute pinned compiled plans; the remaining
+// engines (genericjoin among them: it narrows row spans over flat
+// relations) re-derive their internal state per run but share the same
+// Prepared interface and unified stats surface.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // regenerated tables and figures.

@@ -47,36 +47,10 @@ func ExamplePrepared_Rows() {
 	// [1 2 3]
 }
 
-// ExampleOptions_backend selects the physical index backend: "csr" (the
-// default) serves prepared queries from materialized CSR trie levels,
-// "csr-sharded" additionally partitions each first-attribute trie so the
-// parallel Count path binds one disjoint shard per worker job, and "flat"
-// is the zero-memory reference. All three produce identical results.
-func ExampleOptions_backend() {
-	g := repro.NewGraph([][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}})
-	ctx := context.Background()
-	for _, backend := range []repro.Backend{repro.BackendFlat, repro.BackendCSR, repro.BackendCSRSharded} {
-		p, err := g.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj", Backend: backend})
-		if err != nil {
-			panic(err)
-		}
-		n, err := p.Count(ctx)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("%-11s -> %d triangles (plan backend %s)\n", backend, n, p.Explain().Backend)
-	}
-	// Output:
-	// flat        -> 2 triangles (plan backend flat)
-	// csr         -> 2 triangles (plan backend csr)
-	// csr-sharded -> 2 triangles (plan backend csr-sharded)
-}
-
 // ExampleMaintainCount keeps a pattern count current under edge updates
 // with delta queries (§3's incrementally maintained materialized views).
-// On the default CSR backend each batch lands in the cached indexes' delta
-// overlays — the compiled delta plans and their physical indexes survive
-// every batch.
+// Each batch lands in the cached indexes' delta overlays — the compiled
+// delta plans and their physical indexes survive every batch.
 func ExampleMaintainCount() {
 	g := repro.NewGraph([][2]int64{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	ctx := context.Background()

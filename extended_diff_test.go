@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -79,7 +80,8 @@ func extendedCorpus() []extendedCase {
 }
 
 // referenceEval evaluates an extended query by brute force: enumerate the
-// plain natural join of the query's atoms, post-filter every predicate,
+// plain natural join of the query's atoms with the oracle engine
+// (naive.Engine, over the flat rows), post-filter every predicate,
 // project with duplicate elimination, and aggregate over the distinct
 // projected bindings — the semantics the engines' pushed-down execution must
 // reproduce exactly.
@@ -119,7 +121,7 @@ func referenceEval(t *testing.T, s *Store, q *Query) [][]int64 {
 	prefixVars := q.Vars()[:q.Prefix()]
 	seen := make(map[string]bool)
 	var prefixRows [][]int64
-	err := s.Enumerate(ctx, plain, Options{Algorithm: LFTJ, Workers: 1, Backend: BackendFlat}, func(row []int64) bool {
+	err := naive.Engine{}.Enumerate(ctx, plain, s.DB(), func(row []int64) bool {
 		for _, p := range q.Preds {
 			if !evalPred(row, p) {
 				return true
@@ -215,11 +217,11 @@ func requireSameRows(t *testing.T, label string, got, want [][]int64) {
 }
 
 // TestExtendedDifferential runs the extended corpus under both trie-driven
-// engines on every index backend and requires identical counts and rows
-// everywhere — checked against an independent brute-force reference
-// (enumerate-then-filter-then-group), not just engine-vs-engine. The order
-// contract is part of the wall: projected and aggregate rows must arrive
-// ascending in head order, so only full-binding rows are sorted first.
+// engines and requires identical counts and rows — checked against an
+// independent brute-force reference (enumerate-then-filter-then-group), not
+// just engine-vs-engine. The order contract is part of the wall: projected
+// and aggregate rows must arrive ascending in head order, so only
+// full-binding rows are sorted first.
 func TestExtendedDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
@@ -231,50 +233,47 @@ func TestExtendedDifferential(t *testing.T) {
 		}
 		want := referenceEval(t, s, q)
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			for _, backend := range backendMatrix {
-				t.Run(fmt.Sprintf("%s/%s/%s", c, alg, backend), func(t *testing.T) {
-					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend, GAO: c.gao})
-					if err != nil {
-						t.Fatalf("prepare: %v", err)
+			t.Run(fmt.Sprintf("%s/%s", c, alg), func(t *testing.T) {
+				p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, GAO: c.gao})
+				if err != nil {
+					t.Fatalf("prepare: %v", err)
+				}
+				n, err := p.Count(ctx)
+				if err != nil {
+					t.Fatalf("count: %v", err)
+				}
+				rows := collectRows(t, p)
+				if int64(len(rows)) != n {
+					t.Fatalf("count %d != enumerated %d", n, len(rows))
+				}
+				for _, r := range rows {
+					if len(r) != q.OutWidth() {
+						t.Fatalf("row width %d, want OutWidth %d", len(r), q.OutWidth())
 					}
-					n, err := p.Count(ctx)
-					if err != nil {
-						t.Fatalf("count: %v", err)
-					}
-					rows := collectRows(t, p)
-					if int64(len(rows)) != n {
-						t.Fatalf("count %d != enumerated %d", n, len(rows))
-					}
-					for _, r := range rows {
-						if len(r) != q.OutWidth() {
-							t.Fatalf("row width %d, want OutWidth %d", len(r), q.OutWidth())
-						}
-					}
-					if !q.PrefixOrdered() {
-						sortedRows(rows)
-					}
-					requireSameRows(t, fmt.Sprintf("%s/%s", alg, backend), rows, want)
-					// Parallel counting splits on the leading attribute (or
-					// not at all when that would split a row's duplicates).
-					par, err := s.Prepare(q, Options{Algorithm: alg, Workers: 4, Backend: backend, GAO: c.gao})
-					if err != nil {
-						t.Fatalf("prepare Workers=4: %v", err)
-					}
-					if pn, err := par.Count(ctx); err != nil || pn != n {
-						t.Fatalf("Workers=4 count %d (%v), sequential %d", pn, err, n)
-					}
-				})
-			}
+				}
+				if !q.PrefixOrdered() {
+					sortedRows(rows)
+				}
+				requireSameRows(t, string(alg), rows, want)
+				// Parallel counting splits on the leading attribute (or not
+				// at all when that would split a row's duplicates).
+				par, err := s.Prepare(q, Options{Algorithm: alg, Workers: 4, GAO: c.gao})
+				if err != nil {
+					t.Fatalf("prepare Workers=4: %v", err)
+				}
+				if pn, err := par.Count(ctx); err != nil || pn != n {
+					t.Fatalf("Workers=4 count %d (%v), sequential %d", pn, err, n)
+				}
+			})
 		}
 	}
 }
 
 // TestExtendedDifferentialChurn re-runs a slice of the extended corpus after
-// every step of a randomized 15-step Apply churn, across both engines and
-// every backend, against the brute-force reference recomputed per step. The
-// handles are re-prepared each step: flat and csr-sharded indexes are frozen
-// at Prepare time, and the plan cache must serve correct (invalidated or
-// overlay-advanced) plans through the writes.
+// every step of a randomized 15-step Apply churn, across both engines,
+// sequentially and on four workers, against the brute-force reference
+// recomputed per step. The handles are prepared once, before the churn:
+// every handle follows the writes through its overlay-advanced indexes.
 func TestExtendedDifferentialChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := NewStore()
@@ -299,12 +298,25 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 		"deg2(a, count(c)) :- edge(a, b), edge(b, c)",
 	}
 	queries := make([]*Query, len(srcs))
+	// handles[qi][alg][w] is query qi prepared for algs[alg] on workers[w].
+	algs, workers := []Algorithm{LFTJ, MS}, []int{1, 4}
+	handles := make([][][]*Prepared, len(srcs))
 	for i, src := range srcs {
 		q, err := s.ParseQuery(fmt.Sprintf("q%d", i), src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		queries[i] = q
+		handles[i] = make([][]*Prepared, len(algs))
+		for a, alg := range algs {
+			for _, w := range workers {
+				p, err := s.Prepare(q, Options{Algorithm: alg, Workers: w})
+				if err != nil {
+					t.Fatalf("%s/%s/Workers=%d prepare: %v", src, alg, w, err)
+				}
+				handles[i][a] = append(handles[i][a], p)
+			}
+		}
 	}
 	for step := 0; step < 15; step++ {
 		var ins, del [][]int64
@@ -321,17 +333,17 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 		}
 		for qi, q := range queries {
 			want := referenceEval(t, s, q)
-			for _, alg := range []Algorithm{LFTJ, MS} {
-				for _, backend := range backendMatrix {
-					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend})
-					if err != nil {
-						t.Fatalf("step %d %s/%s/%s prepare: %v", step, srcs[qi], alg, backend, err)
-					}
+			for a, alg := range algs {
+				for w, p := range handles[qi][a] {
+					label := fmt.Sprintf("step %d %s/%s/Workers=%d", step, srcs[qi], alg, workers[w])
 					rows := collectRows(t, p)
 					if !q.PrefixOrdered() {
 						sortedRows(rows)
 					}
-					requireSameRows(t, fmt.Sprintf("step %d %s/%s/%s", step, srcs[qi], alg, backend), rows, want)
+					requireSameRows(t, label, rows, want)
+					if n, err := p.Count(context.Background()); err != nil || n != int64(len(want)) {
+						t.Fatalf("%s: count %d (%v), want %d", label, n, err, len(want))
+					}
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // PreparedQuery is the execution surface of a compiled query, shared by the
 // in-process *Prepared handle and the network client's remote handle
 // (package repro/client). Everything Prepare validated — schema, algorithm,
-// backend, GAO — is settled; the methods here are pure execution.
+// GAO — is settled; the methods here are pure execution.
 type PreparedQuery interface {
 	// Query returns the compiled query.
 	Query() *Query
@@ -86,8 +86,8 @@ type BatchRequest struct {
 //	q, err := client.Dial(ctx, "db-host:7474")  // remote
 //
 // Method semantics match Store exactly; see the Store, Prepared, and Txn
-// documentation for the contracts (snapshot pinning, per-backend freshness,
-// batch error isolation).
+// documentation for the contracts (handles follow writes, transactions pin
+// at begin, batch error isolation).
 type Querier interface {
 	// DefineRelation declares a named relation of the given arity.
 	DefineRelation(name string, arity int) error

@@ -42,10 +42,6 @@ type Config struct {
 	Repeats int
 	// Workers for the parallel engines (0 = all cores).
 	Workers int
-	// Backend selects the index backend for the trie-driven engines
-	// ("flat", "csr", or "csr-sharded"; empty = the csr default), so whole
-	// table runs can be compared across backends.
-	Backend string
 	// SampleSeed varies the random node samples between runs.
 	SampleSeed int64
 }
@@ -194,9 +190,6 @@ func formatSeconds(s float64) string {
 func (h *Harness) run(opts engine.Options, q *query.Query, db *core.DB) result {
 	if opts.Workers == 0 {
 		opts.Workers = h.cfg.Workers
-	}
-	if opts.Backend == "" {
-		opts.Backend = core.Backend(h.cfg.Backend)
 	}
 	eng, _, err := engine.Prepare(opts, q, db)
 	if err != nil {

@@ -78,13 +78,12 @@ func (st *relState) contains(t []int64) bool {
 	return st.flat.Contains(t)
 }
 
-// trieEntry is one cached physical index together with the permutation and
-// backend it was built under, so ApplyDelta can route an update batch into
-// the index's own attribute order.
+// trieEntry is one cached physical index together with the permutation it
+// was built under, so ApplyDelta can route an update batch into the index's
+// own attribute order.
 type trieEntry struct {
-	perm    []int
-	backend Backend
-	idx     IndexBackend
+	perm []int
+	idx  *csrIndex
 }
 
 // NewDB returns an empty database.
@@ -148,9 +147,7 @@ func (db *DB) OverlayDepth() int {
 	defer db.mu.Unlock()
 	total := 0
 	for _, e := range db.tries {
-		if p, ok := e.idx.(interface{ PendingDelta() int }); ok {
-			total += p.PendingDelta()
-		}
+		total += e.idx.pendingDelta()
 	}
 	return total
 }
@@ -169,12 +166,11 @@ func (db *DB) Version() int64 {
 // proportional to the batch and the small overlay logs, never to the
 // relation: the batch is reduced to its canonical delta against the
 // relation's canonical index (the identity-order CSR overlay, bound at the
-// first delta), sorted once, and handed to every cached CSR index as a log
+// first delta), sorted once, and handed to every cached index as a log
 // increment in that index's own attribute order (relation.Overlay) — no
-// trie rebuild, no merge of the base rows. Plans compiled against the CSR
-// backend stay valid because their index objects are advanced in place.
-// Flat and sharded indexes, and plans bound to them, are invalidated and
-// rebuilt lazily from the flat view Relation materialises on demand.
+// trie rebuild, no merge of the base rows. Compiled plans stay cached and
+// valid because their index objects are advanced in place: every handle
+// over them follows the write.
 //
 // Inserts already present and deletes absent are ignored, and a tuple
 // appearing on both sides of one batch resolves as delete-after-insert (an
@@ -231,11 +227,11 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 		for k := range identity {
 			identity[k] = k
 		}
-		idx, err := db.trieIndexLocked(name, identity, BackendCSR)
+		idx, err := db.trieIndexLocked(name, identity)
 		if err != nil {
 			return err
 		}
-		st.canon = idx.(*csrIndex)
+		st.canon = idx
 	}
 	st.flat = nil
 	db.version++
@@ -246,18 +242,8 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 		}
 	}
 	for k, e := range db.tries {
-		if len(k) < len(prefix) || k[:len(prefix)] != prefix {
-			continue
-		}
-		if e.backend == BackendCSR {
-			e.idx.(*csrIndex).applyDelta(ins.Permute(e.perm), dels.Permute(e.perm))
-			continue
-		}
-		delete(db.tries, k)
-	}
-	for k, p := range db.plans {
-		if p.reads(name) && p.Backend != BackendCSR {
-			delete(db.plans, k)
+		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+			e.idx.applyDelta(ins.Permute(e.perm), dels.Permute(e.perm))
 		}
 	}
 	return nil
@@ -349,10 +335,10 @@ func (db *DB) Snapshot() []RelationSnapshot {
 
 // Relation returns the named relation in flat form. Once a delta has landed
 // that form is a view: it is merged from the canonical overlay on the first
-// call after a write and kept until the next write, so the engines and
-// backends that read flat rows (flat and sharded binds, splitJobs, the
-// pairwise engines) pay one linear merge per write generation, and only if
-// they ask. Use Arity and Len for metadata — they never materialise.
+// call after a write and kept until the next write, so the engines that
+// read flat rows (the ablation baselines and generic join) pay one linear
+// merge per write generation, and only if they ask. Use Arity and Len for
+// metadata — they never materialise.
 func (db *DB) Relation(name string) (*relation.Relation, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -434,25 +420,20 @@ func (db *DB) indexLocked(name string, perm []int) (*relation.Relation, error) {
 	return idx, nil
 }
 
-// TrieIndex returns the named relation's GAO-consistent index under the
-// chosen backend, caching the built index alongside the permuted relation
-// (both caches are invalidated per relation by Add; ApplyDelta instead
-// advances cached CSR indexes in place through their delta overlays). The
-// flat backend wraps the permuted relation directly; the CSR backends
-// additionally materialize their trie levels here, so the build cost is
-// paid once per relation × permutation × backend and amortized across
-// executions.
-func (db *DB) TrieIndex(name string, perm []int, backend Backend) (IndexBackend, error) {
-	if backend == "" {
-		backend = DefaultBackend
-	}
+// TrieIndex returns the named relation's GAO-consistent trie index for the
+// attribute order perm, caching the built index alongside the permuted
+// relation (both caches are invalidated per relation by Add; ApplyDelta
+// instead advances cached indexes in place through their delta overlays).
+// The CSR trie levels are materialized here, so the build cost is paid once
+// per relation × permutation and amortized across executions.
+func (db *DB) TrieIndex(name string, perm []int) (IndexBackend, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.trieIndexLocked(name, perm, backend)
+	return db.trieIndexLocked(name, perm)
 }
 
-func (db *DB) trieIndexLocked(name string, perm []int, backend Backend) (IndexBackend, error) {
-	key := indexKey(name, perm) + "#" + string(backend)
+func (db *DB) trieIndexLocked(name string, perm []int) (*csrIndex, error) {
+	key := indexKey(name, perm)
 	if e, ok := db.tries[key]; ok {
 		return e.idx, nil
 	}
@@ -460,11 +441,8 @@ func (db *DB) trieIndexLocked(name string, perm []int, backend Backend) (IndexBa
 	if err != nil {
 		return nil, err
 	}
-	idx, err := NewIndexBackend(rel, backend)
-	if err != nil {
-		return nil, err
-	}
-	db.tries[key] = trieEntry{perm: append([]int(nil), perm...), backend: backend, idx: idx}
+	idx := newCSRIndex(rel)
+	db.tries[key] = trieEntry{perm: append([]int(nil), perm...), idx: idx}
 	return idx, nil
 }
 
@@ -482,70 +460,69 @@ type Engine interface {
 // variables sorted by GAO position, the permutation applied, and the global
 // GAO positions of its columns in index order.
 type AtomIndex struct {
-	// Rel is the permuted flat relation the index was bound over. It is
-	// populated only for the flat backend (where it is the index) — the
-	// engine that needs row-level access, generic join, always binds flat.
-	// CSR-backed bindings leave it nil so incremental updates never force
-	// the permuted flat relation to be rebuilt; introspection reads live
-	// Arity/Len through Index instead.
-	Rel *relation.Relation
-	// Index is the backend-selected trie index; the trie-driven engines
-	// (LFTJ, Minesweeper) execute exclusively against it.
+	// Index is the atom's trie index; the trie-driven engines (LFTJ,
+	// Minesweeper) execute exclusively against it.
 	Index IndexBackend
 	// VarPos[k] is the GAO position of the index's column k.
 	VarPos []int
 }
 
-// BindAtom builds the GAO-consistent index for one atom under the chosen
-// backend. gaoPos maps variable name to GAO position. The incremental views
-// use it to re-bind just their delta atoms per update batch.
-//
-// Under the csr-sharded backend, only atoms whose index leads on the first
-// GAO attribute actually bind the sharded trie — those are the indexes the
-// §4.10 parallel jobs partition (splitJobs cuts the first attribute's
-// domain). Every other atom binds the plain CSR trie: sharding would buy it
-// nothing, while the composed shard-crossing cursor would cost on every
-// operation of the join's inner loops.
-func BindAtom(a query.Atom, db *DB, gaoPos map[string]int, backend Backend) (AtomIndex, error) {
-	order := make([]int, len(a.Vars)) // column order by GAO position
+// AtomOrder is the column-order rule of §4.1: the atom's columns sorted by
+// the GAO position of their variables (order[k] is the source column stored
+// at index position k, the perm DB.Index and DB.TrieIndex take), and the GAO
+// position of each index column (varPos). gaoPos maps variable name to GAO
+// position.
+func AtomOrder(a query.Atom, gaoPos map[string]int) (order, varPos []int, err error) {
+	order = make([]int, len(a.Vars))
 	for k := range order {
 		order[k] = k
 	}
 	sort.Slice(order, func(x, y int) bool {
 		return gaoPos[a.Vars[order[x]]] < gaoPos[a.Vars[order[y]]]
 	})
-	if backend == BackendCSRSharded && gaoPos[a.Vars[order[0]]] != 0 {
-		backend = BackendCSR
-	}
-	trie, err := db.TrieIndex(a.Rel, order, backend)
-	if err != nil {
-		return AtomIndex{}, err
-	}
-	var rel *relation.Relation
-	if fi, ok := trie.(flatIndex); ok {
-		rel = fi.r
-	}
-	varPos := make([]int, len(order))
+	varPos = make([]int, len(order))
 	for k, col := range order {
 		p, ok := gaoPos[a.Vars[col]]
 		if !ok {
-			return AtomIndex{}, fmt.Errorf("core: %w: GAO misses variable %q of atom %s", ErrUnboundVar, a.Vars[col], a)
+			return nil, nil, fmt.Errorf("core: %w: GAO misses variable %q of atom %s", ErrUnboundVar, a.Vars[col], a)
 		}
 		varPos[k] = p
 	}
-	return AtomIndex{Rel: rel, Index: trie, VarPos: varPos}, nil
+	return order, varPos, nil
 }
 
-// BindAtoms builds GAO-consistent indexes for all atoms of a query under the
-// chosen backend (paper §4.1).
-func BindAtoms(q *query.Query, db *DB, gao []string, backend Backend) ([]AtomIndex, error) {
+// BindAtom builds the GAO-consistent trie index for one atom. gaoPos maps
+// variable name to GAO position. The incremental views use it to re-bind
+// just their delta atoms per update batch.
+func BindAtom(a query.Atom, db *DB, gaoPos map[string]int) (AtomIndex, error) {
+	order, varPos, err := AtomOrder(a, gaoPos)
+	if err != nil {
+		return AtomIndex{}, err
+	}
+	trie, err := db.TrieIndex(a.Rel, order)
+	if err != nil {
+		return AtomIndex{}, err
+	}
+	return AtomIndex{Index: trie, VarPos: varPos}, nil
+}
+
+// GAOPositions maps each variable of a global attribute order to its
+// position.
+func GAOPositions(gao []string) map[string]int {
 	pos := make(map[string]int, len(gao))
 	for i, v := range gao {
 		pos[v] = i
 	}
+	return pos
+}
+
+// BindAtoms builds GAO-consistent trie indexes for all atoms of a query
+// (paper §4.1).
+func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
+	pos := GAOPositions(gao)
 	out := make([]AtomIndex, len(q.Atoms))
 	for i, a := range q.Atoms {
-		ai, err := BindAtom(a, db, pos, backend)
+		ai, err := BindAtom(a, db, pos)
 		if err != nil {
 			return nil, err
 		}

@@ -70,7 +70,7 @@ func TestBindAtoms(t *testing.T) {
 	// GAO c,b,a: the first atom's index order must become (b,a), the
 	// second's (c,b) -> wait: positions c=0,b=1,a=2, so atom1 (a,b) sorts to
 	// (b,a) and atom2 (b,c) sorts to (c,b).
-	atoms, err := BindAtoms(q, db, []string{"c", "b", "a"}, BackendFlat)
+	atoms, err := BindAtoms(q, db, []string{"c", "b", "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestBindAtoms(t *testing.T) {
 		t.Errorf("atom1 VarPos = %v, want [0 1]", atoms[1].VarPos)
 	}
 	// atom0's index is edge permuted to (b,a): sorted tuples (2,1),(3,2).
-	if !reflect.DeepEqual(atoms[0].Rel.Tuple(0), []int64{2, 1}) {
-		t.Errorf("atom0 index tuple = %v", atoms[0].Rel.Tuple(0))
+	if got := collect(t, atoms[0].Index); !reflect.DeepEqual(got[0], []int64{2, 1}) {
+		t.Errorf("atom0 index tuple = %v", got[0])
 	}
 	// A GAO missing a variable fails.
-	if _, err := BindAtoms(q, db, []string{"a", "b"}, BackendFlat); err == nil {
+	if _, err := BindAtoms(q, db, []string{"a", "b"}); err == nil {
 		t.Error("short GAO should fail")
 	}
 }

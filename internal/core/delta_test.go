@@ -38,23 +38,18 @@ func collect(t *testing.T, idx IndexBackend) [][]int64 {
 	return out
 }
 
-// TestApplyDeltaMaintainsCSRInPlace: the cached CSR index object absorbs the
-// batch through its overlay — same object, new contents — while flat and
-// sharded entries are invalidated.
+// TestApplyDeltaMaintainsCSRInPlace: the cached index object absorbs the
+// batch through its overlay — same object, new contents.
 func TestApplyDeltaMaintainsCSRInPlace(t *testing.T) {
 	db := deltaDB()
-	csr, err := db.TrieIndex("edge", []int{0, 1}, BackendCSR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := db.TrieIndex("edge", []int{0, 1}, BackendFlat)
+	csr, err := db.TrieIndex("edge", []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.ApplyDelta("edge", [][]int64{{9, 9}}, [][]int64{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	csr2, err := db.TrieIndex("edge", []int{0, 1}, BackendCSR)
+	csr2, err := db.TrieIndex("edge", []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,23 +65,13 @@ func TestApplyDeltaMaintainsCSRInPlace(t *testing.T) {
 	if _, found := csr.ProbeGap([]int64{1, 2}); found {
 		t.Error("deleted tuple still in CSR index")
 	}
-	flat2, err := db.TrieIndex("edge", []int{0, 1}, BackendFlat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat2 == flat {
-		t.Error("flat index not rebuilt after ApplyDelta")
-	}
-	if flat2.Len() != 5 {
-		t.Errorf("rebuilt flat Len = %d, want 5", flat2.Len())
-	}
 }
 
 // TestApplyDeltaPermutedIndexes routes the batch through each cached
 // index's own permutation: a (b,a)-ordered index must see permuted tuples.
 func TestApplyDeltaPermutedIndexes(t *testing.T) {
 	db := deltaDB()
-	rev, err := db.TrieIndex("edge", []int{1, 0}, BackendCSR)
+	rev, err := db.TrieIndex("edge", []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +80,7 @@ func TestApplyDeltaPermutedIndexes(t *testing.T) {
 	}
 	got := collect(t, rev)
 	r, _ := db.Relation("edge")
-	want := collect(t, mustBackend(t, r.Permute([]int{1, 0}), BackendFlat))
+	want := r.Permute([]int{1, 0}).Tuples()
 	if len(got) != len(want) {
 		t.Fatalf("permuted index has %d tuples, want %d", len(got), len(want))
 	}
@@ -106,42 +91,28 @@ func TestApplyDeltaPermutedIndexes(t *testing.T) {
 	}
 }
 
-func mustBackend(t *testing.T, r *relation.Relation, b Backend) IndexBackend {
-	t.Helper()
-	idx, err := NewIndexBackend(r, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx
-}
-
-// TestApplyDeltaPlanInvalidation: plans on the CSR backend survive a delta
-// batch (their indexes advanced in place); flat and sharded plans reading
-// the relation are dropped.
+// TestApplyDeltaPlanInvalidation: a delta batch invalidates no cached plan —
+// the plan's indexes are advanced in place — while Add, which replaces the
+// relation, drops it.
 func TestApplyDeltaPlanInvalidation(t *testing.T) {
 	db := deltaDB()
 	q := query.New("q", query.Atom{Rel: "edge", Vars: []string{"a", "b"}})
-	gao := []string{"a", "b"}
-	for _, b := range []Backend{BackendFlat, BackendCSR, BackendCSRSharded} {
-		p, err := NewPlan(q, db, "lftj", gao, nil, false, b, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.StorePlan(string(b), p, db.Version())
+	p, err := NewPlan(q, db, "lftj", []string{"a", "b"}, nil, false, "", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := db.CachedPlanCount(); got != 3 {
-		t.Fatalf("cached plans = %d, want 3", got)
-	}
+	db.StorePlan("k", p, db.Version())
 	if err := db.ApplyDelta("edge", [][]int64{{8, 9}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.CachedPlanCount(); got != 1 {
-		t.Errorf("cached plans after delta = %d, want 1 (csr only)", got)
+	if cached, _, ok := db.CachedPlan("k"); !ok {
+		t.Error("plan dropped by ApplyDelta")
+	} else if cached.Atoms[0].Index.Len() != 6 {
+		t.Errorf("plan index Len = %d, want 6", cached.Atoms[0].Index.Len())
 	}
-	if p, _, ok := db.CachedPlan(string(BackendCSR)); !ok {
-		t.Error("csr plan dropped by ApplyDelta")
-	} else if p.Atoms[0].Index.Len() != 6 {
-		t.Errorf("csr plan index Len = %d, want 6", p.Atoms[0].Index.Len())
+	db.Add(relation.FromTuples("edge", 2, [][]int64{{1, 2}}))
+	if _, _, ok := db.CachedPlan("k"); ok {
+		t.Error("plan survived Add replacing the relation it reads")
 	}
 }
 
@@ -185,7 +156,7 @@ func TestSnapshotAtoms(t *testing.T) {
 		query.Atom{Rel: "edge", Vars: []string{"a", "b"}},
 		query.Atom{Rel: "edge", Vars: []string{"a", "c"}},
 	)
-	atoms, err := BindAtoms(q, db, []string{"a", "b", "c"}, BackendCSR)
+	atoms, err := BindAtoms(q, db, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +179,8 @@ func TestSnapshotAtoms(t *testing.T) {
 	if _, found := atoms[0].Index.ProbeGap([]int64{9, 9}); !found {
 		t.Error("live index misses the post-delta tuple")
 	}
-	// Flat bindings are immutable already; SnapshotAtoms leaves them alone.
-	flatAtoms, err := BindAtoms(q, db, []string{"a", "b", "c"}, BackendFlat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := SnapshotAtoms(flatAtoms); &got[0] != &flatAtoms[0] {
+	// Pinned views are immutable already; SnapshotAtoms leaves them alone.
+	if got := SnapshotAtoms(snap); &got[0] != &snap[0] {
 		t.Error("SnapshotAtoms copied a slice with nothing to snapshot")
 	}
 }
@@ -222,7 +189,7 @@ func TestSnapshotAtoms(t *testing.T) {
 // its snapshot while new cursors see the update.
 func TestApplyDeltaSnapshotIsolation(t *testing.T) {
 	db := deltaDB()
-	idx, err := db.TrieIndex("edge", []int{0, 1}, BackendCSR)
+	idx, err := db.TrieIndex("edge", []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

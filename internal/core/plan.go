@@ -11,9 +11,9 @@ import (
 // GAO-consistent atom indexes already bound (§4.1's physical design, derived
 // once). Engines that execute plans skip validation, attribute-order
 // resolution, and index binding entirely on every run. A Plan is immutable
-// after construction and safe to share across goroutines: the bound indexes
-// are read-only relations, and each execution builds its own iterator and
-// memo state.
+// after construction and safe to share across goroutines: DB.ApplyDelta
+// advances its bound indexes in place, each execution pins one snapshot of
+// them, and each execution builds its own iterator and memo state.
 type Plan struct {
 	// Query is the compiled query.
 	Query *query.Query
@@ -21,8 +21,6 @@ type Plan struct {
 	Algorithm string
 	// GAO is the resolved global attribute order.
 	GAO []string
-	// Backend is the index backend every atom is bound under.
-	Backend Backend
 	// Atoms holds the GAO-consistent index binding of each query atom, in
 	// q.Atoms order.
 	Atoms []AtomIndex
@@ -47,8 +45,8 @@ func (p *Plan) reads(rel string) bool {
 	return false
 }
 
-// PlanKey builds the plan-cache key for a query shape under one algorithm,
-// index backend, and (possibly empty) user-supplied GAO. variant
+// PlanKey builds the plan-cache key for a query shape under one algorithm
+// and (possibly empty) user-supplied GAO. variant
 // distinguishes compilations of the same shape that planner toggles would
 // change (e.g. Minesweeper with the skeleton idea disabled). The query's
 // variable order is part of the key: two queries with the same atom list but
@@ -56,13 +54,11 @@ func (p *Plan) reads(rel string) bool {
 // default GAOs and must not share a compilation. Extended queries render
 // their head, inlined constants, predicates, and aggregates into q.String(),
 // so projection, selection, and aggregation are all key dimensions.
-func PlanKey(algorithm, variant string, backend Backend, userGAO []string, q *query.Query) string {
+func PlanKey(algorithm, variant string, userGAO []string, q *query.Query) string {
 	var b strings.Builder
 	b.WriteString(algorithm)
 	b.WriteByte('|')
 	b.WriteString(variant)
-	b.WriteByte('|')
-	b.WriteString(string(backend))
 	b.WriteByte('|')
 	b.WriteString(strings.Join(userGAO, ","))
 	b.WriteByte('|')
@@ -119,22 +115,21 @@ func (db *DB) CachedPlanCount() int {
 }
 
 // NewPlan compiles a query for an engine: validates it, checks the GAO
-// covers every variable, binds the GAO-consistent indexes under the chosen
-// backend, and verifies atom/relation arity agreement. Counters for the work
-// performed are added to sc (which may be nil). NewPlan does not consult the
-// plan cache — see the engine package for the cached compilation entry
-// point.
-func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bool, betaCyclic bool, backend Backend, sc *StatsCollector) (*Plan, error) {
+// covers every variable, binds the GAO-consistent indexes, and verifies
+// atom/relation arity agreement. Counters for the work performed are added
+// to sc (which may be nil). NewPlan does not consult the plan cache — see
+// the engine package for the cached compilation entry point.
+//
+// The ignored string slot once named an index backend; the frozen
+// benchmark/probes.go still passes "" in it.
+func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bool, betaCyclic bool, _ string, sc *StatsCollector) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	if len(gao) != q.NumVars() {
 		return nil, fmt.Errorf("core: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), ErrUnboundVar)
 	}
-	if backend == "" {
-		backend = DefaultBackend
-	}
-	atoms, err := BindAtoms(q, db, gao, backend)
+	atoms, err := BindAtoms(q, db, gao)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +147,6 @@ func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bo
 		Query:      q,
 		Algorithm:  algorithm,
 		GAO:        gao,
-		Backend:    backend,
 		Atoms:      atoms,
 		InSkel:     inSkel,
 		BetaCyclic: betaCyclic,

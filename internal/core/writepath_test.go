@@ -165,26 +165,27 @@ func checkWriteGeneration(t *testing.T, db *DB, arity int, bound []IndexBackend,
 			}
 		}
 	}
-	// A flat plan compiled now binds indexes rebuilt from the flat view.
+	// A plan compiled now binds the advanced indexes, not rebuilt ones.
 	q, gao := wallQuery(arity)
-	plan, err := NewPlan(q, db, "lftj", gao, nil, false, BackendFlat, nil)
+	plan, err := NewPlan(q, db, "lftj", gao, nil, false, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, perm := range wallOrders[arity] {
-		if got := collect(t, plan.Atoms[i].Index); !sameTuples(got, oracle.sorted(perm)) {
-			t.Fatalf("flat plan atom %v: walk differs from the oracle", perm)
+		if plan.Atoms[i].Index != bound[i] {
+			t.Fatalf("plan atom %v: bound a rebuilt index instead of the cached one", perm)
 		}
 	}
 }
 
 // TestWritePathDifferential is the write path's wall: random hostile batches
 // against relations of arity 1–3 with several attribute orders bound, and
-// after every batch the flat view, the metadata, every cached CSR index, a
-// freshly compiled flat plan and a lease taken before the batch must all
-// agree with a map-set oracle. The small cases cross the proportional
-// compaction threshold many times; the large one crosses the absolute one
-// (overlayCompactMax) while the proportional rule is out of reach.
+// after every batch the flat view, the metadata, every cached CSR index and
+// a lease taken before the batch must all agree with a map-set oracle, and
+// a freshly compiled plan must bind the cached indexes. The small cases
+// cross the proportional compaction threshold many times; the large one
+// crosses the absolute one (overlayCompactMax) while the proportional rule is
+// out of reach.
 func TestWritePathDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name                          string
@@ -218,7 +219,7 @@ func TestWritePathDifferential(t *testing.T) {
 			db.Add(b.Build())
 			var bound []IndexBackend
 			for _, perm := range wallOrders[tc.arity] {
-				idx, err := db.TrieIndex("r", perm, BackendCSR)
+				idx, err := db.TrieIndex("r", perm)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,9 +22,9 @@ import (
 //	         chunk count, and row chunks (wire varint tuple lists)
 //
 // Rows are split into chunks of roughly snapChunkRows tuples, with each cut
-// grown forward to the next first-attribute boundary — the same rule
-// relation.NewShardedCSR uses for shard cuts — so a chunk is a
-// self-contained unit a later out-of-core backend can page independently.
+// grown forward to the next first-attribute boundary, so a chunk holds whole
+// first-level subtrees of the trie and is a self-contained unit a later
+// out-of-core index can page independently.
 // Snapshots are written to a temp file, fsynced, and renamed into place, so
 // a crash mid-checkpoint leaves at most a stale *.tmp file and never a
 // half-written snapshot under the live name.

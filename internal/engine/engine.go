@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,15 +95,10 @@ type Options struct {
 	MS minesweeper.Options
 	// GAO overrides the attribute order for LFTJ and Minesweeper.
 	GAO []string
-	// Backend selects the index backend for the trie-driven engines (LFTJ,
-	// Minesweeper): core.BackendCSR (the default), core.BackendCSRSharded
-	// (disjoint per-shard binding on the parallel Count path), or
-	// core.BackendFlat (the reference).
-	Backend core.Backend
 	// MaxRows caps pairwise-engine intermediates.
 	MaxRows int
-	// Plan, when set, is a compiled plan the engine executes directly
-	// (LFTJ, Minesweeper, and generic join); see Prepare.
+	// Plan, when set, is a compiled plan the engine executes directly (LFTJ
+	// and Minesweeper); see Prepare.
 	Plan *core.Plan
 	// Stats, when non-nil, receives execution counters from every engine on
 	// the unified core stats surface.
@@ -139,7 +133,7 @@ func New(opts Options) (core.Engine, error) {
 	case GraphLab:
 		return instrument(graphengine.Engine{Workers: opts.Workers}, opts.Stats), nil
 	case GenericJoin:
-		return instrument(genericjoin.Engine{GAO: opts.GAO, Plan: opts.Plan}, opts.Stats), nil
+		return instrument(genericjoin.Engine{GAO: opts.GAO}, opts.Stats), nil
 	default:
 		return nil, fmt.Errorf("engine: %w %q", ErrUnknownAlgorithm, opts.Algorithm)
 	}
@@ -196,7 +190,7 @@ func (p *parallel) Name() string { return string(p.opts.Algorithm) }
 
 func (p *parallel) single() core.Engine {
 	if p.opts.Algorithm == LFTJ {
-		opts := lftj.Options{GAO: p.opts.GAO, Backend: p.opts.Backend, Plan: p.opts.Plan, Stats: p.opts.Stats}
+		opts := lftj.Options{GAO: p.opts.GAO, Plan: p.opts.Plan, Stats: p.opts.Stats}
 		if r := p.opts.FirstVarRange; r != nil {
 			opts.FirstVarRange = &lftj.Range{Lo: r.Lo, Hi: r.Hi}
 		}
@@ -204,9 +198,6 @@ func (p *parallel) single() core.Engine {
 	}
 	ms := p.opts.MS
 	ms.GAO = p.opts.userGAO()
-	if ms.Backend == "" {
-		ms.Backend = p.opts.Backend
-	}
 	if r := p.opts.FirstVarRange; r != nil {
 		ms.FirstVarRange = &minesweeper.Range{Lo: r.Lo, Hi: r.Hi}
 	}
@@ -264,6 +255,9 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	if len(jobs) <= 1 {
 		return p.single().Count(ctx, q, db)
 	}
+	// Never more workers than jobs: Workers arrives unchecked from clients,
+	// and each worker costs a goroutine and an error-channel slot.
+	workers = min(workers, len(jobs))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var total atomic.Int64
@@ -306,14 +300,11 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 
 func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, lo, hi int64) (int64, error) {
 	if p.opts.Algorithm == LFTJ {
-		e := lftj.Engine{Opts: lftj.Options{GAO: p.opts.GAO, Backend: p.opts.Backend, FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: p.opts.Plan, Stats: p.opts.Stats}}
+		e := lftj.Engine{Opts: lftj.Options{GAO: p.opts.GAO, FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: p.opts.Plan, Stats: p.opts.Stats}}
 		return e.Count(ctx, q, db)
 	}
 	ms := p.opts.MS
 	ms.GAO = p.opts.userGAO()
-	if ms.Backend == "" {
-		ms.Backend = p.opts.Backend
-	}
 	ms.FirstVarRange = &minesweeper.Range{Lo: lo, Hi: hi}
 	ms.Plan = p.opts.Plan
 	ms.Collector = p.opts.Stats
@@ -325,18 +316,22 @@ func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, 
 
 // splitJobs partitions the first GAO variable's candidate values into up to
 // n contiguous ranges of roughly equal candidate counts (the paper's
-// "p equal-sized parts" of the output space). Under the csr-sharded backend
-// the cut points are taken from the shard boundaries instead, so every job
-// maps one-to-one onto a physically disjoint shard of the indexes leading
-// on the first attribute. A projected query whose first attribute is not in
-// its output is left whole: the same row could surface in several parts.
+// "p equal-sized parts" of the output space). The candidates are the
+// level-0 keys of the smallest atom index leading on that variable: already
+// distinct and sorted, read off the trie without materialising anything. A
+// projected query whose first attribute is not in its output is left whole:
+// the same row could surface in several parts.
 func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, error) {
 	var gao []string
-	if p.opts.Plan != nil {
-		gao = p.opts.Plan.GAO
+	var atoms []core.AtomIndex
+	if plan := p.opts.Plan; plan != nil {
+		gao, atoms = plan.GAO, plan.Atoms
 	} else {
 		var err error
 		if gao, err = ResolveGAO(p.opts, q); err != nil {
+			return nil, err
+		}
+		if atoms, err = core.BindAtoms(q, db, gao); err != nil {
 			return nil, err
 		}
 	}
@@ -344,45 +339,20 @@ func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, er
 	if _, pinned := q.Pinned(first); !pinned && !q.PartitionedBy(first) {
 		return nil, nil
 	}
-	if plan := p.opts.Plan; plan != nil && plan.Backend == core.BackendCSRSharded {
-		if jobs := shardJobs(plan); len(jobs) > 1 {
-			return jobs, nil
+	var best core.IndexBackend
+	for _, a := range atoms {
+		if a.VarPos[0] == 0 && (best == nil || a.Index.Len() < best.Len()) {
+			best = a.Index
 		}
 	}
-	atoms := q.AtomsWith(first)
-	if len(atoms) == 0 {
+	if best == nil {
 		return nil, fmt.Errorf("engine: variable %q unbound", first)
 	}
-	// Use the smallest relation containing the first variable to pick cut
-	// points from its distinct values on that column.
-	var bestRel *relation.Relation
-	bestCol := 0
-	for _, ai := range atoms {
-		r, err := db.Relation(q.Atoms[ai].Rel)
-		if err != nil {
-			return nil, err
-		}
-		col := 0
-		for c, v := range q.Atoms[ai].Vars {
-			if v == first {
-				col = c
-				break
-			}
-		}
-		if bestRel == nil || r.Len() < bestRel.Len() {
-			bestRel, bestCol = r, col
-		}
-	}
 	var values []int64
-	seen := make(map[int64]bool)
-	for i := 0; i < bestRel.Len(); i++ {
-		v := bestRel.Value(i, bestCol)
-		if !seen[v] {
-			seen[v] = true
-			values = append(values, v)
-		}
+	c := best.NewCursor()
+	for c.Open(); !c.AtEnd(); c.Next() {
+		values = append(values, c.Key())
 	}
-	sortInt64(values)
 	if n < 1 {
 		n = 1
 	}
@@ -404,39 +374,4 @@ func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, er
 	}
 	jobs = append(jobs, [2]int64{lo, relation.PosInf})
 	return jobs, nil
-}
-
-// shardJobs derives the job ranges from the shard boundaries of the plan's
-// sharded indexes: among the atoms whose index leads on the first GAO
-// attribute, the one with the most shards sets the cut points (its shards
-// are the finest physical partition of the first attribute). Each returned
-// job covers exactly one shard of that index, so the per-job RestrictAtoms
-// binding in the engines resolves to a single disjoint shard.
-func shardJobs(plan *core.Plan) [][2]int64 {
-	var best core.ShardedIndex
-	for _, a := range plan.Atoms {
-		if len(a.VarPos) == 0 || a.VarPos[0] != 0 {
-			continue
-		}
-		if si, ok := a.Index.(core.ShardedIndex); ok {
-			if best == nil || si.NumShards() > best.NumShards() {
-				best = si
-			}
-		}
-	}
-	if best == nil || best.NumShards() <= 1 {
-		return nil
-	}
-	starts := best.ShardStarts()
-	jobs := make([][2]int64, 0, len(starts))
-	lo := int64(-1)
-	for _, s := range starts[1:] {
-		jobs = append(jobs, [2]int64{lo, s})
-		lo = s
-	}
-	return append(jobs, [2]int64{lo, relation.PosInf})
-}
-
-func sortInt64(v []int64) {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 }

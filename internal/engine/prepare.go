@@ -13,30 +13,26 @@ import (
 // pinned to the compiled plan: validation, GAO resolution, and index binding
 // happen here (or are answered from the DB's plan cache) and never again on
 // Count/Enumerate. Algorithms without a plan representation (the pairwise
-// baselines, Yannakakis, GraphLab, and the hybrid) are validated and
-// returned unplanned — plan is nil and each run re-derives whatever internal
-// state it needs. Counters for the compilation land on opts.Stats.
+// baselines, Yannakakis, GraphLab, the hybrid, and generic join) are
+// validated and returned unplanned — plan is nil and each run re-derives
+// whatever internal state it needs. Counters for the compilation land on
+// opts.Stats.
 //
-// The algorithm and backend names are validated eagerly here with typed
-// errors (ErrUnknownAlgorithm, core.ErrUnknownBackend) — an unknown name
-// never falls through to engine selection or index binding.
+// The algorithm name is validated eagerly here with a typed error
+// (ErrUnknownAlgorithm) — an unknown name never falls through to engine
+// selection or index binding.
 func Prepare(opts Options, q *query.Query, db *core.DB) (core.Engine, *core.Plan, error) {
 	alg, err := ParseAlgorithm(string(opts.Algorithm))
 	if err != nil {
 		return nil, nil, err
 	}
 	opts.Algorithm = alg
-	backend, err := core.ParseBackend(string(opts.Backend))
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Backend = backend
 	if q.Extended() && alg != LFTJ && alg != MS {
 		return nil, nil, fmt.Errorf("engine: query %q uses projection, predicates, or aggregates: %w (%q supports plain joins only; use lftj or ms)",
 			q.Name, ErrUnsupportedQuery, alg)
 	}
 	switch opts.Algorithm {
-	case LFTJ, MS, GenericJoin:
+	case LFTJ, MS:
 		plan, err := CompilePlan(opts, q, db)
 		if err != nil {
 			return nil, nil, err
@@ -88,30 +84,22 @@ func (o Options) userGAO() []string {
 }
 
 // CompilePlan resolves the GAO and binds the GAO-consistent indexes for a
-// plan-aware algorithm, consulting and populating the DB's plan cache. The
-// cache key is the query shape × algorithm × index backend × user-supplied
-// GAO (plus planner toggles that change compilation); entries are dropped
-// when DB.Add replaces a relation the plan reads.
+// plan-aware algorithm (LFTJ, Minesweeper), consulting and populating the
+// DB's plan cache. The cache key is the query shape × algorithm ×
+// user-supplied GAO (plus planner toggles that change compilation); entries
+// are dropped when DB.Add replaces a relation the plan reads.
 func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) {
 	alg := opts.Algorithm
 	if alg == "" {
 		alg = LFTJ
 	}
 	opts.Algorithm = alg
-	backend, err := core.ParseBackend(string(opts.Backend))
-	if err != nil {
-		return nil, err
-	}
-	if alg == GenericJoin {
-		// Generic join executes over flat row spans; see genericjoin.
-		backend = core.BackendFlat
-	}
 	userGAO := opts.userGAO()
 	variant := ""
 	if alg == MS && opts.MS.DisableSkeleton {
 		variant = "noskel"
 	}
-	key := core.PlanKey(string(alg), variant, backend, userGAO, q)
+	key := core.PlanKey(string(alg), variant, userGAO, q)
 	p, version, ok := db.CachedPlan(key)
 	if ok {
 		opts.Stats.Add(core.Stats{PlanCacheHits: 1})
@@ -134,7 +122,7 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 		betaCyclic = !acyclic
 	}
 	opts.Stats.Add(core.Stats{GAODerivations: 1})
-	plan, err := core.NewPlan(q, db, string(alg), gao, inSkel, betaCyclic, backend, opts.Stats)
+	plan, err := core.NewPlan(q, db, string(alg), gao, inSkel, betaCyclic, "", opts.Stats)
 	if err != nil {
 		return nil, err
 	}

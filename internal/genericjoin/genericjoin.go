@@ -24,13 +24,12 @@ import (
 	"repro/internal/relation"
 )
 
-// Engine is the materializing generic-join engine.
+// Engine is the materializing generic-join engine. It narrows explicit row
+// spans over flat GAO-consistent relations (core.DB.Index), so like the other
+// ablation baselines it has no compiled plan and binds per run.
 type Engine struct {
 	// GAO overrides the variable order; empty means hypergraph.ChooseGAO's.
 	GAO []string
-	// Plan, when set, is a compiled plan for the query: validation, GAO
-	// resolution, and index binding are skipped.
-	Plan *core.Plan
 }
 
 // Name implements core.Engine.
@@ -48,33 +47,31 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 
 // Enumerate implements core.Engine.
 func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	var gao []string
-	var atoms []core.AtomIndex
-	if p := e.Plan; p != nil {
-		gao, atoms = p.GAO, p.Atoms
-	} else {
-		if err := q.Validate(); err != nil {
-			return err
-		}
-		gao = e.GAO
-		if gao == nil {
-			gao, _ = hypergraph.ChooseGAO(q, e.Name())
-		}
-		if len(gao) != q.NumVars() {
-			return fmt.Errorf("genericjoin: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
-		}
-		// Generic join narrows explicit row spans over the flat rows, so it
-		// always binds the flat backend regardless of plan-level selection.
-		var err error
-		atoms, err = core.BindAtoms(q, db, gao, core.BackendFlat)
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	gao := e.GAO
+	if gao == nil {
+		gao, _ = hypergraph.ChooseGAO(q, e.Name())
+	}
+	if len(gao) != q.NumVars() {
+		return fmt.Errorf("genericjoin: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
+	}
+	pos := core.GAOPositions(gao)
+	atoms := make([]atom, len(q.Atoms))
+	for i, a := range q.Atoms {
+		order, varPos, err := core.AtomOrder(a, pos)
 		if err != nil {
 			return err
 		}
-		for i, a := range atoms {
-			if a.Rel.Arity() != len(q.Atoms[i].Vars) {
-				return fmt.Errorf("genericjoin: atom %s arity mismatch with relation %s", q.Atoms[i], a.Rel)
-			}
+		r, err := db.Index(a.Rel, order)
+		if err != nil {
+			return err
 		}
+		if r.Arity() != len(a.Vars) {
+			return fmt.Errorf("genericjoin: atom %s arity mismatch with relation %s", a, r)
+		}
+		atoms[i] = atom{rel: r, varPos: varPos}
 	}
 	ex := &exec{
 		n:       len(gao),
@@ -93,7 +90,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	// reach the depth, because atom columns are GAO-sorted).
 	ex.byVar = make([][]participant, len(gao))
 	for ai, a := range atoms {
-		for lvl, p := range a.VarPos {
+		for lvl, p := range a.varPos {
 			ex.byVar[p] = append(ex.byVar[p], participant{atom: ai, level: lvl})
 		}
 	}
@@ -106,6 +103,14 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	return err
 }
 
+// atom is one query atom bound to its GAO-consistent flat relation: the
+// relation with its columns sorted by GAO position, and the GAO position of
+// each column.
+type atom struct {
+	rel    *relation.Relation
+	varPos []int
+}
+
 // participant says atom `atom` constrains the current variable at trie
 // level `level`.
 type participant struct {
@@ -115,7 +120,7 @@ type participant struct {
 
 type exec struct {
 	n       int
-	atoms   []core.AtomIndex
+	atoms   []atom
 	byVar   [][]participant
 	binding []int64
 	outPerm []int
@@ -130,10 +135,10 @@ type span struct {
 	lo, hi int
 }
 
-func rangesAll(atoms []core.AtomIndex) []span {
+func rangesAll(atoms []atom) []span {
 	out := make([]span, len(atoms))
 	for i, a := range atoms {
-		out[i] = span{0, a.Rel.Len()}
+		out[i] = span{0, a.rel.Len()}
 	}
 	return out
 }
@@ -156,7 +161,7 @@ func (ex *exec) run(d int, spans []span) (bool, error) {
 			smallest, smallestSize = p, w
 		}
 	}
-	r := ex.atoms[smallest.atom].Rel
+	r := ex.atoms[smallest.atom].rel
 	sp := spans[smallest.atom]
 	for row := sp.lo; row < sp.hi; {
 		v := r.Value(row, smallest.level)
@@ -176,7 +181,7 @@ func (ex *exec) run(d int, spans []span) (bool, error) {
 			// Narrow every participating atom's span to value v.
 			childSpans := append([]span(nil), spans...)
 			for _, p := range parts {
-				pr := ex.atoms[p.atom].Rel
+				pr := ex.atoms[p.atom].rel
 				psp := childSpans[p.atom]
 				lo := lower(pr, p.level, psp.lo, psp.hi, v)
 				hi := upper(pr, p.level, lo, psp.hi, v)
@@ -213,7 +218,7 @@ func width(ex *exec, p participant, spans []span) int {
 }
 
 func contains(ex *exec, p participant, spans []span, v int64) bool {
-	r := ex.atoms[p.atom].Rel
+	r := ex.atoms[p.atom].rel
 	sp := spans[p.atom]
 	lo := lower(r, p.level, sp.lo, sp.hi, v)
 	return lo < sp.hi && r.Value(lo, p.level) == v

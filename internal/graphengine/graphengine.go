@@ -115,6 +115,9 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// Never more workers than vertices to claim: Workers arrives unchecked
+	// from clients, and each worker is a goroutine.
+	workers = min(workers, max(len(g.ids), 1))
 	var total atomic.Int64
 	var wg sync.WaitGroup
 	ctx, cancel := context.WithCancel(ctx)

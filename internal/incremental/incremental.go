@@ -24,12 +24,11 @@
 // error path leaves the database partially updated, and a durable store
 // logs the maintenance batch as a single write-ahead record.
 //
-// Views run on the CSR backend by default: the atomic apply folds each
-// batch into the cached CSR indexes' delta overlays (relation.Overlay) in
-// time proportional to the small log rather than an index rebuild, so the
-// compiled delta plans — and the physical indexes they bind — survive
-// arbitrarily many batches. Only the tiny Δ relations' atoms are re-bound
-// per batch.
+// The atomic apply folds each batch into the cached indexes' delta overlays
+// (relation.Overlay) in time proportional to the small log rather than an
+// index rebuild, so the compiled delta plans — and the physical indexes they
+// bind — survive arbitrarily many batches. Only the tiny Δ relations' atoms
+// are re-bound per batch.
 package incremental
 
 import (
@@ -67,25 +66,24 @@ const termBudget = 1 << 20
 // View is a maintained count of a query over a database. The delta queries
 // it evaluates per update batch are planned once: the GAO and the per-mask
 // term queries are derived at construction (or on a relation's first
-// update), and under the CSR backend the compiled plans themselves are
-// cached across batches — ApplyDelta keeps their bound indexes current, so
-// per batch only the delta relation's atoms are re-bound.
+// update), and the compiled plans themselves are cached across batches —
+// ApplyDelta keeps their bound indexes current, so per batch only the delta
+// relation's atoms are re-bound.
 type View struct {
-	q       *query.Query
-	db      *core.DB
-	backend core.Backend
-	count   int64
-	gao     []string
-	gaoPos  map[string]int
+	q      *query.Query
+	db     *core.DB
+	count  int64
+	gao    []string
+	gaoPos map[string]int
 	// occ[rel] lists the atom indices referencing rel.
 	occ map[string][]int
 	// terms caches correction-term queries by assignment signature (one
 	// byte per atom: base/del/ins), so a recurring batch shape reuses the
 	// same *query.Query — and through it the same cached plan.
 	terms map[string]*query.Query
-	// plans caches compiled plans per term query (CSR backend only); valid
-	// while dbVersion matches the database's mutation counter as tracked
-	// through the view's own updates.
+	// plans caches compiled plans per term query; valid while dbVersion
+	// matches the database's mutation counter as tracked through the view's
+	// own updates.
 	plans     map[*query.Query]*core.Plan
 	dbVersion int64
 	sc        *core.StatsCollector
@@ -102,38 +100,21 @@ type View struct {
 // the same database the view reads, atomically.
 func (v *View) SetApply(fn func([]core.DeltaBatch) error) { v.apply = fn }
 
-// NewView computes the initial count and returns the maintained view on the
-// default backend.
+// NewView computes the initial count and returns the maintained view.
 func NewView(ctx context.Context, q *query.Query, db *core.DB) (*View, error) {
-	return NewViewBackend(ctx, q, db, core.DefaultBackend)
-}
-
-// NewViewBackend is NewView with an explicit index backend for the delta
-// queries. The CSR backend is the fast path (incremental index maintenance
-// through delta overlays); flat and csr-sharded re-bind their physical
-// indexes per batch and serve as the differential-testing reference.
-func NewViewBackend(ctx context.Context, q *query.Query, db *core.DB, backend core.Backend) (*View, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if backend == "" {
-		backend = core.DefaultBackend
-	}
 	gao := q.Vars()
-	pos := make(map[string]int, len(gao))
-	for i, v := range gao {
-		pos[v] = i
-	}
 	v := &View{
-		q:       q,
-		db:      db,
-		backend: backend,
-		gao:     gao,
-		gaoPos:  pos,
-		occ:     make(map[string][]int),
-		terms:   make(map[string]*query.Query),
-		plans:   make(map[*query.Query]*core.Plan),
-		sc:      &core.StatsCollector{},
+		q:      q,
+		db:     db,
+		gao:    gao,
+		gaoPos: core.GAOPositions(gao),
+		occ:    make(map[string][]int),
+		terms:  make(map[string]*query.Query),
+		plans:  make(map[*query.Query]*core.Plan),
+		sc:     &core.StatsCollector{},
 	}
 	v.apply = db.ApplyDeltas
 	v.sc.Add(core.Stats{GAODerivations: 1})
@@ -161,15 +142,10 @@ func (v *View) run(ctx context.Context, q *query.Query) (int64, error) {
 	return e.Count(ctx, q, v.db)
 }
 
-// planFor returns a plan for q. Under the CSR backend the base compilation
-// is cached across batches (the atomic delta apply keeps its bound indexes
-// current in place) and only atoms over @ins/@del scratch relations are
-// re-bound; other backends recompile per run, because the apply invalidates
-// their physical indexes.
+// planFor returns a plan for q. The base compilation is cached across
+// batches (the atomic delta apply keeps its bound indexes current in place)
+// and only atoms over @ins/@del scratch relations are re-bound.
 func (v *View) planFor(q *query.Query) (*core.Plan, error) {
-	if v.backend != core.BackendCSR {
-		return core.NewPlan(q, v.db, "lftj", v.gao, nil, false, v.backend, v.sc)
-	}
 	if ver := v.db.Version(); ver != v.dbVersion {
 		// The database changed outside this view's own updates; cached
 		// plans may bind replaced indexes. Drop and recompile.
@@ -179,7 +155,7 @@ func (v *View) planFor(q *query.Query) (*core.Plan, error) {
 	base, ok := v.plans[q]
 	if !ok {
 		var err error
-		base, err = core.NewPlan(q, v.db, "lftj", v.gao, nil, false, v.backend, v.sc)
+		base, err = core.NewPlan(q, v.db, "lftj", v.gao, nil, false, "", v.sc)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +179,7 @@ func (v *View) planFor(q *query.Query) (*core.Plan, error) {
 		if !isScratch(a.Rel) {
 			continue
 		}
-		ai, err := core.BindAtom(a, v.db, v.gaoPos, v.backend)
+		ai, err := core.BindAtom(a, v.db, v.gaoPos)
 		if err != nil {
 			return nil, err
 		}
@@ -220,14 +196,11 @@ func (v *View) sync() { v.dbVersion = v.db.Version() }
 // Count returns the maintained count.
 func (v *View) Count() int64 { return v.count }
 
-// Backend returns the index backend the view's delta queries run on.
-func (v *View) Backend() core.Backend { return v.backend }
-
 // Stats returns the view's accumulated planning and execution counters.
 // GAODerivations stays at 1 across arbitrarily many update batches — the
 // attribute order and term queries are derived once. IndexBindings grows
-// only with the delta atoms re-bound per batch (the base relations' CSR
-// indexes are maintained in place by ApplyDelta and never re-bound).
+// only with the delta atoms re-bound per batch (the base relations' indexes
+// are maintained in place by ApplyDelta and never re-bound).
 func (v *View) Stats() core.Stats { return v.sc.Snapshot() }
 
 // Recount recomputes from scratch (for verification).
@@ -419,15 +392,9 @@ type GraphView struct {
 	*View
 }
 
-// NewGraphView builds a maintained view over the graph schema on the
-// default backend.
+// NewGraphView builds a maintained view over the graph schema.
 func NewGraphView(ctx context.Context, q *query.Query, db *core.DB) (*GraphView, error) {
-	return NewGraphViewBackend(ctx, q, db, core.DefaultBackend)
-}
-
-// NewGraphViewBackend is NewGraphView with an explicit index backend.
-func NewGraphViewBackend(ctx context.Context, q *query.Query, db *core.DB, backend core.Backend) (*GraphView, error) {
-	v, err := NewViewBackend(ctx, q, db, backend)
+	v, err := NewView(ctx, q, db)
 	if err != nil {
 		return nil, err
 	}

@@ -26,9 +26,6 @@ type Range struct {
 type Options struct {
 	// GAO overrides the variable order; empty means hypergraph.ChooseGAO's.
 	GAO []string
-	// Backend selects the index backend for the unplanned path (empty means
-	// core.DefaultBackend); a compiled Plan carries its own backend.
-	Backend core.Backend
 	// FirstVarRange restricts the first GAO variable for parallel jobs.
 	FirstVarRange *Range
 	// Plan, when set, is a compiled plan for the query: validation, GAO
@@ -76,7 +73,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 			return fmt.Errorf("lftj: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
 		}
 		var err error
-		atoms, err = core.BindAtoms(q, db, gao, e.Opts.Backend)
+		atoms, err = core.BindAtoms(q, db, gao)
 		if err != nil {
 			return err
 		}
@@ -93,12 +90,6 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	// Pin overlay-backed indexes to one snapshot for this whole run, so a
 	// concurrent DB.ApplyDelta can never mix two index states mid-join.
 	atoms = core.SnapshotAtoms(atoms)
-	if rng := e.Opts.FirstVarRange; rng != nil {
-		// §4.10 parallel job: bind atoms leading on the first GAO attribute
-		// to just the shards covering this job's range, so concurrent
-		// workers walk disjoint physical indexes.
-		atoms = core.RestrictAtoms(atoms, rng.Lo, rng.Hi)
-	}
 	ex := &exec{
 		n:       len(gao),
 		last:    push.EmitDepth(len(gao)) - 1,

@@ -24,7 +24,7 @@ func TestMinesweeperSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atoms, err := core.BindAtoms(q, db, gao, core.DefaultBackend)
+	atoms, err := core.BindAtoms(q, db, gao)
 	if err != nil {
 		t.Fatal(err)
 	}

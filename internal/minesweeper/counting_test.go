@@ -65,7 +65,7 @@ func TestCounterContextShape(t *testing.T) {
 	if len(gao) != 4 {
 		t.Fatalf("gao = %v", gao)
 	}
-	atoms, err := core.BindAtoms(q, testutil.GraphDB(testutil.K4, map[string][]int64{query.Sample1: {0}, query.Sample2: {1}}), gao, "")
+	atoms, err := core.BindAtoms(q, testutil.GraphDB(testutil.K4, map[string][]int64{query.Sample1: {0}, query.Sample2: {1}}), gao)
 	if err != nil {
 		t.Fatal(err)
 	}

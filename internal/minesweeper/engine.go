@@ -24,9 +24,6 @@ type Options struct {
 	// GAO overrides the automatically selected global attribute order
 	// (Table 4 runs Minesweeper under explicit orders).
 	GAO []string
-	// Backend selects the index backend for the unplanned path (empty means
-	// core.DefaultBackend); a compiled Plan carries its own backend.
-	Backend core.Backend
 	// DisableMemo turns off Idea 4 (avoid repeated seekGap calls).
 	DisableMemo bool
 	// DisableComplete turns off Idea 6 (complete nodes).
@@ -204,7 +201,7 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 		if err != nil {
 			return 0, err
 		}
-		atoms, err = core.BindAtoms(q, db, gao, e.Opts.Backend)
+		atoms, err = core.BindAtoms(q, db, gao)
 		if err != nil {
 			return 0, err
 		}
@@ -223,13 +220,6 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 	// probes (the CDS would otherwise accumulate gaps from different
 	// database states).
 	atoms = core.SnapshotAtoms(atoms)
-	if r := e.Opts.FirstVarRange; r != nil {
-		// §4.10 parallel job: bind atoms leading on the first GAO attribute
-		// to just the shards covering this job's range (disjoint physical
-		// indexes per worker). Gap probes against the restricted view are
-		// exact for every free tuple inside the job's range.
-		atoms = core.RestrictAtoms(atoms, r.Lo, r.Hi)
-	}
 	ex := takeFrame()
 	defer ex.release()
 	ex.reset(ctx, q, gao, atoms, inSkel, push, emit, e.Opts)

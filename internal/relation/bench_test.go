@@ -41,7 +41,7 @@ func BenchmarkCSRBuild100k(b *testing.B) {
 	}
 }
 
-// fullScan drives a two-level depth-first walk through either backend's
+// fullScan drives a two-level depth-first walk through either access path's
 // cursor (the shapes BenchmarkTrieIteratorFullScan and BenchmarkCSR*FullScan
 // compare).
 func fullScan(it trieCursor) {
@@ -115,31 +115,6 @@ func BenchmarkProbeGap(b *testing.B) {
 
 func BenchmarkCSRProbeGap(b *testing.B) {
 	t := NewCSRTrie(benchRelation(b, 100_000))
-	rng := rand.New(rand.NewSource(3))
-	points := make([][]int64, 1024)
-	for i := range points {
-		points[i] = []int64{int64(rng.Intn(30_000)), int64(rng.Intn(30_000))}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range points {
-			t.ProbeGap(p)
-		}
-	}
-}
-
-func BenchmarkShardedCursorFullScan(b *testing.B) {
-	t := NewShardedCSR(benchRelation(b, 100_000), 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fullScan(NewShardedCursor(t))
-	}
-}
-
-func BenchmarkShardedProbeGap(b *testing.B) {
-	t := NewShardedCSR(benchRelation(b, 100_000), 8)
 	rng := rand.New(rand.NewSource(3))
 	points := make([][]int64, 1024)
 	for i := range points {

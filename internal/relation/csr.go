@@ -128,7 +128,7 @@ func (t *CSRTrie) String() string {
 // seekGap, Algorithm 3): walk the materialized levels with one bounded
 // binary search each, descending through O(1) child-range lookups instead of
 // re-narrowing full row ranges. Gap semantics are identical to the flat
-// backend's.
+// reference's.
 func (t *CSRTrie) ProbeGap(point []int64) (gap Gap, found bool) {
 	if len(point) != t.arity {
 		panic("relation: ProbeGap point length mismatch")

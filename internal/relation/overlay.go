@@ -15,11 +15,10 @@ func OverlayCompactions() int64 { return compactions.Load() }
 // base) and dels (base tuples that have been deleted) — materialized as
 // tiny CSR tries of their own. Cursors and gap probes merge the three at
 // trie-cursor level, so an update batch costs O(|log|) instead of the
-// O(arity · n) full trie rebuild the plain CSR backend would need; when the
-// logs grow past a fraction of the base, Apply compacts them into a fresh
-// base trie and starts over. This is the structure that lets incremental
-// views (internal/incremental) keep their delta-query atoms on the fast CSR
-// backend instead of pinning the flat reference backend.
+// O(arity · n) full trie rebuild a plain CSR trie would need; when the logs
+// grow past a fraction of the base, Apply compacts them into a fresh base
+// trie and starts over. This is the structure every GAO-consistent index of
+// the database is (core.DB.TrieIndex), so compiled plans survive writes.
 //
 // Invariants (established by the caller, checked against in Apply):
 // adds ∩ base = ∅, dels ⊆ base, adds ∩ dels = ∅. An Overlay is immutable —

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -168,6 +170,68 @@ func FuzzDecodePayloads(f *testing.F) {
 			if s2 != s {
 				t.Fatalf("stats round trip: %+v != %+v", s2, s)
 			}
+		}
+	})
+}
+
+// FuzzDecodeOptions runs what a client can put in Options — any bytes the
+// options decoder accepts — through Prepare and Count of a triangle query on
+// a small fixed store, under a 2 s deadline. The invariants: nothing panics,
+// and an unsharded count that Prepare accepts equals the count for the same
+// options on one worker (no option but the shard changes the answer).
+func FuzzDecodeOptions(f *testing.F) {
+	seed := func(o repro.Options) []byte {
+		var e Enc
+		EncodeOptions(&e, o)
+		return e.Bytes()
+	}
+	f.Add(seed(repro.Options{Workers: 1 << 50}))
+	f.Add(seed(repro.Options{Algorithm: repro.MS, Workers: -3}))
+	f.Add(seed(repro.Options{Workers: 4, Granularity: 1 << 62}))
+	f.Add(seed(repro.Options{Algorithm: "nope"}))
+	f.Add(seed(repro.Options{Algorithm: repro.GraphLab, Workers: 1 << 50}))
+	f.Add(seed(repro.Options{Workers: 2, Shard: &repro.Shard{Kind: repro.ShardHash, Mod: 3, Res: 1}}))
+	// A version-4 payload: the index backend name sat between GAO and flags.
+	var v4 Enc
+	v4.Str(string(repro.LFTJ))
+	v4.Int(4)
+	v4.Int(0)
+	v4.StrList([]string{"a", "b", "c"})
+	v4.Str("flat")
+	v4.U64(0)
+	v4.Int(0)
+	v4.U64(0)
+	f.Add(v4.Bytes())
+	st := repro.GenerateGraph(repro.HolmeKim, 60, 200, 1).Store()
+	q := repro.Triangles()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDec(data)
+		o := DecodeOptions(d)
+		if d.Err() != nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		p, err := st.Prepare(q, o)
+		if err != nil {
+			return
+		}
+		n, err := p.Count(ctx)
+		if o.Shard != nil || ctx.Err() != nil {
+			return
+		}
+		seq := o
+		seq.Workers = 1
+		ps, err1 := st.Prepare(q, seq)
+		if err1 != nil {
+			t.Fatalf("options %+v prepare, but not on one worker: %v", o, err1)
+		}
+		n1, err1 := ps.Count(ctx)
+		if ctx.Err() != nil {
+			return
+		}
+		if (err == nil) != (err1 == nil) || n != n1 {
+			t.Fatalf("options %+v count %d (%v), on one worker %d (%v)", o, n, err, n1, err1)
 		}
 	})
 }

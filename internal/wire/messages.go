@@ -34,7 +34,6 @@ const (
 	CodeRelationExists   = "relation-exists"
 	CodeValueOutOfRange  = "value-out-of-range"
 	CodeUnknownAlgorithm = "unknown-algorithm"
-	CodeUnknownBackend   = "unknown-backend"
 	CodeUnboundHeadVar   = "unbound-head-var"
 	CodeUnboundVar       = "unbound-var"
 	CodeUnboundPredVar   = "unbound-pred-var"
@@ -87,7 +86,6 @@ var codeTable = []struct {
 	{CodeRelationExists, repro.ErrRelationExists},
 	{CodeValueOutOfRange, repro.ErrValueOutOfRange},
 	{CodeUnknownAlgorithm, repro.ErrUnknownAlgorithm},
-	{CodeUnknownBackend, repro.ErrUnknownBackend},
 	{CodeUnboundHeadVar, repro.ErrUnboundHeadVar},
 	{CodeUnboundVar, repro.ErrUnboundVar},
 	{CodeUnboundPredVar, repro.ErrUnboundPredVar},
@@ -273,7 +271,6 @@ func EncodeOptions(e *Enc, o repro.Options) {
 	e.Int(o.Workers)
 	e.Int(o.Granularity)
 	e.StrList(o.GAO)
-	e.Str(string(o.Backend))
 	var flags uint64
 	if o.DisableProbeMemo {
 		flags |= flagDisableProbeMemo
@@ -311,7 +308,6 @@ func DecodeOptions(d *Dec) repro.Options {
 	o.Workers = d.Int()
 	o.Granularity = d.Int()
 	o.GAO = d.StrList()
-	o.Backend = repro.Backend(d.Str())
 	flags := d.U64()
 	o.DisableProbeMemo = flags&flagDisableProbeMemo != 0
 	o.DisableComplete = flags&flagDisableComplete != 0

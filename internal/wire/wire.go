@@ -33,8 +33,9 @@ import (
 // query payload with predicates and aggregate terms; version 3 extended the
 // prepare options with the shard spec the distributed router fans out.
 // Version 4 prefixes every dispatched request body with a trace context
-// (flag 0 = untraced) and adds the TTrace fetch.
-const ProtocolVersion = 4
+// (flag 0 = untraced) and adds the TTrace fetch. Version 5 drops the index
+// backend name from the prepare options.
+const ProtocolVersion = 5
 
 // MaxFrame bounds a frame's payload (64 MiB). Oversized frames indicate a
 // corrupt or malicious peer; both ends drop the connection.

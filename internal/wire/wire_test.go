@@ -236,7 +236,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 		Workers:           4,
 		Granularity:       8,
 		GAO:               []string{"b", "a"},
-		Backend:           repro.BackendCSRSharded,
 		DisableProbeMemo:  true,
 		DisableSkeleton:   true,
 		DisableCountReuse: true,
@@ -251,7 +250,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	}
 	if out.Algorithm != in.Algorithm || out.Workers != in.Workers ||
 		out.Granularity != in.Granularity || len(out.GAO) != 2 || out.GAO[0] != "b" ||
-		out.Backend != in.Backend || !out.DisableProbeMemo || out.DisableComplete ||
+		!out.DisableProbeMemo || out.DisableComplete ||
 		!out.DisableSkeleton || !out.DisableCountReuse || out.MaxRows != in.MaxRows {
 		t.Fatalf("options round trip: got %+v, want %+v", out, in)
 	}
@@ -282,7 +281,6 @@ func TestErrorCodes(t *testing.T) {
 		repro.ErrRelationExists,
 		repro.ErrValueOutOfRange,
 		repro.ErrUnknownAlgorithm,
-		repro.ErrUnknownBackend,
 		repro.ErrTxnUnplanned,
 		repro.ErrForeignPrepared,
 		context.Canceled,

@@ -25,14 +25,16 @@ import (
 //
 // A Prepared handle is safe for concurrent use: the plan is immutable, every
 // execution builds its own iterator and memo state, and the stats collector
-// is synchronized. On the default CSR backend, incremental writes routed
-// through Store.Apply advance the handle's indexes in place, so the handle
-// keeps serving current data; handles on the flat and csr-sharded backends
-// hold immutable indexes and keep serving their Prepare-time state after
-// writes. Bulk replacements (Store.Load, SetSelectivity, SetSamples) swap
-// whole relations and never re-point existing handles on any backend. In
-// both cases, Prepare again to pick up the new design — the underlying plan
-// cache makes re-preparing an unchanged shape cheap.
+// is synchronized.
+//
+// Freshness: a handle follows writes. Incremental writes (Store.Apply,
+// Graph.ApplyEdges, CountView.ApplyEdges) advance the handle's indexes in
+// place, so every later execution counts the post-write state; each single
+// execution reads one consistent snapshot. Bulk replacements (Store.Load,
+// SetSelectivity, SetSamples) swap whole relations instead and never
+// re-point existing handles: Prepare again after one — the underlying plan
+// cache makes re-preparing an unchanged shape cheap. To read one fixed state
+// across several executions, use a ReadTxn.
 type Prepared struct {
 	s       *Store
 	q       *Query
@@ -52,10 +54,10 @@ type Prepared struct {
 }
 
 // prepare compiles the query against a store (schema checks already done by
-// the callers). For the plan-aware algorithms (lftj, ms, genericjoin) the
-// compiled plan is cached on the store's database — keyed on query shape ×
-// algorithm × backend × GAO and invalidated when a relation it reads is
-// replaced — so preparing the same shape twice reuses the first compilation.
+// the callers). For the plan-aware algorithms (lftj, ms) the compiled plan is
+// cached on the store's database — keyed on query shape × algorithm × GAO
+// and invalidated when a relation it reads is replaced — so preparing the
+// same shape twice reuses the first compilation.
 func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	if err := validateShard(opts); err != nil {
 		return nil, err
@@ -361,9 +363,6 @@ type Explanation struct {
 	// no competitor.
 	RunnerUp      []string
 	RunnerUpScore GAOScore
-	// Backend is the index backend every atom is bound under (BackendFlat,
-	// BackendCSR, or BackendCSRSharded; empty when not Planned).
-	Backend Backend
 	// BetaCyclic reports whether the query needed Minesweeper's skeleton
 	// split (and drives the §4.10 parallel-granularity default).
 	BetaCyclic bool
@@ -414,9 +413,6 @@ func (e Explanation) String() string {
 			fmt.Fprintf(&b, "  (runner-up %s: %s)", strings.Join(e.RunnerUp, " < "), scoreString(e.RunnerUpScore))
 		}
 		b.WriteString("\n")
-		if e.Backend != "" {
-			fmt.Fprintf(&b, "backend %s\n", e.Backend)
-		}
 		for _, a := range e.Atoms {
 			skel := ""
 			if !a.InSkeleton {
@@ -479,7 +475,6 @@ func (p *Prepared) Explain() Explanation {
 		best, second := hypergraph.RankGAO(p.q, p.alg)
 		e.Score, e.RunnerUp, e.RunnerUpScore = best.Score, second.GAO, second.Score
 	}
-	e.Backend = plan.Backend
 	e.BetaCyclic = plan.BetaCyclic
 	for i, a := range plan.Atoms {
 		cols := make([]string, len(a.VarPos))

@@ -17,7 +17,7 @@ func TestPrepareExecuteCompilesOnce(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 300, 1200, 6)
 	g.SetSelectivity(5, 2)
-	for _, alg := range []Algorithm{LFTJ, MS, GenericJoin} {
+	for _, alg := range []Algorithm{LFTJ, MS} {
 		q := Paths(3)
 		p, err := g.Prepare(q, Options{Algorithm: alg, Workers: 1})
 		if err != nil {

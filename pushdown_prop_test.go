@@ -15,8 +15,7 @@ import (
 // constants at and beyond both ends of the storage domain, and predicate
 // combinations that compile to empty ranges — executing with pushed-down
 // seek bounds must equal the unpushed plain join post-filtered by the same
-// predicates (the brute-force reference), on both engines and the
-// incremental backends.
+// predicates (the brute-force reference), on both engines.
 func TestPushdownEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Constants stress the boundary arithmetic: far below the domain,
@@ -70,15 +69,13 @@ func TestPushdownEquivalenceProperty(t *testing.T) {
 		}
 		want := referenceEval(t, s, q)
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			for _, backend := range []Backend{BackendFlat, BackendCSR} {
-				p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend})
-				if err != nil {
-					t.Fatalf("trial %d %s/%s prepare (%v): %v", trial, alg, backend, preds, err)
-				}
-				rows := collectRows(t, p)
-				sortedRows(rows)
-				requireSameRows(t, fmt.Sprintf("trial %d %s/%s preds %v", trial, alg, backend, preds), rows, want)
+			p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1})
+			if err != nil {
+				t.Fatalf("trial %d %s prepare (%v): %v", trial, alg, preds, err)
 			}
+			rows := collectRows(t, p)
+			sortedRows(rows)
+			requireSameRows(t, fmt.Sprintf("trial %d %s preds %v", trial, alg, preds), rows, want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/client"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/wire"
 	"repro/server"
 )
 
@@ -76,8 +77,8 @@ func collect(ctx context.Context, enumerate func(context.Context, func([]int64) 
 
 // TestRemoteDifferential is the acceptance differential: a remote client
 // must produce byte-identical results to the local Store across the full
-// query corpus × both trie-driven engines × every index backend — same
-// counts, same rows, same order.
+// query corpus × both trie-driven engines — same counts, same rows, same
+// order.
 func TestRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 150, 520, 3)
@@ -86,51 +87,109 @@ func TestRemoteDifferential(t *testing.T) {
 	remote := dial(t, serve(t, server.NewSingle(st)))
 	for _, q := range corpus() {
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-			for _, backend := range []repro.Backend{repro.BackendFlat, repro.BackendCSR, repro.BackendCSRSharded} {
-				t.Run(fmt.Sprintf("%s/%s/%s", q.Name, alg, backend), func(t *testing.T) {
-					opts := repro.Options{Algorithm: alg, Workers: 1, Backend: backend}
-					lp, err := st.Prepare(q, opts)
-					if err != nil {
-						t.Fatalf("local prepare: %v", err)
+			t.Run(fmt.Sprintf("%s/%s", q.Name, alg), func(t *testing.T) {
+				opts := repro.Options{Algorithm: alg, Workers: 1}
+				lp, err := st.Prepare(q, opts)
+				if err != nil {
+					t.Fatalf("local prepare: %v", err)
+				}
+				rp, err := remote.Prepare(q, opts)
+				if err != nil {
+					t.Fatalf("remote prepare: %v", err)
+				}
+				defer rp.Close()
+				if lp.Algorithm() != rp.Algorithm() {
+					t.Fatalf("algorithm: local %q, remote %q", lp.Algorithm(), rp.Algorithm())
+				}
+				ln, err := lp.Count(ctx)
+				if err != nil {
+					t.Fatalf("local count: %v", err)
+				}
+				rn, err := rp.Count(ctx)
+				if err != nil {
+					t.Fatalf("remote count: %v", err)
+				}
+				if ln != rn {
+					t.Fatalf("count: local %d, remote %d", ln, rn)
+				}
+				lrows, err := collect(ctx, lp.Enumerate)
+				if err != nil {
+					t.Fatalf("local enumerate: %v", err)
+				}
+				rrows, err := collect(ctx, rp.Enumerate)
+				if err != nil {
+					t.Fatalf("remote enumerate: %v", err)
+				}
+				if len(lrows) != len(rrows) {
+					t.Fatalf("rows: local %d, remote %d", len(lrows), len(rrows))
+				}
+				for i := range lrows {
+					if relation.CompareTuples(lrows[i], rrows[i]) != 0 {
+						t.Fatalf("row %d: local %v, remote %v (order must match)", i, lrows[i], rrows[i])
 					}
-					rp, err := remote.Prepare(q, opts)
-					if err != nil {
-						t.Fatalf("remote prepare: %v", err)
-					}
-					defer rp.Close()
-					if lp.Algorithm() != rp.Algorithm() {
-						t.Fatalf("algorithm: local %q, remote %q", lp.Algorithm(), rp.Algorithm())
-					}
-					ln, err := lp.Count(ctx)
-					if err != nil {
-						t.Fatalf("local count: %v", err)
-					}
-					rn, err := rp.Count(ctx)
-					if err != nil {
-						t.Fatalf("remote count: %v", err)
-					}
-					if ln != rn {
-						t.Fatalf("count: local %d, remote %d", ln, rn)
-					}
-					lrows, err := collect(ctx, lp.Enumerate)
-					if err != nil {
-						t.Fatalf("local enumerate: %v", err)
-					}
-					rrows, err := collect(ctx, rp.Enumerate)
-					if err != nil {
-						t.Fatalf("remote enumerate: %v", err)
-					}
-					if len(lrows) != len(rrows) {
-						t.Fatalf("rows: local %d, remote %d", len(lrows), len(rrows))
-					}
-					for i := range lrows {
-						if relation.CompareTuples(lrows[i], rrows[i]) != 0 {
-							t.Fatalf("row %d: local %v, remote %v (order must match)", i, lrows[i], rrows[i])
-						}
-					}
-				})
-			}
+				}
+			})
 		}
+	}
+}
+
+// TestHugeWorkersCount pins that Workers is no allocation size: a count
+// asking for 1<<50 workers answers like a sequential one, in process and
+// through a live server, which keeps serving afterwards.
+func TestHugeWorkersCount(t *testing.T) {
+	ctx := context.Background()
+	st := repro.GenerateGraph(repro.HolmeKim, 150, 520, 3).Store()
+	remote := dial(t, serve(t, server.NewSingle(st)))
+	q := query.Clique(3)
+	want, err := st.Count(ctx, q, repro.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
+		opts := repro.Options{Algorithm: alg, Workers: 1 << 50}
+		if n, err := st.Count(ctx, q, opts); err != nil || n != want {
+			t.Errorf("%s in process: count %d (%v), want %d", alg, n, err, want)
+		}
+		if n, err := remote.Count(ctx, q, opts); err != nil || n != want {
+			t.Errorf("%s remote: count %d (%v), want %d", alg, n, err, want)
+		}
+	}
+	if n, err := remote.Count(ctx, q, repro.Options{Workers: 1}); err != nil || n != want {
+		t.Errorf("after the huge-Workers requests: count %d (%v), want %d", n, err, want)
+	}
+}
+
+// TestHelloVersionMismatch pins the Hello exchange's version check: a peer
+// speaking the previous protocol is refused with the typed version error,
+// and the same server still accepts a current client.
+func TestHelloVersionMismatch(t *testing.T) {
+	ctx := context.Background()
+	st := repro.GenerateGraph(repro.HolmeKim, 50, 120, 1).Store()
+	addr := serve(t, server.NewSingle(st))
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var hello wire.Enc
+	hello.U64(wire.ProtocolVersion - 1)
+	hello.Str("")
+	if err := wire.WriteFrame(nc, wire.THello, 1, hello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, body, err := wire.ReadFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.TErr {
+		t.Fatalf("reply to an old Hello: frame 0x%02x, want TErr", typ)
+	}
+	if err := wire.DecodeErr(body); !errors.Is(err, client.ErrVersion) {
+		t.Errorf("reply to an old Hello: %v, want ErrVersion", err)
+	}
+	current := dial(t, addr)
+	if _, err := current.Count(ctx, query.Clique(3), repro.Options{Workers: 1}); err != nil {
+		t.Errorf("current client after the refused Hello: %v", err)
 	}
 }
 
@@ -147,7 +206,7 @@ func TestRemoteTxnUnderChurn(t *testing.T) {
 	remote := dial(t, serve(t, server.NewSingle(st)))
 
 	queries := []*repro.Query{query.Clique(3), query.Path(3), query.Cycle(4)}
-	opts := repro.Options{Workers: 1} // default engine, default (CSR) backend
+	opts := repro.Options{Workers: 1} // default engine
 	var locals []*repro.Prepared
 	var remotes []repro.PreparedQuery
 	baseline := make([]int64, len(queries))

@@ -53,9 +53,9 @@ func checkDomain(op, name string, arity int, t []int64) error {
 // physical design once (DefineRelation + Load), compile queries against it
 // once (Prepare), then execute repeatedly while Apply routes incremental
 // update batches through the database's delta overlays so compiled plans
-// stay valid. ReadTxn pins one index snapshot across several executions and
-// Batch executes many prepared queries concurrently against one shared
-// snapshot.
+// stay valid and current. ReadTxn pins one index snapshot across several
+// executions and Batch executes many prepared queries concurrently against
+// one shared snapshot.
 //
 // A Store is safe for concurrent use.
 type Store struct {
@@ -146,7 +146,7 @@ func (s *Store) Arity(name string) (int, error) { return s.db.Arity(name) }
 // and carry values in [0, relation.PosInf)). Loading rebuilds the relation's
 // physical indexes and invalidates compiled plans that read it — it is the
 // bulk path; route incremental changes through Apply, which keeps prepared
-// plans on the default backend valid.
+// plans valid.
 func (s *Store) Load(name string, tuples [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {
@@ -185,13 +185,12 @@ func (s *Store) Load(name string, tuples [][]int64) error {
 // both sides of one batch resolves as delete-after-insert — an absent tuple
 // stays absent, a present one is deleted. The batch routes through the
 // database's delta path (core.DB.ApplyDelta), which folds it into the cached
-// CSR indexes' delta overlays in time proportional to the batch, not the
-// relation — the flat rows are never re-merged on a write. Compiled plans on
-// the CSR backend (the default) stay valid and keep serving current data,
-// which is what makes prepare-once / execute-repeatedly hold under a live
-// write stream. Plans on the flat and csr-sharded backends hold immutable
-// indexes and keep serving their Prepare-time state; re-Prepare those after
-// writes.
+// indexes' delta overlays in time proportional to the batch, not the
+// relation — the flat rows are never re-merged on a write. The freshness
+// rule: every Prepared handle follows the write (its next execution counts
+// the post-write state), while a ReadTxn opened before it keeps reading the
+// state pinned at its begin. That is what makes prepare-once /
+// execute-repeatedly hold under a live write stream.
 func (s *Store) Apply(name string, inserts, deletes [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {
@@ -254,11 +253,11 @@ func (s *Store) ParseQuery(name, src string) (*Query, error) {
 }
 
 // Prepare compiles the query against this store for the configured engine:
-// schema check, algorithm/backend validation (ErrUnknownAlgorithm,
-// ErrUnknownBackend), GAO resolution, and GAO-consistent index binding all
-// happen here — every subsequent Count/Enumerate/Rows call on the returned
-// handle is pure execution. Compiled plans are cached on the store's
-// database, keyed on query shape × algorithm × backend × GAO.
+// schema check, algorithm validation (ErrUnknownAlgorithm), GAO resolution,
+// and GAO-consistent index binding all happen here — every subsequent
+// Count/Enumerate/Rows call on the returned handle is pure execution.
+// Compiled plans are cached on the store's database, keyed on query shape ×
+// algorithm × GAO.
 func (s *Store) Prepare(q *Query, opts Options) (*Prepared, error) {
 	if err := s.CheckQuery(q); err != nil {
 		return nil, err
@@ -307,7 +306,7 @@ func (s *Store) AGMBound(q *Query) (float64, error) {
 func (s *Store) DB() *core.DB { return s.db }
 
 // OverlayDepth returns the total pending delta-log size across the store's
-// cached CSR indexes: tuples applied incrementally but not yet compacted
+// cached indexes: tuples applied incrementally but not yet compacted
 // into base tries. The server exports it per store as
 // graphjoind_overlay_depth.
 func (s *Store) OverlayDepth() int { return s.db.OverlayDepth() }

@@ -47,7 +47,7 @@ func storeFromGraph(t *testing.T, g *Graph) *Store {
 // TestStoreGraphDifferential builds the benchmark schema both ways — NewGraph
 // (the canned schema) and explicit Store definitions loaded with the same
 // tuples — and requires identical counts across the full query corpus ×
-// both trie-driven engines × every index backend.
+// both trie-driven engines.
 func TestStoreGraphDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
@@ -55,19 +55,17 @@ func TestStoreGraphDifferential(t *testing.T) {
 	s := storeFromGraph(t, g)
 	for _, q := range corpusQueries() {
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			for _, backend := range backendMatrix {
-				opts := Options{Algorithm: alg, Workers: 1, Backend: backend}
-				want, err := Count(ctx, g, q, opts)
-				if err != nil {
-					t.Fatalf("%s/%s/%s graph: %v", q.Name, alg, backend, err)
-				}
-				got, err := s.Count(ctx, q, opts)
-				if err != nil {
-					t.Fatalf("%s/%s/%s store: %v", q.Name, alg, backend, err)
-				}
-				if got != want {
-					t.Errorf("%s/%s/%s: store = %d, graph = %d", q.Name, alg, backend, got, want)
-				}
+			opts := Options{Algorithm: alg, Workers: 1}
+			want, err := Count(ctx, g, q, opts)
+			if err != nil {
+				t.Fatalf("%s/%s graph: %v", q.Name, alg, err)
+			}
+			got, err := s.Count(ctx, q, opts)
+			if err != nil {
+				t.Fatalf("%s/%s store: %v", q.Name, alg, err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: store = %d, graph = %d", q.Name, alg, got, want)
 			}
 		}
 	}
@@ -340,13 +338,15 @@ func TestTxnUnplanned(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(ErdosRenyi, 100, 300, 4)
 	g.SetSamples([]int64{0}, []int64{1})
-	p, err := g.Prepare(Paths(3), Options{Algorithm: Yannakakis})
-	if err != nil {
-		t.Fatal(err)
-	}
 	txn := g.Store().ReadTxn()
-	if _, err := txn.Count(ctx, p); !errors.Is(err, ErrTxnUnplanned) {
-		t.Errorf("unplanned engine in txn: err = %v, want ErrTxnUnplanned", err)
+	for _, alg := range []Algorithm{Yannakakis, GenericJoin} {
+		p, err := g.Prepare(Paths(3), Options{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Count(ctx, p); !errors.Is(err, ErrTxnUnplanned) {
+			t.Errorf("%s in txn: err = %v, want ErrTxnUnplanned", alg, err)
+		}
 	}
 }
 
@@ -466,59 +466,67 @@ func TestStoreHeadOrderedRows(t *testing.T) {
 	}
 }
 
-// TestStoreApplyKeepsPlansValid: incremental writes through Apply advance a
-// live Prepared handle on the default CSR backend without re-preparing.
+// TestStoreApplyKeepsPlansValid pins the one freshness rule, over both
+// trie engines, sequential and parallel, for a plain and a pushdown query:
+// a handle prepared before a Store.Apply counts the post-write state without
+// re-preparing, while a ReadTxn opened before the write keeps counting the
+// pre-write state.
 func TestStoreApplyKeepsPlansValid(t *testing.T) {
 	ctx := context.Background()
-	s := NewStore()
-	if err := s.DefineRelation("e", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Load("e", [][]int64{{0, 1}, {1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	q, err := s.ParseQuery("tri", "e(a,b), e(b,c), e(a,c)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.Prepare(q, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := p.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("initial directed triangles = %d, want 0", n)
-	}
-	if err := s.Apply("e", [][]int64{{0, 2}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n, err = p.Count(ctx); err != nil || n != 1 {
-		t.Fatalf("after insert: count = %d err = %v, want 1", n, err)
-	}
-	if err := s.Apply("e", nil, [][]int64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err = p.Count(ctx); err != nil || n != 0 {
-		t.Fatalf("after delete: count = %d err = %v, want 0", n, err)
+	for _, alg := range []Algorithm{LFTJ, MS} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/Workers=%d", alg, workers), func(t *testing.T) {
+				s := NewStore()
+				if err := s.DefineRelation("e", 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Load("e", [][]int64{{0, 1}, {1, 2}, {2, 3}, {3, 0}}); err != nil {
+					t.Fatal(err)
+				}
+				for _, tc := range []struct {
+					src       string
+					pre, post int64
+				}{
+					{"tri(a, b, c) :- e(a, b), e(b, c), e(a, c)", 0, 1},
+					{"hop(a, c) :- e(a, b), e(b, c), a < 2", 2, 3},
+				} {
+					q, err := s.ParseQuery("q", tc.src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n, err := p.Count(ctx); err != nil || n != tc.pre {
+						t.Fatalf("%s before the write: count = %d err = %v, want %d", tc.src, n, err, tc.pre)
+					}
+					txn := s.ReadTxn()
+					if err := s.Apply("e", [][]int64{{0, 2}}, [][]int64{{3, 0}}); err != nil {
+						t.Fatal(err)
+					}
+					if n, err := p.Count(ctx); err != nil || n != tc.post {
+						t.Errorf("%s handle after the write: count = %d err = %v, want %d", tc.src, n, err, tc.post)
+					}
+					if n, err := txn.Count(ctx, p); err != nil || n != tc.pre {
+						t.Errorf("%s txn opened before the write: count = %d err = %v, want %d", tc.src, n, err, tc.pre)
+					}
+					// Undo, so the next query starts from the loaded state.
+					if err := s.Apply("e", [][]int64{{3, 0}}, [][]int64{{0, 2}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
-// TestPrepareTypedValidation: unknown algorithm and backend names fail
-// eagerly at Prepare with typed errors, for stores and graphs alike.
+// TestPrepareTypedValidation: unknown algorithm names fail eagerly at
+// Prepare with typed errors, for stores and graphs alike.
 func TestPrepareTypedValidation(t *testing.T) {
 	g := GenerateGraph(ErdosRenyi, 50, 100, 1)
 	if _, err := g.Prepare(Triangles(), Options{Algorithm: "nope"}); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm: %v, want ErrUnknownAlgorithm", err)
-	}
-	if _, err := g.Prepare(Triangles(), Options{Backend: "btree"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("unknown backend: %v, want ErrUnknownBackend", err)
-	}
-	// Unknown names on a non-plan-aware engine still fail eagerly.
-	if _, err := g.Prepare(Triangles(), Options{Algorithm: GraphLab, Backend: "btree"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("unknown backend on graphlab: %v, want ErrUnknownBackend", err)
 	}
 	for _, alg := range Algorithms() {
 		q := Triangles()

@@ -13,9 +13,9 @@ import (
 
 // ErrTxnUnplanned reports a read-transaction execution of a Prepared handle
 // whose engine has no plan representation (the pairwise baselines,
-// Yannakakis, GraphLab, and the hybrid re-derive state from the live
-// database per run, so the transaction could not guarantee them a pinned
-// snapshot). Use a plan-aware algorithm (lftj, ms, genericjoin) inside
+// Yannakakis, GraphLab, the hybrid, and generic join re-derive state from
+// the live database per run, so the transaction could not guarantee them a
+// pinned snapshot). Use a plan-aware algorithm (lftj, ms) inside
 // transactions.
 var ErrTxnUnplanned = errors.New("read transaction requires a plan-aware algorithm")
 
@@ -23,12 +23,13 @@ var ErrTxnUnplanned = errors.New("read transaction requires a plan-aware algorit
 // transaction) other than the one it was compiled on.
 var ErrForeignPrepared = errors.New("prepared handle belongs to a different store")
 
-// Txn is a snapshot read-transaction: executions through it observe the
-// index state pinned when ReadTxn was called, no matter how many
-// Apply/ApplyDelta batches land concurrently — the multi-execution extension
-// of the per-run snapshot pinning the engines already do. Several Count and
-// Rows calls inside one transaction therefore agree with each other, which
-// is what multi-query read consistency under a live write stream needs.
+// Txn is a snapshot read-transaction: a transaction pins at begin.
+// Executions through it observe the index state pinned when ReadTxn was
+// called, no matter how many Apply/ApplyDelta batches land concurrently —
+// the multi-execution extension of the per-run snapshot pinning the engines
+// already do. Several Count and Rows calls inside one transaction therefore
+// agree with each other, which is what multi-query read consistency under a
+// live write stream needs.
 //
 // The begin-time pin covers every index bound when the transaction began —
 // i.e. the indexes of every Prepared handle that existed by then, which is
@@ -36,15 +37,9 @@ var ErrForeignPrepared = errors.New("prepared handle belongs to a different stor
 // prepared only after the transaction began binds fresh indexes the
 // transaction could not have pinned; those are pinned at their first use
 // inside the transaction instead (self-consistent from then on, but that
-// first pin may observe writes that landed after ReadTxn).
-//
-// The pin applies to the in-place-updatable indexes (the CSR backend's
-// delta overlays — the default). Plans on the flat and csr-sharded backends
-// hold immutable index objects and are frozen at Prepare time rather than
-// transaction-begin time: still internally consistent, but re-Prepare after
-// bulk loads to advance them. A Txn is safe for concurrent use and needs no
-// explicit close; dropping it releases the pinned snapshot to the garbage
-// collector.
+// first pin may observe writes that landed after ReadTxn). A Txn is safe for
+// concurrent use and needs no explicit close; dropping it releases the
+// pinned snapshot to the garbage collector.
 type Txn struct {
 	s     *Store
 	lease *core.Lease
