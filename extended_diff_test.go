@@ -222,6 +222,11 @@ func requireSameRows(t *testing.T, label string, got, want [][]int64) {
 // just engine-vs-engine. The order contract is part of the wall: projected
 // and aggregate rows must arrive ascending in head order, so only
 // full-binding rows are sorted first.
+//
+// Each case and engine runs two subtests: csr checks the handle's own
+// contract (count equals rows, row width, head order, and the same count on
+// four workers), and flat checks its rows against the reference over the
+// flat rows.
 func TestExtendedDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
@@ -233,11 +238,11 @@ func TestExtendedDifferential(t *testing.T) {
 		}
 		want := referenceEval(t, s, q)
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			t.Run(fmt.Sprintf("%s/%s", c, alg), func(t *testing.T) {
-				p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, GAO: c.gao})
-				if err != nil {
-					t.Fatalf("prepare: %v", err)
-				}
+			p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, GAO: c.gao})
+			if err != nil {
+				t.Fatalf("%s/%s prepare: %v", c, alg, err)
+			}
+			t.Run(fmt.Sprintf("%s/%s/csr", c, alg), func(t *testing.T) {
 				n, err := p.Count(ctx)
 				if err != nil {
 					t.Fatalf("count: %v", err)
@@ -246,15 +251,14 @@ func TestExtendedDifferential(t *testing.T) {
 				if int64(len(rows)) != n {
 					t.Fatalf("count %d != enumerated %d", n, len(rows))
 				}
-				for _, r := range rows {
+				for i, r := range rows {
 					if len(r) != q.OutWidth() {
 						t.Fatalf("row width %d, want OutWidth %d", len(r), q.OutWidth())
 					}
+					if q.PrefixOrdered() && i > 0 && relation.CompareTuples(rows[i-1], r) >= 0 {
+						t.Fatalf("row %d = %v after %v: not ascending in head order", i, r, rows[i-1])
+					}
 				}
-				if !q.PrefixOrdered() {
-					sortedRows(rows)
-				}
-				requireSameRows(t, string(alg), rows, want)
 				// Parallel counting splits on the leading attribute (or not
 				// at all when that would split a row's duplicates).
 				par, err := s.Prepare(q, Options{Algorithm: alg, Workers: 4, GAO: c.gao})
@@ -264,6 +268,16 @@ func TestExtendedDifferential(t *testing.T) {
 				if pn, err := par.Count(ctx); err != nil || pn != n {
 					t.Fatalf("Workers=4 count %d (%v), sequential %d", pn, err, n)
 				}
+			})
+			t.Run(fmt.Sprintf("%s/%s/flat", c, alg), func(t *testing.T) {
+				if n, err := p.Count(ctx); err != nil || n != int64(len(want)) {
+					t.Fatalf("count %d (%v), reference %d", n, err, len(want))
+				}
+				rows := collectRows(t, p)
+				if !q.PrefixOrdered() {
+					sortedRows(rows)
+				}
+				requireSameRows(t, string(alg), rows, want)
 			})
 		}
 	}

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/client"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/wire"
@@ -75,57 +77,101 @@ func collect(ctx context.Context, enumerate func(context.Context, func([]int64) 
 	return rows, err
 }
 
+// sortRows sorts rows ascending, for comparing answers whose order differs.
+func sortRows(rows [][]int64) {
+	sort.Slice(rows, func(i, j int) bool {
+		return relation.CompareTuples(rows[i], rows[j]) < 0
+	})
+}
+
 // TestRemoteDifferential is the acceptance differential: a remote client
 // must produce byte-identical results to the local Store across the full
 // query corpus × both trie-driven engines — same counts, same rows, same
-// order.
+// order. Each query and engine runs two subtests: csr compares local and
+// remote, sequentially and on four workers, and flat checks the remote
+// answer against the brute-force oracle over the flat rows.
 func TestRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 150, 520, 3)
 	g.SetSelectivity(15, 5)
 	st := g.Store()
 	remote := dial(t, serve(t, server.NewSingle(st)))
+	sameAsLocal := func(t *testing.T, q *repro.Query, opts repro.Options) {
+		lp, err := st.Prepare(q, opts)
+		if err != nil {
+			t.Fatalf("local prepare: %v", err)
+		}
+		rp, err := remote.Prepare(q, opts)
+		if err != nil {
+			t.Fatalf("remote prepare: %v", err)
+		}
+		defer rp.Close()
+		if lp.Algorithm() != rp.Algorithm() {
+			t.Fatalf("algorithm: local %q, remote %q", lp.Algorithm(), rp.Algorithm())
+		}
+		ln, err := lp.Count(ctx)
+		if err != nil {
+			t.Fatalf("local count: %v", err)
+		}
+		rn, err := rp.Count(ctx)
+		if err != nil {
+			t.Fatalf("remote count: %v", err)
+		}
+		if ln != rn {
+			t.Fatalf("count: local %d, remote %d", ln, rn)
+		}
+		lrows, err := collect(ctx, lp.Enumerate)
+		if err != nil {
+			t.Fatalf("local enumerate: %v", err)
+		}
+		rrows, err := collect(ctx, rp.Enumerate)
+		if err != nil {
+			t.Fatalf("remote enumerate: %v", err)
+		}
+		if len(lrows) != len(rrows) {
+			t.Fatalf("rows: local %d, remote %d", len(lrows), len(rrows))
+		}
+		for i := range lrows {
+			if relation.CompareTuples(lrows[i], rrows[i]) != 0 {
+				t.Fatalf("row %d: local %v, remote %v (order must match)", i, lrows[i], rrows[i])
+			}
+		}
+	}
 	for _, q := range corpus() {
+		want, err := collect(ctx, func(ctx context.Context, fn func([]int64) bool) error {
+			return naive.Engine{}.Enumerate(ctx, q, st.DB(), fn)
+		})
+		if err != nil {
+			t.Fatalf("%s naive enumerate: %v", q.Name, err)
+		}
+		sortRows(want)
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-			t.Run(fmt.Sprintf("%s/%s", q.Name, alg), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s/csr", q.Name, alg), func(t *testing.T) {
+				for _, workers := range []int{1, 4} {
+					sameAsLocal(t, q, repro.Options{Algorithm: alg, Workers: workers})
+				}
+			})
+			t.Run(fmt.Sprintf("%s/%s/flat", q.Name, alg), func(t *testing.T) {
 				opts := repro.Options{Algorithm: alg, Workers: 1}
-				lp, err := st.Prepare(q, opts)
-				if err != nil {
-					t.Fatalf("local prepare: %v", err)
+				if n, err := remote.Count(ctx, q, opts); err != nil || n != int64(len(want)) {
+					t.Fatalf("remote count %d (%v), naive %d", n, err, len(want))
 				}
 				rp, err := remote.Prepare(q, opts)
 				if err != nil {
 					t.Fatalf("remote prepare: %v", err)
 				}
 				defer rp.Close()
-				if lp.Algorithm() != rp.Algorithm() {
-					t.Fatalf("algorithm: local %q, remote %q", lp.Algorithm(), rp.Algorithm())
-				}
-				ln, err := lp.Count(ctx)
-				if err != nil {
-					t.Fatalf("local count: %v", err)
-				}
-				rn, err := rp.Count(ctx)
-				if err != nil {
-					t.Fatalf("remote count: %v", err)
-				}
-				if ln != rn {
-					t.Fatalf("count: local %d, remote %d", ln, rn)
-				}
-				lrows, err := collect(ctx, lp.Enumerate)
-				if err != nil {
-					t.Fatalf("local enumerate: %v", err)
-				}
-				rrows, err := collect(ctx, rp.Enumerate)
+				rows, err := collect(ctx, rp.Enumerate)
 				if err != nil {
 					t.Fatalf("remote enumerate: %v", err)
 				}
-				if len(lrows) != len(rrows) {
-					t.Fatalf("rows: local %d, remote %d", len(lrows), len(rrows))
+				sortRows(rows)
+				if len(rows) != len(want) {
+					t.Fatalf("rows: remote %d, naive %d", len(rows), len(want))
 				}
-				for i := range lrows {
-					if relation.CompareTuples(lrows[i], rrows[i]) != 0 {
-						t.Fatalf("row %d: local %v, remote %v (order must match)", i, lrows[i], rrows[i])
+				for i := range want {
+					if relation.CompareTuples(rows[i], want[i]) != 0 {
+						t.Fatalf("sorted row %d: remote %v, naive %v", i, rows[i], want[i])
 					}
 				}
 			})
