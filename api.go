@@ -380,7 +380,6 @@ type Options struct {
 	GAO []string
 	// Idea toggles for the ablation experiments (all ideas default on).
 	DisableProbeMemo  bool // Idea 4
-	DisableComplete   bool // Idea 6
 	DisableSkeleton   bool // Idea 7
 	DisableCountReuse bool // Idea 8 (#Minesweeper-style count-mode reuse)
 	// MaxRows caps pairwise-engine intermediates (0 = default budget).
@@ -438,7 +437,6 @@ func (o Options) engineOptions() engine.Options {
 		MaxRows:     o.MaxRows,
 		MS: minesweeper.Options{
 			DisableMemo:      o.DisableProbeMemo,
-			DisableComplete:  o.DisableComplete,
 			DisableSkeleton:  o.DisableSkeleton,
 			DisableCountMemo: o.DisableCountReuse,
 		},

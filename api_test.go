@@ -157,7 +157,6 @@ func TestIdeaTogglesAPI(t *testing.T) {
 	}
 	for _, o := range []Options{
 		{Algorithm: "ms", DisableProbeMemo: true},
-		{Algorithm: "ms", DisableComplete: true},
 		{Algorithm: "ms", DisableSkeleton: true},
 		{Algorithm: "ms", DisableCountReuse: true},
 	} {

@@ -44,7 +44,7 @@ func benchCount(b *testing.B, g *Graph, q *Query, opts Options) {
 }
 
 // BenchmarkTable1_IdeaAblation measures Minesweeper on 3-path with the
-// Idea 4/6 ablation variants (Table 1's speedup numerator and denominators).
+// Idea 4 ablation variants (Table 1's speedup numerator and denominator).
 func BenchmarkTable1_IdeaAblation(b *testing.B) {
 	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 10)
 	q := Paths(3)
@@ -52,23 +52,22 @@ func BenchmarkTable1_IdeaAblation(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"noIdeas", Options{Algorithm: "ms", Workers: 1, DisableProbeMemo: true, DisableComplete: true, DisableCountReuse: true}},
-		{"idea4", Options{Algorithm: "ms", Workers: 1, DisableComplete: true, DisableCountReuse: true}},
-		{"ideas4and6", Options{Algorithm: "ms", Workers: 1, DisableCountReuse: true}},
+		{"noIdeas", Options{Algorithm: "ms", Workers: 1, DisableProbeMemo: true, DisableCountReuse: true}},
+		{"idea4", Options{Algorithm: "ms", Workers: 1, DisableCountReuse: true}},
 	} {
 		b.Run(v.name, func(b *testing.B) { benchCount(b, g, q, v.opts) })
 	}
 }
 
-// BenchmarkTable2_LowSelectivity is the Table 2 regime: Ideas 4&6 at
+// BenchmarkTable2_LowSelectivity is the Table 2 regime: Idea 4 at
 // selectivity 10 on 2-comb.
 func BenchmarkTable2_LowSelectivity(b *testing.B) {
 	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 10)
 	q := Comb()
 	b.Run("noIdeas", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, DisableProbeMemo: true, DisableComplete: true, DisableCountReuse: true})
+		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, DisableProbeMemo: true, DisableCountReuse: true})
 	})
-	b.Run("ideas4and6", func(b *testing.B) {
+	b.Run("idea4", func(b *testing.B) {
 		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, DisableCountReuse: true})
 	})
 }

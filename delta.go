@@ -23,9 +23,10 @@ func Insert(tuple ...int64) Delta { return Delta{Tuple: tuple} }
 func Remove(tuple ...int64) Delta { return Delta{Tuple: tuple, Delete: true} }
 
 // ApplyAll applies update batches to several relations as one atomic write:
-// all batches land under a single database lock acquisition
-// (core.DB.ApplyDeltas), so no concurrent reader — in particular no
-// ReadTxn/Batch snapshot — can observe some relations updated and others not.
+// all batches land as one database generation (core.DB.ApplyDeltas), so no
+// concurrent reader — a ReadTxn/Batch snapshot, or a single Count, Enumerate
+// or Rows call outside any transaction, parallel or not — can observe some
+// relations updated and others not.
 // This is the write-transaction counterpart of Apply for schemas whose
 // invariants span relations (Graph.ApplyEdges keeps "edge" and "fwd" in step
 // through the same mechanism).

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
 	"sync"
 	"testing"
@@ -155,6 +156,83 @@ func TestApplyAllAtomicSnapshot(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestApplyAllAtomicForExecutions extends the ApplyAll contract to bare
+// executions, outside any transaction: p and q always hold the same 2 001
+// values while a writer swaps 1 and 3999 in both through ApplyAll, so every
+// count of p(a), q(a) must be 2 001. An execution that read p before a swap
+// and q after it would count 2 000. Parallel Counts are included: their
+// §4.10 jobs must all read the one state the execution pinned.
+func TestApplyAllAtomicForExecutions(t *testing.T) {
+	const n = 2001
+	ctx := context.Background()
+	s := NewStore()
+	values := make([][]int64, n)
+	for i := range values {
+		values[i] = []int64{int64(i)}
+	}
+	for _, name := range []string{"p", "q"} {
+		if err := s.DefineRelation(name, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(name, values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pq, err := s.ParseQuery("pq", "p(a), q(a)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{LFTJ, MS} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(t *testing.T) {
+				p, err := s.Prepare(pq, Options{Algorithm: alg, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stop := make(chan struct{})
+				writes := make(chan int)
+				go func() {
+					w := 0
+					defer func() { writes <- w }()
+					for ; ; w++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						swap := []Delta{Remove(1), Insert(3999)}
+						if w%2 == 1 {
+							swap = []Delta{Remove(3999), Insert(1)}
+						}
+						if err := s.ApplyAll(map[string][]Delta{"p": swap, "q": swap}); err != nil {
+							t.Errorf("ApplyAll: %v", err)
+							return
+						}
+					}
+				}()
+				torn, runs := 0, 300
+				for i := 0; i < runs; i++ {
+					got, err := p.Count(ctx)
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					if got != n {
+						torn++
+					}
+				}
+				close(stop)
+				if w := <-writes; w == 0 {
+					t.Fatal("the writer never ran beside the readers")
+				}
+				if torn > 0 {
+					t.Errorf("%d of %d executions read a torn ApplyAll (count != %d)", torn, runs, n)
+				}
+			})
+		}
+	}
 }
 
 // stubPrepared is a PreparedQuery from "some other implementation" — the

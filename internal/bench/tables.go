@@ -8,22 +8,24 @@ import (
 	"repro/internal/query"
 )
 
-// ablationBase are the Minesweeper options with Ideas 4, 6 and the counting
+// ablationBase are the Minesweeper options with Idea 4 and the counting
 // reuse disabled — the baseline for Tables 1–2. The count-mode reuse is off
-// in every variant so the measured effect is the CDS machinery itself.
-var ablationBase = minesweeper.Options{DisableMemo: true, DisableComplete: true, DisableCountMemo: true}
+// in every variant so the measured effect is the CDS machinery itself. The
+// paper's Idea 6 (complete nodes) has no row: the CDS does not implement it
+// (docs/ARCHITECTURE.md, "Minesweeper CDS").
+var ablationBase = minesweeper.Options{DisableMemo: true, DisableCountMemo: true}
 
 // Table1 regenerates the paper's Table 1: the speedup ratio of Minesweeper
-// when Idea 4 (probe memoization), and Ideas 4 and 6 (complete nodes), are
-// incorporated, on the acyclic queries 2-comb, 3-path, 4-path.
+// when Idea 4 (probe memoization) is incorporated, on the acyclic queries
+// 2-comb, 3-path, 4-path.
 func (h *Harness) Table1() error {
-	return h.ideaSpeedupTable("Table 1: speedup from Idea 4, and Ideas 4&6 (selectivity 100)", 100)
+	return h.ideaSpeedupTable("Table 1: speedup from Idea 4 (selectivity 100)", 100)
 }
 
-// Table2 regenerates the paper's Table 2: the Ideas 4&6 speedups at
+// Table2 regenerates the paper's Table 2: the Idea 4 speedups at
 // selectivity 10.
 func (h *Harness) Table2() error {
-	return h.ideaSpeedupTable("Table 2: speedup from Ideas 4&6 (selectivity 10)", 10)
+	return h.ideaSpeedupTable("Table 2: speedup from Idea 4 (selectivity 10)", 10)
 }
 
 func (h *Harness) ideaSpeedupTable(title string, sel int) error {
@@ -32,12 +34,8 @@ func (h *Harness) ideaSpeedupTable(title string, sel int) error {
 	m := newMatrix(title, "query", sets)
 	idea4 := ablationBase
 	idea4.DisableMemo = false
-	idea46 := ablationBase
-	idea46.DisableMemo = false
-	idea46.DisableComplete = false
 	for _, q := range queries {
 		r4 := m.addRow(q.Name + " idea4")
-		r46 := m.addRow(q.Name + " idea4&6")
 		for j, name := range sets {
 			s, err := h.site(name)
 			if err != nil {
@@ -46,9 +44,7 @@ func (h *Harness) ideaSpeedupTable(title string, sel int) error {
 			h.setSelectivity(s, sel)
 			base := h.run(msOptions(ablationBase, 1), q, s.db)
 			with4 := h.run(msOptions(idea4, 1), q, s.db)
-			with46 := h.run(msOptions(idea46, 1), q, s.db)
 			m.set(r4, j, ratio(base, with4))
-			m.set(r46, j, ratio(base, with46))
 		}
 	}
 	m.note("cells are t(no ideas)/t(with ideas); count-mode reuse disabled throughout")

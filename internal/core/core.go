@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -25,6 +26,9 @@ var (
 	// ErrUnboundVar reports a query variable not covered by the global
 	// attribute order (or not bound by any atom).
 	ErrUnboundVar = errors.New("variable not bound")
+	// ErrArityMismatch reports a query atom (or a tuple) whose width differs
+	// from its relation's arity.
+	ErrArityMismatch = errors.New("arity mismatch")
 )
 
 // DB is a collection of named relations. Engines request GAO-consistent
@@ -32,13 +36,20 @@ var (
 // protocol reuses the same physical design across queries (§4.1: "all input
 // relations are indexed consistent with this GAO"). The DB also caches
 // compiled query plans (see plan.go); both caches are invalidated per
-// relation by Add.
+// relation by Add. The contents of every cached trie index live in the
+// published generation (gen, see Generation): writers build the next one
+// under mu and publish it in one atomic store, readers pin it without
+// taking mu.
 type DB struct {
 	mu      sync.Mutex
 	rels    map[string]*relState
 	indexes map[string]*relation.Relation
-	tries   map[string]trieEntry
+	tries   map[string]*Index
 	plans   map[string]*Plan
+	gen     atomic.Pointer[Generation]
+	// draft is the next generation while a write holding mu builds it (see
+	// draftLocked); nil otherwise.
+	draft map[*Index]*relation.Overlay
 	// version increments on every Add and ApplyDelta; plan compilation
 	// snapshots it so a plan bound against relations that were replaced
 	// mid-compile is never cached (it would otherwise dodge Add's
@@ -57,51 +68,49 @@ type relState struct {
 	// current overlay snapshot. ApplyDelta resets it, so no flat copy
 	// outlives the write generation it was made for.
 	flat *relation.Relation
-	// canon is the cached csr index over the identity attribute order
+	// canon is the cached trie index over the identity attribute order
 	// (shared with every plan that binds that order); nil until the first
 	// delta, so Load-only databases never build it.
-	canon *csrIndex
+	canon *Index
 }
 
-func (st *relState) size() int {
-	if st.flat != nil {
-		return st.flat.Len()
+// canonLocked returns the relation's canonical overlay as the write holding
+// DB.mu leaves it, nil while the relation is still flat.
+func (db *DB) canonLocked(st *relState) *relation.Overlay {
+	if st.canon == nil {
+		return nil
 	}
-	return st.canon.Len()
+	return db.overlayLocked(st.canon)
 }
 
-func (st *relState) contains(t []int64) bool {
-	if st.canon != nil {
-		_, found := st.canon.ProbeGap(t)
+// contains reports whether t is in the relation: canon is its canonical
+// overlay (canonLocked).
+func (st *relState) contains(canon *relation.Overlay, t []int64) bool {
+	if canon != nil {
+		_, found := canon.ProbeGap(t)
 		return found
 	}
 	return st.flat.Contains(t)
 }
 
-// trieEntry is one cached physical index together with the permutation it
-// was built under, so ApplyDelta can route an update batch into the index's
-// own attribute order.
-type trieEntry struct {
-	perm []int
-	idx  *csrIndex
-}
-
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{
+	db := &DB{
 		rels:    make(map[string]*relState),
 		indexes: make(map[string]*relation.Relation),
-		tries:   make(map[string]trieEntry),
+		tries:   make(map[string]*Index),
 		plans:   make(map[string]*Plan),
 	}
+	db.gen.Store(&Generation{ovs: make(map[*Index]*relation.Overlay)})
+	return db
 }
 
 // Add registers a relation under its name, replacing any previous relation
 // with that name and invalidating its cached indexes and any cached plans
-// that read it.
+// that read it. Plans compiled before keep reading the replaced contents.
 func (db *DB) Add(r *relation.Relation) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	db.addLocked(r)
 }
 
@@ -112,7 +121,7 @@ func (db *DB) Add(r *relation.Relation) {
 // replace four relations at once).
 func (db *DB) AddAll(rels []*relation.Relation) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	for _, r := range rels {
 		db.addLocked(r)
 	}
@@ -127,8 +136,11 @@ func (db *DB) addLocked(r *relation.Relation) {
 			delete(db.indexes, k)
 		}
 	}
-	for k := range db.tries {
+	for k, x := range db.tries {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+			draft := db.draftLocked()
+			x.retired = draft[x]
+			delete(draft, x)
 			delete(db.tries, k)
 		}
 	}
@@ -139,15 +151,15 @@ func (db *DB) addLocked(r *relation.Relation) {
 	}
 }
 
-// OverlayDepth sums the pending delta-log sizes of every cached CSR index:
+// OverlayDepth sums the pending delta-log sizes of every cached trie index:
 // the number of tuples sitting in overlay logs ahead of their base tries.
 // The metrics layer exports it per store as graphjoind_overlay_depth.
 func (db *DB) OverlayDepth() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	total := 0
-	for _, e := range db.tries {
-		total += e.idx.pendingDelta()
+	for _, x := range db.tries {
+		total += db.overlayLocked(x).LogLen()
 	}
 	return total
 }
@@ -168,9 +180,10 @@ func (db *DB) Version() int64 {
 // relation's canonical index (the identity-order CSR overlay, bound at the
 // first delta), sorted once, and handed to every cached index as a log
 // increment in that index's own attribute order (relation.Overlay) — no
-// trie rebuild, no merge of the base rows. Compiled plans stay cached and
-// valid because their index objects are advanced in place: every handle
-// over them follows the write.
+// trie rebuild, no merge of the base rows. The new overlays are published
+// as the next generation in one store. Compiled plans stay cached and valid
+// because their index objects carry over into it: every handle over them
+// follows the write.
 //
 // Inserts already present and deletes absent are ignored, and a tuple
 // appearing on both sides of one batch resolves as delete-after-insert (an
@@ -179,7 +192,7 @@ func (db *DB) Version() int64 {
 // (internal/incremental) drive on every ApplyEdges batch.
 func (db *DB) ApplyDelta(name string, inserts, deletes [][]int64) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	return db.applyDeltaLocked(name, inserts, deletes)
 }
 
@@ -190,16 +203,17 @@ type DeltaBatch struct {
 	Deletes [][]int64
 }
 
-// ApplyDeltas applies several relations' update batches under one lock
-// acquisition, so no reader — in particular no snapshot lease (NewLease) and
-// no index bind — can observe a state where some of the batches have landed
-// and others have not. This is the write path for derived-relation schemas
+// ApplyDeltas applies several relations' update batches as one write: every
+// new overlay is built under one lock acquisition and published as one
+// generation, so no reader — no execution, no lease (NewLease), no index
+// bind — can observe a state where some of the batches have landed and
+// others have not. This is the write path for derived-relation schemas
 // whose invariants span relations (the benchmark graph's symmetric "edge"
 // and oriented "fwd"). All batch names are validated up front; an unknown
 // relation fails the whole call before anything is applied.
 func (db *DB) ApplyDeltas(batches []DeltaBatch) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	for _, b := range batches {
 		if _, ok := db.rels[b.Name]; !ok {
 			return fmt.Errorf("core: %w: %q", ErrUnknownRelation, b.Name)
@@ -218,7 +232,7 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 	if !ok {
 		return fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
-	ins, dels := st.canonicalDelta(name, inserts, deletes)
+	ins, dels := st.canonicalDelta(name, db.canonLocked(st), inserts, deletes)
 	if ins.Len() == 0 && dels.Len() == 0 {
 		return nil
 	}
@@ -241,9 +255,10 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 			delete(db.indexes, k)
 		}
 	}
-	for k, e := range db.tries {
+	draft := db.draftLocked()
+	for k, x := range db.tries {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			e.idx.applyDelta(ins.Permute(e.perm), dels.Permute(e.perm))
+			draft[x] = draft[x].ApplySorted(ins.Permute(x.perm), dels.Permute(x.perm))
 		}
 	}
 	return nil
@@ -255,10 +270,10 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 // both sides resolves as delete-after-insert: a no-op for absent tuples, a
 // delete for present ones. The result satisfies the overlay invariants
 // (ins ∩ r = ∅, dels ⊆ r, ins ∩ dels = ∅). Each side is sorted once and
-// probed against the relation's index — no per-tuple keys. Tuples of the
-// wrong arity are skipped, as are deletes outside the storage domain (they
-// cannot be present).
-func (st *relState) canonicalDelta(name string, inserts, deletes [][]int64) (ins, dels *relation.Relation) {
+// probed against the relation's index (canon, see canonLocked) — no
+// per-tuple keys. Tuples of the wrong arity are skipped, as are deletes
+// outside the storage domain (they cannot be present).
+func (st *relState) canonicalDelta(name string, canon *relation.Overlay, inserts, deletes [][]int64) (ins, dels *relation.Relation) {
 	delB := relation.NewBuilder(name, st.arity)
 	for _, t := range deletes {
 		if len(t) == st.arity && relation.InDomain(t) {
@@ -272,8 +287,8 @@ func (st *relState) canonicalDelta(name string, inserts, deletes [][]int64) (ins
 			insB.Add(t...)
 		}
 	}
-	dels = allDels.Filter(st.contains)
-	ins = insB.Build().Filter(func(t []int64) bool { return !allDels.Contains(t) && !st.contains(t) })
+	dels = allDels.Filter(func(t []int64) bool { return st.contains(canon, t) })
+	ins = insB.Build().Filter(func(t []int64) bool { return !allDels.Contains(t) && !st.contains(canon, t) })
 	return ins, dels
 }
 
@@ -290,7 +305,7 @@ func (db *DB) CanonicalDelta(name string, inserts, deletes [][]int64) (ins, dels
 	if !ok {
 		return nil, nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
-	insRel, delsRel := st.canonicalDelta(name, inserts, deletes)
+	insRel, delsRel := st.canonicalDelta(name, db.canonLocked(st), inserts, deletes)
 	return insRel.Tuples(), delsRel.Tuples(), nil
 }
 
@@ -326,7 +341,7 @@ func (db *DB) Snapshot() []RelationSnapshot {
 	for _, st := range db.rels {
 		s := RelationSnapshot{flat: st.flat}
 		if s.flat == nil {
-			s.ov = st.canon.ov.Load()
+			s.ov = db.canonLocked(st)
 		}
 		out = append(out, s)
 	}
@@ -351,7 +366,7 @@ func (db *DB) relationLocked(name string) (*relation.Relation, error) {
 		return nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
 	if st.flat == nil {
-		st.flat = st.canon.ov.Load().Flat()
+		st.flat = db.canonLocked(st).Flat()
 	}
 	return st.flat, nil
 }
@@ -375,7 +390,10 @@ func (db *DB) Len(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
-	return st.size(), nil
+	if st.flat != nil {
+		return st.flat.Len(), nil
+	}
+	return db.canonLocked(st).Len(), nil
 }
 
 // Names returns the registered relation names (unordered).
@@ -423,27 +441,36 @@ func (db *DB) indexLocked(name string, perm []int) (*relation.Relation, error) {
 // TrieIndex returns the named relation's GAO-consistent trie index for the
 // attribute order perm, caching the built index alongside the permuted
 // relation (both caches are invalidated per relation by Add; ApplyDelta
-// instead advances cached indexes in place through their delta overlays).
-// The CSR trie levels are materialized here, so the build cost is paid once
-// per relation × permutation and amortized across executions.
-func (db *DB) TrieIndex(name string, perm []int) (IndexBackend, error) {
+// instead advances cached indexes through their delta overlays). The CSR
+// trie levels are materialized here, so the build cost is paid once per
+// relation × permutation and amortized across executions. A perm whose
+// length is not the relation's arity fails with ErrArityMismatch.
+func (db *DB) TrieIndex(name string, perm []int) (*Index, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	return db.trieIndexLocked(name, perm)
 }
 
-func (db *DB) trieIndexLocked(name string, perm []int) (*csrIndex, error) {
+func (db *DB) trieIndexLocked(name string, perm []int) (*Index, error) {
 	key := indexKey(name, perm)
-	if e, ok := db.tries[key]; ok {
-		return e.idx, nil
+	if x, ok := db.tries[key]; ok {
+		return x, nil
+	}
+	st, ok := db.rels[name]
+	if !ok {
+		return nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
+	}
+	if len(perm) != st.arity {
+		return nil, fmt.Errorf("core: %w: %d columns bound over relation %q of arity %d", ErrArityMismatch, len(perm), name, st.arity)
 	}
 	rel, err := db.indexLocked(name, perm)
 	if err != nil {
 		return nil, err
 	}
-	idx := newCSRIndex(rel)
-	db.tries[key] = trieEntry{perm: append([]int(nil), perm...), idx: idx}
-	return idx, nil
+	x := &Index{db: db, perm: append([]int(nil), perm...)}
+	db.draftLocked()[x] = relation.NewOverlay(rel)
+	db.tries[key] = x
+	return x, nil
 }
 
 // Engine is a join algorithm. Count returns the number of result tuples of
@@ -461,8 +488,9 @@ type Engine interface {
 // GAO positions of its columns in index order.
 type AtomIndex struct {
 	// Index is the atom's trie index; the trie-driven engines (LFTJ,
-	// Minesweeper) execute exclusively against it.
-	Index IndexBackend
+	// Minesweeper) execute exclusively against it, through the generation
+	// each execution pins.
+	Index *Index
 	// VarPos[k] is the GAO position of the index's column k.
 	VarPos []int
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -81,12 +82,34 @@ func TestBindAtoms(t *testing.T) {
 		t.Errorf("atom1 VarPos = %v, want [0 1]", atoms[1].VarPos)
 	}
 	// atom0's index is edge permuted to (b,a): sorted tuples (2,1),(3,2).
-	if got := collect(t, atoms[0].Index); !reflect.DeepEqual(got[0], []int64{2, 1}) {
+	if got := collect(t, db.Pin().Overlay(atoms[0].Index)); !reflect.DeepEqual(got[0], []int64{2, 1}) {
 		t.Errorf("atom0 index tuple = %v", got[0])
 	}
 	// A GAO missing a variable fails.
 	if _, err := BindAtoms(q, db, []string{"a", "b"}); err == nil {
 		t.Error("short GAO should fail")
+	}
+}
+
+// TestBindArityMismatch: an atom wider or narrower than its relation fails
+// to bind with ErrArityMismatch, through every entry point, and binds
+// nothing.
+func TestBindArityMismatch(t *testing.T) {
+	db := NewDB()
+	db.Add(relation.FromTuples("edge", 2, [][]int64{{1, 2}, {2, 3}}))
+	wide := query.New("wide", query.Atom{Rel: "edge", Vars: []string{"a", "b", "c"}})
+	if _, err := NewPlan(wide, db, "lftj", []string{"a", "b", "c"}, nil, false, "", nil); !errors.Is(err, ErrArityMismatch) {
+		t.Errorf("NewPlan over a 3-variable atom of a 2-ary relation: %v, want ErrArityMismatch", err)
+	}
+	narrow := query.Atom{Rel: "edge", Vars: []string{"a"}}
+	if _, err := BindAtom(narrow, db, map[string]int{"a": 0}); !errors.Is(err, ErrArityMismatch) {
+		t.Errorf("BindAtom of a 1-variable atom over a 2-ary relation: %v, want ErrArityMismatch", err)
+	}
+	if _, err := db.TrieIndex("edge", []int{0, 1, 2}); !errors.Is(err, ErrArityMismatch) {
+		t.Errorf("TrieIndex with a 3-column order: %v, want ErrArityMismatch", err)
+	}
+	if len(db.tries) != 0 || len(db.Pin().ovs) != 0 {
+		t.Errorf("a failed bind left %d cached indexes behind", len(db.tries))
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/query"
@@ -14,18 +15,18 @@ func deltaDB() *DB {
 	return db
 }
 
-// collect walks an index cursor's full contents as tuples.
-func collect(t *testing.T, idx IndexBackend) [][]int64 {
+// collect walks an overlay cursor's full contents as tuples.
+func collect(t *testing.T, ov *relation.Overlay) [][]int64 {
 	t.Helper()
 	var out [][]int64
-	tuple := make([]int64, idx.Arity())
-	c := idx.NewCursor()
+	tuple := make([]int64, ov.Arity())
+	c := ov.NewCursor()
 	var rec func(d int)
 	rec = func(d int) {
 		c.Open()
 		for !c.AtEnd() {
 			tuple[d] = c.Key()
-			if d+1 == idx.Arity() {
+			if d+1 == ov.Arity() {
 				out = append(out, append([]int64(nil), tuple...))
 			} else {
 				rec(d + 1)
@@ -56,13 +57,13 @@ func TestApplyDeltaMaintainsCSRInPlace(t *testing.T) {
 	if csr2 != csr {
 		t.Error("CSR index was rebuilt, want in-place overlay advance")
 	}
-	if csr.Len() != 5 {
-		t.Errorf("CSR Len = %d, want 5", csr.Len())
+	if n := db.Pin().Overlay(csr).Len(); n != 5 {
+		t.Errorf("CSR Len = %d, want 5", n)
 	}
-	if _, found := csr.ProbeGap([]int64{9, 9}); !found {
+	if _, found := db.Pin().Overlay(csr).ProbeGap([]int64{9, 9}); !found {
 		t.Error("inserted tuple missing from CSR index")
 	}
-	if _, found := csr.ProbeGap([]int64{1, 2}); found {
+	if _, found := db.Pin().Overlay(csr).ProbeGap([]int64{1, 2}); found {
 		t.Error("deleted tuple still in CSR index")
 	}
 }
@@ -78,7 +79,7 @@ func TestApplyDeltaPermutedIndexes(t *testing.T) {
 	if err := db.ApplyDelta("edge", [][]int64{{7, 8}}, [][]int64{{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, rev)
+	got := collect(t, db.Pin().Overlay(rev))
 	r, _ := db.Relation("edge")
 	want := r.Permute([]int{1, 0}).Tuples()
 	if len(got) != len(want) {
@@ -107,8 +108,8 @@ func TestApplyDeltaPlanInvalidation(t *testing.T) {
 	}
 	if cached, _, ok := db.CachedPlan("k"); !ok {
 		t.Error("plan dropped by ApplyDelta")
-	} else if cached.Atoms[0].Index.Len() != 6 {
-		t.Errorf("plan index Len = %d, want 6", cached.Atoms[0].Index.Len())
+	} else if n := db.Pin().Overlay(cached.Atoms[0].Index).Len(); n != 6 {
+		t.Errorf("plan index Len = %d, want 6", n)
 	}
 	db.Add(relation.FromTuples("edge", 2, [][]int64{{1, 2}}))
 	if _, _, ok := db.CachedPlan("k"); ok {
@@ -148,40 +149,55 @@ func TestApplyDeltaFilters(t *testing.T) {
 	}
 }
 
-// TestSnapshotAtoms: snapshotted atoms pin the pre-delta index state for a
-// whole execution, and atoms sharing an index object share one snapshot.
-func TestSnapshotAtoms(t *testing.T) {
+// TestPinnedGeneration: a pinned generation keeps the pre-delta index state
+// for as long as it is held, atoms sharing an index object share one
+// overlay, and Add retires an index without taking its contents from the
+// plans and generations that still hold it.
+func TestPinnedGeneration(t *testing.T) {
 	db := deltaDB()
 	q := query.New("q",
 		query.Atom{Rel: "edge", Vars: []string{"a", "b"}},
 		query.Atom{Rel: "edge", Vars: []string{"a", "c"}},
 	)
-	atoms, err := BindAtoms(q, db, []string{"a", "b", "c"})
+	plan, err := NewPlan(q, db, "lftj", []string{"a", "b", "c"}, nil, false, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := SnapshotAtoms(atoms)
-	if snap[0].Index == atoms[0].Index {
-		t.Fatal("snapshot did not replace the updatable index")
+	gen := plan.Pin()
+	if gen != db.Pin() {
+		t.Fatal("an unpinned plan did not pin the current generation")
 	}
-	if snap[0].Index != snap[1].Index {
-		t.Error("atoms over the same index resolved to different snapshots")
+	idx := plan.Atoms[0].Index
+	if plan.Atoms[1].Index != idx || gen.Overlay(plan.Atoms[1].Index) != gen.Overlay(idx) {
+		t.Fatal("atoms over the same index resolved to different overlays")
 	}
 	if err := db.ApplyDelta("edge", [][]int64{{9, 9}}, [][]int64{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, found := snap[0].Index.ProbeGap([]int64{1, 2}); !found {
-		t.Error("snapshot lost a pre-delta tuple")
+	if _, found := gen.Overlay(idx).ProbeGap([]int64{1, 2}); !found {
+		t.Error("pinned generation lost a pre-delta tuple")
 	}
-	if _, found := snap[0].Index.ProbeGap([]int64{9, 9}); found {
-		t.Error("snapshot sees a post-delta tuple")
+	if _, found := gen.Overlay(idx).ProbeGap([]int64{9, 9}); found {
+		t.Error("pinned generation sees a post-delta tuple")
 	}
-	if _, found := atoms[0].Index.ProbeGap([]int64{9, 9}); !found {
-		t.Error("live index misses the post-delta tuple")
+	if _, found := plan.Pin().Overlay(idx).ProbeGap([]int64{9, 9}); !found {
+		t.Error("the next execution misses the post-delta tuple")
 	}
-	// Pinned views are immutable already; SnapshotAtoms leaves them alone.
-	if got := SnapshotAtoms(snap); &got[0] != &snap[0] {
-		t.Error("SnapshotAtoms copied a slice with nothing to snapshot")
+	pinned := plan.PinnedTo(gen)
+	if pinned.Pin() != gen {
+		t.Error("a pinned plan does not read its generation")
+	}
+	// Add replaces the relation: the old index leaves the generation, and a
+	// plan compiled before keeps reading its last contents.
+	db.Add(relation.FromTuples("edge", 2, [][]int64{{7, 7}}))
+	if _, ok := db.Pin().ovs[idx]; ok {
+		t.Error("Add left the replaced relation's index in the generation")
+	}
+	if n := plan.Pin().Overlay(idx).Len(); n != 5 {
+		t.Errorf("a retired index reads %d tuples, want its last 5", n)
+	}
+	if n := gen.Overlay(idx).Len(); n != 5 {
+		t.Errorf("a generation pinned before the replacement reads %d tuples, want 5", n)
 	}
 }
 
@@ -193,7 +209,7 @@ func TestApplyDeltaSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := idx.NewCursor()
+	old := db.Pin().Overlay(idx).NewCursor()
 	old.Open() // pin the pre-delta snapshot
 	if err := db.ApplyDelta("edge", nil, [][]int64{{1, 2}}); err != nil {
 		t.Fatal(err)
@@ -201,7 +217,7 @@ func TestApplyDeltaSnapshotIsolation(t *testing.T) {
 	if old.AtEnd() || old.Key() != 1 {
 		t.Error("pre-delta cursor lost its snapshot")
 	}
-	fresh := collect(t, idx)
+	fresh := collect(t, db.Pin().Overlay(idx))
 	if len(fresh) != 4 {
 		t.Errorf("post-delta cursor sees %d tuples, want 4", len(fresh))
 	}
@@ -235,5 +251,59 @@ func TestApplyDeltas(t *testing.T) {
 	}
 	if ra2, _ := db.Relation("a"); ra2.Len() != 2 {
 		t.Errorf("a mutated by a rejected multi-batch: %d rows", ra2.Len())
+	}
+}
+
+// TestLeaseFirstUsePin: an index bound after a lease began is pinned at its
+// first use through the lease, and the lease keeps that pin — concurrent
+// first uses and later uses, with writes landing in between, all read the
+// same contents — while indexes bound before the lease read its begin.
+func TestLeaseFirstUsePin(t *testing.T) {
+	db := deltaDB()
+	fwd, err := NewPlan(query.New("f", query.Atom{Rel: "edge", Vars: []string{"a", "b"}}), db, "lftj", []string{"a", "b"}, nil, false, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := db.NewLease()
+	if err := db.ApplyDelta("edge", [][]int64{{8, 8}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Bound after the lease began: edge in (b, a) order.
+	rev, err := NewPlan(query.New("r", query.Atom{Rel: "edge", Vars: []string{"a", "b"}}), db, "lftj", []string{"b", "a"}, nil, false, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := rev.Atoms[0].Index
+	var wg sync.WaitGroup
+	pins := make([]*relation.Overlay, 8)
+	for i := range pins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				if err := db.ApplyDelta("edge", [][]int64{{9, int64(10 + i)}}, nil); err != nil {
+					t.Error(err)
+				}
+			}
+			pins[i] = lease.PinPlan(rev).Pin().Overlay(idx)
+		}()
+	}
+	wg.Wait()
+	for i, ov := range pins {
+		if ov != pins[0] {
+			t.Fatalf("first uses %d and 0 of the lease pinned different contents", i)
+		}
+	}
+	if err := db.ApplyDelta("edge", [][]int64{{9, 99}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if lease.PinPlan(rev).Pin().Overlay(idx) != pins[0] {
+		t.Error("a later use through the lease did not read its first-use pin")
+	}
+	if n := lease.PinPlan(fwd).Pin().Overlay(fwd.Atoms[0].Index).Len(); n != 5 {
+		t.Errorf("an index bound before the lease reads %d tuples through it, want the 5 at its begin", n)
+	}
+	if pins[0].Len() < 6 {
+		t.Errorf("the first-use pin reads %d tuples, want the writes before it (>= 6)", pins[0].Len())
 	}
 }

@@ -1,53 +1,42 @@
 package core
 
-import "sync"
+import "sync/atomic"
 
-// Lease is a read snapshot of the database's physical design: at creation it
-// resolves every cached index (each advances in place under ApplyDelta) to
-// the point-in-time view current at that moment. Plans pinned through the
-// lease observe that one state on every execution, no matter how many delta
-// batches land in between — the multi-execution extension of the per-run
-// SnapshotAtoms pinning the engines apply, and the mechanism behind the
+// Lease is a pinned generation held across many executions: every plan
+// pinned through it (PinPlan) reads the database as of the lease's begin, no
+// matter how many writes land in between. It is the mechanism behind the
 // public Store.ReadTxn and Store.Batch surfaces. This is the one freshness
-// rule: a plan executed directly follows writes, a plan executed through a
-// lease sees the state at the lease's begin.
+// rule: a plan executed directly pins the current generation at the start
+// of each execution, a plan executed through a lease sees the generation
+// current at the lease's begin.
 //
-// A lease needs no release: the pinned views are ordinary overlay snapshots
-// and the garbage collector reclaims them when the lease is dropped.
+// An index first bound after the lease began is missing from that
+// generation. It is pinned at its first use through the lease instead, and
+// the lease keeps the pin, so later executions through it still agree with
+// each other.
+//
+// A lease needs no release: the pinned generation is ordinary immutable
+// data the garbage collector reclaims once the lease is dropped.
 type Lease struct {
-	mu    sync.Mutex
-	views map[IndexBackend]IndexBackend
+	gen atomic.Pointer[Generation]
 }
 
-// NewLease pins the current state of every cached index.
+// NewLease pins the database's current generation.
 func (db *DB) NewLease() *Lease {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	l := &Lease{views: make(map[IndexBackend]IndexBackend)}
-	for _, e := range db.tries {
-		l.views[e.idx] = e.idx.snapshot()
-	}
+	l := new(Lease)
+	l.gen.Store(db.Pin())
 	return l
 }
 
-// Pin resolves atom bindings through the lease: a live index maps to the
-// view pinned at lease creation. An index first bound after the lease was
-// taken is pinned on first encounter and memoized, so repeated executions
-// through the same lease still agree with each other. Already-pinned views
-// pass through unchanged; when nothing is live the input slice is returned
-// as is.
-func (l *Lease) Pin(atoms []AtomIndex) []AtomIndex {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return snapshotWith(atoms, l.views)
-}
-
-// PinPlan returns a copy of the plan with its atom bindings pinned through
-// the lease. Engines executing the pinned plan read the leased state on every
-// run: their own per-execution SnapshotAtoms pass is a no-op on views that
-// are already snapshots.
+// PinPlan returns a copy of the plan whose every execution reads the lease's
+// generation, first extending the lease by any index of the plan it does not
+// carry yet.
 func (l *Lease) PinPlan(p *Plan) *Plan {
-	cp := *p
-	cp.Atoms = l.Pin(p.Atoms)
-	return &cp
+	for {
+		g := l.gen.Load()
+		ext := g.with(p.Atoms)
+		if ext == g || l.gen.CompareAndSwap(g, ext) {
+			return p.PinnedTo(ext)
+		}
+	}
 }

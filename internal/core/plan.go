@@ -12,8 +12,9 @@ import (
 // once). Engines that execute plans skip validation, attribute-order
 // resolution, and index binding entirely on every run. A Plan is immutable
 // after construction and safe to share across goroutines: DB.ApplyDelta
-// advances its bound indexes in place, each execution pins one snapshot of
-// them, and each execution builds its own iterator and memo state.
+// advances its bound indexes through new generations, each execution pins
+// one generation (Plan.Pin), and each execution builds its own iterator and
+// memo state.
 type Plan struct {
 	// Query is the compiled query.
 	Query *query.Query
@@ -33,6 +34,28 @@ type Plan struct {
 	// Push carries the compiled selection bounds, residual predicates, and
 	// output shape (Emit/Keys) of an extended query; nil for plain joins.
 	Push *Pushdown
+	// db is the database the atoms are bound in. pinned, when set, is the
+	// generation every execution of the plan reads (PinnedTo); nil means
+	// each execution pins the database's current generation at its start.
+	db     *DB
+	pinned *Generation
+}
+
+// Pin returns the generation one execution of the plan reads: the pinned
+// one, else the database's current generation. Engines call it once, at the
+// start of an execution.
+func (p *Plan) Pin() *Generation {
+	if p.pinned != nil {
+		return p.pinned
+	}
+	return p.db.Pin()
+}
+
+// PinnedTo returns a copy of the plan whose every execution reads g.
+func (p *Plan) PinnedTo(g *Generation) *Plan {
+	cp := *p
+	cp.pinned = g
+	return &cp
 }
 
 // reads reports whether the plan binds an index over the named relation.
@@ -115,10 +138,11 @@ func (db *DB) CachedPlanCount() int {
 }
 
 // NewPlan compiles a query for an engine: validates it, checks the GAO
-// covers every variable, binds the GAO-consistent indexes, and verifies
-// atom/relation arity agreement. Counters for the work performed are added
-// to sc (which may be nil). NewPlan does not consult the plan cache — see
-// the engine package for the cached compilation entry point.
+// covers every variable, and binds the GAO-consistent indexes (an atom whose
+// arity disagrees with its relation's fails with ErrArityMismatch). Counters
+// for the work performed are added to sc (which may be nil). NewPlan does
+// not consult the plan cache — see the engine package for the cached
+// compilation entry point.
 //
 // The ignored string slot once named an index backend; the frozen
 // benchmark/probes.go still passes "" in it.
@@ -133,11 +157,6 @@ func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bo
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range atoms {
-		if a.Index.Arity() != len(q.Atoms[i].Vars) {
-			return nil, fmt.Errorf("core: atom %s arity mismatch with its %d-ary index", q.Atoms[i], a.Index.Arity())
-		}
-	}
 	push, err := CompilePushdown(q, gao)
 	if err != nil {
 		return nil, err
@@ -151,5 +170,6 @@ func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bo
 		InSkel:     inSkel,
 		BetaCyclic: betaCyclic,
 		Push:       push,
+		db:         db,
 	}, nil
 }

@@ -131,7 +131,7 @@ func wallQuery(arity int) (*query.Query, []string) {
 
 // checkWriteGeneration compares everything the database serves about "r"
 // against the oracle.
-func checkWriteGeneration(t *testing.T, db *DB, arity int, bound []IndexBackend, oracle tupleSet, rng *rand.Rand, domain int) {
+func checkWriteGeneration(t *testing.T, db *DB, arity int, bound []*Index, oracle tupleSet, rng *rand.Rand, domain int) {
 	t.Helper()
 	identity := wallOrders[arity][0]
 	want := oracle.sorted(identity)
@@ -149,7 +149,7 @@ func checkWriteGeneration(t *testing.T, db *DB, arity int, bound []IndexBackend,
 		t.Fatalf("db.Arity = %d, want %d", a, arity)
 	}
 	for i, perm := range wallOrders[arity] {
-		if got := collect(t, bound[i]); !sameTuples(got, oracle.sorted(perm)) {
+		if got := collect(t, db.Pin().Overlay(bound[i])); !sameTuples(got, oracle.sorted(perm)) {
 			t.Fatalf("cached csr index %v: walk differs from the oracle (%d tuples, oracle %d)", perm, len(got), len(want))
 		}
 		point := make([]int64, arity)
@@ -160,7 +160,7 @@ func checkWriteGeneration(t *testing.T, db *DB, arity int, bound []IndexBackend,
 				k[perm[c]] = point[c]
 			}
 			_, present := oracle[k]
-			if _, found := bound[i].ProbeGap(point); found != present {
+			if _, found := db.Pin().Overlay(bound[i]).ProbeGap(point); found != present {
 				t.Fatalf("cached csr index %v: ProbeGap(%v) found=%v, oracle %v", perm, point, found, present)
 			}
 		}
@@ -217,7 +217,7 @@ func TestWritePathDifferential(t *testing.T) {
 			}
 			db := NewDB()
 			db.Add(b.Build())
-			var bound []IndexBackend
+			var bound []*Index
 			for _, perm := range wallOrders[tc.arity] {
 				idx, err := db.TrieIndex("r", perm)
 				if err != nil {
@@ -249,8 +249,7 @@ func TestWritePathDifferential(t *testing.T) {
 				}
 				checkWriteGeneration(t, db, tc.arity, bound, oracle, rng, tc.domain)
 				for i, perm := range wallOrders[tc.arity] {
-					pinned := lease.Pin([]AtomIndex{{Index: bound[i]}})
-					if got := collect(t, pinned[0].Index); !sameTuples(got, before.sorted(perm)) {
+					if got := collect(t, lease.gen.Load().Overlay(bound[i])); !sameTuples(got, before.sorted(perm)) {
 						t.Fatalf("batch %d: lease taken before the batch no longer reads the pre-batch state of index %v", batch, perm)
 					}
 				}

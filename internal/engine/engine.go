@@ -248,13 +248,21 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	if workers <= 1 || p.opts.FirstVarRange != nil {
 		return p.single().Count(ctx, q, db)
 	}
-	jobs, err := p.splitJobs(q, db, workers*p.granularity(q))
-	if err != nil {
-		return 0, err
+	plan := p.opts.Plan
+	if plan == nil {
+		var err error
+		if plan, err = compile(p.opts, q, db, nil); err != nil {
+			return 0, err
+		}
 	}
+	gen := plan.Pin()
+	jobs := splitJobs(q, plan, gen, workers*p.granularity(q))
 	if len(jobs) <= 1 {
 		return p.single().Count(ctx, q, db)
 	}
+	// Every job reads the generation the split was cut from, so the parts
+	// add up to the count of one database state.
+	plan = plan.PinnedTo(gen)
 	// Never more workers than jobs: Workers arrives unchecked from clients,
 	// and each worker costs a goroutine and an error-channel slot.
 	workers = min(workers, len(jobs))
@@ -279,7 +287,7 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 				}
 				// Each job gets a fresh engine: per-job CDS and memo state,
 				// released before the next job is claimed (§4.10).
-				n, err := p.rangeCount(ctx, q, db, job[0], job[1])
+				n, err := p.rangeCount(ctx, q, db, plan, job[0], job[1])
 				if err != nil {
 					errCh <- err
 					cancel()
@@ -298,15 +306,14 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	return total.Load(), nil
 }
 
-func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, lo, hi int64) (int64, error) {
+func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, plan *core.Plan, lo, hi int64) (int64, error) {
 	if p.opts.Algorithm == LFTJ {
-		e := lftj.Engine{Opts: lftj.Options{GAO: p.opts.GAO, FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: p.opts.Plan, Stats: p.opts.Stats}}
+		e := lftj.Engine{Opts: lftj.Options{FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: plan, Stats: p.opts.Stats}}
 		return e.Count(ctx, q, db)
 	}
 	ms := p.opts.MS
-	ms.GAO = p.opts.userGAO()
 	ms.FirstVarRange = &minesweeper.Range{Lo: lo, Hi: hi}
-	ms.Plan = p.opts.Plan
+	ms.Plan = plan
 	ms.Collector = p.opts.Stats
 	// The per-job legacy Stats pointer is not safe under concurrent adds;
 	// concurrent jobs report through the collector instead.
@@ -317,39 +324,27 @@ func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, 
 // splitJobs partitions the first GAO variable's candidate values into up to
 // n contiguous ranges of roughly equal candidate counts (the paper's
 // "p equal-sized parts" of the output space). The candidates are the
-// level-0 keys of the smallest atom index leading on that variable: already
-// distinct and sorted, read off the trie without materialising anything. A
-// projected query whose first attribute is not in its output is left whole:
-// the same row could surface in several parts.
-func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, error) {
-	var gao []string
-	var atoms []core.AtomIndex
-	if plan := p.opts.Plan; plan != nil {
-		gao, atoms = plan.GAO, plan.Atoms
-	} else {
-		var err error
-		if gao, err = ResolveGAO(p.opts, q); err != nil {
-			return nil, err
-		}
-		if atoms, err = core.BindAtoms(q, db, gao); err != nil {
-			return nil, err
-		}
-	}
-	first := gao[0]
+// level-0 keys of the smallest atom index leading on that variable, in
+// generation gen: already distinct and sorted, read off the trie without
+// materialising anything. A projected query whose first attribute is not in
+// its output is left whole: the same row could surface in several parts.
+func splitJobs(q *query.Query, plan *core.Plan, gen *core.Generation, n int) [][2]int64 {
+	first := plan.GAO[0]
 	if _, pinned := q.Pinned(first); !pinned && !q.PartitionedBy(first) {
-		return nil, nil
+		return nil
 	}
-	var best core.IndexBackend
-	for _, a := range atoms {
-		if a.VarPos[0] == 0 && (best == nil || a.Index.Len() < best.Len()) {
-			best = a.Index
+	var best *relation.Overlay
+	for _, a := range plan.Atoms {
+		if ov := gen.Overlay(a.Index); a.VarPos[0] == 0 && (best == nil || ov.Len() < best.Len()) {
+			best = ov
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("engine: variable %q unbound", first)
+		return nil // no atom binds the first variable: the engine reports it
 	}
 	var values []int64
-	c := best.NewCursor()
+	var c relation.OverlayCursor
+	c.Reset(best)
 	for c.Open(); !c.AtEnd(); c.Next() {
 		values = append(values, c.Key())
 	}
@@ -360,7 +355,7 @@ func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, er
 		n = len(values)
 	}
 	if n <= 1 {
-		return [][2]int64{{-1, relation.PosInf}}, nil
+		return [][2]int64{{-1, relation.PosInf}}
 	}
 	jobs := make([][2]int64, 0, n)
 	lo := int64(-1)
@@ -373,5 +368,5 @@ func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, er
 		lo = cut
 	}
 	jobs = append(jobs, [2]int64{lo, relation.PosInf})
-	return jobs, nil
+	return jobs
 }

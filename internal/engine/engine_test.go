@@ -83,11 +83,12 @@ func TestAllEnginesAgreeOnTriangle(t *testing.T) {
 func TestSplitJobsCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 50, 200, 2)
-	p := &parallel{opts: Options{Algorithm: LFTJ}}
-	jobs, err := p.splitJobs(query.Clique(3), db, 7)
+	q := query.Clique(3)
+	plan, err := compile(Options{Algorithm: LFTJ}, q, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := splitJobs(q, plan, plan.Pin(), 7)
 	if len(jobs) == 0 {
 		t.Fatal("no jobs")
 	}

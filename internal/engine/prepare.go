@@ -105,13 +105,26 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 		opts.Stats.Add(core.Stats{PlanCacheHits: 1})
 		return p, nil
 	}
+	opts.Stats.Add(core.Stats{GAODerivations: 1})
+	plan, err := compile(opts, q, db, opts.Stats)
+	if err != nil {
+		return nil, err
+	}
+	db.StorePlan(key, plan, version)
+	opts.Stats.Add(core.Stats{PlanCacheMisses: 1})
+	return plan, nil
+}
+
+// compile resolves the GAO (and Minesweeper's skeleton) and binds the
+// indexes, bypassing the plan cache; binding counters land on sc.
+func compile(opts Options, q *query.Query, db *core.DB, sc *core.StatsCollector) (*core.Plan, error) {
 	gao, err := ResolveGAO(opts, q)
 	if err != nil {
 		return nil, err
 	}
 	var inSkel []bool
 	betaCyclic := false
-	if alg == MS {
+	if opts.Algorithm == MS {
 		msOpts := opts.MS
 		msOpts.GAO = gao
 		if gao, inSkel, betaCyclic, err = minesweeper.ResolvePlan(q, msOpts); err != nil {
@@ -121,12 +134,5 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 		_, acyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
 		betaCyclic = !acyclic
 	}
-	opts.Stats.Add(core.Stats{GAODerivations: 1})
-	plan, err := core.NewPlan(q, db, string(alg), gao, inSkel, betaCyclic, "", opts.Stats)
-	if err != nil {
-		return nil, err
-	}
-	db.StorePlan(key, plan, version)
-	opts.Stats.Add(core.Stats{PlanCacheMisses: 1})
-	return plan, nil
+	return core.NewPlan(q, db, string(opts.Algorithm), gao, inSkel, betaCyclic, "", sc)
 }

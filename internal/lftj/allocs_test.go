@@ -1,0 +1,55 @@
+//go:build !race
+
+package lftj
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/hypergraph"
+	"repro/internal/query"
+)
+
+// TestLFTJExecAllocs is the allocation gate of a planned LFTJ execution:
+// the objects one Count of a compiled plan allocates, whatever the number
+// of seeks it makes. An engine change that allocates more per execution
+// than a bound fails here even when no clock can see it; the test logs the
+// measured counts, which sit below the bounds. The race detector changes
+// allocation counts, hence the build tag.
+func TestLFTJExecAllocs(t *testing.T) {
+	db := dataset.DB(dataset.Generate(dataset.HolmeKim, 1000, 5500, 107), 8, 107)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		max  float64
+	}{
+		{"triangle", query.Clique(3), 27},
+		{"clique4", query.Clique(4), 45},
+		{"pinned", query.MustParse("pinned", "out(b,c) :- edge(a,b), edge(b,c), a = 7"), 23},
+	} {
+		gao, _ := hypergraph.ChooseGAO(tc.q, "lftj")
+		plan, err := core.NewPlan(tc.q, db, "lftj", gao, nil, false, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := Engine{Opts: Options{Plan: plan}}
+		var n int64
+		run := func() {
+			if n, err = eng.Count(ctx, tc.q, db); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if n == 0 {
+			t.Fatalf("%s: no results, the gate measures nothing", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(20, run); allocs > tc.max {
+			t.Errorf("%s allocates %.0f objects per execution, want <= %.0f", tc.name, allocs, tc.max)
+		} else {
+			t.Logf("%s: %.0f allocs per execution (gate %.0f), %d results", tc.name, allocs, tc.max, n)
+		}
+	}
+}

@@ -59,8 +59,11 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	var gao []string
 	var atoms []core.AtomIndex
 	var push *core.Pushdown
+	// The generation the whole run reads: pinned once, here, so a concurrent
+	// write can never mix two database states mid-join.
+	var gen *core.Generation
 	if p := e.Opts.Plan; p != nil {
-		gao, atoms, push = p.GAO, p.Atoms, p.Push
+		gao, atoms, push, gen = p.GAO, p.Atoms, p.Push, p.Pin()
 	} else {
 		if err := q.Validate(); err != nil {
 			return err
@@ -77,19 +80,12 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		if err != nil {
 			return err
 		}
-		for i, a := range atoms {
-			if a.Index.Arity() != len(q.Atoms[i].Vars) {
-				return fmt.Errorf("lftj: atom %s arity mismatch with its %d-ary index", q.Atoms[i], a.Index.Arity())
-			}
-		}
 		push, err = core.CompilePushdown(q, gao)
 		if err != nil {
 			return err
 		}
+		gen = db.Pin()
 	}
-	// Pin overlay-backed indexes to one snapshot for this whole run, so a
-	// concurrent DB.ApplyDelta can never mix two index states mid-join.
-	atoms = core.SnapshotAtoms(atoms)
 	ex := &exec{
 		n:       len(gao),
 		last:    push.EmitDepth(len(gao)) - 1,
@@ -135,13 +131,14 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		ex.lo[0] = max(ex.lo[0], rng.Lo)
 		ex.hi[0] = min(ex.hi[0], rng.Hi)
 	}
-	// For each GAO depth, the cursors of participating atoms.
-	ex.byVar = make([][]core.TrieCursor, len(gao))
-	iters := make([]core.TrieCursor, len(atoms))
+	// One cursor per atom, and for each GAO depth the cursors of the atoms
+	// participating in it.
+	ex.byVar = make([][]*relation.OverlayCursor, len(gao))
+	cursors := make([]relation.OverlayCursor, len(atoms))
 	for i, a := range atoms {
-		iters[i] = a.Index.NewCursor()
+		cursors[i].Reset(gen.Overlay(a.Index))
 		for _, p := range a.VarPos {
-			ex.byVar[p] = append(ex.byVar[p], iters[i])
+			ex.byVar[p] = append(ex.byVar[p], &cursors[i])
 		}
 	}
 	for d, its := range ex.byVar {
@@ -169,7 +166,7 @@ var sinks = sync.Pool{New: func() any { return new(core.GroupSink) }}
 type exec struct {
 	n       int
 	last    int // deepest level a row reads; below it one witness suffices
-	byVar   [][]core.TrieCursor
+	byVar   [][]*relation.OverlayCursor
 	binding []int64
 	emitPos []int // GAO position of each emitted column
 	emit    func([]int64) bool
@@ -323,7 +320,7 @@ func (ex *exec) output() bool {
 // leapfrog is the multiway sorted intersection of one trie level across the
 // participating atoms (Veldhuizen's leapfrog-init/search/next).
 type leapfrog struct {
-	its   []core.TrieCursor
+	its   []*relation.OverlayCursor
 	p     int
 	key   int64
 	seeks *int64

@@ -24,11 +24,11 @@ func TestMinesweeperSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atoms, err := core.BindAtoms(q, db, gao)
+	plan, err := core.NewPlan(q, db, "ms", gao, inSkel, false, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := Engine{Opts: Options{Plan: &core.Plan{Query: q, GAO: gao, Atoms: atoms, InSkel: inSkel}}}
+	eng := Engine{Opts: Options{Plan: plan}}
 	ctx := context.Background()
 	var stats Stats
 	if _, err := (Engine{Opts: Options{Plan: eng.Opts.Plan, Stats: &stats}}).Count(ctx, q, db); err != nil {

@@ -13,9 +13,9 @@ func BenchmarkInsertInterval(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
-	c := NewCDS(1, false)
+	c := NewCDS(1)
 	for i := 0; i < b.N; i++ {
-		c.reset(1, false)
+		c.reset(1)
 		for j := 0; j < 1000; j++ {
 			l := int64(rng.Intn(100_000))
 			c.insertInterval(rootID, l, l+int64(rng.Intn(50)))
@@ -25,7 +25,7 @@ func BenchmarkInsertInterval(b *testing.B) {
 
 func BenchmarkNodeNext(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	c := NewCDS(1, false)
+	c := NewCDS(1)
 	for j := 0; j < 1000; j++ {
 		l := int64(rng.Intn(100_000))
 		c.insertInterval(rootID, l, l+int64(rng.Intn(50)))

@@ -5,9 +5,11 @@
 // All of the paper's implementation ideas are present and individually
 // toggleable: the pointList encoding (Idea 1), the moving frontier (Idea 2),
 // geometric gap certificates (Idea 3), probe memoization (Idea 4),
-// backtracking with interval caching and truncation (Idea 5), complete
-// nodes (Idea 6), β-acyclic skeletons for cyclic queries (Idea 7), and
-// count-mode subtree reuse in the spirit of #Minesweeper (Idea 8).
+// backtracking with interval caching and truncation (Idea 5), β-acyclic
+// skeletons for cyclic queries (Idea 7), and count-mode subtree reuse in the
+// spirit of #Minesweeper (Idea 8). Idea 6 (complete nodes) is not: it moved
+// no counter on any instance measured (docs/ARCHITECTURE.md, "Minesweeper
+// CDS").
 //
 // The execution state is one flat, pointer-free frame that is reset and
 // reused from run to run; docs/ARCHITECTURE.md, "Minesweeper CDS", describes
@@ -86,19 +88,14 @@ type node struct {
 	// finger is the index the last find returned. The moving frontier
 	// (Idea 2) queries an active node in almost ascending order, so the next
 	// answer is at or next to it.
-	finger int32
-	depth  uint8
-	class  int8 // size class of the block; -1 before the first point
-	// Idea 6 bookkeeping: number of full sweeps to +inf with this node as
-	// chain bottom; complete after the second (ARCHITECTURE.md, "The
-	// two-sweep complete rule").
-	exhausted uint8
+	finger    int32
+	depth     uint8
+	class     int8 // size class of the block; -1 before the first point
 	edgeIsVal bool
 	// hasIntervals records whether any interval was ever inserted; only
 	// interval-bearing nodes belong to the principal filter G_i (§4.7:
 	// "u.intervals ≠ ∅"), which keeps the chains properly nested.
 	hasIntervals bool
-	complete     bool
 }
 
 // CDS is the constraint data structure (§4.3): a tree of constraint nodes,
@@ -128,8 +125,6 @@ type CDS struct {
 	// freeSubtree's.
 	chain []nodeID
 	stack []nodeID
-	// disableComplete turns Idea 6 off for the ablation benchmarks.
-	disableComplete bool
 	// Done is set when truncation proves the whole space is covered.
 	done bool
 	// steps counts free-value iterations.
@@ -142,9 +137,9 @@ type CDS struct {
 }
 
 // NewCDS returns an empty CDS for n attributes with frontier (-1, ..., -1).
-func NewCDS(n int, disableComplete bool) *CDS {
+func NewCDS(n int) *CDS {
 	c := new(CDS)
-	c.reset(n, disableComplete)
+	c.reset(n)
 	return c
 }
 
@@ -152,9 +147,8 @@ func NewCDS(n int, disableComplete bool) *CDS {
 // capacity: lengths go to zero, the free lists empty, the frontier back to
 // (-1, ..., -1). Nothing of the previous run stays readable — every node
 // and block is initialised when it is handed out.
-func (c *CDS) reset(n int, disableComplete bool) {
+func (c *CDS) reset(n int) {
 	c.n = n
-	c.disableComplete = disableComplete
 	c.nodes = append(c.nodes[:0], node{}, node{class: -1})
 	c.freeNode = 0
 	c.vals = c.vals[:0]
@@ -547,9 +541,6 @@ func (c *CDS) ComputeFreeTuple() bool {
 		}
 		if y >= posInf {
 			// This depth is exhausted for the current prefix: backtrack.
-			if len(c.chain) > 0 {
-				c.noteExhaust(c.chain[0])
-			}
 			d--
 			if d < 0 {
 				c.done = true
@@ -573,20 +564,6 @@ func (c *CDS) ComputeFreeTuple() bool {
 func (c *CDS) resetBelow(d int) {
 	for i := d + 1; i < c.n; i++ {
 		c.t[i] = -1
-	}
-}
-
-// noteExhaust records a full sweep of a chain bottom (Idea 6): the second
-// sweep is guaranteed to have covered -1..+inf contiguously, after which the
-// pointList contains every free value.
-func (c *CDS) noteExhaust(id nodeID) {
-	u := &c.nodes[id]
-	if u.complete {
-		return
-	}
-	u.exhausted++
-	if u.exhausted >= 2 {
-		u.complete = true
 	}
 }
 
@@ -637,15 +614,7 @@ func (c *CDS) freeValue(d int, x int64) (y int64, killDepth int, dead bool) {
 	}
 	if c.nested(g) {
 		u := g[0]
-		if c.nodes[u].complete && !c.disableComplete {
-			// Idea 6 fast path: iterate without caching new intervals; the
-			// other chain nodes are consulted (cheaply) rather than trusted
-			// to have been merged, see ARCHITECTURE.md, "The two-sweep
-			// complete rule".
-			y = c.fixpoint(g, x)
-		} else {
-			y = c.freeVal(g, x)
-		}
+		y = c.freeVal(g, x)
 		if c.hasNoFreeValue(u) {
 			killDepth, dead = c.truncate(u)
 			return y, killDepth, dead
@@ -737,8 +706,8 @@ func (c *CDS) freeVal(g []nodeID, x int64) int64 {
 	return y
 }
 
-// fixpoint computes the chain-consistent free value without mutating any
-// node (used for complete bottoms and as a generic fallback).
+// fixpoint computes the merged free value of a non-chain filter without
+// mutating any node.
 func (c *CDS) fixpoint(g []nodeID, x int64) int64 {
 	y := x
 	for {

@@ -15,92 +15,89 @@ import (
 // through ComputeFreeTuple must visit exactly the tuples not covered by any
 // constraint, in lexicographic order. Every instance runs twice on one CDS
 // that is recycled through the whole test and once on a fresh one: a finger,
-// block, free list or complete flag that survived reset would show as a
-// different sequence.
+// block or free list that survived reset would show as a different sequence.
 func TestFreeTupleEnumerationOracle(t *testing.T) {
 	const (
 		n      = 3
 		maxVal = 6
 	)
-	recycled := NewCDS(n, false)
+	recycled := NewCDS(n)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		for _, disableComplete := range []bool{false, true} {
-			var cons []Constraint
-			// Random gap boxes.
-			for k := 0; k < 2+rng.Intn(10); k++ {
-				col := rng.Intn(n)
-				eqPos := make([]int, 0, col)
-				eqVal := make([]int64, 0, col)
-				for p := 0; p < col; p++ {
-					if rng.Intn(2) == 0 {
-						eqPos = append(eqPos, p)
-						eqVal = append(eqVal, int64(rng.Intn(maxVal+1)))
-					}
+		var cons []Constraint
+		// Random gap boxes.
+		for k := 0; k < 2+rng.Intn(10); k++ {
+			col := rng.Intn(n)
+			eqPos := make([]int, 0, col)
+			eqVal := make([]int64, 0, col)
+			for p := 0; p < col; p++ {
+				if rng.Intn(2) == 0 {
+					eqPos = append(eqPos, p)
+					eqVal = append(eqVal, int64(rng.Intn(maxVal+1)))
 				}
-				lo := int64(rng.Intn(maxVal+2) - 1)
-				hi := lo + int64(rng.Intn(4))
-				if rng.Intn(5) == 0 {
-					lo = relation.NegInf
-				}
-				if rng.Intn(5) == 0 {
-					hi = relation.PosInf
-				}
-				cons = append(cons, Constraint{EqPos: eqPos, EqVal: eqVal, Col: col, Lo: lo, Hi: hi})
 			}
-			// Terminators: everything above maxVal is covered on every axis.
-			for d := 0; d < n; d++ {
-				cons = append(cons, Constraint{Col: d, Lo: maxVal, Hi: relation.PosInf})
+			lo := int64(rng.Intn(maxVal+2) - 1)
+			hi := lo + int64(rng.Intn(4))
+			if rng.Intn(5) == 0 {
+				lo = relation.NegInf
 			}
+			if rng.Intn(5) == 0 {
+				hi = relation.PosInf
+			}
+			cons = append(cons, Constraint{EqPos: eqPos, EqVal: eqVal, Col: col, Lo: lo, Hi: hi})
+		}
+		// Terminators: everything above maxVal is covered on every axis.
+		for d := 0; d < n; d++ {
+			cons = append(cons, Constraint{Col: d, Lo: maxVal, Hi: relation.PosInf})
+		}
 
-			// Oracle: all tuples over [-1, maxVal]^n not inside any box.
-			var want [][3]int64
-			var tup [n]int64
-			var enumerate func(d int)
-			enumerate = func(d int) {
-				if d == n {
-					for _, con := range cons {
-						if boxCovers(con, tup[:]) {
-							return
-						}
-					}
-					want = append(want, [3]int64{tup[0], tup[1], tup[2]})
-					return
-				}
-				for v := int64(-1); v <= maxVal; v++ {
-					tup[d] = v
-					enumerate(d + 1)
-				}
-			}
-			enumerate(0)
-
-			for run := 0; run < 3; run++ {
-				c := recycled
-				if run == 2 {
-					c = NewCDS(n, disableComplete)
-				} else {
-					c.reset(n, disableComplete)
-				}
+		// Oracle: all tuples over [-1, maxVal]^n not inside any box.
+		var want [][3]int64
+		var tup [n]int64
+		var enumerate func(d int)
+		enumerate = func(d int) {
+			if d == n {
 				for _, con := range cons {
-					c.InsConstraint(con)
-				}
-				var got [][3]int64
-				for c.ComputeFreeTuple() {
-					ft := c.Frontier()
-					got = append(got, [3]int64{ft[0], ft[1], ft[2]})
-					if len(got) > len(want)+8 {
-						return false // runaway enumeration
+					if boxCovers(con, tup[:]) {
+						return
 					}
-					c.AdvanceOutput()
 				}
-				if !slices.Equal(got, want) {
-					return false
+				want = append(want, [3]int64{tup[0], tup[1], tup[2]})
+				return
+			}
+			for v := int64(-1); v <= maxVal; v++ {
+				tup[d] = v
+				enumerate(d + 1)
+			}
+		}
+		enumerate(0)
+
+		for run := 0; run < 3; run++ {
+			c := recycled
+			if run == 2 {
+				c = NewCDS(n)
+			} else {
+				c.reset(n)
+			}
+			for _, con := range cons {
+				c.InsConstraint(con)
+			}
+			var got [][3]int64
+			for c.ComputeFreeTuple() {
+				ft := c.Frontier()
+				got = append(got, [3]int64{ft[0], ft[1], ft[2]})
+				if len(got) > len(want)+8 {
+					return false // runaway enumeration
 				}
+				c.AdvanceOutput()
+			}
+			if !slices.Equal(got, want) {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 240}); err != nil {
 		t.Error(err)
 	}
 }
@@ -119,7 +116,7 @@ func TestArenaChurn(t *testing.T) {
 		children = 300
 	)
 	rng := rand.New(rand.NewSource(8))
-	c := NewCDS(2, false)
+	c := NewCDS(2)
 	var nodesAfterFirst, valsAfterFirst int
 	inserts := 0
 	for round := 0; round < rounds; round++ {

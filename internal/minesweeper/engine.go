@@ -26,8 +26,6 @@ type Options struct {
 	GAO []string
 	// DisableMemo turns off Idea 4 (avoid repeated seekGap calls).
 	DisableMemo bool
-	// DisableComplete turns off Idea 6 (complete nodes).
-	DisableComplete bool
 	// DisableSkeleton turns off Idea 7; β-cyclic queries then insert gap
 	// constraints from every atom and the CDS falls back to cache-free
 	// fixpoint iteration wherever chains break.
@@ -81,8 +79,10 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 // worker has its own, and an idle frame is the garbage collector's to drop —
 // all but the one most recently released, which hotFrame keeps.
 type exec struct {
-	n      int
-	atoms  []core.AtomIndex
+	n     int
+	atoms []core.AtomIndex
+	// ovs[i] is atom i's index in the generation the run pinned.
+	ovs    []*relation.Overlay
 	inSkel []bool
 	cds    CDS
 	probes []probeMemo
@@ -132,7 +132,7 @@ func takeFrame() *exec {
 const maxPooledFrame = 16 << 20
 
 // reset prepares the frame for a run over the bound atoms.
-func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms []core.AtomIndex, inSkel []bool, push *core.Pushdown, emit func([]int64) bool, opts Options) {
+func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms []core.AtomIndex, gen *core.Generation, inSkel []bool, push *core.Pushdown, emit func([]int64) bool, opts Options) {
 	n := len(gao)
 	ex.n, ex.atoms, ex.inSkel, ex.push, ex.emit, ex.noMemo = n, atoms, inSkel, push, emit, opts.DisableMemo
 	ex.total, ex.stats, ex.counting = 0, Stats{}, false
@@ -141,13 +141,15 @@ func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms [
 		ex.sink.Reset(push, emit)
 	}
 	ex.tick = *core.NewTicker(ctx)
-	ex.cds.reset(n, opts.DisableComplete)
+	ex.cds.reset(n)
 	ex.cds.tick = &ex.tick
 
 	arity, maxArity := 0, 0
+	ex.ovs = ex.ovs[:0]
 	for _, a := range atoms {
 		arity += len(a.VarPos)
 		maxArity = max(maxArity, len(a.VarPos))
+		ex.ovs = append(ex.ovs, gen.Overlay(a.Index))
 	}
 	ex.points, ex.scratch = zeroed(ex.points, arity), zeroed(ex.scratch, maxArity)
 	ex.probes = ex.probes[:0]
@@ -168,6 +170,7 @@ func zeroed(buf []int64, n int) []int64 {
 // unless it outgrew maxPooledFrame.
 func (ex *exec) release() {
 	ex.atoms, ex.inSkel, ex.push, ex.emit = nil, nil, nil, nil
+	clear(ex.ovs)
 	ex.sink.Release()
 	ex.tick = core.Ticker{}
 	if ex.cds.retained()+ex.counter.retained() > maxPooledFrame {
@@ -183,8 +186,12 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 	var inSkel []bool
 	var atoms []core.AtomIndex
 	var push *core.Pushdown
+	// The generation the whole run reads: pinned once, here, so a concurrent
+	// write can never mix two database states between probes (the CDS would
+	// otherwise accumulate gaps from different states).
+	var gen *core.Generation
 	if p := e.Opts.Plan; p != nil {
-		gao, atoms, push = p.GAO, p.Atoms, p.Push
+		gao, atoms, push, gen = p.GAO, p.Atoms, p.Push, p.Pin()
 		inSkel = p.InSkel
 		if inSkel == nil {
 			inSkel = make([]bool, len(q.Atoms))
@@ -209,20 +216,11 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 		if err != nil {
 			return 0, err
 		}
+		gen = db.Pin()
 	}
-	for i, a := range atoms {
-		if a.Index.Arity() != len(q.Atoms[i].Vars) {
-			return 0, fmt.Errorf("minesweeper: atom %s arity mismatch with its %d-ary index", q.Atoms[i], a.Index.Arity())
-		}
-	}
-	// Pin overlay-backed indexes to one snapshot for this whole run, so a
-	// concurrent DB.ApplyDelta can never mix two index states between
-	// probes (the CDS would otherwise accumulate gaps from different
-	// database states).
-	atoms = core.SnapshotAtoms(atoms)
 	ex := takeFrame()
 	defer ex.release()
-	ex.reset(ctx, q, gao, atoms, inSkel, push, emit, e.Opts)
+	ex.reset(ctx, q, gao, atoms, gen, inSkel, push, emit, e.Opts)
 	if r := e.Opts.FirstVarRange; r != nil {
 		if r.Lo > -1 {
 			ex.cds.t[0] = r.Lo
@@ -537,7 +535,7 @@ func (ex *exec) probeAtom(i int, t []int64) (relation.Gap, bool) {
 			}
 		}
 	}
-	gap, found := ex.atoms[i].Index.ProbeGap(proj)
+	gap, found := ex.ovs[i].ProbeGap(proj)
 	ex.stats.Probes++
 	pm.valid = true
 	pm.found = found

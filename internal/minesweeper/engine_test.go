@@ -89,10 +89,9 @@ func TestDifferentialVsNaive(t *testing.T) {
 	variants := []Options{
 		{},
 		{DisableMemo: true},
-		{DisableComplete: true},
 		{DisableSkeleton: true},
 		{DisableCountMemo: true},
-		{DisableMemo: true, DisableComplete: true, DisableSkeleton: true, DisableCountMemo: true},
+		{DisableMemo: true, DisableSkeleton: true, DisableCountMemo: true},
 	}
 	for trial := 0; trial < 6; trial++ {
 		n := 4 + rng.Intn(8)

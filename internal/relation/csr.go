@@ -176,26 +176,28 @@ func lowerBound64(vals []int64, lo, hi int32, v int64) int32 {
 type CSRCursor struct {
 	t     *CSRTrie
 	depth int
-	lo    []int32 // per opened level: start of sibling range in levels[d].vals
-	hi    []int32 // per opened level: end of sibling range
-	pos   []int32 // per opened level: current node
+	lv    []csrFrame // per opened level: the current node and its siblings' end
 }
+
+// csrFrame is one opened level of a CSRCursor: the current node pos in
+// levels[d].vals and the end hi of its sibling range.
+type csrFrame struct{ pos, hi int32 }
 
 // NewCSRCursor returns a cursor positioned at the trie's virtual root.
 func NewCSRCursor(t *CSRTrie) *CSRCursor {
-	return &CSRCursor{
-		t:   t,
-		lo:  make([]int32, 0, t.arity),
-		hi:  make([]int32, 0, t.arity),
-		pos: make([]int32, 0, t.arity),
-	}
+	c := new(CSRCursor)
+	c.reset(t)
+	return c
 }
 
-// Trie returns the underlying CSR trie.
-func (c *CSRCursor) Trie() *CSRTrie { return c.t }
-
-// Depth returns the number of currently opened levels.
-func (c *CSRCursor) Depth() int { return c.depth }
+// reset re-targets the cursor at the root of t (nil: no trie), keeping its
+// frame buffer when it is large enough.
+func (c *CSRCursor) reset(t *CSRTrie) {
+	c.t, c.depth, c.lv = t, 0, c.lv[:0]
+	if t != nil && cap(c.lv) < t.arity {
+		c.lv = make([]csrFrame, 0, t.arity)
+	}
+}
 
 // Open descends one level to the current node's first child: a direct
 // offset-array lookup, no search.
@@ -211,12 +213,10 @@ func (c *CSRCursor) Open() {
 		if c.AtEnd() {
 			panic("relation: CSRCursor.Open at end of level")
 		}
-		p := c.pos[c.depth-1]
+		p := c.lv[c.depth-1].pos
 		lo, hi = lvl.start[p], lvl.start[p+1]
 	}
-	c.lo = append(c.lo, lo)
-	c.hi = append(c.hi, hi)
-	c.pos = append(c.pos, lo)
+	c.lv = append(c.lv, csrFrame{pos: lo, hi: hi})
 	c.depth++
 }
 
@@ -226,21 +226,19 @@ func (c *CSRCursor) Up() {
 		panic("relation: CSRCursor.Up at root")
 	}
 	c.depth--
-	c.lo = c.lo[:c.depth]
-	c.hi = c.hi[:c.depth]
-	c.pos = c.pos[:c.depth]
+	c.lv = c.lv[:c.depth]
 }
 
 // AtEnd reports whether the current level is exhausted.
 func (c *CSRCursor) AtEnd() bool {
-	cur := c.depth - 1
-	return c.pos[cur] >= c.hi[cur]
+	f := &c.lv[c.depth-1]
+	return f.pos >= f.hi
 }
 
 // Key returns the current key at the current level.
 func (c *CSRCursor) Key() int64 {
 	cur := c.depth - 1
-	return c.t.levels[cur].vals[c.pos[cur]]
+	return c.t.levels[cur].vals[c.lv[cur].pos]
 }
 
 // Span returns the subtree tuple count of the current node — how many
@@ -249,15 +247,15 @@ func (c *CSRCursor) Key() int64 {
 // subtree is fully deleted.
 func (c *CSRCursor) Span() int32 {
 	cur := c.depth - 1
-	return c.t.levels[cur].span(c.pos[cur])
+	return c.t.levels[cur].span(c.lv[cur].pos)
 }
 
 // Next advances to the next distinct key: a single increment, because every
 // node at a level is already distinct under its parent.
 func (c *CSRCursor) Next() {
-	cur := c.depth - 1
-	if c.pos[cur] < c.hi[cur] {
-		c.pos[cur]++
+	f := &c.lv[c.depth-1]
+	if f.pos < f.hi {
+		f.pos++
 	}
 }
 
@@ -268,7 +266,8 @@ func (c *CSRCursor) Next() {
 func (c *CSRCursor) SeekGE(v int64) {
 	cur := c.depth - 1
 	vals := c.t.levels[cur].vals
-	pos, hi := c.pos[cur], c.hi[cur]
+	f := &c.lv[cur]
+	pos, hi := f.pos, f.hi
 	if pos >= hi || vals[pos] >= v {
 		return
 	}
@@ -282,5 +281,5 @@ func (c *CSRCursor) SeekGE(v int64) {
 	if bound > hi {
 		bound = hi
 	}
-	c.pos[cur] = lowerBound64(vals, pos+1, bound, v)
+	f.pos = lowerBound64(vals, pos+1, bound, v)
 }

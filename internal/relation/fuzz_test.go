@@ -1,0 +1,115 @@
+package relation
+
+import (
+	"reflect"
+	"testing"
+)
+
+// fuzzInput reads small bounded numbers off the fuzzer's byte string; an
+// exhausted input reads zeros.
+type fuzzInput []byte
+
+func (in *fuzzInput) next(n int) int {
+	if len(*in) == 0 {
+		return 0
+	}
+	v := int((*in)[0]) % n
+	*in = (*in)[1:]
+	return v
+}
+
+func (in *fuzzInput) tuple(arity, domain int) []int64 {
+	t := make([]int64, arity)
+	for k := range t {
+		t[k] = int64(in.next(domain))
+	}
+	return t
+}
+
+// FuzzOverlayCursor drives the one overlay cursor through random histories:
+// a base of arity 1–3, a sequence of Apply batches (crossing compaction and
+// log cancellation, so overlays go dirty and pristine again), and after
+// every batch a full walk, a walk with seeks, and gap probes — each checked
+// against TrieIterator and Relation.ProbeGap over a flat relation holding
+// the same contents. Every overlay is walked by a fresh cursor and by one
+// cursor Reset from overlay to overlay (dirty→pristine, pristine→dirty, and
+// first from an overlay of a different arity).
+func FuzzOverlayCursor(f *testing.F) {
+	f.Add([]byte{1, 20, 3, 4, 5, 6, 7, 8, 2, 10, 1, 2, 3, 4, 5})
+	f.Add([]byte{2, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4, 16, 5, 4, 3, 2, 1})
+	f.Add([]byte{0, 5, 1, 1, 2, 2, 3, 3, 6, 30, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const domain = 6
+		in := fuzzInput(data)
+		arity := 1 + in.next(3)
+		live := map[string][]int64{}
+		b := NewBuilder("R", arity)
+		for i := in.next(48); i > 0; i-- {
+			tp := in.tuple(arity, domain)
+			b.Add(tp...)
+			live[tupleKey(tp)] = tp
+		}
+		ov := NewOverlay(b.Build())
+
+		var c OverlayCursor
+		other := NewOverlay(FromTuples("S", arity%3+1, [][]int64{make([]int64, arity%3+1)}))
+		c.Reset(other)
+		walk(&c, other.Arity())
+
+		batches := 1 + in.next(6)
+		for batch := 0; batch < batches; batch++ {
+			if batch > 0 {
+				var ins, dels [][]int64
+				touched := map[string]bool{}
+				for i := in.next(24); i > 0; i-- {
+					tp := in.tuple(arity, domain)
+					key := tupleKey(tp)
+					if touched[key] {
+						continue // keep the sides disjoint (the Apply contract)
+					}
+					touched[key] = true
+					if _, ok := live[key]; ok {
+						delete(live, key)
+						dels = append(dels, tp)
+					} else {
+						live[key] = tp
+						ins = append(ins, tp)
+					}
+				}
+				ov = ov.Apply(ins, dels)
+			}
+			rb := NewBuilder("R", arity)
+			for _, tp := range live {
+				rb.Add(tp...)
+			}
+			want := rb.Build()
+			if ov.Len() != want.Len() || !reflect.DeepEqual(ov.Flat().Tuples(), want.Tuples()) {
+				t.Fatalf("batch %d: overlay holds %d tuples, reference %d", batch, ov.Len(), want.Len())
+			}
+			flat := walk(NewTrieIterator(want), arity)
+			if got := walk(ov.NewCursor(), arity); !reflect.DeepEqual(got, flat) {
+				t.Fatalf("batch %d (log %d): fresh cursor walk differs from flat", batch, ov.LogLen())
+			}
+			c.Reset(ov)
+			if got := walk(&c, arity); !reflect.DeepEqual(got, flat) {
+				t.Fatalf("batch %d (log %d): re-targeted cursor walk differs from flat", batch, ov.LogLen())
+			}
+			seeks := make([]int64, arity)
+			for k := range seeks {
+				seeks[k] = int64(in.next(domain + 2))
+			}
+			c.Reset(ov)
+			if got, want := walkWithSeeks(&c, arity, seeks), walkWithSeeks(NewTrieIterator(want), arity, seeks); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d (log %d): seek walk %v differs from flat", batch, ov.LogLen(), seeks)
+			}
+			for i := 0; i < 8; i++ {
+				point := in.tuple(arity, domain+2)
+				fg, ffound := want.ProbeGap(point)
+				og, ofound := ov.ProbeGap(point)
+				if ffound != ofound || fg != og {
+					t.Fatalf("batch %d point %v: flat (%v, %v) vs overlay (%v, %v)", batch, point, fg, ffound, og, ofound)
+				}
+			}
+		}
+	})
+}

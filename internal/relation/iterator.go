@@ -1,12 +1,12 @@
 package relation
 
 // Cursor is the trie-cursor contract every access path in this package
-// implements (TrieIterator, CSRCursor, OverlayCursor): Open
-// descends to the first child of the current node, Up pops back, Next and
-// SeekGE move within the current level in increasing key order (no-ops at
-// the end of a level; callers check AtEnd). It mirrors the engine-facing
-// core.TrieCursor interface so indexes can hand cursors up without
-// wrapping.
+// implements (TrieIterator, CSRCursor, OverlayCursor): Open descends to the
+// first child of the current node, Up pops back, Next and SeekGE move within
+// the current level in increasing key order (no-ops at the end of a level;
+// callers check AtEnd). The engines do not go through it: they hold the one
+// concrete cursor, *OverlayCursor, directly. It serves the reference walks
+// that compare the access paths with each other.
 type Cursor interface {
 	Open()
 	Up()

@@ -148,69 +148,80 @@ func mergeLog(log, add, remove *Relation) *Relation {
 // result hold it themselves.
 func (o *Overlay) Flat() *Relation { return MergeDelta(o.rel, o.adds, o.dels) }
 
-// NewCursor returns a trie cursor over the overlay's merged contents. A
-// pristine overlay hands out the base trie's cursor directly — the overlay
-// costs nothing until the first delta arrives.
+// NewCursor returns a trie cursor over the overlay's merged contents.
 func (o *Overlay) NewCursor() Cursor {
-	if o.pristine() {
-		return NewCSRCursor(o.base)
-	}
-	c := &OverlayCursor{o: o, b: NewCSRCursor(o.base), pure: o.rel.arity + 1}
-	if o.addsT != nil {
-		c.a = NewCSRCursor(o.addsT)
-	}
-	if o.delsT != nil {
-		c.d = NewCSRCursor(o.delsT)
-	}
+	c := new(OverlayCursor)
+	c.Reset(o)
 	return c
 }
 
-// OverlayCursor merges the base trie (with deleted subtrees masked out) and
-// the adds trie into one trie cursor. At every level the visible key set is
-// {base keys whose subtree is not fully deleted} ∪ {adds keys}; Open
-// descends whichever sides carry the selected key, with the dels trie
-// tracking the base path to answer the fully-deleted test via subtree
-// spans.
+// OverlayCursor is the one cursor over an Overlay. It merges the base trie
+// (with deleted subtrees masked out) and the adds trie into one trie cursor.
+// At every level the visible key set is {base keys whose subtree is not
+// fully deleted} ∪ {adds keys}; Open descends whichever sides carry the
+// selected key, with the dels trie tracking the base path to answer the
+// fully-deleted test via subtree spans.
 //
 // Because the logs are small relative to the base, almost every subtree is
 // untouched by them: once both log sides go dead on the current path
 // (tracked in pure), every operation below that depth delegates straight to
 // the base cursor — one integer compare of overhead — so the merged cursor
-// costs only where a delta actually landed.
+// costs only where a delta actually landed. A pristine overlay is pure from
+// the root down, so it costs nothing until the first delta arrives.
+//
+// The zero value is unusable; Reset (or NewCursor) targets a cursor at an
+// overlay, and re-targets it in place, reusing its buffers.
 type OverlayCursor struct {
-	o     *Overlay
-	b     *CSRCursor // base; always non-nil
-	a     *CSRCursor // adds; nil when the adds log is empty
-	d     *CSRCursor // dels; nil when the dels log is empty
-	depth int
+	o *Overlay
+	// b walks the base; a and d the adds and dels logs, each targeted at a
+	// nil trie (and never moved) while its log is empty.
+	b, a, d CSRCursor
+	depth   int
 	// pure is the shallowest opened depth at which only the base side is
 	// active; at depths >= pure the cursor is exactly the base cursor. An
 	// unreachable sentinel (> arity) means the path is still merged.
 	pure int
-	// Per opened level up to pure: whether each side holds the current
+	// on holds, per opened level up to pure, which sides hold the current
 	// path prefix.
-	bOn, aOn, dOn []bool
+	on []sides
 }
 
-func (c *OverlayCursor) push(b, a, d bool) {
-	c.bOn = append(c.bOn, b)
-	c.aOn = append(c.aOn, a)
-	c.dOn = append(c.dOn, d)
+// sides records which of an OverlayCursor's base, adds and dels cursors
+// hold the current path prefix at one level.
+type sides struct{ b, a, d bool }
+
+// Reset targets the cursor at the root of o's merged contents.
+func (c *OverlayCursor) Reset(o *Overlay) {
+	c.o, c.depth, c.on = o, 0, c.on[:0]
+	c.b.reset(o.base)
+	c.a.reset(o.addsT)
+	c.d.reset(o.delsT)
+	c.pure = 0
+	if !o.pristine() {
+		c.pure = o.rel.arity + 1
+		if cap(c.on) < o.rel.arity {
+			c.on = make([]sides, 0, o.rel.arity)
+		}
+	}
+}
+
+func (c *OverlayCursor) push(s sides) {
+	c.on = append(c.on, s)
 	c.depth++
 }
 
 // bLive reports whether the base side is active and holds a key at the
 // current level (after deleted-subtree skipping).
-func (c *OverlayCursor) bLive() bool { return c.bOn[c.depth-1] && !c.b.AtEnd() }
+func (c *OverlayCursor) bLive() bool { return c.on[c.depth-1].b && !c.b.AtEnd() }
 
-func (c *OverlayCursor) aLive() bool { return c.a != nil && c.aOn[c.depth-1] && !c.a.AtEnd() }
+func (c *OverlayCursor) aLive() bool { return c.on[c.depth-1].a && !c.a.AtEnd() }
 
 // skipDeleted advances the base cursor past keys whose subtrees are fully
 // deleted, keeping the dels cursor aligned. The base cursor's position
 // invariant after every move: it rests on a visible key or at the end of
 // the level.
 func (c *OverlayCursor) skipDeleted() {
-	if !c.bOn[c.depth-1] || c.d == nil || !c.dOn[c.depth-1] {
+	if on := c.on[c.depth-1]; !on.b || !on.d {
 		return
 	}
 	for !c.b.AtEnd() {
@@ -234,13 +245,14 @@ func (c *OverlayCursor) Open() {
 	}
 	if c.depth == 0 {
 		c.b.Open()
-		if c.a != nil {
+		on := sides{b: true, a: c.a.t != nil, d: c.d.t != nil}
+		if on.a {
 			c.a.Open()
 		}
-		if c.d != nil {
+		if on.d {
 			c.d.Open()
 		}
-		c.push(true, c.a != nil, c.d != nil)
+		c.push(on)
 		c.skipDeleted()
 		return
 	}
@@ -248,24 +260,22 @@ func (c *OverlayCursor) Open() {
 		panic("relation: OverlayCursor.Open at end of level")
 	}
 	k := c.Key()
-	bHas := c.bLive() && c.b.Key() == k
-	aHas := c.aLive() && c.a.Key() == k
-	dHas := false
-	if bHas && c.d != nil && c.dOn[c.depth-1] {
+	on := sides{b: c.bLive() && c.b.Key() == k, a: c.aLive() && c.a.Key() == k}
+	if on.b && c.on[c.depth-1].d {
 		c.d.SeekGE(k)
-		dHas = !c.d.AtEnd() && c.d.Key() == k
+		on.d = !c.d.AtEnd() && c.d.Key() == k
 	}
-	if bHas {
+	if on.b {
 		c.b.Open()
 	}
-	if aHas {
+	if on.a {
 		c.a.Open()
 	}
-	if dHas {
+	if on.d {
 		c.d.Open()
 	}
-	c.push(bHas, aHas, dHas)
-	if bHas && !aHas && !dHas {
+	c.push(on)
+	if on.b && !on.a && !on.d {
 		c.pure = c.depth // this subtree is untouched by the logs
 		return
 	}
@@ -283,18 +293,17 @@ func (c *OverlayCursor) Up() {
 		return
 	}
 	top := c.depth - 1
-	if c.bOn[top] {
+	on := c.on[top]
+	if on.b {
 		c.b.Up()
 	}
-	if c.aOn[top] {
+	if on.a {
 		c.a.Up()
 	}
-	if c.dOn[top] {
+	if on.d {
 		c.d.Up()
 	}
-	c.bOn = c.bOn[:top]
-	c.aOn = c.aOn[:top]
-	c.dOn = c.dOn[:top]
+	c.on = c.on[:top]
 	c.depth--
 	if c.depth < c.pure {
 		c.pure = c.o.rel.arity + 1 // left the pure subtree

@@ -182,16 +182,32 @@ func TestOverlayCompaction(t *testing.T) {
 	}
 }
 
-// TestOverlayPristineFastPath: an overlay without deltas hands out the plain
-// CSR cursor, not the merging one.
+// TestOverlayPristineFastPath: a cursor over an overlay without deltas is
+// pure from the root down — every operation is the base CSR cursor's — and
+// Reset re-targets one cursor between pristine and dirty overlays in place.
 func TestOverlayPristineFastPath(t *testing.T) {
-	ov := NewOverlay(randomRelation(rand.New(rand.NewSource(2)), 2, 50, 10))
-	if _, ok := ov.NewCursor().(*CSRCursor); !ok {
-		t.Errorf("pristine overlay cursor is %T, want *CSRCursor", ov.NewCursor())
+	r := randomRelation(rand.New(rand.NewSource(2)), 2, 50, 10)
+	ov := NewOverlay(r)
+	var c OverlayCursor
+	c.Reset(ov)
+	if c.pure != 0 {
+		t.Errorf("pristine overlay cursor is pure from depth %d, want 0", c.pure)
+	}
+	want := walk(NewCSRCursor(ov.base), 2)
+	if got := walk(&c, 2); !reflect.DeepEqual(got, want) {
+		t.Error("pristine overlay walk differs from the base CSR cursor's")
 	}
 	ov2 := ov.Apply([][]int64{{99, 99}}, nil)
-	if _, ok := ov2.NewCursor().(*OverlayCursor); !ok {
-		t.Errorf("dirty overlay cursor is %T, want *OverlayCursor", ov2.NewCursor())
+	c.Reset(ov2)
+	if c.pure <= ov2.Arity() {
+		t.Errorf("dirty overlay cursor is pure from depth %d, want merged", c.pure)
+	}
+	if got, want := walk(&c, 2), walk(NewTrieIterator(ov2.Flat()), 2); !reflect.DeepEqual(got, want) {
+		t.Error("re-targeted cursor's walk of the dirty overlay differs from flat")
+	}
+	c.Reset(ov)
+	if got := walk(&c, 2); c.pure != 0 || !reflect.DeepEqual(got, want) {
+		t.Error("cursor re-targeted back at the pristine overlay does not walk the base")
 	}
 	// Snapshot isolation: the pristine snapshot still answers pre-update.
 	if _, found := ov.ProbeGap([]int64{99, 99}); found {

@@ -257,10 +257,12 @@ func DecodeQuery(d *Dec) Query {
 	return wq
 }
 
-// Option flag bits (the ablation toggles of repro.Options).
+// Option flag bits (the ablation toggles of repro.Options). Bit 1 is
+// retired: it carried the Idea 6 toggle, which no longer exists, and a peer
+// that still sets it is ignored.
 const (
 	flagDisableProbeMemo = 1 << iota
-	flagDisableComplete
+	_
 	flagDisableSkeleton
 	flagDisableCountReuse
 )
@@ -274,9 +276,6 @@ func EncodeOptions(e *Enc, o repro.Options) {
 	var flags uint64
 	if o.DisableProbeMemo {
 		flags |= flagDisableProbeMemo
-	}
-	if o.DisableComplete {
-		flags |= flagDisableComplete
 	}
 	if o.DisableSkeleton {
 		flags |= flagDisableSkeleton
@@ -310,7 +309,6 @@ func DecodeOptions(d *Dec) repro.Options {
 	o.GAO = d.StrList()
 	flags := d.U64()
 	o.DisableProbeMemo = flags&flagDisableProbeMemo != 0
-	o.DisableComplete = flags&flagDisableComplete != 0
 	o.DisableSkeleton = flags&flagDisableSkeleton != 0
 	o.DisableCountReuse = flags&flagDisableCountReuse != 0
 	o.MaxRows = d.Int()

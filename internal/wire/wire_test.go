@@ -250,7 +250,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	}
 	if out.Algorithm != in.Algorithm || out.Workers != in.Workers ||
 		out.Granularity != in.Granularity || len(out.GAO) != 2 || out.GAO[0] != "b" ||
-		!out.DisableProbeMemo || out.DisableComplete ||
+		!out.DisableProbeMemo ||
 		!out.DisableSkeleton || !out.DisableCountReuse || out.MaxRows != in.MaxRows {
 		t.Fatalf("options round trip: got %+v, want %+v", out, in)
 	}

@@ -476,6 +476,7 @@ func (p *Prepared) Explain() Explanation {
 		e.Score, e.RunnerUp, e.RunnerUpScore = best.Score, second.GAO, second.Score
 	}
 	e.BetaCyclic = plan.BetaCyclic
+	gen := plan.Pin()
 	for i, a := range plan.Atoms {
 		cols := make([]string, len(a.VarPos))
 		for k, pos := range a.VarPos {
@@ -484,7 +485,7 @@ func (p *Prepared) Explain() Explanation {
 		ap := AtomPlan{
 			Atom:       p.q.Atoms[i].String(),
 			Index:      fmt.Sprintf("%s(%s)", p.q.Atoms[i].Rel, strings.Join(cols, ", ")),
-			Rows:       a.Index.Len(),
+			Rows:       gen.Overlay(a.Index).Len(),
 			InSkeleton: plan.InSkel == nil || plan.InSkel[i],
 		}
 		e.Atoms = append(e.Atoms, ap)

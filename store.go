@@ -15,8 +15,10 @@ import (
 )
 
 // ErrArityMismatch reports a query atom (or a loaded tuple) whose arity
-// disagrees with the relation's declared arity; branch with errors.Is.
-var ErrArityMismatch = errors.New("arity mismatch")
+// disagrees with the relation's declared arity; branch with errors.Is. It is
+// the core layer's sentinel, so a mismatch caught while binding an index is
+// the same error.
+var ErrArityMismatch = core.ErrArityMismatch
 
 // ErrRelationExists reports a DefineRelation call that conflicts with an
 // existing definition — same name, different arity. Redefining a relation at

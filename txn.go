@@ -24,12 +24,13 @@ var ErrTxnUnplanned = errors.New("read transaction requires a plan-aware algorit
 var ErrForeignPrepared = errors.New("prepared handle belongs to a different store")
 
 // Txn is a snapshot read-transaction: a transaction pins at begin.
-// Executions through it observe the index state pinned when ReadTxn was
-// called, no matter how many Apply/ApplyDelta batches land concurrently —
-// the multi-execution extension of the per-run snapshot pinning the engines
-// already do. Several Count and Rows calls inside one transaction therefore
-// agree with each other, which is what multi-query read consistency under a
-// live write stream needs.
+// Executions through it observe the database generation pinned when ReadTxn
+// was called, no matter how many Apply/ApplyAll batches land concurrently.
+// Every execution outside a transaction already reads one generation, pinned
+// at its start, so it never sees a write half-applied; a Txn extends that
+// pin across executions. Several Count and Rows calls inside one transaction
+// therefore agree with each other, which is what multi-query read
+// consistency under a live write stream needs.
 //
 // The begin-time pin covers every index bound when the transaction began —
 // i.e. the indexes of every Prepared handle that existed by then, which is
