@@ -30,10 +30,6 @@ const (
 	posInf = relation.PosInf
 )
 
-// debugTrace, when non-nil, observes every ComputeFreeTuple iteration
-// (tests only).
-var debugTrace func(d int, x, y int64, killDepth int, dead bool, t []int64)
-
 // Constraint is one gap box (paper Def 4.1): equalities at ascending GAO
 // positions EqPos (values EqVal), one open interval (Lo, Hi) at position
 // Col, wildcards elsewhere and everywhere after Col. InsConstraint reads the
@@ -121,6 +117,12 @@ type CDS struct {
 	// current prefix (t[0..d-1]), sorted most-specialized first; the subset
 	// with constraints is the principal filter G_d of §4.7.
 	actives [][]nodeID
+	// resume is the shallowest depth whose free value or active set may be
+	// stale: above it, t[d] is free and actives[d] current, exactly as a
+	// search from the root would leave them, so ComputeFreeTuple starts
+	// there. Every mutator lowers it (lower); see ComputeFreeTuple for when
+	// the search raises it.
+	resume int
 	// chain is freeValue's scratch for the current principal filter, stack
 	// freeSubtree's.
 	chain []nodeID
@@ -167,6 +169,11 @@ func (c *CDS) reset(n int) {
 	for d := range c.actives {
 		c.actives[d] = c.actives[d][:0]
 	}
+	if n > 0 {
+		// The root is never freed, so actives[0] holds for the whole run.
+		c.actives[0] = append(c.actives[0], rootID)
+	}
+	c.resume = 0
 	c.chain = c.chain[:0]
 	c.done = false
 	c.steps = 0
@@ -179,18 +186,20 @@ func (c *CDS) retained() int {
 	return cap(c.nodes)*int(unsafe.Sizeof(node{})) + cap(c.vals)*8 + cap(c.meta)*4
 }
 
-// newNode hands out a node below parent (0 for none): a dead one when there
-// is any, else the next slab slot. It may move c.nodes.
+// lower records that the free value or the active set at depth d may have
+// changed.
+func (c *CDS) lower(d int) { c.resume = min(c.resume, d) }
+
+// newNode hands out a node below parent: a dead one when there is any, else
+// the next slab slot. It may move c.nodes. The node may lie on the current
+// prefix, so actives[depth] must be recomputed from actives[depth-1].
 func (c *CDS) newNode(parent nodeID, edgeVal int64, edgeIsVal bool) nodeID {
-	nd := node{parent: parent, edgeVal: edgeVal, edgeIsVal: edgeIsVal, class: -1}
-	if parent != 0 {
-		p := &c.nodes[parent]
-		nd.depth = p.depth + 1
-		nd.eqMask = p.eqMask
-		if edgeIsVal {
-			nd.eqMask |= 1 << p.depth
-		}
+	p := &c.nodes[parent]
+	nd := node{parent: parent, edgeVal: edgeVal, edgeIsVal: edgeIsVal, class: -1, depth: p.depth + 1, eqMask: p.eqMask}
+	if edgeIsVal {
+		nd.eqMask |= 1 << p.depth
 	}
+	c.lower(int(p.depth))
 	if id := c.freeNode; id != 0 {
 		c.freeNode = c.nodes[id].parent
 		c.nodes[id] = nd
@@ -410,6 +419,9 @@ func (c *CDS) insertInterval(id nodeID, l, r int64) {
 	if r <= l+1 {
 		return
 	}
+	// New coverage changes the node's free values, and the points it deletes
+	// take their subtrees — possibly active ones — with them.
+	c.lower(int(c.nodes[id].depth))
 	c.nodes[id].hasIntervals = true
 	vals, meta := c.points(id)
 	// Find where l and r sit or belong. An endpoint strictly inside an
@@ -461,15 +473,21 @@ func (c *CDS) insertInterval(id nodeID, l, r int64) {
 }
 
 // Frontier exposes the current frontier; ComputeFreeTuple leaves the free
-// tuple here. The slice must not be modified except through SetFrontier and
-// the Advance methods.
+// tuple here. Callers read it and change it only through SetFrontier,
+// AdvancePast and AdvanceOutput, which keep the resume watermark honest.
 func (c *CDS) Frontier() []int64 { return c.t }
 
-// SetFrontier replaces the frontier (used for Idea 7 frontier advances).
-// Values below the new frontier are the caller's assertion that no
-// unreported output remains there.
+// SetFrontier replaces the frontier (Idea 7 frontier advances, the §4.10
+// range start). Values below the new frontier are the caller's assertion
+// that no unreported output remains there.
 func (c *CDS) SetFrontier(t []int64) {
-	copy(c.t, t)
+	for p := range c.t {
+		if c.t[p] != t[p] {
+			c.lower(p)
+			copy(c.t[p:], t[p:])
+			return
+		}
+	}
 }
 
 // AdvancePast moves the frontier to the first tuple after the subtree of the
@@ -478,6 +496,7 @@ func (c *CDS) SetFrontier(t []int64) {
 func (c *CDS) AdvancePast(d int) {
 	c.t[d]++
 	c.resetBelow(d)
+	c.lower(d)
 }
 
 // AdvanceOutput moves the frontier just past the reported output tuple
@@ -511,12 +530,15 @@ func (c *CDS) InsConstraint(con Constraint) {
 // frontier (lexicographically) that is not covered by any stored constraint
 // (Algorithm 4, restructured so that this routine owns all depth and
 // frontier mutations). It returns false when the space is exhausted.
+//
+// The search does not restart at the root: the previous free tuple is still
+// free and its active sets still current above the resume watermark, so it
+// starts there (the moving frontier of Idea 2, made incremental).
 func (c *CDS) ComputeFreeTuple() bool {
 	if c.done {
 		return false
 	}
-	d := 0
-	c.actives[0] = append(c.actives[0][:0], rootID)
+	d := min(c.resume, c.n-1)
 	for {
 		c.steps++
 		if c.tick != nil {
@@ -527,8 +549,14 @@ func (c *CDS) ComputeFreeTuple() bool {
 		}
 		x := c.t[d]
 		y, killDepth, dead := c.freeValue(d, x)
-		if debugTrace != nil {
-			debugTrace(d, x, y, killDepth, dead, c.t)
+		// From here the search passes through every depth from d down to the
+		// last before it returns, recomputing free values and active sets, so
+		// it absorbs any staleness at d or deeper — including the intervals
+		// freeValue just cached at d. What stays stale is what freeValue did
+		// above d: a truncation (the search goes there next) or nodes
+		// ensureSpec created on the prefix, which the next call must pick up.
+		if c.resume >= d {
+			c.resume = c.n
 		}
 		if dead {
 			// truncate already inserted the kill interval (Algorithm 6).

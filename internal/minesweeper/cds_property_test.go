@@ -102,6 +102,120 @@ func TestFreeTupleEnumerationOracle(t *testing.T) {
 	}
 }
 
+// TestFreeTupleResumeOracle interleaves the CDS mutators with the searches,
+// the way the engine does, so ComputeFreeTuple resumes from a watermark that
+// random constraint insertions (some creating nodes on the current prefix,
+// some deleting points that carry children), forward SetFrontier jumps,
+// AdvancePast and AdvanceOutput have lowered. Every tuple it returns must be
+// the least tuple >= the frontier that no constraint inserted so far covers,
+// and when it returns false no such tuple may exist.
+func TestFreeTupleResumeOracle(t *testing.T) {
+	const (
+		n      = 3
+		maxVal = 5
+	)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCDS(n)
+		var cons []Constraint
+		for d := 0; d < n; d++ {
+			cons = append(cons, Constraint{Col: d, Lo: maxVal, Hi: relation.PosInf})
+		}
+		insert := func(con Constraint) {
+			cons = append(cons, con)
+			c.InsConstraint(con)
+		}
+		for _, con := range cons {
+			c.InsConstraint(con)
+		}
+		// leastFree is the brute-force answer: the least uncovered tuple of
+		// [-1, maxVal]^n that is >= from.
+		leastFree := func(from []int64) ([]int64, bool) {
+			var tup [n]int64
+			var rec func(d int, tight bool) bool
+			rec = func(d int, tight bool) bool {
+				if d == n {
+					for _, con := range cons {
+						if boxCovers(con, tup[:]) {
+							return false
+						}
+					}
+					return true
+				}
+				v := int64(-1)
+				if tight {
+					v = max(v, from[d])
+				}
+				for ; v <= maxVal; v++ {
+					tup[d] = v
+					if rec(d+1, tight && v == from[d]) {
+						return true
+					}
+				}
+				return false
+			}
+			return tup[:], rec(0, true)
+		}
+		for step := 0; step < 60; step++ {
+			from := slices.Clone(c.Frontier())
+			want, ok := leastFree(from)
+			if got := c.ComputeFreeTuple(); got != ok || ok && !slices.Equal(c.Frontier(), want) {
+				t.Logf("seed %d step %d: from %v got (%v, %v), want (%v, %v)", seed, step, from, got, c.Frontier(), ok, want)
+				return false
+			}
+			if !ok {
+				return true
+			}
+			ft := c.Frontier()
+			for k := rng.Intn(3); k > 0; k-- {
+				switch rng.Intn(5) {
+				case 0, 1:
+					// A gap box, most often through the free tuple's own
+					// prefix, so it creates nodes on the path being resumed.
+					col := rng.Intn(n)
+					con := Constraint{Col: col, Lo: int64(rng.Intn(maxVal+2) - 2)}
+					con.Hi = con.Lo + 2 + int64(rng.Intn(3))
+					for p := 0; p < col; p++ {
+						if rng.Intn(4) > 0 {
+							con.EqPos = append(con.EqPos, p)
+							con.EqVal = append(con.EqVal, ft[p])
+						}
+					}
+					insert(con)
+				case 2:
+					// Cover a prefix value of the free tuple: the point
+					// carries the children the deeper boxes created.
+					col := rng.Intn(n - 1)
+					con := Constraint{Col: col, Lo: ft[col] - 1 - int64(rng.Intn(2)), Hi: ft[col] + 1 + int64(rng.Intn(2))}
+					for p := 0; p < col; p++ {
+						con.EqPos = append(con.EqPos, p)
+						con.EqVal = append(con.EqVal, ft[p])
+					}
+					insert(con)
+				case 3:
+					// A forward jump: bump one position, keep the prefix.
+					next := slices.Clone(ft)
+					p := rng.Intn(n)
+					next[p] += 1 + int64(rng.Intn(2))
+					for q := p + 1; q < n; q++ {
+						next[q] = int64(rng.Intn(maxVal+2) - 1)
+					}
+					c.SetFrontier(next)
+				case 4:
+					c.AdvancePast(rng.Intn(n))
+				}
+			}
+			if slices.Equal(c.Frontier(), ft) && rng.Intn(2) == 0 {
+				c.AdvanceOutput()
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestArenaChurn forces the slabs to grow and the free lists to be used:
 // each round plants a few hundred children under the root, grows each
 // child's pointList through several size classes, checks the children

@@ -152,11 +152,18 @@ func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms [
 		ex.ovs = append(ex.ovs, gen.Overlay(a.Index))
 	}
 	ex.points, ex.scratch = zeroed(ex.points, arity), zeroed(ex.scratch, maxArity)
-	ex.probes = ex.probes[:0]
+	// Grow probes in place, so each memo keeps its finger's storage.
+	if have := cap(ex.probes); have < len(atoms) {
+		ex.probes = append(ex.probes[:have], make([]probeMemo, len(atoms)-have)...)
+	}
+	ex.probes = ex.probes[:len(atoms)]
 	off := 0
-	for _, a := range atoms {
-		ex.probes = append(ex.probes, probeMemo{point: ex.points[off : off+len(a.VarPos) : off+len(a.VarPos)]})
-		off += len(a.VarPos)
+	for i, a := range atoms {
+		k := len(a.VarPos)
+		pm := &ex.probes[i]
+		*pm = probeMemo{point: ex.points[off : off+k : off+k], finger: pm.finger}
+		pm.finger.Reset()
+		off += k
 	}
 	ex.adv, ex.cand, ex.out = zeroed(ex.adv, n), zeroed(ex.cand, n), zeroed(ex.out, n)
 }
@@ -171,6 +178,9 @@ func zeroed(buf []int64, n int) []int64 {
 func (ex *exec) release() {
 	ex.atoms, ex.inSkel, ex.push, ex.emit = nil, nil, nil, nil
 	clear(ex.ovs)
+	for i := range ex.probes {
+		ex.probes[i].finger.Reset() // it names a trie of the run's generation
+	}
 	ex.sink.Release()
 	ex.tick = core.Ticker{}
 	if ex.cds.retained()+ex.counter.retained() > maxPooledFrame {
@@ -223,7 +233,9 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 	ex.reset(ctx, q, gao, atoms, gen, inSkel, push, emit, e.Opts)
 	if r := e.Opts.FirstVarRange; r != nil {
 		if r.Lo > -1 {
-			ex.cds.t[0] = r.Lo
+			copy(ex.adv, ex.cds.Frontier())
+			ex.adv[0] = r.Lo
+			ex.cds.SetFrontier(ex.adv)
 		}
 		if r.Hi < posInf {
 			ex.cds.InsConstraint(Constraint{Col: 0, Lo: r.Hi - 1, Hi: posInf})
@@ -480,12 +492,14 @@ func (ex *exec) constraintFor(i int, gap relation.Gap) Constraint {
 // probeMemo caches the last probe per atom (Idea 4): while the free tuple's
 // projection stays inside the last gap band — or hits the band's upper
 // endpoint on the last column, proving membership — no index seek is needed.
+// When a seek is needed, finger starts it from the last seek's trie path.
 type probeMemo struct {
 	valid       bool
 	found       bool
 	gap         relation.Gap
 	point       []int64
 	insertedCur bool
+	finger      relation.ProbeFinger
 }
 
 // probeAtom returns atom i's gap (or found == true) for free tuple t.
@@ -535,7 +549,7 @@ func (ex *exec) probeAtom(i int, t []int64) (relation.Gap, bool) {
 			}
 		}
 	}
-	gap, found := ex.ovs[i].ProbeGap(proj)
+	gap, found := ex.ovs[i].ProbeGapFinger(proj, &pm.finger)
 	ex.stats.Probes++
 	pm.valid = true
 	pm.found = found

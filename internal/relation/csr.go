@@ -130,14 +130,70 @@ func (t *CSRTrie) String() string {
 // re-narrowing full row ranges. Gap semantics are identical to the flat
 // reference's.
 func (t *CSRTrie) ProbeGap(point []int64) (gap Gap, found bool) {
+	return t.probeGap(point, nil)
+}
+
+// ProbeFinger is a gap probe's memory of its last path through one trie:
+// per level, the key looked up and the position the search returned (the
+// child range below follows from the position). Successive Minesweeper
+// probes of an atom share most of their path, so a fingered probe reuses
+// the levels whose key is unchanged and starts the first changed level's
+// search from the old position. The zero value is an empty finger.
+type ProbeFinger struct {
+	trie *CSRTrie
+	n    int // path[:n] is the last probe's path in trie
+	path []fingerStep
+}
+
+type fingerStep struct {
+	key int64
+	pos int32
+}
+
+// Reset empties the finger and drops its trie, keeping its storage.
+func (f *ProbeFinger) Reset() { f.trie, f.n = nil, 0 }
+
+// probeGap is ProbeGap resuming from f's last path (nil: none), which it
+// then replaces with this probe's path. The answer does not depend on f; a
+// finger left by another trie is emptied first.
+func (t *CSRTrie) probeGap(point []int64, f *ProbeFinger) (gap Gap, found bool) {
 	if len(point) != t.arity {
 		panic("relation: ProbeGap point length mismatch")
+	}
+	var path []fingerStep
+	same := 0 // levels whose search the finger answers: the keys above agree
+	if f != nil {
+		if f.trie != t {
+			f.trie, f.n = t, 0
+			if cap(f.path) < t.arity {
+				f.path = make([]fingerStep, t.arity)
+			}
+		}
+		path, same = f.path[:t.arity], f.n
 	}
 	lo, hi := int32(0), int32(len(t.levels[0].vals))
 	for d := 0; d < t.arity; d++ {
 		vals := t.levels[d].vals
 		v := point[d]
-		pos := lowerBound64(vals, lo, hi, v)
+		var pos int32
+		if d < same {
+			// Same child range as last time: the old position bounds the
+			// search on one side.
+			switch old := path[d]; {
+			case v == old.key:
+				pos = old.pos
+			case v > old.key:
+				pos, same = gallopGE(vals, old.pos, hi, v), d
+			default:
+				pos, same = lowerBound64(vals, lo, old.pos, v), d
+			}
+		} else {
+			pos = lowerBound64(vals, lo, hi, v)
+		}
+		if path != nil {
+			path[d] = fingerStep{key: v, pos: pos}
+			f.n = d + 1
+		}
 		if pos < hi && vals[pos] == v {
 			if d+1 < t.arity {
 				lo, hi = t.levels[d+1].start[pos], t.levels[d+1].start[pos+1]
@@ -167,6 +223,21 @@ func lowerBound64(vals []int64, lo, hi int32, v int64) int32 {
 		}
 	}
 	return lo
+}
+
+// gallopGE returns the first index in [pos, hi) with vals[i] >= v (hi when
+// none, pos when pos >= hi), probing keys 0, 1, 3, 7, … past pos before it
+// bisects: O(log distance) for a target near pos. It is small enough to
+// inline into the leapfrog loop's SeekGE.
+func gallopGE(vals []int64, pos, hi int32, v int64) int32 {
+	// The target lies in [lo, bound]: every key before lo is < v.
+	lo, bound, step := pos, pos, int32(1)
+	for bound < hi && vals[bound] < v {
+		lo = bound + 1
+		bound += step
+		step <<= 1
+	}
+	return lowerBound64(vals, lo, min(bound, hi), v)
 }
 
 // CSRCursor is the trie cursor over a CSRTrie, with the same contract as
@@ -265,21 +336,6 @@ func (c *CSRCursor) Next() {
 // Seeking backwards is a no-op.
 func (c *CSRCursor) SeekGE(v int64) {
 	cur := c.depth - 1
-	vals := c.t.levels[cur].vals
 	f := &c.lv[cur]
-	pos, hi := f.pos, f.hi
-	if pos >= hi || vals[pos] >= v {
-		return
-	}
-	// vals[pos] < v: gallop until the bracket [pos, bound) has the target.
-	bound, step := pos+1, int32(1)
-	for bound < hi && vals[bound] < v {
-		pos = bound
-		bound += step
-		step <<= 1
-	}
-	if bound > hi {
-		bound = hi
-	}
-	f.pos = lowerBound64(vals, pos+1, bound, v)
+	f.pos = gallopGE(c.t.levels[cur].vals, f.pos, f.hi, v)
 }

@@ -113,3 +113,52 @@ func FuzzOverlayCursor(f *testing.F) {
 		}
 	})
 }
+
+// FuzzProbeGapFinger runs probe sequences through one ProbeFinger and checks
+// every answer against the finger-less ProbeGap: two random tries of arity
+// 1–3, and per step an ascending run on the last column, a backward jump, a
+// change at a random prefix level, or a switch to the other trie.
+func FuzzProbeGapFinger(f *testing.F) {
+	f.Add([]byte{1, 20, 3, 4, 5, 6, 7, 8, 2, 10, 1, 2, 3, 4, 5, 0, 1, 2, 3})
+	f.Add([]byte{2, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4, 16, 5, 4, 3, 2, 1, 3, 3})
+	f.Add([]byte{0, 5, 1, 1, 2, 2, 3, 3, 6, 30, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const domain = 8
+		in := fuzzInput(data)
+		var tries [2]*CSRTrie
+		for k := range tries {
+			arity := 1 + in.next(3)
+			b := NewBuilder("R", arity)
+			for i := in.next(64); i > 0; i-- {
+				b.Add(in.tuple(arity, domain)...)
+			}
+			tries[k] = NewCSRTrie(b.Build())
+		}
+		var finger ProbeFinger
+		cur := 0
+		point := make([]int64, tries[cur].Arity())
+		for step := 0; step < 64 && len(in) > 0; step++ {
+			last := len(point) - 1
+			switch in.next(4) {
+			case 0: // ascending run on the last column
+				point[last] += int64(in.next(3))
+			case 1: // backward jump
+				point[last] -= int64(1 + in.next(domain))
+			case 2: // new value at a prefix level, fresh suffix
+				d := in.next(len(point))
+				point[d] = int64(in.next(domain+2) - 1)
+				for k := d + 1; k < len(point); k++ {
+					point[k] = int64(in.next(domain+2) - 1)
+				}
+			case 3: // the other trie
+				cur = 1 - cur
+				point = in.tuple(tries[cur].Arity(), domain+2)
+			}
+			wg, wfound := tries[cur].ProbeGap(point)
+			g, found := tries[cur].probeGap(point, &finger)
+			if g != wg || found != wfound {
+				t.Fatalf("step %d trie %d point %v: finger (%v, %v), ProbeGap (%v, %v)", step, cur, point, g, found, wg, wfound)
+			}
+		}
+	})
+}

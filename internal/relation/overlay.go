@@ -478,6 +478,16 @@ func (o *Overlay) ProbeGap(point []int64) (Gap, bool) {
 	return Gap{}, true
 }
 
+// ProbeGapFinger is ProbeGap resuming from f's last path when the overlay is
+// pristine (the base trie answers alone). An overlay with a live log merges
+// three tries per level and leaves f alone.
+func (o *Overlay) ProbeGapFinger(point []int64, f *ProbeFinger) (Gap, bool) {
+	if o.pristine() {
+		return o.base.probeGap(point, f)
+	}
+	return o.ProbeGap(point)
+}
+
 // baseVisible reports whether base node i at the given level survives the
 // dels log (its subtree is not fully deleted).
 func (o *Overlay) baseVisible(col int, i int32, dOk bool, dLo, dHi int32) bool {
