@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hypergraph"
 	"repro/internal/incremental"
-	"repro/internal/minesweeper"
 	"repro/internal/query"
 	"repro/internal/recursive"
 	"repro/internal/relation"
@@ -39,30 +39,26 @@ var (
 	// ErrUnboundPredVar reports a comparison predicate over a variable no
 	// body atom binds.
 	ErrUnboundPredVar = query.ErrUnboundPredVar
-	// ErrUnsupportedQuery reports an extended query (projection, predicates,
-	// or aggregates) prepared for an engine that executes plain natural
-	// joins only; use LFTJ or MS.
-	ErrUnsupportedQuery = engine.ErrUnsupportedQuery
 	// ErrUnknownAlgorithm reports an Options.Algorithm outside the
 	// registered set; Prepare validates eagerly, before engine selection.
 	ErrUnknownAlgorithm = engine.ErrUnknownAlgorithm
 )
+
+// ErrUnsupportedQuery reports an execution a query cannot be given: a
+// malformed Options.Shard, or a shard of a query whose leading attribute is
+// not an output column.
+var ErrUnsupportedQuery = errors.New("query unsupported by the requested execution")
 
 // Algorithm names a join engine; the names match the paper's system labels
 // (§5.1). The zero value selects LFTJ. Prepare rejects anything outside the
 // registered set with ErrUnknownAlgorithm.
 type Algorithm = engine.Algorithm
 
-// Registered algorithms.
+// Registered algorithms: Leapfrog Triejoin and Minesweeper. The paper's
+// baselines run in internal/bench (go run ./cmd/benchtables).
 const (
-	LFTJ        = engine.LFTJ
-	MS          = engine.MS
-	Hybrid      = engine.Hybrid
-	PSQL        = engine.PSQL
-	MonetDB     = engine.MonetDB
-	Yannakakis  = engine.Yannakakis
-	GraphLab    = engine.GraphLab
-	GenericJoin = engine.GenericJoin
+	LFTJ = engine.LFTJ
+	MS   = engine.MS
 )
 
 // Algorithms lists every registered algorithm.
@@ -365,31 +361,20 @@ func (g *Graph) Prepare(q *Query, opts Options) (*Prepared, error) {
 func (g *Graph) DB() *core.DB { return g.s.db }
 
 // Options select and configure an engine. Algorithm is typed — use the
-// exported constants (LFTJ, MS, ...); string literals still assign for
+// exported constants (LFTJ, MS); string literals still assign for
 // convenience, and Prepare rejects unknown names eagerly with
 // ErrUnknownAlgorithm.
 type Options struct {
-	// Algorithm selects the engine: LFTJ, MS, Hybrid, PSQL, MonetDB,
-	// Yannakakis, GraphLab, or GenericJoin. Empty defaults to LFTJ.
+	// Algorithm selects the engine: LFTJ or MS. Empty defaults to LFTJ.
 	Algorithm Algorithm
 	// Workers bounds parallelism (0 = all cores, 1 = sequential).
 	Workers int
-	// Granularity is the §4.10 partitioning factor f (0 = paper defaults).
-	Granularity int
-	// GAO overrides the global attribute order (Table 4 experiments).
+	// GAO overrides the global attribute order.
 	GAO []string
-	// Idea toggles for the ablation experiments (all ideas default on).
-	DisableProbeMemo  bool // Idea 4
-	DisableSkeleton   bool // Idea 7
-	DisableCountReuse bool // Idea 8 (#Minesweeper-style count-mode reuse)
-	// MaxRows caps pairwise-engine intermediates (0 = default budget).
-	MaxRows int
 	// Shard, when set, restricts execution to one partition of the query's
 	// output space, keyed on the leading GAO attribute — the per-host half
 	// of a distributed fan-out (see the router package, which sets it when
-	// preparing a query on each cluster host). Supported by the plan-aware
-	// trie engines (lftj, ms) only; Prepare rejects it elsewhere with
-	// ErrUnsupportedQuery.
+	// preparing a query on each cluster host).
 	Shard *Shard
 }
 
@@ -429,18 +414,7 @@ func (o Options) engineOptions() engine.Options {
 	if alg == "" {
 		alg = engine.LFTJ
 	}
-	eo := engine.Options{
-		Algorithm:   alg,
-		Workers:     o.Workers,
-		Granularity: o.Granularity,
-		GAO:         o.GAO,
-		MaxRows:     o.MaxRows,
-		MS: minesweeper.Options{
-			DisableMemo:      o.DisableProbeMemo,
-			DisableSkeleton:  o.DisableSkeleton,
-			DisableCountMemo: o.DisableCountReuse,
-		},
-	}
+	eo := engine.Options{Algorithm: alg, Workers: o.Workers, GAO: o.GAO}
 	if o.Shard != nil && o.Shard.Kind == ShardRange {
 		eo.FirstVarRange = &engine.Range{Lo: o.Shard.Lo, Hi: o.Shard.Hi}
 	}
@@ -570,7 +544,7 @@ func (v *CountView) ApplyEdges(ctx context.Context, insert, remove [][2]int64) e
 
 // MaterializeTransitiveClosure computes tc(edge) with semi-naive recursion
 // (the paper's §6 future work) and registers it as relation "tc", queryable
-// from any engine, e.g. ParseQuery("reach", "v1(a), tc(a, b), v2(b)").
+// from either engine, e.g. ParseQuery("reach", "v1(a), tc(a, b), v2(b)").
 func MaterializeTransitiveClosure(ctx context.Context, g *Graph) error {
 	return recursive.RegisterTC(ctx, g.s.db)
 }

@@ -3,6 +3,9 @@ package repro
 import (
 	"context"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/minesweeper"
 )
 
 func k4() *Graph {
@@ -11,7 +14,7 @@ func k4() *Graph {
 
 func TestCountTrianglesAllEngines(t *testing.T) {
 	g := k4()
-	for _, alg := range []Algorithm{"", LFTJ, MS, PSQL, MonetDB, GraphLab} {
+	for _, alg := range append([]Algorithm{""}, Algorithms()...) {
 		got, err := Count(context.Background(), g, Triangles(), Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%q: %v", alg, err)
@@ -57,7 +60,7 @@ func TestSelectivityAndSamples(t *testing.T) {
 		t.Errorf("ms=%d lftj=%d", n1, n2)
 	}
 	g.SetSamples([]int64{0}, []int64{1})
-	n3, err := Count(ctx, g, Paths(3), Options{Algorithm: "yannakakis"})
+	n3, err := Count(ctx, g, Paths(3), Options{Algorithm: "ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestSelectivityAndSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n3 != n4 {
-		t.Errorf("yannakakis=%d lftj=%d", n3, n4)
+		t.Errorf("after SetSamples: ms=%d lftj=%d", n3, n4)
 	}
 }
 
@@ -130,23 +133,9 @@ func TestBadAlgorithm(t *testing.T) {
 	}
 }
 
-func TestHybridAPI(t *testing.T) {
-	g := GenerateGraph(HolmeKim, 100, 500, 2)
-	g.SetSelectivity(4, 9)
-	ctx := context.Background()
-	a, err := Count(ctx, g, Lollipops(2), Options{Algorithm: "hybrid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Count(ctx, g, Lollipops(2), Options{Algorithm: "lftj"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("hybrid=%d lftj=%d", a, b)
-	}
-}
-
+// TestIdeaTogglesAPI checks that the ablation toggles the benchmark harness
+// sets on the engine options never change a count. They are not serving
+// options, so the test drives the engine layer under a Graph's database.
 func TestIdeaTogglesAPI(t *testing.T) {
 	g := GenerateGraph(BarabasiAlbert, 150, 600, 4)
 	g.SetSelectivity(10, 3)
@@ -155,17 +144,21 @@ func TestIdeaTogglesAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Options{
-		{Algorithm: "ms", DisableProbeMemo: true},
-		{Algorithm: "ms", DisableSkeleton: true},
-		{Algorithm: "ms", DisableCountReuse: true},
+	for _, ms := range []minesweeper.Options{
+		{DisableMemo: true},
+		{DisableSkeleton: true},
+		{DisableCountMemo: true},
 	} {
-		got, err := Count(ctx, g, Comb(), o)
+		eng, _, err := engine.Prepare(engine.Options{Algorithm: MS, MS: ms}, Comb(), g.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Count(ctx, Comb(), g.DB())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != base {
-			t.Errorf("toggle %+v changed the count: %d vs %d", o, got, base)
+			t.Errorf("toggle %+v changed the count: %d vs %d", ms, got, base)
 		}
 	}
 }
@@ -225,16 +218,5 @@ func TestTransitiveClosureAPI(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("reach = %d, want 1", n)
-	}
-}
-
-func TestGenericJoinAPI(t *testing.T) {
-	g := k4()
-	n, err := Count(context.Background(), g, Triangles(), Options{Algorithm: "genericjoin"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Errorf("genericjoin triangles = %d, want 4", n)
 	}
 }

@@ -11,9 +11,7 @@ import (
 // collecting its result tuples alongside the count.
 type Request struct {
 	// Prepared is the compiled query to execute; it must have been prepared
-	// on the store being batched, with a plan-aware algorithm (lftj or ms —
-	// Batch runs inside a read transaction, and engines without a plan
-	// representation fail their request with ErrTxnUnplanned).
+	// on the store being batched.
 	Prepared *Prepared
 	// Rows, when true, collects the result tuples (in output order — the
 	// head variables then any aggregate values) into the Result as well as

@@ -1,9 +1,8 @@
-// Benchmarks mirroring the paper's evaluation artifacts, one per table and
-// figure, on fixed representative workloads (small synthetic stand-ins so
-// `go test -bench=.` completes quickly). The full parameter sweeps that
-// print the paper-shaped tables live in cmd/benchtables; these benchmarks
-// exercise the same code paths through testing.B so regressions show up in
-// ns/op and allocs/op.
+// Benchmarks of the serving API on fixed representative workloads (small
+// synthetic stand-ins so `go test -bench=.` completes quickly): prepared
+// reuse, tracing, writes, batches, pushdown and §4.10 parallelism. The
+// paper's Tables 1–7 and Figures 3–7 are benchmarked in internal/bench,
+// beside the baseline engines they compare.
 package repro
 
 import (
@@ -41,162 +40,6 @@ func benchCount(b *testing.B, g *Graph, q *Query, opts Options) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTable1_IdeaAblation measures Minesweeper on 3-path with the
-// Idea 4 ablation variants (Table 1's speedup numerator and denominator).
-func BenchmarkTable1_IdeaAblation(b *testing.B) {
-	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 10)
-	q := Paths(3)
-	for _, v := range []struct {
-		name string
-		opts Options
-	}{
-		{"noIdeas", Options{Algorithm: "ms", Workers: 1, DisableProbeMemo: true, DisableCountReuse: true}},
-		{"idea4", Options{Algorithm: "ms", Workers: 1, DisableCountReuse: true}},
-	} {
-		b.Run(v.name, func(b *testing.B) { benchCount(b, g, q, v.opts) })
-	}
-}
-
-// BenchmarkTable2_LowSelectivity is the Table 2 regime: Idea 4 at
-// selectivity 10 on 2-comb.
-func BenchmarkTable2_LowSelectivity(b *testing.B) {
-	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 10)
-	q := Comb()
-	b.Run("noIdeas", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, DisableProbeMemo: true, DisableCountReuse: true})
-	})
-	b.Run("idea4", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, DisableCountReuse: true})
-	})
-}
-
-// BenchmarkTable3_SkeletonAblation measures Idea 7 on the triangle query.
-func BenchmarkTable3_SkeletonAblation(b *testing.B) {
-	g := benchGraph(b, dataset.ErdosRenyi, 10000, 40000, 1)
-	q := Cliques(3)
-	b.Run("noSkeleton", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, DisableSkeleton: true})
-	})
-	b.Run("skeleton", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1})
-	})
-}
-
-// BenchmarkTable4_GAO measures Minesweeper on 4-path under the best NEO
-// order and a non-NEO order (Table 4's contrast).
-func BenchmarkTable4_GAO(b *testing.B) {
-	g := benchGraph(b, dataset.ErdosRenyi, 5000, 15000, 10)
-	q := Paths(4)
-	b.Run("neoABCDE", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, GAO: []string{"a", "b", "c", "d", "e"}})
-	})
-	b.Run("nonNeoABDCE", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, GAO: []string{"a", "b", "d", "c", "e"}})
-	})
-}
-
-// BenchmarkTable5_Granularity measures parallel Minesweeper on the triangle
-// query across the paper's partition granularities.
-func BenchmarkTable5_Granularity(b *testing.B) {
-	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 1)
-	q := Cliques(3)
-	for _, f := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			benchCount(b, g, q, Options{Algorithm: "ms", Granularity: f})
-		})
-	}
-}
-
-// BenchmarkTable6_CyclicEngines measures every engine on the 3-clique query
-// (one Table 6 column).
-func BenchmarkTable6_CyclicEngines(b *testing.B) {
-	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 1)
-	q := Cliques(3)
-	for _, alg := range []Algorithm{LFTJ, MS, PSQL, MonetDB, GraphLab} {
-		b.Run(string(alg), func(b *testing.B) { benchCount(b, g, q, Options{Algorithm: alg, Workers: 1}) })
-	}
-}
-
-// BenchmarkTable7_AcyclicEngines measures the acyclic-query engines on
-// 3-path at selectivity 80 (one Table 7 column).
-func BenchmarkTable7_AcyclicEngines(b *testing.B) {
-	g := benchGraph(b, dataset.BarabasiAlbert, 5000, 29000, 80)
-	q := Paths(3)
-	for _, alg := range []Algorithm{LFTJ, MS, Yannakakis, PSQL, MonetDB} {
-		b.Run(string(alg), func(b *testing.B) { benchCount(b, g, q, Options{Algorithm: alg, Workers: 1}) })
-	}
-}
-
-// BenchmarkTable7_Lollipop measures the §4.12 hybrid against its parents on
-// 2-lollipop.
-func BenchmarkTable7_Lollipop(b *testing.B) {
-	g := benchGraph(b, dataset.BarabasiAlbert, 3000, 12000, 10)
-	q := Lollipops(2)
-	for _, alg := range []Algorithm{MS, Hybrid} {
-		b.Run(string(alg), func(b *testing.B) { benchCount(b, g, q, Options{Algorithm: alg, Workers: 1}) })
-	}
-}
-
-// BenchmarkFigure3to5_PathSampleScaling measures the 3-path engines at two
-// sample sizes (the Figures 3–5 x-axis endpoints).
-func BenchmarkFigure3to5_PathSampleScaling(b *testing.B) {
-	g := benchGraph(b, dataset.BarabasiAlbert, 20000, 120000, 1)
-	for _, n := range []int{10, 300} {
-		v1 := make([]int64, n)
-		v2 := make([]int64, n)
-		for i := 0; i < n; i++ {
-			v1[i] = int64(i * 7 % 20000)
-			v2[i] = int64(i*13%20000 + 1)
-		}
-		g.SetSamples(v1, v2)
-		for _, alg := range []Algorithm{LFTJ, MS} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, alg), func(b *testing.B) {
-				benchCount(b, g, Paths(3), Options{Algorithm: alg, Workers: 1})
-			})
-		}
-	}
-}
-
-// BenchmarkFigure6_TriangleEdgeScaling measures 3-clique at two edge scales
-// (the Figure 6 x-axis).
-func BenchmarkFigure6_TriangleEdgeScaling(b *testing.B) {
-	for _, edges := range []int{20000, 80000} {
-		g := benchGraph(b, dataset.BarabasiAlbert, 20000, edges, 1)
-		for _, alg := range []Algorithm{LFTJ, MS, PSQL} {
-			b.Run(fmt.Sprintf("E=%d/%s", edges, alg), func(b *testing.B) {
-				benchCount(b, g, Cliques(3), Options{Algorithm: alg, Workers: 1})
-			})
-		}
-	}
-}
-
-// BenchmarkFigure7_FourCliqueEdgeScaling measures 4-clique at two edge
-// scales (the Figure 7 x-axis).
-func BenchmarkFigure7_FourCliqueEdgeScaling(b *testing.B) {
-	for _, edges := range []int{20000, 60000} {
-		g := benchGraph(b, dataset.BarabasiAlbert, 20000, edges, 1)
-		for _, alg := range []Algorithm{LFTJ, MS} {
-			b.Run(fmt.Sprintf("E=%d/%s", edges, alg), func(b *testing.B) {
-				benchCount(b, g, Cliques(4), Options{Algorithm: alg, Workers: 1})
-			})
-		}
-	}
-}
-
-// BenchmarkCountReuse isolates the #Minesweeper-style count-mode subtree
-// reuse (Idea 8) on a low-selectivity 4-path — the paper's headline
-// Minesweeper advantage.
-func BenchmarkCountReuse(b *testing.B) {
-	g := benchGraph(b, dataset.BarabasiAlbert, 3000, 15000, 10)
-	q := Paths(4)
-	b.Run("withReuse", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1})
-	})
-	b.Run("withoutReuse", func(b *testing.B) {
-		benchCount(b, g, q, Options{Algorithm: "ms", Workers: 1, DisableCountReuse: true})
-	})
 }
 
 // BenchmarkPreparedReuse is the prepared-API acceptance benchmark: the
@@ -419,26 +262,14 @@ func BenchmarkAGMBound(b *testing.B) {
 }
 
 // BenchmarkParallelSpeedup contrasts sequential and parallel LFTJ on the
-// triangle query (§4.10).
+// triangle query (§4.10), at the cyclic default of 8 jobs per worker.
 func BenchmarkParallelSpeedup(b *testing.B) {
 	g := benchGraph(b, dataset.HolmeKim, 20000, 120000, 1)
 	q := Cliques(3)
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchCount(b, g, q, Options{Algorithm: "lftj", Workers: w, Granularity: 8})
+			benchCount(b, g, q, Options{Algorithm: "lftj", Workers: w})
 		})
-	}
-}
-
-// BenchmarkWCOJImplementations is the implementation ablation DESIGN.md
-// calls out: the same worst-case-optimal computation via leapfrogging
-// sorted iterators (lftj) vs the paper's recursive Algorithm 1 formulation
-// (genericjoin) vs Minesweeper's gap-driven search (ms).
-func BenchmarkWCOJImplementations(b *testing.B) {
-	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 1)
-	q := Cliques(3)
-	for _, alg := range []Algorithm{LFTJ, GenericJoin, MS} {
-		b.Run(string(alg), func(b *testing.B) { benchCount(b, g, q, Options{Algorithm: alg, Workers: 1}) })
 	}
 }
 

@@ -151,19 +151,11 @@ func TestTypedErrorsAcrossWire(t *testing.T) {
 	if _, err := c.Arity("nope"); !errors.Is(err, repro.ErrUnknownRelation) {
 		t.Errorf("arity unknown: %v, want ErrUnknownRelation", err)
 	}
-	// A plan-less engine inside a transaction is refused with the local
-	// sentinel, through the wire.
-	p, err := c.Prepare(q, repro.Options{Algorithm: repro.Yannakakis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := c.ReadTxn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer txn.Close()
-	if _, err := txn.Count(context.Background(), p); !errors.Is(err, repro.ErrTxnUnplanned) {
-		t.Errorf("unplanned in txn: %v, want ErrTxnUnplanned", err)
+	// A malformed shard spec is refused with the local sentinel, through
+	// the wire.
+	bad := &repro.Shard{Kind: repro.ShardRange, Lo: 5, Hi: 5}
+	if _, err := c.Prepare(q, repro.Options{Shard: bad}); !errors.Is(err, repro.ErrUnsupportedQuery) {
+		t.Errorf("empty shard range: %v, want ErrUnsupportedQuery", err)
 	}
 }
 

@@ -1,10 +1,10 @@
-// Command graphjoin runs any graph-pattern query on any dataset with any
+// Command graphjoin runs any graph-pattern query on any dataset with either
 // engine — the reproduction's equivalent of a database client:
 //
 //	graphjoin -dataset ego-Facebook -query 3-clique -engine lftj
 //	graphjoin -dataset ca-GrQc -engine ms -selectivity 10 \
 //	    -datalog 'v1(a), v2(d), edge(a,b), edge(b,c), edge(c,d)'
-//	graphjoin -nodes 10000 -edges 50000 -model hk -query 4-clique -engine graphlab
+//	graphjoin -nodes 10000 -edges 50000 -model hk -query 4-clique -engine lftj
 //	graphjoin -dataset ca-GrQc -query 3-path -engine ms -explain -stats -repeat 100
 //
 // Beyond the benchmark graph schema, -relation/-load define and fill an
@@ -31,7 +31,8 @@
 // unified execution counters.
 //
 // Named queries: 3-clique, 4-clique, 4-cycle, 3-path, 4-path, 1-tree,
-// 2-tree, 2-comb, 2-lollipop, 3-lollipop.
+// 2-tree, 2-comb, 2-lollipop, 3-lollipop. The paper's baseline systems run
+// in cmd/benchtables, not here.
 package main
 
 import (
@@ -69,7 +70,7 @@ func run() error {
 		seed        = flag.Int64("seed", 1, "generator seed")
 		queryName   = flag.String("query", "3-clique", "named benchmark query")
 		datalog     = flag.String("datalog", "", "inline Datalog query body (overrides -query)")
-		engineName  = flag.String("engine", "lftj", "lftj | ms | hybrid | psql | monetdb | yannakakis | graphlab")
+		engineName  = flag.String("engine", "lftj", "lftj | ms")
 		selectivity = flag.Int("selectivity", 10, "node-sample selectivity s (samples pick nodes w.p. 1/s)")
 		timeout     = flag.Duration("timeout", 30*time.Minute, "execution timeout (paper protocol: 30m)")
 		workers     = flag.Int("workers", 0, "worker pool size (0 = all cores)")

@@ -128,21 +128,16 @@
 // # Engines
 //
 //   - "lftj" — Leapfrog Triejoin, worst-case optimal (paper §2.2);
-//   - "ms" — Minesweeper with the constraint data structure and all of the
-//     paper's Ideas 1–8 (paper §2.3, §4), beyond-worst-case optimal for
-//     β-acyclic queries;
-//   - "hybrid" — Minesweeper on the acyclic part + LFTJ on the clique part
-//     for lollipop queries (paper §4.12);
-//   - "psql" / "monetdb" — Selinger-style pairwise baselines (row-store DP
-//     optimizer / column-store greedy bulk execution);
-//   - "yannakakis" — the classical linear-time algorithm for acyclic joins;
-//   - "graphlab" — a specialized parallel clique counter;
-//   - "genericjoin" — the paper's Algorithm 1, an implementation ablation.
+//   - "ms" — Minesweeper with the constraint data structure and the paper's
+//     Ideas 1–8 except Idea 6 (paper §2.3, §4), beyond-worst-case optimal
+//     for β-acyclic queries.
 //
-// The lftj and ms engines execute pinned compiled plans; the remaining
-// engines (genericjoin among them: it narrows row spans over flat
-// relations) re-derive their internal state per run but share the same
-// Prepared interface and unified stats surface.
+// Both execute pinned compiled plans, inside read transactions and as one
+// shard of a routed fan-out. The paper's outside systems and ablations —
+// the psql and monetdb pairwise baselines, yannakakis, graphlab,
+// genericjoin (Algorithm 1) and the §4.12 hybrid — are not served: they run
+// in internal/bench, which regenerates Tables 6–7 and Figures 3–7 with them
+// (go run ./cmd/benchtables -table 6).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // regenerated tables and figures.

@@ -60,8 +60,9 @@ func main() {
 		st.Executions, st.Outputs, st.Seeks, st.GAODerivations, st.IndexBindings)
 
 	// One-shot helpers still exist for quick comparisons; each prepares
-	// internally (hitting the plan cache for repeated shapes).
-	for _, alg := range []repro.Algorithm{repro.MS, repro.GraphLab, repro.PSQL} {
+	// internally (hitting the plan cache for repeated shapes). The paper's
+	// baseline systems are compared in go run ./cmd/benchtables -table 6.
+	for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
 		start := time.Now()
 		n, err := repro.Count(ctx, g, q, repro.Options{Algorithm: alg})
 		if err != nil {

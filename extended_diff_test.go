@@ -364,29 +364,6 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 	}
 }
 
-// TestExtendedUnsupportedEngines pins the gate: extended queries on the
-// engines without pushdown support fail Prepare with ErrUnsupportedQuery
-// instead of silently returning plain-join results.
-func TestExtendedUnsupportedEngines(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 100, 300, 2)
-	s := g.Store()
-	q, err := s.ParseQuery("q", "out(a) :- edge(a, b)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{Hybrid, PSQL, MonetDB, Yannakakis, GraphLab, GenericJoin} {
-		if _, err := s.Prepare(q, Options{Algorithm: alg}); err == nil {
-			t.Errorf("%s: extended query accepted, want ErrUnsupportedQuery", alg)
-		} else if !errors.Is(err, ErrUnsupportedQuery) {
-			t.Errorf("%s: error %v, want ErrUnsupportedQuery", alg, err)
-		}
-	}
-	// Plain queries stay accepted everywhere.
-	if _, err := s.Prepare(Triangles(), Options{Algorithm: Yannakakis}); err != nil {
-		t.Errorf("plain query on yannakakis: %v", err)
-	}
-}
-
 // TestExtendedTxnAndBatch runs aggregate and projected queries through the
 // snapshot paths: ReadTxn executions and Batch requests must apply the same
 // streaming aggregation as direct Prepared executions.

@@ -13,7 +13,7 @@ import (
 var figureSampleSizes = []int{1, 10, 100, 1000, 10000}
 
 // figurePathEngines are the series of Figures 3–5.
-var figurePathEngines = []engine.Algorithm{engine.LFTJ, engine.MS, engine.PSQL}
+var figurePathEngines = []engine.Algorithm{engine.LFTJ, engine.MS, PSQL}
 
 // FigurePathScaling regenerates Figures 3–5: 3-path runtime as the node
 // samples grow, on the LiveJournal (Figure 3), Pokec (Figure 4) and Orkut
@@ -64,7 +64,7 @@ func (h *Harness) FigurePathScaling(figure int) error {
 // figureCliqueEngines are the series of Figures 6–7. RedShift and System HC
 // from the paper are closed-source; psql/monetdb and the yannakakis engine
 // (acyclic-only, hence n/a on cliques and shown for transparency) stand in.
-var figureCliqueEngines = []engine.Algorithm{engine.LFTJ, engine.MS, engine.PSQL, engine.MonetDB, engine.GraphLab}
+var figureCliqueEngines = []engine.Algorithm{engine.LFTJ, engine.MS, PSQL, MonetDB, GraphLab}
 
 // FigureCliqueScaling regenerates Figures 6–7: {3,4}-clique runtime on
 // growing edge prefixes of the LiveJournal stand-in. figure selects 6

@@ -191,7 +191,7 @@ func (h *Harness) run(opts engine.Options, q *query.Query, db *core.DB) result {
 	if opts.Workers == 0 {
 		opts.Workers = h.cfg.Workers
 	}
-	eng, _, err := engine.Prepare(opts, q, db)
+	eng, err := prepare(opts, q, db)
 	if err != nil {
 		return result{status: failed}
 	}

@@ -103,7 +103,7 @@ func (h *Harness) Table4() error {
 		h.setSelectivity(s, 10)
 		r := m.addRow(name)
 		for j, gao := range table4GAOs {
-			opts := msOptions(minesweeper.Options{GAO: letters(gao)}, 1)
+			opts := engine.Options{Algorithm: engine.MS, GAO: letters(gao), Workers: 1}
 			m.set(r, j, h.run(opts, q, s.db).String())
 		}
 		m.set(r, len(cols)-1, fmt.Sprintf("%d", len(s.g.Edges)))
@@ -181,7 +181,7 @@ func (h *Harness) Table5() error {
 
 // table6Engines are the systems compared on cyclic queries. Virtuoso and
 // Neo4j are closed-source; EXPERIMENTS.md documents the substitution.
-var table6Engines = []engine.Algorithm{engine.LFTJ, engine.MS, engine.PSQL, engine.MonetDB, engine.GraphLab}
+var table6Engines = []engine.Algorithm{engine.LFTJ, engine.MS, PSQL, MonetDB, GraphLab}
 
 // Table6 regenerates the paper's Table 6: durations of the cyclic queries
 // {3,4}-clique and 4-cycle across systems.
@@ -229,11 +229,11 @@ func (h *Harness) Table7() error {
 	for _, q := range queries {
 		engines := []engine.Algorithm{engine.LFTJ, engine.MS}
 		if q.Name == "2-lollipop" || q.Name == "3-lollipop" {
-			engines = append(engines, engine.Hybrid)
+			engines = append(engines, Hybrid)
 		} else {
-			engines = append(engines, engine.Yannakakis)
+			engines = append(engines, Yannakakis)
 		}
-		engines = append(engines, engine.PSQL, engine.MonetDB)
+		engines = append(engines, PSQL, MonetDB)
 		m := newMatrix(fmt.Sprintf("Table 7 (%s): seconds by selectivity", q.Name), "engine/sel", sets)
 		for _, alg := range engines {
 			for _, sel := range sels {

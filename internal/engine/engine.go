@@ -1,9 +1,11 @@
-// Package engine ties the join algorithms together behind one registry and
-// implements the paper's §4.10 multi-threading strategy: the output space is
-// partitioned into p = workers × granularity jobs on the first GAO
-// attribute, submitted to a worker pool; idle workers grab the next
-// unclaimed job (work stealing), because on skewed graphs "the parts are not
-// born equal".
+// Package engine runs the paper's two join engines — Leapfrog Triejoin and
+// Minesweeper — behind one interface and implements the §4.10
+// multi-threading strategy: the output space is partitioned into
+// p = workers × granularity jobs on the first GAO attribute, submitted to a
+// worker pool; idle workers grab the next unclaimed job (work stealing),
+// because on skewed graphs "the parts are not born equal". The paper's
+// outside baselines (psql, MonetDB, GraphLab, Yannakakis, generic join and
+// the §4.12 hybrid) are not served; internal/bench runs them.
 package engine
 
 import (
@@ -16,52 +18,31 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/genericjoin"
-	"repro/internal/graphengine"
-	"repro/internal/hybrid"
 	"repro/internal/hypergraph"
 	"repro/internal/lftj"
 	"repro/internal/minesweeper"
-	"repro/internal/pairwise"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/yannakakis"
 )
 
 // Algorithm names a join engine. The names match the paper's system labels
-// (§5.1): lb/lftj, lb/ms, lb/hybrid, psql, monetdb, graphlab, plus the
-// yannakakis yardstick.
+// (§5.1): lb/lftj and lb/ms.
 type Algorithm string
 
 // Available algorithms.
 const (
-	LFTJ       Algorithm = "lftj"
-	MS         Algorithm = "ms"
-	Hybrid     Algorithm = "hybrid"
-	PSQL       Algorithm = "psql"
-	MonetDB    Algorithm = "monetdb"
-	Yannakakis Algorithm = "yannakakis"
-	GraphLab   Algorithm = "graphlab"
-	// GenericJoin is the paper's Algorithm 1 — the recursive,
-	// intersection-materializing formulation of a worst-case-optimal join —
-	// kept as an implementation ablation against the leapfrog formulation.
-	GenericJoin Algorithm = "genericjoin"
+	LFTJ Algorithm = "lftj"
+	MS   Algorithm = "ms"
 )
 
 // Algorithms lists every registered algorithm.
 func Algorithms() []Algorithm {
-	return []Algorithm{LFTJ, MS, Hybrid, PSQL, MonetDB, Yannakakis, GraphLab, GenericJoin}
+	return []Algorithm{LFTJ, MS}
 }
 
 // ErrUnknownAlgorithm reports an algorithm name outside the registered set;
 // API callers branch with errors.Is instead of matching message text.
 var ErrUnknownAlgorithm = errors.New("unknown algorithm")
-
-// ErrUnsupportedQuery reports an extended query (projection, comparison
-// predicates, or aggregates) prepared for an algorithm that only executes
-// plain natural joins; only LFTJ and Minesweeper push the extended features
-// into their trie traversal.
-var ErrUnsupportedQuery = errors.New("query features unsupported by this algorithm")
 
 // ParseAlgorithm resolves a user-supplied algorithm name; empty selects LFTJ
 // (the default engine throughout the API).
@@ -85,29 +66,28 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // Options configure execution.
 type Options struct {
 	Algorithm Algorithm
-	// Workers sets the worker-pool size for the parallel engines (LFTJ and
-	// Minesweeper); 0 means GOMAXPROCS, 1 disables parallelism.
+	// Workers sets the worker-pool size; 0 means GOMAXPROCS, 1 disables
+	// parallelism.
 	Workers int
 	// Granularity is the paper's factor f: jobs = workers × f. 0 picks the
 	// paper's defaults (1 for β-acyclic queries, 8 for cyclic ones).
 	Granularity int
-	// MS carries Minesweeper idea toggles (ablation benchmarks).
+	// MS carries Minesweeper idea toggles (ablation benchmarks). Its GAO is
+	// ignored: GAO below is the one user order.
 	MS minesweeper.Options
-	// GAO overrides the attribute order for LFTJ and Minesweeper.
+	// GAO overrides the attribute order.
 	GAO []string
-	// MaxRows caps pairwise-engine intermediates.
-	MaxRows int
-	// Plan, when set, is a compiled plan the engine executes directly (LFTJ
-	// and Minesweeper); see Prepare.
+	// Plan, when set, is a compiled plan the engine executes directly; see
+	// Prepare.
 	Plan *core.Plan
-	// Stats, when non-nil, receives execution counters from every engine on
-	// the unified core stats surface.
+	// Stats, when non-nil, receives execution counters on the unified core
+	// stats surface.
 	Stats *core.StatsCollector
 	// FirstVarRange, when set, restricts execution to first-GAO-variable
 	// values in [Lo, Hi) — the same restriction the §4.10 parallel jobs use
 	// internally, exposed so a coordinator can partition one query's output
 	// space across processes. Count runs single-threaded under a restriction
-	// (the caller owns the parallelism); LFTJ and Minesweeper only.
+	// (the caller owns the parallelism).
 	FirstVarRange *Range
 }
 
@@ -119,64 +99,10 @@ type Range struct {
 
 // New returns the configured engine.
 func New(opts Options) (core.Engine, error) {
-	switch opts.Algorithm {
-	case LFTJ, MS:
-		return &parallel{opts: opts}, nil
-	case Hybrid:
-		return instrument(hybrid.Engine{}, opts.Stats), nil
-	case PSQL:
-		return instrument(pairwise.Engine{Opts: pairwise.Options{Flavor: pairwise.DP, MaxRows: opts.MaxRows}}, opts.Stats), nil
-	case MonetDB:
-		return instrument(pairwise.Engine{Opts: pairwise.Options{Flavor: pairwise.Greedy, MaxRows: opts.MaxRows}}, opts.Stats), nil
-	case Yannakakis:
-		return instrument(yannakakis.Engine{}, opts.Stats), nil
-	case GraphLab:
-		return instrument(graphengine.Engine{Workers: opts.Workers}, opts.Stats), nil
-	case GenericJoin:
-		return instrument(genericjoin.Engine{GAO: opts.GAO}, opts.Stats), nil
-	default:
+	if opts.Algorithm != LFTJ && opts.Algorithm != MS {
 		return nil, fmt.Errorf("engine: %w %q", ErrUnknownAlgorithm, opts.Algorithm)
 	}
-}
-
-// instrument wraps an engine without internal counter support so its
-// executions and output cardinalities still land on the unified stats
-// surface. A nil collector leaves the engine untouched.
-func instrument(e core.Engine, sc *core.StatsCollector) core.Engine {
-	if sc == nil {
-		return e
-	}
-	return instrumented{inner: e, sc: sc}
-}
-
-type instrumented struct {
-	inner core.Engine
-	sc    *core.StatsCollector
-}
-
-// Name implements core.Engine.
-func (e instrumented) Name() string { return e.inner.Name() }
-
-// Count implements core.Engine.
-func (e instrumented) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
-	n, err := e.inner.Count(ctx, q, db)
-	st := core.Stats{Executions: 1}
-	if err == nil {
-		st.Outputs = n
-	}
-	e.sc.Add(st)
-	return n, err
-}
-
-// Enumerate implements core.Engine.
-func (e instrumented) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	var outputs int64
-	err := e.inner.Enumerate(ctx, q, db, func(t []int64) bool {
-		outputs++
-		return emit(t)
-	})
-	e.sc.Add(core.Stats{Executions: 1, Outputs: outputs})
-	return err
+	return &parallel{opts: opts}, nil
 }
 
 // parallel partitions Count across first-attribute ranges; Enumerate runs
@@ -197,7 +123,7 @@ func (p *parallel) single() core.Engine {
 		return lftj.Engine{Opts: opts}
 	}
 	ms := p.opts.MS
-	ms.GAO = p.opts.userGAO()
+	ms.GAO = p.opts.GAO
 	if r := p.opts.FirstVarRange; r != nil {
 		ms.FirstVarRange = &minesweeper.Range{Lo: r.Lo, Hi: r.Hi}
 	}

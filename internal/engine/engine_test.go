@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -21,8 +22,13 @@ func TestRegistryAllAlgorithms(t *testing.T) {
 			t.Errorf("%s: empty name", a)
 		}
 	}
-	if _, err := New(Options{Algorithm: "nope"}); err == nil {
-		t.Error("unknown algorithm should fail")
+	for _, name := range []Algorithm{"nope", "psql", "hybrid"} {
+		if _, err := New(Options{Algorithm: name}); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("New(%q): %v, want ErrUnknownAlgorithm", name, err)
+		}
+	}
+	if got := Algorithms(); len(got) != 2 || got[0] != LFTJ || got[1] != MS {
+		t.Errorf("Algorithms() = %v, want [lftj ms]", got)
 	}
 }
 
@@ -65,7 +71,7 @@ func TestAllEnginesAgreeOnTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Algorithm{LFTJ, MS, PSQL, MonetDB, GraphLab} {
+	for _, a := range Algorithms() {
 		e, err := New(Options{Algorithm: a, Workers: 2})
 		if err != nil {
 			t.Fatal(err)

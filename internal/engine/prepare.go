@@ -12,11 +12,7 @@ import (
 // Prepare compiles q once for the configured engine and returns the engine
 // pinned to the compiled plan: validation, GAO resolution, and index binding
 // happen here (or are answered from the DB's plan cache) and never again on
-// Count/Enumerate. Algorithms without a plan representation (the pairwise
-// baselines, Yannakakis, GraphLab, the hybrid, and generic join) are
-// validated and returned unplanned — plan is nil and each run re-derives
-// whatever internal state it needs. Counters for the compilation land on
-// opts.Stats.
+// Count/Enumerate. Counters for the compilation land on opts.Stats.
 //
 // The algorithm name is validated eagerly here with a typed error
 // (ErrUnknownAlgorithm) — an unknown name never falls through to engine
@@ -27,34 +23,20 @@ func Prepare(opts Options, q *query.Query, db *core.DB) (core.Engine, *core.Plan
 		return nil, nil, err
 	}
 	opts.Algorithm = alg
-	if q.Extended() && alg != LFTJ && alg != MS {
-		return nil, nil, fmt.Errorf("engine: query %q uses projection, predicates, or aggregates: %w (%q supports plain joins only; use lftj or ms)",
-			q.Name, ErrUnsupportedQuery, alg)
+	plan, err := CompilePlan(opts, q, db)
+	if err != nil {
+		return nil, nil, err
 	}
-	switch opts.Algorithm {
-	case LFTJ, MS:
-		plan, err := CompilePlan(opts, q, db)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts.Plan = plan
-		e, err := New(opts)
-		return e, plan, err
-	default:
-		if err := q.Validate(); err != nil {
-			return nil, nil, err
-		}
-		e, err := New(opts)
-		return e, nil, err
-	}
+	opts.Plan = plan
+	e, err := New(opts)
+	return e, plan, err
 }
 
 // ResolveGAO derives the global attribute order Prepare would fix for the
-// query under these options, without touching any data: the order is the
-// user's (Options.GAO, or MS.GAO for Minesweeper) or else
-// hypergraph.ChooseGAO's, which reads only the query's structure — so a
-// coordinator computes the very order a remote host will execute under and
-// partitions or merges on its leading attribute.
+// query under these options, without touching any data: the order is
+// Options.GAO, or else hypergraph.ChooseGAO's, which reads only the query's
+// structure — so a coordinator computes the very order a remote host will
+// execute under and partitions or merges on its leading attribute.
 func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 	alg, err := ParseAlgorithm(string(opts.Algorithm))
 	if err != nil {
@@ -63,8 +45,7 @@ func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Algorithm = alg
-	if gao := opts.userGAO(); gao != nil {
+	if gao := opts.GAO; gao != nil {
 		if len(gao) != q.NumVars() {
 			return nil, fmt.Errorf("engine: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
 		}
@@ -72,15 +53,6 @@ func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 	}
 	gao, _ := hypergraph.ChooseGAO(q, string(alg))
 	return gao, nil
-}
-
-// userGAO returns the attribute order the caller supplied for the
-// configured algorithm, nil when the planner is to choose.
-func (o Options) userGAO() []string {
-	if o.Algorithm == MS && o.MS.GAO != nil {
-		return o.MS.GAO
-	}
-	return o.GAO
 }
 
 // CompilePlan resolves the GAO and binds the GAO-consistent indexes for a
@@ -94,12 +66,11 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 		alg = LFTJ
 	}
 	opts.Algorithm = alg
-	userGAO := opts.userGAO()
 	variant := ""
 	if alg == MS && opts.MS.DisableSkeleton {
 		variant = "noskel"
 	}
-	key := core.PlanKey(string(alg), variant, userGAO, q)
+	key := core.PlanKey(string(alg), variant, opts.GAO, q)
 	p, version, ok := db.CachedPlan(key)
 	if ok {
 		opts.Stats.Add(core.Stats{PlanCacheHits: 1})

@@ -126,7 +126,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(append([]byte{0}, EncodeErr(repro.ErrUnknownRelation)...))
 	f.Add(append([]byte{0}, EncodeErr(&Error{Code: "made-up", Msg: "boom"})...))
 	var eo Enc
-	EncodeOptions(&eo, repro.Options{Algorithm: repro.MS, Workers: 4, GAO: []string{"a", "b"}, DisableProbeMemo: true, MaxRows: 10})
+	EncodeOptions(&eo, repro.Options{Algorithm: repro.MS, Workers: 4, GAO: []string{"a", "b"}, Shard: &repro.Shard{Kind: repro.ShardRange, Lo: -1, Hi: 10}})
 	f.Add(append([]byte{1}, eo.Bytes()...))
 	var es Enc
 	EncodeStats(&es, core.Stats{Executions: 3, Outputs: 99, Seeks: -1})
@@ -177,7 +177,8 @@ func FuzzDecodePayloads(f *testing.F) {
 // FuzzDecodeOptions runs what a client can put in Options — any bytes the
 // options decoder accepts — through Prepare and Count of a triangle query on
 // a small fixed store, under a 2 s deadline. The invariants: nothing panics,
-// and an unsharded count that Prepare accepts equals the count for the same
+// whatever decodes either prepares or fails with a typed error, and an
+// unsharded count that Prepare accepts equals the count for the same
 // options on one worker (no option but the shard changes the answer).
 func FuzzDecodeOptions(f *testing.F) {
 	seed := func(o repro.Options) []byte {
@@ -185,11 +186,25 @@ func FuzzDecodeOptions(f *testing.F) {
 		EncodeOptions(&e, o)
 		return e.Bytes()
 	}
+	// v5 renders a version-5 payload, which carried a granularity between
+	// the workers and the GAO, and an ablation flag word and a row cap after
+	// it.
+	v5 := func(alg string, workers, granularity int, flags uint64, maxRows int) []byte {
+		var e Enc
+		e.Str(alg)
+		e.Int(workers)
+		e.Int(granularity)
+		e.StrList([]string{"a", "b", "c"})
+		e.U64(flags)
+		e.Int(maxRows)
+		e.U64(0)
+		return e.Bytes()
+	}
 	f.Add(seed(repro.Options{Workers: 1 << 50}))
 	f.Add(seed(repro.Options{Algorithm: repro.MS, Workers: -3}))
-	f.Add(seed(repro.Options{Workers: 4, Granularity: 1 << 62}))
+	f.Add(v5("", 4, 1<<62, 0, 0))
 	f.Add(seed(repro.Options{Algorithm: "nope"}))
-	f.Add(seed(repro.Options{Algorithm: repro.GraphLab, Workers: 1 << 50}))
+	f.Add(v5("graphlab", 1<<50, 0, 0b1101, 1<<20))
 	f.Add(seed(repro.Options{Workers: 2, Shard: &repro.Shard{Kind: repro.ShardHash, Mod: 3, Res: 1}}))
 	// A version-4 payload: the index backend name sat between GAO and flags.
 	var v4 Enc
@@ -214,6 +229,9 @@ func FuzzDecodeOptions(f *testing.F) {
 		defer cancel()
 		p, err := st.Prepare(q, o)
 		if err != nil {
+			if ErrorCode(err) == CodeInternal {
+				t.Fatalf("options %+v: untyped Prepare error %v", o, err)
+			}
 			return
 		}
 		n, err := p.Count(ctx)

@@ -38,7 +38,6 @@ const (
 	CodeUnboundVar       = "unbound-var"
 	CodeUnboundPredVar   = "unbound-pred-var"
 	CodeUnsupportedQuery = "unsupported-query"
-	CodeTxnUnplanned     = "txn-unplanned"
 	CodeForeignPrepared  = "foreign-prepared"
 	CodeCancelled        = "cancelled"
 	CodeDeadline         = "deadline-exceeded"
@@ -90,7 +89,6 @@ var codeTable = []struct {
 	{CodeUnboundVar, repro.ErrUnboundVar},
 	{CodeUnboundPredVar, repro.ErrUnboundPredVar},
 	{CodeUnsupportedQuery, repro.ErrUnsupportedQuery},
-	{CodeTxnUnplanned, repro.ErrTxnUnplanned},
 	{CodeForeignPrepared, repro.ErrForeignPrepared},
 	{CodeCancelled, context.Canceled},
 	{CodeDeadline, context.DeadlineExceeded},
@@ -257,34 +255,11 @@ func DecodeQuery(d *Dec) Query {
 	return wq
 }
 
-// Option flag bits (the ablation toggles of repro.Options). Bit 1 is
-// retired: it carried the Idea 6 toggle, which no longer exists, and a peer
-// that still sets it is ignored.
-const (
-	flagDisableProbeMemo = 1 << iota
-	_
-	flagDisableSkeleton
-	flagDisableCountReuse
-)
-
 // EncodeOptions appends engine options to a payload.
 func EncodeOptions(e *Enc, o repro.Options) {
 	e.Str(string(o.Algorithm))
 	e.Int(o.Workers)
-	e.Int(o.Granularity)
 	e.StrList(o.GAO)
-	var flags uint64
-	if o.DisableProbeMemo {
-		flags |= flagDisableProbeMemo
-	}
-	if o.DisableSkeleton {
-		flags |= flagDisableSkeleton
-	}
-	if o.DisableCountReuse {
-		flags |= flagDisableCountReuse
-	}
-	e.U64(flags)
-	e.Int(o.MaxRows)
 	// The shard spec (protocol version 3): the per-host partition of a
 	// distributed fan-out. Range bounds ride the signed encoding (a range
 	// partitioner's first shard legitimately starts below zero).
@@ -305,13 +280,7 @@ func DecodeOptions(d *Dec) repro.Options {
 	var o repro.Options
 	o.Algorithm = repro.Algorithm(d.Str())
 	o.Workers = d.Int()
-	o.Granularity = d.Int()
 	o.GAO = d.StrList()
-	flags := d.U64()
-	o.DisableProbeMemo = flags&flagDisableProbeMemo != 0
-	o.DisableSkeleton = flags&flagDisableSkeleton != 0
-	o.DisableCountReuse = flags&flagDisableCountReuse != 0
-	o.MaxRows = d.Int()
 	if d.U64() != 0 {
 		o.Shard = &repro.Shard{
 			Kind: d.Str(),

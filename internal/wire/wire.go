@@ -34,8 +34,10 @@ import (
 // prepare options with the shard spec the distributed router fans out.
 // Version 4 prefixes every dispatched request body with a trace context
 // (flag 0 = untraced) and adds the TTrace fetch. Version 5 drops the index
-// backend name from the prepare options.
-const ProtocolVersion = 5
+// backend name from the prepare options. Version 6 drops the granularity,
+// the ablation flag word and the row cap from them: the options are the
+// algorithm, the workers, the GAO and the shard.
+const ProtocolVersion = 6
 
 // MaxFrame bounds a frame's payload (64 MiB). Oversized frames indicate a
 // corrupt or malicious peer; both ends drop the connection.

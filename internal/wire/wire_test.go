@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro"
@@ -232,14 +233,10 @@ func TestExtendedQueryRoundTrip(t *testing.T) {
 // TestOptionsRoundTrip drives every Options field across the wire.
 func TestOptionsRoundTrip(t *testing.T) {
 	in := repro.Options{
-		Algorithm:         repro.MS,
-		Workers:           4,
-		Granularity:       8,
-		GAO:               []string{"b", "a"},
-		DisableProbeMemo:  true,
-		DisableSkeleton:   true,
-		DisableCountReuse: true,
-		MaxRows:           1 << 20,
+		Algorithm: repro.MS,
+		Workers:   4,
+		GAO:       []string{"b", "a"},
+		Shard:     &repro.Shard{Kind: repro.ShardRange, Lo: -1, Hi: 700},
 	}
 	var e Enc
 	EncodeOptions(&e, in)
@@ -248,10 +245,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	if d.Err() != nil {
 		t.Fatal(d.Err())
 	}
-	if out.Algorithm != in.Algorithm || out.Workers != in.Workers ||
-		out.Granularity != in.Granularity || len(out.GAO) != 2 || out.GAO[0] != "b" ||
-		!out.DisableProbeMemo ||
-		!out.DisableSkeleton || !out.DisableCountReuse || out.MaxRows != in.MaxRows {
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("options round trip: got %+v, want %+v", out, in)
 	}
 }
@@ -281,7 +275,7 @@ func TestErrorCodes(t *testing.T) {
 		repro.ErrRelationExists,
 		repro.ErrValueOutOfRange,
 		repro.ErrUnknownAlgorithm,
-		repro.ErrTxnUnplanned,
+		repro.ErrUnsupportedQuery,
 		repro.ErrForeignPrepared,
 		context.Canceled,
 		ErrShuttingDown,

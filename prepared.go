@@ -54,10 +54,10 @@ type Prepared struct {
 }
 
 // prepare compiles the query against a store (schema checks already done by
-// the callers). For the plan-aware algorithms (lftj, ms) the compiled plan is
-// cached on the store's database — keyed on query shape × algorithm × GAO
-// and invalidated when a relation it reads is replaced — so preparing the
-// same shape twice reuses the first compilation.
+// the callers). The compiled plan is cached on the store's database — keyed
+// on query shape × algorithm × GAO and invalidated when a relation it reads
+// is replaced — so preparing the same shape twice reuses the first
+// compilation.
 func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	if err := validateShard(opts); err != nil {
 		return nil, err
@@ -105,33 +105,24 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	return p, nil
 }
 
-// validateShard rejects malformed shard specs eagerly, before compilation:
-// only the plan-aware trie engines can restrict their execution to one
-// partition of the output space.
+// validateShard rejects malformed shard specs eagerly, before compilation,
+// with ErrUnsupportedQuery.
 func validateShard(opts Options) error {
 	sh := opts.Shard
 	if sh == nil {
 		return nil
 	}
-	alg := opts.Algorithm
-	if alg == "" {
-		alg = LFTJ
-	}
-	if alg != LFTJ && alg != MS {
-		return fmt.Errorf("repro: sharded execution: %w (%q cannot restrict its output space; use lftj or ms)",
-			ErrUnsupportedQuery, alg)
-	}
 	switch sh.Kind {
 	case ShardRange:
 		if sh.Lo >= sh.Hi {
-			return fmt.Errorf("repro: shard range [%d, %d) is empty", sh.Lo, sh.Hi)
+			return fmt.Errorf("repro: %w: shard range [%d, %d) is empty", ErrUnsupportedQuery, sh.Lo, sh.Hi)
 		}
 	case ShardHash:
 		if sh.Mod < 1 || sh.Res >= sh.Mod {
-			return fmt.Errorf("repro: shard residue %d mod %d out of range", sh.Res, sh.Mod)
+			return fmt.Errorf("repro: %w: shard residue %d mod %d out of range", ErrUnsupportedQuery, sh.Res, sh.Mod)
 		}
 	default:
-		return fmt.Errorf("repro: unknown shard kind %q", sh.Kind)
+		return fmt.Errorf("repro: %w: unknown shard kind %q", ErrUnsupportedQuery, sh.Kind)
 	}
 	return nil
 }
@@ -248,10 +239,8 @@ func (p *Prepared) runEnumerate(ctx context.Context, eng core.Engine, emit func(
 // overwrites it. Breaking out of the range stops execution early. The sequence ends early if ctx is cancelled or the engine fails
 // mid-stream; Rows discards that error, so callers that must distinguish a
 // complete stream from a truncated one should use RowsErr (or Enumerate).
-// For the compiled engines the only mid-stream failure is cancellation, so
-// checking ctx.Err() after the loop suffices there; engines with runtime
-// budgets (e.g. the pairwise baselines' MaxRows) can fail for other
-// reasons.
+// The only mid-stream failure is cancellation, so checking ctx.Err() after
+// the loop suffices.
 func (p *Prepared) Rows(ctx context.Context) iter.Seq[[]int64] {
 	return rowsSeq(p.Enumerate, ctx)
 }
@@ -319,7 +308,7 @@ func rowsErrSeq(enumerate func(context.Context, func([]int64) bool) error, ctx c
 // this handle: the planning block (plan-cache hits/misses, GAO derivations,
 // index bindings) moves only at Prepare time; the execution block and the
 // engine-specific counters accumulate across every Count/Enumerate/Rows run,
-// for every engine.
+// for both engines.
 func (p *Prepared) Stats() ExecStats { return p.sc.Snapshot() }
 
 // AtomPlan describes how one query atom is physically bound in a compiled
@@ -333,7 +322,7 @@ type AtomPlan struct {
 	// Rows is the index's tuple count.
 	Rows int
 	// InSkeleton reports membership in Minesweeper's §4.9 skeleton (always
-	// true for engines without a skeleton notion).
+	// true for LFTJ).
 	InSkeleton bool
 }
 
@@ -345,10 +334,7 @@ type Explanation struct {
 	Query string
 	// Algorithm is the selected engine.
 	Algorithm string
-	// Planned reports whether the engine executes a pinned compiled plan;
-	// engines without a plan representation re-derive state per run.
-	Planned bool
-	// GAO is the resolved global attribute order (nil when not Planned).
+	// GAO is the resolved global attribute order.
 	GAO []string
 	// UserGAO reports that the order was supplied through Options.GAO rather
 	// than chosen by the planner.
@@ -366,7 +352,7 @@ type Explanation struct {
 	// BetaCyclic reports whether the query needed Minesweeper's skeleton
 	// split (and drives the §4.10 parallel-granularity default).
 	BetaCyclic bool
-	// Atoms describes each atom's physical binding (nil when not Planned).
+	// Atoms describes each atom's physical binding.
 	Atoms []AtomPlan
 	// Output names the result columns when the query projects or
 	// aggregates: the head variables followed by the aggregate terms (nil
@@ -395,43 +381,38 @@ type Explanation struct {
 func (e Explanation) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s\n", e.Query)
-	fmt.Fprintf(&b, "engine %s", e.Algorithm)
-	if !e.Planned {
-		b.WriteString(" (unplanned: state derived per run)\n")
-	} else {
-		b.WriteString("\n")
-		fmt.Fprintf(&b, "gao %s", strings.Join(e.GAO, " < "))
-		if e.BetaCyclic {
-			b.WriteString("  [beta-cyclic]")
+	fmt.Fprintf(&b, "engine %s\n", e.Algorithm)
+	fmt.Fprintf(&b, "gao %s", strings.Join(e.GAO, " < "))
+	if e.BetaCyclic {
+		b.WriteString("  [beta-cyclic]")
+	}
+	b.WriteString("\n")
+	fmt.Fprintf(&b, "score %s", scoreString(e.Score))
+	switch {
+	case e.UserGAO:
+		b.WriteString("  [user order]")
+	case e.RunnerUp != nil:
+		fmt.Fprintf(&b, "  (runner-up %s: %s)", strings.Join(e.RunnerUp, " < "), scoreString(e.RunnerUpScore))
+	}
+	b.WriteString("\n")
+	for _, a := range e.Atoms {
+		skel := ""
+		if !a.InSkeleton {
+			skel = "  [off-skeleton]"
 		}
-		b.WriteString("\n")
-		fmt.Fprintf(&b, "score %s", scoreString(e.Score))
-		switch {
-		case e.UserGAO:
-			b.WriteString("  [user order]")
-		case e.RunnerUp != nil:
-			fmt.Fprintf(&b, "  (runner-up %s: %s)", strings.Join(e.RunnerUp, " < "), scoreString(e.RunnerUpScore))
-		}
-		b.WriteString("\n")
-		for _, a := range e.Atoms {
-			skel := ""
-			if !a.InSkeleton {
-				skel = "  [off-skeleton]"
-			}
-			fmt.Fprintf(&b, "  %-24s -> %s (%d tuples)%s\n", a.Atom, a.Index, a.Rows, skel)
-		}
-		if len(e.Bounds) > 0 {
-			fmt.Fprintf(&b, "pushdown %s\n", strings.Join(e.Bounds, ", "))
-		}
-		if len(e.Residuals) > 0 {
-			fmt.Fprintf(&b, "residual %s\n", strings.Join(e.Residuals, ", "))
-		}
-		if len(e.Project) > 0 {
-			fmt.Fprintf(&b, "project %s  [early dedup]\n", strings.Join(e.Project, ", "))
-		}
-		if len(e.Buffer) > 0 {
-			fmt.Fprintf(&b, "keys %s | buffer %s  [sort+dedup per group]\n", strings.Join(e.Keys, ", "), strings.Join(e.Buffer, ", "))
-		}
+		fmt.Fprintf(&b, "  %-24s -> %s (%d tuples)%s\n", a.Atom, a.Index, a.Rows, skel)
+	}
+	if len(e.Bounds) > 0 {
+		fmt.Fprintf(&b, "pushdown %s\n", strings.Join(e.Bounds, ", "))
+	}
+	if len(e.Residuals) > 0 {
+		fmt.Fprintf(&b, "residual %s\n", strings.Join(e.Residuals, ", "))
+	}
+	if len(e.Project) > 0 {
+		fmt.Fprintf(&b, "project %s  [early dedup]\n", strings.Join(e.Project, ", "))
+	}
+	if len(e.Buffer) > 0 {
+		fmt.Fprintf(&b, "keys %s | buffer %s  [sort+dedup per group]\n", strings.Join(e.Keys, ", "), strings.Join(e.Buffer, ", "))
 	}
 	if len(e.Output) > 0 {
 		fmt.Fprintf(&b, "output %s\n", strings.Join(e.Output, ", "))
@@ -464,10 +445,6 @@ func (p *Prepared) Explain() Explanation {
 		}
 	}
 	plan := p.plan
-	if plan == nil {
-		return e
-	}
-	e.Planned = true
 	e.GAO = append([]string(nil), plan.GAO...)
 	if e.UserGAO = p.engOpts.GAO != nil; e.UserGAO {
 		e.Score = hypergraph.ScoreGAO(p.q, p.alg, plan.GAO)

@@ -383,9 +383,6 @@ func TestExplainBenchmarkQueries(t *testing.T) {
 				t.Fatalf("%s/%s: %v", q.Name, alg, err)
 			}
 			e := p.Explain()
-			if !e.Planned {
-				t.Errorf("%s/%s: not planned", q.Name, alg)
-			}
 			if len(e.GAO) != q.NumVars() {
 				t.Errorf("%s/%s: GAO %v does not cover %d vars", q.Name, alg, e.GAO, q.NumVars())
 			}
@@ -401,19 +398,11 @@ func TestExplainBenchmarkQueries(t *testing.T) {
 			}
 		}
 	}
-	// Unplanned engines still explain the query and bound.
-	p, err := g.Prepare(Paths(3), Options{Algorithm: "yannakakis"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := p.Explain(); e.Planned || e.AGMBound <= 0 {
-		t.Errorf("unplanned explanation = %+v", e)
-	}
 }
 
-// TestPreparedStatsEveryEngine is the unified-stats generalization: every
-// engine reports executions and output cardinality through the same
-// surface.
+// TestPreparedStatsEveryEngine is the unified-stats generalization: both
+// engines report executions and output cardinality through the same
+// surface. (The baselines' counts are checked in internal/bench.)
 func TestPreparedStatsEveryEngine(t *testing.T) {
 	ctx := context.Background()
 	g := k4()
@@ -424,12 +413,8 @@ func TestPreparedStatsEveryEngine(t *testing.T) {
 	}{
 		{"lftj", Triangles()},
 		{"ms", Triangles()},
-		{"psql", Triangles()},
-		{"monetdb", Triangles()},
-		{"graphlab", Triangles()},
-		{"genericjoin", Triangles()},
-		{"yannakakis", Paths(3)},
-		{"hybrid", Lollipops(2)},
+		{"lftj", Paths(3)},
+		{"ms", Lollipops(2)},
 	} {
 		p, err := g.Prepare(tc.q, Options{Algorithm: tc.alg, Workers: 1})
 		if err != nil {

@@ -369,23 +369,23 @@ func parseAuthoritative(err error) bool {
 		errors.Is(err, repro.ErrArityMismatch)
 }
 
-// shardable reports whether the algorithm supports per-host shard specs
-// (the plan-aware trie engines).
-func shardable(alg repro.Algorithm) bool {
-	return alg == "" || alg == repro.LFTJ || alg == repro.MS
-}
-
 // Prepare compiles the query on the cluster and returns a routed handle.
 //
-// The routing is decided here, once: algorithms without shard support, and
-// queries whose leading GAO attribute is pinned to a constant by an equality
-// predicate, route whole to a single host (the constant's owner under the
-// partitioner — every matching row lives there); everything else prepares on
-// every host with that host's shard spec, and executions fan out and merge.
-// Options.Shard is owned by the router and rejected if set.
+// The routing is decided here, once, before any host is asked: the options
+// and the query's order are checked locally (an unknown algorithm is the
+// caller's error, not a host's), queries whose leading GAO attribute is
+// pinned to a constant by an equality predicate route whole to a single host
+// (the constant's owner under the partitioner — every matching row lives
+// there), and everything else prepares on every host with that host's shard
+// spec, and executions fan out and merge. Options.Shard is owned by the
+// router and rejected if set.
 func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuery, error) {
 	if opts.Shard != nil {
 		return nil, fmt.Errorf("router: Options.Shard is set by the router itself; configure a Partitioner instead")
+	}
+	gao, err := repro.ResolveGAO(q, opts)
+	if err != nil {
+		return nil, err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -395,14 +395,6 @@ func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuer
 	n := len(r.hosts)
 	if n == 1 {
 		return r.prepareSingle(q, opts, 0, "single-host cluster")
-	}
-	if !shardable(opts.Algorithm) {
-		return r.prepareSingle(q, opts, 0,
-			fmt.Sprintf("engine %q has no shard support", opts.Algorithm))
-	}
-	gao, err := repro.ResolveGAO(q, opts)
-	if err != nil {
-		return nil, err
 	}
 	// Single-shard fast path: the planner leads the GAO with any variable an
 	// equality pins to a constant — written a = K, or in-atom edge(K, b),

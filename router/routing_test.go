@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -52,9 +53,9 @@ func testEdges(m, nodes int64) [][]int64 {
 	return edges
 }
 
-// TestRoutingDecisions pins the Prepare-time routing: plan-aware algorithms
-// fan out, a constant-pinned leading attribute routes to its owner host
-// alone, and algorithms without shard support route whole to one host.
+// TestRoutingDecisions pins the Prepare-time routing: plain joins fan out,
+// a constant-pinned leading attribute routes to its owner host alone, and
+// an order led by a hidden variable runs unsharded on one host.
 func TestRoutingDecisions(t *testing.T) {
 	ctx := context.Background()
 	oracle, hosts := newReplicas(t, 3)
@@ -128,29 +129,6 @@ func TestRoutingDecisions(t *testing.T) {
 	}
 	p.Close()
 
-	// An algorithm without shard support routes whole to one host and still
-	// answers correctly (storage is replicated).
-	p, err = r.Prepare(parse("edge(a, b), edge(b, c)"), repro.Options{Algorithm: repro.PSQL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp = p.(*Prepared)
-	if !rp.single {
-		t.Fatalf("unshardable algorithm fanned out over %d hosts", len(rp.hosts))
-	}
-	n, err := p.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Count(ctx, parse("edge(a, b), edge(b, c)"), repro.Options{Algorithm: repro.PSQL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != want {
-		t.Fatalf("unshardable count %d, oracle %d", n, want)
-	}
-	p.Close()
-
 	// Options.Shard is the router's own mechanism and rejected from callers.
 	if _, err := r.Prepare(parse("edge(a, b)"), repro.Options{Shard: &repro.Shard{Kind: repro.ShardHash, Mod: 2}}); err == nil {
 		t.Fatal("caller-supplied Options.Shard accepted")
@@ -195,6 +173,54 @@ func TestPartitioners(t *testing.T) {
 		sh := hshards[owner]
 		if sh.Kind != repro.ShardHash || sh.Mod != 4 || sh.Res != uint64(owner) {
 			t.Fatalf("hash shard %d inconsistent with owner of %d: %+v", owner, v, sh)
+		}
+	}
+}
+
+// countingHost is a replica that counts the prepares it is asked for.
+type countingHost struct {
+	repro.Querier
+	prepares atomic.Int64
+}
+
+func (h *countingHost) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuery, error) {
+	h.prepares.Add(1)
+	return h.Querier.Prepare(q, opts)
+}
+
+// TestUnknownAlgorithmBlamesNoHost pins that a bad algorithm name is the
+// caller's error: Prepare rejects it with the typed sentinel before any host
+// is asked, so no *HostError names a healthy host for it.
+func TestUnknownAlgorithmBlamesNoHost(t *testing.T) {
+	_, replicas := newReplicas(t, 3)
+	hosts := make([]repro.Querier, len(replicas))
+	counters := make([]*countingHost, len(replicas))
+	for i, h := range replicas {
+		counters[i] = &countingHost{Querier: h}
+		hosts[i] = counters[i]
+	}
+	r, err := New(hosts, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	q, err := r.ParseQuery("q", "edge(a, b), edge(b, c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []repro.Algorithm{"nope", "psql"} {
+		_, err := r.Prepare(q, repro.Options{Algorithm: name})
+		if !errors.Is(err, repro.ErrUnknownAlgorithm) {
+			t.Errorf("%q: %v, want ErrUnknownAlgorithm", name, err)
+		}
+		var he *HostError
+		if errors.As(err, &he) {
+			t.Errorf("%q: blamed host %s: %v", name, he.Host, err)
+		}
+	}
+	for i, c := range counters {
+		if n := c.prepares.Load(); n != 0 {
+			t.Errorf("host %d saw %d prepares for an unknown algorithm", i, n)
 		}
 	}
 }

@@ -88,6 +88,18 @@ if [ "$(wc -l < "$bin/dial.log")" -ne 1 ]; then
   exit 1
 fi
 
+# A baseline engine name is not a serving engine: the server rejects it, and
+# graphjoin exits 1 with one stderr line naming the unknown algorithm.
+status=0
+"$bin/graphjoin" -connect "$addr" -query 3-clique -engine psql > /dev/null 2> "$bin/engine.log" || status=$?
+if [ "$status" -ne 1 ] || [ "$(wc -l < "$bin/engine.log")" -ne 1 ] \
+  || ! grep -q 'unknown algorithm "psql"' "$bin/engine.log"; then
+  echo "integration: -engine psql did not fail with one unknown-algorithm line (exit $status):" >&2
+  cat "$bin/engine.log" >&2
+  exit 1
+fi
+echo "integration: -engine psql rejected: $(cat "$bin/engine.log")"
+
 # Graceful shutdown on SIGTERM.
 kill -TERM "$server_pid"
 for _ in $(seq 1 50); do

@@ -332,24 +332,6 @@ func TestStoreBatchSharedSnapshot(t *testing.T) {
 	writer.Wait()
 }
 
-// TestTxnUnplanned: engines without a plan representation cannot promise a
-// pinned snapshot and are rejected with a typed error.
-func TestTxnUnplanned(t *testing.T) {
-	ctx := context.Background()
-	g := GenerateGraph(ErdosRenyi, 100, 300, 4)
-	g.SetSamples([]int64{0}, []int64{1})
-	txn := g.Store().ReadTxn()
-	for _, alg := range []Algorithm{Yannakakis, GenericJoin} {
-		p, err := g.Prepare(Paths(3), Options{Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := txn.Count(ctx, p); !errors.Is(err, ErrTxnUnplanned) {
-			t.Errorf("%s in txn: err = %v, want ErrTxnUnplanned", alg, err)
-		}
-	}
-}
-
 // TestStoreSchemaErrors covers DefineRelation/Load/Apply validation.
 func TestStoreSchemaErrors(t *testing.T) {
 	s := NewStore()
@@ -529,16 +511,7 @@ func TestPrepareTypedValidation(t *testing.T) {
 		t.Errorf("unknown algorithm: %v, want ErrUnknownAlgorithm", err)
 	}
 	for _, alg := range Algorithms() {
-		q := Triangles()
-		if alg == Yannakakis || alg == Hybrid {
-			// Not meaningful on the cyclic triangle query; just check the
-			// names validate.
-			q = Paths(3)
-		}
-		if alg == Hybrid {
-			q = Lollipops(2)
-		}
-		if _, err := g.Prepare(q, Options{Algorithm: alg, Workers: 1}); err != nil {
+		if _, err := g.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1}); err != nil {
 			t.Errorf("registered algorithm %q failed Prepare: %v", alg, err)
 		}
 	}

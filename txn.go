@@ -11,14 +11,6 @@ import (
 	"repro/internal/engine"
 )
 
-// ErrTxnUnplanned reports a read-transaction execution of a Prepared handle
-// whose engine has no plan representation (the pairwise baselines,
-// Yannakakis, GraphLab, the hybrid, and generic join re-derive state from
-// the live database per run, so the transaction could not guarantee them a
-// pinned snapshot). Use a plan-aware algorithm (lftj, ms) inside
-// transactions.
-var ErrTxnUnplanned = errors.New("read transaction requires a plan-aware algorithm")
-
 // ErrForeignPrepared reports a Prepared handle used against a store (or
 // transaction) other than the one it was compiled on.
 var ErrForeignPrepared = errors.New("prepared handle belongs to a different store")
@@ -68,9 +60,6 @@ func (t *Txn) engineFor(p *Prepared) (core.Engine, error) {
 	}
 	if p.s != t.s {
 		return nil, fmt.Errorf("repro: %w", ErrForeignPrepared)
-	}
-	if p.plan == nil {
-		return nil, fmt.Errorf("repro: %w (algorithm %q)", ErrTxnUnplanned, p.alg)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
