@@ -371,43 +371,29 @@ type Options struct {
 	Workers int
 	// GAO overrides the global attribute order.
 	GAO []string
-	// Shard, when set, restricts execution to one partition of the query's
-	// output space, keyed on the leading GAO attribute — the per-host half
-	// of a distributed fan-out (see the router package, which sets it when
-	// preparing a query on each cluster host).
+	// Shard, when set, restricts execution to one part of the query's output
+	// space — the per-host half of a distributed fan-out (the router package
+	// sets it when preparing a query on each cluster host). See Shard.
 	Shard *Shard
 }
 
-// Shard kinds; see Shard.
-const (
-	// ShardRange keeps leading-attribute values in [Lo, Hi) — the same
-	// restriction the §4.10 parallel jobs use, pushed into the trie cursors.
-	ShardRange = "range"
-	// ShardHash keeps rows whose leading attribute hashes into this host's
-	// residue class (core.ShardHash(v) mod Mod == Res), applied as an
-	// emission filter.
-	ShardHash = "hash"
-)
-
-// Shard is one partition of a query's output space, keyed on the value of
-// the leading GAO attribute. Partitions of either kind are disjoint and
-// cover the domain, so per-shard counts sum to the unsharded count and
-// per-shard streams merge (ordered on the leading attribute) into the
-// unsharded stream. The attribute must be an output column — a group key for
-// aggregate queries, so every group lands wholly inside one shard (the
-// global aggregates of an empty group-by head are reported by each shard as
-// a partial for the coordinator to fold) — or be pinned to a constant, in
-// which case the shard owning the constant holds the whole result. Prepare
-// rejects anything else with ErrUnsupportedQuery; the planner's own orders
-// always qualify.
-type Shard struct {
-	// Kind selects the partitioning strategy: ShardRange or ShardHash.
-	Kind string
-	// Lo and Hi bound a ShardRange partition: values in [Lo, Hi).
-	Lo, Hi int64
-	// Mod and Res select a ShardHash residue class: 0 <= Res < Mod.
-	Mod, Res uint64
-}
+// Shard is part Part of Of (0 <= Part < Of) of a query's output space, cut
+// on the leading GAO attribute: its values are divided into Of contiguous
+// ranges, each holding an equal share of the attribute's level-0 index keys
+// (the cut the §4.10 parallel jobs use). The cut is made from the data at
+// every execution, from the database state the execution reads, so stores
+// holding the same contents cut the same ranges, and some parts are empty
+// when there are fewer keys than parts. Parts are disjoint and cover the
+// domain: per-part counts sum to the unsharded count, and part 0's rows,
+// then part 1's, and so on, are the unsharded stream in order. The attribute
+// must partition the rows: be an output column — a group key for aggregate
+// queries, so every group lands wholly inside one part (the global
+// aggregates of an empty group-by head are reported by each part as a
+// partial for the coordinator to fold) — or be pinned to a constant, in
+// which case one part holds the whole result. Prepare rejects anything
+// else, and an out-of-range Part, with ErrUnsupportedQuery; the planner's
+// own orders always qualify.
+type Shard = engine.Part
 
 func (o Options) engineOptions() engine.Options {
 	alg := o.Algorithm
@@ -415,8 +401,9 @@ func (o Options) engineOptions() engine.Options {
 		alg = engine.LFTJ
 	}
 	eo := engine.Options{Algorithm: alg, Workers: o.Workers, GAO: o.GAO}
-	if o.Shard != nil && o.Shard.Kind == ShardRange {
-		eo.FirstVarRange = &engine.Range{Lo: o.Shard.Lo, Hi: o.Shard.Hi}
+	if o.Shard != nil {
+		sh := *o.Shard
+		eo.Part = &sh
 	}
 	return eo
 }

@@ -153,9 +153,9 @@ func TestTypedErrorsAcrossWire(t *testing.T) {
 	}
 	// A malformed shard spec is refused with the local sentinel, through
 	// the wire.
-	bad := &repro.Shard{Kind: repro.ShardRange, Lo: 5, Hi: 5}
+	bad := &repro.Shard{Part: 3, Of: 3}
 	if _, err := c.Prepare(q, repro.Options{Shard: bad}); !errors.Is(err, repro.ErrUnsupportedQuery) {
-		t.Errorf("empty shard range: %v, want ErrUnsupportedQuery", err)
+		t.Errorf("shard part out of range: %v, want ErrUnsupportedQuery", err)
 	}
 }
 

@@ -3,23 +3,19 @@
 // same wire protocol as graphjoind, so existing clients (graphjoin -connect,
 // graphjoinload, repro/client programmatically) drive a cluster unmodified:
 // writes broadcast to every host, prepared queries fan out with each host
-// executing one shard of the leading attribute's domain, and the router
-// merges counts, ordered row streams, and aggregate partials back into
-// single-store answers.
+// executing one part of the leading attribute's values — host i of n runs
+// part i of n, cut from its own copy of the data — and the router sums
+// counts, concatenates row streams in host order, and folds aggregate
+// partials back into single-store answers.
 //
-// A three-host cluster with hash partitioning:
+// A three-host cluster:
 //
 //	graphjoinrouter -listen :7475 -hosts 10.0.0.1:7474,10.0.0.2:7474,10.0.0.3:7474
 //
-// Range partitioning needs one boundary per host gap:
-//
-//	graphjoinrouter -hosts a:7474,b:7474,c:7474 -partition range:1000,2000
-//
 // Larger topologies read an INI-ish config file (-topology), one section per
-// host, with the partition strategy declared up front:
+// host:
 //
 //	# cluster.conf
-//	partition range 1000 2000
 //	[shard-a]
 //	addr 10.0.0.1:7474
 //	store default
@@ -40,11 +36,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -67,7 +63,6 @@ func run() error {
 		listen       = flag.String("listen", ":7475", "address to serve the wire protocol on")
 		hostsFlag    = flag.String("hosts", "", "comma-separated graphjoind host addresses")
 		topology     = flag.String("topology", "", "cluster config file (see the command doc); exclusive with -hosts")
-		partition    = flag.String("partition", "hash", "partition strategy: hash | range:B1,B2,... (one boundary per host gap)")
 		storeName    = flag.String("store", server.DefaultStore, "store to select on every host")
 		serveAs      = flag.String("serve-as", server.DefaultStore, "store name the routed cluster is served under")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-host request timeout (0 = none)")
@@ -81,16 +76,25 @@ func run() error {
 		slowQueryLg  = flag.String("slow-query-log", "", "file the slow-query lines append to (empty routes them to stderr)")
 		traceSample  = flag.Int("trace-sample", 1, "with -slow-query-ms, trace one in N untraced requests so slow-query lines carry span trees")
 	)
-	flag.Parse()
+	// A bad flag is one line on stderr, like every other startup error.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			flag.CommandLine.SetOutput(os.Stderr)
+			flag.Usage()
+			return nil
+		}
+		return err
+	}
 
-	specs, part, err := resolveTopology(*hostsFlag, *topology, *partition, *storeName)
+	specs, err := resolveTopology(*hostsFlag, *topology, *storeName)
 	if err != nil {
 		return err
 	}
 
 	dialCtx, dialCancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	r, err := router.Open(dialCtx, specs, router.Config{
-		Partitioner:    part,
 		RequestTimeout: *reqTimeout,
 		MaxRetries:     *retries,
 		RetryBackoff:   *retryBackoff,
@@ -129,8 +133,8 @@ func run() error {
 	for i, s := range specs {
 		addrs[i] = s.Addr
 	}
-	fmt.Printf("graphjoinrouter: routing store %s over %d hosts [%s] (%s partitioning) on %s\n",
-		*serveAs, len(addrs), strings.Join(addrs, " "), part.Name(), l.Addr())
+	fmt.Printf("graphjoinrouter: routing store %s over %d hosts [%s] on %s\n",
+		*serveAs, len(addrs), strings.Join(addrs, " "), l.Addr())
 
 	// The observability sidecar listener, identical to graphjoind's: the
 	// router's fan-out metrics live in the same default registry as the
@@ -180,12 +184,11 @@ func run() error {
 	return nil
 }
 
-// resolveTopology builds the host list and partitioner from either the
-// -hosts/-partition flags or a -topology config file — exactly one of the
-// two sources.
-func resolveTopology(hostsFlag, topologyPath, partition, storeName string) ([]router.HostSpec, router.Partitioner, error) {
+// resolveTopology builds the host list from either the -hosts flag or a
+// -topology config file — exactly one of the two sources.
+func resolveTopology(hostsFlag, topologyPath, storeName string) ([]router.HostSpec, error) {
 	if (hostsFlag == "") == (topologyPath == "") {
-		return nil, nil, fmt.Errorf("exactly one of -hosts or -topology is required")
+		return nil, fmt.Errorf("exactly one of -hosts or -topology is required")
 	}
 	if topologyPath != "" {
 		return loadTopology(topologyPath)
@@ -199,48 +202,19 @@ func resolveTopology(hostsFlag, topologyPath, partition, storeName string) ([]ro
 		specs = append(specs, router.HostSpec{Addr: addr, Store: storeName})
 	}
 	if len(specs) == 0 {
-		return nil, nil, fmt.Errorf("-hosts names no addresses")
+		return nil, fmt.Errorf("-hosts names no addresses")
 	}
-	part, err := parsePartition(partition)
-	if err != nil {
-		return nil, nil, err
-	}
-	return specs, part, nil
+	return specs, nil
 }
 
-// parsePartition parses the -partition flag: "hash" or "range:B1,B2,...".
-func parsePartition(s string) (router.Partitioner, error) {
-	if s == "hash" {
-		return router.HashPartitioner(), nil
-	}
-	if rest, ok := strings.CutPrefix(s, "range:"); ok {
-		var bounds []int64
-		for _, f := range strings.Split(rest, ",") {
-			b, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-partition range boundary %q: %v", f, err)
-			}
-			bounds = append(bounds, b)
-		}
-		if len(bounds) == 0 {
-			return nil, fmt.Errorf("-partition range needs at least one boundary")
-		}
-		return router.RangePartitioner(bounds...), nil
-	}
-	return nil, fmt.Errorf("unknown -partition %q (want hash or range:B1,B2,...)", s)
-}
-
-// loadTopology parses the -topology file: an optional leading
-// "partition hash" or "partition range B1 B2 ..." directive, then one
-// "[name]" section per host with "addr HOST:PORT" (required) and
-// "store NAME" (optional, defaults to the server's default store).
-// Blank lines and #-comments are skipped.
-func loadTopology(path string) ([]router.HostSpec, router.Partitioner, error) {
+// loadTopology parses the -topology file: one "[name]" section per host
+// with "addr HOST:PORT" (required) and "store NAME" (optional, defaults to
+// the server's default store). Blank lines and #-comments are skipped.
+func loadTopology(path string) ([]router.HostSpec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	part := router.Partitioner(nil)
 	var specs []router.HostSpec
 	cur := -1
 	for lineNo, raw := range strings.Split(string(data), "\n") {
@@ -251,10 +225,10 @@ func loadTopology(path string) ([]router.HostSpec, router.Partitioner, error) {
 		where := fmt.Sprintf("%s:%d", path, lineNo+1)
 		if strings.HasPrefix(line, "[") {
 			if !strings.HasSuffix(line, "]") {
-				return nil, nil, fmt.Errorf("%s: malformed section header %q", where, line)
+				return nil, fmt.Errorf("%s: malformed section header %q", where, line)
 			}
 			if name := strings.TrimSpace(line[1 : len(line)-1]); name == "" {
-				return nil, nil, fmt.Errorf("%s: empty host name", where)
+				return nil, fmt.Errorf("%s: empty host name", where)
 			}
 			specs = append(specs, router.HostSpec{Store: server.DefaultStore})
 			cur = len(specs) - 1
@@ -263,57 +237,30 @@ func loadTopology(path string) ([]router.HostSpec, router.Partitioner, error) {
 		directive, rest, _ := strings.Cut(line, " ")
 		rest = strings.TrimSpace(rest)
 		switch directive {
-		case "partition":
-			if cur >= 0 {
-				return nil, nil, fmt.Errorf("%s: partition must precede the host sections", where)
-			}
-			if part != nil {
-				return nil, nil, fmt.Errorf("%s: partition declared twice", where)
-			}
-			f := strings.Fields(rest)
-			switch {
-			case len(f) == 1 && f[0] == "hash":
-				part = router.HashPartitioner()
-			case len(f) >= 2 && f[0] == "range":
-				bounds := make([]int64, 0, len(f)-1)
-				for _, b := range f[1:] {
-					v, err := strconv.ParseInt(b, 10, 64)
-					if err != nil {
-						return nil, nil, fmt.Errorf("%s: range boundary %q: %v", where, b, err)
-					}
-					bounds = append(bounds, v)
-				}
-				part = router.RangePartitioner(bounds...)
-			default:
-				return nil, nil, fmt.Errorf("%s: partition wants 'hash' or 'range B1 B2 ...'", where)
-			}
 		case "addr":
 			if cur < 0 {
-				return nil, nil, fmt.Errorf("%s: addr before the first [host] section", where)
+				return nil, fmt.Errorf("%s: addr before the first [host] section", where)
 			}
 			if specs[cur].Addr != "" {
-				return nil, nil, fmt.Errorf("%s: host already has an addr", where)
+				return nil, fmt.Errorf("%s: host already has an addr", where)
 			}
 			specs[cur].Addr = rest
 		case "store":
 			if cur < 0 {
-				return nil, nil, fmt.Errorf("%s: store before the first [host] section", where)
+				return nil, fmt.Errorf("%s: store before the first [host] section", where)
 			}
 			specs[cur].Store = rest
 		default:
-			return nil, nil, fmt.Errorf("%s: unknown directive %q", where, directive)
+			return nil, fmt.Errorf("%s: unknown directive %q", where, directive)
 		}
 	}
 	if len(specs) == 0 {
-		return nil, nil, fmt.Errorf("%s: no host sections", path)
+		return nil, fmt.Errorf("%s: no host sections", path)
 	}
 	for i, s := range specs {
 		if s.Addr == "" {
-			return nil, nil, fmt.Errorf("%s: host section %d has no addr", path, i+1)
+			return nil, fmt.Errorf("%s: host section %d has no addr", path, i+1)
 		}
 	}
-	if part == nil {
-		part = router.HashPartitioner()
-	}
-	return specs, part, nil
+	return specs, nil
 }

@@ -78,6 +78,13 @@
 // errors.Is. Remote execution is differential-tested to produce
 // byte-identical results to local execution.
 //
+// Package repro/router adds a third constructor over replicated hosts. It
+// divides a query by one rule, the paper's §4.10 split lifted across
+// processes: host i of n executes Options.Shard = part i of n, a contiguous
+// range of the leading GAO attribute holding an equal share of its index
+// keys, cut by each host from its own copy of the data. Counts sum, and row
+// streams concatenate part by part into the single-store order.
+//
 // # Durability
 //
 // NewStore is in-memory; OpenStore roots a store in a directory and makes

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -414,24 +413,20 @@ func TestExtendedTxnAndBatch(t *testing.T) {
 // TestShardOnPinnedLeadingVariable covers the shard restriction when the
 // planner leads the GAO with a variable pinned to a constant — a placeholder
 // that is not an output column at all, or a hidden head-less variable: the
-// shard owning the constant has the whole result and every other shard
-// nothing, so the union over a 3-way hash shard (and a 3-way range shard)
-// is the unsharded stream, each row exactly once. Parallel counting splits
-// on the same attribute and must agree with the sequential answer.
+// part holding the constant has the whole result and every other part
+// nothing, so the union over 3 parts (and over 7, more parts than the pinned
+// bound leaves keys) is the unsharded stream, each row exactly once.
+// Parallel counting splits on the same attribute and must agree with the
+// sequential answer.
 func TestShardOnPinnedLeadingVariable(t *testing.T) {
 	ctx := context.Background()
 	s := GenerateGraph(HolmeKim, 250, 900, 3).Store()
-	partitions := map[string][]Shard{
-		"hash": {
-			{Kind: ShardHash, Mod: 3, Res: 0},
-			{Kind: ShardHash, Mod: 3, Res: 1},
-			{Kind: ShardHash, Mod: 3, Res: 2},
-		},
-		"range": {
-			{Kind: ShardRange, Lo: math.MinInt64, Hi: 3},
-			{Kind: ShardRange, Lo: 3, Hi: 4},
-			{Kind: ShardRange, Lo: 4, Hi: math.MaxInt64},
-		},
+	partitions := map[string][]Shard{}
+	for _, of := range []uint64{3, 7} {
+		for i := uint64(0); i < of; i++ {
+			name := fmt.Sprintf("of=%d", of)
+			partitions[name] = append(partitions[name], Shard{Part: i, Of: of})
+		}
 	}
 	for _, src := range []string{
 		"edge(3, b), edge(b, c)",
@@ -451,21 +446,28 @@ func TestShardOnPinnedLeadingVariable(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("%s/%s: empty result makes the test vacuous", src, alg)
 			}
-			for kind, shards := range partitions {
+			for name, shards := range partitions {
 				var got [][]int64
 				owners := 0
 				for _, sh := range shards {
 					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Shard: &sh})
 					if err != nil {
-						t.Fatalf("%s/%s/%s: prepare shard %+v: %v", src, alg, kind, sh, err)
+						t.Fatalf("%s/%s/%s: prepare shard %+v: %v", src, alg, name, sh, err)
 					}
 					rows := collectRows(t, p)
 					n, err := p.Count(ctx)
 					if err != nil {
-						t.Fatalf("%s/%s/%s: count: %v", src, alg, kind, err)
+						t.Fatalf("%s/%s/%s: count: %v", src, alg, name, err)
 					}
 					if n != int64(len(rows)) {
-						t.Errorf("%s/%s/%s: shard %+v counts %d, streams %d rows", src, alg, kind, sh, n, len(rows))
+						t.Errorf("%s/%s/%s: shard %+v counts %d, streams %d rows", src, alg, name, sh, n, len(rows))
+					}
+					par, err := s.Prepare(q, Options{Algorithm: alg, Workers: 4, Shard: &sh})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if np, err := par.Count(ctx); err != nil || np != n {
+						t.Errorf("%s/%s/%s: shard %+v counts %d on 4 workers (%v), %d on 1", src, alg, name, sh, np, err, n)
 					}
 					if len(rows) > 0 {
 						owners++
@@ -473,9 +475,9 @@ func TestShardOnPinnedLeadingVariable(t *testing.T) {
 					got = append(got, rows...)
 				}
 				if owners != 1 {
-					t.Errorf("%s/%s/%s: %d shards hold rows, want exactly the constant's owner", src, alg, kind, owners)
+					t.Errorf("%s/%s/%s: %d shards hold rows, want exactly the part holding the constant", src, alg, name, owners)
 				}
-				requireSameRows(t, fmt.Sprintf("%s/%s/%s union", src, alg, kind), got, want)
+				requireSameRows(t, fmt.Sprintf("%s/%s/%s union", src, alg, name), got, want)
 			}
 			par, err := s.Prepare(q, Options{Algorithm: alg, Workers: 4})
 			if err != nil {
@@ -498,7 +500,7 @@ func TestShardOnPinnedLeadingVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Prepare(q, Options{GAO: []string{"b", "a", "c"}, Shard: &Shard{Kind: ShardHash, Mod: 2}})
+	_, err = s.Prepare(q, Options{GAO: []string{"b", "a", "c"}, Shard: &Shard{Part: 0, Of: 2}})
 	if !errors.Is(err, ErrUnsupportedQuery) {
 		t.Errorf("shard on a hidden leading variable: error %v, want ErrUnsupportedQuery", err)
 	}

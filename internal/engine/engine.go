@@ -3,7 +3,8 @@
 // multi-threading strategy: the output space is partitioned into
 // p = workers × granularity jobs on the first GAO attribute, submitted to a
 // worker pool; idle workers grab the next unclaimed job (work stealing),
-// because on skewed graphs "the parts are not born equal". The paper's
+// because on skewed graphs "the parts are not born equal". The same cut
+// divides a distributed fan-out: Options.Part runs one part of it. The paper's
 // outside baselines (psql, MonetDB, GraphLab, Yannakakis, generic join and
 // the §4.12 hybrid) are not served; internal/bench runs them.
 package engine
@@ -12,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strings"
 	"sync"
@@ -83,18 +85,20 @@ type Options struct {
 	// Stats, when non-nil, receives execution counters on the unified core
 	// stats surface.
 	Stats *core.StatsCollector
-	// FirstVarRange, when set, restricts execution to first-GAO-variable
-	// values in [Lo, Hi) — the same restriction the §4.10 parallel jobs use
-	// internally, exposed so a coordinator can partition one query's output
-	// space across processes. Count runs single-threaded under a restriction
-	// (the caller owns the parallelism).
-	FirstVarRange *Range
+	// Part, when set, restricts execution to one part of the output space:
+	// part Part.Part of Part.Of contiguous ranges of the first GAO variable,
+	// cut from the data by the §4.10 split rule (keys.bounds). Each execution
+	// cuts from the generation it pins, so stores holding the same logical
+	// contents cut the same parts, and Workers split the part again by the
+	// same rule. The caller checks that the variable partitions the rows
+	// (query.PartitionedBy).
+	Part *Part
 }
 
-// Range restricts the first GAO variable to [Lo, Hi); see
-// Options.FirstVarRange.
-type Range struct {
-	Lo, Hi int64
+// Part names part Part of Of equal-key ranges of the first GAO variable;
+// see Options.Part. Part < Of.
+type Part struct {
+	Part, Of uint64
 }
 
 // New returns the configured engine.
@@ -106,7 +110,8 @@ func New(opts Options) (core.Engine, error) {
 }
 
 // parallel partitions Count across first-attribute ranges; Enumerate runs
-// single-threaded (deterministic emission order).
+// single-threaded (deterministic emission order). Both run only their part
+// when Options.Part is set.
 type parallel struct {
 	opts Options
 }
@@ -114,20 +119,30 @@ type parallel struct {
 // Name implements core.Engine.
 func (p *parallel) Name() string { return string(p.opts.Algorithm) }
 
-func (p *parallel) single() core.Engine {
+// interval is a half-open range [lo, hi) of first-variable values.
+type interval struct{ lo, hi int64 }
+
+// whole is the interval every part and job is cut from: the storage domain,
+// with -1 below every value.
+var whole = interval{-1, relation.PosInf}
+
+// engine returns the single-threaded engine for one execution of plan (nil:
+// the engine compiles the query itself), restricted to the first-variable
+// values in r when r is non-nil.
+func (p *parallel) engine(plan *core.Plan, r *interval) core.Engine {
 	if p.opts.Algorithm == LFTJ {
-		opts := lftj.Options{GAO: p.opts.GAO, Plan: p.opts.Plan, Stats: p.opts.Stats}
-		if r := p.opts.FirstVarRange; r != nil {
-			opts.FirstVarRange = &lftj.Range{Lo: r.Lo, Hi: r.Hi}
+		opts := lftj.Options{GAO: p.opts.GAO, Plan: plan, Stats: p.opts.Stats}
+		if r != nil {
+			opts.FirstVarRange = &lftj.Range{Lo: r.lo, Hi: r.hi}
 		}
 		return lftj.Engine{Opts: opts}
 	}
 	ms := p.opts.MS
 	ms.GAO = p.opts.GAO
-	if r := p.opts.FirstVarRange; r != nil {
-		ms.FirstVarRange = &minesweeper.Range{Lo: r.Lo, Hi: r.Hi}
+	if r != nil {
+		ms.FirstVarRange = &minesweeper.Range{Lo: r.lo, Hi: r.hi}
 	}
-	ms.Plan = p.opts.Plan
+	ms.Plan = plan
 	ms.Collector = p.opts.Stats
 	return minesweeper.Engine{Opts: ms}
 }
@@ -158,45 +173,91 @@ func (p *parallel) granularity(q *query.Query) int {
 	return 8
 }
 
+// pin returns the plan one execution runs — the compiled one, or one
+// compiled here — pinned to the generation it reads, and the key set that
+// generation splits on the first variable. A part is cut, and its jobs are
+// split and run, from that one database state. A transaction's plan is
+// already pinned to its lease, so every store under one routed transaction
+// cuts the same contents.
+func (p *parallel) pin(q *query.Query, db *core.DB) (*core.Plan, keys, error) {
+	plan := p.opts.Plan
+	if plan == nil {
+		var err error
+		if plan, err = compile(p.opts, q, db, nil); err != nil {
+			return nil, keys{}, err
+		}
+	}
+	gen := plan.Pin()
+	return plan.PinnedTo(gen), leadKeys(plan, gen), nil
+}
+
+// part returns the interval of Options.Part in k, or nil when no part is set.
+func (p *parallel) part(k keys) *interval {
+	pt := p.opts.Part
+	if pt == nil {
+		return nil
+	}
+	r := k.cut(whole, pt.Part, pt.Of)
+	return &r
+}
+
 // Enumerate implements core.Engine.
 func (p *parallel) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
 	p.opts.Stats.Add(core.Stats{Executions: 1})
-	return p.single().Enumerate(ctx, q, db, emit)
+	if p.opts.Part == nil {
+		return p.engine(p.opts.Plan, nil).Enumerate(ctx, q, db, emit)
+	}
+	plan, k, err := p.pin(q, db)
+	if err != nil {
+		return err
+	}
+	r := p.part(k)
+	if r.lo >= r.hi {
+		return nil
+	}
+	return p.engine(plan, r).Enumerate(ctx, q, db, emit)
 }
 
 // Count implements core.Engine.
 func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
 	p.opts.Stats.Add(core.Stats{Executions: 1})
 	workers := p.workers()
-	// Under an external first-variable restriction the output space is
-	// already one partition of a larger fan-out; splitting it again would
-	// clobber the restriction (rangeCount overwrites FirstVarRange per job).
-	if workers <= 1 || p.opts.FirstVarRange != nil {
-		return p.single().Count(ctx, q, db)
+	if workers <= 1 && p.opts.Part == nil {
+		return p.engine(p.opts.Plan, nil).Count(ctx, q, db)
 	}
-	plan := p.opts.Plan
-	if plan == nil {
-		var err error
-		if plan, err = compile(p.opts, q, db, nil); err != nil {
-			return 0, err
+	plan, k, err := p.pin(q, db)
+	if err != nil {
+		return 0, err
+	}
+	r := p.part(k)
+	if r != nil && r.lo >= r.hi {
+		return 0, nil
+	}
+	// A projected query whose first attribute is not in its output is left
+	// whole: the same row could surface in several jobs.
+	var jobs []interval
+	if workers > 1 && q.PartitionedBy(plan.GAO[0]) {
+		span := whole
+		if r != nil {
+			span = *r
 		}
+		jobs = k.split(span, workers*p.granularity(q))
 	}
-	gen := plan.Pin()
-	jobs := splitJobs(q, plan, gen, workers*p.granularity(q))
 	if len(jobs) <= 1 {
-		return p.single().Count(ctx, q, db)
+		return p.engine(plan, r).Count(ctx, q, db)
 	}
-	// Every job reads the generation the split was cut from, so the parts
-	// add up to the count of one database state.
-	plan = plan.PinnedTo(gen)
 	// Never more workers than jobs: Workers arrives unchecked from clients,
 	// and each worker costs a goroutine and an error-channel slot.
 	workers = min(workers, len(jobs))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// The legacy per-run Minesweeper Stats pointer is not safe under
+	// concurrent adds; concurrent jobs report through the collector instead.
+	jp := *p
+	jp.opts.MS.Stats = nil
 	var total atomic.Int64
 	var wg sync.WaitGroup
-	jobCh := make(chan [2]int64, len(jobs))
+	jobCh := make(chan interval, len(jobs))
 	for _, j := range jobs {
 		jobCh <- j
 	}
@@ -213,7 +274,7 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 				}
 				// Each job gets a fresh engine: per-job CDS and memo state,
 				// released before the next job is claimed (§4.10).
-				n, err := p.rangeCount(ctx, q, db, plan, job[0], job[1])
+				n, err := jp.engine(plan, &job).Count(ctx, q, db)
 				if err != nil {
 					errCh <- err
 					cancel()
@@ -232,67 +293,100 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	return total.Load(), nil
 }
 
-func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, plan *core.Plan, lo, hi int64) (int64, error) {
-	if p.opts.Algorithm == LFTJ {
-		e := lftj.Engine{Opts: lftj.Options{FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: plan, Stats: p.opts.Stats}}
-		return e.Count(ctx, q, db)
-	}
-	ms := p.opts.MS
-	ms.FirstVarRange = &minesweeper.Range{Lo: lo, Hi: hi}
-	ms.Plan = plan
-	ms.Collector = p.opts.Stats
-	// The per-job legacy Stats pointer is not safe under concurrent adds;
-	// concurrent jobs report through the collector instead.
-	ms.Stats = nil
-	return minesweeper.Engine{Opts: ms}.Count(ctx, q, db)
+// keys is the key set the §4.10 split cuts: the level-0 keys of the smallest
+// index leading on the first GAO variable, in one pinned generation, inside
+// the plan's level-0 seek bounds [lo, hi). The keys are read off the merged
+// trie cursor, so they are the index's logical contents: two stores holding
+// the same tuples cut the same parts however their base tries and overlay
+// logs differ.
+type keys struct {
+	ov     *relation.Overlay // nil when no atom binds the variable
+	lo, hi int64
 }
 
-// splitJobs partitions the first GAO variable's candidate values into up to
-// n contiguous ranges of roughly equal candidate counts (the paper's
-// "p equal-sized parts" of the output space). The candidates are the
-// level-0 keys of the smallest atom index leading on that variable, in
-// generation gen: already distinct and sorted, read off the trie without
-// materialising anything. A projected query whose first attribute is not in
-// its output is left whole: the same row could surface in several parts.
-func splitJobs(q *query.Query, plan *core.Plan, gen *core.Generation, n int) [][2]int64 {
-	first := plan.GAO[0]
-	if _, pinned := q.Pinned(first); !pinned && !q.PartitionedBy(first) {
+// leadKeys returns the key set plan's first variable splits on in gen.
+func leadKeys(plan *core.Plan, gen *core.Generation) keys {
+	k := keys{lo: whole.lo, hi: whole.hi}
+	if push := plan.Push; push != nil && push.Bounds != nil {
+		k.lo, k.hi = push.Bounds[0].Lo, push.Bounds[0].Hi
+	}
+	for _, a := range plan.Atoms {
+		if ov := gen.Overlay(a.Index); a.VarPos[0] == 0 && (k.ov == nil || ov.Len() < k.ov.Len()) {
+			k.ov = ov
+		}
+	}
+	return k
+}
+
+// count returns the number of keys inside r, and a cursor on the first.
+func (k keys) count(r interval) (uint64, relation.OverlayCursor) {
+	var c relation.OverlayCursor
+	if k.ov == nil {
+		return 0, c
+	}
+	lo, hi := max(r.lo, k.lo), min(r.hi, k.hi)
+	n := uint64(0)
+	c.Reset(k.ov)
+	c.Open()
+	for c.SeekGE(lo); !c.AtEnd() && c.Key() < hi; c.Next() {
+		n++
+	}
+	c.Reset(k.ov)
+	c.Open()
+	c.SeekGE(lo)
+	return n, c
+}
+
+// bounds appends boundaries b[from..to] of the n-way cut of r to dst. The
+// cut divides r into n contiguous parts holding equal shares of its K keys:
+// b[0] = r.lo, b[n] = r.hi, and b[j] for 0 < j < n is the key at index
+// ⌊j·K/n⌋ (r.hi when that index is K). Part j is [b[j], b[j+1]), so parts
+// are disjoint, cover r, and are empty exactly when K < n leaves them no
+// key. The index arithmetic is 128-bit and nothing is sized by n, so any
+// n ≥ 1 a client sends is safe.
+func (k keys) bounds(dst []int64, r interval, n, from, to uint64) []int64 {
+	count, c := k.count(r)
+	at := uint64(0) // index of c's key
+	for j := from; ; j++ {
+		hi, lo := bits.Mul64(j, count)
+		idx, _ := bits.Div64(hi, lo, n) // j ≤ n, so the quotient fits
+		switch {
+		case j == 0:
+			dst = append(dst, r.lo)
+		case j == n || idx == count:
+			dst = append(dst, r.hi)
+		default:
+			for ; at < idx; at++ {
+				c.Next()
+			}
+			dst = append(dst, c.Key())
+		}
+		if j == to {
+			return dst
+		}
+	}
+}
+
+// cut returns part i of the n-way cut of r (i < n).
+func (k keys) cut(r interval, i, n uint64) interval {
+	var buf [2]int64
+	b := k.bounds(buf[:0], r, n, i, i+1)
+	return interval{b[0], b[1]}
+}
+
+// split cuts r into up to n jobs by the same rule as cut — the paper's "p
+// equal-sized parts" of the output space — with never more jobs than keys,
+// so none is empty.
+func (k keys) split(r interval, n int) []interval {
+	count, _ := k.count(r)
+	m := min(uint64(max(n, 1)), count)
+	if m <= 1 {
 		return nil
 	}
-	var best *relation.Overlay
-	for _, a := range plan.Atoms {
-		if ov := gen.Overlay(a.Index); a.VarPos[0] == 0 && (best == nil || ov.Len() < best.Len()) {
-			best = ov
-		}
+	b := k.bounds(make([]int64, 0, m+1), r, m, 0, m)
+	jobs := make([]interval, m)
+	for j := range jobs {
+		jobs[j] = interval{b[j], b[j+1]}
 	}
-	if best == nil {
-		return nil // no atom binds the first variable: the engine reports it
-	}
-	var values []int64
-	var c relation.OverlayCursor
-	c.Reset(best)
-	for c.Open(); !c.AtEnd(); c.Next() {
-		values = append(values, c.Key())
-	}
-	if n < 1 {
-		n = 1
-	}
-	if len(values) < n {
-		n = len(values)
-	}
-	if n <= 1 {
-		return [][2]int64{{-1, relation.PosInf}}
-	}
-	jobs := make([][2]int64, 0, n)
-	lo := int64(-1)
-	for i := 1; i < n; i++ {
-		cut := values[i*len(values)/n]
-		if cut <= lo {
-			continue
-		}
-		jobs = append(jobs, [2]int64{lo, cut})
-		lo = cut
-	}
-	jobs = append(jobs, [2]int64{lo, relation.PosInf})
 	return jobs
 }

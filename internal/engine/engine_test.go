@@ -86,6 +86,11 @@ func TestAllEnginesAgreeOnTriangle(t *testing.T) {
 	}
 }
 
+// TestSplitJobsCoverage pins the cut rule: n parts are contiguous, start at
+// -1, end at +inf and hold equal shares of the level-0 keys; there are
+// exactly n of them even with fewer keys (the surplus empty); the jobs split
+// cuts the same bounds as the parts; and a huge part count neither
+// overflows nor allocates more than a small one.
 func TestSplitJobsCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 50, 200, 2)
@@ -94,17 +99,52 @@ func TestSplitJobsCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := splitJobs(q, plan, plan.Pin(), 7)
-	if len(jobs) == 0 {
-		t.Fatal("no jobs")
+	k := leadKeys(plan, plan.Pin())
+	total, _ := k.count(whole)
+	if total < 7 {
+		t.Fatalf("only %d keys", total)
 	}
-	if jobs[0][0] != -1 {
-		t.Errorf("first job starts at %d, want -1", jobs[0][0])
-	}
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i][0] != jobs[i-1][1] {
-			t.Errorf("job %d not contiguous: %v after %v", i, jobs[i], jobs[i-1])
+	for _, n := range []uint64{1, 2, 7, total, total + 5} {
+		prev := whole.lo
+		for i := uint64(0); i < n; i++ {
+			part := k.cut(whole, i, n)
+			if part.lo != prev {
+				t.Fatalf("n=%d: part %d starts at %d, previous ended at %d", n, i, part.lo, prev)
+			}
+			keys, _ := k.count(part)
+			if want := (i+1)*total/n - i*total/n; keys != want {
+				t.Errorf("n=%d: part %d holds %d keys, want %d", n, i, keys, want)
+			}
+			prev = part.hi
 		}
+		if prev != whole.hi {
+			t.Fatalf("n=%d: last part ends at %d, want %d", n, prev, whole.hi)
+		}
+		jobs := k.split(whole, int(n))
+		if n <= 1 || n > total {
+			continue
+		}
+		if uint64(len(jobs)) != n {
+			t.Fatalf("n=%d: %d jobs", n, len(jobs))
+		}
+		for i, j := range jobs {
+			if part := k.cut(whole, uint64(i), n); j != part {
+				t.Errorf("n=%d: job %d is %v, part %v", n, i, j, part)
+			}
+		}
+	}
+	if jobs := k.split(whole, 1<<40); uint64(len(jobs)) != total {
+		t.Errorf("split into 2^40 made %d jobs, want one per key (%d)", len(jobs), total)
+	}
+	allocs := func(i, n uint64) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if part := k.cut(whole, i, n); part.lo > part.hi || (i == n-1 && part.hi != whole.hi) {
+				t.Errorf("part %d of %d is %v", i, n, part)
+			}
+		})
+	}
+	if few, many := allocs(1, 2), allocs(1<<63-1, 1<<63); many != few {
+		t.Errorf("cutting one of 2^63 parts allocated %v times, one of 2 parts %v", many, few)
 	}
 }
 

@@ -302,9 +302,13 @@ func (q *Query) PrefixOrdered() bool { return len(q.Aggs) > 0 || q.Projected() }
 
 // PartitionedBy reports whether splitting execution on the values of v
 // partitions the output rows, so that per-part results concatenate (or, for
-// a key-less aggregate, fold) into the whole: v must be an output variable,
-// or an aggregated one when the head has no plain variables.
+// a key-less aggregate, fold) into the whole: v must be pinned to a constant
+// (one part then holds every row), an output variable, or an aggregated one
+// when the head has no plain variables.
 func (q *Query) PartitionedBy(v string) bool {
+	if _, pinned := q.Pinned(v); pinned {
+		return true
+	}
 	cols := q.Out()
 	if len(cols) == 0 {
 		cols = q.Emitted()

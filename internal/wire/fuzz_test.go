@@ -126,7 +126,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(append([]byte{0}, EncodeErr(repro.ErrUnknownRelation)...))
 	f.Add(append([]byte{0}, EncodeErr(&Error{Code: "made-up", Msg: "boom"})...))
 	var eo Enc
-	EncodeOptions(&eo, repro.Options{Algorithm: repro.MS, Workers: 4, GAO: []string{"a", "b"}, Shard: &repro.Shard{Kind: repro.ShardRange, Lo: -1, Hi: 10}})
+	EncodeOptions(&eo, repro.Options{Algorithm: repro.MS, Workers: 4, GAO: []string{"a", "b"}, Shard: &repro.Shard{Part: 2, Of: 5}})
 	f.Add(append([]byte{1}, eo.Bytes()...))
 	var es Enc
 	EncodeStats(&es, core.Stats{Executions: 3, Outputs: 99, Seeks: -1})
@@ -177,9 +177,11 @@ func FuzzDecodePayloads(f *testing.F) {
 // FuzzDecodeOptions runs what a client can put in Options — any bytes the
 // options decoder accepts — through Prepare and Count of a triangle query on
 // a small fixed store, under a 2 s deadline. The invariants: nothing panics,
-// whatever decodes either prepares or fails with a typed error, and an
-// unsharded count that Prepare accepts equals the count for the same
-// options on one worker (no option but the shard changes the answer).
+// whatever decodes either prepares or fails with a typed error, an unsharded
+// count that Prepare accepts equals the count for the same options on one
+// worker (no option but the shard changes the answer), and the counts of
+// every part of an accepted shard spec of at most 8 parts sum to the
+// unsharded count.
 func FuzzDecodeOptions(f *testing.F) {
 	seed := func(o repro.Options) []byte {
 		var e Enc
@@ -205,7 +207,18 @@ func FuzzDecodeOptions(f *testing.F) {
 	f.Add(v5("", 4, 1<<62, 0, 0))
 	f.Add(seed(repro.Options{Algorithm: "nope"}))
 	f.Add(v5("graphlab", 1<<50, 0, 0b1101, 1<<20))
-	f.Add(seed(repro.Options{Workers: 2, Shard: &repro.Shard{Kind: repro.ShardHash, Mod: 3, Res: 1}}))
+	// A version-6 hash shard: kind, range bounds, modulus and residue.
+	var v6 Enc
+	v6.Str(string(repro.LFTJ))
+	v6.Int(2)
+	v6.StrList(nil)
+	v6.U64(1)
+	v6.Str("hash")
+	v6.I64(0)
+	v6.I64(0)
+	v6.U64(3)
+	v6.U64(1)
+	f.Add(v6.Bytes())
 	// A version-4 payload: the index backend name sat between GAO and flags.
 	var v4 Enc
 	v4.Str(string(repro.LFTJ))
@@ -217,6 +230,9 @@ func FuzzDecodeOptions(f *testing.F) {
 	v4.Int(0)
 	v4.U64(0)
 	f.Add(v4.Bytes())
+	f.Add(seed(repro.Options{Shard: &repro.Shard{Part: 1<<63 - 1, Of: 1 << 63}}))
+	f.Add(seed(repro.Options{Shard: &repro.Shard{Part: 3, Of: 3}}))
+	f.Add(seed(repro.Options{Shard: &repro.Shard{Of: 0}}))
 	st := repro.GenerateGraph(repro.HolmeKim, 60, 200, 1).Store()
 	q := repro.Triangles()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -235,7 +251,42 @@ func FuzzDecodeOptions(f *testing.F) {
 			return
 		}
 		n, err := p.Count(ctx)
-		if o.Shard != nil || ctx.Err() != nil {
+		if ctx.Err() != nil {
+			return
+		}
+		if sh := o.Shard; sh != nil {
+			if err != nil || sh.Of > 8 {
+				return
+			}
+			whole, sum := o, int64(0)
+			whole.Shard = nil
+			for i := uint64(0); i < sh.Of; i++ {
+				part := o
+				part.Shard = &repro.Shard{Part: i, Of: sh.Of}
+				pp, err := st.Prepare(q, part)
+				if err != nil {
+					t.Fatalf("options %+v prepare, but not part %d: %v", o, i, err)
+				}
+				k, err := pp.Count(ctx)
+				if err != nil {
+					if ctx.Err() != nil {
+						return
+					}
+					t.Fatalf("options %+v part %d: %v", o, i, err)
+				}
+				sum += k
+			}
+			pw, err := st.Prepare(q, whole)
+			if err != nil {
+				t.Fatalf("options %+v prepare sharded, but not whole: %v", o, err)
+			}
+			nw, err := pw.Count(ctx)
+			if ctx.Err() != nil {
+				return
+			}
+			if err != nil || nw != sum {
+				t.Fatalf("options %+v: parts sum to %d, whole counts %d (%v)", o, sum, nw, err)
+			}
 			return
 		}
 		seq := o

@@ -260,19 +260,14 @@ func EncodeOptions(e *Enc, o repro.Options) {
 	e.Str(string(o.Algorithm))
 	e.Int(o.Workers)
 	e.StrList(o.GAO)
-	// The shard spec (protocol version 3): the per-host partition of a
-	// distributed fan-out. Range bounds ride the signed encoding (a range
-	// partitioner's first shard legitimately starts below zero).
+	// The shard spec: the per-host part of a distributed fan-out.
 	if o.Shard == nil {
 		e.U64(0)
 		return
 	}
 	e.U64(1)
-	e.Str(o.Shard.Kind)
-	e.I64(o.Shard.Lo)
-	e.I64(o.Shard.Hi)
-	e.U64(o.Shard.Mod)
-	e.U64(o.Shard.Res)
+	e.U64(o.Shard.Part)
+	e.U64(o.Shard.Of)
 }
 
 // DecodeOptions consumes engine options from a payload.
@@ -282,13 +277,7 @@ func DecodeOptions(d *Dec) repro.Options {
 	o.Workers = d.Int()
 	o.GAO = d.StrList()
 	if d.U64() != 0 {
-		o.Shard = &repro.Shard{
-			Kind: d.Str(),
-			Lo:   d.I64(),
-			Hi:   d.I64(),
-			Mod:  d.U64(),
-			Res:  d.U64(),
-		}
+		o.Shard = &repro.Shard{Part: d.U64(), Of: d.U64()}
 	}
 	return o
 }

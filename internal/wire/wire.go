@@ -36,8 +36,9 @@ import (
 // (flag 0 = untraced) and adds the TTrace fetch. Version 5 drops the index
 // backend name from the prepare options. Version 6 drops the granularity,
 // the ablation flag word and the row cap from them: the options are the
-// algorithm, the workers, the GAO and the shard.
-const ProtocolVersion = 6
+// algorithm, the workers, the GAO and the shard. Version 7 makes the shard
+// "part i of n" of the leading attribute, cut from the data by every host.
+const ProtocolVersion = 7
 
 // MaxFrame bounds a frame's payload (64 MiB). Oversized frames indicate a
 // corrupt or malicious peer; both ends drop the connection.

@@ -236,7 +236,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 		Algorithm: repro.MS,
 		Workers:   4,
 		GAO:       []string{"b", "a"},
-		Shard:     &repro.Shard{Kind: repro.ShardRange, Lo: -1, Hi: 700},
+		Shard:     &repro.Shard{Part: 1, Of: 3},
 	}
 	var e Enc
 	EncodeOptions(&e, in)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"slices"
 	"strings"
 
 	"repro/internal/agm"
@@ -44,13 +43,6 @@ type Prepared struct {
 	plan    *core.Plan
 	sc      *core.StatsCollector
 	agg     *aggSpec
-	// shardFilter, for a hash-sharded handle, keeps only the rows of this
-	// shard's residue class; applied to the engine's emission before any
-	// aggregation. nil otherwise (range shards restrict inside the engine).
-	shardFilter func([]int64) bool
-	// shardEmpty marks a hash-sharded handle whose leading attribute is
-	// pinned to a constant another shard owns: it has no rows at all.
-	shardEmpty bool
 }
 
 // prepare compiles the query against a store (schema checks already done by
@@ -59,8 +51,8 @@ type Prepared struct {
 // is replaced — so preparing the same shape twice reuses the first
 // compilation.
 func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
-	if err := validateShard(opts); err != nil {
-		return nil, err
+	if sh := opts.Shard; sh != nil && sh.Part >= sh.Of {
+		return nil, fmt.Errorf("repro: %w: shard part %d of %d out of range", ErrUnsupportedQuery, sh.Part, sh.Of)
 	}
 	sc := &core.StatsCollector{}
 	engOpts := opts.engineOptions()
@@ -69,8 +61,12 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	if lead := plan.GAO[0]; opts.Shard != nil && !q.PartitionedBy(lead) {
+		return nil, fmt.Errorf("repro: query %q cannot be sharded on its leading attribute %q: %w (it is not an output column; lead the GAO with one)",
+			q.Name, lead, ErrUnsupportedQuery)
+	}
 	engOpts.Plan = plan
-	p := &Prepared{
+	return &Prepared{
 		s:       s,
 		q:       q,
 		alg:     string(engOpts.Algorithm),
@@ -79,52 +75,7 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 		plan:    plan,
 		sc:      sc,
 		agg:     newAggSpec(q),
-	}
-	if sh := opts.Shard; sh != nil {
-		// A shard is a part of the leading GAO attribute's domain. Pinned to
-		// a constant, the attribute puts the whole result in the one shard
-		// owning that constant (a range shard's engine-side restriction
-		// already says so); otherwise it must be an output column, or the
-		// parts would not be disjoint sets of rows.
-		lead := plan.GAO[0]
-		k, pinned := q.Pinned(lead)
-		switch {
-		case pinned:
-			p.shardEmpty = sh.Kind == ShardHash && core.ShardHash(k)%sh.Mod != sh.Res
-		case !q.PartitionedBy(lead):
-			return nil, fmt.Errorf("repro: query %q cannot be sharded on its leading attribute %q: %w (it is not an output column; lead the GAO with one)",
-				q.Name, lead, ErrUnsupportedQuery)
-		case sh.Kind == ShardHash:
-			col := slices.Index(q.Emitted(), lead)
-			mod, res := sh.Mod, sh.Res
-			p.shardFilter = func(t []int64) bool {
-				return core.ShardHash(t[col])%mod == res
-			}
-		}
-	}
-	return p, nil
-}
-
-// validateShard rejects malformed shard specs eagerly, before compilation,
-// with ErrUnsupportedQuery.
-func validateShard(opts Options) error {
-	sh := opts.Shard
-	if sh == nil {
-		return nil
-	}
-	switch sh.Kind {
-	case ShardRange:
-		if sh.Lo >= sh.Hi {
-			return fmt.Errorf("repro: %w: shard range [%d, %d) is empty", ErrUnsupportedQuery, sh.Lo, sh.Hi)
-		}
-	case ShardHash:
-		if sh.Mod < 1 || sh.Res >= sh.Mod {
-			return fmt.Errorf("repro: %w: shard residue %d mod %d out of range", ErrUnsupportedQuery, sh.Res, sh.Mod)
-		}
-	default:
-		return fmt.Errorf("repro: %w: unknown shard kind %q", ErrUnsupportedQuery, sh.Kind)
-	}
-	return nil
+	}, nil
 }
 
 // Query returns the compiled query.
@@ -146,20 +97,6 @@ func (p *Prepared) Count(ctx context.Context) (int64, error) {
 // The tuple slice is reused between calls — copy it to retain it.
 func (p *Prepared) Enumerate(ctx context.Context, emit func([]int64) bool) error {
 	return p.runEnumerate(ctx, p.eng, emit)
-}
-
-// rawEnumerate runs the engine's emission with the hash-shard filter (if
-// any) applied — the stream every aggregation and count consumes.
-func (p *Prepared) rawEnumerate(ctx context.Context, eng core.Engine, emit func([]int64) bool) error {
-	if p.shardFilter == nil {
-		return eng.Enumerate(ctx, p.q, p.s.db, emit)
-	}
-	return eng.Enumerate(ctx, p.q, p.s.db, func(t []int64) bool {
-		if !p.shardFilter(t) {
-			return true
-		}
-		return emit(t)
-	})
 }
 
 // startEngineSpan opens the engine-stage span for one execution, returning
@@ -192,45 +129,30 @@ func (p *Prepared) startEngineSpan(ctx context.Context, stage string) (context.C
 }
 
 // runCount executes the count path on an engine (the handle's own, or one
-// pinned to a transaction snapshot): aggregate queries count groups, hash
-// shards count their filtered emission, everything else uses the engine's
-// count mode.
+// pinned to a transaction snapshot): aggregate queries count groups,
+// everything else uses the engine's count mode.
 func (p *Prepared) runCount(ctx context.Context, eng core.Engine) (int64, error) {
 	ctx, finish := p.startEngineSpan(ctx, "engine.count")
 	defer finish()
-	if p.shardEmpty {
-		return 0, nil
-	}
 	if p.agg != nil {
 		return p.agg.count(func(emit func([]int64) bool) error {
-			return p.rawEnumerate(ctx, eng, emit)
+			return eng.Enumerate(ctx, p.q, p.s.db, emit)
 		})
-	}
-	if p.shardFilter != nil {
-		var n int64
-		err := p.rawEnumerate(ctx, eng, func([]int64) bool {
-			n++
-			return true
-		})
-		return n, err
 	}
 	return eng.Count(ctx, p.q, p.s.db)
 }
 
 // runEnumerate executes the enumeration path on an engine, folding the
-// aggregation spec over the (possibly shard-filtered) emission.
+// aggregation spec over the emission.
 func (p *Prepared) runEnumerate(ctx context.Context, eng core.Engine, emit func([]int64) bool) error {
 	ctx, finish := p.startEngineSpan(ctx, "engine.enumerate")
 	defer finish()
-	if p.shardEmpty {
-		return nil
-	}
 	if p.agg != nil {
 		return p.agg.run(func(e func([]int64) bool) error {
-			return p.rawEnumerate(ctx, eng, e)
+			return eng.Enumerate(ctx, p.q, p.s.db, e)
 		}, emit)
 	}
-	return p.rawEnumerate(ctx, eng, emit)
+	return eng.Enumerate(ctx, p.q, p.s.db, emit)
 }
 
 // Rows executes the compiled plan as a streaming iterator over result

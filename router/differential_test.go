@@ -88,7 +88,7 @@ func edgeStore(t *testing.T, edges [][]int64) *repro.Store {
 }
 
 // cluster builds an oracle store plus a router over n identical replicas.
-func cluster(t *testing.T, n int, part router.Partitioner) (*repro.Store, *router.Router) {
+func cluster(t *testing.T, n int) (*repro.Store, *router.Router) {
 	t.Helper()
 	edges := wallEdges(500, 100)
 	oracle := edgeStore(t, edges)
@@ -96,7 +96,7 @@ func cluster(t *testing.T, n int, part router.Partitioner) (*repro.Store, *route
 	for i := range hosts {
 		hosts[i] = repro.Local(edgeStore(t, edges))
 	}
-	r, err := router.New(hosts, nil, router.Config{Partitioner: part})
+	r, err := router.New(hosts, nil, router.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,75 +115,75 @@ func collectRows(ctx context.Context, enumerate func(context.Context, func([]int
 
 // TestRouterDifferentialWall is the acceptance differential: a routed
 // cluster must produce byte-identical results to a single store across the
-// corpus × both trie-driven engines × {2, 3} shards × {range, hash}
-// partitioning — same counts, same rows, same order.
+// corpus × both trie-driven engines × {2, 3} hosts — same counts, same rows,
+// same order.
 func TestRouterDifferentialWall(t *testing.T) {
-	ctx := context.Background()
-	partitioners := map[int]map[string]router.Partitioner{
-		2: {"range": router.RangePartitioner(50), "hash": router.HashPartitioner()},
-		3: {"range": router.RangePartitioner(33, 66), "hash": router.HashPartitioner()},
-	}
-	for n, parts := range partitioners {
-		for pname, part := range parts {
-			t.Run(fmt.Sprintf("shards=%d/%s", n, pname), func(t *testing.T) {
-				oracle, r := cluster(t, n, part)
-				for _, c := range wallCorpus {
-					src := c.src
-					q, err := oracle.ParseQuery("q", src)
-					if err != nil {
-						t.Fatalf("%s: %v", src, err)
-					}
-					for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-						opts := repro.Options{Algorithm: alg, Workers: 1, GAO: c.gao}
-						wantN, err := oracle.Count(ctx, q, opts)
-						if err != nil {
-							t.Fatalf("%s/%s: oracle count: %v", src, alg, err)
-						}
-						gotN, err := r.Count(ctx, q, opts)
-						if err != nil {
-							t.Fatalf("%s/%s: routed count: %v", src, alg, err)
-						}
-						if gotN != wantN {
-							t.Errorf("%s/%s: routed count %d, oracle %d", src, alg, gotN, wantN)
-						}
-						want, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-							return oracle.Enumerate(ctx, q, opts, emit)
-						})
-						if err != nil {
-							t.Fatalf("%s/%s: oracle rows: %v", src, alg, err)
-						}
-						got, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-							return r.Enumerate(ctx, q, opts, emit)
-						})
-						if err != nil {
-							t.Fatalf("%s/%s: routed rows: %v", src, alg, err)
-						}
-						if len(got) != len(want) {
-							t.Fatalf("%s/%s: routed %d rows, oracle %d", src, alg, len(got), len(want))
-						}
-						for i := range want {
-							if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-								t.Fatalf("%s/%s: row %d: routed %v, oracle %v", src, alg, i, got[i], want[i])
-							}
-							// The order contract: projected and aggregate
-							// rows ascend in head order under any GAO.
-							if q.PrefixOrdered() && i > 0 && slices.Compare(want[i-1], want[i]) >= 0 {
-								t.Fatalf("%s/%s: oracle rows %d, %d out of order: %v, %v", src, alg, i-1, i, want[i-1], want[i])
-							}
-						}
-					}
-				}
+	for _, n := range []int{2, 3} {
+		oracle, r := cluster(t, n)
+		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
+			t.Run(fmt.Sprintf("shards=%d/%s", n, alg), func(t *testing.T) {
+				wallDifferential(t, oracle, r, alg)
 			})
+		}
+	}
+}
+
+// wallDifferential runs the wall corpus on one engine through the router
+// and against the oracle store.
+func wallDifferential(t *testing.T, oracle *repro.Store, r *router.Router, alg repro.Algorithm) {
+	ctx := context.Background()
+	for _, c := range wallCorpus {
+		src := c.src
+		q, err := oracle.ParseQuery("q", src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		opts := repro.Options{Algorithm: alg, Workers: 1, GAO: c.gao}
+		wantN, err := oracle.Count(ctx, q, opts)
+		if err != nil {
+			t.Fatalf("%s: oracle count: %v", src, err)
+		}
+		gotN, err := r.Count(ctx, q, opts)
+		if err != nil {
+			t.Fatalf("%s: routed count: %v", src, err)
+		}
+		if gotN != wantN {
+			t.Errorf("%s: routed count %d, oracle %d", src, gotN, wantN)
+		}
+		want, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
+			return oracle.Enumerate(ctx, q, opts, emit)
+		})
+		if err != nil {
+			t.Fatalf("%s: oracle rows: %v", src, err)
+		}
+		got, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
+			return r.Enumerate(ctx, q, opts, emit)
+		})
+		if err != nil {
+			t.Fatalf("%s: routed rows: %v", src, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: routed %d rows, oracle %d", src, len(got), len(want))
+		}
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("%s: row %d: routed %v, oracle %v", src, i, got[i], want[i])
+			}
+			// The order contract: projected and aggregate rows ascend in
+			// head order under any GAO.
+			if q.PrefixOrdered() && i > 0 && slices.Compare(want[i-1], want[i]) >= 0 {
+				t.Fatalf("%s: oracle rows %d, %d out of order: %v, %v", src, i-1, i, want[i-1], want[i])
+			}
 		}
 	}
 }
 
 // TestRouterChurnInvariant drives atomic cross-shard moves through the
 // router while concurrent readers count. Every Apply deletes one edge and
-// inserts it under a key on the other side of the shard boundary in the
-// same batch, so the total edge count is invariant at every write
-// generation — any torn fan-out (two hosts read at different generations)
-// shows up as a count off by one.
+// inserts it under a key 61 places further on in the same batch, mostly in
+// another part, so the total edge count is invariant at every write
+// generation — any torn fan-out (two hosts read, or cut their parts, at
+// different generations) shows up as a wrong count.
 func TestRouterChurnInvariant(t *testing.T) {
 	ctx := context.Background()
 	const total = 300
@@ -204,7 +204,7 @@ func TestRouterChurnInvariant(t *testing.T) {
 		return st
 	}
 	hosts := []repro.Querier{repro.Local(mk()), repro.Local(mk())}
-	r, err := router.New(hosts, nil, router.Config{Partitioner: router.RangePartitioner(50)})
+	r, err := router.New(hosts, nil, router.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestRouterTxnPinsSnapshot(t *testing.T) {
 	ctx := context.Background()
 	edges := wallEdges(200, 100)
 	hosts := []repro.Querier{repro.Local(edgeStore(t, edges)), repro.Local(edgeStore(t, edges)), repro.Local(edgeStore(t, edges))}
-	r, err := router.New(hosts, nil, router.Config{Partitioner: router.HashPartitioner()})
+	r, err := router.New(hosts, nil, router.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestRouterTxnPinsSnapshot(t *testing.T) {
 // batch.
 func TestRouterBatch(t *testing.T) {
 	ctx := context.Background()
-	oracle, r := cluster(t, 3, router.HashPartitioner())
+	oracle, r := cluster(t, 3)
 
 	q1, _ := oracle.ParseQuery("tri", "edge(a, b), edge(b, c)")
 	q2, _ := oracle.ParseQuery("deg", "deg(a, count(b)) :- edge(a, b)")
@@ -478,7 +478,7 @@ func TestRouterHostFailureMidStream(t *testing.T) {
 	edges := wallEdges(500, 100)
 	healthy := repro.Local(edgeStore(t, edges))
 	flaky := &flakyQuerier{Querier: repro.Local(edgeStore(t, edges)), failAfter: 3}
-	r, err := router.New([]repro.Querier{healthy, flaky}, []string{"good", "bad"}, router.Config{Partitioner: router.HashPartitioner()})
+	r, err := router.New([]repro.Querier{healthy, flaky}, []string{"good", "bad"}, router.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,6 @@ func TestRouterHostKilledMidStreamWire(t *testing.T) {
 	}
 
 	r, err := router.Open(ctx, []router.HostSpec{{Addr: addrs[0]}, {Addr: addrs[1]}}, router.Config{
-		Partitioner:    router.HashPartitioner(),
 		RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -597,77 +596,56 @@ func TestRouterHostKilledMidStreamWire(t *testing.T) {
 	}
 }
 
-// TestRouterOverWire runs a slice of the differential wall through real
-// connections — router.Open against live graphjoind servers — to pin the
-// wire encoding of shard specs end to end.
+// TestRouterOverWire runs the differential wall through real connections —
+// router.Open against live graphjoind servers, {2, 3} hosts per engine — to
+// pin the wire encoding of shard specs end to end.
 func TestRouterOverWire(t *testing.T) {
 	ctx := context.Background()
 	edges := wallEdges(300, 100)
 	oracle := edgeStore(t, edges)
 	var specs []router.HostSpec
 	for i := 0; i < 3; i++ {
-		srv := server.NewSingle(edgeStore(t, edges))
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(l)
-		t.Cleanup(func() { srv.Close() })
-		specs = append(specs, router.HostSpec{Addr: l.Addr().String()})
+		specs = append(specs, router.HostSpec{Addr: serveStore(t, edgeStore(t, edges))})
 	}
-	for pname, part := range map[string]router.Partitioner{
-		"range": router.RangePartitioner(33, 66),
-		"hash":  router.HashPartitioner(),
-	} {
-		t.Run(pname, func(t *testing.T) {
-			r, err := router.Open(ctx, specs, router.Config{Partitioner: part})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			for _, c := range wallCorpus {
-				src := c.src
-				q, err := oracle.ParseQuery("q", src)
+	for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
+		t.Run(string(alg), func(t *testing.T) {
+			for _, n := range []int{2, 3} {
+				r, err := router.Open(ctx, specs[:n], router.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := repro.Options{Algorithm: repro.LFTJ, Workers: 1, GAO: c.gao}
-				wantN, err := oracle.Count(ctx, q, opts)
-				if err != nil {
-					t.Fatalf("%s: oracle: %v", src, err)
-				}
-				gotN, err := r.Count(ctx, q, opts)
-				if err != nil {
-					t.Fatalf("%s: routed: %v", src, err)
-				}
-				if gotN != wantN {
-					t.Errorf("%s: routed count %d, oracle %d", src, gotN, wantN)
-				}
-				want, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-					return oracle.Enumerate(ctx, q, opts, emit)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-					return r.Enumerate(ctx, q, opts, emit)
-				})
-				if err != nil {
-					t.Fatalf("%s: routed rows: %v", src, err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s: routed rows diverge from oracle (%d vs %d rows)", src, len(got), len(want))
-				}
+				wallDifferential(t, oracle, r, alg)
+				r.Close()
 			}
 		})
 	}
+}
+
+// serveStore serves st on a loopback port for the test's life and returns
+// the address.
+func serveStore(t *testing.T, st *repro.Store) string {
+	t.Helper()
+	return serveQuerier(t, server.NewSingle(st))
+}
+
+// serveQuerier starts srv on a loopback port for the test's life and returns
+// the address.
+func serveQuerier(t *testing.T, srv *server.Server) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	return l.Addr().String()
 }
 
 // TestRouterStatsMerge checks that the routed handle's counters aggregate
 // across hosts: after an execution, the summed statistics are non-trivial.
 func TestRouterStatsMerge(t *testing.T) {
 	ctx := context.Background()
-	_, r := cluster(t, 2, router.RangePartitioner(50))
+	_, r := cluster(t, 2)
 	q, err := r.ParseQuery("tri", "edge(a, b), edge(b, c)")
 	if err != nil {
 		t.Fatal(err)
@@ -685,6 +663,102 @@ func TestRouterStatsMerge(t *testing.T) {
 	}
 }
 
-// client.Dial is exercised through router.Open above; keep the import
-// anchored for the dial-option plumbing check below.
-var _ = client.WithDialRetry
+// TestCallerShardRejectedOverWire pins that a client of a served router
+// setting Options.Shard gets the typed sentinel back, not an internal error:
+// the shard is the router's own mechanism.
+func TestCallerShardRejectedOverWire(t *testing.T) {
+	ctx := context.Background()
+	_, r := cluster(t, 2)
+	addr := serveQuerier(t, server.New(server.Config{Queriers: map[string]repro.Querier{server.DefaultStore: r}}))
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q, err := c.ParseQuery("q", "edge(a, b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Prepare(q, repro.Options{Shard: &repro.Shard{Part: 1, Of: 2}}); !errors.Is(err, repro.ErrUnsupportedQuery) {
+		t.Fatalf("caller-set shard through a served router: %v, want ErrUnsupportedQuery", err)
+	}
+}
+
+// TestRouterDivergedReplica writes one extra low key straight into host 1's
+// store, behind the router's back, so host 1 cuts its part from different
+// contents than host 0. A routed row stream must then either equal the
+// oracle (the extra key moved no boundary) or fail with ErrDiverged (host
+// 1's part starts inside host 0's) — and never repeat a row. Across the
+// edge sets below, both outcomes occur.
+func TestRouterDivergedReplica(t *testing.T) {
+	ctx := context.Background()
+	diverged := 0
+	for _, m := range []int64{200, 250, 300, 350, 400} {
+		edges := wallEdges(m, 100)
+		for _, e := range edges {
+			e[0], e[1] = e[0]+10, e[1]+10 // leave room for a lower key
+		}
+		oracle := edgeStore(t, edges)
+		lagging := edgeStore(t, edges)
+		r, err := router.New([]repro.Querier{repro.Local(edgeStore(t, edges)), repro.Local(lagging)}, nil, router.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lagging.Apply("edge", [][]int64{{1, 50}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		q, err := oracle.ParseQuery("q", "edge(a, b), edge(b, c)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
+			return oracle.Enumerate(ctx, q, repro.Options{Workers: 1}, emit)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.Prepare(q, repro.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]int64
+		var streamErr error
+		for row, err := range p.RowsErr(ctx) {
+			if err != nil {
+				streamErr = err
+				break
+			}
+			got = append(got, row)
+		}
+		p.Close()
+		r.Close()
+		seen := make(map[string]bool, len(got))
+		for _, row := range got {
+			if k := fmt.Sprint(row); seen[k] {
+				t.Fatalf("m=%d: row %v streamed twice", m, row)
+			} else {
+				seen[k] = true
+			}
+		}
+		switch {
+		case streamErr == nil:
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("m=%d: diverged replica streamed %d rows, oracle %d, and no error", m, len(got), len(want))
+			}
+		case errors.Is(streamErr, router.ErrDiverged):
+			var he *router.HostError
+			if !errors.As(streamErr, &he) || he.Index != 1 {
+				t.Fatalf("m=%d: divergence blamed %v, want host 1", m, streamErr)
+			}
+			if len(got) > len(want) || fmt.Sprint(got) != fmt.Sprint(want[:len(got)]) {
+				t.Fatalf("m=%d: rows before the divergence are not a prefix of the oracle", m)
+			}
+			diverged++
+		default:
+			t.Fatalf("m=%d: stream failed with %v, want ErrDiverged or none", m, streamErr)
+		}
+	}
+	if diverged == 0 {
+		t.Fatal("no edge set moved a boundary: the divergence check went unexercised")
+	}
+}

@@ -3,7 +3,9 @@ package router
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -14,9 +16,16 @@ import (
 	"repro/internal/trace"
 )
 
-// streamBuf is the per-host row buffer of a merged stream: how far one
-// host's producer may run ahead of the merge point before blocking.
-const streamBuf = 64
+// ErrDiverged reports replicas that disagree about the data: a part of a
+// concatenated stream did not start after the previous part ended, so the
+// hosts cut their parts from different contents. It arrives wrapped in a
+// *HostError naming the host whose part was out of place.
+var ErrDiverged = errors.New("replicas diverged")
+
+// chunkRows is how many rows a fan-out leg copies into one chunk before
+// handing it to the concatenation: one allocation and one channel send per
+// chunk instead of per row.
+const chunkRows = 64
 
 // Prepared is a routed prepared query: one downstream handle per
 // participating host, plus the merge shape decided at Prepare time. It
@@ -34,21 +43,16 @@ type Prepared struct {
 	hostIdx []int
 	single  bool
 
-	// mergeCol is the k-way merge key. Shards partition the leading GAO
-	// attribute, so per-host row sets are disjoint. Full-binding rows arrive
-	// in GAO order, and merging on that attribute's column (mergeCol >= 0)
-	// reproduces the single-store order; projected and aggregate rows ascend
-	// lexicographically on every host, and merge on the whole row (-1).
-	mergeCol int
+	// leadCol is the output column of the leading GAO attribute, whose
+	// values the parts partition: rows sort first on it, so part i's rows
+	// all come before part i+1's.
+	leadCol int
 	// globalAgg marks an empty-group-by aggregate query: each host reports
-	// one partial row (or none), folded rather than merged.
+	// one partial row (or none), folded rather than concatenated.
 	globalAgg bool
 	aggs      []query.Agg
 
-	// shards records each participating host's shard restriction (nil for
-	// single-routed handles) and routeNote the routing decision — the
-	// material Explain renders.
-	shards    []repro.Shard
+	// routeNote records the routing decision, for Explain.
 	routeNote string
 }
 
@@ -81,17 +85,17 @@ func (p *Prepared) Stats() repro.ExecStats {
 }
 
 // Count executes across the cluster and returns the merged cardinality:
-// the sum of per-shard counts (disjoint covering shards), except for
+// the sum of per-part counts (disjoint covering parts), except for
 // empty-group-by aggregates, whose single global group exists iff any host
 // contributes to it.
 func (p *Prepared) Count(ctx context.Context) (int64, error) {
 	return p.count(ctx, nil)
 }
 
-// Enumerate streams the merged results: per-host streams k-way-merged on
-// the leading GAO attribute (byte-identical to a single store's stream),
-// or the folded partial row for empty-group-by aggregates. emit returns
-// false to stop early, which cancels every host's execution.
+// Enumerate streams the merged results: the hosts' parts concatenated in
+// host order (byte-identical to a single store's stream), or the folded
+// partial row for empty-group-by aggregates. emit returns false to stop
+// early, which cancels every host's execution.
 func (p *Prepared) Enumerate(ctx context.Context, emit func([]int64) bool) error {
 	return p.enumerate(ctx, nil, emit)
 }
@@ -245,13 +249,13 @@ func (p *Prepared) enumerate(ctx context.Context, txns []repro.QueryTxn, emit fu
 	if p.globalAgg {
 		return p.foldPartials(ctx, txns, emit)
 	}
-	return p.mergeStreams(ctx, txns, emit)
+	return p.concat(ctx, txns, emit)
 }
 
 // foldPartials collects each host's partial aggregate row (zero or one per
-// host — the host's fold over its shard of the distinct bindings) and folds
+// host — the host's fold over its part of the distinct bindings) and folds
 // them into the global row: count and sum partials add, min/max partials
-// fold. Hosts whose shard is empty contribute nothing; if every shard is
+// fold. Hosts whose part is empty contribute nothing; if every part is
 // empty the merged query emits nothing, matching a single store.
 func (p *Prepared) foldPartials(ctx context.Context, txns []repro.QueryTxn, emit func([]int64) bool) error {
 	n := len(p.hosts)
@@ -307,63 +311,106 @@ func (p *Prepared) foldPartials(ctx context.Context, txns []repro.QueryTxn, emit
 	return nil
 }
 
-// mergeStreams runs every host's shard stream concurrently and k-way-merges
-// them (see mergeCol). Shards partition the leading GAO attribute, so
-// per-host row sets are disjoint and picking the smallest head row
-// reproduces the single-store order exactly. A host
-// failing mid-stream (killed, overloaded, unreachable) cancels the others
-// and fails the merge with a typed *HostError — never a silently truncated
-// stream. The consumer stopping (emit false) cancels every host's
-// execution.
-func (p *Prepared) mergeStreams(ctx context.Context, txns []repro.QueryTxn, emit func([]int64) bool) error {
+// concat runs every host's part concurrently and emits part 0's rows, then
+// part 1's, and so on: part i is the i-th range of the leading attribute, so
+// that is the single-store order. Host 0's part streams straight through to
+// emit; every later leg copies its rows into chunks and runs up to two
+// chunks ahead (one queued, one filling) before blocking on the
+// concatenation. The first host to fail cancels the others and fails the
+// stream with a typed *HostError — never a silently truncated stream — and a
+// part that does not start after the previous one ended fails it with
+// ErrDiverged rather than repeating rows. The consumer stopping (emit false)
+// cancels every host's execution.
+func (p *Prepared) concat(ctx context.Context, txns []repro.QueryTxn, emit func([]int64) bool) error {
 	hctx, cancel := context.WithCancel(ctx)
 	n := len(p.hosts)
-	type hostStream struct {
-		ch  chan []int64
-		err chan error
-	}
-	streams := make([]hostStream, n)
 	start := time.Now()
 	durations := make([]time.Duration, n)
+	var failOnce sync.Once
+	var failed error // the first failure; it cancels every leg
+	fail := func(i int, err error) error {
+		failOnce.Do(func() {
+			failed = p.r.hostErr(p.hostIdx[i], err)
+			cancel()
+		})
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return failed
+	}
+	// run executes host i's part, handing each row to f.
+	run := func(i int, f func([]int64) bool) error {
+		lctx, sp := p.legSpan(hctx, i)
+		var shipped int64
+		err := txns[p.hostIdx[i]].Enumerate(lctx, p.hosts[i], func(row []int64) bool {
+			shipped++
+			return f(row)
+		})
+		durations[i] = time.Since(start)
+		sp.SetInt("rows", shipped)
+		sp.End()
+		p.r.met.observeHost(p.r.names[p.hostIdx[i]], durations[i])
+		return err
+	}
+	// A chunk holds whole rows back to back: all rows of a query have the
+	// same width.
+	type chunk struct {
+		vals  []int64
+		width int
+	}
+	chunks := make([]chan chunk, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	defer func() {
-		// Stop the producers before returning so no host keeps executing
-		// against a transaction the caller is about to close.
+		// Stop the legs before returning so no host keeps executing against
+		// a transaction the caller is about to close.
 		cancel()
-		for i := range streams {
-			for range streams[i].ch { // unblock producers waiting for buffer space
+		for _, ch := range chunks[1:] {
+			for range ch { // unblock legs waiting to hand over a chunk
 			}
 		}
 		wg.Wait()
 		p.r.met.observeFanout(durations)
 	}()
-	for i := range p.hosts {
-		streams[i] = hostStream{ch: make(chan []int64, streamBuf), err: make(chan error, 1)}
+	for i := 1; i < n; i++ {
+		chunks[i] = make(chan chunk, 1)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lctx, sp := p.legSpan(hctx, i)
-			var shipped int64
-			err := txns[p.hostIdx[i]].Enumerate(lctx, p.hosts[i], func(row []int64) bool {
-				cp := append([]int64(nil), row...)
+			defer close(chunks[i])
+			var c chunk
+			cut := false // the leg was stopped, not finished
+			send := func() bool {
 				select {
-				case streams[i].ch <- cp:
-					shipped++
+				case chunks[i] <- c:
+					c.vals = nil
 					return true
 				case <-hctx.Done():
+					cut = true
 					return false
 				}
+			}
+			err := run(i, func(row []int64) bool {
+				if c.vals == nil {
+					c = chunk{vals: make([]int64, 0, chunkRows*len(row)), width: len(row)}
+				}
+				c.vals = append(c.vals, row...)
+				return len(c.vals) < cap(c.vals) || send()
 			})
-			durations[i] = time.Since(start)
-			sp.SetInt("rows", shipped)
-			sp.End()
-			p.r.met.observeHost(p.r.names[p.hostIdx[i]], durations[i])
-			streams[i].err <- err
-			close(streams[i].ch)
+			if err == nil && len(c.vals) > 0 {
+				send()
+			}
+			if err == nil && cut {
+				err = hctx.Err()
+			}
+			if err != nil {
+				fail(i, err)
+			}
+			errs[i] = err
 		}(i)
 	}
 
-	// The merge span times the k-way merge itself — the coordinator-side cost
+	// The merge span times the concatenation — the coordinator-side cost
 	// between the fan-out legs and the consumer.
 	_, msp := trace.Start(ctx, "router.merge")
 	var merged int64
@@ -371,67 +418,48 @@ func (p *Prepared) mergeStreams(ctx context.Context, txns []repro.QueryTxn, emit
 		msp.SetInt("rows", merged)
 		msp.End()
 	}()
-
-	heads := make([][]int64, n)
-	active := 0
-	// advance loads host i's next head row; on stream end it reaps the
-	// host's error (the err channel is written before the row channel
-	// closes, so the receive never blocks).
-	advance := func(i int) (bool, error) {
-		row, ok := <-streams[i].ch
-		if ok {
-			heads[i] = row
-			return true, nil
-		}
-		heads[i] = nil
-		if err := <-streams[i].err; err != nil {
-			return false, p.r.hostErr(p.hostIdx[i], err)
-		}
-		return false, nil
-	}
+	lead := int64(math.MinInt64) // the leading value of the last row emitted
+	stopped, diverged := false, false
 	for i := 0; i < n; i++ {
-		ok, err := advance(i)
-		if err != nil {
-			return err
-		}
-		if ok {
-			active++
-		}
-	}
-	for active > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		best := -1
-		for i, h := range heads {
-			if h == nil {
-				continue
+		first := true
+		take := func(row []int64) bool {
+			if first {
+				first = false
+				if diverged = row[p.leadCol] <= lead; diverged {
+					return false
+				}
 			}
-			if best == -1 || p.rowBefore(h, heads[best]) {
-				best = i
+			lead = row[p.leadCol]
+			merged++
+			stopped = !emit(row)
+			return !stopped
+		}
+		var err error
+		if i == 0 {
+			err = run(0, take)
+		} else {
+		drain:
+			for c := range chunks[i] {
+				for row := range slices.Chunk(c.vals, c.width) {
+					if !take(row) {
+						break drain
+					}
+				}
+			}
+			if !stopped && !diverged {
+				err = errs[i] // the leg closed its channel after setting it
 			}
 		}
-		if !emit(heads[best]) {
+		switch {
+		case stopped:
 			return nil
-		}
-		merged++
-		ok, err := advance(best)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			active--
+		case diverged:
+			return p.r.hostErr(p.hostIdx[i], fmt.Errorf("%w: part %d of %d starts at or before the previous part's last row", ErrDiverged, i, n))
+		case err != nil:
+			return fail(i, err)
 		}
 	}
 	return nil
-}
-
-// rowBefore orders two hosts' head rows for the merge; see mergeCol.
-func (p *Prepared) rowBefore(a, b []int64) bool {
-	if p.mergeCol < 0 {
-		return slices.Compare(a, b) < 0
-	}
-	return a[p.mergeCol] < b[p.mergeCol]
 }
 
 // rowsSeq adapts an Enumerate-shaped execution into a streaming iterator,

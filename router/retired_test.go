@@ -29,7 +29,7 @@ func TestRetiredAlgorithmsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	_, r := cluster(t, 3, nil)
+	_, r := cluster(t, 3)
 
 	st := edgeStore(t, edges)
 	q, err := st.ParseQuery("q", "edge(a, b), edge(b, c)")

@@ -13,19 +13,20 @@
 //
 // Writes (DefineRelation, Load, Apply, ApplyAll) broadcast to every host, so
 // each host holds the full database. Queries partition the other axis: the
-// execution's output space is split on the leading attribute of the query's
-// global attribute order (the same first-variable axis the §4.10 parallel
-// jobs split in-process), each host runs its shard of the plan against its
-// full local indexes, and the router merges — counts by summation, ordered
-// row streams by a k-way merge on the leading attribute, global aggregates
-// by folding per-host partials. Replication is what makes the per-host
-// execution self-contained: a multi-atom join binds non-leading atoms at
-// arbitrary values, so owner-only storage would need a data exchange per
-// join level; replicating the (small, paper-scale) database trades disk for
-// zero cross-host data movement at query time. Partitioning only the leading
-// attribute keeps every merge deterministic: shards of either strategy are
-// disjoint and cover the domain, so the merged stream is byte-identical to a
-// single store's.
+// execution's output space is cut on the leading attribute of the query's
+// global attribute order by the rule the §4.10 parallel jobs use in-process
+// — host i of n runs part i of n (repro.Shard), a contiguous range of the
+// attribute's values holding an equal share of its level-0 index keys — and
+// the router combines the answers: counts by summation, row streams by
+// concatenating the parts in host order, global aggregates by folding
+// per-host partials. Replication is what makes the per-host execution
+// self-contained: a multi-atom join binds non-leading atoms at arbitrary
+// values, so owner-only storage would need a data exchange per join level;
+// replicating the (small, paper-scale) database trades disk for zero
+// cross-host data movement at query time. Each host cuts its part from its
+// own copy, under a snapshot that pins the same write prefix on every host
+// (see Consistency), so the parts are disjoint, cover the domain, and
+// concatenate into a stream byte-identical to a single store's.
 //
 // # Consistency
 //
@@ -37,7 +38,9 @@
 // mechanism to callers, pinning all hosts for the transaction's life.
 // Broadcast writes are not atomic across hosts: a mid-broadcast failure
 // (reported as a *HostError) can leave the failed host behind until an
-// operator restores it.
+// operator restores it. Such a host cuts its part from different contents;
+// a row stream notices when a part starts inside the previous one and fails
+// with ErrDiverged instead of repeating rows, but a count cannot tell.
 //
 // # Failure
 //
@@ -45,8 +48,8 @@
 // errors.As see through it to the typed sentinels (client.ErrOverloaded,
 // repro.ErrUnknownRelation, ...). Idempotent unary reads retry with backoff
 // on admission rejections; streams do not retry — a host lost mid-stream
-// fails the merged stream with a typed error instead of silently truncating
-// it.
+// fails the concatenated stream with a typed error instead of silently
+// truncating it.
 package router
 
 import (
@@ -54,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sync"
 	"time"
 
@@ -93,9 +97,6 @@ type HostSpec struct {
 
 // Config configures a Router.
 type Config struct {
-	// Partitioner splits the leading-attribute domain across the hosts.
-	// Nil defaults to HashPartitioner().
-	Partitioner Partitioner
 	// RequestTimeout bounds each per-host unary request (counts, lease
 	// opens, schema operations). Zero means no bound. Streams are governed
 	// by the caller's context instead — a dead host still fails them
@@ -120,7 +121,6 @@ type Config struct {
 type Router struct {
 	hosts []repro.Querier
 	names []string
-	part  Partitioner
 
 	reqTimeout   time.Duration
 	maxRetries   int
@@ -198,16 +198,6 @@ func New(hosts []repro.Querier, labels []string, cfg Config) (*Router, error) {
 	if len(labels) != len(hosts) {
 		return nil, fmt.Errorf("router: %d hosts but %d labels", len(hosts), len(labels))
 	}
-	part := cfg.Partitioner
-	if part == nil {
-		part = HashPartitioner()
-	}
-	// Validate the partitioner against the host count eagerly — a range
-	// partitioner with the wrong boundary count should fail at construction,
-	// not at the first fan-out.
-	if _, err := part.Shards(len(hosts)); err != nil {
-		return nil, err
-	}
 	backoff := cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = 25 * time.Millisecond
@@ -215,7 +205,6 @@ func New(hosts []repro.Querier, labels []string, cfg Config) (*Router, error) {
 	return &Router{
 		hosts:        hosts,
 		names:        append([]string(nil), labels...),
-		part:         part,
 		reqTimeout:   cfg.RequestTimeout,
 		maxRetries:   cfg.MaxRetries,
 		retryBackoff: backoff,
@@ -373,15 +362,23 @@ func parseAuthoritative(err error) bool {
 //
 // The routing is decided here, once, before any host is asked: the options
 // and the query's order are checked locally (an unknown algorithm is the
-// caller's error, not a host's), queries whose leading GAO attribute is
-// pinned to a constant by an equality predicate route whole to a single host
-// (the constant's owner under the partitioner — every matching row lives
-// there), and everything else prepares on every host with that host's shard
-// spec, and executions fan out and merge. Options.Shard is owned by the
-// router and rejected if set.
+// caller's error, not a host's), and then the query takes one of three
+// routes:
+//   - its leading GAO attribute is pinned to a constant by an equality
+//     predicate: the whole query goes to host k mod n — every replica holds
+//     every row, so any host can answer it, and the constant spreads pinned
+//     queries over the cluster;
+//   - rows do not sort first on the leading attribute (see leadCol): the
+//     whole query goes to host 0, since parts of that attribute would not
+//     concatenate into the single-store order;
+//   - otherwise host i prepares Shard{Part: i, Of: n}, and executions fan out
+//     and concatenate the parts in host order.
+//
+// Options.Shard is owned by the router; a caller-set one is rejected with
+// repro.ErrUnsupportedQuery.
 func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuery, error) {
 	if opts.Shard != nil {
-		return nil, fmt.Errorf("router: Options.Shard is set by the router itself; configure a Partitioner instead")
+		return nil, fmt.Errorf("router: %w: Options.Shard is set by the router itself", repro.ErrUnsupportedQuery)
 	}
 	gao, err := repro.ResolveGAO(q, opts)
 	if err != nil {
@@ -396,38 +393,26 @@ func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuer
 	if n == 1 {
 		return r.prepareSingle(q, opts, 0, "single-host cluster")
 	}
-	// Single-shard fast path: the planner leads the GAO with any variable an
-	// equality pins to a constant — written a = K, or in-atom edge(K, b),
-	// which the parser desugars into the same shape — and that confines
-	// every result row to the constant's owner.
+	// The planner leads the GAO with any variable an equality pins to a
+	// constant — written a = K, or in-atom edge(K, b), which the parser
+	// desugars into the same shape.
 	if k, pinned := q.Pinned(gao[0]); pinned {
-		return r.prepareSingle(q, opts, r.part.Owner(k, n),
-			fmt.Sprintf("pinned: leading attribute %s = %d under %s partitioning",
-				gao[0], k, r.part.Name()))
+		return r.prepareSingle(q, opts, int(uint64(k)%uint64(n)),
+			fmt.Sprintf("pinned: leading attribute %s = %d", gao[0], k))
 	}
-	if !q.PartitionedBy(gao[0]) {
-		// Only a user-supplied order leads with a variable outside the
-		// output; parts of its domain would not be disjoint sets of rows.
-		return r.prepareSingle(q, opts, 0,
-			fmt.Sprintf("leading attribute %s not in output; unsharded", gao[0]))
-	}
-	shards, err := r.part.Shards(n)
-	if err != nil {
-		return nil, err
-	}
+	// The parts must combine into the single-store answer: row streams
+	// concatenate, and a global aggregate's partials fold in any order.
 	globalAgg := len(q.Out()) == 0 && len(q.Aggs) > 0
-	// Rows with an order contract merge on the whole row; full-binding rows
-	// arrive in GAO order and merge on the leading attribute's column.
-	mergeCol := -1
-	if !q.PrefixOrdered() {
-		mergeCol = q.VarIndex()[gao[0]]
+	col := leadCol(q, gao[0])
+	if col < 0 && !(globalAgg && q.PartitionedBy(gao[0])) {
+		return r.prepareSingle(q, opts, 0,
+			fmt.Sprintf("rows do not sort first on leading attribute %s; unsharded", gao[0]))
 	}
 	hosts := make([]repro.PreparedQuery, n)
 	hostIdx := make([]int, n)
 	for i := range r.hosts {
 		o := opts
-		sh := shards[i]
-		o.Shard = &sh
+		o.Shard = &repro.Shard{Part: uint64(i), Of: uint64(n)}
 		p, err := r.hosts[i].Prepare(q, o)
 		if err != nil {
 			for j := 0; j < i; j++ {
@@ -441,11 +426,22 @@ func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuer
 	return &Prepared{
 		r: r, q: q, alg: hosts[0].Algorithm(),
 		hosts: hosts, hostIdx: hostIdx,
-		mergeCol: mergeCol, globalAgg: globalAgg, aggs: q.Aggs,
-		shards: shards,
-		routeNote: fmt.Sprintf("fan-out over %d hosts, %s-partitioned on leading attribute %s",
-			n, r.part.Name(), gao[0]),
+		leadCol: col, globalAgg: globalAgg, aggs: q.Aggs,
+		routeNote: fmt.Sprintf("fan-out over %d hosts, cut on leading attribute %s", n, gao[0]),
 	}, nil
+}
+
+// leadCol returns the output column of the leading GAO attribute v when
+// every host's rows sort first on it, so that parts of v's values
+// concatenate in order: any column of full-binding rows (they are
+// enumerated in GAO order), only the first column of projected and
+// aggregate rows (they ascend in head order). It returns -1 otherwise.
+func leadCol(q *repro.Query, v string) int {
+	cols := q.Emitted()
+	if q.PrefixOrdered() {
+		cols = cols[:min(1, len(cols))]
+	}
+	return slices.Index(cols, v)
 }
 
 // prepareSingle prepares the whole, unsharded query on one host. note records

@@ -54,12 +54,12 @@ func testEdges(m, nodes int64) [][]int64 {
 }
 
 // TestRoutingDecisions pins the Prepare-time routing: plain joins fan out,
-// a constant-pinned leading attribute routes to its owner host alone, and
-// an order led by a hidden variable runs unsharded on one host.
+// a constant-pinned leading attribute routes to host k mod n alone, and an
+// order led by a hidden variable runs unsharded on one host.
 func TestRoutingDecisions(t *testing.T) {
 	ctx := context.Background()
 	oracle, hosts := newReplicas(t, 3)
-	r, err := New(hosts, nil, Config{Partitioner: HashPartitioner()})
+	r, err := New(hosts, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,7 @@ func TestRoutingDecisions(t *testing.T) {
 
 	// A constant pinning a variable — written as an equality predicate or
 	// inside an atom — makes that variable the leading GAO attribute, and
-	// the query routes to one host: the constant's owner under the
-	// partitioner. Its result matches the oracle.
+	// the query routes to one host: 7 mod 3. Its result matches the oracle.
 	for _, src := range []string{
 		"edge(a, b), edge(b, c), a = 7",
 		"edge(7, b), edge(b, c)",
@@ -101,8 +100,8 @@ func TestRoutingDecisions(t *testing.T) {
 		if !rp.single {
 			t.Fatalf("%s: constant-pinned query fanned out over %d hosts", src, len(rp.hosts))
 		}
-		if want := HashPartitioner().Owner(7, 3); rp.hostIdx[0] != want {
-			t.Fatalf("%s: constant 7 routed to host %d, want owner %d", src, rp.hostIdx[0], want)
+		if rp.hostIdx[0] != 1 {
+			t.Fatalf("%s: constant 7 routed to host %d, want 7 mod 3 = 1", src, rp.hostIdx[0])
 		}
 		n, err := p.Count(ctx)
 		if err != nil {
@@ -129,51 +128,10 @@ func TestRoutingDecisions(t *testing.T) {
 	}
 	p.Close()
 
-	// Options.Shard is the router's own mechanism and rejected from callers.
-	if _, err := r.Prepare(parse("edge(a, b)"), repro.Options{Shard: &repro.Shard{Kind: repro.ShardHash, Mod: 2}}); err == nil {
-		t.Fatal("caller-supplied Options.Shard accepted")
-	}
-}
-
-// TestPartitioners pins the Partitioner contracts: shards are disjoint and
-// covering, Owner agrees with Shards, and a range partitioner rejects a
-// mismatched host count.
-func TestPartitioners(t *testing.T) {
-	rp := RangePartitioner(10, 50)
-	shards, err := rp.Shards(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int64{-5, 0, 9, 10, 42, 50, 51, 1 << 40} {
-		owner := rp.Owner(v, 3)
-		in := 0
-		for i, sh := range shards {
-			if v >= sh.Lo && v < sh.Hi {
-				in++
-				if i != owner {
-					t.Fatalf("value %d in shard %d but Owner says %d", v, i, owner)
-				}
-			}
-		}
-		if in != 1 {
-			t.Fatalf("value %d covered by %d range shards, want exactly 1", v, in)
-		}
-	}
-	if _, err := rp.Shards(2); err == nil {
-		t.Fatal("range partitioner accepted a mismatched host count")
-	}
-
-	hp := HashPartitioner()
-	hshards, err := hp.Shards(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int64{0, 1, 7, 12345, -3} {
-		owner := hp.Owner(v, 4)
-		sh := hshards[owner]
-		if sh.Kind != repro.ShardHash || sh.Mod != 4 || sh.Res != uint64(owner) {
-			t.Fatalf("hash shard %d inconsistent with owner of %d: %+v", owner, v, sh)
-		}
+	// Options.Shard is the router's own mechanism and rejected from callers,
+	// typed.
+	if _, err := r.Prepare(parse("edge(a, b)"), repro.Options{Shard: &repro.Shard{Part: 0, Of: 2}}); !errors.Is(err, repro.ErrUnsupportedQuery) {
+		t.Fatalf("caller-supplied Options.Shard: %v, want ErrUnsupportedQuery", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -49,9 +48,9 @@ func (r *Router) TraceSpans(ctx context.Context, id uint64) ([]trace.SpanRecord,
 }
 
 // Explain renders the routing decision and the downstream plan: which hosts
-// participate, each host's shard restriction under the partitioner, how the
-// per-host answers combine, and host 0's compiled plan (the shards compile
-// identically up to the shard spec, so one plan stands for all).
+// participate, each host's part, how the per-host answers combine, and host
+// 0's compiled plan (the parts compile identically up to the shard spec, so
+// one plan stands for all).
 func (p *Prepared) Explain(ctx context.Context) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "routed query %s [%s]\n", p.q.Name, p.alg)
@@ -60,18 +59,14 @@ func (p *Prepared) Explain(ctx context.Context) (string, error) {
 		i := p.hostIdx[0]
 		fmt.Fprintf(&b, "  host %d (%s): full query, no shard restriction\n", i, p.r.names[i])
 	} else {
-		fmt.Fprintf(&b, "partitioner: %s\n", p.r.part.Name())
 		for i := range p.hosts {
 			hi := p.hostIdx[i]
-			fmt.Fprintf(&b, "  host %d (%s): %s\n", hi, p.r.names[hi], shardDesc(p.shards[i]))
+			fmt.Fprintf(&b, "  host %d (%s): part %d of %d\n", hi, p.r.names[hi], i, len(p.hosts))
 		}
-		switch {
-		case p.globalAgg:
+		if p.globalAgg {
 			fmt.Fprintf(&b, "merge: fold of per-host aggregate partials\n")
-		case p.mergeCol < 0:
-			fmt.Fprintf(&b, "merge: k-way on the whole row (rows ascend in head order on every host)\n")
-		default:
-			fmt.Fprintf(&b, "merge: k-way on leading attribute (output column %d)\n", p.mergeCol)
+		} else {
+			fmt.Fprintf(&b, "merge: concatenation of parts in host order (leading attribute in output column %d)\n", p.leadCol)
 		}
 	}
 	sub, err := downstreamExplain(ctx, p.hosts[0])
@@ -99,22 +94,4 @@ func downstreamExplain(ctx context.Context, h repro.PreparedQuery) (string, erro
 		return h.Explain(ctx)
 	}
 	return "", nil
-}
-
-// shardDesc renders one shard spec for Explain.
-func shardDesc(s repro.Shard) string {
-	switch s.Kind {
-	case repro.ShardRange:
-		lo, hi := "-inf", "+inf"
-		if s.Lo != math.MinInt64 {
-			lo = fmt.Sprintf("%d", s.Lo)
-		}
-		if s.Hi != math.MaxInt64 {
-			hi = fmt.Sprintf("%d", s.Hi)
-		}
-		return fmt.Sprintf("range [%s, %s)", lo, hi)
-	case repro.ShardHash:
-		return fmt.Sprintf("hash residue %d mod %d", s.Res, s.Mod)
-	}
-	return "full domain"
 }

@@ -33,7 +33,7 @@ func TestRoutedTraceStitching(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		specs = append(specs, router.HostSpec{Addr: l.Addr().String()})
 	}
-	r, err := router.Open(ctx, specs, router.Config{Partitioner: router.HashPartitioner()})
+	r, err := router.Open(ctx, specs, router.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestRoutedTraceStitching(t *testing.T) {
 }
 
 // TestRoutedExplain pins the Explain satellite: a routed prepared query
-// reports the partitioner, each host's shard restriction, and the merge
-// strategy; a constant-pinned query reports its single-host routing.
+// reports each host's part and the merge strategy; a constant-pinned query
+// reports its single-host routing.
 func TestRoutedExplain(t *testing.T) {
 	ctx := context.Background()
-	_, r := cluster(t, 3, router.RangePartitioner(33, 66))
+	_, r := cluster(t, 3)
 
 	q, err := r.ParseQuery("q", "edge(a, b), edge(b, c)")
 	if err != nil {
@@ -200,10 +200,8 @@ func TestRoutedExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"partitioner: range",
-		"host 0", "host 1", "host 2",
-		"range [-inf, 33)", "range [33, 66)", "range [66, +inf)",
-		"merge: k-way on leading attribute",
+		"host 0 (host-0): part 0 of 3", "host 1 (host-1): part 1 of 3", "host 2 (host-2): part 2 of 3",
+		"merge: concatenation of parts in host order (leading attribute in output column 0)",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("fan-out explain missing %q:\n%s", want, text)
@@ -211,7 +209,7 @@ func TestRoutedExplain(t *testing.T) {
 	}
 
 	// Pinned: an equality predicate fixing the leading GAO attribute routes
-	// the whole query to the constant's owner.
+	// the whole query to host 40 mod 3.
 	pq, err := r.ParseQuery("q", "edge(a, b), edge(b, c), a = 40")
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +224,7 @@ func TestRoutedExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text, "pinned") || !strings.Contains(text, "host 1") {
-		t.Errorf("pinned explain should route 40 to host 1 under range(33,66):\n%s", text)
+		t.Errorf("pinned explain should route 40 to host 1:\n%s", text)
 	}
 	if !strings.Contains(text, "full query, no shard restriction") {
 		t.Errorf("pinned explain missing the unsharded note:\n%s", text)
@@ -246,14 +244,14 @@ func TestRoutedExplain(t *testing.T) {
 	if text, err = cp.(*router.Prepared).Explain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"pinned: leading attribute $1 = 70", "host 2", "gao $1 < b < c", "score cross=0"} {
+	for _, want := range []string{"pinned: leading attribute $1 = 70", "host 1", "gao $1 < b < c", "score cross=0"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("in-atom constant explain missing %q:\n%s", want, text)
 		}
 	}
 
-	// A projection the order cannot stream merges on the whole row, and the
-	// host plan says what is buffered.
+	// A projection the order cannot stream still leads with its first head
+	// column, so its parts concatenate; the host plan says what is buffered.
 	hq, err := r.ParseQuery("q", "hop(a, c) :- edge(a, b), edge(b, c)")
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +264,7 @@ func TestRoutedExplain(t *testing.T) {
 	if text, err = hp.(*router.Prepared).Explain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"merge: k-way on the whole row", "gao a < b < c", "runner-up a < c < b", "keys a | buffer c  [sort+dedup per group]"} {
+	for _, want := range []string{"merge: concatenation", "gao a < b < c", "runner-up a < c < b", "keys a | buffer c  [sort+dedup per group]"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("buffered explain missing %q:\n%s", want, text)
 		}

@@ -158,9 +158,9 @@ ls "$data_dir"/default/snap-*.snap > /dev/null 2>&1 \
 
 # --- Distributed layer: a 3-node cluster behind graphjoinrouter ------------
 # Boot three graphjoind hosts with identical replicated data, front them with
-# the router, and require routed counts to match the in-process run for both
-# partition strategies. Then kill -9 one shard and require a one-line typed
-# error (not a hang, not a panic) through an unmodified graphjoin -connect.
+# the router, and require routed counts to match the in-process run. Then
+# kill -9 one shard and require a one-line typed error (not a hang, not a
+# panic) through an unmodified graphjoin -connect.
 go build -o "$bin/graphjoinrouter" ./cmd/graphjoinrouter
 
 # boot_member <logfile> [flags...]: like boot, but for cluster members —
@@ -185,22 +185,29 @@ for i in 1 2 3; do
   boot_member "$bin/shard$i.log" "$bin/graphjoind" "${graph_flags[@]}"
   shard_addrs+=("$addr")
 done
+hosts="$(IFS=,; echo "${shard_addrs[*]}")"
 
-for partition in hash range:700,1400; do
-  boot_member "$bin/router-${partition%%:*}.log" "$bin/graphjoinrouter" \
-    -hosts "$(IFS=,; echo "${shard_addrs[*]}")" -partition "$partition"
-  router_addr="$addr"
-  for engine in lftj ms; do
-    got="$("$bin/graphjoin" -connect "$router_addr" -query 3-clique -engine "$engine" | extract)"
-    if [ "$got" != "$want" ]; then
-      echo "integration: routed ($partition/$engine) count $got != local $want" >&2
-      exit 1
-    fi
-    echo "integration: routed ($partition/$engine) count $got matches local"
-  done
+# There is one partition rule and no flag choosing one: -partition is an
+# unknown flag, reported on one stderr line.
+status=0
+"$bin/graphjoinrouter" -hosts "$hosts" -partition hash > /dev/null 2> "$bin/partition.log" || status=$?
+if [ "$status" -eq 0 ] || [ "$(wc -l < "$bin/partition.log")" -ne 1 ]; then
+  echo "integration: -partition hash did not fail with one stderr line (exit $status):" >&2
+  cat "$bin/partition.log" >&2
+  exit 1
+fi
+echo "integration: -partition rejected: $(cat "$bin/partition.log")"
+
+boot_member "$bin/router.log" "$bin/graphjoinrouter" -hosts "$hosts"
+router_addr="$addr"
+for engine in lftj ms; do
+  got="$("$bin/graphjoin" -connect "$router_addr" -query 3-clique -engine "$engine" | extract)"
+  if [ "$got" != "$want" ]; then
+    echo "integration: routed ($engine) count $got != local $want" >&2
+    exit 1
+  fi
+  echo "integration: routed ($engine) count $got matches local"
 done
-# $router_addr now points at the range-partitioned router; keep it for the
-# kill test below.
 
 # --- End-to-end tracing ----------------------------------------------------
 # One traced query through the router must print a single stitched span tree:
