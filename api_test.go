@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/minesweeper"
 )
@@ -149,11 +150,12 @@ func TestIdeaTogglesAPI(t *testing.T) {
 		{DisableSkeleton: true},
 		{DisableCountMemo: true},
 	} {
-		eng, _, err := engine.Prepare(engine.Options{Algorithm: MS, MS: ms}, Comb(), g.DB())
+		opts := engine.Options{Algorithm: MS, MS: ms}
+		plan, err := engine.Compile(opts, Comb(), g.DB())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Count(ctx, Comb(), g.DB())
+		got, err := minesweeper.Run(ctx, plan, ms, core.FullRange, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,14 +43,18 @@ var errPlainJoinsOnly = errors.New("bench: baseline engines run plain natural jo
 // lftj and ms, a baseline otherwise.
 func prepare(opts engine.Options, q *query.Query, db *core.DB) (core.Engine, error) {
 	if opts.Algorithm == engine.LFTJ || opts.Algorithm == engine.MS {
-		eng, _, err := engine.Prepare(opts, q, db)
-		return eng, err
+		plan, err := engine.Compile(opts, q, db)
+		if err != nil {
+			return nil, err
+		}
+		opts.Plan = plan
+		return engine.New(opts)
 	}
 	return baseline(opts, q)
 }
 
 // baseline returns the named baseline engine. It validates the query up
-// front, as engine.Prepare does for the serving engines.
+// front, as engine.Compile does for the serving engines.
 func baseline(opts engine.Options, q *query.Query) (core.Engine, error) {
 	if q.Extended() {
 		return nil, fmt.Errorf("%w: %s on query %q", errPlainJoinsOnly, opts.Algorithm, q.Name)

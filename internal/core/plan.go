@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // Plan is a compiled query: the query fixed against a concrete GAO with its
@@ -25,8 +26,8 @@ type Plan struct {
 	// Atoms holds the GAO-consistent index binding of each query atom, in
 	// q.Atoms order.
 	Atoms []AtomIndex
-	// InSkel marks the atoms in Minesweeper's skeleton (§4.9); nil means
-	// every atom.
+	// InSkel marks the atoms in Minesweeper's skeleton (§4.9); nil for an
+	// LFTJ plan.
 	InSkel []bool
 	// BetaCyclic records whether the query is β-cyclic (drives the §4.10
 	// parallel-granularity default and Minesweeper's skeleton split).
@@ -57,6 +58,17 @@ func (p *Plan) PinnedTo(g *Generation) *Plan {
 	cp.pinned = g
 	return &cp
 }
+
+// Range is a half-open range [Lo, Hi) of first-GAO-variable values: the
+// §4.10 part or job one execution of a plan is restricted to.
+type Range struct{ Lo, Hi int64 }
+
+// FullRange is the range every part and job is cut from: the storage
+// domain, with -1 below every value.
+var FullRange = Range{-1, relation.PosInf}
+
+// Empty reports whether the range holds no value.
+func (r Range) Empty() bool { return r.Lo >= r.Hi }
 
 // reads reports whether the plan binds an index over the named relation.
 func (p *Plan) reads(rel string) bool {

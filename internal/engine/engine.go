@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/hypergraph"
 	"repro/internal/lftj"
 	"repro/internal/minesweeper"
 	"repro/internal/query"
@@ -65,7 +64,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("engine: %w %q (want one of %s)", ErrUnknownAlgorithm, s, strings.Join(names, ", "))
 }
 
-// Options configure execution.
+// Options configure compilation (Compile) and execution (New).
 type Options struct {
 	Algorithm Algorithm
 	// Workers sets the worker-pool size; 0 means GOMAXPROCS, 1 disables
@@ -74,16 +73,14 @@ type Options struct {
 	// Granularity is the paper's factor f: jobs = workers × f. 0 picks the
 	// paper's defaults (1 for β-acyclic queries, 8 for cyclic ones).
 	Granularity int
-	// MS carries Minesweeper idea toggles (ablation benchmarks). Its GAO is
-	// ignored: GAO below is the one user order.
+	// MS carries Minesweeper idea toggles (ablation benchmarks).
 	MS minesweeper.Options
 	// GAO overrides the attribute order.
 	GAO []string
-	// Plan, when set, is a compiled plan the engine executes directly; see
-	// Prepare.
+	// Plan is the compiled plan New's engine executes; see Compile.
 	Plan *core.Plan
-	// Stats, when non-nil, receives execution counters on the unified core
-	// stats surface.
+	// Stats, when non-nil, receives compilation and execution counters on
+	// the unified core stats surface.
 	Stats *core.StatsCollector
 	// Part, when set, restricts execution to one part of the output space:
 	// part Part.Part of Part.Of contiguous ranges of the first GAO variable,
@@ -101,10 +98,15 @@ type Part struct {
 	Part, Of uint64
 }
 
-// New returns the configured engine.
+// New returns the engine executing opts.Plan, which Compile built under
+// the same algorithm. Its Count and Enumerate run the plan: their query and
+// database arguments are the plan's own.
 func New(opts Options) (core.Engine, error) {
 	if opts.Algorithm != LFTJ && opts.Algorithm != MS {
 		return nil, fmt.Errorf("engine: %w %q", ErrUnknownAlgorithm, opts.Algorithm)
+	}
+	if opts.Plan == nil {
+		return nil, fmt.Errorf("engine: no compiled plan")
 	}
 	return &parallel{opts: opts}, nil
 }
@@ -119,32 +121,12 @@ type parallel struct {
 // Name implements core.Engine.
 func (p *parallel) Name() string { return string(p.opts.Algorithm) }
 
-// interval is a half-open range [lo, hi) of first-variable values.
-type interval struct{ lo, hi int64 }
-
-// whole is the interval every part and job is cut from: the storage domain,
-// with -1 below every value.
-var whole = interval{-1, relation.PosInf}
-
-// engine returns the single-threaded engine for one execution of plan (nil:
-// the engine compiles the query itself), restricted to the first-variable
-// values in r when r is non-nil.
-func (p *parallel) engine(plan *core.Plan, r *interval) core.Engine {
+// run executes plan over the first-variable values in r; a nil emit counts.
+func (p *parallel) run(ctx context.Context, plan *core.Plan, r core.Range, emit func([]int64) bool) (int64, error) {
 	if p.opts.Algorithm == LFTJ {
-		opts := lftj.Options{GAO: p.opts.GAO, Plan: plan, Stats: p.opts.Stats}
-		if r != nil {
-			opts.FirstVarRange = &lftj.Range{Lo: r.lo, Hi: r.hi}
-		}
-		return lftj.Engine{Opts: opts}
+		return lftj.Run(ctx, plan, r, p.opts.Stats, emit)
 	}
-	ms := p.opts.MS
-	ms.GAO = p.opts.GAO
-	if r != nil {
-		ms.FirstVarRange = &minesweeper.Range{Lo: r.lo, Hi: r.hi}
-	}
-	ms.Plan = plan
-	ms.Collector = p.opts.Stats
-	return minesweeper.Engine{Opts: ms}
+	return minesweeper.Run(ctx, plan, p.opts.MS, r, p.opts.Stats, emit)
 }
 
 func (p *parallel) workers() int {
@@ -156,108 +138,78 @@ func (p *parallel) workers() int {
 
 // granularity applies the paper's default f (§4.10): 1 for β-acyclic
 // queries, 8 for cyclic ones, "determined after minor micro experiments".
-// A compiled plan carries the classification; without one it is re-derived.
-func (p *parallel) granularity(q *query.Query) int {
-	if p.opts.Granularity > 0 {
+func (p *parallel) granularity() int {
+	switch {
+	case p.opts.Granularity > 0:
 		return p.opts.Granularity
+	case p.opts.Plan.BetaCyclic:
+		return 8
 	}
-	if p.opts.Plan != nil {
-		if p.opts.Plan.BetaCyclic {
-			return 8
-		}
-		return 1
-	}
-	if _, ok := hypergraph.FindChainGAO(q.Vars(), q.Atoms); ok {
-		return 1
-	}
-	return 8
+	return 1
 }
 
-// pin returns the plan one execution runs — the compiled one, or one
-// compiled here — pinned to the generation it reads, and the key set that
-// generation splits on the first variable. A part is cut, and its jobs are
-// split and run, from that one database state. A transaction's plan is
+// pin returns the plan pinned to the generation one execution reads, and
+// the part of Options.Part cut from that generation (the full range when no
+// part is set) with the key set it was cut from. A part is cut, and its jobs
+// are split and run, from that one database state. A transaction's plan is
 // already pinned to its lease, so every store under one routed transaction
 // cuts the same contents.
-func (p *parallel) pin(q *query.Query, db *core.DB) (*core.Plan, keys, error) {
-	plan := p.opts.Plan
-	if plan == nil {
-		var err error
-		if plan, err = compile(p.opts, q, db, nil); err != nil {
-			return nil, keys{}, err
-		}
+func (p *parallel) pin() (*core.Plan, core.Range, keys) {
+	gen := p.opts.Plan.Pin()
+	plan := p.opts.Plan.PinnedTo(gen)
+	k := leadKeys(plan, gen)
+	r := core.FullRange
+	if pt := p.opts.Part; pt != nil {
+		r = k.cut(r, pt.Part, pt.Of)
 	}
-	gen := plan.Pin()
-	return plan.PinnedTo(gen), leadKeys(plan, gen), nil
-}
-
-// part returns the interval of Options.Part in k, or nil when no part is set.
-func (p *parallel) part(k keys) *interval {
-	pt := p.opts.Part
-	if pt == nil {
-		return nil
-	}
-	r := k.cut(whole, pt.Part, pt.Of)
-	return &r
+	return plan, r, k
 }
 
 // Enumerate implements core.Engine.
-func (p *parallel) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
+func (p *parallel) Enumerate(ctx context.Context, _ *query.Query, _ *core.DB, emit func([]int64) bool) error {
 	p.opts.Stats.Add(core.Stats{Executions: 1})
-	if p.opts.Part == nil {
-		return p.engine(p.opts.Plan, nil).Enumerate(ctx, q, db, emit)
+	if emit == nil {
+		return fmt.Errorf("engine: nil emit")
 	}
-	plan, k, err := p.pin(q, db)
-	if err != nil {
-		return err
+	plan, r := p.opts.Plan, core.FullRange
+	if p.opts.Part != nil {
+		plan, r, _ = p.pin()
 	}
-	r := p.part(k)
-	if r.lo >= r.hi {
+	if r.Empty() {
 		return nil
 	}
-	return p.engine(plan, r).Enumerate(ctx, q, db, emit)
+	_, err := p.run(ctx, plan, r, emit)
+	return err
 }
 
 // Count implements core.Engine.
-func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
+func (p *parallel) Count(ctx context.Context, _ *query.Query, _ *core.DB) (int64, error) {
 	p.opts.Stats.Add(core.Stats{Executions: 1})
 	workers := p.workers()
 	if workers <= 1 && p.opts.Part == nil {
-		return p.engine(p.opts.Plan, nil).Count(ctx, q, db)
+		return p.run(ctx, p.opts.Plan, core.FullRange, nil)
 	}
-	plan, k, err := p.pin(q, db)
-	if err != nil {
-		return 0, err
-	}
-	r := p.part(k)
-	if r != nil && r.lo >= r.hi {
+	plan, r, k := p.pin()
+	if r.Empty() {
 		return 0, nil
 	}
 	// A projected query whose first attribute is not in its output is left
 	// whole: the same row could surface in several jobs.
-	var jobs []interval
-	if workers > 1 && q.PartitionedBy(plan.GAO[0]) {
-		span := whole
-		if r != nil {
-			span = *r
-		}
-		jobs = k.split(span, workers*p.granularity(q))
+	var jobs []core.Range
+	if workers > 1 && plan.Query.PartitionedBy(plan.GAO[0]) {
+		jobs = k.split(r, workers*p.granularity())
 	}
 	if len(jobs) <= 1 {
-		return p.engine(plan, r).Count(ctx, q, db)
+		return p.run(ctx, plan, r, nil)
 	}
 	// Never more workers than jobs: Workers arrives unchecked from clients,
 	// and each worker costs a goroutine and an error-channel slot.
 	workers = min(workers, len(jobs))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// The legacy per-run Minesweeper Stats pointer is not safe under
-	// concurrent adds; concurrent jobs report through the collector instead.
-	jp := *p
-	jp.opts.MS.Stats = nil
 	var total atomic.Int64
 	var wg sync.WaitGroup
-	jobCh := make(chan interval, len(jobs))
+	jobCh := make(chan core.Range, len(jobs))
 	for _, j := range jobs {
 		jobCh <- j
 	}
@@ -272,9 +224,9 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 					errCh <- err
 					return
 				}
-				// Each job gets a fresh engine: per-job CDS and memo state,
+				// Each job is a fresh run: per-job CDS and memo state,
 				// released before the next job is claimed (§4.10).
-				n, err := jp.engine(plan, &job).Count(ctx, q, db)
+				n, err := p.run(ctx, plan, job, nil)
 				if err != nil {
 					errCh <- err
 					cancel()
@@ -306,7 +258,7 @@ type keys struct {
 
 // leadKeys returns the key set plan's first variable splits on in gen.
 func leadKeys(plan *core.Plan, gen *core.Generation) keys {
-	k := keys{lo: whole.lo, hi: whole.hi}
+	k := keys{lo: core.FullRange.Lo, hi: core.FullRange.Hi}
 	if push := plan.Push; push != nil && push.Bounds != nil {
 		k.lo, k.hi = push.Bounds[0].Lo, push.Bounds[0].Hi
 	}
@@ -319,12 +271,12 @@ func leadKeys(plan *core.Plan, gen *core.Generation) keys {
 }
 
 // count returns the number of keys inside r, and a cursor on the first.
-func (k keys) count(r interval) (uint64, relation.OverlayCursor) {
+func (k keys) count(r core.Range) (uint64, relation.OverlayCursor) {
 	var c relation.OverlayCursor
 	if k.ov == nil {
 		return 0, c
 	}
-	lo, hi := max(r.lo, k.lo), min(r.hi, k.hi)
+	lo, hi := max(r.Lo, k.lo), min(r.Hi, k.hi)
 	n := uint64(0)
 	c.Reset(k.ov)
 	c.Open()
@@ -339,12 +291,12 @@ func (k keys) count(r interval) (uint64, relation.OverlayCursor) {
 
 // bounds appends boundaries b[from..to] of the n-way cut of r to dst. The
 // cut divides r into n contiguous parts holding equal shares of its K keys:
-// b[0] = r.lo, b[n] = r.hi, and b[j] for 0 < j < n is the key at index
-// ⌊j·K/n⌋ (r.hi when that index is K). Part j is [b[j], b[j+1]), so parts
+// b[0] = r.Lo, b[n] = r.Hi, and b[j] for 0 < j < n is the key at index
+// ⌊j·K/n⌋ (r.Hi when that index is K). Part j is [b[j], b[j+1]), so parts
 // are disjoint, cover r, and are empty exactly when K < n leaves them no
 // key. The index arithmetic is 128-bit and nothing is sized by n, so any
 // n ≥ 1 a client sends is safe.
-func (k keys) bounds(dst []int64, r interval, n, from, to uint64) []int64 {
+func (k keys) bounds(dst []int64, r core.Range, n, from, to uint64) []int64 {
 	count, c := k.count(r)
 	at := uint64(0) // index of c's key
 	for j := from; ; j++ {
@@ -352,9 +304,9 @@ func (k keys) bounds(dst []int64, r interval, n, from, to uint64) []int64 {
 		idx, _ := bits.Div64(hi, lo, n) // j ≤ n, so the quotient fits
 		switch {
 		case j == 0:
-			dst = append(dst, r.lo)
+			dst = append(dst, r.Lo)
 		case j == n || idx == count:
-			dst = append(dst, r.hi)
+			dst = append(dst, r.Hi)
 		default:
 			for ; at < idx; at++ {
 				c.Next()
@@ -368,25 +320,25 @@ func (k keys) bounds(dst []int64, r interval, n, from, to uint64) []int64 {
 }
 
 // cut returns part i of the n-way cut of r (i < n).
-func (k keys) cut(r interval, i, n uint64) interval {
+func (k keys) cut(r core.Range, i, n uint64) core.Range {
 	var buf [2]int64
 	b := k.bounds(buf[:0], r, n, i, i+1)
-	return interval{b[0], b[1]}
+	return core.Range{Lo: b[0], Hi: b[1]}
 }
 
 // split cuts r into up to n jobs by the same rule as cut — the paper's "p
 // equal-sized parts" of the output space — with never more jobs than keys,
 // so none is empty.
-func (k keys) split(r interval, n int) []interval {
+func (k keys) split(r core.Range, n int) []core.Range {
 	count, _ := k.count(r)
 	m := min(uint64(max(n, 1)), count)
 	if m <= 1 {
 		return nil
 	}
 	b := k.bounds(make([]int64, 0, m+1), r, m, 0, m)
-	jobs := make([]interval, m)
+	jobs := make([]core.Range, m)
 	for j := range jobs {
-		jobs[j] = interval{b[j], b[j+1]}
+		jobs[j] = core.Range{Lo: b[j], Hi: b[j+1]}
 	}
 	return jobs
 }

@@ -6,25 +6,53 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/lftj"
+	"repro/internal/core"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
 
+// prepare compiles q under opts and returns the engine running the plan.
+func prepare(t *testing.T, opts Options, q *query.Query, db *core.DB) core.Engine {
+	t.Helper()
+	plan, err := Compile(opts, q, db)
+	if err != nil {
+		t.Fatalf("Compile(%s, %s): %v", opts.Algorithm, q.Name, err)
+	}
+	opts.Plan = plan
+	e, err := New(opts)
+	if err != nil {
+		t.Fatalf("New(%s): %v", opts.Algorithm, err)
+	}
+	return e
+}
+
+// oracle counts q's rows with the naive engine.
+func oracle(t *testing.T, q *query.Query, db *core.DB) int64 {
+	t.Helper()
+	n, err := (naive.Engine{}).Count(context.Background(), q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestRegistryAllAlgorithms(t *testing.T) {
+	db := testutil.GraphDB(testutil.K4, nil)
 	for _, a := range Algorithms() {
-		e, err := New(Options{Algorithm: a})
-		if err != nil {
-			t.Errorf("New(%s): %v", a, err)
-			continue
+		if e := prepare(t, Options{Algorithm: a}, query.Clique(3), db); e.Name() != string(a) {
+			t.Errorf("%s: name %q", a, e.Name())
 		}
-		if e.Name() == "" {
-			t.Errorf("%s: empty name", a)
+		if _, err := New(Options{Algorithm: a}); err == nil {
+			t.Errorf("New(%s) without a plan succeeded", a)
 		}
 	}
 	for _, name := range []Algorithm{"nope", "psql", "hybrid"} {
 		if _, err := New(Options{Algorithm: name}); !errors.Is(err, ErrUnknownAlgorithm) {
 			t.Errorf("New(%q): %v, want ErrUnknownAlgorithm", name, err)
+		}
+		if _, err := Compile(Options{Algorithm: name}, query.Clique(3), db); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("Compile(%q): %v, want ErrUnknownAlgorithm", name, err)
 		}
 	}
 	if got := Algorithms(); len(got) != 2 || got[0] != LFTJ || got[1] != MS {
@@ -39,17 +67,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 40, 300, 2)
 	queries := []*query.Query{query.Clique(3), query.Clique(4), query.Path(3), query.Comb(), query.Cycle(4)}
 	for _, q := range queries {
-		want, err := (lftj.Engine{}).Count(context.Background(), q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle(t, q, db)
 		for _, alg := range []Algorithm{LFTJ, MS} {
 			for _, workers := range []int{1, 2, 4} {
 				for _, f := range []int{0, 1, 3, 8} {
-					e, err := New(Options{Algorithm: alg, Workers: workers, Granularity: f})
-					if err != nil {
-						t.Fatal(err)
-					}
+					e := prepare(t, Options{Algorithm: alg, Workers: workers, Granularity: f}, q, db)
 					got, err := e.Count(context.Background(), q, db)
 					if err != nil {
 						t.Fatalf("%s %s w=%d f=%d: %v", alg, q.Name, workers, f, err)
@@ -67,15 +89,9 @@ func TestAllEnginesAgreeOnTriangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := testutil.RandomGraphDB(rng, 30, 200, 2)
 	q := query.Clique(3)
-	want, err := (lftj.Engine{}).Count(context.Background(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, q, db)
 	for _, a := range Algorithms() {
-		e, err := New(Options{Algorithm: a, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := prepare(t, Options{Algorithm: a, Workers: 2}, q, db)
 		got, err := e.Count(context.Background(), q, db)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
@@ -95,30 +111,31 @@ func TestSplitJobsCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 50, 200, 2)
 	q := query.Clique(3)
-	plan, err := compile(Options{Algorithm: LFTJ}, q, db, nil)
+	plan, err := Compile(Options{Algorithm: LFTJ}, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole := core.FullRange
 	k := leadKeys(plan, plan.Pin())
 	total, _ := k.count(whole)
 	if total < 7 {
 		t.Fatalf("only %d keys", total)
 	}
 	for _, n := range []uint64{1, 2, 7, total, total + 5} {
-		prev := whole.lo
+		prev := whole.Lo
 		for i := uint64(0); i < n; i++ {
 			part := k.cut(whole, i, n)
-			if part.lo != prev {
-				t.Fatalf("n=%d: part %d starts at %d, previous ended at %d", n, i, part.lo, prev)
+			if part.Lo != prev {
+				t.Fatalf("n=%d: part %d starts at %d, previous ended at %d", n, i, part.Lo, prev)
 			}
 			keys, _ := k.count(part)
 			if want := (i+1)*total/n - i*total/n; keys != want {
 				t.Errorf("n=%d: part %d holds %d keys, want %d", n, i, keys, want)
 			}
-			prev = part.hi
+			prev = part.Hi
 		}
-		if prev != whole.hi {
-			t.Fatalf("n=%d: last part ends at %d, want %d", n, prev, whole.hi)
+		if prev != whole.Hi {
+			t.Fatalf("n=%d: last part ends at %d, want %d", n, prev, whole.Hi)
 		}
 		jobs := k.split(whole, int(n))
 		if n <= 1 || n > total {
@@ -138,7 +155,7 @@ func TestSplitJobsCoverage(t *testing.T) {
 	}
 	allocs := func(i, n uint64) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if part := k.cut(whole, i, n); part.lo > part.hi || (i == n-1 && part.hi != whole.hi) {
+			if part := k.cut(whole, i, n); part.Lo > part.Hi || (i == n-1 && part.Hi != whole.Hi) {
 				t.Errorf("part %d of %d is %v", i, n, part)
 			}
 		})
@@ -151,10 +168,7 @@ func TestSplitJobsCoverage(t *testing.T) {
 func TestParallelEnumerateSequentialOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 10, 30, 2)
-	e, err := New(Options{Algorithm: MS, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := prepare(t, Options{Algorithm: MS, Workers: 4}, query.Clique(3), db)
 	n := 0
 	if err := e.Enumerate(context.Background(), query.Clique(3), db, func([]int64) bool {
 		n++
@@ -162,8 +176,7 @@ func TestParallelEnumerateSequentialOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := (lftj.Engine{}).Count(context.Background(), query.Clique(3), db)
-	if int64(n) != want {
+	if want := oracle(t, query.Clique(3), db); int64(n) != want {
 		t.Errorf("enumerated %d, want %d", n, want)
 	}
 }
@@ -171,10 +184,7 @@ func TestParallelEnumerateSequentialOrder(t *testing.T) {
 func TestParallelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 200, 5000, 2)
-	e, err := New(Options{Algorithm: LFTJ, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := prepare(t, Options{Algorithm: LFTJ, Workers: 4}, query.Clique(4), db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Count(ctx, query.Clique(4), db); err == nil {
@@ -186,12 +196,9 @@ func TestGAOOverridePropagates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := testutil.RandomGraphDB(rng, 15, 60, 2)
 	q := query.Path(3)
-	want, _ := (lftj.Engine{}).Count(context.Background(), q, db)
+	want := oracle(t, q, db)
 	for _, alg := range []Algorithm{LFTJ, MS} {
-		e, err := New(Options{Algorithm: alg, GAO: []string{"d", "c", "b", "a"}, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := prepare(t, Options{Algorithm: alg, GAO: []string{"d", "c", "b", "a"}, Workers: 2}, q, db)
 		got, err := e.Count(context.Background(), q, db)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)

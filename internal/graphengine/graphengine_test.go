@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/lftj"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -34,7 +34,7 @@ func TestDifferentialVsLFTJ(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		db := testutil.RandomGraphDB(rng, 10+rng.Intn(30), 20+rng.Intn(200), 2)
 		for _, q := range []*query.Query{query.Clique(3), query.Clique(4)} {
-			want, err := (lftj.Engine{}).Count(context.Background(), q, db)
+			want, err := (naive.Engine{}).Count(context.Background(), q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +43,7 @@ func TestDifferentialVsLFTJ(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Errorf("trial %d %s: graphengine = %d, lftj = %d", trial, q.Name, got, want)
+				t.Errorf("trial %d %s: graphengine = %d, naive = %d", trial, q.Name, got, want)
 			}
 		}
 	}

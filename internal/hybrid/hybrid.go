@@ -10,8 +10,10 @@ package hybrid
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/hypergraph"
 	"repro/internal/lftj"
 	"repro/internal/minesweeper"
@@ -88,29 +90,42 @@ func varsOf(atoms []query.Atom) []string {
 	return out
 }
 
+// plans compiles the two halves of q once, before anything runs: the path
+// part for Minesweeper, and the clique part for LFTJ under an order that
+// leads with the attachment, so each attachment value is one first-variable
+// range of it.
+func plans(q *query.Query, db *core.DB) (sp *split, path, clique *core.Plan, err error) {
+	if sp, err = splitQuery(q); err != nil {
+		return nil, nil, nil, err
+	}
+	pathQ := query.New(q.Name+"/path", sp.pathAtoms...)
+	if path, err = engine.Compile(engine.Options{Algorithm: engine.MS}, pathQ, db); err != nil {
+		return nil, nil, nil, err
+	}
+	cliqueQ := query.New(q.Name+"/clique", sp.cliqueAtoms...)
+	gao := append([]string{sp.attachment}, others(cliqueQ.Vars(), sp.attachment)...)
+	if clique, err = engine.Compile(engine.Options{Algorithm: engine.LFTJ, GAO: gao}, cliqueQ, db); err != nil {
+		return nil, nil, nil, err
+	}
+	return sp, path, clique, nil
+}
+
+// attachment returns the range of the clique plan holding one attachment
+// value.
+func attachment(v int64) core.Range { return core.Range{Lo: v, Hi: v + 1} }
+
 // Count implements core.Engine.
 func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
-	sp, err := splitQuery(q)
+	sp, path, clique, err := plans(q, db)
 	if err != nil {
 		return 0, err
 	}
 	// Path part: enumerate with Minesweeper, counting bindings per
 	// attachment value. Enumerating (rather than counting) is required: the
 	// multiplier differs per attachment vertex.
-	pathQ := query.New(q.Name+"/path", sp.pathAtoms...)
-	attachIdx := -1
-	for i, v := range pathQ.Vars() {
-		if v == sp.attachment {
-			attachIdx = i
-			break
-		}
-	}
-	if attachIdx < 0 {
-		return 0, fmt.Errorf("hybrid: attachment %q missing from path part", sp.attachment)
-	}
+	attachIdx := slices.Index(path.Query.Vars(), sp.attachment)
 	pathCounts := make(map[int64]int64)
-	ms := minesweeper.Engine{}
-	if err := ms.Enumerate(ctx, pathQ, db, func(t []int64) bool {
+	if _, err := minesweeper.Run(ctx, path, minesweeper.Options{}, core.FullRange, nil, func(t []int64) bool {
 		pathCounts[t[attachIdx]]++
 		return true
 	}); err != nil {
@@ -119,17 +134,12 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 
 	// Clique part: LFTJ restricted to each needed attachment value, memoized
 	// ("Idea 7 implemented completely on the clique part").
-	cliqueQ := query.New(q.Name+"/clique", sp.cliqueAtoms...)
-	gao := append([]string{sp.attachment}, others(cliqueQ.Vars(), sp.attachment)...)
 	var total int64
 	for v, mult := range pathCounts {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		cnt, err := (lftj.Engine{Opts: lftj.Options{
-			GAO:           gao,
-			FirstVarRange: &lftj.Range{Lo: v, Hi: v + 1},
-		}}).Count(ctx, cliqueQ, db)
+		cnt, err := lftj.Run(ctx, clique, attachment(v), nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -151,45 +161,32 @@ func others(vars []string, skip string) []string {
 // Enumerate implements core.Engine by joining the parts explicitly; it is
 // provided for completeness and testing (the paper's hybrid is count-only).
 func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	sp, err := splitQuery(q)
+	sp, path, clique, err := plans(q, db)
 	if err != nil {
 		return err
 	}
-	pathQ := query.New(q.Name+"/path", sp.pathAtoms...)
-	cliqueQ := query.New(q.Name+"/clique", sp.cliqueAtoms...)
 	idx := q.VarIndex()
-	pathPerm := make([]int, len(pathQ.Vars()))
-	for i, v := range pathQ.Vars() {
-		pathPerm[i] = idx[v]
-	}
-	cliquePerm := make([]int, len(cliqueQ.Vars()))
-	for i, v := range cliqueQ.Vars() {
-		cliquePerm[i] = idx[v]
-	}
-	attachPath := -1
-	for i, v := range pathQ.Vars() {
-		if v == sp.attachment {
-			attachPath = i
+	perm := func(vars []string) []int {
+		p := make([]int, len(vars))
+		for i, v := range vars {
+			p[i] = idx[v]
 		}
+		return p
 	}
-	gao := append([]string{sp.attachment}, others(cliqueQ.Vars(), sp.attachment)...)
+	pathPerm, cliquePerm := perm(path.Query.Vars()), perm(clique.Query.Vars())
+	attachPath := slices.Index(path.Query.Vars(), sp.attachment)
 	// Group clique bindings per attachment value lazily.
 	cliqueCache := make(map[int64][][]int64)
 	out := make([]int64, q.NumVars())
-	stop := false
-	err = (minesweeper.Engine{}).Enumerate(ctx, pathQ, db, func(pt []int64) bool {
+	var cliqueErr error
+	_, err = minesweeper.Run(ctx, path, minesweeper.Options{}, core.FullRange, nil, func(pt []int64) bool {
 		v := pt[attachPath]
 		rows, ok := cliqueCache[v]
 		if !ok {
-			err := (lftj.Engine{Opts: lftj.Options{
-				GAO:           gao,
-				FirstVarRange: &lftj.Range{Lo: v, Hi: v + 1},
-			}}).Enumerate(ctx, cliqueQ, db, func(ct []int64) bool {
+			if _, cliqueErr = lftj.Run(ctx, clique, attachment(v), nil, func(ct []int64) bool {
 				rows = append(rows, append([]int64(nil), ct...))
 				return true
-			})
-			if err != nil {
-				stop = true
+			}); cliqueErr != nil {
 				return false
 			}
 			cliqueCache[v] = rows
@@ -202,15 +199,13 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 				out[p] = ct[i]
 			}
 			if !emit(out) {
-				stop = true
 				return false
 			}
 		}
 		return true
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = cliqueErr
 	}
-	_ = stop
-	return ctx.Err()
+	return err
 }

@@ -2,12 +2,13 @@ package hybrid
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lftj"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/testutil"
@@ -62,9 +63,9 @@ func TestDifferentialVsLFTJ(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		db := testutil.RandomGraphDB(rng, 4+rng.Intn(10), 2+rng.Intn(30), 2)
 		for _, q := range []*query.Query{query.Lollipop(2), query.Lollipop(3)} {
-			want := count(t, lftj.Engine{}, q, db)
+			want := count(t, naive.Engine{}, q, db)
 			if got := count(t, Engine{}, q, db); got != want {
-				t.Errorf("trial %d %s: hybrid = %d, lftj = %d", trial, q.Name, got, want)
+				t.Errorf("trial %d %s: hybrid = %d, naive = %d", trial, q.Name, got, want)
 			}
 		}
 	}
@@ -75,7 +76,7 @@ func TestEnumerateMatchesLFTJ(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 8, 24, 2)
 	q := query.Lollipop(2)
 	var want, got [][]int64
-	if err := (lftj.Engine{}).Enumerate(context.Background(), q, db, collect(&want)); err != nil {
+	if err := (naive.Engine{}).Enumerate(context.Background(), q, db, collect(&want)); err != nil {
 		t.Fatal(err)
 	}
 	if err := (Engine{}).Enumerate(context.Background(), q, db, collect(&got)); err != nil {
@@ -84,7 +85,7 @@ func TestEnumerateMatchesLFTJ(t *testing.T) {
 	sortTuples(want)
 	sortTuples(got)
 	if len(want) != len(got) {
-		t.Fatalf("hybrid enumerated %d, lftj %d", len(got), len(want))
+		t.Fatalf("hybrid enumerated %d, naive %d", len(got), len(want))
 	}
 	for i := range want {
 		if relation.CompareTuples(want[i], got[i]) != 0 {
@@ -111,5 +112,24 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	if _, err := (Engine{}).Count(ctx, query.Lollipop(2), db); err == nil {
 		t.Error("cancelled context should surface an error")
+	}
+}
+
+// TestCliqueErrorSurfaces pins that a clique part that cannot run fails both
+// Count and Enumerate with its typed error: the halves are compiled before
+// either runs, so Enumerate cannot end quietly with zero rows.
+func TestCliqueErrorSurfaces(t *testing.T) {
+	db := testutil.GraphDB(testutil.K4, nil)
+	q := query.MustParse("q", "edge(x,y), edge(y,a), nope(a,b), nope(b,c), nope(a,c)")
+	if sp, err := splitQuery(q); err != nil || sp.attachment != "a" {
+		t.Fatalf("split = %+v, %v; want attachment a", sp, err)
+	}
+	if _, err := (Engine{}).Count(context.Background(), q, db); !errors.Is(err, core.ErrUnknownRelation) {
+		t.Errorf("Count: %v, want ErrUnknownRelation", err)
+	}
+	rows := 0
+	err := (Engine{}).Enumerate(context.Background(), q, db, func([]int64) bool { rows++; return true })
+	if !errors.Is(err, core.ErrUnknownRelation) {
+		t.Errorf("Enumerate: %v after %d rows, want ErrUnknownRelation", err, rows)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/lftj"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -138,8 +139,7 @@ func (v *View) run(ctx context.Context, q *query.Query) (int64, error) {
 		return 0, err
 	}
 	v.sc.Add(core.Stats{Executions: 1})
-	e := lftj.Engine{Opts: lftj.Options{Plan: plan, Stats: v.sc}}
-	return e.Count(ctx, q, v.db)
+	return lftj.Run(ctx, plan, core.FullRange, v.sc, nil)
 }
 
 // planFor returns a plan for q. The base compilation is cached across
@@ -205,7 +205,11 @@ func (v *View) Stats() core.Stats { return v.sc.Snapshot() }
 
 // Recount recomputes from scratch (for verification).
 func (v *View) Recount(ctx context.Context) (int64, error) {
-	return (lftj.Engine{}).Count(ctx, v.q, v.db)
+	plan, err := engine.Compile(engine.Options{Algorithm: engine.LFTJ}, v.q, v.db)
+	if err != nil {
+		return 0, err
+	}
+	return lftj.Run(ctx, plan, core.FullRange, nil, nil)
 }
 
 // UpdateRelation applies inserts and deletes to one relation and corrects

@@ -6,18 +6,16 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/hypergraph"
 	"repro/internal/query"
 )
 
 // TestLFTJExecAllocs is the allocation gate of a planned LFTJ execution:
 // the objects one Count of a compiled plan allocates, whatever the number
 // of seeks it makes. An engine change that allocates more per execution
-// than a bound fails here even when no clock can see it; the test logs the
-// measured counts, which sit below the bounds. The race detector changes
-// allocation counts, hence the build tag.
+// than a bound fails here even when no clock can see it. Each bound is the
+// measured count (14, 23 and 13 on go1.24) plus 2; the test logs the counts.
+// The race detector changes allocation counts, hence the build tag.
 func TestLFTJExecAllocs(t *testing.T) {
 	db := dataset.DB(dataset.Generate(dataset.HolmeKim, 1000, 5500, 107), 8, 107)
 	ctx := context.Background()
@@ -26,18 +24,14 @@ func TestLFTJExecAllocs(t *testing.T) {
 		q    *query.Query
 		max  float64
 	}{
-		{"triangle", query.Clique(3), 27},
-		{"clique4", query.Clique(4), 45},
-		{"pinned", query.MustParse("pinned", "out(b,c) :- edge(a,b), edge(b,c), a = 7"), 23},
+		{"triangle", query.Clique(3), 16},
+		{"clique4", query.Clique(4), 25},
+		{"pinned", query.MustParse("pinned", "out(b,c) :- edge(a,b), edge(b,c), a = 7"), 15},
 	} {
-		gao, _ := hypergraph.ChooseGAO(tc.q, "lftj")
-		plan, err := core.NewPlan(tc.q, db, "lftj", gao, nil, false, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := Engine{Opts: Options{Plan: plan}}
+		eng := Engine{Opts: Options{Plan: compile(t, tc.q, db, nil)}}
 		var n int64
 		run := func() {
+			var err error
 			if n, err = eng.Count(ctx, tc.q, db); err != nil {
 				t.Fatal(err)
 			}

@@ -11,86 +11,41 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/hypergraph"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// Range restricts the first GAO variable to [Lo, Hi); the parallel executor
-// (§4.10) partitions the output space with it.
-type Range struct {
-	Lo, Hi int64
-}
-
-// Options configure the engine.
-type Options struct {
-	// GAO overrides the variable order; empty means hypergraph.ChooseGAO's.
-	GAO []string
-	// FirstVarRange restricts the first GAO variable for parallel jobs.
-	FirstVarRange *Range
-	// Plan, when set, is a compiled plan for the query: validation, GAO
-	// resolution, and index binding are skipped and the plan's bound
-	// indexes are executed directly.
-	Plan *core.Plan
-	// Stats, when non-nil, receives this run's execution counters.
-	Stats *core.StatsCollector
-}
-
-// Engine is the Leapfrog Triejoin engine.
+// Engine wraps Run in the Count call the benchmark's engine rung makes:
+// Count runs Opts.Plan over the whole first-variable domain.
 type Engine struct {
 	Opts Options
 }
 
-// Name implements core.Engine.
-func (Engine) Name() string { return "lftj" }
-
-// Count implements core.Engine.
-func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
-	var n int64
-	err := e.Enumerate(ctx, q, db, func([]int64) bool {
-		n++
-		return true
-	})
-	return n, err
+// Options name the compiled plan an Engine runs.
+type Options struct {
+	Plan *core.Plan
 }
 
-// Enumerate implements core.Engine.
-func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	var gao []string
-	var atoms []core.AtomIndex
-	var push *core.Pushdown
+// Count runs the plan and returns its number of result tuples; q and db are
+// the plan's own.
+func (e Engine) Count(ctx context.Context, _ *query.Query, _ *core.DB) (int64, error) {
+	return Run(ctx, e.Opts.Plan, core.FullRange, nil, nil)
+}
+
+// Run executes a compiled plan over the first-variable values in r, on the
+// generation plan.Pin returns, and adds the run's counters to sc (which may
+// be nil). Each row goes to emit, which returns false to stop; a nil emit
+// only counts. Run returns the number of rows.
+func Run(ctx context.Context, plan *core.Plan, r core.Range, sc *core.StatsCollector, emit func([]int64) bool) (int64, error) {
+	gao, push := plan.GAO, plan.Push
 	// The generation the whole run reads: pinned once, here, so a concurrent
 	// write can never mix two database states mid-join.
-	var gen *core.Generation
-	if p := e.Opts.Plan; p != nil {
-		gao, atoms, push, gen = p.GAO, p.Atoms, p.Push, p.Pin()
-	} else {
-		if err := q.Validate(); err != nil {
-			return err
-		}
-		gao = e.Opts.GAO
-		if gao == nil {
-			gao, _ = hypergraph.ChooseGAO(q, e.Name())
-		}
-		if len(gao) != q.NumVars() {
-			return fmt.Errorf("lftj: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
-		}
-		var err error
-		atoms, err = core.BindAtoms(q, db, gao)
-		if err != nil {
-			return err
-		}
-		push, err = core.CompilePushdown(q, gao)
-		if err != nil {
-			return err
-		}
-		gen = db.Pin()
-	}
+	gen := plan.Pin()
 	ex := &exec{
 		n:       len(gao),
 		last:    push.EmitDepth(len(gao)) - 1,
 		binding: make([]int64, len(gao)),
-		emitPos: core.EmitPositions(make([]int, 0, len(gao)), q, gao, push),
+		emitPos: core.EmitPositions(make([]int, 0, len(gao)), plan.Query, gao, push),
 		emit:    emit,
 		tick:    core.NewTicker(ctx),
 	}
@@ -102,9 +57,9 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 			sinks.Put(ex.sink)
 		}()
 	}
-	// Fold the compiled seek bounds and the parallel job's first-variable
-	// range into one per-depth [lo, hi) table; residual predicates are
-	// bucketed by the depth that decides them.
+	// Fold the compiled seek bounds and the first-variable range into one
+	// per-depth [lo, hi) table; residual predicates are bucketed by the
+	// depth that decides them.
 	if push != nil {
 		if push.Bounds != nil {
 			ex.lo = make([]int64, len(gao))
@@ -120,7 +75,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 			}
 		}
 	}
-	if rng := e.Opts.FirstVarRange; rng != nil {
+	if r != core.FullRange {
 		if ex.lo == nil {
 			ex.lo = make([]int64, len(gao))
 			ex.hi = make([]int64, len(gao))
@@ -128,14 +83,14 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 				ex.hi[d] = relation.PosInf
 			}
 		}
-		ex.lo[0] = max(ex.lo[0], rng.Lo)
-		ex.hi[0] = min(ex.hi[0], rng.Hi)
+		ex.lo[0] = max(ex.lo[0], r.Lo)
+		ex.hi[0] = min(ex.hi[0], r.Hi)
 	}
 	// One cursor per atom, and for each GAO depth the cursors of the atoms
 	// participating in it.
 	ex.byVar = make([][]*relation.OverlayCursor, len(gao))
-	cursors := make([]relation.OverlayCursor, len(atoms))
-	for i, a := range atoms {
+	cursors := make([]relation.OverlayCursor, len(plan.Atoms))
+	for i, a := range plan.Atoms {
 		cursors[i].Reset(gen.Overlay(a.Index))
 		for _, p := range a.VarPos {
 			ex.byVar[p] = append(ex.byVar[p], &cursors[i])
@@ -143,7 +98,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	}
 	for d, its := range ex.byVar {
 		if len(its) == 0 {
-			return fmt.Errorf("lftj: variable %s (depth %d) not bound by any atom: %w", gao[d], d, core.ErrUnboundVar)
+			return 0, fmt.Errorf("lftj: variable %s (depth %d) not bound by any atom: %w", gao[d], d, core.ErrUnboundVar)
 		}
 	}
 	_, err := ex.run(0)
@@ -153,10 +108,11 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		}
 		ex.outputs = ex.sink.Rows
 	}
-	if sc := e.Opts.Stats; sc != nil {
-		sc.Add(core.Stats{Outputs: ex.outputs, Seeks: ex.seeks})
+	sc.Add(core.Stats{Outputs: ex.outputs, Seeks: ex.seeks})
+	if err != nil {
+		return 0, err
 	}
-	return err
+	return ex.outputs, nil
 }
 
 // sinks pools the group sinks of buffered executions, so their buffers are
@@ -168,9 +124,9 @@ type exec struct {
 	last    int // deepest level a row reads; below it one witness suffices
 	byVar   [][]*relation.OverlayCursor
 	binding []int64
-	emitPos []int // GAO position of each emitted column
-	emit    func([]int64) bool
-	sink    *core.GroupSink // non-nil: rows go through it (core.Pushdown.Buffered)
+	emitPos []int              // GAO position of each emitted column
+	emit    func([]int64) bool // nil: count only
+	sink    *core.GroupSink    // non-nil: rows go through it (core.Pushdown.Buffered)
 	tick    *core.Ticker
 	lo, hi  []int64               // per-depth seek bounds [lo, hi); nil when unbounded
 	resAt   [][]core.ResidualPred // residual predicates decided at each depth
@@ -308,6 +264,9 @@ func (ex *exec) output() bool {
 		return ex.sink.Add(ex.binding)
 	}
 	ex.outputs++
+	if ex.emit == nil {
+		return true
+	}
 	if ex.out == nil {
 		ex.out = make([]int64, len(ex.emitPos))
 	}

@@ -7,29 +7,58 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hypergraph"
 	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/testutil"
 )
 
-func count(t *testing.T, e core.Engine, q *query.Query, db *core.DB) int64 {
+// compile builds the plan the engine package compiles for q: under gao, or
+// under the planner's order when gao is nil.
+func compile(t testing.TB, q *query.Query, db *core.DB, gao []string) *core.Plan {
 	t.Helper()
-	n, err := e.Count(context.Background(), q, db)
+	if gao == nil {
+		gao, _ = hypergraph.ChooseGAO(q, "lftj")
+	}
+	plan, err := core.NewPlan(q, db, "lftj", gao, nil, false, "", nil)
 	if err != nil {
-		t.Fatalf("%s Count(%s): %v", e.Name(), q.Name, err)
+		t.Fatalf("compile %s: %v", q.Name, err)
+	}
+	return plan
+}
+
+// countIn counts plan's rows in r.
+func countIn(t *testing.T, plan *core.Plan, r core.Range) int64 {
+	t.Helper()
+	n, err := Run(context.Background(), plan, r, nil, nil)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", plan.Query.Name, err)
 	}
 	return n
+}
+
+// count counts q's rows under the planner's order.
+func count(t *testing.T, q *query.Query, db *core.DB) int64 {
+	t.Helper()
+	return countIn(t, compile(t, q, db, nil), core.FullRange)
+}
+
+// enumerate runs q under the planner's order, emitting to emit.
+func enumerate(t *testing.T, q *query.Query, db *core.DB, emit func([]int64) bool) error {
+	t.Helper()
+	_, err := Run(context.Background(), compile(t, q, db, nil), core.FullRange, nil, emit)
+	return err
 }
 
 func TestTriangleOnK4(t *testing.T) {
 	db := testutil.GraphDB(testutil.K4, nil)
 	// K4 has C(4,3) = 4 triangles; the fwd orientation counts each once.
-	if got := count(t, Engine{}, query.Clique(3), db); got != 4 {
+	if got := count(t, query.Clique(3), db); got != 4 {
 		t.Errorf("triangles(K4) = %d, want 4", got)
 	}
 	// Exactly one 4-clique.
-	if got := count(t, Engine{}, query.Clique(4), db); got != 1 {
+	if got := count(t, query.Clique(4), db); got != 1 {
 		t.Errorf("4-cliques(K4) = %d, want 1", got)
 	}
 	// 4-cycles with a<b<c<d: orderings of {0,1,2,3} as a cycle with the
@@ -37,7 +66,7 @@ func TestTriangleOnK4(t *testing.T) {
 	// requires a<b<c<d so candidates are only (0,1,2,3): edges 01,12,23,03
 	// all present = 1; but also any 4-subset has 3 distinct cycles, only the
 	// sorted one counts: 1.
-	if got := count(t, Engine{}, query.Cycle(4), db); got != 1 {
+	if got := count(t, query.Cycle(4), db); got != 1 {
 		t.Errorf("4-cycles(K4) = %d, want 1", got)
 	}
 }
@@ -50,7 +79,7 @@ func TestPathOnSmallGraph(t *testing.T) {
 		query.Sample2: {3},
 	})
 	// 3-paths from 0 to 3: exactly one (0-1-2-3).
-	if got := count(t, Engine{}, query.Path(3), db); got != 1 {
+	if got := count(t, query.Path(3), db); got != 1 {
 		t.Errorf("3-paths = %d, want 1", got)
 	}
 }
@@ -58,7 +87,7 @@ func TestPathOnSmallGraph(t *testing.T) {
 func TestEnumerateBindings(t *testing.T) {
 	db := testutil.GraphDB(testutil.K4, nil)
 	var got [][]int64
-	err := Engine{}.Enumerate(context.Background(), query.Clique(3), db, func(tu []int64) bool {
+	err := enumerate(t, query.Clique(3), db, func(tu []int64) bool {
 		got = append(got, append([]int64(nil), tu...))
 		return true
 	})
@@ -84,7 +113,7 @@ func sortTuples(ts [][]int64) {
 func TestEarlyStop(t *testing.T) {
 	db := testutil.GraphDB(testutil.K4, nil)
 	n := 0
-	err := Engine{}.Enumerate(context.Background(), query.Clique(3), db, func([]int64) bool {
+	err := enumerate(t, query.Clique(3), db, func([]int64) bool {
 		n++
 		return n < 2
 	})
@@ -105,8 +134,11 @@ func TestDifferentialVsNaive(t *testing.T) {
 		m := 2 + rng.Intn(20)
 		db := testutil.RandomGraphDB(rng, n, m, 2)
 		for _, q := range testutil.BenchmarkQueries() {
-			want := count(t, naive.Engine{}, q, db)
-			got := count(t, Engine{}, q, db)
+			want, err := (naive.Engine{}).Count(context.Background(), q, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := count(t, q, db)
 			if got != want {
 				t.Errorf("trial %d %s: lftj = %d, naive = %d", trial, q.Name, got, want)
 			}
@@ -119,24 +151,16 @@ func TestGAOOverride(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := testutil.RandomGraphDB(rng, 8, 16, 2)
 	q := query.Path(3)
-	want := count(t, Engine{}, q, db)
+	want := count(t, q, db)
 	for _, gao := range [][]string{
 		{"a", "b", "c", "d"},
 		{"d", "c", "b", "a"},
 		{"b", "a", "d", "c"},
 		{"a", "b", "d", "c"}, // the ordering §5.2.1 discusses for LFTJ
 	} {
-		if got := count(t, Engine{Opts: Options{GAO: gao}}, q, db); got != want {
+		if got := countIn(t, compile(t, q, db, gao), core.FullRange); got != want {
 			t.Errorf("GAO %v: count = %d, want %d", gao, got, want)
 		}
-	}
-}
-
-func TestBadGAO(t *testing.T) {
-	db := testutil.GraphDB(testutil.K4, nil)
-	e := Engine{Opts: Options{GAO: []string{"a", "b"}}}
-	if _, err := e.Count(context.Background(), query.Clique(3), db); err == nil {
-		t.Error("short GAO should fail")
 	}
 }
 
@@ -146,12 +170,12 @@ func TestRangePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := testutil.RandomGraphDB(rng, 20, 60, 2)
 	for _, q := range []*query.Query{query.Clique(3), query.Path(3), query.Comb()} {
-		want := count(t, Engine{}, q, db)
+		plan := compile(t, q, db, nil)
+		want := countIn(t, plan, core.FullRange)
 		var total int64
 		cuts := []int64{relation.NegInf + 1, 5, 11, 16, relation.PosInf}
 		for i := 0; i+1 < len(cuts); i++ {
-			e := Engine{Opts: Options{FirstVarRange: &Range{Lo: cuts[i], Hi: cuts[i+1]}}}
-			total += count(t, e, q, db)
+			total += countIn(t, plan, core.Range{Lo: cuts[i], Hi: cuts[i+1]})
 		}
 		if total != want {
 			t.Errorf("%s: partitioned total = %d, want %d", q.Name, total, want)
@@ -164,16 +188,8 @@ func TestCancellation(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 200, 4000, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Engine{}.Count(ctx, query.Clique(4), db)
-	if err == nil {
+	if _, err := Run(ctx, compile(t, query.Clique(4), db, nil), core.FullRange, nil, nil); err == nil {
 		t.Error("cancelled context should surface an error")
-	}
-}
-
-func TestMissingRelation(t *testing.T) {
-	db := core.NewDB()
-	if _, err := (Engine{}).Count(context.Background(), query.Clique(3), db); err == nil {
-		t.Error("missing relation should error")
 	}
 }
 
@@ -183,7 +199,7 @@ func TestEmptyJoin(t *testing.T) {
 		query.Sample1: {99}, // disconnected from the graph
 		query.Sample2: {0},
 	})
-	if got := count(t, Engine{}, query.Path(3), db); got != 0 {
+	if got := count(t, query.Path(3), db); got != 0 {
 		t.Errorf("count = %d, want 0", got)
 	}
 }

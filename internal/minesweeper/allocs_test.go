@@ -20,31 +20,24 @@ import (
 func TestMinesweeperSteadyStateAllocs(t *testing.T) {
 	db := dataset.DB(dataset.Generate(dataset.HolmeKim, 1000, 5500, 107), 8, 107)
 	q := query.Path(3)
-	gao, inSkel, _, err := resolvePlan(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := core.NewPlan(q, db, "ms", gao, inSkel, false, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := Engine{Opts: Options{Plan: plan}}
+	plan := compile(t, q, db, nil, Options{})
 	ctx := context.Background()
-	var stats Stats
-	if _, err := (Engine{Opts: Options{Plan: eng.Opts.Plan, Stats: &stats}}).Count(ctx, q, db); err != nil {
+	var sc core.StatsCollector
+	if _, err := Run(ctx, plan, Options{}, core.FullRange, &sc, nil); err != nil {
 		t.Fatal(err)
 	}
+	stats := sc.Snapshot()
 	if stats.Constraints < 1000 || stats.Outputs == 0 {
 		t.Fatalf("the instance is too small to gate anything: %+v", stats)
 	}
 	runs := map[string]func(){
 		"Count": func() {
-			if _, err := eng.Count(ctx, q, db); err != nil {
+			if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
 		"Enumerate": func() {
-			if err := eng.Enumerate(ctx, q, db, func([]int64) bool { return true }); err != nil {
+			if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, func([]int64) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
 		},

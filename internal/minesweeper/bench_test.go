@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -41,11 +42,12 @@ func BenchmarkTriangleCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	db := testutil.RandomGraphDB(rng, 2000, 12000, 1)
 	q := query.Clique(3)
+	plan := compile(b, q, db, nil, Options{})
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Engine{}).Count(ctx, q, db); err != nil {
+		if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,11 +57,12 @@ func BenchmarkPathCountWithReuse(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	db := testutil.RandomGraphDB(rng, 2000, 12000, 5)
 	q := query.Path(3)
+	plan := compile(b, q, db, nil, Options{})
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Engine{}).Count(ctx, q, db); err != nil {
+		if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

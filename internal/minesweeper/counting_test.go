@@ -1,11 +1,11 @@
 package minesweeper
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hypergraph"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -21,10 +21,7 @@ func TestCounterSubtreeReuse(t *testing.T) {
 		query.Sample2: {1, 2, 3, 4},
 	})
 	q := query.Path(4)
-	plain, err := (Engine{Opts: Options{DisableCountMemo: true}}).Count(context.Background(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := countOpts(t, q, db, Options{DisableCountMemo: true})
 	var reuses, stores int
 	counterTrace = func(ev string, args ...interface{}) {
 		switch ev {
@@ -35,11 +32,7 @@ func TestCounterSubtreeReuse(t *testing.T) {
 		}
 	}
 	defer func() { counterTrace = nil }()
-	memo, err := (Engine{}).Count(context.Background(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memo != plain {
+	if memo := count(t, q, db); memo != plain {
 		t.Fatalf("memo count = %d, plain = %d", memo, plain)
 	}
 	if plain != 28 {
@@ -58,10 +51,7 @@ func TestCounterSubtreeReuse(t *testing.T) {
 // only on c itself.
 func TestCounterContextShape(t *testing.T) {
 	q := query.Path(3)
-	gao, _, _, err := resolvePlan(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gao, _ := hypergraph.ChooseGAO(q, "ms")
 	if len(gao) != 4 {
 		t.Fatalf("gao = %v", gao)
 	}
@@ -97,15 +87,8 @@ func TestCountMemoRandomHeavy(t *testing.T) {
 		sel := 1 + rng.Intn(3)
 		db := testutil.RandomGraphDB(rng, n, m, sel)
 		for _, q := range queries {
-			plain, err := (Engine{Opts: Options{DisableCountMemo: true}}).Count(context.Background(), q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			memo, err := (Engine{}).Count(context.Background(), q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain != memo {
+			plain := countOpts(t, q, db, Options{DisableCountMemo: true})
+			if memo := count(t, q, db); plain != memo {
 				t.Errorf("trial %d %s: memo = %d, plain = %d", trial, q.Name, memo, plain)
 			}
 		}
@@ -119,15 +102,8 @@ func TestCountMemoCyclic(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		db := testutil.RandomGraphDB(rng, 4+rng.Intn(10), 2+rng.Intn(30), 2)
 		for _, q := range []*query.Query{query.Clique(3), query.Clique(4), query.Cycle(4), query.Lollipop(2)} {
-			plain, err := (Engine{Opts: Options{DisableCountMemo: true}}).Count(context.Background(), q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			memo, err := (Engine{}).Count(context.Background(), q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain != memo {
+			plain := countOpts(t, q, db, Options{DisableCountMemo: true})
+			if memo := count(t, q, db); plain != memo {
 				t.Errorf("trial %d %s: memo = %d, plain = %d", trial, q.Name, memo, plain)
 			}
 		}

@@ -2,7 +2,6 @@ package minesweeper
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -12,62 +11,19 @@ import (
 	"repro/internal/relation"
 )
 
-// Range restricts the first GAO variable to [Lo, Hi) for the §4.10 parallel
-// partitioning.
-type Range struct {
-	Lo, Hi int64
-}
-
 // Options toggle the paper's implementation ideas; every idea defaults to
 // enabled so the ablation benchmarks (Tables 1–3) switch them off.
 type Options struct {
-	// GAO overrides the automatically selected global attribute order
-	// (Table 4 runs Minesweeper under explicit orders).
-	GAO []string
 	// DisableMemo turns off Idea 4 (avoid repeated seekGap calls).
 	DisableMemo bool
 	// DisableSkeleton turns off Idea 7; β-cyclic queries then insert gap
 	// constraints from every atom and the CDS falls back to cache-free
-	// fixpoint iteration wherever chains break.
+	// fixpoint iteration wherever chains break. It shapes the plan
+	// (engine.Compile hands it to Skeleton); Run ignores it.
 	DisableSkeleton bool
 	// DisableCountMemo turns off the #Minesweeper-style count-mode subtree
 	// reuse (Idea 8; see ARCHITECTURE.md, "Count-memo soundness").
 	DisableCountMemo bool
-	// FirstVarRange restricts the first GAO variable for parallel jobs.
-	FirstVarRange *Range
-	// Stats, when non-nil, accumulates execution counters. It is not safe
-	// for concurrent executions; prefer Collector for those.
-	Stats *Stats
-	// Plan, when set, is a compiled plan for the query: validation, GAO and
-	// skeleton resolution, and index binding are skipped and the plan's
-	// bound indexes are executed directly.
-	Plan *core.Plan
-	// Collector, when non-nil, receives this run's counters on the unified
-	// core stats surface. Safe for concurrent executions.
-	Collector *core.StatsCollector
-}
-
-// Engine is the Minesweeper engine.
-type Engine struct {
-	Opts Options
-}
-
-// Name implements core.Engine.
-func (Engine) Name() string { return "ms" }
-
-// Count implements core.Engine. Count mode uses #Minesweeper-style subtree
-// reuse unless disabled.
-func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
-	return e.run(ctx, q, db, nil)
-}
-
-// Enumerate implements core.Engine.
-func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	if emit == nil {
-		return fmt.Errorf("minesweeper: nil emit")
-	}
-	_, err := e.run(ctx, q, db, emit)
-	return err
 }
 
 // exec is one execution frame: the run's parameters plus every piece of
@@ -101,7 +57,7 @@ type exec struct {
 	noMemo    bool // Options.DisableMemo
 	push      *core.Pushdown
 	total     int64
-	stats     Stats
+	stats     core.Stats // this run's counters (the Minesweeper block)
 	// sink restores the output order when the GAO does not provide it
 	// (push.Buffered()).
 	sink core.GroupSink
@@ -131,12 +87,12 @@ func takeFrame() *exec {
 // instead of pinning them for the next, probably smaller, run.
 const maxPooledFrame = 16 << 20
 
-// reset prepares the frame for a run over the bound atoms.
-func (ex *exec) reset(ctx context.Context, q *query.Query, gao []string, atoms []core.AtomIndex, gen *core.Generation, inSkel []bool, push *core.Pushdown, emit func([]int64) bool, opts Options) {
-	n := len(gao)
-	ex.n, ex.atoms, ex.inSkel, ex.push, ex.emit, ex.noMemo = n, atoms, inSkel, push, emit, opts.DisableMemo
-	ex.total, ex.stats, ex.counting = 0, Stats{}, false
-	ex.emitPos, ex.last = core.EmitPositions(ex.emitPos[:0], q, gao, push), push.EmitDepth(n)-1
+// reset prepares the frame for a run of plan on gen.
+func (ex *exec) reset(ctx context.Context, plan *core.Plan, gen *core.Generation, emit func([]int64) bool, opts Options) {
+	n, atoms, push := len(plan.GAO), plan.Atoms, plan.Push
+	ex.n, ex.atoms, ex.inSkel, ex.push, ex.emit, ex.noMemo = n, atoms, plan.InSkel, push, emit, opts.DisableMemo
+	ex.total, ex.stats, ex.counting = 0, core.Stats{}, false
+	ex.emitPos, ex.last = core.EmitPositions(ex.emitPos[:0], plan.Query, plan.GAO, push), push.EmitDepth(n)-1
 	if push.Buffered() {
 		ex.sink.Reset(push, emit)
 	}
@@ -191,55 +147,26 @@ func (ex *exec) release() {
 	}
 }
 
-func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) (int64, error) {
-	var gao []string
-	var inSkel []bool
-	var atoms []core.AtomIndex
-	var push *core.Pushdown
-	// The generation the whole run reads: pinned once, here, so a concurrent
-	// write can never mix two database states between probes (the CDS would
-	// otherwise accumulate gaps from different states).
-	var gen *core.Generation
-	if p := e.Opts.Plan; p != nil {
-		gao, atoms, push, gen = p.GAO, p.Atoms, p.Push, p.Pin()
-		inSkel = p.InSkel
-		if inSkel == nil {
-			inSkel = make([]bool, len(q.Atoms))
-			for i := range inSkel {
-				inSkel[i] = true
-			}
-		}
-	} else {
-		if err := q.Validate(); err != nil {
-			return 0, err
-		}
-		var err error
-		gao, inSkel, _, err = resolvePlan(q, e.Opts)
-		if err != nil {
-			return 0, err
-		}
-		atoms, err = core.BindAtoms(q, db, gao)
-		if err != nil {
-			return 0, err
-		}
-		push, err = core.CompilePushdown(q, gao)
-		if err != nil {
-			return 0, err
-		}
-		gen = db.Pin()
-	}
+// Run executes a compiled plan over the first-variable values in r, on the
+// generation plan.Pin returns, and adds the run's counters to sc (which may
+// be nil). Each row goes to emit, which returns false to stop; a nil emit
+// only counts, with #Minesweeper-style subtree reuse unless
+// opts.DisableCountMemo. Run returns the number of rows.
+func Run(ctx context.Context, plan *core.Plan, opts Options, r core.Range, sc *core.StatsCollector, emit func([]int64) bool) (int64, error) {
+	push := plan.Push
 	ex := takeFrame()
 	defer ex.release()
-	ex.reset(ctx, q, gao, atoms, gen, inSkel, push, emit, e.Opts)
-	if r := e.Opts.FirstVarRange; r != nil {
-		if r.Lo > -1 {
-			copy(ex.adv, ex.cds.Frontier())
-			ex.adv[0] = r.Lo
-			ex.cds.SetFrontier(ex.adv)
-		}
-		if r.Hi < posInf {
-			ex.cds.InsConstraint(Constraint{Col: 0, Lo: r.Hi - 1, Hi: posInf})
-		}
+	// The generation the whole run reads is pinned once, here, so a
+	// concurrent write can never mix two database states between probes (the
+	// CDS would otherwise accumulate gaps from different states).
+	ex.reset(ctx, plan, plan.Pin(), emit, opts)
+	if r.Lo > -1 {
+		copy(ex.adv, ex.cds.Frontier())
+		ex.adv[0] = r.Lo
+		ex.cds.SetFrontier(ex.adv)
+	}
+	if r.Hi < posInf {
+		ex.cds.InsConstraint(Constraint{Col: 0, Lo: r.Hi - 1, Hi: posInf})
 	}
 	if push != nil {
 		// Seed the CDS with the compiled seek bounds: a lower bound lo at
@@ -259,81 +186,36 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 	// The count-mode subtree reuse assumes plain full-binding semantics;
 	// residual predicates and projection dedup both break its memo, so
 	// extended queries always take the exact path.
-	if emit == nil && !e.Opts.DisableCountMemo && push == nil {
+	if emit == nil && !opts.DisableCountMemo && push == nil {
 		ex.counting = true
 		ex.counter.reset(ex)
 	}
 	err := ex.loop()
 	ex.stats.FreeTupleSteps = int64(ex.cds.Steps())
 	ex.stats.Outputs = ex.total
-	if e.Opts.Stats != nil {
-		e.Opts.Stats.add(ex.stats)
-	}
-	if sc := e.Opts.Collector; sc != nil {
-		sc.Add(core.Stats{
-			Outputs:        ex.stats.Outputs,
-			Probes:         ex.stats.Probes,
-			ProbeMemoHits:  ex.stats.ProbeMemoHits,
-			Constraints:    ex.stats.Constraints,
-			FreeTupleSteps: ex.stats.FreeTupleSteps,
-			ReuseHits:      ex.stats.ReuseHits,
-			MemoStores:     ex.stats.MemoStores,
-		})
-	}
+	sc.Add(ex.stats)
 	if err != nil {
 		return 0, err
 	}
 	return ex.total, nil
 }
 
-// ResolvePlan picks the GAO and skeleton (§4.8, §4.9) without executing:
-// the compilation half of the engine, exposed so prepared-query compilation
-// can run it exactly once and pin the result. betaCyclic reports whether the
-// query needed a proper skeleton split.
-func ResolvePlan(q *query.Query, opts Options) (gao []string, inSkel []bool, betaCyclic bool, err error) {
-	return resolvePlan(q, opts)
-}
-
-// resolvePlan picks the GAO and skeleton (§4.8, §4.9). The order is the
-// user's, else hypergraph.ChooseGAO's. All atoms stay in the skeleton when
-// the order satisfies the chain condition or when the query is β-acyclic
-// anyway (Table 4 runs non-NEO orders through the cache-free fallback); for
-// β-cyclic queries a greedy chain-valid subset is used unless Idea 7 is
-// disabled.
-func resolvePlan(q *query.Query, opts Options) (gao []string, inSkel []bool, betaCyclic bool, err error) {
-	all := func() []bool {
-		s := make([]bool, len(q.Atoms))
-		for i := range s {
-			s[i] = true
-		}
-		return s
-	}
-	if opts.GAO == nil {
-		opts.GAO, _ = hypergraph.ChooseGAO(q, Engine{}.Name())
-	}
-	gao = opts.GAO
-	if len(gao) != q.NumVars() {
-		return nil, nil, false, fmt.Errorf("minesweeper: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
-	}
-	seen := make(map[string]bool, len(gao))
-	for _, v := range gao {
-		seen[v] = true
-	}
-	for _, v := range q.Vars() {
-		if !seen[v] {
-			return nil, nil, false, fmt.Errorf("minesweeper: GAO %v misses variable %q: %w", gao, v, core.ErrUnboundVar)
-		}
-	}
-	_, betaAcyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
-	if opts.DisableSkeleton || hypergraph.IsChainGAO(gao, q.Atoms) {
-		return gao, all(), !betaAcyclic, nil
-	}
-	if betaAcyclic {
-		// β-acyclic query under a non-NEO order: constraints from every atom,
-		// with cache-free fixpoints where chains break.
-		return gao, all(), false, nil
-	}
+// Skeleton picks the atoms whose gaps become CDS constraints under gao
+// (§4.8, §4.9), the compilation half of the engine. All atoms stay in the
+// skeleton when the order satisfies the chain condition or when the query
+// is β-acyclic anyway (Table 4 runs non-NEO orders through the cache-free
+// fallback); for β-cyclic queries a greedy chain-valid subset is used
+// unless disable (Idea 7 off). betaCyclic reports whether the query is
+// β-cyclic.
+func Skeleton(q *query.Query, gao []string, disable bool) (inSkel []bool, betaCyclic bool) {
 	inSkel = make([]bool, len(q.Atoms))
+	_, betaAcyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
+	if disable || betaAcyclic || hypergraph.IsChainGAO(gao, q.Atoms) {
+		for i := range inSkel {
+			inSkel[i] = true
+		}
+		return inSkel, !betaAcyclic
+	}
 	var kept []query.Atom
 	for i, a := range q.Atoms {
 		trial := append(append([]query.Atom(nil), kept...), a)
@@ -342,7 +224,7 @@ func resolvePlan(q *query.Query, opts Options) (gao []string, inSkel []bool, bet
 			inSkel[i] = true
 		}
 	}
-	return gao, inSkel, true, nil
+	return inSkel, true
 }
 
 // loop is Minesweeper's outer algorithm (Algorithm 3) with Ideas 2, 4, 7 and

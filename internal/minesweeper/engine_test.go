@@ -7,31 +7,75 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lftj"
+	"repro/internal/hypergraph"
 	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/testutil"
 )
 
-func count(t *testing.T, e core.Engine, q *query.Query, db *core.DB) int64 {
+// compile builds the plan the engine package compiles for q under opts: the
+// order gao, or the planner's when gao is nil, and Skeleton's split.
+func compile(t testing.TB, q *query.Query, db *core.DB, gao []string, opts Options) *core.Plan {
 	t.Helper()
-	n, err := e.Count(context.Background(), q, db)
+	if gao == nil {
+		gao, _ = hypergraph.ChooseGAO(q, "ms")
+	}
+	inSkel, betaCyclic := Skeleton(q, gao, opts.DisableSkeleton)
+	plan, err := core.NewPlan(q, db, "ms", gao, inSkel, betaCyclic, "", nil)
 	if err != nil {
-		t.Fatalf("%s Count(%s): %v", e.Name(), q.Name, err)
+		t.Fatalf("compile %s: %v", q.Name, err)
+	}
+	return plan
+}
+
+// countIn counts plan's rows in r under opts.
+func countIn(t *testing.T, plan *core.Plan, opts Options, r core.Range) int64 {
+	t.Helper()
+	n, err := Run(context.Background(), plan, opts, r, nil, nil)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", plan.Query.Name, err)
 	}
 	return n
 }
 
+// countOpts counts q's rows under the planner's order and opts.
+func countOpts(t *testing.T, q *query.Query, db *core.DB, opts Options) int64 {
+	t.Helper()
+	return countIn(t, compile(t, q, db, nil, opts), opts, core.FullRange)
+}
+
+func count(t *testing.T, q *query.Query, db *core.DB) int64 {
+	t.Helper()
+	return countOpts(t, q, db, Options{})
+}
+
+// oracle counts q's rows with the naive engine.
+func oracle(t *testing.T, q *query.Query, db *core.DB) int64 {
+	t.Helper()
+	n, err := (naive.Engine{}).Count(context.Background(), q, db)
+	if err != nil {
+		t.Fatalf("naive Count(%s): %v", q.Name, err)
+	}
+	return n
+}
+
+// enumerate runs q under the planner's order, emitting to emit.
+func enumerate(t *testing.T, q *query.Query, db *core.DB, emit func([]int64) bool) error {
+	t.Helper()
+	_, err := Run(context.Background(), compile(t, q, db, nil, Options{}), Options{}, core.FullRange, nil, emit)
+	return err
+}
+
 func TestTriangleOnK4(t *testing.T) {
 	db := testutil.GraphDB(testutil.K4, nil)
-	if got := count(t, Engine{}, query.Clique(3), db); got != 4 {
+	if got := count(t, query.Clique(3), db); got != 4 {
 		t.Errorf("triangles(K4) = %d, want 4", got)
 	}
-	if got := count(t, Engine{}, query.Clique(4), db); got != 1 {
+	if got := count(t, query.Clique(4), db); got != 1 {
 		t.Errorf("4-cliques(K4) = %d, want 1", got)
 	}
-	if got := count(t, Engine{}, query.Cycle(4), db); got != 1 {
+	if got := count(t, query.Cycle(4), db); got != 1 {
 		t.Errorf("4-cycles(K4) = %d, want 1", got)
 	}
 }
@@ -42,7 +86,7 @@ func TestPathCount(t *testing.T) {
 		query.Sample1: {0},
 		query.Sample2: {3},
 	})
-	if got := count(t, Engine{}, query.Path(3), db); got != 1 {
+	if got := count(t, query.Path(3), db); got != 1 {
 		t.Errorf("3-paths = %d, want 1", got)
 	}
 }
@@ -52,16 +96,16 @@ func TestEnumerateMatchesLFTJ(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 10, 25, 2)
 	for _, q := range []*query.Query{query.Clique(3), query.Path(3), query.Comb(), query.Tree(1)} {
 		var want, got [][]int64
-		if err := (lftj.Engine{}).Enumerate(context.Background(), q, db, collector(&want)); err != nil {
+		if err := (naive.Engine{}).Enumerate(context.Background(), q, db, collector(&want)); err != nil {
 			t.Fatal(err)
 		}
-		if err := (Engine{}).Enumerate(context.Background(), q, db, collector(&got)); err != nil {
+		if err := enumerate(t, q, db, collector(&got)); err != nil {
 			t.Fatal(err)
 		}
 		sortTuples(want)
 		sortTuples(got)
 		if len(want) != len(got) {
-			t.Fatalf("%s: ms enumerated %d, lftj %d", q.Name, len(got), len(want))
+			t.Fatalf("%s: ms enumerated %d, naive %d", q.Name, len(got), len(want))
 		}
 		for i := range want {
 			if relation.CompareTuples(want[i], got[i]) != 0 {
@@ -98,9 +142,9 @@ func TestDifferentialVsNaive(t *testing.T) {
 		m := 2 + rng.Intn(20)
 		db := testutil.RandomGraphDB(rng, n, m, 2)
 		for _, q := range testutil.BenchmarkQueries() {
-			want := count(t, naive.Engine{}, q, db)
+			want := oracle(t, q, db)
 			for vi, opts := range variants {
-				if got := count(t, Engine{Opts: opts}, q, db); got != want {
+				if got := countOpts(t, q, db, opts); got != want {
 					t.Errorf("trial %d %s variant %d: ms = %d, naive = %d", trial, q.Name, vi, got, want)
 				}
 			}
@@ -108,15 +152,15 @@ func TestDifferentialVsNaive(t *testing.T) {
 	}
 }
 
-// TestDifferentialDenser stresses larger random instances against LFTJ.
+// TestDifferentialDenser stresses larger random instances against the oracle.
 func TestDifferentialDenser(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 4; trial++ {
 		db := testutil.RandomGraphDB(rng, 30, 150, 3)
 		for _, q := range testutil.BenchmarkQueries() {
-			want := count(t, lftj.Engine{}, q, db)
-			if got := count(t, Engine{}, q, db); got != want {
-				t.Errorf("trial %d %s: ms = %d, lftj = %d", trial, q.Name, got, want)
+			want := oracle(t, q, db)
+			if got := count(t, q, db); got != want {
+				t.Errorf("trial %d %s: ms = %d, naive = %d", trial, q.Name, got, want)
 			}
 		}
 	}
@@ -128,10 +172,9 @@ func TestTable4GAOCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	db := testutil.RandomGraphDB(rng, 12, 40, 2)
 	q := query.Path(4)
-	want := count(t, lftj.Engine{}, q, db)
+	want := oracle(t, q, db)
 	for _, gao := range []string{"abcde", "bacde", "bcade", "cbade", "cbdae", "abdce", "badce"} {
-		opts := Options{GAO: splitLetters(gao)}
-		if got := count(t, Engine{Opts: opts}, q, db); got != want {
+		if got := countIn(t, compile(t, q, db, splitLetters(gao), Options{}), Options{}, core.FullRange); got != want {
 			t.Errorf("GAO %s: ms = %d, want %d", gao, got, want)
 		}
 	}
@@ -149,12 +192,12 @@ func TestRangePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := testutil.RandomGraphDB(rng, 20, 60, 2)
 	for _, q := range []*query.Query{query.Clique(3), query.Path(3), query.Comb()} {
-		want := count(t, Engine{}, q, db)
+		plan := compile(t, q, db, nil, Options{})
+		want := countIn(t, plan, Options{}, core.FullRange)
 		var total int64
 		cuts := []int64{-1, 5, 11, 16, posInf}
 		for i := 0; i+1 < len(cuts); i++ {
-			e := Engine{Opts: Options{FirstVarRange: &Range{Lo: cuts[i], Hi: cuts[i+1]}}}
-			total += count(t, e, q, db)
+			total += countIn(t, plan, Options{}, core.Range{Lo: cuts[i], Hi: cuts[i+1]})
 		}
 		if total != want {
 			t.Errorf("%s: partitioned total = %d, want %d", q.Name, total, want)
@@ -167,35 +210,15 @@ func TestCancellation(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 150, 3000, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (Engine{}).Count(ctx, query.Clique(4), db); err == nil {
+	if _, err := Run(ctx, compile(t, query.Clique(4), db, nil, Options{}), Options{}, core.FullRange, nil, nil); err == nil {
 		t.Error("cancelled context should surface an error")
-	}
-}
-
-func TestBadInputs(t *testing.T) {
-	db := testutil.GraphDB(testutil.K4, nil)
-	if _, err := (Engine{Opts: Options{GAO: []string{"a"}}}).Count(context.Background(), query.Clique(3), db); err == nil {
-		t.Error("short GAO should fail")
-	}
-	if _, err := (Engine{Opts: Options{GAO: []string{"a", "b", "z"}}}).Count(context.Background(), query.Clique(3), db); err == nil {
-		t.Error("GAO with wrong variable should fail")
-	}
-	if _, err := (Engine{}).Count(context.Background(), query.New("empty"), db); err == nil {
-		t.Error("empty query should fail")
-	}
-	if err := (Engine{}).Enumerate(context.Background(), query.Clique(3), db, nil); err == nil {
-		t.Error("nil emit should fail")
-	}
-	empty := core.NewDB()
-	if _, err := (Engine{}).Count(context.Background(), query.Clique(3), empty); err == nil {
-		t.Error("missing relation should fail")
 	}
 }
 
 func TestEarlyStopEnumerate(t *testing.T) {
 	db := testutil.GraphDB(testutil.K4, nil)
 	n := 0
-	err := Engine{}.Enumerate(context.Background(), query.Clique(3), db, func([]int64) bool {
+	err := enumerate(t, query.Clique(3), db, func([]int64) bool {
 		n++
 		return n < 2
 	})
@@ -215,8 +238,8 @@ func TestCountMemoEquivalence(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		db := testutil.RandomGraphDB(rng, 15, 60, 1) // selectivity 1: everything sampled
 		for _, q := range []*query.Query{query.Path(3), query.Path(4), query.Tree(2), query.Comb()} {
-			plain := count(t, Engine{Opts: Options{DisableCountMemo: true}}, q, db)
-			memo := count(t, Engine{}, q, db)
+			plain := countOpts(t, q, db, Options{DisableCountMemo: true})
+			memo := count(t, q, db)
 			if plain != memo {
 				t.Errorf("trial %d %s: memo count = %d, plain = %d", trial, q.Name, memo, plain)
 			}
@@ -236,8 +259,8 @@ func TestSelfJoinHeavySuffixReuse(t *testing.T) {
 	}
 	db := testutil.GraphDB(edges, map[string][]int64{query.Sample1: all, query.Sample2: all})
 	q := query.Path(4)
-	want := count(t, lftj.Engine{}, q, db)
-	if got := count(t, Engine{}, q, db); got != want {
-		t.Errorf("path graph 4-path: ms = %d, lftj = %d", got, want)
+	want := oracle(t, q, db)
+	if got := count(t, q, db); got != want {
+		t.Errorf("path graph 4-path: ms = %d, naive = %d", got, want)
 	}
 }

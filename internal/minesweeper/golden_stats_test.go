@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -27,26 +28,26 @@ func goldenQueries() []*query.Query {
 // five random instances drawn from seed, under the Disable* combination in
 // mask (bit 0 memo, 1 skeleton, 2 count memo), and returns the summed
 // counters.
-func goldenRun(t *testing.T, seed int64, mask int) Stats {
+func goldenRun(t *testing.T, seed int64, mask int) goldenRow {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var s Stats
+	var sc core.StatsCollector
 	opts := Options{
 		DisableMemo:      mask&1 != 0,
 		DisableSkeleton:  mask&2 != 0,
 		DisableCountMemo: mask&4 != 0,
-		Stats:            &s,
 	}
 	ctx := context.Background()
 	for trial := 0; trial < 5; trial++ {
 		db := testutil.RandomGraphDB(rng, 5+rng.Intn(8), 8+rng.Intn(22), 1+rng.Intn(3))
 		for _, q := range goldenQueries() {
-			n, err := Engine{Opts: opts}.Count(ctx, q, db)
+			plan := compile(t, q, db, nil, opts)
+			n, err := Run(ctx, plan, opts, core.FullRange, &sc, nil)
 			if err != nil {
 				t.Fatalf("seed %d mask %d %s: %v", seed, mask, q.Name, err)
 			}
 			var rows int64
-			if err := (Engine{Opts: opts}).Enumerate(ctx, q, db, func([]int64) bool { rows++; return true }); err != nil {
+			if _, err := Run(ctx, plan, opts, core.FullRange, &sc, func([]int64) bool { rows++; return true }); err != nil {
 				t.Fatalf("seed %d mask %d %s: %v", seed, mask, q.Name, err)
 			}
 			if rows != n {
@@ -54,7 +55,13 @@ func goldenRun(t *testing.T, seed int64, mask int) Stats {
 			}
 		}
 	}
-	return s
+	s := sc.Snapshot()
+	return goldenRow{s.Probes, s.ProbeMemoHits, s.Constraints, s.FreeTupleSteps, s.Outputs, s.ReuseHits, s.MemoStores}
+}
+
+// goldenRow is the Minesweeper block of core.Stats, in the table's order.
+type goldenRow struct {
+	Probes, ProbeMemoHits, Constraints, FreeTupleSteps, Outputs, ReuseHits, MemoStores int64
 }
 
 // goldenStats holds goldenRun's counters as the pointer-based CDS produced
@@ -69,7 +76,7 @@ func goldenRun(t *testing.T, seed int64, mask int) Stats {
 // (2.17 unablated), seed 23 1.97–2.56 (2.29), seed 47 1.84–2.32 (2.11).
 // Fields: Probes, ProbeMemoHits, Constraints, FreeTupleSteps, Outputs,
 // ReuseHits, MemoStores; index = mask.
-var goldenStats = map[int64][8]Stats{
+var goldenStats = map[int64][8]goldenRow{
 	11: {
 		{21298, 29590, 4002, 22337, 7328, 329, 686},
 		{50888, 0, 4002, 22337, 7328, 329, 686},

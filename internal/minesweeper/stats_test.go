@@ -5,20 +5,29 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
+
+// statsOf counts q's rows under opts and returns the count and the run's
+// counters.
+func statsOf(t *testing.T, q *query.Query, db *core.DB, opts Options) (int64, core.Stats) {
+	t.Helper()
+	var sc core.StatsCollector
+	n, err := Run(context.Background(), compile(t, q, db, nil, opts), opts, core.FullRange, &sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, sc.Snapshot()
+}
 
 func TestStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	db := testutil.RandomGraphDB(rng, 20, 80, 2)
 	q := query.Path(3)
 
-	var with Stats
-	n1, err := Engine{Opts: Options{Stats: &with}}.Count(context.Background(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n1, with := statsOf(t, q, db, Options{})
 	if with.Outputs != n1 {
 		t.Errorf("Outputs = %d, want %d", with.Outputs, n1)
 	}
@@ -34,11 +43,7 @@ func TestStatsCounters(t *testing.T) {
 
 	// Disabling Idea 4 must eliminate memo hits and issue at least as many
 	// probes.
-	var noMemo Stats
-	n2, err := Engine{Opts: Options{DisableMemo: true, Stats: &noMemo}}.Count(context.Background(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n2, noMemo := statsOf(t, q, db, Options{DisableMemo: true})
 	if n1 != n2 {
 		t.Fatalf("counts differ: %d vs %d", n1, n2)
 	}
@@ -50,11 +55,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 
 	// Disabling count reuse must eliminate reuse hits.
-	var noReuse Stats
-	if _, err := (Engine{Opts: Options{DisableCountMemo: true, Stats: &noReuse}}).Count(context.Background(), q, db); err != nil {
-		t.Fatal(err)
-	}
-	if noReuse.ReuseHits != 0 || noReuse.MemoStores != 0 {
+	if _, noReuse := statsOf(t, q, db, Options{DisableCountMemo: true}); noReuse.ReuseHits != 0 || noReuse.MemoStores != 0 {
 		t.Errorf("DisableCountMemo but reuse counters = %+v", noReuse)
 	}
 }
@@ -62,16 +63,16 @@ func TestStatsCounters(t *testing.T) {
 func TestStatsAccumulateAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	db := testutil.RandomGraphDB(rng, 10, 30, 2)
-	var s Stats
-	e := Engine{Opts: Options{Stats: &s}}
-	if _, err := e.Count(context.Background(), query.Clique(3), db); err != nil {
+	plan := compile(t, query.Clique(3), db, nil, Options{})
+	var sc core.StatsCollector
+	if _, err := Run(context.Background(), plan, Options{}, core.FullRange, &sc, nil); err != nil {
 		t.Fatal(err)
 	}
-	first := s
-	if _, err := e.Count(context.Background(), query.Clique(3), db); err != nil {
+	first := sc.Snapshot()
+	if _, err := Run(context.Background(), plan, Options{}, core.FullRange, &sc, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.Probes <= first.Probes || s.FreeTupleSteps <= first.FreeTupleSteps {
+	if s := sc.Snapshot(); s.Probes <= first.Probes || s.FreeTupleSteps <= first.FreeTupleSteps {
 		t.Errorf("stats should accumulate: first=%+v total=%+v", first, s)
 	}
 }

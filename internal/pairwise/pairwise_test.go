@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lftj"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/testutil"
@@ -37,10 +37,10 @@ func TestDifferentialVsLFTJ(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		db := testutil.RandomGraphDB(rng, 4+rng.Intn(8), 2+rng.Intn(20), 2)
 		for _, q := range testutil.BenchmarkQueries() {
-			want := count(t, lftj.Engine{}, q, db)
+			want := count(t, naive.Engine{}, q, db)
 			for _, fl := range []Flavor{DP, Greedy} {
 				if got := count(t, Engine{Opts: Options{Flavor: fl}}, q, db); got != want {
-					t.Errorf("trial %d %s flavor %d: pairwise = %d, lftj = %d", trial, q.Name, fl, got, want)
+					t.Errorf("trial %d %s flavor %d: pairwise = %d, naive = %d", trial, q.Name, fl, got, want)
 				}
 			}
 		}
@@ -52,7 +52,7 @@ func TestEnumerateMatchesLFTJ(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 10, 30, 2)
 	q := query.Path(3)
 	var want, got [][]int64
-	if err := (lftj.Engine{}).Enumerate(context.Background(), q, db, collect(&want)); err != nil {
+	if err := (naive.Engine{}).Enumerate(context.Background(), q, db, collect(&want)); err != nil {
 		t.Fatal(err)
 	}
 	if err := (Engine{}).Enumerate(context.Background(), q, db, collect(&got)); err != nil {

@@ -137,16 +137,3 @@ func Lollipop(i int) *Query {
 	}
 	return New(fmt.Sprintf("%d-lollipop", i), atoms...)
 }
-
-// PathVars returns, for a lollipop query built by Lollipop(i), the variables
-// of the path part (including the attachment vertex) and of the clique part
-// (attachment vertex first). The hybrid engine uses this split (§4.12).
-func LollipopSplit(i int) (path, clique []string) {
-	for j := 0; j <= i; j++ {
-		path = append(path, letters[j])
-	}
-	for j := i; j <= 2*i; j++ {
-		clique = append(clique, letters[j])
-	}
-	return path, clique
-}

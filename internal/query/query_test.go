@@ -138,10 +138,6 @@ func TestLollipopBuilder(t *testing.T) {
 	if q3.NumVars() != 7 || len(q3.Atoms) != 10 {
 		t.Fatalf("3-lollipop shape: %v", q3)
 	}
-	path, clique := LollipopSplit(2)
-	if !reflect.DeepEqual(path, []string{"a", "b", "c"}) || !reflect.DeepEqual(clique, []string{"c", "d", "e"}) {
-		t.Errorf("LollipopSplit(2) = %v, %v", path, clique)
-	}
 }
 
 func TestBuilderPanicsOutOfRange(t *testing.T) {

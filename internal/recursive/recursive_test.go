@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lftj"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -57,7 +57,7 @@ func TestTCFixpoint(t *testing.T) {
 		query.Atom{Rel: "tc", Vars: []string{"x", "z"}},
 		query.Atom{Rel: query.Edge, Vars: []string{"z", "y"}},
 	)
-	err = (lftj.Engine{}).Enumerate(ctx, comp, db, func(tu []int64) bool {
+	err = (naive.Engine{}).Enumerate(ctx, comp, db, func(tu []int64) bool {
 		if !tc.Contains([]int64{tu[0], tu[2]}) {
 			t.Errorf("pair (%d,%d) derivable but missing from tc", tu[0], tu[2])
 			return false
@@ -85,7 +85,7 @@ func TestTCQueryableByEngines(t *testing.T) {
 		query.Atom{Rel: "tc", Vars: []string{"a", "b"}},
 		query.Atom{Rel: query.Sample2, Vars: []string{"b"}},
 	)
-	n, err := (lftj.Engine{}).Count(ctx, q, db)
+	n, err := (naive.Engine{}).Count(ctx, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lftj"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -39,9 +39,9 @@ func TestDifferentialAcyclicQueries(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		db := testutil.RandomGraphDB(rng, 4+rng.Intn(10), 2+rng.Intn(30), 2)
 		for _, q := range acyclic {
-			want := count(t, lftj.Engine{}, q, db)
+			want := count(t, naive.Engine{}, q, db)
 			if got := count(t, Engine{}, q, db); got != want {
-				t.Errorf("trial %d %s: yannakakis = %d, lftj = %d", trial, q.Name, got, want)
+				t.Errorf("trial %d %s: yannakakis = %d, naive = %d", trial, q.Name, got, want)
 			}
 		}
 	}

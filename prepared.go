@@ -57,7 +57,7 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	sc := &core.StatsCollector{}
 	engOpts := opts.engineOptions()
 	engOpts.Stats = sc
-	eng, plan, err := engine.Prepare(engOpts, q, s.db)
+	plan, err := engine.Compile(engOpts, q, s.db)
 	if err != nil {
 		return nil, err
 	}
@@ -66,6 +66,10 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 			q.Name, lead, ErrUnsupportedQuery)
 	}
 	engOpts.Plan = plan
+	eng, err := engine.New(engOpts)
+	if err != nil {
+		return nil, err
+	}
 	return &Prepared{
 		s:       s,
 		q:       q,

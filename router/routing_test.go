@@ -146,9 +146,10 @@ func (h *countingHost) Prepare(q *repro.Query, opts repro.Options) (repro.Prepar
 	return h.Querier.Prepare(q, opts)
 }
 
-// TestUnknownAlgorithmBlamesNoHost pins that a bad algorithm name is the
-// caller's error: Prepare rejects it with the typed sentinel before any host
-// is asked, so no *HostError names a healthy host for it.
+// TestUnknownAlgorithmBlamesNoHost pins that a bad algorithm name, or a bad
+// user order, is the caller's error: Prepare rejects it with the typed
+// sentinel before any host is asked, so no *HostError names a healthy host
+// for it.
 func TestUnknownAlgorithmBlamesNoHost(t *testing.T) {
 	_, replicas := newReplicas(t, 3)
 	hosts := make([]repro.Querier, len(replicas))
@@ -176,9 +177,21 @@ func TestUnknownAlgorithmBlamesNoHost(t *testing.T) {
 			t.Errorf("%q: blamed host %s: %v", name, he.Host, err)
 		}
 	}
+	// A user order that is not an order of the query's variables is the
+	// caller's error too.
+	for _, gao := range [][]string{{"a", "b", "z"}, {"a", "a", "b"}} {
+		_, err := r.Prepare(q, repro.Options{GAO: gao})
+		if !errors.Is(err, repro.ErrUnboundVar) {
+			t.Errorf("GAO %v: %v, want ErrUnboundVar", gao, err)
+		}
+		var he *HostError
+		if errors.As(err, &he) {
+			t.Errorf("GAO %v: blamed host %s: %v", gao, he.Host, err)
+		}
+	}
 	for i, c := range counters {
 		if n := c.prepares.Load(); n != 0 {
-			t.Errorf("host %d saw %d prepares for an unknown algorithm", i, n)
+			t.Errorf("host %d saw %d prepares for a query it was never sent", i, n)
 		}
 	}
 }

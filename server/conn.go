@@ -308,6 +308,10 @@ func (c *conn) dispatch(ctx context.Context, typ byte, reqID uint64, body []byte
 	switch {
 	case traceID != 0:
 		tr = trace.New(trace.ID(traceID))
+		if typ != wire.TTrace {
+			c.srv.traces.begin(tr.ID())
+			defer c.srv.traces.end(tr.ID())
+		}
 	case c.srv.traces.sampler.Sample():
 		tr = trace.New(trace.NewID())
 	}

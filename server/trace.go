@@ -40,6 +40,9 @@ type traceSink struct {
 	mu      sync.Mutex
 	slowLog io.Writer
 	logf    func(string, ...any)
+	// open counts the client-traced requests still running under each trace
+	// id, so a by-id fetch waits until every request of the trace is recorded.
+	open map[trace.ID]int
 }
 
 func newTraceSink(cfg TraceConfig, logf func(string, ...any)) *traceSink {
@@ -48,6 +51,7 @@ func newTraceSink(cfg TraceConfig, logf func(string, ...any)) *traceSink {
 		slowQuery: cfg.SlowQuery,
 		slowLog:   cfg.SlowQueryLog,
 		logf:      logf,
+		open:      make(map[trace.ID]int),
 	}
 	if cfg.SlowQuery > 0 {
 		every := cfg.SampleEvery
@@ -125,11 +129,40 @@ func fingerprint(spans []trace.SpanRecord) string {
 	return ""
 }
 
+// begin marks a client-traced request of trace id as running; end, called
+// after observe recorded it, marks it done.
+func (ts *traceSink) begin(id trace.ID) {
+	ts.mu.Lock()
+	ts.open[id]++
+	ts.mu.Unlock()
+}
+
+func (ts *traceSink) end(id trace.ID) {
+	ts.mu.Lock()
+	if ts.open[id]--; ts.open[id] == 0 {
+		delete(ts.open, id)
+	}
+	ts.mu.Unlock()
+}
+
+// get returns the retained spans of trace id once it has some and no request
+// of it is still running.
+func (ts *traceSink) get(id trace.ID) ([]trace.SpanRecord, bool) {
+	ts.mu.Lock()
+	running := ts.open[id] > 0
+	ts.mu.Unlock()
+	if running {
+		return nil, false
+	}
+	return ts.buf.Get(id)
+}
+
 // traceFetchWait bounds how long a by-id TTrace fetch waits for the trace to
-// land in the buffer. A request's trace is recorded just *after* its
-// response frame is sent, so a client that queries the moment its response
-// arrives can race the record by microseconds; polling briefly makes the
-// fetch deterministic without ordering the hot path around diagnostics.
+// be complete in the buffer. A request's trace is recorded just *after* its
+// response frame is sent, so a client that queries the moment its last
+// response arrives can race the record by microseconds; waiting briefly for
+// the trace's running requests makes the fetch deterministic without
+// ordering the hot path around diagnostics.
 const traceFetchWait = 2 * time.Second
 
 // handleTrace answers a TTrace fetch: by trace id (merging spans from
@@ -147,14 +180,17 @@ func (c *conn) handleTrace(ctx context.Context, reqID uint64, body []byte) error
 		wire.EncodeTraces(&e, c.srv.traces.buf.Last(n))
 		return c.send(wire.TTraceOK, reqID, e.Bytes())
 	}
-	spans, ok := c.srv.traces.buf.Get(trace.ID(id))
+	spans, ok := c.srv.traces.get(trace.ID(id))
 	for deadline := time.Now().Add(traceFetchWait); !ok && time.Now().Before(deadline); {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(2 * time.Millisecond):
 		}
-		spans, ok = c.srv.traces.buf.Get(trace.ID(id))
+		spans, ok = c.srv.traces.get(trace.ID(id))
+	}
+	if !ok {
+		spans, _ = c.srv.traces.buf.Get(trace.ID(id))
 	}
 	if ds, hasDownstream := c.store.(interface {
 		TraceSpans(context.Context, uint64) ([]trace.SpanRecord, error)
