@@ -2,7 +2,7 @@
 # jobs (.github/workflows/ci.yml), so "it passed make" and "it passed CI"
 # mean the same thing.
 
-.PHONY: help build test race lint integration bench bench-smoke bench-gate load-smoke load-gate fuzz-smoke clean
+.PHONY: help build test race lint integration bench bench-smoke bench-gate load-smoke load-gate fuzz-smoke loc clean
 
 help:
 	@echo "Available targets:"
@@ -18,6 +18,7 @@ help:
 	@echo "  make load-smoke   - Boot graphjoind and drive it with graphjoinload"
 	@echo "  make load-gate    - Gate load-smoke.json against load-smoke.old.json"
 	@echo "  make fuzz-smoke   - Run every fuzz target for FUZZTIME (default 30s)"
+	@echo "  make loc          - Count non-test Go lines (tracked files)"
 	@echo "  make clean        - Drop build artifacts and the test cache"
 	@echo ""
 
@@ -85,6 +86,9 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeOptions$$' -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzOverlayCursor$$' -fuzztime $(FUZZTIME) ./internal/relation
 	go test -run '^$$' -fuzz '^FuzzProbeGapFinger$$' -fuzztime $(FUZZTIME) ./internal/relation
+
+loc:
+	@scripts/loc.sh
 
 clean:
 	rm -f bench-smoke.txt bench-smoke.old.txt load-smoke.json load-smoke.old.json *.prof

@@ -6,6 +6,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestRowsChunkedAllocs gates the cost of owning rows: a Rows stream hands
@@ -14,9 +16,9 @@ import (
 // counts, hence the build tag.
 func TestRowsChunkedAllocs(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(HolmeKim, 400, 2000, 3)
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 400, 2000, 3), 1, 3)
 	for _, alg := range []Algorithm{LFTJ, MS} {
-		p, err := g.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1})
+		p, err := s.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,8 +90,9 @@ func runRequest(ctx context.Context, txn *Txn, req Request) Result {
 		return Result{Count: n, Err: err}
 	}
 	var res Result
+	var rows rowChunk
 	res.Err = txn.Enumerate(ctx, req.Prepared, func(t []int64) bool {
-		res.Rows = append(res.Rows, append([]int64(nil), t...))
+		res.Rows = append(res.Rows, rows.own(t))
 		return true
 	})
 	res.Count = int64(len(res.Rows))

@@ -11,32 +11,32 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/incremental"
 	"repro/internal/query"
 	"repro/internal/trace"
 )
 
-var benchGraphs = map[string]*Graph{}
+var benchStores = map[string]*Store{}
 
-func benchGraph(b *testing.B, model dataset.Model, nodes, edges int, sel int) *Graph {
+// benchGraph loads a generated graph (seed 42) with its samples drawn at
+// selectivity sel (seed 7); cached per shape.
+func benchGraph(b *testing.B, model dataset.Model, nodes, edges int, sel int) *Store {
 	b.Helper()
 	key := fmt.Sprintf("%v-%d-%d-%d", model, nodes, edges, sel)
-	if g, ok := benchGraphs[key]; ok {
-		return g
+	if s, ok := benchStores[key]; ok {
+		return s
 	}
-	g := GenerateGraph(model, nodes, edges, 42)
-	g.SetSelectivity(sel, 7)
-	benchGraphs[key] = g
-	return g
+	s := graphStore(b, dataset.Generate(model, nodes, edges, 42), sel, 7)
+	benchStores[key] = s
+	return s
 }
 
-func benchCount(b *testing.B, g *Graph, q *Query, opts Options) {
+func benchCount(b *testing.B, s *Store, q *Query, opts Options) {
 	b.Helper()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Count(ctx, g, q, opts); err != nil {
+		if _, err := s.Count(ctx, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,13 +49,13 @@ func benchCount(b *testing.B, g *Graph, q *Query, opts Options) {
 func BenchmarkPreparedReuse(b *testing.B) {
 	ctx := context.Background()
 	g := benchGraph(b, dataset.ErdosRenyi, 100, 300, 10)
-	g.SetSamples([]int64{2, 3, 5}, []int64{7, 11, 13})
+	setSamples(b, g, []int64{2, 3, 5}, []int64{7, 11, 13})
 	q := Paths(3)
 	opts := Options{Algorithm: "lftj", Workers: 1}
 	b.Run("percall", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Count(ctx, g, q, opts); err != nil {
+			if _, err := g.Count(ctx, q, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -84,7 +84,7 @@ func BenchmarkPreparedReuse(b *testing.B) {
 func BenchmarkTracingOverhead(b *testing.B) {
 	ctx := context.Background()
 	g := benchGraph(b, dataset.ErdosRenyi, 100, 300, 10)
-	g.SetSamples([]int64{2, 3, 5}, []int64{7, 11, 13})
+	setSamples(b, g, []int64{2, 3, 5}, []int64{7, 11, 13})
 	p, err := g.Prepare(Paths(3), Options{Algorithm: "lftj", Workers: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -109,28 +109,6 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkViewMaintenance is pure incremental-view upkeep: one small
-// ApplyEdges batch per iteration. The batch lands in the cached indexes'
-// delta overlays instead of forcing an O(arity·n) trie rebuild (see
-// BenchmarkOverlayApply vs BenchmarkCSRBuild100k for that contrast in
-// isolation); BenchmarkViewMaintainAndServe adds the reads between batches.
-func BenchmarkViewMaintenance(b *testing.B) {
-	ctx := context.Background()
-	g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
-	v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := int64(i % 2999)
-		if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // applyBatchFixture builds, in memory, the write shape of the committed
@@ -214,38 +192,6 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkViewMaintainAndServe is the serving regime: each iteration
-// applies one edge batch and then answers five prepared pattern counts on
-// the updated graph (re-preparing per batch — a plan-cache hit, because the
-// indexes advance in place).
-func BenchmarkViewMaintainAndServe(b *testing.B) {
-	ctx := context.Background()
-	g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
-	v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := Cliques(3)
-	opts := Options{Algorithm: "lftj", Workers: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := int64(i % 2999)
-		if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
-			b.Fatal(err)
-		}
-		p, err := g.Prepare(q, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 5; j++ {
-			if _, err := p.Count(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkAGMBound measures the fractional-edge-cover LP solve.
 func BenchmarkAGMBound(b *testing.B) {
 	g := benchGraph(b, dataset.BarabasiAlbert, 1000, 5000, 1)
@@ -254,7 +200,7 @@ func BenchmarkAGMBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			if _, err := AGMBound(g, q); err != nil {
+			if _, err := g.AGMBound(q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -282,8 +228,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 // which bounds the batch machinery's overhead.
 func BenchmarkStoreBatch(b *testing.B) {
 	ctx := context.Background()
-	g := benchGraph(b, dataset.HolmeKim, 250, 900, 25)
-	s := g.Store()
+	s := benchGraph(b, dataset.HolmeKim, 250, 900, 25)
 	var reqs []Request
 	for _, q := range corpusQueries() {
 		p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
@@ -325,8 +270,7 @@ func BenchmarkStoreBatch(b *testing.B) {
 // whole join.
 func BenchmarkPushdown(b *testing.B) {
 	ctx := context.Background()
-	g := benchGraph(b, dataset.BarabasiAlbert, 5000, 40000, 1)
-	s := g.Store()
+	s := benchGraph(b, dataset.BarabasiAlbert, 5000, 40000, 1)
 	const k = 137
 	pushQ, err := s.ParseQuery("push", fmt.Sprintf("out(b, c) :- edge(%d, b), edge(b, c)", k))
 	if err != nil {

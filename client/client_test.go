@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/client"
+	"repro/internal/dataset"
 	"repro/server"
 )
 
@@ -33,6 +34,36 @@ func dial(t *testing.T, addr string, opts ...client.Option) *client.Store {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// TestDatasetLoadOverWire: the benchmark schema loaded through a dialed
+// Querier serves the same triangle and 3-path counts as the same schema
+// loaded into a local store.
+func TestDatasetLoadOverWire(t *testing.T) {
+	ctx := context.Background()
+	g := dataset.Generate(dataset.HolmeKim, 200, 700, 5)
+	local := repro.NewStore()
+	if err := dataset.Load(repro.Local(local), g, 10, 3); err != nil {
+		t.Fatal(err)
+	}
+	remote := dial(t, serve(t, repro.NewStore()))
+	if err := dataset.Load(remote, g, 10, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*repro.Query{repro.Triangles(), repro.Paths(3)} {
+		opts := repro.Options{Workers: 1}
+		want, err := local.Count(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := remote.Count(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == 0 || got != want {
+			t.Errorf("%s: remote count %d, local %d (want equal and non-zero)", q.Name, got, want)
+		}
+	}
 }
 
 // TestDialFailure pins the error contract of an unreachable server: a plain

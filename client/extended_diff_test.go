@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/dataset"
 )
 
 // TestExtendedRemoteDifferential is the local/remote leg of the extended
@@ -16,9 +17,11 @@ import (
 // so the comparison is exact, order included.
 func TestExtendedRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.BarabasiAlbert, 60, 240, 11)
-	st := g.Store()
+	st := repro.NewStore()
 	local := repro.Local(st)
+	if err := dataset.Load(local, dataset.Generate(dataset.BarabasiAlbert, 60, 240, 11), 1, 11); err != nil {
+		t.Fatal(err)
+	}
 	remote := dial(t, serve(t, st))
 
 	srcs := []string{

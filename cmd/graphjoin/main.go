@@ -47,6 +47,7 @@ import (
 	"repro"
 	"repro/client"
 	"repro/internal/cli"
+	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -156,10 +157,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		g.SetSelectivity(*selectivity, *seed)
-		store = g.Store()
+		store = repro.NewStore()
 		qr = repro.Local(store)
-		desc = fmt.Sprintf("graph: %d nodes, %d edges", g.Nodes(), g.Edges())
+		if err := dataset.Load(qr, g, *selectivity, *seed); err != nil {
+			return err
+		}
+		desc = fmt.Sprintf("graph: %d nodes, %d edges", g.N, len(g.Edges))
 	}
 
 	var q *repro.Query

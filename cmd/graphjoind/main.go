@@ -70,6 +70,7 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/dataset"
 	"repro/server"
 )
 
@@ -325,15 +326,17 @@ func buildFlagStore(datasetName, model string, nodes, edges int, seed int64, sel
 	if graphMode && (len(relations) > 0 || len(loads) > 0) {
 		return nil, fmt.Errorf("-relation/-load conflict with a benchmark-graph preload (-dataset/-model)")
 	}
+	st := repro.NewStore()
 	if graphMode {
 		g, err := cli.BuildGraph(datasetName, model, nodes, edges, seed)
 		if err != nil {
 			return nil, err
 		}
-		g.SetSelectivity(selectivity, seed)
-		return g.Store(), nil
+		if err := dataset.Load(repro.Local(st), g, selectivity, seed); err != nil {
+			return nil, err
+		}
+		return st, nil
 	}
-	st := repro.NewStore()
 	if err := cli.SetupSchema(repro.Local(st), relations, loads); err != nil {
 		return nil, err
 	}
@@ -438,19 +441,18 @@ func loadStoresConfig(path string, stores map[string]*repro.Store) error {
 		if sec.hasSelector && !sec.hasGraph {
 			return fmt.Errorf("%s: store %q: selectivity applies to a graph preload (dataset/generate)", path, sec.name)
 		}
+		st := repro.NewStore()
 		if sec.hasGraph {
 			g, err := cli.BuildGraph(sec.dataset, sec.model, sec.nodes, sec.edges, sec.seed)
 			if err != nil {
 				return fmt.Errorf("%s: store %q: %w", path, sec.name, err)
 			}
-			if sec.hasSelector {
-				g.SetSelectivity(sec.selectivity, int64(sec.selSeed))
+			// Without a selectivity directive the samples hold every vertex
+			// (selectivity 0 samples like 1).
+			if err := dataset.Load(repro.Local(st), g, sec.selectivity, int64(sec.selSeed)); err != nil {
+				return fmt.Errorf("%s: store %q: %w", path, sec.name, err)
 			}
-			stores[sec.name] = g.Store()
-			continue
-		}
-		st := repro.NewStore()
-		if err := cli.SetupSchema(repro.Local(st), sec.relations, sec.loads); err != nil {
+		} else if err := cli.SetupSchema(repro.Local(st), sec.relations, sec.loads); err != nil {
 			return fmt.Errorf("%s: store %q: %w", path, sec.name, err)
 		}
 		stores[sec.name] = st

@@ -28,8 +28,8 @@ func Remove(tuple ...int64) Delta { return Delta{Tuple: tuple, Delete: true} }
 // or Rows call outside any transaction, parallel or not — can observe some
 // relations updated and others not.
 // This is the write-transaction counterpart of Apply for schemas whose
-// invariants span relations (Graph.ApplyEdges keeps "edge" and "fwd" in step
-// through the same mechanism).
+// invariants span relations, such as the benchmark schema's "edge" (both
+// directions of every edge) and "fwd" (the u<v one).
 //
 // Per relation the semantics match Apply: inserts already present and deletes
 // absent are ignored, and a tuple appearing as both an insert and a delete in

@@ -11,10 +11,13 @@
 // (LogicBlox): a query is compiled once against a fixed physical design —
 // validated, its global attribute order (GAO) fixed, every atom bound to a
 // GAO-consistent index (§4.1) — and the compiled plan is then executed
-// repeatedly:
+// repeatedly. The paper's benchmark schema (edge, fwd, v1..v4) is ordinary
+// data, loaded into a Store by internal/dataset:
 //
-//	g := repro.GenerateGraph(repro.BarabasiAlbert, 10_000, 50_000, 1)
-//	p, err := g.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj"})
+//	s := repro.NewStore()
+//	g := dataset.Generate(dataset.BarabasiAlbert, 10_000, 50_000, 1)
+//	err := dataset.Load(repro.Local(s), g, 1, 1)
+//	p, err := s.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj"})
 //	n, err := p.Count(ctx)            // pure execution, no re-planning
 //	for row := range p.Rows(ctx) {    // streaming iterator; each row is yours to keep; break stops early
 //		...
@@ -28,19 +31,17 @@
 // query shape × algorithm × GAO, invalidated when a relation they read is
 // replaced), so re-preparing an unchanged shape is cheap. A ReadTxn pins at
 // begin: executions through it keep reading the state it opened on. One-shot
-// helpers (Count, Enumerate, CountWithStats) remain as thin wrappers over
+// helpers (Store.Count, Store.Enumerate) remain as thin wrappers over
 // Prepare.
 //
-// # General schemas: Store
+// # Schemas: Store
 //
-// Graph exposes the paper's fixed §5.1 benchmark schema (edge, fwd,
-// v1..v4). Store is the general layer underneath it — the same
-// generalization step from fixed benchmark patterns to arbitrary
-// graph-pattern workloads: the caller defines named relations of any arity,
-// bulk-loads and incrementally mutates them, and queries them with
-// schema-checked parsing over that schema. Directed graphs, edge-labeled
-// graphs (one relation per label, or a ternary relation with the label as
-// a column), and arbitrary n-ary relations are all ordinary schemas:
+// Store is the one workload surface. The caller defines named relations of
+// any arity, bulk-loads and incrementally mutates them, and queries them
+// with schema-checked parsing over that schema. The paper's §5.1 benchmark
+// schema is one such schema; directed graphs, edge-labeled graphs (one
+// relation per label, or a ternary relation with the label as a column),
+// and arbitrary n-ary relations are all ordinary schemas too:
 //
 //	s := repro.NewStore()
 //	err := s.DefineRelation("follows", 2)
@@ -52,8 +53,7 @@
 // ParseQuery accepts an optional rule head — "out(b, a) :- e(a, b)" — that
 // names the query and fixes the output variable order; unknown relations,
 // arity mismatches, and unbound head variables fail eagerly with typed
-// errors. Graph is a thin wrapper over Store (Graph.Store exposes the
-// benchmark schema as a store).
+// errors.
 //
 // Store.ReadTxn returns a snapshot read-transaction: every execution
 // through it observes the single index state pinned when the transaction
@@ -130,7 +130,7 @@
 // package's cursor, seek and probe tests check the trie against them, and
 // the engine-level differential (backend_diff_test.go) checks lftj and ms
 // against a brute-force engine over the whole query corpus, including under
-// parallel execution and view maintenance.
+// parallel execution and write churn.
 //
 // # Engines
 //

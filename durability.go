@@ -147,8 +147,8 @@ func replay(db *core.DB, records []durable.Record) error {
 }
 
 // applyDeltas is the single funnel every incremental write takes —
-// Store.Apply, Store.ApplyAll, Graph.ApplyEdges, and the maintained views'
-// batches all land here as one atomic multi-relation delta. On a durable
+// Store.Apply and Store.ApplyAll both land here as one atomic multi-relation
+// delta. On a durable
 // store the record is appended and the in-memory apply performed under one
 // lock (so log order equals apply order), then the caller blocks until the
 // record is fsynced per the store's policy; on an in-memory store it is a

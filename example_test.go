@@ -8,14 +8,27 @@ import (
 	"repro"
 )
 
-// ExampleGraph_Prepare shows the prepare-once / execute-repeatedly
-// lifecycle: the query is compiled against the graph's physical design
+// fwdStore holds an undirected graph the way the Triangles pattern reads
+// it: relation "fwd", each edge once as (u, v) with u < v.
+func fwdStore(edges [][]int64) *repro.Store {
+	s := repro.NewStore()
+	if err := s.DefineRelation("fwd", 2); err != nil {
+		panic(err)
+	}
+	if err := s.Load("fwd", edges); err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// ExampleStore_Prepare shows the prepare-once / execute-repeatedly
+// lifecycle: the query is compiled against the store's physical design
 // (GAO fixed, GAO-consistent indexes bound) and then executed as pure
 // plan evaluation.
-func ExampleGraph_Prepare() {
+func ExampleStore_Prepare() {
 	// A triangle 0-1-2 with a pendant edge 2-3.
-	g := repro.NewGraph([][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	p, err := g.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj"})
+	s := fwdStore([][]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+	p, err := s.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj"})
 	if err != nil {
 		panic(err)
 	}
@@ -34,8 +47,8 @@ func ExampleGraph_Prepare() {
 // ExamplePrepared_Rows streams result tuples through a Go 1.23 range-over-
 // func iterator; breaking out of the loop stops the join early.
 func ExamplePrepared_Rows() {
-	g := repro.NewGraph([][2]int64{{0, 1}, {1, 2}, {0, 2}, {1, 3}, {2, 3}})
-	p, err := g.Prepare(repro.Triangles(), repro.Options{})
+	s := fwdStore([][]int64{{0, 1}, {1, 2}, {0, 2}, {1, 3}, {2, 3}})
+	p, err := s.Prepare(repro.Triangles(), repro.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -47,30 +60,50 @@ func ExamplePrepared_Rows() {
 	// [1 2 3]
 }
 
-// ExampleMaintainCount keeps a pattern count current under edge updates
-// with delta queries (§3's incrementally maintained materialized views).
-// Each batch lands in the cached indexes' delta overlays — the compiled
-// delta plans and their physical indexes survive every batch.
-func ExampleMaintainCount() {
-	g := repro.NewGraph([][2]int64{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	ctx := context.Background()
-	v, err := repro.MaintainCount(ctx, g, repro.Triangles())
+// ExampleStore_ApplyAll keeps a pattern count current under edge updates.
+// The benchmark schema stores each undirected edge twice — both directions
+// in "edge", the u < v one in "fwd" — and one atomic ApplyAll per batch
+// keeps the two in step. Each batch lands in the cached indexes' delta
+// overlays, so the prepared handle follows every write without re-preparing.
+func ExampleStore_ApplyAll() {
+	s := fwdStore([][]int64{{0, 1}, {1, 2}, {2, 3}, {0, 3}}) // a square
+	if err := s.DefineRelation("edge", 2); err != nil {
+		panic(err)
+	}
+	if err := s.Load("edge", [][]int64{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}, {0, 3}, {3, 0}}); err != nil {
+		panic(err)
+	}
+	p, err := s.Prepare(repro.Triangles(), repro.Options{Workers: 1})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("square:", v.Count())
+	ctx := context.Background()
+	count := func() int64 {
+		n, err := p.Count(ctx)
+		if err != nil {
+			panic(err)
+		}
+		return n
+	}
+	fmt.Println("square:", count())
 
 	// Close one diagonal: two triangles appear.
-	if err := v.ApplyEdges(ctx, [][2]int64{{0, 2}}, nil); err != nil {
+	if err := s.ApplyAll(map[string][]repro.Delta{
+		"edge": {repro.Insert(0, 2), repro.Insert(2, 0)},
+		"fwd":  {repro.Insert(0, 2)},
+	}); err != nil {
 		panic(err)
 	}
-	fmt.Println("with diagonal:", v.Count())
+	fmt.Println("with diagonal:", count())
 
 	// Remove an outer edge: one of them goes away.
-	if err := v.ApplyEdges(ctx, nil, [][2]int64{{0, 1}}); err != nil {
+	if err := s.ApplyAll(map[string][]repro.Delta{
+		"edge": {repro.Remove(0, 1), repro.Remove(1, 0)},
+		"fwd":  {repro.Remove(0, 1)},
+	}); err != nil {
 		panic(err)
 	}
-	fmt.Println("edge removed:", v.Count())
+	fmt.Println("edge removed:", count())
 	// Output:
 	// square: 0
 	// with diagonal: 2
@@ -78,8 +111,8 @@ func ExampleMaintainCount() {
 }
 
 // ExampleStore defines a general schema — a directed, edge-labeled social
-// graph as one relation per label, something the benchmark Graph cannot
-// express — loads it, and queries it with schema-checked parsing. A rule
+// graph as one relation per label — loads it, and queries it with
+// schema-checked parsing. A rule
 // head ("closed(c, b, a) :- ...") names the query and fixes the output
 // variable order.
 func ExampleStore() {

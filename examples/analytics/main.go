@@ -13,22 +13,27 @@ import (
 	"sort"
 
 	"repro"
+	"repro/internal/dataset"
 	"repro/internal/graphalgo"
 )
 
 func main() {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.HolmeKim, 5_000, 30_000, 19)
-	fmt.Printf("graph: %d nodes, %d edges\n\n", g.Nodes(), g.Edges())
+	g := dataset.Generate(dataset.HolmeKim, 5_000, 30_000, 19)
+	fmt.Printf("graph: %d nodes, %d edges\n\n", g.N, len(g.Edges))
+	st := repro.NewStore()
+	if err := dataset.Load(repro.Local(st), g, 1, 19); err != nil {
+		log.Fatal(err)
+	}
 
 	// Relational side: pattern counting with the worst-case-optimal join.
 	// Each query is compiled once; the handles stay valid for the life of
-	// the graph's physical design and can be executed again at will.
-	triQ, err := g.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj"})
+	// the store's physical design and can be executed again at will.
+	triQ, err := st.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cycQ, err := g.Prepare(repro.Cycles(4), repro.Options{Algorithm: "lftj"})
+	cycQ, err := st.Prepare(repro.Cycles(4), repro.Options{Algorithm: "lftj"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +48,7 @@ func main() {
 	fmt.Printf("patterns: %d triangles, %d ordered 4-cycles\n", tri, cycles)
 
 	// Navigational side: the same edge relation drives graph algorithms.
-	adj, err := graphalgo.BuildAdjacency(g.DB())
+	adj, err := graphalgo.BuildAdjacency(st.DB())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,8 +65,8 @@ func main() {
 	}
 	fmt.Printf("BFS from 0: %d reachable, eccentricity %d\n", reached, maxHop)
 
-	if path, ok, _ := adj.ShortestPath(ctx, 0, int64(g.Nodes()-1)); ok {
-		fmt.Printf("shortest path 0 -> %d: %d hops\n", g.Nodes()-1, len(path)-1)
+	if path, ok, _ := adj.ShortestPath(ctx, 0, int64(g.N-1)); ok {
+		fmt.Printf("shortest path 0 -> %d: %d hops\n", g.N-1, len(path)-1)
 	}
 
 	rank, err := adj.PageRank(ctx, 0.85, 30)

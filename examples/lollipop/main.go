@@ -13,19 +13,24 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dataset"
 )
 
 func main() {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.HolmeKim, 8_000, 50_000, 11)
-	g.SetSelectivity(10, 3)
-	fmt.Printf("graph: %d nodes, %d edges, selectivity 10\n\n", g.Nodes(), g.Edges())
+	g := dataset.Generate(dataset.HolmeKim, 8_000, 50_000, 11)
+	st := repro.NewStore()
+	if err := dataset.Load(repro.Local(st), g, 10, 3); err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("graph: %d nodes, %d edges, selectivity 10\n\n", g.N, len(g.Edges))
 
 	for _, i := range []int{2, 3} {
 		q := repro.Lollipops(i)
 		fmt.Printf("%s: %s\n", q.Name, q)
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-			p, err := g.Prepare(q, repro.Options{Algorithm: alg, Workers: 1})
+			p, err := st.Prepare(q, repro.Options{Algorithm: alg, Workers: 1})
 			if err != nil {
 				fmt.Printf("  %-8s error: %v\n", alg, err)
 				continue

@@ -13,19 +13,27 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dataset"
 )
 
 func main() {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.BarabasiAlbert, 30_000, 300_000, 7)
-	fmt.Printf("graph: %d nodes, %d edges (LiveJournal-regime stand-in)\n", g.Nodes(), g.Edges())
+	g := dataset.Generate(dataset.BarabasiAlbert, 30_000, 300_000, 7)
+	st := repro.NewStore()
+	if err := dataset.Load(repro.Local(st), g, 1, 7); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("graph: %d nodes, %d edges (LiveJournal-regime stand-in)\n", g.N, len(g.Edges))
 	fmt.Printf("%-10s %12s %12s %14s\n", "sample N", "lftj", "ms", "3-path count")
 
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{10, 100, 500, 2000} {
-		v1 := sample(rng, g.Nodes(), n)
-		v2 := sample(rng, g.Nodes(), n)
-		g.SetSamples(v1, v2)
+		// The 3-path query runs between the samples v1 and v2; replace both.
+		for _, name := range []string{"v1", "v2"} {
+			if err := st.Load(name, sample(rng, g.N, n)); err != nil {
+				log.Fatal(err)
+			}
+		}
 		q := repro.Paths(3)
 
 		var times []time.Duration
@@ -34,7 +42,7 @@ func main() {
 			// Samples changed above, so the physical design changed:
 			// re-prepare (the plan cache invalidated the stale plans) and
 			// time only the execution of the compiled query.
-			p, err := g.Prepare(q, repro.Options{Algorithm: alg, Workers: 1})
+			p, err := st.Prepare(q, repro.Options{Algorithm: alg, Workers: 1})
 			if err != nil {
 				log.Fatalf("%s: %v", alg, err)
 			}
@@ -54,14 +62,15 @@ func main() {
 	fmt.Println("Figures 3-5 shape")
 }
 
-func sample(rng *rand.Rand, n, k int) []int64 {
+// sample draws k distinct vertices of 0..n-1 as unary tuples.
+func sample(rng *rand.Rand, n, k int) [][]int64 {
 	if k > n {
 		k = n
 	}
 	perm := rng.Perm(n)[:k]
-	out := make([]int64, k)
+	out := make([][]int64, k)
 	for i, v := range perm {
-		out[i] = int64(v)
+		out[i] = []int64{int64(v)}
 	}
 	return out
 }

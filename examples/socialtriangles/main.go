@@ -14,24 +14,31 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dataset"
 )
 
 func main() {
 	ctx := context.Background()
 	for _, name := range []string{"ego-Facebook", "p2p-Gnutella04"} {
-		g, err := repro.Dataset(name)
+		spec, err := dataset.Lookup(name)
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		fmt.Printf("\n%s (%d nodes, %d edges)\n", name, g.Nodes(), g.Edges())
+		g := spec.Build()
+		st := repro.NewStore()
+		if err := dataset.Load(repro.Local(st), g, 1, spec.Seed); err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Printf("\n%s (%d nodes, %d edges)\n", name, g.N, len(g.Edges))
 		fmt.Printf("%-10s %12s %12s\n", "engine", "3-clique", "4-clique")
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
 			fmt.Printf("%-10s", alg)
 			for _, k := range []int{3, 4} {
 				// Compile once outside the timed region; the timeout
 				// budgets execution only, like the paper's protocol.
-				p, err := g.Prepare(repro.Cliques(k), repro.Options{Algorithm: alg})
+				p, err := st.Prepare(repro.Cliques(k), repro.Options{Algorithm: alg})
 				if err != nil {
 					fmt.Printf(" %12s", "err")
 					continue

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -228,8 +229,7 @@ func requireSameRows(t *testing.T, label string, got, want [][]int64) {
 // flat rows.
 func TestExtendedDifferential(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(HolmeKim, 250, 900, 3)
-	s := g.Store()
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 1, 3)
 	for _, c := range extendedCorpus() {
 		q, err := s.ParseQuery("q", c.src)
 		if err != nil {
@@ -368,8 +368,7 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 // streaming aggregation as direct Prepared executions.
 func TestExtendedTxnAndBatch(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(BarabasiAlbert, 150, 600, 4)
-	s := g.Store()
+	s := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 150, 600, 4), 1, 4)
 	for _, src := range []string{"deg(a, count(b)) :- edge(a, b)", "out(a) :- edge(a, b), a < 100"} {
 		q, err := s.ParseQuery("q", src)
 		if err != nil {
@@ -420,7 +419,7 @@ func TestExtendedTxnAndBatch(t *testing.T) {
 // sequential answer.
 func TestShardOnPinnedLeadingVariable(t *testing.T) {
 	ctx := context.Background()
-	s := GenerateGraph(HolmeKim, 250, 900, 3).Store()
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 1, 3)
 	partitions := map[string][]Shard{}
 	for _, of := range []uint64{3, 7} {
 		for i := uint64(0); i < of; i++ {

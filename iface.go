@@ -235,15 +235,15 @@ func (l localTxn) Enumerate(ctx context.Context, p PreparedQuery, emit func([]in
 }
 
 func (l localTxn) Rows(ctx context.Context, p PreparedQuery) iter.Seq[[]int64] {
-	return rowsSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return OwnedRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return l.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
 
 func (l localTxn) RowsErr(ctx context.Context, p PreparedQuery) iter.Seq2[[]int64, error] {
-	return rowsErrSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return l.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
 
 func (l localTxn) Close() error { return nil }

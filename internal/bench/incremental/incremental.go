@@ -1,5 +1,8 @@
 // Package incremental maintains materialized pattern-count views under
-// edge insertions and deletions. The paper motivates LogicBlox's adoption
+// edge insertions and deletions. It is not served: it lives beside the
+// benchmark harness because its benchmark (BenchmarkViewMaintainAndServe)
+// keeps measuring what it buys over re-counting through a prepared handle
+// that follows the writes. The paper motivates LogicBlox's adoption
 // of optimal joins partly through incrementally maintained materialized
 // views ("LogicBlox encourages the use of materialized views that are
 // incrementally maintained", §3, citing Veldhuizen's incremental LFTJ
@@ -20,9 +23,8 @@
 // each term a small join with Δ-bound atoms keeping it tiny) is therefore
 // computed entirely before anything is applied, and the whole batch — every
 // relation's inserts and deletes together — then lands through ONE atomic
-// core.DB.ApplyDeltas call: no reader can observe a mid-batch state, no
-// error path leaves the database partially updated, and a durable store
-// logs the maintenance batch as a single write-ahead record.
+// core.DB.ApplyDeltas call: no reader can observe a mid-batch state and no
+// error path leaves the database partially updated.
 //
 // The atomic apply folds each batch into the cached indexes' delta overlays
 // (relation.Overlay) in time proportional to the small log rather than an
@@ -88,18 +90,7 @@ type View struct {
 	plans     map[*query.Query]*core.Plan
 	dbVersion int64
 	sc        *core.StatsCollector
-	// apply lands one atomic multi-relation batch; defaults to the
-	// database's ApplyDeltas. A durable store overrides it (SetApply) so
-	// each maintenance batch is logged as a single write-ahead record.
-	apply func([]core.DeltaBatch) error
 }
-
-// SetApply overrides how the view lands its (already canonicalized) update
-// batches — one atomic multi-relation apply per maintenance batch. The
-// default is core.DB.ApplyDeltas on the view's database; a durable store
-// routes it through its write-ahead log instead. The function must apply to
-// the same database the view reads, atomically.
-func (v *View) SetApply(fn func([]core.DeltaBatch) error) { v.apply = fn }
 
 // NewView computes the initial count and returns the maintained view.
 func NewView(ctx context.Context, q *query.Query, db *core.DB) (*View, error) {
@@ -117,7 +108,6 @@ func NewView(ctx context.Context, q *query.Query, db *core.DB) (*View, error) {
 		plans:  make(map[*query.Query]*core.Plan),
 		sc:     &core.StatsCollector{},
 	}
-	v.apply = db.ApplyDeltas
 	v.sc.Add(core.Stats{GAODerivations: 1})
 	v.dbVersion = db.Version()
 	n, err := v.run(ctx, q)
@@ -284,7 +274,7 @@ func (v *View) Update(ctx context.Context, batches []core.DeltaBatch) error {
 		return err
 	}
 	if len(canon) > 0 {
-		if err := v.apply(canon); err != nil {
+		if err := v.db.ApplyDeltas(canon); err != nil {
 			return err
 		}
 		v.sync()
@@ -389,20 +379,20 @@ func tuplesToRelation(name string, arity int, tuples [][]int64) *relation.Relati
 	return b.Build()
 }
 
-// GraphView maintains a pattern count over the benchmark graph schema: an
+// EdgeView maintains a pattern count over the benchmark graph schema: an
 // undirected edge update touches both the symmetric "edge" relation and the
 // oriented "fwd" relation.
-type GraphView struct {
+type EdgeView struct {
 	*View
 }
 
-// NewGraphView builds a maintained view over the graph schema.
-func NewGraphView(ctx context.Context, q *query.Query, db *core.DB) (*GraphView, error) {
+// NewEdgeView builds a maintained view over the graph schema.
+func NewEdgeView(ctx context.Context, q *query.Query, db *core.DB) (*EdgeView, error) {
 	v, err := NewView(ctx, q, db)
 	if err != nil {
 		return nil, err
 	}
-	return &GraphView{View: v}, nil
+	return &EdgeView{View: v}, nil
 }
 
 // ApplyEdges inserts and removes undirected edges, updating both derived
@@ -410,19 +400,17 @@ func NewGraphView(ctx context.Context, q *query.Query, db *core.DB) (*GraphView,
 // and "fwd" is computed jointly against the pre-update state, then both
 // relations land through a single ApplyDeltas — a concurrent snapshot can
 // never observe one updated and not the other.
-func (g *GraphView) ApplyEdges(ctx context.Context, insert, remove [][2]int64) error {
+func (g *EdgeView) ApplyEdges(ctx context.Context, insert, remove [][2]int64) error {
 	return g.Update(ctx, []core.DeltaBatch{
-		{Name: query.Edge, Inserts: Orient(insert, false), Deletes: Orient(remove, false)},
-		{Name: query.Fwd, Inserts: Orient(insert, true), Deletes: Orient(remove, true)},
+		{Name: query.Edge, Inserts: orient(insert, false), Deletes: orient(remove, false)},
+		{Name: query.Fwd, Inserts: orient(insert, true), Deletes: orient(remove, true)},
 	})
 }
 
-// Orient turns undirected edges into benchmark-schema tuples: both
+// orient turns undirected edges into benchmark-schema tuples: both
 // directions for the symmetric "edge" relation, or just the u<v orientation
-// for "fwd" (fwdOnly). Self-loops are dropped. Every write path that keeps
-// the benchmark schema's invariants — this view's ApplyEdges and the public
-// Graph.ApplyEdges — routes through it.
-func Orient(edges [][2]int64, fwdOnly bool) [][]int64 {
+// for "fwd" (fwdOnly). Self-loops are dropped.
+func orient(edges [][2]int64, fwdOnly bool) [][]int64 {
 	var out [][]int64
 	for _, e := range edges {
 		u, v := e[0], e[1]

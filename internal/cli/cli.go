@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/dataset"
 	"repro/internal/query"
 )
 
@@ -117,22 +118,27 @@ func ReadTuples(path string) ([][]int64, error) {
 }
 
 // BuildGraph constructs the benchmark graph from the catalog (datasetName
-// non-empty) or a generator model ("er", "ba", or "hk").
-func BuildGraph(datasetName, model string, nodes, edges int, seed int64) (*repro.Graph, error) {
+// non-empty) or a generator model ("er", "ba", or "hk"); dataset.Load puts
+// its schema into a store.
+func BuildGraph(datasetName, model string, nodes, edges int, seed int64) (*dataset.Graph, error) {
 	if datasetName != "" {
-		return repro.Dataset(datasetName)
+		spec, err := dataset.Lookup(datasetName)
+		if err != nil {
+			return nil, err
+		}
+		return spec.Build(), nil
 	}
-	var m = repro.BarabasiAlbert
+	m := dataset.BarabasiAlbert
 	switch model {
 	case "er":
-		m = repro.ErdosRenyi
+		m = dataset.ErdosRenyi
 	case "hk":
-		m = repro.HolmeKim
+		m = dataset.HolmeKim
 	case "ba", "":
 	default:
 		return nil, fmt.Errorf("unknown model %q (want er, ba, or hk)", model)
 	}
-	return repro.GenerateGraph(m, nodes, edges, seed), nil
+	return dataset.Generate(m, nodes, edges, seed), nil
 }
 
 // NamedQuery resolves the benchmark query catalog (§5.1 patterns).

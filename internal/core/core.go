@@ -188,8 +188,7 @@ func (db *DB) Version() int64 {
 // Inserts already present and deletes absent are ignored, and a tuple
 // appearing on both sides of one batch resolves as delete-after-insert (an
 // absent tuple stays absent, a present one is deleted), so any caller batch
-// is safe. This is the write path the incremental views
-// (internal/incremental) drive on every ApplyEdges batch.
+// is safe.
 func (db *DB) ApplyDelta(name string, inserts, deletes [][]int64) error {
 	db.mu.Lock()
 	defer db.unlock()

@@ -102,7 +102,7 @@ func TestApplyDeltaPlanInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.StorePlan("k", p, db.Version())
+	db.StorePlan("k", p, db.version)
 	if err := db.ApplyDelta("edge", [][]int64{{8, 9}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestApplyDeltaPlanInvalidation(t *testing.T) {
 // deletes, and both-sides tuples resolve to a canonical delta.
 func TestApplyDeltaFilters(t *testing.T) {
 	db := deltaDB()
-	v0 := db.Version()
+	v0 := db.version
 	// Everything a no-op: present insert, absent delete, absent both-sides.
 	err := db.ApplyDelta("edge",
 		[][]int64{{1, 2}, {50, 50}},
@@ -129,7 +129,7 @@ func TestApplyDeltaFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Version() != v0 {
+	if db.version != v0 {
 		t.Error("no-op batch bumped the version")
 	}
 	r, _ := db.Relation("edge")

@@ -83,30 +83,70 @@ func (s Spec) Build() *Graph {
 	return Generate(s.Model, s.Nodes, s.Edges, s.Seed)
 }
 
-// DB materializes the benchmark database for a graph: the symmetric "edge"
+// relations derives the benchmark schema of a graph: the symmetric "edge"
 // relation, the oriented "fwd" relation, and the four node samples v1..v4 at
 // the given selectivity (§5.1 protocol). sampleSeed controls the random
 // draws so different runs can use different samples, as in the paper.
-func DB(g *Graph, selectivity int, sampleSeed int64) *core.DB {
-	db := core.NewDB()
+func relations(g *Graph, selectivity int, sampleSeed int64) []*relation.Relation {
 	eb := relation.NewBuilder(query.Edge, 2)
 	fb := relation.NewBuilder(query.Fwd, 2)
 	for _, e := range g.Edges {
 		eb.Add(e[0], e[1])
 		eb.Add(e[1], e[0])
-		fb.Add(e[0], e[1]) // generator emits u < v
+		fb.Add(e[0], e[1]) // a Graph holds u < v
 	}
-	db.Add(eb.Build())
-	db.Add(fb.Build())
+	rels := []*relation.Relation{eb.Build(), fb.Build()}
 	rng := rand.New(rand.NewSource(sampleSeed))
 	for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
-		sb := relation.NewBuilder(name, 1)
-		for _, v := range g.Sample(rng, selectivity) {
-			sb.Add(v)
-		}
-		db.Add(sb.Build())
+		rels = append(rels, sampleRelation(name, g.Sample(rng, selectivity)))
+	}
+	return rels
+}
+
+// DB materializes the benchmark database for a graph: the relations Load
+// writes, registered on a fresh core.DB.
+func DB(g *Graph, selectivity int, sampleSeed int64) *core.DB {
+	db := core.NewDB()
+	for _, r := range relations(g, selectivity, sampleSeed) {
+		db.Add(r)
 	}
 	return db
+}
+
+// Loader is the write surface Load needs. Every repro.Querier satisfies it:
+// an in-process store (repro.Local), a client connection, a router.
+type Loader interface {
+	DefineRelation(name string, arity int) error
+	Load(name string, tuples [][]int64) error
+}
+
+// Load defines and bulk-loads the benchmark schema of a graph through l: the
+// symmetric "edge" relation, the oriented "fwd" relation, and the four node
+// samples v1..v4, each vertex selected with probability 1/selectivity by
+// draws seeded with sampleSeed (selectivity 1 selects every vertex).
+func Load(l Loader, g *Graph, selectivity int, sampleSeed int64) error {
+	for _, r := range relations(g, selectivity, sampleSeed) {
+		if err := l.DefineRelation(r.Name(), r.Arity()); err != nil {
+			return err
+		}
+		if err := l.Load(r.Name(), r.Tuples()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// FromEdges builds a graph from an undirected edge list: every edge becomes
+// u < v, duplicates merge and self-loops drop. Vertex ids must be
+// non-negative; the vertex count is one past the largest id.
+func FromEdges(edges [][2]int64) *Graph {
+	s := newEdgeSet(len(edges))
+	n := 0
+	for _, e := range edges {
+		n = max(n, int(e[0])+1, int(e[1])+1)
+		s.add(e[0], e[1])
+	}
+	return &Graph{N: n, Edges: s.edges}
 }
 
 // SampleOfSize draws exactly k distinct vertices (Figures 3–5 use absolute
@@ -151,16 +191,6 @@ func ReplaceSamples(db *core.DB, v1, v2 []int64) {
 		sampleRelation(query.Sample1, v1),
 		sampleRelation(query.Sample2, v2),
 	})
-}
-
-// ReplaceNamedSamples swaps any set of named samples atomically (the
-// selectivity protocol redraws all four at once).
-func ReplaceNamedSamples(db *core.DB, samples map[string][]int64) {
-	rels := make([]*relation.Relation, 0, len(samples))
-	for name, vals := range samples {
-		rels = append(rels, sampleRelation(name, vals))
-	}
-	db.AddAll(rels)
 }
 
 // TriangleDensity classifies the generated graph (tests assert the regimes

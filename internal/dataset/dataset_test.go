@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,18 @@ func TestDBSchema(t *testing.T) {
 		if s.Len() == 0 {
 			t.Errorf("sample %s empty", name)
 		}
+	}
+}
+
+// TestFromEdges checks the edge-list normalisation: u < v, duplicates
+// merged, self-loops dropped, and the vertex count one past the largest id.
+func TestFromEdges(t *testing.T) {
+	g := FromEdges([][2]int64{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}})
+	if want := [][2]int64{{0, 1}, {1, 2}}; !slices.Equal(g.Edges, want) {
+		t.Errorf("edges = %v, want %v (duplicates and self-loops dropped)", g.Edges, want)
+	}
+	if g.N != 3 {
+		t.Errorf("N = %d, want 3", g.N)
 	}
 }
 

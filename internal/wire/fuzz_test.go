@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/query"
 )
 
@@ -233,7 +234,10 @@ func FuzzDecodeOptions(f *testing.F) {
 	f.Add(seed(repro.Options{Shard: &repro.Shard{Part: 1<<63 - 1, Of: 1 << 63}}))
 	f.Add(seed(repro.Options{Shard: &repro.Shard{Part: 3, Of: 3}}))
 	f.Add(seed(repro.Options{Shard: &repro.Shard{Of: 0}}))
-	st := repro.GenerateGraph(repro.HolmeKim, 60, 200, 1).Store()
+	st := repro.NewStore()
+	if err := dataset.Load(st, dataset.Generate(dataset.HolmeKim, 60, 200, 1), 1, 1); err != nil {
+		f.Fatal(err)
+	}
 	q := repro.Triangles()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDec(data)

@@ -2,6 +2,8 @@ package repro
 
 import (
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestExtendedPlanCacheDimensions pins the new plan-cache key dimensions:
@@ -9,8 +11,7 @@ import (
 // predicate constant, or aggregate function must compile to distinct cached
 // plans, and re-preparing any of them must hit its own entry.
 func TestExtendedPlanCacheDimensions(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 100, 300, 2)
-	s := g.Store()
+	s := graphStore(t, dataset.Generate(dataset.ErdosRenyi, 100, 300, 2), 1, 2)
 	srcs := []string{
 		"edge(a, b)",
 		"out(a) :- edge(a, b)",
@@ -25,7 +26,7 @@ func TestExtendedPlanCacheDimensions(t *testing.T) {
 		"edge(4, b)",
 	}
 	queries := make([]*Query, len(srcs))
-	before := g.DB().CachedPlanCount()
+	before := s.DB().CachedPlanCount()
 	for i, src := range srcs {
 		q, err := s.ParseQuery("q", src)
 		if err != nil {
@@ -36,7 +37,7 @@ func TestExtendedPlanCacheDimensions(t *testing.T) {
 			t.Fatalf("prepare %q: %v", src, err)
 		}
 	}
-	if got := g.DB().CachedPlanCount() - before; got != len(srcs) {
+	if got := s.DB().CachedPlanCount() - before; got != len(srcs) {
 		t.Fatalf("%d distinct query shapes cached %d plans — the key fails to distinguish projection/predicate/aggregate dimensions", len(srcs), got)
 	}
 	for i, q := range queries {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/hypergraph"
 	"repro/internal/query"
 )
@@ -28,9 +29,7 @@ var benchmarkTexts = []string{
 // cheapest — and have no cross-join level whenever some order has none.
 func TestChosenGAOAnchors(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(HolmeKim, 250, 900, 3)
-	g.SetSelectivity(25, 5)
-	s := g.Store()
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 25, 5)
 	queries := corpusQueries()
 	var texts []string
 	for _, c := range extendedCorpus() {

@@ -27,13 +27,12 @@ import (
 // is synchronized.
 //
 // Freshness: a handle follows writes. Incremental writes (Store.Apply,
-// Graph.ApplyEdges, CountView.ApplyEdges) advance the handle's indexes in
-// place, so every later execution counts the post-write state; each single
-// execution reads one consistent snapshot. Bulk replacements (Store.Load,
-// SetSelectivity, SetSamples) swap whole relations instead and never
-// re-point existing handles: Prepare again after one — the underlying plan
-// cache makes re-preparing an unchanged shape cheap. To read one fixed state
-// across several executions, use a ReadTxn.
+// Store.ApplyAll) advance the handle's indexes in place, so every later
+// execution counts the post-write state; each single execution reads one
+// consistent snapshot. Bulk replacements (Store.Load) swap whole relations
+// instead and never re-point existing handles: Prepare again after one — the
+// underlying plan cache makes re-preparing an unchanged shape cheap. To read
+// one fixed state across several executions, use a ReadTxn.
 type Prepared struct {
 	s       *Store
 	q       *Query
@@ -168,13 +167,13 @@ func (p *Prepared) runEnumerate(ctx context.Context, eng core.Engine, emit func(
 // The only mid-stream failure is cancellation, so checking ctx.Err() after
 // the loop suffices.
 func (p *Prepared) Rows(ctx context.Context) iter.Seq[[]int64] {
-	return rowsSeq(p.Enumerate, ctx)
+	return OwnedRows(ctx, p.Enumerate)
 }
 
 // RowsErr is Rows with an explicit error: it yields (tuple, nil) for every
 // result and, if execution fails mid-stream, a final (nil, err) pair.
 func (p *Prepared) RowsErr(ctx context.Context) iter.Seq2[[]int64, error] {
-	return rowsErrSeq(p.Enumerate, ctx)
+	return OwnedRowsErr(ctx, p.Enumerate)
 }
 
 // rowChunk hands a stream's consumer its rows: each is copied out of the
@@ -200,10 +199,13 @@ func (c *rowChunk) own(t []int64) []int64 {
 	return row
 }
 
-// rowsSeq adapts an Enumerate-shaped execution into a streaming iterator
-// with owned tuple copies, discarding any mid-stream error (Prepared.Rows
-// and Txn.Rows share it).
-func rowsSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq[[]int64] {
+// OwnedRows adapts an Enumerate-shaped execution into a streaming iterator
+// whose rows the consumer owns: each is copied out of the producer's reused
+// buffer into a chunk shared with its neighbours (rowChunk), so a stream
+// allocates once per chunk, not once per row. A mid-stream error is
+// discarded; OwnedRowsErr reports it. Every local and routed Rows iterator
+// is built on these two.
+func OwnedRows(ctx context.Context, enumerate func(context.Context, func([]int64) bool) error) iter.Seq[[]int64] {
 	return func(yield func([]int64) bool) {
 		var rows rowChunk
 		_ = enumerate(ctx, func(t []int64) bool {
@@ -212,10 +214,10 @@ func rowsSeq(enumerate func(context.Context, func([]int64) bool) error, ctx cont
 	}
 }
 
-// rowsErrSeq is rowsSeq with the explicit-error protocol: (tuple, nil) per
-// result, and a final (nil, err) pair when execution fails before the
+// OwnedRowsErr is OwnedRows with the explicit-error protocol: (tuple, nil)
+// per result, and a final (nil, err) pair when execution fails before the
 // consumer stopped.
-func rowsErrSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq2[[]int64, error] {
+func OwnedRowsErr(ctx context.Context, enumerate func(context.Context, func([]int64) bool) error) iter.Seq2[[]int64, error] {
 	return func(yield func([]int64, error) bool) {
 		var rows rowChunk
 		stopped := false

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestPrepareExecuteCompilesOnce is the headline contract of the prepared
@@ -15,11 +18,10 @@ import (
 // performs GAO derivation and index binding exactly once, at Prepare time.
 func TestPrepareExecuteCompilesOnce(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(BarabasiAlbert, 300, 1200, 6)
-	g.SetSelectivity(5, 2)
+	s := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 300, 1200, 6), 5, 2)
 	for _, alg := range []Algorithm{LFTJ, MS} {
 		q := Paths(3)
-		p, err := g.Prepare(q, Options{Algorithm: alg, Workers: 1})
+		p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -63,7 +65,7 @@ func TestPrepareExecuteCompilesOnce(t *testing.T) {
 // execution must reproduce LFTJ's count and row checksum.
 func TestPreparedConcurrentUse(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(HolmeKim, 400, 2000, 3)
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 400, 2000, 3), 1, 3)
 	// The engines emit in their own GAO orders: sum a hash of each row.
 	checksum := func(sum int64, row []int64) int64 {
 		h := int64(17)
@@ -75,7 +77,7 @@ func TestPreparedConcurrentUse(t *testing.T) {
 	var want, wantSum int64
 	for _, opts := range []Options{{Algorithm: LFTJ}, {Algorithm: MS, Workers: 4}} {
 		t.Run(string(opts.Algorithm), func(t *testing.T) {
-			p, err := g.Prepare(Triangles(), opts)
+			p, err := s.Prepare(Triangles(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,16 +147,16 @@ func TestPreparedConcurrentUse(t *testing.T) {
 // plan reads (sample redraw or a direct DB.Add) evicts it; plans over
 // untouched relations survive.
 func TestPlanCacheInvalidation(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 200, 600, 5)
-	g.SetSelectivity(4, 1)
+	g := dataset.Generate(dataset.ErdosRenyi, 200, 600, 5)
+	s := graphStore(t, g, 4, 1)
 
 	pathQ := Paths(3) // reads v1, v2, edge
 	triQ := Triangles()
 
-	if _, err := g.Prepare(pathQ, Options{}); err != nil {
+	if _, err := s.Prepare(pathQ, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := g.Prepare(pathQ, Options{})
+	p2, err := s.Prepare(pathQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,21 +164,22 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Errorf("re-prepare stats = %+v, want a pure cache hit", st)
 	}
 
-	if _, err := g.Prepare(triQ, Options{}); err != nil { // reads fwd only
+	if _, err := s.Prepare(triQ, Options{}); err != nil { // reads fwd only
 		t.Fatal(err)
 	}
 
-	// Redrawing samples replaces v1..v4: the path plan must recompile, the
-	// triangle plan must not.
-	g.SetSelectivity(4, 99)
-	p3, err := g.Prepare(pathQ, Options{})
+	// Redrawing samples replaces v1 and v2: the path plan must recompile,
+	// the triangle plan must not.
+	rng := rand.New(rand.NewSource(99))
+	setSamples(t, s, g.Sample(rng, 4), g.Sample(rng, 4))
+	p3, err := s.Prepare(pathQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := p3.Stats(); st.PlanCacheMisses != 1 {
 		t.Errorf("post-invalidation stats = %+v, want a recompile", st)
 	}
-	p4, err := g.Prepare(triQ, Options{})
+	p4, err := s.Prepare(triQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +188,12 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 
 	// A direct relation replacement evicts too.
-	fwd, err := g.DB().Relation("fwd")
+	fwd, err := s.DB().Relation("fwd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.DB().Add(fwd) // same data, new registration
-	p5, err := g.Prepare(triQ, Options{})
+	s.DB().Add(fwd) // same data, new registration
+	p5, err := s.Prepare(triQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 
 	// Different algorithm and different GAO are different cache keys.
-	pMS, err := g.Prepare(pathQ, Options{Algorithm: "ms"})
+	pMS, err := s.Prepare(pathQ, Options{Algorithm: "ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 	gao := append([]string(nil), pathQ.Vars()...)
 	gao[0], gao[1] = gao[1], gao[0]
-	pGAO, err := g.Prepare(pathQ, Options{GAO: gao})
+	pGAO, err := s.Prepare(pathQ, Options{GAO: gao})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +224,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 // engine stopped with it.
 func TestRowsEarlyStop(t *testing.T) {
 	ctx := context.Background()
-	g := k4()
-	p, err := g.Prepare(Triangles(), Options{})
+	p, err := k4(t).Prepare(Triangles(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +261,9 @@ func TestRowsEarlyStop(t *testing.T) {
 // neighbour's append, writes into a row already handed out.
 func TestRowsAreOwned(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(HolmeKim, 300, 1500, 3)
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 300, 1500, 3), 1, 3)
 	for _, alg := range []Algorithm{LFTJ, MS} {
-		p, err := g.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1})
+		p, err := s.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,8 +298,7 @@ func TestRowsAreOwned(t *testing.T) {
 // TestRowsErr surfaces mid-stream failures the plain Rows iterator
 // discards.
 func TestRowsErr(t *testing.T) {
-	g := k4()
-	p, err := g.Prepare(Triangles(), Options{})
+	p, err := k4(t).Prepare(Triangles(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestRowsErr(t *testing.T) {
 	}
 	// Mid-stream cancellation surfaces as the final error pair when the
 	// consumer keeps ranging (a consumer that breaks instead sees no pair).
-	big := GenerateGraph(BarabasiAlbert, 5000, 40000, 8)
+	big := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 5000, 40000, 8), 1, 8)
 	pb, err := big.Prepare(Triangles(), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +342,8 @@ func TestRowsErr(t *testing.T) {
 
 // TestRowsContextCancel ends the stream when the context dies.
 func TestRowsContextCancel(t *testing.T) {
-	g := GenerateGraph(BarabasiAlbert, 5000, 40000, 8)
-	p, err := g.Prepare(Triangles(), Options{Workers: 1})
+	s := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 5000, 40000, 8), 1, 8)
+	p, err := s.Prepare(Triangles(), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,15 +371,14 @@ func TestRowsContextCancel(t *testing.T) {
 // §5.1 benchmark queries: a fixed GAO covering every variable, one physical
 // index per atom, and a positive AGM bound.
 func TestExplainBenchmarkQueries(t *testing.T) {
-	g := GenerateGraph(HolmeKim, 300, 1500, 4)
-	g.SetSelectivity(4, 9)
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 300, 1500, 4), 4, 9)
 	queries := []*Query{
 		Triangles(), Cliques(4), Cycles(4), Paths(3), Paths(4),
 		Trees(1), Trees(2), Comb(), Lollipops(2),
 	}
 	for _, q := range queries {
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			p, err := g.Prepare(q, Options{Algorithm: alg})
+			p, err := s.Prepare(q, Options{Algorithm: alg})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q.Name, alg, err)
 			}
@@ -405,8 +405,8 @@ func TestExplainBenchmarkQueries(t *testing.T) {
 // surface. (The baselines' counts are checked in internal/bench.)
 func TestPreparedStatsEveryEngine(t *testing.T) {
 	ctx := context.Background()
-	g := k4()
-	g.SetSamples([]int64{0}, []int64{3})
+	s := k4(t)
+	setSamples(t, s, []int64{0}, []int64{3})
 	for _, tc := range []struct {
 		alg Algorithm
 		q   *Query
@@ -416,7 +416,7 @@ func TestPreparedStatsEveryEngine(t *testing.T) {
 		{"lftj", Paths(3)},
 		{"ms", Lollipops(2)},
 	} {
-		p, err := g.Prepare(tc.q, Options{Algorithm: tc.alg, Workers: 1})
+		p, err := s.Prepare(tc.q, Options{Algorithm: tc.alg, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.alg, err)
 		}
@@ -434,38 +434,9 @@ func TestPreparedStatsEveryEngine(t *testing.T) {
 	}
 }
 
-// TestCountViewDeltaPlanReuse checks the incremental view compiles its
-// delta queries once and reuses them across ApplyEdges batches.
-func TestCountViewDeltaPlanReuse(t *testing.T) {
-	ctx := context.Background()
-	g := NewGraph([][2]int64{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	v, err := MaintainCount(ctx, g, Triangles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := [][][2]int64{
-		{{0, 2}}, {{1, 3}}, {{0, 4}, {1, 4}},
-	}
-	for _, ins := range batches {
-		if err := v.ApplyEdges(ctx, ins, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fresh, err := Count(ctx, g, Triangles(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Count() != fresh {
-		t.Errorf("maintained = %d, fresh = %d", v.Count(), fresh)
-	}
-	if st := v.Stats(); st.GAODerivations != 1 {
-		t.Errorf("GAODerivations = %d after %d batches, want 1 (delta plans reused)", st.GAODerivations, len(batches))
-	}
-}
-
 // TestTypedErrors branches on the failure kinds Prepare reports.
 func TestTypedErrors(t *testing.T) {
-	g := k4()
+	g := k4(t)
 	q, err := ParseQuery("bad", "nosuch(a, b)")
 	if err != nil {
 		t.Fatal(err)
@@ -481,21 +452,13 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
-// TestNewGraphDedup checks the documented "duplicates merged" contract.
-func TestNewGraphDedup(t *testing.T) {
-	g := NewGraph([][2]int64{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}})
-	if g.Edges() != 2 {
-		t.Errorf("Edges() = %d, want 2 (duplicates and self-loops dropped)", g.Edges())
-	}
-}
-
 // TestPreparedSnapshotSemantics: a handle pins the physical design it was
 // compiled against; re-preparing after a sample redraw picks up the new
 // design.
 func TestPreparedSnapshotSemantics(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(ErdosRenyi, 150, 450, 7)
-	g.SetSamples([]int64{0, 1, 2}, []int64{3, 4, 5})
+	g := graphStore(t, dataset.Generate(dataset.ErdosRenyi, 150, 450, 7), 1, 7)
+	setSamples(t, g, []int64{0, 1, 2}, []int64{3, 4, 5})
 	p, err := g.Prepare(Paths(3), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +468,7 @@ func TestPreparedSnapshotSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty the v1 sample: the pinned handle keeps the old snapshot.
-	g.SetSamples(nil, []int64{3, 4, 5})
+	setSamples(t, g, nil, []int64{3, 4, 5})
 	again, err := p.Count(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -103,13 +103,13 @@ func (p *Prepared) Enumerate(ctx context.Context, emit func([]int64) bool) error
 // Rows is Enumerate as a streaming iterator; each yielded slice is owned by
 // the consumer.
 func (p *Prepared) Rows(ctx context.Context) iter.Seq[[]int64] {
-	return rowsSeq(p.Enumerate, ctx)
+	return repro.OwnedRows(ctx, p.Enumerate)
 }
 
 // RowsErr is Rows with an explicit error: (tuple, nil) per result and a
 // final (nil, err) pair if any host fails mid-stream.
 func (p *Prepared) RowsErr(ctx context.Context) iter.Seq2[[]int64, error] {
-	return rowsErrSeq(p.Enumerate, ctx)
+	return repro.OwnedRowsErr(ctx, p.Enumerate)
 }
 
 // legSpan opens the "router.leg" span for host i's part of a fan-out — one
@@ -460,32 +460,4 @@ func (p *Prepared) concat(ctx context.Context, txns []repro.QueryTxn, emit func(
 		}
 	}
 	return nil
-}
-
-// rowsSeq adapts an Enumerate-shaped execution into a streaming iterator,
-// discarding any mid-stream error (the router-side counterpart of the repro
-// and client helpers).
-func rowsSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq[[]int64] {
-	return func(yield func([]int64) bool) {
-		_ = enumerate(ctx, func(t []int64) bool {
-			return yield(append([]int64(nil), t...))
-		})
-	}
-}
-
-// rowsErrSeq is rowsSeq with the explicit-error protocol: (tuple, nil) per
-// result, and a final (nil, err) pair when execution fails before the
-// consumer stopped.
-func rowsErrSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq2[[]int64, error] {
-	return func(yield func([]int64, error) bool) {
-		stopped := false
-		err := enumerate(ctx, func(t []int64) bool {
-			ok := yield(append([]int64(nil), t...), nil)
-			stopped = !ok
-			return ok
-		})
-		if err != nil && !stopped {
-			yield(nil, err)
-		}
-	}
 }

@@ -543,10 +543,15 @@ func (r *Router) Batch(ctx context.Context, reqs []repro.BatchRequest) ([]repro.
 			defer wg.Done()
 			var res repro.Result
 			if rows {
-				res.Err = p.enumerate(ctx, dt.txns, func(row []int64) bool {
-					res.Rows = append(res.Rows, append([]int64(nil), row...))
-					return true
-				})
+				for row, err := range repro.OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
+					return p.enumerate(ctx, dt.txns, emit)
+				}) {
+					if err != nil {
+						res.Err = err
+						break
+					}
+					res.Rows = append(res.Rows, row)
+				}
 				res.Count = int64(len(res.Rows))
 			} else {
 				res.Count, res.Err = p.count(ctx, dt.txns)
@@ -602,16 +607,16 @@ func (t *Txn) Enumerate(ctx context.Context, p repro.PreparedQuery, emit func([]
 
 // Rows is Enumerate as a streaming iterator with owned tuple copies.
 func (t *Txn) Rows(ctx context.Context, p repro.PreparedQuery) iter.Seq[[]int64] {
-	return rowsSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return repro.OwnedRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
 
 // RowsErr is Rows with the explicit-error protocol.
 func (t *Txn) RowsErr(ctx context.Context, p repro.PreparedQuery) iter.Seq2[[]int64, error] {
-	return rowsErrSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return repro.OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
 
 // Close releases every host's lease. Safe to call repeatedly.

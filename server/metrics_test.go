@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/client"
+	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/server"
@@ -83,9 +84,9 @@ func countWithRetry(ctx context.Context, p repro.PreparedQuery) (int64, error) {
 func TestAdmissionOverload(t *testing.T) {
 	const K, M = 3, 4
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.HolmeKim, 80, 220, 3)
+	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 80, 220, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"adm-overload": g.Store()},
+		Stores: map[string]*repro.Store{"adm-overload": g},
 		Limits: map[string]server.Limits{"adm-overload": {MaxInflight: K, MaxQueued: 0}},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("adm-overload"), client.WithStreamTuning(1, 1))
@@ -147,9 +148,9 @@ func TestAdmissionOverload(t *testing.T) {
 func TestAdmissionQueue(t *testing.T) {
 	const K, M = 2, 3
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.HolmeKim, 80, 220, 3)
+	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 80, 220, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"adm-queue": g.Store()},
+		Stores: map[string]*repro.Store{"adm-queue": g},
 		Limits: map[string]server.Limits{"adm-queue": {MaxInflight: K, MaxQueued: M}},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("adm-queue"), client.WithStreamTuning(1, 1))
@@ -186,9 +187,9 @@ func TestAdmissionQueue(t *testing.T) {
 // histograms must have matching observation counts.
 func TestMetricsOverWire(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.HolmeKim, 80, 220, 3)
+	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 80, 220, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"metr": g.Store()},
+		Stores: map[string]*repro.Store{"metr": g},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("metr"))
 
@@ -265,9 +266,9 @@ func TestMetricsOverWire(t *testing.T) {
 // TestMetricsLeaseGauges drives Begin/End and watches the lease gauges.
 func TestMetricsLeaseGauges(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.HolmeKim, 60, 150, 3)
+	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 60, 150, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"metr-lease": g.Store()},
+		Stores: map[string]*repro.Store{"metr-lease": g},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("metr-lease"))
 
@@ -314,7 +315,7 @@ func TestClosedServerReleasesItsStore(t *testing.T) {
 	collected := make(chan struct{})
 	// Everything that references the store lives in this call's frame.
 	func() {
-		st := repro.GenerateGraph(repro.HolmeKim, 60, 150, 3).Store()
+		st := graphStore(t, dataset.Generate(dataset.HolmeKim, 60, 150, 3), 1, 3)
 		runtime.SetFinalizer(st, func(*repro.Store) { close(collected) })
 		srv := server.New(server.Config{Stores: map[string]*repro.Store{name: st}})
 		l, err := net.Listen("tcp", "127.0.0.1:0")

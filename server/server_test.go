@@ -13,6 +13,7 @@ import (
 
 	"repro"
 	"repro/client"
+	"repro/internal/dataset"
 	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -77,6 +78,38 @@ func collect(ctx context.Context, enumerate func(context.Context, func([]int64) 
 	return rows, err
 }
 
+// graphStore loads the benchmark schema of g into a new store: "edge" (both
+// directions), "fwd" (u < v), and the samples v1..v4 drawn at selectivity
+// sel from sampleSeed (selectivity 1 samples every vertex).
+func graphStore(t testing.TB, g *dataset.Graph, sel int, sampleSeed int64) *repro.Store {
+	t.Helper()
+	st := repro.NewStore()
+	if err := dataset.Load(repro.Local(st), g, sel, sampleSeed); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// applyEdges inserts and removes undirected edges as one atomic write that
+// keeps the benchmark schema's invariants: both directions land in "edge"
+// and the u < v orientation in "fwd". Self-loops are dropped.
+func applyEdges(st *repro.Store, insert, remove [][2]int64) error {
+	batches := map[string][]repro.Delta{}
+	add := func(edges [][2]int64, del bool) {
+		for _, e := range edges {
+			u, v := min(e[0], e[1]), max(e[0], e[1])
+			if u == v {
+				continue
+			}
+			batches[query.Edge] = append(batches[query.Edge], repro.Delta{Tuple: []int64{u, v}, Delete: del}, repro.Delta{Tuple: []int64{v, u}, Delete: del})
+			batches[query.Fwd] = append(batches[query.Fwd], repro.Delta{Tuple: []int64{u, v}, Delete: del})
+		}
+	}
+	add(insert, false)
+	add(remove, true)
+	return st.ApplyAll(batches)
+}
+
 // sortRows sorts rows ascending, for comparing answers whose order differs.
 func sortRows(rows [][]int64) {
 	sort.Slice(rows, func(i, j int) bool {
@@ -92,9 +125,7 @@ func sortRows(rows [][]int64) {
 // answer against the brute-force oracle over the flat rows.
 func TestRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.HolmeKim, 150, 520, 3)
-	g.SetSelectivity(15, 5)
-	st := g.Store()
+	st := graphStore(t, dataset.Generate(dataset.HolmeKim, 150, 520, 3), 15, 5)
 	remote := dial(t, serve(t, server.NewSingle(st)))
 	sameAsLocal := func(t *testing.T, q *repro.Query, opts repro.Options) {
 		lp, err := st.Prepare(q, opts)
@@ -184,7 +215,7 @@ func TestRemoteDifferential(t *testing.T) {
 // through a live server, which keeps serving afterwards.
 func TestHugeWorkersCount(t *testing.T) {
 	ctx := context.Background()
-	st := repro.GenerateGraph(repro.HolmeKim, 150, 520, 3).Store()
+	st := graphStore(t, dataset.Generate(dataset.HolmeKim, 150, 520, 3), 1, 3)
 	remote := dial(t, serve(t, server.NewSingle(st)))
 	q := query.Clique(3)
 	want, err := st.Count(ctx, q, repro.Options{Workers: 1})
@@ -210,7 +241,7 @@ func TestHugeWorkersCount(t *testing.T) {
 // and the same server still accepts a current client.
 func TestHelloVersionMismatch(t *testing.T) {
 	ctx := context.Background()
-	st := repro.GenerateGraph(repro.HolmeKim, 50, 120, 1).Store()
+	st := graphStore(t, dataset.Generate(dataset.HolmeKim, 50, 120, 1), 1, 1)
 	addr := serve(t, server.NewSingle(st))
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -246,9 +277,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 // reads on both sides track the writes.
 func TestRemoteTxnUnderChurn(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 7)
-	g.SetSelectivity(10, 3)
-	st := g.Store()
+	st := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 300, 1200, 7), 10, 3)
 	remote := dial(t, serve(t, server.NewSingle(st)))
 
 	queries := []*repro.Query{query.Clique(3), query.Path(3), query.Cycle(4)}
@@ -295,8 +324,8 @@ func TestRemoteTxnUnderChurn(t *testing.T) {
 					del = append(del, e)
 				}
 			}
-			if err := g.ApplyEdges(ins, del); err != nil {
-				t.Errorf("ApplyEdges: %v", err)
+			if err := applyEdges(st, ins, del); err != nil {
+				t.Errorf("applyEdges: %v", err)
 				return
 			}
 		}
@@ -364,14 +393,12 @@ func TestRemoteTxnUnderChurn(t *testing.T) {
 
 // TestRemoteConcurrentClients drives N goroutine clients — each its own
 // connection — through Prepare/Count/Rows/Batch against one server under
-// live ApplyEdges churn, asserting snapshot consistency during the churn and
+// live edge churn, asserting snapshot consistency during the churn and
 // agreement with the local Store oracle once it quiesces. CI runs this under
 // the race detector.
 func TestRemoteConcurrentClients(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.BarabasiAlbert, 200, 800, 11)
-	g.SetSelectivity(10, 3)
-	st := g.Store()
+	st := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 200, 800, 11), 10, 3)
 	addr := serve(t, server.NewSingle(st))
 
 	queries := []*repro.Query{query.Clique(3), query.Path(3)}
@@ -394,8 +421,8 @@ func TestRemoteConcurrentClients(t *testing.T) {
 					del = append(del, e)
 				}
 			}
-			if err := g.ApplyEdges(ins, del); err != nil {
-				t.Errorf("ApplyEdges: %v", err)
+			if err := applyEdges(st, ins, del); err != nil {
+				t.Errorf("applyEdges: %v", err)
 				return
 			}
 		}
@@ -522,9 +549,8 @@ func TestRemoteConcurrentClients(t *testing.T) {
 // handle — and the connection stays usable afterwards.
 func TestRemoteRowsEarlyStop(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 5)
-	g.SetSelectivity(4, 1) // thousands of paths — far more than the client consumes
-	st := g.Store()
+	// Thousands of paths — far more than the client consumes.
+	st := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 300, 1200, 5), 4, 1)
 	// Tiny chunks and a tiny credit window so the server cannot run far
 	// ahead of the consumer.
 	remote := dial(t, serve(t, server.NewSingle(st)), client.WithStreamTuning(4, 2))
@@ -579,9 +605,7 @@ func TestRemoteRowsEarlyStop(t *testing.T) {
 // enumeration must return the context error, the server must stop producing,
 // and the connection must survive.
 func TestRemoteRowsContextCancel(t *testing.T) {
-	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 6)
-	g.SetSelectivity(4, 1)
-	st := g.Store()
+	st := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 300, 1200, 6), 4, 1)
 	remote := dial(t, serve(t, server.NewSingle(st)), client.WithStreamTuning(4, 2))
 
 	q := query.Path(3)
@@ -626,9 +650,7 @@ func TestRemoteRowsContextCancel(t *testing.T) {
 // them off), and Serve reports ErrServerClosed.
 func TestShutdownDrains(t *testing.T) {
 	ctx := context.Background()
-	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 7)
-	g.SetSelectivity(4, 1)
-	srv := server.NewSingle(g.Store())
+	srv := server.NewSingle(graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 300, 1200, 7), 4, 1))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestShardCutFromLogicalContents pins the invariant the router relies on:
@@ -144,7 +146,7 @@ func TestShardCutFromLogicalContents(t *testing.T) {
 // attribute — and their counts sum to the unsharded count.
 func TestShardWorkIsSplitNotRepeated(t *testing.T) {
 	ctx := context.Background()
-	s := GenerateGraph(HolmeKim, 5242, 28980, 107).Store()
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 5242, 28980, 107), 1, 107)
 	q, err := s.ParseQuery("triangle", "fwd(a,b), fwd(b,c), fwd(a,c)")
 	if err != nil {
 		t.Fatal(err)

@@ -44,12 +44,12 @@ func checkDomain(op, name string, arity int, t []int64) error {
 	return nil
 }
 
-// Store is the general-schema workload surface: a named collection of
-// relations of arbitrary arity, queried with conjunctive graph-pattern
-// queries over that schema. Where Graph exposes the paper's fixed §5.1
-// benchmark schema (edge/fwd/v1..v4), a Store lets the caller define the
-// schema — directed graphs, edge-labeled graphs (one relation per label),
-// and arbitrary n-ary relations are all ordinary multi-relation schemas.
+// Store is the workload surface: a named collection of relations of
+// arbitrary arity, queried with conjunctive graph-pattern queries over that
+// schema. The caller defines the schema. The paper's §5.1 benchmark schema
+// (edge/fwd/v1..v4, loaded by internal/dataset) is one such schema; directed
+// graphs, edge-labeled graphs (one relation per label), and arbitrary n-ary
+// relations are ordinary multi-relation schemas too.
 //
 // The lifecycle is the one the paper assumes of LogicBlox: define the
 // physical design once (DefineRelation + Load), compile queries against it
@@ -85,12 +85,6 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{db: core.NewDB()}
-}
-
-// newStoreOver adopts an existing database (the Graph constructors build the
-// benchmark schema through internal/dataset and wrap it as a store).
-func newStoreOver(db *core.DB) *Store {
-	return &Store{db: db}
 }
 
 // DefineRelation declares a named relation of the given arity and registers

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/relation"
 )
 
@@ -22,53 +23,6 @@ func relTuples(t *testing.T, s *Store, name string) [][]int64 {
 		out[i] = append([]int64(nil), r.Tuple(i)...)
 	}
 	return out
-}
-
-// storeFromGraph rebuilds a graph's benchmark schema as explicit Store
-// definitions — the "both ways" side of the differential test.
-func storeFromGraph(t *testing.T, g *Graph) *Store {
-	t.Helper()
-	s := NewStore()
-	for _, name := range g.Store().Relations() {
-		arity, err := g.Store().Arity(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DefineRelation(name, arity); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Load(name, relTuples(t, g.Store(), name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
-// TestStoreGraphDifferential builds the benchmark schema both ways — NewGraph
-// (the canned schema) and explicit Store definitions loaded with the same
-// tuples — and requires identical counts across the full query corpus ×
-// both trie-driven engines.
-func TestStoreGraphDifferential(t *testing.T) {
-	ctx := context.Background()
-	g := GenerateGraph(HolmeKim, 250, 900, 3)
-	g.SetSelectivity(25, 5)
-	s := storeFromGraph(t, g)
-	for _, q := range corpusQueries() {
-		for _, alg := range []Algorithm{LFTJ, MS} {
-			opts := Options{Algorithm: alg, Workers: 1}
-			want, err := Count(ctx, g, q, opts)
-			if err != nil {
-				t.Fatalf("%s/%s graph: %v", q.Name, alg, err)
-			}
-			got, err := s.Count(ctx, q, opts)
-			if err != nil {
-				t.Fatalf("%s/%s store: %v", q.Name, alg, err)
-			}
-			if got != want {
-				t.Errorf("%s/%s: store = %d, graph = %d", q.Name, alg, got, want)
-			}
-		}
-	}
 }
 
 // pathStore builds a small directed-edge store for the transaction and batch
@@ -220,9 +174,7 @@ func TestStoreReadTxnConcurrent(t *testing.T) {
 // execution, in request order, with per-request errors isolated.
 func TestStoreBatch(t *testing.T) {
 	ctx := context.Background()
-	g := GenerateGraph(HolmeKim, 250, 900, 3)
-	g.SetSelectivity(25, 5)
-	s := g.Store()
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 25, 5)
 	var reqs []Request
 	var want []int64
 	for _, q := range corpusQueries() {
@@ -504,92 +456,26 @@ func TestStoreApplyKeepsPlansValid(t *testing.T) {
 }
 
 // TestPrepareTypedValidation: unknown algorithm names fail eagerly at
-// Prepare with typed errors, for stores and graphs alike.
+// Prepare with typed errors.
 func TestPrepareTypedValidation(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 50, 100, 1)
-	if _, err := g.Prepare(Triangles(), Options{Algorithm: "nope"}); !errors.Is(err, ErrUnknownAlgorithm) {
+	s := graphStore(t, dataset.Generate(dataset.ErdosRenyi, 50, 100, 1), 1, 1)
+	if _, err := s.Prepare(Triangles(), Options{Algorithm: "nope"}); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm: %v, want ErrUnknownAlgorithm", err)
 	}
 	for _, alg := range Algorithms() {
-		if _, err := g.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1}); err != nil {
+		if _, err := s.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1}); err != nil {
 			t.Errorf("registered algorithm %q failed Prepare: %v", alg, err)
 		}
 	}
 }
 
-// TestCountWithStatsDefaulting pins the documented defaulting contract: the
-// zero Options select ms/sequential (historical behavior), but a caller who
-// sets only Workers gets the normal default engine with those workers — no
-// silent rerouting to ms.
-func TestCountWithStatsDefaulting(t *testing.T) {
-	ctx := context.Background()
-	g := GenerateGraph(BarabasiAlbert, 200, 800, 6)
-	g.SetSelectivity(5, 2)
-	q := Paths(3)
-
-	n0, st0, err := CountWithStats(ctx, g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st0.Probes == 0 {
-		t.Errorf("empty Options should run ms (probes > 0), stats = %+v", st0)
-	}
-
-	// Regression: Workers-only must not be rerouted to ms — the default
-	// engine is lftj, whose signature counter is Seeks.
-	n1, st1, err := CountWithStats(ctx, g, q, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Probes != 0 || st1.Seeks == 0 {
-		t.Errorf("Workers-only Options should run the default engine (lftj): stats = %+v", st1)
-	}
-	if n0 != n1 {
-		t.Errorf("counts disagree across defaulting paths: %d vs %d", n0, n1)
-	}
-
-	// An explicit algorithm is likewise untouched.
-	_, st2, err := CountWithStats(ctx, g, q, Options{Algorithm: LFTJ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Probes != 0 {
-		t.Errorf("explicit lftj rerouted: stats = %+v", st2)
-	}
-
-	// Explicit ms with Workers zero still runs sequentially, so its
-	// ablation counters stay deterministic: two runs report identical
-	// counters.
-	_, stA, err := CountWithStats(ctx, g, q, Options{Algorithm: MS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stB, err := CountWithStats(ctx, g, q, Options{Algorithm: MS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stA != stB {
-		t.Errorf("explicit-ms counters differ across runs:\n%+v\n%+v", stA, stB)
-	}
-	// The execution-side counters match the defaulted-ms run too; only the
-	// planning block differs (the first run compiled the plan, later runs
-	// hit the cache), so normalize it before comparing.
-	norm := func(st ExecStats) ExecStats {
-		st.PlanCacheHits, st.PlanCacheMisses, st.GAODerivations, st.IndexBindings = 0, 0, 0, 0
-		return st
-	}
-	if norm(stA) != norm(st0) {
-		t.Errorf("explicit ms and defaulted ms diverge:\n%+v\n%+v", stA, st0)
-	}
-}
-
-// TestGraphApplyEdges: the Graph-level incremental write path maintains the
-// benchmark schema's invariants (edge symmetric, fwd oriented) and keeps
-// live CSR-backed handles serving current data.
+// TestGraphApplyEdges: undirected edge writes through one ApplyAll maintain
+// the benchmark schema's invariants (edge symmetric, fwd oriented) and keep
+// live handles serving current data.
 func TestGraphApplyEdges(t *testing.T) {
 	ctx := context.Background()
-	g := NewGraph([][2]int64{{0, 1}, {1, 2}})
-	p, err := g.Prepare(Triangles(), Options{Workers: 1})
+	s := edgeStore(t, [][2]int64{{0, 1}, {1, 2}})
+	p, err := s.Prepare(Triangles(), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,122 +483,45 @@ func TestGraphApplyEdges(t *testing.T) {
 		t.Fatalf("initial triangles = %d err = %v", n, err)
 	}
 	// Insert the closing edge reversed: orientation is normalized.
-	if err := g.ApplyEdges([][2]int64{{2, 0}}, nil); err != nil {
+	if err := applyEdges(s, [][2]int64{{2, 0}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := p.Count(ctx); err != nil || n != 1 {
 		t.Fatalf("after insert: triangles = %d err = %v, want 1", n, err)
 	}
 	// The symmetric relation holds both directions of each edge.
-	sym, err := g.Store().ParseQuery("sym", "edge(a, b), edge(b, a)")
+	sym, err := s.ParseQuery("sym", "edge(a, b), edge(b, a)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := g.Store().Count(ctx, sym, Options{Workers: 1}); err != nil || n != 6 {
+	if n, err := s.Count(ctx, sym, Options{Workers: 1}); err != nil || n != 6 {
 		t.Fatalf("symmetric pairs = %d err = %v, want 6", n, err)
 	}
-	if err := g.ApplyEdges(nil, [][2]int64{{0, 2}}); err != nil {
+	if err := applyEdges(s, nil, [][2]int64{{0, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := p.Count(ctx); err != nil || n != 0 {
 		t.Fatalf("after remove: triangles = %d err = %v, want 0", n, err)
 	}
-	// The wrapped graph's accounting follows the writes: a fresh vertex
-	// grows Nodes, the edge count tracks fwd, and SetSelectivity(1) samples
-	// the new vertex (selectivity 1 selects every vertex).
-	if err := g.ApplyEdges([][2]int64{{2, 9}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if g.Nodes() != 10 {
-		t.Errorf("Nodes() = %d after inserting vertex 9, want 10", g.Nodes())
-	}
-	if g.Edges() != 3 {
-		t.Errorf("Edges() = %d, want 3", g.Edges())
-	}
-	g.SetSelectivity(1, 1)
-	hit, err := g.Store().ParseQuery("hit", "v1(a), edge(a, b)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawNine bool
-	if err := g.Store().Enumerate(ctx, hit, Options{Workers: 1}, func(tu []int64) bool {
-		if tu[0] == 9 {
-			sawNine = true
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sawNine {
-		t.Error("selectivity-1 sample misses the vertex added by ApplyEdges")
-	}
 	// An edge on both sides of one batch resolves as delete-after-insert
-	// and never lands, so it must not inflate the vertex accounting.
-	nodes, edges := g.Nodes(), g.Edges()
-	if err := g.ApplyEdges([][2]int64{{0, 5000}}, [][2]int64{{0, 5000}}); err != nil {
+	// and never lands.
+	if err := applyEdges(s, [][2]int64{{0, 5000}}, [][2]int64{{0, 5000}}); err != nil {
 		t.Fatal(err)
 	}
-	if g.Nodes() != nodes || g.Edges() != edges {
-		t.Errorf("insert+remove same edge moved accounting: nodes %d->%d edges %d->%d",
-			nodes, g.Nodes(), edges, g.Edges())
+	if n, err := s.Count(ctx, sym, Options{Workers: 1}); err != nil || n != 4 {
+		t.Errorf("insert+remove of one edge: symmetric pairs = %d err = %v, want 4", n, err)
 	}
 	// Out-of-domain vertices fail with a typed error, not a storage panic.
-	if err := g.ApplyEdges([][2]int64{{-1, 3}}, nil); !errors.Is(err, ErrValueOutOfRange) {
+	if err := applyEdges(s, [][2]int64{{-1, 3}}, nil); !errors.Is(err, ErrValueOutOfRange) {
 		t.Errorf("negative vertex: %v, want ErrValueOutOfRange", err)
 	}
 }
 
-// TestCountViewApplyEdgesAccounting: the view's atomic write path keeps the
-// wrapper accounting in sync, resolves an edge on both sides of one batch
-// as delete-after-insert exactly like Graph.ApplyEdges, and rejects
-// out-of-domain vertices with a typed error.
-func TestCountViewApplyEdgesAccounting(t *testing.T) {
-	ctx := context.Background()
-	g := NewGraph([][2]int64{{0, 1}, {1, 2}})
-	v, err := MaintainCount(ctx, g, Triangles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Edge (0,7) is absent and appears on both sides: delete-after-insert —
-	// it never lands, in the relation or the accounting.
-	nodes, edges := g.Nodes(), g.Edges()
-	if err := v.ApplyEdges(ctx, [][2]int64{{0, 7}}, [][2]int64{{0, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if g.Nodes() != nodes || g.Edges() != edges {
-		t.Errorf("both-sides batch moved accounting: nodes %d->%d edges %d->%d",
-			nodes, g.Nodes(), edges, g.Edges())
-	}
-	// A present edge on both sides is deleted; a plain insert lands. The
-	// accounting and the stored relation stay in lockstep throughout, and
-	// the maintained count tracks the triangle being completed.
-	if err := v.ApplyEdges(ctx, [][2]int64{{1, 2}, {0, 2}}, [][2]int64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	fwd, err := g.DB().Relation("fwd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Edges() != fwd.Len() {
-		t.Errorf("Edges() = %d, fwd holds %d after mixed batch", g.Edges(), fwd.Len())
-	}
-	want, err := Count(ctx, g, Triangles(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Count() != want {
-		t.Errorf("Count() = %d, recount says %d", v.Count(), want)
-	}
-	if err := v.ApplyEdges(ctx, [][2]int64{{2, -9}}, nil); !errors.Is(err, ErrValueOutOfRange) {
-		t.Errorf("negative vertex through view: %v, want ErrValueOutOfRange", err)
-	}
-}
-
-// TestGraphApplyEdgesConcurrent exercises the wrapper accounting under
-// concurrent writers and readers (meaningful under -race), then checks the
-// final accounting against the stored fwd relation.
+// TestGraphApplyEdgesConcurrent runs undirected edge writers concurrently
+// (meaningful under -race), then checks that every edge landed in both
+// relations: edge holds both directions of each fwd tuple.
 func TestGraphApplyEdgesConcurrent(t *testing.T) {
-	g := NewGraph([][2]int64{{0, 1}})
+	s := edgeStore(t, [][2]int64{{0, 1}})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -720,30 +529,32 @@ func TestGraphApplyEdgesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				base := int64(10 + w*100 + i)
-				if err := g.ApplyEdges([][2]int64{{base, base + 1}}, nil); err != nil {
+				if err := applyEdges(s, [][2]int64{{base, base + 1}}, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				_ = g.Nodes()
-				_ = g.Edges()
 			}
 		}(w)
 	}
 	wg.Wait()
-	fwd, err := g.DB().Relation("fwd")
+	fwd, err := s.DB().Len("fwd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Edges() != fwd.Len() {
-		t.Errorf("Edges() = %d, fwd holds %d", g.Edges(), fwd.Len())
+	edge, err := s.DB().Len("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fwd != 81 || edge != 2*fwd {
+		t.Errorf("fwd holds %d edges, edge %d tuples; want 81 and 162", fwd, edge)
 	}
 }
 
 // TestRowsCancellation: cancelling the context mid-stream truncates Rows,
 // surfaces context.Canceled through RowsErr, and stops Enumerate.
 func TestRowsCancellation(t *testing.T) {
-	g := GenerateGraph(BarabasiAlbert, 2000, 8000, 8)
-	p, err := g.Prepare(Triangles(), Options{Workers: 1})
+	s := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 2000, 8000, 8), 1, 8)
+	p, err := s.Prepare(Triangles(), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,8 +610,8 @@ func TestRowsCancellation(t *testing.T) {
 // TestEnumerateCancellation: a context cancelled mid-run stops Enumerate with
 // the context error.
 func TestEnumerateCancellation(t *testing.T) {
-	g := GenerateGraph(BarabasiAlbert, 2000, 8000, 8)
-	p, err := g.Prepare(Triangles(), Options{Workers: 1})
+	s := graphStore(t, dataset.Generate(dataset.BarabasiAlbert, 2000, 8000, 8), 1, 8)
+	p, err := s.Prepare(Triangles(), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -818,8 +629,8 @@ func TestEnumerateCancellation(t *testing.T) {
 	}
 }
 
-// TestStoreDirectedLabeled: the motivating schema the benchmark Graph cannot
-// express — a directed, edge-labeled graph as one relation per label.
+// TestStoreDirectedLabeled: a schema beyond the benchmark's — a directed,
+// edge-labeled graph as one relation per label.
 func TestStoreDirectedLabeled(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -36,24 +35,17 @@ var ErrForeignPrepared = errors.New("prepared handle belongs to a different stor
 type Txn struct {
 	s     *Store
 	lease *core.Lease
-
-	mu      sync.Mutex
-	engines map[*Prepared]core.Engine
 }
 
 // ReadTxn pins the store's current index snapshot and returns a transaction
 // whose executions all observe it. Prepare the handles you will execute
 // before opening the transaction — see the Txn pinning contract.
 func (s *Store) ReadTxn() *Txn {
-	return &Txn{
-		s:       s,
-		lease:   s.db.NewLease(),
-		engines: make(map[*Prepared]core.Engine),
-	}
+	return &Txn{s: s, lease: s.db.NewLease()}
 }
 
-// engineFor returns the engine executing p's plan pinned to this
-// transaction's snapshot, building and memoizing it on first use.
+// engineFor returns an engine executing p's plan pinned to this
+// transaction's snapshot; every execution pins its own copy of the plan.
 func (t *Txn) engineFor(p *Prepared) (core.Engine, error) {
 	if p == nil {
 		return nil, fmt.Errorf("repro: nil Prepared handle")
@@ -61,19 +53,9 @@ func (t *Txn) engineFor(p *Prepared) (core.Engine, error) {
 	if p.s != t.s {
 		return nil, fmt.Errorf("repro: %w", ErrForeignPrepared)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.engines[p]; ok {
-		return e, nil
-	}
 	opts := p.engOpts
 	opts.Plan = t.lease.PinPlan(p.plan)
-	e, err := engine.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	t.engines[p] = e
-	return e, nil
+	return engine.New(opts)
 }
 
 // Count executes the prepared query against the transaction's snapshot and
@@ -100,20 +82,20 @@ func (t *Txn) Enumerate(ctx context.Context, p *Prepared, emit func([]int64) boo
 }
 
 // Rows executes the prepared query against the transaction's snapshot as a
-// streaming iterator; each yielded slice is a fresh copy owned by the
-// consumer. Like Prepared.Rows it discards mid-stream errors — use RowsErr
-// to distinguish a complete stream from a truncated one.
+// streaming iterator; each yielded slice is owned by the consumer. Like
+// Prepared.Rows it discards mid-stream errors — use RowsErr to distinguish a
+// complete stream from a truncated one.
 func (t *Txn) Rows(ctx context.Context, p *Prepared) iter.Seq[[]int64] {
-	return rowsSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return OwnedRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
 
 // RowsErr is Rows with an explicit error: it yields (tuple, nil) for every
 // result and, if execution fails (including a handle the transaction cannot
 // serve), a final (nil, err) pair.
 func (t *Txn) RowsErr(ctx context.Context, p *Prepared) iter.Seq2[[]int64, error] {
-	return rowsErrSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
