@@ -12,7 +12,7 @@ help:
 	@echo "  make race         - Run the test suite under the race detector"
 	@echo "  make lint         - gofmt check + go vet + staticcheck (if installed)"
 	@echo "  make integration  - graphjoind/graphjoin client-server smoke test"
-	@echo "  make bench        - Run all benchmarks"
+	@echo "  make bench        - Run the benchmark that counts (benchmark/run.sh; BENCH_ARGS=...)"
 	@echo "  make bench-smoke  - Run every benchmark once (the CI smoke job)"
 	@echo "  make bench-gate   - Gate bench-smoke.txt against bench-smoke.old.txt"
 	@echo "  make load-smoke   - Boot graphjoind and drive it with graphjoinload"
@@ -45,8 +45,10 @@ lint:
 integration:
 	scripts/integration.sh
 
+# The benchmark BENCHMARK.json declares; BENCH_ARGS passes its flags, e.g.
+# make bench BENCH_ARGS="--workload served_point --seed 101".
 bench:
-	go test -bench . -benchmem -run '^$$' ./...
+	bash benchmark/run.sh $(BENCH_ARGS)
 
 bench-smoke:
 	@go test -bench . -benchtime=1x -run '^$$' ./... > bench-smoke.txt 2>&1; \

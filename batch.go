@@ -7,19 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Request is one unit of a Batch: a prepared query to execute, optionally
-// collecting its result tuples alongside the count.
-type Request struct {
-	// Prepared is the compiled query to execute; it must have been prepared
-	// on the store being batched.
-	Prepared *Prepared
-	// Rows, when true, collects the result tuples (in output order — the
-	// head variables then any aggregate values) into the Result as well as
-	// counting them. Leave false for
-	// count-only workloads — collection materializes the whole result.
-	Rows bool
-}
-
 // Result is the outcome of one batched request.
 type Result struct {
 	// Count is the number of result tuples.
@@ -33,36 +20,29 @@ type Result struct {
 
 // Batch executes many prepared queries concurrently against one shared
 // snapshot of the store — all requests observe the same index state, exactly
-// as if they ran inside a single ReadTxn — with a worker budget of
-// GOMAXPROCS. Results are returned in request order; a failed request
-// reports through its own Result.Err without aborting the rest, and a
-// cancelled context fails the not-yet-started requests with the context
-// error.
+// as if they ran inside a single ReadTxn — through RunBatch. The error is
+// always nil: every failure is a request's own.
 //
 // Requests whose engines parallelize internally (Workers != 1) compete with
 // the batch's own workers; batched workloads usually prepare their queries
 // with Workers: 1 and let Batch supply the parallelism.
-func (s *Store) Batch(ctx context.Context, reqs []Request) []Result {
-	return s.BatchWorkers(ctx, reqs, 0)
+func (s *Store) Batch(ctx context.Context, reqs []BatchRequest) ([]Result, error) {
+	t := s.ReadTxn()
+	defer t.Close()
+	return RunBatch(ctx, t, reqs), nil
 }
 
-// BatchWorkers is Batch with an explicit worker budget (0 means GOMAXPROCS;
-// the budget is clamped to the number of requests).
-func (s *Store) BatchWorkers(ctx context.Context, reqs []Request, workers int) []Result {
+// RunBatch executes reqs inside t with a worker budget of GOMAXPROCS, clamped
+// to the number of requests. Results are returned in request order; a failed
+// request reports through its own Result.Err without aborting the rest — a
+// nil or foreign handle fails through t's own check — and a cancelled context
+// fails the not-yet-started requests with the context error. Rows requests
+// collect owned rows, cut from shared chunks.
+func RunBatch(ctx context.Context, t QueryTxn, reqs []BatchRequest) []Result {
 	results := make([]Result, len(reqs))
-	if len(reqs) == 0 {
-		return results
-	}
-	txn := s.ReadTxn()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(reqs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -71,30 +51,23 @@ func (s *Store) BatchWorkers(ctx context.Context, reqs []Request, workers int) [
 				if i >= len(reqs) {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{Err: err}
+				res, req := &results[i], reqs[i]
+				if res.Err = ctx.Err(); res.Err != nil {
 					continue
 				}
-				results[i] = runRequest(ctx, txn, reqs[i])
+				if !req.Rows {
+					res.Count, res.Err = Exec(ctx, t, req.Prepared, nil)
+					continue
+				}
+				var rows rowChunk
+				_, res.Err = Exec(ctx, t, req.Prepared, func(tuple []int64) bool {
+					res.Rows = append(res.Rows, rows.own(tuple))
+					return true
+				})
+				res.Count = int64(len(res.Rows))
 			}
 		}()
 	}
 	wg.Wait()
 	return results
-}
-
-// runRequest executes one request inside the shared transaction.
-func runRequest(ctx context.Context, txn *Txn, req Request) Result {
-	if !req.Rows {
-		n, err := txn.Count(ctx, req.Prepared)
-		return Result{Count: n, Err: err}
-	}
-	var res Result
-	var rows rowChunk
-	res.Err = txn.Enumerate(ctx, req.Prepared, func(t []int64) bool {
-		res.Rows = append(res.Rows, rows.own(t))
-		return true
-	})
-	res.Count = int64(len(res.Rows))
-	return res
 }

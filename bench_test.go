@@ -8,6 +8,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -229,13 +230,13 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 func BenchmarkStoreBatch(b *testing.B) {
 	ctx := context.Background()
 	s := benchGraph(b, dataset.HolmeKim, 250, 900, 25)
-	var reqs []Request
+	var reqs []BatchRequest
 	for _, q := range corpusQueries() {
 		p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		reqs = append(reqs, Request{Prepared: p})
+		reqs = append(reqs, BatchRequest{Prepared: p})
 	}
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
@@ -250,8 +251,14 @@ func BenchmarkStoreBatch(b *testing.B) {
 	for _, workers := range []int{2, 4} {
 		b.Run(fmt.Sprintf("batch%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
+			// The batch's worker budget is GOMAXPROCS.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			for i := 0; i < b.N; i++ {
-				for _, res := range s.BatchWorkers(ctx, reqs, workers) {
+				results, err := s.Batch(ctx, reqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, res := range results {
 					if res.Err != nil {
 						b.Fatal(res.Err)
 					}

@@ -609,23 +609,14 @@ func (s *Store) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuery
 // Count evaluates the query once (a one-shot convenience over Prepare); see
 // repro.Store.Count.
 func (s *Store) Count(ctx context.Context, q *repro.Query, opts repro.Options) (int64, error) {
-	p, err := s.Prepare(q, opts)
-	if err != nil {
-		return 0, err
-	}
-	defer p.Close()
-	return p.Count(ctx)
+	return repro.ExecOnce(ctx, s, q, opts, nil)
 }
 
 // Enumerate streams the query's results once (one-shot over Prepare); see
 // repro.Store.Enumerate.
 func (s *Store) Enumerate(ctx context.Context, q *repro.Query, opts repro.Options, emit func([]int64) bool) error {
-	p, err := s.Prepare(q, opts)
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	return p.Enumerate(ctx, emit)
+	_, err := repro.ExecOnce(ctx, s, q, opts, emit)
+	return err
 }
 
 // ReadTxn opens a server-side snapshot read-transaction pinned to this

@@ -60,10 +60,10 @@
 // began, regardless of concurrent Apply batches — several counts and row
 // streams that must agree with each other run inside one transaction.
 // Store.Batch executes many prepared queries concurrently against one
-// shared snapshot under a worker budget (the serving regime: prepare once,
-// batch the point lookups). Store.ApplyAll applies update batches to
-// several relations as one atomic write — no snapshot ever observes the
-// relations torn.
+// shared snapshot under a GOMAXPROCS worker budget (the serving regime:
+// prepare once, batch the point lookups). Store.ApplyAll applies update
+// batches to several relations as one atomic write — no snapshot ever
+// observes the relations torn.
 //
 // # Local and remote deployment
 //
@@ -76,7 +76,10 @@
 // server-side against shared indexes, with streaming flow-controlled Rows,
 // remote snapshot transactions, and typed errors that survive the wire for
 // errors.Is. Remote execution is differential-tested to produce
-// byte-identical results to local execution.
+// byte-identical results to local execution. Local is the Store itself
+// behind the interface, and each deployment implements only its own
+// execution: Exec runs a handle inside an optional transaction, and
+// RunBatch is the one batch loop, shared by Store.Batch and the router.
 //
 // Package repro/router adds a third constructor over replicated hosts. It
 // divides a query by one rule, the paper's §4.10 split lifted across

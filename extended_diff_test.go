@@ -396,7 +396,10 @@ func TestExtendedTxnAndBatch(t *testing.T) {
 			got = append(got, row)
 		}
 		requireSameRows(t, "txn rows "+src, got, want)
-		res := s.Batch(ctx, []Request{{Prepared: p, Rows: true}, {Prepared: p}})
+		res, err := s.Batch(ctx, []BatchRequest{{Prepared: p, Rows: true}, {Prepared: p}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range res {
 			if r.Err != nil {
 				t.Fatalf("%s: batch req %d: %v", src, i, r.Err)

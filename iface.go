@@ -2,14 +2,14 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"iter"
 )
 
 // PreparedQuery is the execution surface of a compiled query, shared by the
-// in-process *Prepared handle and the network client's remote handle
-// (package repro/client). Everything Prepare validated — schema, algorithm,
-// GAO — is settled; the methods here are pure execution.
+// in-process *Prepared, the network client's remote handle (package
+// repro/client) and the router's fan-out handle (package repro/router).
+// Everything Prepare validated — schema, algorithm, GAO — is settled; the
+// methods here are pure execution, and Exec runs any of them.
 type PreparedQuery interface {
 	// Query returns the compiled query.
 	Query() *Query
@@ -32,16 +32,19 @@ type PreparedQuery interface {
 	// handle. On a remote handle the counters live server-side; the snapshot
 	// is fetched best-effort and is zero if the connection has failed.
 	Stats() ExecStats
-	// Close releases resources held for the handle. The local implementation
-	// holds none and returns nil; the remote implementation frees the
-	// server-side prepared-statement entry.
+	// Close releases resources held for the handle. *Prepared holds none and
+	// returns nil; a remote handle frees the server-side prepared-statement
+	// entry.
 	Close() error
 }
 
 // QueryTxn is the execution surface of a snapshot read-transaction, shared by
-// the in-process *Txn and the network client's remote transaction. Executions
-// through it observe the index state pinned when the transaction began, no
-// matter how many write batches land concurrently.
+// the in-process *Txn, the network client's remote transaction and the
+// router's distributed one. Executions through it observe the index state
+// pinned when the transaction began, no matter how many write batches land
+// concurrently. Each implementation checks the handles passed to it: a nil
+// handle fails, and one from another store, connection or router fails with
+// ErrForeignPrepared.
 type QueryTxn interface {
 	// Count executes the prepared query against the transaction's snapshot.
 	Count(ctx context.Context, p PreparedQuery) (int64, error)
@@ -51,9 +54,9 @@ type QueryTxn interface {
 	Rows(ctx context.Context, p PreparedQuery) iter.Seq[[]int64]
 	// RowsErr is Rows with the explicit-error protocol.
 	RowsErr(ctx context.Context, p PreparedQuery) iter.Seq2[[]int64, error]
-	// Close releases the transaction. The local implementation needs no
-	// release (the snapshot is garbage-collected) and returns nil; the remote
-	// implementation frees the server-side lease.
+	// Close releases the transaction. *Txn needs no release (the snapshot is
+	// garbage-collected) and returns nil; a remote transaction frees the
+	// server-side lease.
 	Close() error
 }
 
@@ -64,14 +67,15 @@ type RelationInfo struct {
 }
 
 // BatchRequest is one unit of a Querier.Batch: a prepared query to execute,
-// optionally collecting its result tuples alongside the count. It is the
-// implementation-neutral counterpart of Request.
+// optionally collecting its result tuples alongside the count.
 type BatchRequest struct {
 	// Prepared is the compiled query to execute; it must come from the same
 	// Querier the batch runs on (ErrForeignPrepared otherwise).
 	Prepared PreparedQuery
-	// Rows, when true, collects the result tuples into the Result as well as
-	// counting them.
+	// Rows, when true, collects the result tuples (in output order — the
+	// head variables then any aggregate values) into the Result as well as
+	// counting them. Leave false for count-only workloads — collection
+	// materializes the whole result.
 	Rows bool
 }
 
@@ -87,7 +91,8 @@ type BatchRequest struct {
 //
 // Method semantics match Store exactly; see the Store, Prepared, and Txn
 // documentation for the contracts (handles follow writes, transactions pin
-// at begin, batch error isolation).
+// at begin, batch error isolation). A Querier's executions all reduce to
+// Exec, and a Batch that runs its requests one by one to RunBatch.
 type Querier interface {
 	// DefineRelation declares a named relation of the given arity.
 	DefineRelation(name string, arity int) error
@@ -126,124 +131,56 @@ type Querier interface {
 	// batch-level failures only (e.g. a lost connection); per-request
 	// failures land in the individual Results.
 	Batch(ctx context.Context, reqs []BatchRequest) ([]Result, error)
-	// Close releases the querier. The local implementation holds no
-	// resources and returns nil; the remote implementation closes the
-	// connection.
+	// Close releases the querier. Local holds no resources and returns nil
+	// (it never closes the Store); a remote querier closes the connection.
 	Close() error
 }
 
-// Close implements PreparedQuery. A local prepared handle holds no resources
-// beyond its plan (shared via the store's plan cache), so Close is a no-op;
-// it exists so code written against PreparedQuery can release remote handles
-// uniformly.
-func (p *Prepared) Close() error { return nil }
-
-// Local wraps an in-process Store as a Querier — the counterpart of
-// client.Dial for the embedded deployment. The wrapper is a thin adapter:
-// every call delegates to the Store method of the same name, and the
-// interface handles it returns are the ordinary *Prepared and *Txn values.
-func Local(s *Store) Querier { return localQuerier{s} }
-
-type localQuerier struct{ s *Store }
-
-func (l localQuerier) DefineRelation(name string, arity int) error {
-	return l.s.DefineRelation(name, arity)
-}
-func (l localQuerier) Load(name string, tuples [][]int64) error { return l.s.Load(name, tuples) }
-func (l localQuerier) Apply(name string, inserts, deletes [][]int64) error {
-	return l.s.Apply(name, inserts, deletes)
-}
-func (l localQuerier) ApplyAll(batches map[string][]Delta) error { return l.s.ApplyAll(batches) }
-func (l localQuerier) Relations() []string                       { return l.s.Relations() }
-func (l localQuerier) Arity(name string) (int, error)            { return l.s.Arity(name) }
-func (l localQuerier) Schema(ctx context.Context) ([]RelationInfo, error) {
-	names := l.s.Relations()
-	out := make([]RelationInfo, 0, len(names))
-	for _, name := range names {
-		arity, err := l.s.Arity(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, RelationInfo{Name: name, Arity: arity})
+// Exec is the one execution primitive every deployment shares: it runs p
+// inside t when t is non-nil, and on p directly otherwise. A nil emit counts
+// the results; a non-nil emit enumerates them (see PreparedQuery.Enumerate)
+// and Exec returns 0.
+func Exec(ctx context.Context, t QueryTxn, p PreparedQuery, emit func([]int64) bool) (int64, error) {
+	switch {
+	case t != nil && emit != nil:
+		return 0, t.Enumerate(ctx, p, emit)
+	case t != nil:
+		return t.Count(ctx, p)
+	case emit != nil:
+		return 0, p.Enumerate(ctx, emit)
 	}
-	return out, nil
-}
-func (l localQuerier) ParseQuery(name, src string) (*Query, error) {
-	return l.s.ParseQuery(name, src)
-}
-func (l localQuerier) Prepare(q *Query, opts Options) (PreparedQuery, error) {
-	return l.s.Prepare(q, opts)
-}
-func (l localQuerier) Count(ctx context.Context, q *Query, opts Options) (int64, error) {
-	return l.s.Count(ctx, q, opts)
-}
-func (l localQuerier) Enumerate(ctx context.Context, q *Query, opts Options, emit func([]int64) bool) error {
-	return l.s.Enumerate(ctx, q, opts, emit)
-}
-func (l localQuerier) ReadTxn() (QueryTxn, error) { return localTxn{l.s.ReadTxn()}, nil }
-func (l localQuerier) Batch(ctx context.Context, reqs []BatchRequest) ([]Result, error) {
-	results := make([]Result, len(reqs))
-	local := make([]Request, 0, len(reqs))
-	// Map interface requests onto the concrete batch, isolating foreign
-	// handles into their own Results exactly as Batch isolates execution
-	// failures.
-	slot := make([]int, 0, len(reqs))
-	for i, r := range reqs {
-		p, ok := r.Prepared.(*Prepared)
-		if !ok {
-			results[i] = Result{Err: fmt.Errorf("repro: %w", ErrForeignPrepared)}
-			continue
-		}
-		local = append(local, Request{Prepared: p, Rows: r.Rows})
-		slot = append(slot, i)
-	}
-	for j, res := range l.s.Batch(ctx, local) {
-		results[slot[j]] = res
-	}
-	return results, nil
-}
-func (l localQuerier) Close() error { return nil }
-
-// localTxn adapts *Txn (whose methods take the concrete *Prepared) to
-// QueryTxn (whose methods take the shared interface).
-type localTxn struct{ t *Txn }
-
-// unwrap asserts the interface handle back to the local concrete type; a
-// handle from another implementation cannot execute against this store.
-func unwrap(p PreparedQuery) (*Prepared, error) {
-	lp, ok := p.(*Prepared)
-	if !ok {
-		return nil, fmt.Errorf("repro: %w", ErrForeignPrepared)
-	}
-	return lp, nil
+	return p.Count(ctx)
 }
 
-func (l localTxn) Count(ctx context.Context, p PreparedQuery) (int64, error) {
-	lp, err := unwrap(p)
+// ExecOnce is the one-shot execution behind every Querier's Count and
+// Enumerate: it prepares q on qr, runs the handle once through Exec, and
+// closes it.
+func ExecOnce(ctx context.Context, qr Querier, q *Query, opts Options, emit func([]int64) bool) (int64, error) {
+	p, err := qr.Prepare(q, opts)
 	if err != nil {
 		return 0, err
 	}
-	return l.t.Count(ctx, lp)
+	defer p.Close()
+	return Exec(ctx, nil, p, emit)
 }
 
-func (l localTxn) Enumerate(ctx context.Context, p PreparedQuery, emit func([]int64) bool) error {
-	lp, err := unwrap(p)
+// Local wraps an in-process Store as a Querier — the counterpart of
+// client.Dial for the embedded deployment. Every method is the Store's own
+// except three: Prepare and ReadTxn return the ordinary *Prepared and *Txn
+// values as their interface types, and Close is a no-op, so a Querier never
+// closes a durable store's log.
+func Local(s *Store) Querier { return localQuerier{s} }
+
+type localQuerier struct{ *Store }
+
+func (l localQuerier) Prepare(q *Query, opts Options) (PreparedQuery, error) {
+	p, err := l.Store.Prepare(q, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return l.t.Enumerate(ctx, lp, emit)
+	return p, nil
 }
 
-func (l localTxn) Rows(ctx context.Context, p PreparedQuery) iter.Seq[[]int64] {
-	return OwnedRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-		return l.Enumerate(ctx, p, emit)
-	})
-}
+func (l localQuerier) ReadTxn() (QueryTxn, error) { return l.Store.ReadTxn(), nil }
 
-func (l localTxn) RowsErr(ctx context.Context, p PreparedQuery) iter.Seq2[[]int64, error] {
-	return OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-		return l.Enumerate(ctx, p, emit)
-	})
-}
-
-func (l localTxn) Close() error { return nil }
+func (l localQuerier) Close() error { return nil }

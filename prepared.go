@@ -81,6 +81,8 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	}, nil
 }
 
+var _ PreparedQuery = (*Prepared)(nil)
+
 // Query returns the compiled query.
 func (p *Prepared) Query() *Query { return p.q }
 
@@ -91,7 +93,7 @@ func (p *Prepared) Algorithm() string { return p.alg }
 // For aggregate queries that is the number of groups — one tuple per
 // distinct binding of the output variables.
 func (p *Prepared) Count(ctx context.Context) (int64, error) {
-	return p.runCount(ctx, p.eng)
+	return p.exec(ctx, p.eng, nil)
 }
 
 // Enumerate executes the compiled plan, streaming result tuples in output
@@ -99,7 +101,8 @@ func (p *Prepared) Count(ctx context.Context) (int64, error) {
 // plain queries that is q.Vars() order). emit returns false to stop early.
 // The tuple slice is reused between calls — copy it to retain it.
 func (p *Prepared) Enumerate(ctx context.Context, emit func([]int64) bool) error {
-	return p.runEnumerate(ctx, p.eng, emit)
+	_, err := p.exec(ctx, p.eng, emit)
+	return err
 }
 
 // startEngineSpan opens the engine-stage span for one execution, returning
@@ -131,31 +134,28 @@ func (p *Prepared) startEngineSpan(ctx context.Context, stage string) (context.C
 	}
 }
 
-// runCount executes the count path on an engine (the handle's own, or one
-// pinned to a transaction snapshot): aggregate queries count groups,
-// everything else uses the engine's count mode.
-func (p *Prepared) runCount(ctx context.Context, eng core.Engine) (int64, error) {
-	ctx, finish := p.startEngineSpan(ctx, "engine.count")
+// exec runs the plan on an engine (the handle's own, or one pinned to a
+// transaction snapshot). A nil emit counts: aggregate queries count groups,
+// everything else uses the engine's count mode. A non-nil emit enumerates,
+// folding the aggregation spec over the emission, and exec returns 0.
+func (p *Prepared) exec(ctx context.Context, eng core.Engine, emit func([]int64) bool) (int64, error) {
+	stage := "engine.count"
+	if emit != nil {
+		stage = "engine.enumerate"
+	}
+	ctx, finish := p.startEngineSpan(ctx, stage)
 	defer finish()
 	if p.agg != nil {
-		return p.agg.count(func(emit func([]int64) bool) error {
-			return eng.Enumerate(ctx, p.q, p.s.db, emit)
-		})
+		run := func(e func([]int64) bool) error { return eng.Enumerate(ctx, p.q, p.s.db, e) }
+		if emit == nil {
+			return p.agg.count(run)
+		}
+		return 0, p.agg.run(run, emit)
 	}
-	return eng.Count(ctx, p.q, p.s.db)
-}
-
-// runEnumerate executes the enumeration path on an engine, folding the
-// aggregation spec over the emission.
-func (p *Prepared) runEnumerate(ctx context.Context, eng core.Engine, emit func([]int64) bool) error {
-	ctx, finish := p.startEngineSpan(ctx, "engine.enumerate")
-	defer finish()
-	if p.agg != nil {
-		return p.agg.run(func(e func([]int64) bool) error {
-			return eng.Enumerate(ctx, p.q, p.s.db, e)
-		}, emit)
+	if emit == nil {
+		return eng.Count(ctx, p.q, p.s.db)
 	}
-	return eng.Enumerate(ctx, p.q, p.s.db, emit)
+	return 0, eng.Enumerate(ctx, p.q, p.s.db, emit)
 }
 
 // Rows executes the compiled plan as a streaming iterator over result
@@ -238,6 +238,12 @@ func OwnedRowsErr(ctx context.Context, enumerate func(context.Context, func([]in
 // engine-specific counters accumulate across every Count/Enumerate/Rows run,
 // for both engines.
 func (p *Prepared) Stats() ExecStats { return p.sc.Snapshot() }
+
+// Close implements PreparedQuery. A local prepared handle holds no resources
+// beyond its plan (shared via the store's plan cache), so Close is a no-op;
+// it exists so code written against PreparedQuery can release remote handles
+// uniformly.
+func (p *Prepared) Close() error { return nil }
 
 // AtomPlan describes how one query atom is physically bound in a compiled
 // plan.

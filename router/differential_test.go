@@ -424,6 +424,110 @@ func TestRouterBatch(t *testing.T) {
 	}
 }
 
+// TestQuerierContract holds the three deployments — Local, a client dialled
+// to a loopback server, and a router over three Local hosts — to one
+// contract: a failed Prepare returns a nil interface; a Batch fails only the
+// slots of a nil and a foreign handle (the latter with ErrForeignPrepared)
+// and answers the rest as the handle would alone; and a transaction rejects
+// a foreign handle with ErrForeignPrepared.
+func TestQuerierContract(t *testing.T) {
+	ctx := context.Background()
+	edges := wallEdges(300, 100)
+	dialled, err := client.Dial(ctx, serveStore(t, edgeStore(t, edges)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dialled.Close() })
+	hosts := make([]repro.Querier, 3)
+	for i := range hosts {
+		hosts[i] = repro.Local(edgeStore(t, edges))
+	}
+	routed, err := router.New(hosts, nil, router.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { routed.Close() })
+
+	other := repro.Local(edgeStore(t, edges))
+	oq, err := other.ParseQuery("tri", "edge(a, b), edge(b, c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := other.Prepare(oq, repro.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, d := range []struct {
+		name string
+		q    repro.Querier
+	}{
+		{"local", repro.Local(edgeStore(t, edges))},
+		{"client", dialled},
+		{"router", routed},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			q, err := d.q.ParseQuery("tri", "edge(a, b), edge(b, c)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, err := d.q.Prepare(q, repro.Options{Algorithm: "nope"}); err == nil || p != nil {
+				t.Errorf("failed Prepare = (%v, %v), want a nil interface and an error", p, err)
+			}
+			own, err := d.q.Prepare(q, repro.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer own.Close()
+			wantN, err := own.Count(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantRows [][]int64
+			for row := range own.Rows(ctx) {
+				wantRows = append(wantRows, row)
+			}
+
+			res, err := d.q.Batch(ctx, []repro.BatchRequest{
+				{Prepared: own},
+				{Prepared: nil},
+				{Prepared: foreign},
+				{Prepared: own, Rows: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 4 {
+				t.Fatalf("batch returned %d results, want 4", len(res))
+			}
+			if res[0].Err != nil || res[0].Count != wantN {
+				t.Errorf("slot 0 = (%d, %v), want (%d, nil)", res[0].Count, res[0].Err, wantN)
+			}
+			if res[1].Err == nil {
+				t.Error("slot 1: a nil handle should fail its slot")
+			}
+			if !errors.Is(res[2].Err, repro.ErrForeignPrepared) {
+				t.Errorf("slot 2 error = %v, want ErrForeignPrepared", res[2].Err)
+			}
+			if res[3].Err != nil || res[3].Count != int64(len(wantRows)) {
+				t.Errorf("slot 3 = (%d, %v), want (%d, nil)", res[3].Count, res[3].Err, len(wantRows))
+			}
+			if !slices.EqualFunc(res[3].Rows, wantRows, slices.Equal) {
+				t.Error("slot 3 rows differ from Rows()")
+			}
+
+			txn, err := d.q.ReadTxn()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer txn.Close()
+			if _, err := txn.Count(ctx, foreign); !errors.Is(err, repro.ErrForeignPrepared) {
+				t.Errorf("txn Count of a foreign handle = %v, want ErrForeignPrepared", err)
+			}
+		})
+	}
+}
+
 // errHostDown is the sentinel a crashing replica reports mid-stream.
 var errHostDown = errors.New("simulated host crash")
 

@@ -154,112 +154,38 @@ func (p *Prepared) retryUnary(ctx context.Context, f func(ctx context.Context) e
 	}
 }
 
-// countOn runs one host's count, inside txns when provided.
-func (p *Prepared) countOn(ctx context.Context, i int, txns []repro.QueryTxn) (int64, error) {
+// countOn runs one host's count, inside t when it is non-nil.
+func (p *Prepared) countOn(ctx context.Context, i int, t *Txn) (int64, error) {
 	var n int64
 	err := p.retryUnary(ctx, func(ctx context.Context) error {
 		var err error
-		if txns != nil {
-			n, err = txns[p.hostIdx[i]].Count(ctx, p.hosts[i])
-		} else {
-			n, err = p.hosts[i].Count(ctx)
-		}
+		n, err = repro.Exec(ctx, t.host(p.hostIdx[i]), p.hosts[i], nil)
 		return err
 	})
 	return n, err
 }
 
-// snapshot returns the per-host transactions the execution should run
-// under: the caller's (from a user-level Txn), or a fresh internal
-// distributed read-transaction so a fan-out observes one write generation
-// across hosts. release is a no-op for caller-provided transactions.
-func (p *Prepared) snapshot(txns []repro.QueryTxn) (_ []repro.QueryTxn, release func(), err error) {
-	if txns != nil {
-		return txns, func() {}, nil
-	}
-	t, err := p.r.ReadTxn()
-	if err != nil {
-		return nil, nil, err
-	}
-	dt := t.(*Txn)
-	return dt.txns, func() { dt.Close() }, nil
-}
-
-func (p *Prepared) count(ctx context.Context, txns []repro.QueryTxn) (int64, error) {
-	if p.single {
-		return p.countOn(ctx, 0, txns)
-	}
-	txns, release, err := p.snapshot(txns)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	n := len(p.hosts)
-	counts := make([]int64, n)
-	errs := make([]error, n)
-	durations := make([]time.Duration, n)
-	var wg sync.WaitGroup
-	for i := range p.hosts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lctx, sp := p.legSpan(ctx, i)
-			start := time.Now()
-			counts[i], errs[i] = p.countOn(lctx, i, txns)
-			durations[i] = time.Since(start)
-			sp.SetInt("count", counts[i])
-			sp.End()
-			p.r.met.observeHost(p.r.names[p.hostIdx[i]], durations[i])
-		}(i)
-	}
-	wg.Wait()
-	p.r.met.observeFanout(durations)
-	for i, err := range errs {
+// snapshot returns the transaction the execution should run under: the
+// caller's (from a user-level Txn), or a fresh internal distributed
+// read-transaction so a fan-out observes one write generation across hosts.
+// release is a no-op for a caller-provided transaction.
+func (p *Prepared) snapshot(t *Txn) (_ *Txn, release func(), err error) {
+	if t == nil {
+		qt, err := p.r.ReadTxn()
 		if err != nil {
-			return 0, p.r.hostErr(p.hostIdx[i], err)
+			return nil, nil, err
 		}
+		t = qt.(*Txn)
+		return t, func() { t.Close() }, nil
 	}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if p.globalAgg {
-		// The single global group exists iff any host saw a row; per-host
-		// counts are each 0 or 1 and must not sum.
-		if total > 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return total, nil
+	return t, func() {}, nil
 }
 
-func (p *Prepared) enumerate(ctx context.Context, txns []repro.QueryTxn, emit func([]int64) bool) error {
-	if p.single {
-		if txns != nil {
-			return txns[p.hostIdx[0]].Enumerate(ctx, p.hosts[0], emit)
-		}
-		return p.hosts[0].Enumerate(ctx, emit)
-	}
-	txns, release, err := p.snapshot(txns)
-	if err != nil {
-		return err
-	}
-	defer release()
-	if p.globalAgg {
-		return p.foldPartials(ctx, txns, emit)
-	}
-	return p.concat(ctx, txns, emit)
-}
-
-// foldPartials collects each host's partial aggregate row (zero or one per
-// host — the host's fold over its part of the distinct bindings) and folds
-// them into the global row: count and sum partials add, min/max partials
-// fold. Hosts whose part is empty contribute nothing; if every part is
-// empty the merged query emits nothing, matching a single store.
-func (p *Prepared) foldPartials(ctx context.Context, txns []repro.QueryTxn, emit func([]int64) bool) error {
+// fanOut runs leg for every host concurrently, each under its own
+// router.leg span and timed into the per-host and fan-out histograms, and
+// returns the first failing host's error as a *HostError.
+func (p *Prepared) fanOut(ctx context.Context, leg func(ctx context.Context, i int, sp *trace.Span) error) error {
 	n := len(p.hosts)
-	partials := make([][]int64, n)
 	errs := make([]error, n)
 	durations := make([]time.Duration, n)
 	var wg sync.WaitGroup
@@ -269,10 +195,7 @@ func (p *Prepared) foldPartials(ctx context.Context, txns []repro.QueryTxn, emit
 			defer wg.Done()
 			lctx, sp := p.legSpan(ctx, i)
 			start := time.Now()
-			errs[i] = txns[p.hostIdx[i]].Enumerate(lctx, p.hosts[i], func(row []int64) bool {
-				partials[i] = append([]int64(nil), row...)
-				return true
-			})
+			errs[i] = leg(lctx, i, sp)
 			durations[i] = time.Since(start)
 			sp.End()
 			p.r.met.observeHost(p.r.names[p.hostIdx[i]], durations[i])
@@ -284,6 +207,72 @@ func (p *Prepared) foldPartials(ctx context.Context, txns []repro.QueryTxn, emit
 		if err != nil {
 			return p.r.hostErr(p.hostIdx[i], err)
 		}
+	}
+	return nil
+}
+
+func (p *Prepared) count(ctx context.Context, t *Txn) (int64, error) {
+	if p.single {
+		return p.countOn(ctx, 0, t)
+	}
+	t, release, err := p.snapshot(t)
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	counts := make([]int64, len(p.hosts))
+	err = p.fanOut(ctx, func(ctx context.Context, i int, sp *trace.Span) error {
+		var err error
+		counts[i], err = p.countOn(ctx, i, t)
+		sp.SetInt("count", counts[i])
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	if p.globalAgg {
+		// The single global group exists iff any host saw a row; per-host
+		// counts are each 0 or 1 and must not sum.
+		return min(total, 1), nil
+	}
+	return total, nil
+}
+
+func (p *Prepared) enumerate(ctx context.Context, t *Txn, emit func([]int64) bool) error {
+	if p.single {
+		_, err := repro.Exec(ctx, t.host(p.hostIdx[0]), p.hosts[0], emit)
+		return err
+	}
+	t, release, err := p.snapshot(t)
+	if err != nil {
+		return err
+	}
+	defer release()
+	if p.globalAgg {
+		return p.foldPartials(ctx, t, emit)
+	}
+	return p.concat(ctx, t, emit)
+}
+
+// foldPartials collects each host's partial aggregate row (zero or one per
+// host — the host's fold over its part of the distinct bindings) and folds
+// them into the global row: count and sum partials add, min/max partials
+// fold. Hosts whose part is empty contribute nothing; if every part is
+// empty the merged query emits nothing, matching a single store.
+func (p *Prepared) foldPartials(ctx context.Context, t *Txn, emit func([]int64) bool) error {
+	partials := make([][]int64, len(p.hosts))
+	err := p.fanOut(ctx, func(ctx context.Context, i int, _ *trace.Span) error {
+		return t.txns[p.hostIdx[i]].Enumerate(ctx, p.hosts[i], func(row []int64) bool {
+			partials[i] = append([]int64(nil), row...)
+			return true
+		})
+	})
+	if err != nil {
+		return err
 	}
 	var acc []int64
 	for _, part := range partials {
@@ -321,7 +310,7 @@ func (p *Prepared) foldPartials(ctx context.Context, txns []repro.QueryTxn, emit
 // part that does not start after the previous one ended fails it with
 // ErrDiverged rather than repeating rows. The consumer stopping (emit false)
 // cancels every host's execution.
-func (p *Prepared) concat(ctx context.Context, txns []repro.QueryTxn, emit func([]int64) bool) error {
+func (p *Prepared) concat(ctx context.Context, t *Txn, emit func([]int64) bool) error {
 	hctx, cancel := context.WithCancel(ctx)
 	n := len(p.hosts)
 	start := time.Now()
@@ -342,7 +331,7 @@ func (p *Prepared) concat(ctx context.Context, txns []repro.QueryTxn, emit func(
 	run := func(i int, f func([]int64) bool) error {
 		lctx, sp := p.legSpan(hctx, i)
 		var shipped int64
-		err := txns[p.hostIdx[i]].Enumerate(lctx, p.hosts[i], func(row []int64) bool {
+		err := t.txns[p.hostIdx[i]].Enumerate(lctx, p.hosts[i], func(row []int64) bool {
 			shipped++
 			return f(row)
 		})

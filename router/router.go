@@ -461,23 +461,14 @@ func (r *Router) prepareSingle(q *repro.Query, opts repro.Options, owner int, no
 // Count evaluates the query once across the cluster (a one-shot convenience
 // over Prepare).
 func (r *Router) Count(ctx context.Context, q *repro.Query, opts repro.Options) (int64, error) {
-	p, err := r.Prepare(q, opts)
-	if err != nil {
-		return 0, err
-	}
-	defer p.Close()
-	return p.Count(ctx)
+	return repro.ExecOnce(ctx, r, q, opts, nil)
 }
 
 // Enumerate streams the query's results once across the cluster (one-shot
 // over Prepare).
 func (r *Router) Enumerate(ctx context.Context, q *repro.Query, opts repro.Options, emit func([]int64) bool) error {
-	p, err := r.Prepare(q, opts)
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	return p.Enumerate(ctx, emit)
+	_, err := repro.ExecOnce(ctx, r, q, opts, emit)
+	return err
 }
 
 // ReadTxn opens a snapshot lease on every host and returns a distributed
@@ -522,45 +513,15 @@ func (r *Router) ReadTxn() (repro.QueryTxn, error) {
 // snapshot, with per-request error isolation: every request runs inside one
 // internal distributed read-transaction, so the batch observes a single
 // write generation across all hosts, exactly as a store-local Batch observes
-// one snapshot.
+// one snapshot. The requests run through repro.RunBatch, so at most
+// GOMAXPROCS fan-outs are in flight at once.
 func (r *Router) Batch(ctx context.Context, reqs []repro.BatchRequest) ([]repro.Result, error) {
 	t, err := r.ReadTxn()
 	if err != nil {
 		return nil, err
 	}
-	dt := t.(*Txn)
-	defer dt.Close()
-	results := make([]repro.Result, len(reqs))
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		p, ok := req.Prepared.(*Prepared)
-		if !ok || p.r != r {
-			results[i] = repro.Result{Err: fmt.Errorf("router: %w", repro.ErrForeignPrepared)}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, p *Prepared, rows bool) {
-			defer wg.Done()
-			var res repro.Result
-			if rows {
-				for row, err := range repro.OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-					return p.enumerate(ctx, dt.txns, emit)
-				}) {
-					if err != nil {
-						res.Err = err
-						break
-					}
-					res.Rows = append(res.Rows, row)
-				}
-				res.Count = int64(len(res.Rows))
-			} else {
-				res.Count, res.Err = p.count(ctx, dt.txns)
-			}
-			results[i] = res
-		}(i, p, req.Rows)
-	}
-	wg.Wait()
-	return results, nil
+	defer t.Close()
+	return repro.RunBatch(ctx, t, reqs), nil
 }
 
 // Txn is a distributed snapshot read-transaction: one lease per host, all
@@ -575,6 +536,15 @@ type Txn struct {
 }
 
 var _ repro.QueryTxn = (*Txn)(nil)
+
+// host returns host i's transaction, or nil when t is nil so the execution
+// runs outside any transaction.
+func (t *Txn) host(i int) repro.QueryTxn {
+	if t == nil {
+		return nil
+	}
+	return t.txns[i]
+}
 
 // unwrap asserts the shared handle back to this router's routed type.
 func (t *Txn) unwrap(p repro.PreparedQuery) (*Prepared, error) {
@@ -592,7 +562,7 @@ func (t *Txn) Count(ctx context.Context, p repro.PreparedQuery) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return rp.count(ctx, t.txns)
+	return rp.count(ctx, t)
 }
 
 // Enumerate streams the routed query's merged results against the
@@ -602,7 +572,7 @@ func (t *Txn) Enumerate(ctx context.Context, p repro.PreparedQuery, emit func([]
 	if err != nil {
 		return err
 	}
-	return rp.enumerate(ctx, t.txns, emit)
+	return rp.enumerate(ctx, t, emit)
 }
 
 // Rows is Enumerate as a streaming iterator with owned tuple copies.

@@ -570,12 +570,7 @@ func (c *conn) handleCount(ctx context.Context, reqID uint64, body []byte) error
 		return err
 	}
 	fingerprintSpan(ctx, p)
-	var n int64
-	if t != nil {
-		n, err = t.Count(ctx, p)
-	} else {
-		n, err = p.Count(ctx)
-	}
+	n, err := repro.Exec(ctx, t, p, nil)
 	if err != nil {
 		return err
 	}

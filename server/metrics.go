@@ -269,7 +269,7 @@ func (lt *leaseTracker) oldestAge() float64 {
 }
 
 // overlayDepther is the optional store surface behind
-// graphjoind_overlay_depth (*repro.Store has it; remote queriers do not).
+// graphjoind_overlay_depth (repro.Local has it; remote queriers do not).
 type overlayDepther interface{ OverlayDepth() int }
 
 // registerGauges wires one hosted store's polled gauges — admission

@@ -106,22 +106,22 @@ func New(cfg Config) *Server {
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[*conn]struct{}),
 	}
-	register := func(name string, q repro.Querier, depth overlayDepther) {
+	register := func(name string, q repro.Querier) {
 		s.stores[name] = q
 		s.metrics[name] = newStoreMetrics(name)
 		s.admissions[name] = newAdmission(name, cfg.Limits[name])
 		s.leases[name] = newLeaseTracker()
+		depth, _ := q.(overlayDepther)
 		s.registerGauges(name, depth)
 	}
 	for name, q := range cfg.Queriers {
 		if q != nil {
-			depth, _ := q.(overlayDepther)
-			register(name, q, depth)
+			register(name, q)
 		}
 	}
 	for name, st := range cfg.Stores {
 		if st != nil {
-			register(name, repro.Local(st), st)
+			register(name, repro.Local(st))
 		}
 	}
 	if s.logf == nil {

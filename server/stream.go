@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -175,12 +176,7 @@ func (c *conn) handleRows(ctx context.Context, reqID uint64, body []byte) error 
 		}
 		return true
 	}
-	var runErr error
-	if t != nil {
-		runErr = t.Enumerate(ctx, p, emit)
-	} else {
-		runErr = p.Enumerate(ctx, emit)
-	}
+	_, runErr := repro.Exec(ctx, t, p, emit)
 	if runErr == nil && stopErr == nil {
 		stopErr = flush() // final partial chunk
 	}

@@ -137,6 +137,21 @@ func (s *Store) Relations() []string {
 // (ErrUnknownRelation if it does not exist).
 func (s *Store) Arity(name string) (int, error) { return s.db.Arity(name) }
 
+// Schema returns the whole schema — sorted names with arities — in one call
+// (Querier.Schema; the context is unused in process).
+func (s *Store) Schema(context.Context) ([]RelationInfo, error) {
+	names := s.Relations()
+	out := make([]RelationInfo, 0, len(names))
+	for _, name := range names {
+		arity, err := s.Arity(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, RelationInfo{Name: name, Arity: arity})
+	}
+	return out, nil
+}
+
 // Load replaces the named relation's contents with the given tuples in one
 // bulk registration (duplicates merge; tuples must match the declared arity
 // and carry values in [0, relation.PosInf)). Loading rebuilds the relation's
@@ -265,22 +280,15 @@ func (s *Store) Prepare(q *Query, opts Options) (*Prepared, error) {
 // It is a one-shot convenience over Prepare — repeated executions of the
 // same query should hold a Prepared handle instead.
 func (s *Store) Count(ctx context.Context, q *Query, opts Options) (int64, error) {
-	p, err := s.Prepare(q, opts)
-	if err != nil {
-		return 0, err
-	}
-	return p.Count(ctx)
+	return ExecOnce(ctx, Local(s), q, opts, nil)
 }
 
 // Enumerate streams result tuples in output order (the head variables then
 // any aggregate values; q.Vars() order for plain queries); emit returns
 // false to stop early. One-shot convenience over Prepare.
 func (s *Store) Enumerate(ctx context.Context, q *Query, opts Options, emit func([]int64) bool) error {
-	p, err := s.Prepare(q, opts)
-	if err != nil {
-		return err
-	}
-	return p.Enumerate(ctx, emit)
+	_, err := ExecOnce(ctx, Local(s), q, opts, emit)
+	return err
 }
 
 // AGMBound returns the Atserias–Grohe–Marx worst-case output bound of the

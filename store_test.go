@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestStoreReadTxnConcurrent(t *testing.T) {
 func TestStoreBatch(t *testing.T) {
 	ctx := context.Background()
 	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 25, 5)
-	var reqs []Request
+	var reqs []BatchRequest
 	var want []int64
 	for _, q := range corpusQueries() {
 		p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
@@ -186,11 +187,17 @@ func TestStoreBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs = append(reqs, Request{Prepared: p})
+		reqs = append(reqs, BatchRequest{Prepared: p})
 		want = append(want, n)
 	}
+	// The batch's worker budget is GOMAXPROCS; 0 leaves it as it is.
 	for _, workers := range []int{0, 1, 2, 4} {
-		res := s.BatchWorkers(ctx, reqs, workers)
+		prev := runtime.GOMAXPROCS(workers)
+		res, err := s.Batch(ctx, reqs)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res) != len(reqs) {
 			t.Fatalf("workers=%d: %d results for %d requests", workers, len(res), len(reqs))
 		}
@@ -206,7 +213,10 @@ func TestStoreBatch(t *testing.T) {
 
 	// Rows collection delivers the tuples alongside the count.
 	p := reqs[0].Prepared
-	res := s.Batch(ctx, []Request{{Prepared: p, Rows: true}})
+	res, err := s.Batch(ctx, []BatchRequest{{Prepared: p, Rows: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -225,7 +235,10 @@ func TestStoreBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := s.Batch(ctx, []Request{{Prepared: nil}, {Prepared: op}, {Prepared: p}})
+	mixed, err := s.Batch(ctx, []BatchRequest{{Prepared: nil}, {Prepared: op}, {Prepared: p}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mixed[0].Err == nil {
 		t.Error("nil Prepared should fail its request")
 	}
@@ -250,9 +263,9 @@ func TestStoreBatchSharedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]Request, 8)
+	reqs := make([]BatchRequest, 8)
 	for i := range reqs {
-		reqs[i] = Request{Prepared: p}
+		reqs[i] = BatchRequest{Prepared: p}
 	}
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
@@ -269,7 +282,12 @@ func TestStoreBatchSharedSnapshot(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 5; round++ {
-		res := s.BatchWorkers(ctx, reqs, 4)
+		prev := runtime.GOMAXPROCS(4)
+		res, err := s.Batch(ctx, reqs)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range res {
 			if r.Err != nil {
 				t.Fatal(r.Err)

@@ -14,6 +14,8 @@ import (
 // transaction) other than the one it was compiled on.
 var ErrForeignPrepared = errors.New("prepared handle belongs to a different store")
 
+var _ QueryTxn = (*Txn)(nil)
+
 // Txn is a snapshot read-transaction: a transaction pins at begin.
 // Executions through it observe the database generation pinned when ReadTxn
 // was called, no matter how many Apply/ApplyAll batches land concurrently.
@@ -30,8 +32,9 @@ var ErrForeignPrepared = errors.New("prepared handle belongs to a different stor
 // transaction could not have pinned; those are pinned at their first use
 // inside the transaction instead (self-consistent from then on, but that
 // first pin may observe writes that landed after ReadTxn). A Txn is safe for
-// concurrent use and needs no explicit close; dropping it releases the
-// pinned snapshot to the garbage collector.
+// concurrent use and needs no explicit close (Close exists for QueryTxn and
+// returns nil); dropping it releases the pinned snapshot to the garbage
+// collector.
 type Txn struct {
 	s     *Store
 	lease *core.Lease
@@ -44,48 +47,52 @@ func (s *Store) ReadTxn() *Txn {
 	return &Txn{s: s, lease: s.db.NewLease()}
 }
 
-// engineFor returns an engine executing p's plan pinned to this
-// transaction's snapshot; every execution pins its own copy of the plan.
-func (t *Txn) engineFor(p *Prepared) (core.Engine, error) {
-	if p == nil {
-		return nil, fmt.Errorf("repro: nil Prepared handle")
+// engineFor checks that p is a live handle of this transaction's store and
+// returns it with an engine executing its plan pinned to the transaction's
+// snapshot; every execution pins its own copy of the plan.
+func (t *Txn) engineFor(p PreparedQuery) (*Prepared, core.Engine, error) {
+	lp, ok := p.(*Prepared)
+	if p == nil || ok && lp == nil {
+		return nil, nil, fmt.Errorf("repro: nil Prepared handle")
 	}
-	if p.s != t.s {
-		return nil, fmt.Errorf("repro: %w", ErrForeignPrepared)
+	if !ok || lp.s != t.s {
+		return nil, nil, fmt.Errorf("repro: %w", ErrForeignPrepared)
 	}
-	opts := p.engOpts
-	opts.Plan = t.lease.PinPlan(p.plan)
-	return engine.New(opts)
+	opts := lp.engOpts
+	opts.Plan = t.lease.PinPlan(lp.plan)
+	eng, err := engine.New(opts)
+	return lp, eng, err
 }
 
 // Count executes the prepared query against the transaction's snapshot and
 // returns the number of result tuples (for aggregate queries, the number of
 // groups).
-func (t *Txn) Count(ctx context.Context, p *Prepared) (int64, error) {
-	e, err := t.engineFor(p)
+func (t *Txn) Count(ctx context.Context, p PreparedQuery) (int64, error) {
+	lp, eng, err := t.engineFor(p)
 	if err != nil {
 		return 0, err
 	}
-	return p.runCount(ctx, e)
+	return lp.exec(ctx, eng, nil)
 }
 
 // Enumerate executes the prepared query against the transaction's snapshot,
 // streaming result tuples in output order (q.Out() variables then aggregate
 // values; q.Vars() order for plain queries); emit returns false to stop
 // early. The tuple slice is reused between calls — copy it to retain it.
-func (t *Txn) Enumerate(ctx context.Context, p *Prepared, emit func([]int64) bool) error {
-	e, err := t.engineFor(p)
+func (t *Txn) Enumerate(ctx context.Context, p PreparedQuery, emit func([]int64) bool) error {
+	lp, eng, err := t.engineFor(p)
 	if err != nil {
 		return err
 	}
-	return p.runEnumerate(ctx, e, emit)
+	_, err = lp.exec(ctx, eng, emit)
+	return err
 }
 
 // Rows executes the prepared query against the transaction's snapshot as a
 // streaming iterator; each yielded slice is owned by the consumer. Like
 // Prepared.Rows it discards mid-stream errors — use RowsErr to distinguish a
 // complete stream from a truncated one.
-func (t *Txn) Rows(ctx context.Context, p *Prepared) iter.Seq[[]int64] {
+func (t *Txn) Rows(ctx context.Context, p PreparedQuery) iter.Seq[[]int64] {
 	return OwnedRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
 	})
@@ -94,8 +101,12 @@ func (t *Txn) Rows(ctx context.Context, p *Prepared) iter.Seq[[]int64] {
 // RowsErr is Rows with an explicit error: it yields (tuple, nil) for every
 // result and, if execution fails (including a handle the transaction cannot
 // serve), a final (nil, err) pair.
-func (t *Txn) RowsErr(ctx context.Context, p *Prepared) iter.Seq2[[]int64, error] {
+func (t *Txn) RowsErr(ctx context.Context, p PreparedQuery) iter.Seq2[[]int64, error] {
 	return OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
 	})
 }
+
+// Close implements QueryTxn. The pinned snapshot needs no release, so Close
+// returns nil.
+func (t *Txn) Close() error { return nil }
