@@ -76,13 +76,10 @@ func Compile(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	betaCyclic := !hypergraph.BetaAcyclic(q.Atoms)
 	var inSkel []bool
-	var betaCyclic bool
 	if alg == MS {
-		inSkel, betaCyclic = minesweeper.Skeleton(q, gao, opts.MS.DisableSkeleton)
-	} else {
-		_, acyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
-		betaCyclic = !acyclic
+		inSkel = minesweeper.Skeleton(q, gao, betaCyclic, opts.MS.DisableSkeleton)
 	}
 	plan, err := core.NewPlan(q, db, string(alg), gao, inSkel, betaCyclic, "", opts.Stats)
 	if err != nil {

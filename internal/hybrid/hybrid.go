@@ -49,7 +49,7 @@ func splitQuery(q *query.Query) (*split, error) {
 	for k := len(q.Atoms) - 1; k >= 1; k-- {
 		path := q.Atoms[:k]
 		clique := q.Atoms[k:]
-		if !chainValid(path) {
+		if !hypergraph.BetaAcyclic(path) {
 			continue
 		}
 		inPath := make(map[string]bool)
@@ -64,16 +64,11 @@ func splitQuery(q *query.Query) (*split, error) {
 		}
 		// The remainder must be genuinely cyclic — otherwise the whole query
 		// is β-acyclic and Minesweeper alone is the right tool (§5.2.2).
-		if len(shared) == 1 && !chainValid(clique) {
+		if len(shared) == 1 && !hypergraph.BetaAcyclic(clique) {
 			return &split{pathAtoms: path, cliqueAtoms: clique, attachment: shared[0]}, nil
 		}
 	}
 	return nil, fmt.Errorf("hybrid: query %q has no path/clique split with a single attachment variable", q.Name)
-}
-
-func chainValid(atoms []query.Atom) bool {
-	_, ok := hypergraph.FindChainGAO(varsOf(atoms), atoms)
-	return ok
 }
 
 func varsOf(atoms []query.Atom) []string {

@@ -105,7 +105,8 @@ func ScoreGAO(q *query.Query, alg string, gao []string) OrderScore {
 // variables displaced from the key prefix, then (Minesweeper) chain
 // validity, then closeness to q.Vars() — so a query whose own variable
 // order is already cross-join-free keeps it. Plain queries under
-// Minesweeper keep the nested-elimination order of PlanQuery.
+// Minesweeper take a nested elimination order outright (FindChainGAO): the
+// query's own or, when it is β-cyclic, its skeleton's.
 func ChooseGAO(q *query.Query, alg string) (gao []string, keys int) {
 	best, _ := RankGAO(q, alg)
 	return best.GAO, best.Keys
@@ -116,9 +117,7 @@ func ChooseGAO(q *query.Query, alg string) (gao []string, keys int) {
 func RankGAO(q *query.Query, alg string) (best, runnerUp RankedGAO) {
 	pl := newPlanner(q, alg)
 	if alg == minesweeper && !q.PrefixOrdered() && !slices.Contains(pl.pinned, true) {
-		if plan, err := PlanQuery(q); err == nil {
-			return pl.rankNames(plan.GAO), RankedGAO{}
-		}
+		return pl.rankNames(chainOrder(q)), RankedGAO{}
 	}
 	n := len(pl.vars)
 	// The forced prefix: pinned variables, then the first emitted variable.

@@ -11,11 +11,11 @@ import (
 // both engines. The invariants: the order is a permutation of q.Vars();
 // the pinned variables form its prefix; keys counts leading emitted columns
 // that — pinned ones aside — the order enumerates right after that prefix,
-// in output order; and the choice is deterministic. Eight- and nine-variable
-// queries are skipped: they take the same exhaustive search as narrower ones,
-// at seconds per input. Wider ones take the greedy path — under LFTJ only,
-// because Minesweeper's skeleton search (PlanQuery) is exhaustive over their
-// sub-queries.
+// in output order; and the choice is deterministic. Minesweeper skips
+// eight- and nine-variable queries: picking their chain order (FindChainGAO)
+// searches every permutation for the longest path, at seconds per input.
+// Wider queries take the greedy path under LFTJ and nest-point elimination
+// under Minesweeper.
 func FuzzChooseGAO(f *testing.F) {
 	for _, src := range []string{
 		"edge(a, b), edge(b, c)",
@@ -39,11 +39,11 @@ func FuzzChooseGAO(f *testing.F) {
 			return
 		}
 		n := q.NumVars()
-		if (n > 7 && n <= maxExhaustiveVars) || n > maxExhaustiveVars+3 {
+		if n > maxExhaustiveVars+3 {
 			return
 		}
 		algs := []string{"lftj", minesweeper}
-		if n > maxExhaustiveVars {
+		if n > 7 && n <= maxExhaustiveVars {
 			algs = algs[:1]
 		}
 		for _, alg := range algs {
@@ -71,6 +71,53 @@ func FuzzChooseGAO(f *testing.F) {
 			if len(free) > len(gao)-lead || !slices.Equal(gao[lead:lead+len(free)], free) {
 				t.Fatalf("%s [%s]: keys %v do not follow the pinned prefix of %v", src, alg, free, gao)
 			}
+		}
+	})
+}
+
+// FuzzBetaAcyclic holds the β-acyclicity verdict to its definition: for
+// every parsed query of at most seven variables, BetaAcyclic must agree with
+// an exhaustive search for an order that satisfies the chain condition
+// (Prop 4.2). Whenever the verdict is β-acyclic — at any width up to twelve
+// variables but the exhaustive eight and nine — the order FindChainGAO picks
+// must be a chain order of every variable.
+func FuzzBetaAcyclic(f *testing.F) {
+	for _, src := range []string{
+		"edge(a, b), edge(b, c)",
+		"fwd(a,b), fwd(b,c), fwd(a,c)",
+		"r(a, b), s(b, c), t(a, c), u(a, b, c)",
+		"r(a, b, c), s(b, c, d), t(c, d, e)",
+		"v1(a), edge(a, b), edge(b, c), edge(c, d), edge(c, e), edge(d, e)",
+		"e(c, x1), e(c, x2), e(c, x3), e(c, x4), e(c, x5), e(c, x6), e(c, x7), e(c, x8), e(c, x9)",
+		"e(a, b), e(b, c), e(c, d), e(d, e2), e(e2, f2), e(f2, g2), e(g2, h2), e(h2, i2), e(i2, j2), e(j2, a)",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := query.Parse("fuzz", src)
+		if err != nil {
+			return
+		}
+		n := q.NumVars()
+		if (n > 7 && n <= maxExhaustiveVars) || n > maxExhaustiveVars+3 {
+			return
+		}
+		beta := BetaAcyclic(q.Atoms)
+		if n <= 7 {
+			chain := false
+			permute(slices.Clone(q.Vars()), 0, func(p []string) {
+				chain = chain || IsChainGAO(p, q.Atoms)
+			})
+			if beta != chain {
+				t.Fatalf("%s: BetaAcyclic = %v, but a chain order exists = %v", src, beta, chain)
+			}
+		}
+		if !beta {
+			return
+		}
+		gao := FindChainGAO(q.Vars(), q.Atoms)
+		if len(gao) != n || !IsChainGAO(gao, q.Atoms) {
+			t.Fatalf("%s: FindChainGAO = %v, not a chain order of %v", src, gao, q.Vars())
 		}
 	})
 }

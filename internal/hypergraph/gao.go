@@ -1,7 +1,7 @@
 package hypergraph
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/query"
 )
@@ -92,11 +92,14 @@ func coOccur(x, y string, atoms []query.Atom) bool {
 // at most 7 variables.
 const maxExhaustiveVars = 9
 
-// FindChainGAO returns the best chain-valid GAO for the given atoms over the
-// given variable universe, or ok == false if none exists (the sub-hypergraph
-// is β-cyclic). For small queries the search is exhaustive; larger queries
-// fall back to nest-point elimination orders.
-func FindChainGAO(vars []string, atoms []query.Atom) (gao []string, ok bool) {
+// FindChainGAO picks the chain order (IsChainGAO) of vars that Minesweeper
+// runs the atoms under, or nil when there is none (the atoms are
+// β-cyclic). Up to maxExhaustiveVars variables it is the best by GAOScore
+// over every permutation (§4.9's longest path). Wider, it is the
+// nest-point elimination order, or its reverse when that order is not a
+// chain order: reversed, each variable's earlier variables are the ones
+// still present when it was a nest point, so the reverse always is.
+func FindChainGAO(vars []string, atoms []query.Atom) []string {
 	if len(vars) <= maxExhaustiveVars {
 		best, bestScore := []string(nil), -1
 		perm := append([]string(nil), vars...)
@@ -109,17 +112,16 @@ func FindChainGAO(vars []string, atoms []query.Atom) (gao []string, ok bool) {
 				best = append([]string(nil), p...)
 			}
 		})
-		return best, best != nil
+		return best
 	}
-	h := &Hypergraph{Vars: vars}
-	for _, a := range atoms {
-		h.Edges = append(h.Edges, a.Vars)
+	order, ok := eliminate(vars, atoms)
+	if !ok {
+		return nil
 	}
-	order, ok := h.NestPointElimination()
-	if !ok || !IsChainGAO(order, atoms) {
-		return nil, false
+	if !IsChainGAO(order, atoms) {
+		slices.Reverse(order)
 	}
-	return order, true
+	return order
 }
 
 func permute[T any](p []T, k int, visit func([]T)) {
@@ -134,70 +136,29 @@ func permute[T any](p []T, k int, visit func([]T)) {
 	}
 }
 
-// Plan is the structural execution plan for Minesweeper: the GAO, and for
-// β-cyclic queries the β-acyclic skeleton (Idea 7) — the subset of atoms
-// whose gaps become CDS constraints; gaps from the remaining atoms only
-// advance the frontier.
-type Plan struct {
-	GAO        []string
-	Skeleton   []int // atom indices in the skeleton
-	OffSkel    []int // atom indices outside the skeleton
-	BetaCyclic bool  // true if the full query needed a proper skeleton
-}
-
-// PlanQuery computes the GAO and skeleton for a query (paper §4.8, §4.9).
-// For β-acyclic queries the skeleton is the whole query. For β-cyclic
-// queries a maximal chain-valid subset of atoms is chosen greedily and the
-// GAO is optimized for that skeleton (remaining variables, if any, are
-// appended in first-appearance order; the chain condition is preserved
-// because appended variables occur only in off-skeleton atoms).
-func PlanQuery(q *query.Query) (*Plan, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// chainOrder is Minesweeper's order for a plain query (§4.8, §4.9): the
+// chain order of a β-acyclic query, and for a β-cyclic one the chain order
+// of its skeleton (Idea 7) — the atoms kept greedily, in query order (samples
+// and path edges precede clique-closing edges in our builders), while they
+// stay β-acyclic — followed by the variables only the other atoms bind.
+// Those come last, so the order is still a chain order of the skeleton.
+func chainOrder(q *query.Query) []string {
+	if BetaAcyclic(q.Atoms) {
+		return FindChainGAO(q.Vars(), q.Atoms)
 	}
-	if gao, ok := FindChainGAO(q.Vars(), q.Atoms); ok {
-		skeleton := make([]int, len(q.Atoms))
-		for i := range skeleton {
-			skeleton[i] = i
-		}
-		return &Plan{GAO: gao, Skeleton: skeleton}, nil
-	}
-	// Greedy maximal chain-valid subset, preferring earlier atoms (samples
-	// and path edges precede clique-closing edges in our builders).
-	var skeleton []int
 	var kept []query.Atom
-	for i, a := range q.Atoms {
-		trial := append(append([]query.Atom(nil), kept...), a)
-		if _, ok := FindChainGAO(varsOf(trial), trial); ok {
+	for _, a := range q.Atoms {
+		if trial := append(slices.Clip(kept), a); BetaAcyclic(trial) {
 			kept = trial
-			skeleton = append(skeleton, i)
 		}
 	}
-	if len(skeleton) == 0 {
-		return nil, fmt.Errorf("hypergraph: no chain-valid skeleton for query %q", q.Name)
-	}
-	gao, _ := FindChainGAO(varsOf(kept), kept)
-	// Append variables that occur only in off-skeleton atoms.
-	inGAO := make(map[string]bool, len(gao))
-	for _, v := range gao {
-		inGAO[v] = true
-	}
+	gao := FindChainGAO(varsOf(kept), kept)
 	for _, v := range q.Vars() {
-		if !inGAO[v] {
+		if !slices.Contains(gao, v) {
 			gao = append(gao, v)
 		}
 	}
-	plan := &Plan{GAO: gao, Skeleton: skeleton, BetaCyclic: true}
-	inSkel := make(map[int]bool, len(skeleton))
-	for _, i := range skeleton {
-		inSkel[i] = true
-	}
-	for i := range q.Atoms {
-		if !inSkel[i] {
-			plan.OffSkel = append(plan.OffSkel, i)
-		}
-	}
-	return plan, nil
+	return gao
 }
 
 func varsOf(atoms []query.Atom) []string {

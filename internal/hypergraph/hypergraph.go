@@ -1,43 +1,18 @@
 // Package hypergraph analyzes the structure of join queries (paper §2.1):
-// α-acyclicity via GYO ear removal, β-acyclicity via nest-point elimination,
-// join trees for Yannakakis, and — central to Minesweeper — global attribute
-// order (GAO) selection: the chain condition that operationalizes nested
-// elimination orders (Prop 4.2), the paper's longest-path scoring (§4.9),
-// and β-acyclic skeletons for cyclic queries (Idea 7).
+// β-acyclicity via nest-point elimination (BetaAcyclic, the one test of
+// query structure the planner asks), join trees for Yannakakis via GYO ear
+// removal (BuildJoinTree, which fails exactly on α-cyclic queries), and —
+// central to Minesweeper — global attribute order (GAO) selection: the
+// chain condition that operationalizes nested elimination orders
+// (Prop 4.2), the paper's longest-path scoring (§4.9), and β-acyclic
+// skeletons for cyclic queries (Idea 7).
 package hypergraph
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/query"
 )
-
-// Hypergraph is the query hypergraph H(Q) = (V, E): vertices are variables,
-// edges are the variable sets of atoms (deduplicated).
-type Hypergraph struct {
-	Vars  []string
-	Edges [][]string // each sorted by Vars order, deduplicated
-}
-
-// FromQuery builds the hypergraph of a query.
-func FromQuery(q *query.Query) *Hypergraph {
-	idx := q.VarIndex()
-	seen := make(map[string]bool)
-	h := &Hypergraph{Vars: append([]string(nil), q.Vars()...)}
-	for _, a := range q.Atoms {
-		vars := append([]string(nil), a.Vars...)
-		sort.Slice(vars, func(i, j int) bool { return idx[vars[i]] < idx[vars[j]] })
-		key := ""
-		for _, v := range vars {
-			key += v + "|"
-		}
-		if !seen[key] {
-			seen[key] = true
-			h.Edges = append(h.Edges, vars)
-		}
-	}
-	return h
-}
 
 func toSet(vars []string) map[string]bool {
 	s := make(map[string]bool, len(vars))
@@ -56,63 +31,41 @@ func subset(a, b map[string]bool) bool {
 	return true
 }
 
-// IsAlphaAcyclic reports α-acyclicity via the GYO reduction: repeatedly (1)
-// remove vertices that occur in exactly one edge ("ear vertices") and (2)
-// remove edges contained in another edge, until fixpoint. The hypergraph is
-// α-acyclic iff everything is eliminated.
-func (h *Hypergraph) IsAlphaAcyclic() bool {
-	edges := make([]map[string]bool, len(h.Edges))
-	for i, e := range h.Edges {
-		edges[i] = toSet(e)
+// BetaAcyclic reports whether the atoms form a β-acyclic hypergraph: every
+// subset of them is α-acyclic. These are exactly the queries with a GAO
+// that satisfies the chain condition (IsChainGAO, Prop 4.2) — the split
+// between LFTJ's and Minesweeper's guarantees (§4.8). It runs nest-point
+// elimination, polynomial in the query's size, and reads no data.
+func BetaAcyclic(atoms []query.Atom) bool {
+	_, ok := eliminate(varsOf(atoms), atoms)
+	return ok
+}
+
+// eliminate runs nest-point elimination over the atoms' variable sets: it
+// removes a nest point — a variable whose atoms are totally ordered by
+// inclusion — taking the first in vars order, until none is left. The
+// atoms are β-acyclic iff that empties vars; removing a nest point keeps a
+// β-acyclic hypergraph β-acyclic, so the scan order never changes the
+// verdict. order is the elimination order.
+func eliminate(vars []string, atoms []query.Atom) (order []string, ok bool) {
+	edges := make([]map[string]bool, len(atoms))
+	for i, a := range atoms {
+		edges[i] = toSet(a.Vars)
 	}
-	for {
-		changed := false
-		// Remove vertices occurring in exactly one edge.
-		occ := make(map[string]int)
+	remaining := slices.Clone(vars)
+	for len(remaining) > 0 {
+		i := slices.IndexFunc(remaining, func(v string) bool { return nestPoint(v, edges) })
+		if i < 0 {
+			return order, false
+		}
+		v := remaining[i]
+		order = append(order, v)
+		remaining = slices.Delete(remaining, i, i+1)
 		for _, e := range edges {
-			for v := range e {
-				occ[v]++
-			}
-		}
-		for _, e := range edges {
-			for v := range e {
-				if occ[v] == 1 {
-					delete(e, v)
-					changed = true
-				}
-			}
-		}
-		// Remove empty edges and edges contained in another edge.
-		var kept []map[string]bool
-		for i, e := range edges {
-			if len(e) == 0 {
-				changed = true
-				continue
-			}
-			contained := false
-			for j, f := range edges {
-				if i == j {
-					continue
-				}
-				if subset(e, f) && (len(e) < len(f) || i > j) {
-					contained = true
-					break
-				}
-			}
-			if contained {
-				changed = true
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-		if len(edges) == 0 {
-			return true
-		}
-		if !changed {
-			return false
+			delete(e, v)
 		}
 	}
+	return order, true
 }
 
 // nestPoint reports whether vertex v is a nest point: the edges containing v
@@ -132,42 +85,4 @@ func nestPoint(v string, edges []map[string]bool) bool {
 		}
 	}
 	return true
-}
-
-// NestPointElimination attempts to eliminate all vertices by repeatedly
-// removing a nest point. It returns the elimination order and whether the
-// hypergraph is β-acyclic (elimination succeeded). A hypergraph is β-acyclic
-// iff every subhypergraph is α-acyclic, equivalently iff nest-point
-// elimination empties it.
-func (h *Hypergraph) NestPointElimination() (order []string, ok bool) {
-	edges := make([]map[string]bool, len(h.Edges))
-	for i, e := range h.Edges {
-		edges[i] = toSet(e)
-	}
-	remaining := append([]string(nil), h.Vars...)
-	for len(remaining) > 0 {
-		found := -1
-		for i, v := range remaining {
-			if nestPoint(v, edges) {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return order, false
-		}
-		v := remaining[found]
-		order = append(order, v)
-		remaining = append(remaining[:found], remaining[found+1:]...)
-		for _, e := range edges {
-			delete(e, v)
-		}
-	}
-	return order, true
-}
-
-// IsBetaAcyclic reports β-acyclicity.
-func (h *Hypergraph) IsBetaAcyclic() bool {
-	_, ok := h.NestPointElimination()
-	return ok
 }

@@ -30,8 +30,8 @@ func TestAlphaAcyclic(t *testing.T) {
 		), true},
 	}
 	for _, c := range cases {
-		if got := FromQuery(c.q).IsAlphaAcyclic(); got != c.want {
-			t.Errorf("%s: IsAlphaAcyclic = %v, want %v", c.name, got, c.want)
+		if _, err := BuildJoinTree(c.q); (err == nil) != c.want {
+			t.Errorf("%s: BuildJoinTree error = %v, want α-acyclic %v", c.name, err, c.want)
 		}
 	}
 }
@@ -52,6 +52,12 @@ func TestBetaAcyclic(t *testing.T) {
 		{"comb", query.Comb(), true},
 		{"2lollipop", query.Lollipop(2), false},
 		{"3lollipop", query.Lollipop(3), false},
+		// Two atoms over one variable set count as one edge.
+		{"dupEdges", query.New("dup",
+			query.Atom{Rel: "R", Vars: []string{"a", "b"}},
+			query.Atom{Rel: "S", Vars: []string{"a", "b"}},
+			query.Atom{Rel: "T", Vars: []string{"b", "c"}},
+		), true},
 		{"alphaOnly", query.New("ao",
 			query.Atom{Rel: "R", Vars: []string{"a", "b"}},
 			query.Atom{Rel: "S", Vars: []string{"b", "c"}},
@@ -60,8 +66,8 @@ func TestBetaAcyclic(t *testing.T) {
 		), false},
 	}
 	for _, c := range cases {
-		if got := FromQuery(c.q).IsBetaAcyclic(); got != c.want {
-			t.Errorf("%s: IsBetaAcyclic = %v, want %v", c.name, got, c.want)
+		if got := BetaAcyclic(c.q.Atoms); got != c.want {
+			t.Errorf("%s: BetaAcyclic = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -97,8 +103,8 @@ func split(s string) []string {
 // best NEO is the path order A,B,C,D,E (Table 4).
 func TestFindChainGAOPicksLongestPath(t *testing.T) {
 	q := query.Path(4)
-	gao, ok := FindChainGAO(q.Vars(), q.Atoms)
-	if !ok {
+	gao := FindChainGAO(q.Vars(), q.Atoms)
+	if gao == nil {
 		t.Fatal("4-path should have a chain GAO")
 	}
 	if got := strings.Join(gao, ""); got != "abcde" && got != "edcba" {
@@ -113,7 +119,7 @@ func TestFindChainGAOPicksLongestPath(t *testing.T) {
 
 func TestFindChainGAOCyclicFails(t *testing.T) {
 	q := query.Clique(3)
-	if _, ok := FindChainGAO(q.Vars(), q.Atoms); ok {
+	if gao := FindChainGAO(q.Vars(), q.Atoms); gao != nil {
 		t.Error("3-clique should not admit a chain GAO")
 	}
 }
@@ -127,70 +133,11 @@ func TestChainGAOMatchesBetaAcyclicity(t *testing.T) {
 		query.Path(3), query.Path(4), query.Tree(1), query.Tree(2),
 		query.Comb(), query.Lollipop(2), query.Lollipop(3),
 	} {
-		_, hasGAO := FindChainGAO(q.Vars(), q.Atoms)
-		beta := FromQuery(q).IsBetaAcyclic()
+		hasGAO := FindChainGAO(q.Vars(), q.Atoms) != nil
+		beta := BetaAcyclic(q.Atoms)
 		if hasGAO != beta {
 			t.Errorf("%s: chain GAO exists = %v but β-acyclic = %v", q.Name, hasGAO, beta)
 		}
-	}
-}
-
-func TestPlanQueryAcyclic(t *testing.T) {
-	plan, err := PlanQuery(query.Path(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.BetaCyclic || len(plan.Skeleton) != 5 || len(plan.OffSkel) != 0 {
-		t.Errorf("3-path plan = %+v, want full skeleton", plan)
-	}
-	if !IsChainGAO(plan.GAO, query.Path(3).Atoms) {
-		t.Error("3-path plan GAO not chain-valid")
-	}
-}
-
-func TestPlanQueryTriangleSkeleton(t *testing.T) {
-	q := query.Clique(3)
-	plan, err := PlanQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.BetaCyclic {
-		t.Fatal("3-clique should be β-cyclic")
-	}
-	if len(plan.Skeleton) != 2 || len(plan.OffSkel) != 1 {
-		t.Errorf("3-clique skeleton = %v offskel = %v, want 2/1 split", plan.Skeleton, plan.OffSkel)
-	}
-	var kept []query.Atom
-	for _, i := range plan.Skeleton {
-		kept = append(kept, q.Atoms[i])
-	}
-	if !IsChainGAO(plan.GAO, kept) {
-		t.Error("skeleton GAO not chain-valid for skeleton atoms")
-	}
-	if len(plan.GAO) != 3 {
-		t.Errorf("GAO %v must cover all 3 variables", plan.GAO)
-	}
-}
-
-func TestPlanQueryLollipop(t *testing.T) {
-	plan, err := PlanQuery(query.Lollipop(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.BetaCyclic {
-		t.Fatal("2-lollipop should be β-cyclic")
-	}
-	if len(plan.GAO) != 5 {
-		t.Errorf("GAO %v must cover all 5 variables", plan.GAO)
-	}
-	if len(plan.Skeleton)+len(plan.OffSkel) != 6 {
-		t.Errorf("skeleton %v + offskel %v must cover 6 atoms", plan.Skeleton, plan.OffSkel)
-	}
-}
-
-func TestPlanQueryInvalid(t *testing.T) {
-	if _, err := PlanQuery(query.New("empty")); err == nil {
-		t.Error("PlanQuery on empty query should fail")
 	}
 }
 
@@ -263,24 +210,9 @@ func TestJoinTreeTreeQueries(t *testing.T) {
 	}
 }
 
-func TestFromQueryDedupsEdges(t *testing.T) {
-	q := query.Clique(3)
-	h := FromQuery(q)
-	if len(h.Edges) != 3 {
-		t.Errorf("triangle hypergraph has %d edges, want 3", len(h.Edges))
-	}
-	q2 := query.New("dup",
-		query.Atom{Rel: "R", Vars: []string{"a", "b"}},
-		query.Atom{Rel: "S", Vars: []string{"a", "b"}},
-	)
-	if h2 := FromQuery(q2); len(h2.Edges) != 1 {
-		t.Errorf("duplicate edge sets not merged: %v", h2.Edges)
-	}
-}
-
 func TestNestPointEliminationOrder(t *testing.T) {
 	q := query.Path(4)
-	order, ok := FromQuery(q).NestPointElimination()
+	order, ok := eliminate(q.Vars(), q.Atoms)
 	if !ok {
 		t.Fatal("4-path should be nest-point eliminable")
 	}

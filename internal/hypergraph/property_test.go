@@ -1,4 +1,4 @@
-package hypergraph
+package hypergraph_test
 
 import (
 	"fmt"
@@ -6,6 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
+	"repro/internal/hypergraph"
+	"repro/internal/minesweeper"
 	"repro/internal/query"
 )
 
@@ -39,14 +42,14 @@ func TestFindChainGAOSelfConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomBinaryQuery(rng)
-		gao, ok := FindChainGAO(q.Vars(), q.Atoms)
-		if !ok {
+		gao := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
+		if gao == nil {
 			return true
 		}
 		if len(gao) != q.NumVars() {
 			return false
 		}
-		return IsChainGAO(gao, q.Atoms)
+		return hypergraph.IsChainGAO(gao, q.Atoms)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -58,38 +61,101 @@ func TestBetaAcyclicImpliesChainGAO(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomBinaryQuery(rng)
-		if !FromQuery(q).IsBetaAcyclic() {
+		if !hypergraph.BetaAcyclic(q.Atoms) {
 			return true
 		}
-		_, ok := FindChainGAO(q.Vars(), q.Atoms)
-		return ok
+		return hypergraph.FindChainGAO(q.Vars(), q.Atoms) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: PlanQuery always yields a GAO covering all variables, a
-// chain-valid skeleton, and a partition of the atoms.
+// skeleton is q's Minesweeper plan as engine.Compile builds it: the
+// planner's order, the β-cyclicity verdict, and the atoms
+// minesweeper.Skeleton puts in the skeleton (in) and leaves out (off).
+func skeleton(q *query.Query) (gao []string, betaCyclic bool, in, off []int) {
+	gao, _ = hypergraph.ChooseGAO(q, "ms")
+	betaCyclic = !hypergraph.BetaAcyclic(q.Atoms)
+	for i, ok := range minesweeper.Skeleton(q, gao, betaCyclic, false) {
+		if ok {
+			in = append(in, i)
+		} else {
+			off = append(off, i)
+		}
+	}
+	return gao, betaCyclic, in, off
+}
+
+func atomsAt(q *query.Query, idx []int) []query.Atom {
+	var out []query.Atom
+	for _, i := range idx {
+		out = append(out, q.Atoms[i])
+	}
+	return out
+}
+
+func TestPlanQueryAcyclic(t *testing.T) {
+	q := query.Path(3)
+	gao, betaCyclic, in, off := skeleton(q)
+	if betaCyclic || len(in) != 5 || len(off) != 0 {
+		t.Errorf("3-path plan = %v β-cyclic %v skeleton %v off %v, want full skeleton", gao, betaCyclic, in, off)
+	}
+	if !hypergraph.IsChainGAO(gao, q.Atoms) {
+		t.Error("3-path plan GAO not chain-valid")
+	}
+}
+
+func TestPlanQueryTriangleSkeleton(t *testing.T) {
+	q := query.Clique(3)
+	gao, betaCyclic, in, off := skeleton(q)
+	if !betaCyclic {
+		t.Fatal("3-clique should be β-cyclic")
+	}
+	if len(in) != 2 || len(off) != 1 {
+		t.Errorf("3-clique skeleton = %v offskel = %v, want 2/1 split", in, off)
+	}
+	if !hypergraph.IsChainGAO(gao, atomsAt(q, in)) {
+		t.Error("skeleton GAO not chain-valid for skeleton atoms")
+	}
+	if len(gao) != 3 {
+		t.Errorf("GAO %v must cover all 3 variables", gao)
+	}
+}
+
+func TestPlanQueryLollipop(t *testing.T) {
+	gao, betaCyclic, in, off := skeleton(query.Lollipop(2))
+	if !betaCyclic {
+		t.Fatal("2-lollipop should be β-cyclic")
+	}
+	if len(gao) != 5 {
+		t.Errorf("GAO %v must cover all 5 variables", gao)
+	}
+	if len(in)+len(off) != 6 {
+		t.Errorf("skeleton %v + offskel %v must cover 6 atoms", in, off)
+	}
+}
+
+func TestPlanQueryInvalid(t *testing.T) {
+	if _, err := engine.ResolveGAO(engine.Options{Algorithm: engine.MS}, query.New("empty")); err == nil {
+		t.Error("planning an empty query should fail")
+	}
+}
+
+// Property: the Minesweeper plan always has a GAO covering all variables, a
+// non-empty chain-valid skeleton, and a partition of the atoms.
 func TestPlanQueryInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomBinaryQuery(rng)
-		plan, err := PlanQuery(q)
-		if err != nil {
-			return true // some random queries legitimately have no skeleton
-		}
-		if len(plan.GAO) != q.NumVars() {
+		gao, _, in, off := skeleton(q)
+		if len(gao) != q.NumVars() {
 			return false
 		}
-		if len(plan.Skeleton)+len(plan.OffSkel) != len(q.Atoms) {
+		if len(in) == 0 || len(in)+len(off) != len(q.Atoms) {
 			return false
 		}
-		var kept []query.Atom
-		for _, i := range plan.Skeleton {
-			kept = append(kept, q.Atoms[i])
-		}
-		return IsChainGAO(plan.GAO, kept)
+		return hypergraph.IsChainGAO(gao, atomsAt(q, in))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

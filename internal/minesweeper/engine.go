@@ -202,19 +202,17 @@ func Run(ctx context.Context, plan *core.Plan, opts Options, r core.Range, sc *c
 
 // Skeleton picks the atoms whose gaps become CDS constraints under gao
 // (§4.8, §4.9), the compilation half of the engine. All atoms stay in the
-// skeleton when the order satisfies the chain condition or when the query
-// is β-acyclic anyway (Table 4 runs non-NEO orders through the cache-free
-// fallback); for β-cyclic queries a greedy chain-valid subset is used
-// unless disable (Idea 7 off). betaCyclic reports whether the query is
-// β-cyclic.
-func Skeleton(q *query.Query, gao []string, disable bool) (inSkel []bool, betaCyclic bool) {
-	inSkel = make([]bool, len(q.Atoms))
-	_, betaAcyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
-	if disable || betaAcyclic || hypergraph.IsChainGAO(gao, q.Atoms) {
+// skeleton when the query is β-acyclic anyway (betaCyclic false; Table 4
+// runs non-NEO orders through the cache-free fallback), when the order
+// satisfies the chain condition, or when disable (Idea 7 off); otherwise a
+// greedy chain-valid subset is used.
+func Skeleton(q *query.Query, gao []string, betaCyclic, disable bool) []bool {
+	inSkel := make([]bool, len(q.Atoms))
+	if disable || !betaCyclic || hypergraph.IsChainGAO(gao, q.Atoms) {
 		for i := range inSkel {
 			inSkel[i] = true
 		}
-		return inSkel, !betaAcyclic
+		return inSkel
 	}
 	var kept []query.Atom
 	for i, a := range q.Atoms {
@@ -224,7 +222,7 @@ func Skeleton(q *query.Query, gao []string, disable bool) (inSkel []bool, betaCy
 			inSkel[i] = true
 		}
 	}
-	return inSkel, true
+	return inSkel
 }
 
 // loop is Minesweeper's outer algorithm (Algorithm 3) with Ideas 2, 4, 7 and

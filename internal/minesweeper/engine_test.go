@@ -15,13 +15,15 @@ import (
 )
 
 // compile builds the plan the engine package compiles for q under opts: the
-// order gao, or the planner's when gao is nil, and Skeleton's split.
+// order gao, or the planner's when gao is nil, the β-acyclicity verdict
+// and Skeleton's split.
 func compile(t testing.TB, q *query.Query, db *core.DB, gao []string, opts Options) *core.Plan {
 	t.Helper()
 	if gao == nil {
 		gao, _ = hypergraph.ChooseGAO(q, "ms")
 	}
-	inSkel, betaCyclic := Skeleton(q, gao, opts.DisableSkeleton)
+	betaCyclic := !hypergraph.BetaAcyclic(q.Atoms)
+	inSkel := Skeleton(q, gao, betaCyclic, opts.DisableSkeleton)
 	plan, err := core.NewPlan(q, db, "ms", gao, inSkel, betaCyclic, "", nil)
 	if err != nil {
 		t.Fatalf("compile %s: %v", q.Name, err)
