@@ -38,6 +38,34 @@ func TestRowsChunkedAllocs(t *testing.T) {
 	}
 }
 
+// TestTxnExecAllocs gates the transaction path: a Count inside a ReadTxn
+// hands the engine the transaction's generation and builds nothing per
+// execution, so it allocates exactly what the handle's own Count does.
+func TestTxnExecAllocs(t *testing.T) {
+	ctx := context.Background()
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 400, 2000, 3), 1, 3)
+	for _, alg := range []Algorithm{LFTJ, MS} {
+		p, err := s.Prepare(Triangles(), Options{Algorithm: alg, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn := s.ReadTxn()
+		count := func(run func(context.Context) (int64, error)) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := run(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		direct := count(p.Count)
+		inTxn := count(func(ctx context.Context) (int64, error) { return txn.Count(ctx, p) })
+		t.Logf("%s: Prepared.Count %.0f allocs, Txn.Count %.0f", alg, direct, inTxn)
+		if inTxn != direct {
+			t.Errorf("%s: Txn.Count allocates %.1f objects, Prepared.Count %.1f: want the same", alg, inTxn, direct)
+		}
+	}
+}
+
 // TestApplyAllocsIndependentOfRelationSize gates the O(batch) write path: a
 // 64+64-tuple Store.Apply with two attribute orders bound allocates a few
 // dozen KiB for the overlay logs and nothing proportional to the relation —

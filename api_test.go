@@ -149,7 +149,7 @@ func TestIdeaTogglesAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := minesweeper.Run(ctx, plan, ms, core.FullRange, nil, nil)
+		got, err := minesweeper.Run(ctx, plan, plan.Pin(), ms, core.FullRange, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

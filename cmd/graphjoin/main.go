@@ -208,16 +208,11 @@ func run() error {
 	defer p.Close()
 	prepElapsed := time.Since(prepStart)
 	if *explain {
-		switch pp := p.(type) {
-		case *repro.Prepared:
-			fmt.Print(pp.Explain())
-		case *client.Prepared:
-			text, err := pp.Explain(ctx)
-			if err != nil {
-				return fmt.Errorf("explain: %w", err)
-			}
-			fmt.Print(text)
+		text, err := repro.ExplainText(ctx, p)
+		if err != nil {
+			return fmt.Errorf("explain: %w", err)
 		}
+		fmt.Print(text)
 	}
 
 	// Under -trace the executions run inside a client root span: every Count

@@ -174,7 +174,11 @@ func run() error {
 	}
 	defer closeSlowLog()
 
-	srv := server.New(server.Config{Stores: stores, Limits: limits, Logf: func(format string, args ...any) {
+	queriers := make(map[string]repro.Querier, len(stores))
+	for name, st := range stores {
+		queriers[name] = repro.Local(st)
+	}
+	srv := server.New(server.Config{Queriers: queriers, Limits: limits, Logf: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "graphjoind: "+format+"\n", args...)
 	}, Trace: server.TraceConfig{
 		SlowQuery:    time.Duration(*slowQueryMs) * time.Millisecond,

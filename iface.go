@@ -152,6 +152,23 @@ func Exec(ctx context.Context, t QueryTxn, p PreparedQuery, emit func([]int64) b
 	return p.Count(ctx)
 }
 
+// ExplainText renders p's compiled plan. Explain is not on the
+// PreparedQuery seam, and it comes in two shapes: a local handle's
+// Explain() Explanation, and the Explain(ctx) (string, error) of a remote or
+// routed handle, which fetches the text. ExplainText accepts both, and
+// returns "" for a handle that has neither.
+func ExplainText(ctx context.Context, p PreparedQuery) (string, error) {
+	switch h := p.(type) {
+	case interface{ Explain() Explanation }:
+		return h.Explain().String(), nil
+	case interface {
+		Explain(context.Context) (string, error)
+	}:
+		return h.Explain(ctx)
+	}
+	return "", nil
+}
+
 // ExecOnce is the one-shot execution behind every Querier's Count and
 // Enumerate: it prepares q on qr, runs the handle once through Exec, and
 // closes it.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -39,16 +40,32 @@ const (
 // count the unprojected, unfiltered result.
 var errPlainJoinsOnly = errors.New("bench: baseline engines run plain natural joins only")
 
-// prepare returns the engine for one cell: a compiled serving engine for
-// lftj and ms, a baseline otherwise.
-func prepare(opts engine.Options, q *query.Query, db *core.DB) (core.Engine, error) {
+// counter is what a cell runs: the Count of a baseline's core.Engine, or of
+// compiled for the serving engines.
+type counter interface {
+	Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error)
+}
+
+// compiled counts a plan through engine.Run; its query and database
+// arguments are the plan's own.
+type compiled struct {
+	plan *core.Plan
+	opts engine.Options
+}
+
+func (c *compiled) Count(ctx context.Context, _ *query.Query, _ *core.DB) (int64, error) {
+	return engine.Run(ctx, c.plan, nil, &c.opts, nil)
+}
+
+// prepare returns the counter for one cell: a compiled plan for lftj and ms,
+// a baseline otherwise.
+func prepare(opts engine.Options, q *query.Query, db *core.DB) (counter, error) {
 	if opts.Algorithm == engine.LFTJ || opts.Algorithm == engine.MS {
 		plan, err := engine.Compile(opts, q, db)
 		if err != nil {
 			return nil, err
 		}
-		opts.Plan = plan
-		return engine.New(opts)
+		return &compiled{plan: plan, opts: opts}, nil
 	}
 	return baseline(opts, q)
 }

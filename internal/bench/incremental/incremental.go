@@ -129,7 +129,7 @@ func (v *View) run(ctx context.Context, q *query.Query) (int64, error) {
 		return 0, err
 	}
 	v.sc.Add(core.Stats{Executions: 1})
-	return lftj.Run(ctx, plan, core.FullRange, v.sc, nil)
+	return lftj.Run(ctx, plan, plan.Pin(), core.FullRange, v.sc, nil)
 }
 
 // planFor returns a plan for q. The base compilation is cached across
@@ -199,7 +199,7 @@ func (v *View) Recount(ctx context.Context) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return lftj.Run(ctx, plan, core.FullRange, nil, nil)
+	return lftj.Run(ctx, plan, plan.Pin(), core.FullRange, nil, nil)
 }
 
 // UpdateRelation applies inserts and deletes to one relation and corrects

@@ -165,7 +165,7 @@ func TestPinnedGeneration(t *testing.T) {
 	}
 	gen := plan.Pin()
 	if gen != db.Pin() {
-		t.Fatal("an unpinned plan did not pin the current generation")
+		t.Fatal("Plan.Pin did not return the current generation")
 	}
 	idx := plan.Atoms[0].Index
 	if plan.Atoms[1].Index != idx || gen.Overlay(plan.Atoms[1].Index) != gen.Overlay(idx) {
@@ -182,10 +182,6 @@ func TestPinnedGeneration(t *testing.T) {
 	}
 	if _, found := plan.Pin().Overlay(idx).ProbeGap([]int64{9, 9}); !found {
 		t.Error("the next execution misses the post-delta tuple")
-	}
-	pinned := plan.PinnedTo(gen)
-	if pinned.Pin() != gen {
-		t.Error("a pinned plan does not read its generation")
 	}
 	// Add replaces the relation: the old index leaves the generation, and a
 	// plan compiled before keeps reading its last contents.
@@ -285,7 +281,7 @@ func TestLeaseFirstUsePin(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			pins[i] = lease.PinPlan(rev).Pin().Overlay(idx)
+			pins[i] = lease.Pin(rev).Overlay(idx)
 		}()
 	}
 	wg.Wait()
@@ -297,10 +293,10 @@ func TestLeaseFirstUsePin(t *testing.T) {
 	if err := db.ApplyDelta("edge", [][]int64{{9, 99}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if lease.PinPlan(rev).Pin().Overlay(idx) != pins[0] {
+	if lease.Pin(rev).Overlay(idx) != pins[0] {
 		t.Error("a later use through the lease did not read its first-use pin")
 	}
-	if n := lease.PinPlan(fwd).Pin().Overlay(fwd.Atoms[0].Index).Len(); n != 5 {
+	if n := lease.Pin(fwd).Overlay(fwd.Atoms[0].Index).Len(); n != 5 {
 		t.Errorf("an index bound before the lease reads %d tuples through it, want the 5 at its begin", n)
 	}
 	if pins[0].Len() < 6 {

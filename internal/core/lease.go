@@ -2,13 +2,13 @@ package core
 
 import "sync/atomic"
 
-// Lease is a pinned generation held across many executions: every plan
-// pinned through it (PinPlan) reads the database as of the lease's begin, no
-// matter how many writes land in between. It is the mechanism behind the
-// public Store.ReadTxn and Store.Batch surfaces. This is the one freshness
-// rule: a plan executed directly pins the current generation at the start
-// of each execution, a plan executed through a lease sees the generation
-// current at the lease's begin.
+// Lease is a pinned generation held across many executions: every execution
+// handed the generation Pin returns reads the database as of the lease's
+// begin, no matter how many writes land in between. It is the mechanism
+// behind the public Store.ReadTxn and Store.Batch surfaces. This is the one
+// freshness rule: an execution outside a lease pins the current generation
+// at its start, an execution through a lease sees the generation current at
+// the lease's begin.
 //
 // An index first bound after the lease began is missing from that
 // generation. It is pinned at its first use through the lease instead, and
@@ -28,15 +28,14 @@ func (db *DB) NewLease() *Lease {
 	return l
 }
 
-// PinPlan returns a copy of the plan whose every execution reads the lease's
-// generation, first extending the lease by any index of the plan it does not
-// carry yet.
-func (l *Lease) PinPlan(p *Plan) *Plan {
+// Pin returns the lease's generation for an execution of p, first extending
+// the lease by any index of the plan it does not carry yet.
+func (l *Lease) Pin(p *Plan) *Generation {
 	for {
 		g := l.gen.Load()
 		ext := g.with(p.Atoms)
 		if ext == g || l.gen.CompareAndSwap(g, ext) {
-			return p.PinnedTo(ext)
+			return ext
 		}
 	}
 }

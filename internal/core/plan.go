@@ -13,9 +13,10 @@ import (
 // once). Engines that execute plans skip validation, attribute-order
 // resolution, and index binding entirely on every run. A Plan is immutable
 // after construction and safe to share across goroutines: DB.ApplyDelta
-// advances its bound indexes through new generations, each execution pins
-// one generation (Plan.Pin), and each execution builds its own iterator and
-// memo state.
+// advances its bound indexes through new generations, and each execution
+// builds its own iterator and memo state. A plan holds no generation: each
+// execution is handed the one it reads — a transaction's (Lease.Pin), or the
+// current one (Plan.Pin) — as an argument.
 type Plan struct {
 	// Query is the compiled query.
 	Query *query.Query
@@ -35,29 +36,13 @@ type Plan struct {
 	// Push carries the compiled selection bounds, residual predicates, and
 	// output shape (Emit/Keys) of an extended query; nil for plain joins.
 	Push *Pushdown
-	// db is the database the atoms are bound in. pinned, when set, is the
-	// generation every execution of the plan reads (PinnedTo); nil means
-	// each execution pins the database's current generation at its start.
-	db     *DB
-	pinned *Generation
+	// db is the database the atoms are bound in.
+	db *DB
 }
 
-// Pin returns the generation one execution of the plan reads: the pinned
-// one, else the database's current generation. Engines call it once, at the
-// start of an execution.
-func (p *Plan) Pin() *Generation {
-	if p.pinned != nil {
-		return p.pinned
-	}
-	return p.db.Pin()
-}
-
-// PinnedTo returns a copy of the plan whose every execution reads g.
-func (p *Plan) PinnedTo(g *Generation) *Plan {
-	cp := *p
-	cp.pinned = g
-	return &cp
-}
+// Pin returns the database's current generation, for an execution outside a
+// transaction: engine.Run calls it once, at the start of the execution.
+func (p *Plan) Pin() *Generation { return p.db.Pin() }
 
 // Range is a half-open range [Lo, Hi) of first-GAO-variable values: the
 // §4.10 part or job one execution of a plan is restricted to.

@@ -1,12 +1,13 @@
-// Package engine runs the paper's two join engines — Leapfrog Triejoin and
-// Minesweeper — behind one interface and implements the §4.10
-// multi-threading strategy: the output space is partitioned into
-// p = workers × granularity jobs on the first GAO attribute, submitted to a
-// worker pool; idle workers grab the next unclaimed job (work stealing),
-// because on skewed graphs "the parts are not born equal". The same cut
-// divides a distributed fan-out: Options.Part runs one part of it. The paper's
-// outside baselines (psql, MonetDB, GraphLab, Yannakakis, generic join and
-// the §4.12 hybrid) are not served; internal/bench runs them.
+// Package engine compiles plans for the paper's two join engines — Leapfrog
+// Triejoin and Minesweeper — and runs them through one call, Run, which
+// implements the §4.10 multi-threading strategy: the output space is
+// partitioned into p = workers × granularity jobs on the first GAO
+// attribute, submitted to a worker pool; idle workers grab the next
+// unclaimed job (work stealing), because on skewed graphs "the parts are not
+// born equal". The same cut divides a distributed fan-out: Options.Part runs
+// one part of it. The paper's outside baselines (psql, MonetDB, GraphLab,
+// Yannakakis, generic join and the §4.12 hybrid) are not served;
+// internal/bench runs them.
 package engine
 
 import (
@@ -22,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lftj"
 	"repro/internal/minesweeper"
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -64,7 +64,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("engine: %w %q (want one of %s)", ErrUnknownAlgorithm, s, strings.Join(names, ", "))
 }
 
-// Options configure compilation (Compile) and execution (New).
+// Options configure compilation (Compile) and execution (Run).
 type Options struct {
 	Algorithm Algorithm
 	// Workers sets the worker-pool size; 0 means GOMAXPROCS, 1 disables
@@ -77,17 +77,15 @@ type Options struct {
 	MS minesweeper.Options
 	// GAO overrides the attribute order.
 	GAO []string
-	// Plan is the compiled plan New's engine executes; see Compile.
-	Plan *core.Plan
 	// Stats, when non-nil, receives compilation and execution counters on
 	// the unified core stats surface.
 	Stats *core.StatsCollector
 	// Part, when set, restricts execution to one part of the output space:
 	// part Part.Part of Part.Of contiguous ranges of the first GAO variable,
-	// cut from the data by the §4.10 split rule (keys.bounds). Each execution
-	// cuts from the generation it pins, so stores holding the same logical
-	// contents cut the same parts, and Workers split the part again by the
-	// same rule. The caller checks that the variable partitions the rows
+	// cut by the §4.10 split rule (keys.bounds) from the generation the
+	// execution reads, so stores holding the same logical contents cut the
+	// same parts, and Workers split the part again by the same rule. The
+	// caller checks that the variable partitions the rows
 	// (query.PartitionedBy).
 	Part *Part
 }
@@ -98,113 +96,71 @@ type Part struct {
 	Part, Of uint64
 }
 
-// New returns the engine executing opts.Plan, which Compile built under
-// the same algorithm. Its Count and Enumerate run the plan: their query and
-// database arguments are the plan's own.
-func New(opts Options) (core.Engine, error) {
-	if opts.Algorithm != LFTJ && opts.Algorithm != MS {
-		return nil, fmt.Errorf("engine: %w %q", ErrUnknownAlgorithm, opts.Algorithm)
+// Run executes plan, which Compile built, on generation gen, and returns the
+// number of rows. A nil gen reads the database's current generation, pinned
+// once, here; a transaction passes its lease's. A nil emit counts, split into
+// §4.10 jobs when opts.Workers allows more than one. A non-nil emit
+// enumerates single-threaded, so rows arrive in order; it returns false to
+// stop. opts.Part restricts the run to its part, cut from gen. Run adds one
+// execution and the run's counters to opts.Stats.
+func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, opts *Options, emit func([]int64) bool) (int64, error) {
+	opts.Stats.Add(core.Stats{Executions: 1})
+	if gen == nil {
+		gen = plan.Pin()
 	}
-	if opts.Plan == nil {
-		return nil, fmt.Errorf("engine: no compiled plan")
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return &parallel{opts: opts}, nil
+	if opts.Part == nil && (emit != nil || workers == 1) {
+		return run(ctx, plan, gen, opts, core.FullRange, emit)
+	}
+	k := leadKeys(plan, gen)
+	r := core.FullRange
+	if pt := opts.Part; pt != nil {
+		if r = k.cut(r, pt.Part, pt.Of); r.Empty() {
+			return 0, nil
+		}
+	}
+	// A projected query whose first attribute is not in its output is left
+	// whole: the same row could surface in several jobs.
+	var jobs []core.Range
+	if emit == nil && workers > 1 && plan.Query.PartitionedBy(plan.GAO[0]) {
+		jobs = k.split(r, workers*granularity(plan, opts))
+	}
+	if len(jobs) <= 1 {
+		return run(ctx, plan, gen, opts, r, emit)
+	}
+	// Never more workers than jobs: Workers arrives unchecked from clients,
+	// and each worker costs a goroutine and an error-channel slot.
+	return pool(ctx, plan, gen, opts, jobs, min(workers, len(jobs)))
 }
 
-// parallel partitions Count across first-attribute ranges; Enumerate runs
-// single-threaded (deterministic emission order). Both run only their part
-// when Options.Part is set.
-type parallel struct {
-	opts Options
-}
-
-// Name implements core.Engine.
-func (p *parallel) Name() string { return string(p.opts.Algorithm) }
-
-// run executes plan over the first-variable values in r; a nil emit counts.
-func (p *parallel) run(ctx context.Context, plan *core.Plan, r core.Range, emit func([]int64) bool) (int64, error) {
-	if p.opts.Algorithm == LFTJ {
-		return lftj.Run(ctx, plan, r, p.opts.Stats, emit)
+// run executes plan on gen over the first-variable values in r, on the
+// engine the plan was compiled for.
+func run(ctx context.Context, plan *core.Plan, gen *core.Generation, opts *Options, r core.Range, emit func([]int64) bool) (int64, error) {
+	if plan.Algorithm == string(LFTJ) {
+		return lftj.Run(ctx, plan, gen, r, opts.Stats, emit)
 	}
-	return minesweeper.Run(ctx, plan, p.opts.MS, r, p.opts.Stats, emit)
-}
-
-func (p *parallel) workers() int {
-	if p.opts.Workers > 0 {
-		return p.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+	return minesweeper.Run(ctx, plan, gen, opts.MS, r, opts.Stats, emit)
 }
 
 // granularity applies the paper's default f (§4.10): 1 for β-acyclic
 // queries, 8 for cyclic ones, "determined after minor micro experiments".
-func (p *parallel) granularity() int {
+func granularity(plan *core.Plan, opts *Options) int {
 	switch {
-	case p.opts.Granularity > 0:
-		return p.opts.Granularity
-	case p.opts.Plan.BetaCyclic:
+	case opts.Granularity > 0:
+		return opts.Granularity
+	case plan.BetaCyclic:
 		return 8
 	}
 	return 1
 }
 
-// pin returns the plan pinned to the generation one execution reads, and
-// the part of Options.Part cut from that generation (the full range when no
-// part is set) with the key set it was cut from. A part is cut, and its jobs
-// are split and run, from that one database state. A transaction's plan is
-// already pinned to its lease, so every store under one routed transaction
-// cuts the same contents.
-func (p *parallel) pin() (*core.Plan, core.Range, keys) {
-	gen := p.opts.Plan.Pin()
-	plan := p.opts.Plan.PinnedTo(gen)
-	k := leadKeys(plan, gen)
-	r := core.FullRange
-	if pt := p.opts.Part; pt != nil {
-		r = k.cut(r, pt.Part, pt.Of)
-	}
-	return plan, r, k
-}
-
-// Enumerate implements core.Engine.
-func (p *parallel) Enumerate(ctx context.Context, _ *query.Query, _ *core.DB, emit func([]int64) bool) error {
-	p.opts.Stats.Add(core.Stats{Executions: 1})
-	if emit == nil {
-		return fmt.Errorf("engine: nil emit")
-	}
-	plan, r := p.opts.Plan, core.FullRange
-	if p.opts.Part != nil {
-		plan, r, _ = p.pin()
-	}
-	if r.Empty() {
-		return nil
-	}
-	_, err := p.run(ctx, plan, r, emit)
-	return err
-}
-
-// Count implements core.Engine.
-func (p *parallel) Count(ctx context.Context, _ *query.Query, _ *core.DB) (int64, error) {
-	p.opts.Stats.Add(core.Stats{Executions: 1})
-	workers := p.workers()
-	if workers <= 1 && p.opts.Part == nil {
-		return p.run(ctx, p.opts.Plan, core.FullRange, nil)
-	}
-	plan, r, k := p.pin()
-	if r.Empty() {
-		return 0, nil
-	}
-	// A projected query whose first attribute is not in its output is left
-	// whole: the same row could surface in several jobs.
-	var jobs []core.Range
-	if workers > 1 && plan.Query.PartitionedBy(plan.GAO[0]) {
-		jobs = k.split(r, workers*p.granularity())
-	}
-	if len(jobs) <= 1 {
-		return p.run(ctx, plan, r, nil)
-	}
-	// Never more workers than jobs: Workers arrives unchecked from clients,
-	// and each worker costs a goroutine and an error-channel slot.
-	workers = min(workers, len(jobs))
+// pool counts jobs on a pool of workers, each claiming the next unclaimed
+// job as it goes idle (work stealing), and returns the sum. It is its own
+// function so that the goroutines' captures stay off Run's sequential path.
+func pool(ctx context.Context, plan *core.Plan, gen *core.Generation, opts *Options, jobs []core.Range, workers int) (int64, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var total atomic.Int64
@@ -226,7 +182,7 @@ func (p *parallel) Count(ctx context.Context, _ *query.Query, _ *core.DB) (int64
 				}
 				// Each job is a fresh run: per-job CDS and memo state,
 				// released before the next job is claimed (§4.10).
-				n, err := p.run(ctx, plan, job, nil)
+				n, err := run(ctx, plan, gen, opts, job, nil)
 				if err != nil {
 					errCh <- err
 					cancel()

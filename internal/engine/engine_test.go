@@ -12,19 +12,14 @@ import (
 	"repro/internal/testutil"
 )
 
-// prepare compiles q under opts and returns the engine running the plan.
-func prepare(t *testing.T, opts Options, q *query.Query, db *core.DB) core.Engine {
+// compile compiles q under opts.
+func compile(t *testing.T, opts Options, q *query.Query, db *core.DB) *core.Plan {
 	t.Helper()
 	plan, err := Compile(opts, q, db)
 	if err != nil {
 		t.Fatalf("Compile(%s, %s): %v", opts.Algorithm, q.Name, err)
 	}
-	opts.Plan = plan
-	e, err := New(opts)
-	if err != nil {
-		t.Fatalf("New(%s): %v", opts.Algorithm, err)
-	}
-	return e
+	return plan
 }
 
 // oracle counts q's rows with the naive engine.
@@ -40,17 +35,11 @@ func oracle(t *testing.T, q *query.Query, db *core.DB) int64 {
 func TestRegistryAllAlgorithms(t *testing.T) {
 	db := testutil.GraphDB(testutil.K4, nil)
 	for _, a := range Algorithms() {
-		if e := prepare(t, Options{Algorithm: a}, query.Clique(3), db); e.Name() != string(a) {
-			t.Errorf("%s: name %q", a, e.Name())
-		}
-		if _, err := New(Options{Algorithm: a}); err == nil {
-			t.Errorf("New(%s) without a plan succeeded", a)
+		if plan := compile(t, Options{Algorithm: a}, query.Clique(3), db); plan.Algorithm != string(a) {
+			t.Errorf("%s: plan compiled for %q", a, plan.Algorithm)
 		}
 	}
 	for _, name := range []Algorithm{"nope", "psql", "hybrid"} {
-		if _, err := New(Options{Algorithm: name}); !errors.Is(err, ErrUnknownAlgorithm) {
-			t.Errorf("New(%q): %v, want ErrUnknownAlgorithm", name, err)
-		}
 		if _, err := Compile(Options{Algorithm: name}, query.Clique(3), db); !errors.Is(err, ErrUnknownAlgorithm) {
 			t.Errorf("Compile(%q): %v, want ErrUnknownAlgorithm", name, err)
 		}
@@ -71,8 +60,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		for _, alg := range []Algorithm{LFTJ, MS} {
 			for _, workers := range []int{1, 2, 4} {
 				for _, f := range []int{0, 1, 3, 8} {
-					e := prepare(t, Options{Algorithm: alg, Workers: workers, Granularity: f}, q, db)
-					got, err := e.Count(context.Background(), q, db)
+					opts := Options{Algorithm: alg, Workers: workers, Granularity: f}
+					got, err := Run(context.Background(), compile(t, opts, q, db), nil, &opts, nil)
 					if err != nil {
 						t.Fatalf("%s %s w=%d f=%d: %v", alg, q.Name, workers, f, err)
 					}
@@ -91,8 +80,8 @@ func TestAllEnginesAgreeOnTriangle(t *testing.T) {
 	q := query.Clique(3)
 	want := oracle(t, q, db)
 	for _, a := range Algorithms() {
-		e := prepare(t, Options{Algorithm: a, Workers: 2}, q, db)
-		got, err := e.Count(context.Background(), q, db)
+		opts := Options{Algorithm: a, Workers: 2}
+		got, err := Run(context.Background(), compile(t, opts, q, db), nil, &opts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
@@ -168,9 +157,9 @@ func TestSplitJobsCoverage(t *testing.T) {
 func TestParallelEnumerateSequentialOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 10, 30, 2)
-	e := prepare(t, Options{Algorithm: MS, Workers: 4}, query.Clique(3), db)
+	opts := Options{Algorithm: MS, Workers: 4}
 	n := 0
-	if err := e.Enumerate(context.Background(), query.Clique(3), db, func([]int64) bool {
+	if _, err := Run(context.Background(), compile(t, opts, query.Clique(3), db), nil, &opts, func([]int64) bool {
 		n++
 		return true
 	}); err != nil {
@@ -184,10 +173,11 @@ func TestParallelEnumerateSequentialOrder(t *testing.T) {
 func TestParallelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 200, 5000, 2)
-	e := prepare(t, Options{Algorithm: LFTJ, Workers: 4}, query.Clique(4), db)
+	opts := Options{Algorithm: LFTJ, Workers: 4}
+	plan := compile(t, opts, query.Clique(4), db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Count(ctx, query.Clique(4), db); err == nil {
+	if _, err := Run(ctx, plan, nil, &opts, nil); err == nil {
 		t.Error("cancelled context should surface an error")
 	}
 }
@@ -198,8 +188,8 @@ func TestGAOOverridePropagates(t *testing.T) {
 	q := query.Path(3)
 	want := oracle(t, q, db)
 	for _, alg := range []Algorithm{LFTJ, MS} {
-		e := prepare(t, Options{Algorithm: alg, GAO: []string{"d", "c", "b", "a"}, Workers: 2}, q, db)
-		got, err := e.Count(context.Background(), q, db)
+		opts := Options{Algorithm: alg, GAO: []string{"d", "c", "b", "a"}, Workers: 2}
+		got, err := Run(context.Background(), compile(t, opts, q, db), nil, &opts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}

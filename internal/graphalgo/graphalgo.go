@@ -46,10 +46,6 @@ func BuildAdjacency(db *core.DB) (*Adjacency, error) {
 	return a, nil
 }
 
-// Neighbors returns the sorted neighbor list of u (the edge relation is
-// sorted, so insertion order is already sorted).
-func (a *Adjacency) Neighbors(u int64) []int64 { return a.adj[u] }
-
 // BFS returns the hop distance from src to every reachable vertex
 // (unreachable vertices are absent).
 func (a *Adjacency) BFS(ctx context.Context, src int64) (map[int64]int, error) {

@@ -115,12 +115,15 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 	if err != nil {
 		return 0, err
 	}
+	// Both halves read one generation, so a concurrent write cannot land
+	// between them.
+	gen := db.Pin()
 	// Path part: enumerate with Minesweeper, counting bindings per
 	// attachment value. Enumerating (rather than counting) is required: the
 	// multiplier differs per attachment vertex.
 	attachIdx := slices.Index(path.Query.Vars(), sp.attachment)
 	pathCounts := make(map[int64]int64)
-	if _, err := minesweeper.Run(ctx, path, minesweeper.Options{}, core.FullRange, nil, func(t []int64) bool {
+	if _, err := minesweeper.Run(ctx, path, gen, minesweeper.Options{}, core.FullRange, nil, func(t []int64) bool {
 		pathCounts[t[attachIdx]]++
 		return true
 	}); err != nil {
@@ -134,7 +137,7 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		cnt, err := lftj.Run(ctx, clique, attachment(v), nil, nil)
+		cnt, err := lftj.Run(ctx, clique, gen, attachment(v), nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -160,6 +163,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	if err != nil {
 		return err
 	}
+	gen := db.Pin()
 	idx := q.VarIndex()
 	perm := func(vars []string) []int {
 		p := make([]int, len(vars))
@@ -174,11 +178,11 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	cliqueCache := make(map[int64][][]int64)
 	out := make([]int64, q.NumVars())
 	var cliqueErr error
-	_, err = minesweeper.Run(ctx, path, minesweeper.Options{}, core.FullRange, nil, func(pt []int64) bool {
+	_, err = minesweeper.Run(ctx, path, gen, minesweeper.Options{}, core.FullRange, nil, func(pt []int64) bool {
 		v := pt[attachPath]
 		rows, ok := cliqueCache[v]
 		if !ok {
-			if _, cliqueErr = lftj.Run(ctx, clique, attachment(v), nil, func(ct []int64) bool {
+			if _, cliqueErr = lftj.Run(ctx, clique, gen, attachment(v), nil, func(ct []int64) bool {
 				rows = append(rows, append([]int64(nil), ct...))
 				return true
 			}); cliqueErr != nil {

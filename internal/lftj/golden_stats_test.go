@@ -46,7 +46,7 @@ func TestStatsGolden(t *testing.T) {
 		q := query.MustParse(g.name, g.src)
 		var sc core.StatsCollector
 		var rows int64
-		_, err := Run(context.Background(), compile(t, q, db, nil), core.FullRange, &sc, func([]int64) bool { rows++; return true })
+		_, err := Run(context.Background(), compile(t, q, db, nil), db.Pin(), core.FullRange, &sc, func([]int64) bool { rows++; return true })
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}

@@ -29,18 +29,16 @@ type Options struct {
 // Count runs the plan and returns its number of result tuples; q and db are
 // the plan's own.
 func (e Engine) Count(ctx context.Context, _ *query.Query, _ *core.DB) (int64, error) {
-	return Run(ctx, e.Opts.Plan, core.FullRange, nil, nil)
+	return Run(ctx, e.Opts.Plan, e.Opts.Plan.Pin(), core.FullRange, nil, nil)
 }
 
-// Run executes a compiled plan over the first-variable values in r, on the
-// generation plan.Pin returns, and adds the run's counters to sc (which may
-// be nil). Each row goes to emit, which returns false to stop; a nil emit
-// only counts. Run returns the number of rows.
-func Run(ctx context.Context, plan *core.Plan, r core.Range, sc *core.StatsCollector, emit func([]int64) bool) (int64, error) {
+// Run executes a compiled plan over the first-variable values in r, on
+// generation gen, and adds the run's counters to sc (which may be nil). The
+// whole run reads gen, so a concurrent write can never mix two database
+// states mid-join. Each row goes to emit, which returns false to stop; a nil
+// emit only counts. Run returns the number of rows.
+func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Range, sc *core.StatsCollector, emit func([]int64) bool) (int64, error) {
 	gao, push := plan.GAO, plan.Push
-	// The generation the whole run reads: pinned once, here, so a concurrent
-	// write can never mix two database states mid-join.
-	gen := plan.Pin()
 	ex := &exec{
 		n:       len(gao),
 		last:    push.EmitDepth(len(gao)) - 1,

@@ -31,7 +31,7 @@ func compile(t testing.TB, q *query.Query, db *core.DB, gao []string) *core.Plan
 // countIn counts plan's rows in r.
 func countIn(t *testing.T, plan *core.Plan, r core.Range) int64 {
 	t.Helper()
-	n, err := Run(context.Background(), plan, r, nil, nil)
+	n, err := Run(context.Background(), plan, plan.Pin(), r, nil, nil)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", plan.Query.Name, err)
 	}
@@ -47,7 +47,7 @@ func count(t *testing.T, q *query.Query, db *core.DB) int64 {
 // enumerate runs q under the planner's order, emitting to emit.
 func enumerate(t *testing.T, q *query.Query, db *core.DB, emit func([]int64) bool) error {
 	t.Helper()
-	_, err := Run(context.Background(), compile(t, q, db, nil), core.FullRange, nil, emit)
+	_, err := Run(context.Background(), compile(t, q, db, nil), db.Pin(), core.FullRange, nil, emit)
 	return err
 }
 
@@ -188,7 +188,7 @@ func TestCancellation(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 200, 4000, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, compile(t, query.Clique(4), db, nil), core.FullRange, nil, nil); err == nil {
+	if _, err := Run(ctx, compile(t, query.Clique(4), db, nil), db.Pin(), core.FullRange, nil, nil); err == nil {
 		t.Error("cancelled context should surface an error")
 	}
 }

@@ -23,7 +23,7 @@ func TestMinesweeperSteadyStateAllocs(t *testing.T) {
 	plan := compile(t, q, db, nil, Options{})
 	ctx := context.Background()
 	var sc core.StatsCollector
-	if _, err := Run(ctx, plan, Options{}, core.FullRange, &sc, nil); err != nil {
+	if _, err := Run(ctx, plan, plan.Pin(), Options{}, core.FullRange, &sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	stats := sc.Snapshot()
@@ -32,12 +32,12 @@ func TestMinesweeperSteadyStateAllocs(t *testing.T) {
 	}
 	runs := map[string]func(){
 		"Count": func() {
-			if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, nil); err != nil {
+			if _, err := Run(ctx, plan, plan.Pin(), Options{}, core.FullRange, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
 		"Enumerate": func() {
-			if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, func([]int64) bool { return true }); err != nil {
+			if _, err := Run(ctx, plan, plan.Pin(), Options{}, core.FullRange, nil, func([]int64) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
 		},

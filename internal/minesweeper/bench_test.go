@@ -47,7 +47,7 @@ func BenchmarkTriangleCount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, nil); err != nil {
+		if _, err := Run(ctx, plan, plan.Pin(), Options{}, core.FullRange, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkPathCountWithReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ctx, plan, Options{}, core.FullRange, nil, nil); err != nil {
+		if _, err := Run(ctx, plan, plan.Pin(), Options{}, core.FullRange, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ func TestBadInputs(t *testing.T) {
 		if len(plan.InSkel) != len(plan.Atoms) {
 			t.Errorf("DisableSkeleton=%v: InSkel %v for %d atoms", disable, plan.InSkel, len(plan.Atoms))
 		}
-		if n, err := minesweeper.Run(context.Background(), plan, opts.MS, core.FullRange, nil, nil); err != nil || n != 1 {
+		if n, err := minesweeper.Run(context.Background(), plan, plan.Pin(), opts.MS, core.FullRange, nil, nil); err != nil || n != 1 {
 			t.Errorf("DisableSkeleton=%v: %d 4-cliques, %v; want 1", disable, n, err)
 		}
 	}

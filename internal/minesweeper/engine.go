@@ -147,19 +147,18 @@ func (ex *exec) release() {
 	}
 }
 
-// Run executes a compiled plan over the first-variable values in r, on the
-// generation plan.Pin returns, and adds the run's counters to sc (which may
-// be nil). Each row goes to emit, which returns false to stop; a nil emit
-// only counts, with #Minesweeper-style subtree reuse unless
+// Run executes a compiled plan over the first-variable values in r, on
+// generation gen, and adds the run's counters to sc (which may be nil). The
+// whole run reads gen, so a concurrent write can never mix two database
+// states between probes (the CDS would otherwise accumulate gaps from
+// different states). Each row goes to emit, which returns false to stop; a
+// nil emit only counts, with #Minesweeper-style subtree reuse unless
 // opts.DisableCountMemo. Run returns the number of rows.
-func Run(ctx context.Context, plan *core.Plan, opts Options, r core.Range, sc *core.StatsCollector, emit func([]int64) bool) (int64, error) {
+func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, opts Options, r core.Range, sc *core.StatsCollector, emit func([]int64) bool) (int64, error) {
 	push := plan.Push
 	ex := takeFrame()
 	defer ex.release()
-	// The generation the whole run reads is pinned once, here, so a
-	// concurrent write can never mix two database states between probes (the
-	// CDS would otherwise accumulate gaps from different states).
-	ex.reset(ctx, plan, plan.Pin(), emit, opts)
+	ex.reset(ctx, plan, gen, emit, opts)
 	if r.Lo > -1 {
 		copy(ex.adv, ex.cds.Frontier())
 		ex.adv[0] = r.Lo

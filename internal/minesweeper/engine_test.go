@@ -34,7 +34,7 @@ func compile(t testing.TB, q *query.Query, db *core.DB, gao []string, opts Optio
 // countIn counts plan's rows in r under opts.
 func countIn(t *testing.T, plan *core.Plan, opts Options, r core.Range) int64 {
 	t.Helper()
-	n, err := Run(context.Background(), plan, opts, r, nil, nil)
+	n, err := Run(context.Background(), plan, plan.Pin(), opts, r, nil, nil)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", plan.Query.Name, err)
 	}
@@ -65,7 +65,7 @@ func oracle(t *testing.T, q *query.Query, db *core.DB) int64 {
 // enumerate runs q under the planner's order, emitting to emit.
 func enumerate(t *testing.T, q *query.Query, db *core.DB, emit func([]int64) bool) error {
 	t.Helper()
-	_, err := Run(context.Background(), compile(t, q, db, nil, Options{}), Options{}, core.FullRange, nil, emit)
+	_, err := Run(context.Background(), compile(t, q, db, nil, Options{}), db.Pin(), Options{}, core.FullRange, nil, emit)
 	return err
 }
 
@@ -212,7 +212,7 @@ func TestCancellation(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 150, 3000, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, compile(t, query.Clique(4), db, nil, Options{}), Options{}, core.FullRange, nil, nil); err == nil {
+	if _, err := Run(ctx, compile(t, query.Clique(4), db, nil, Options{}), db.Pin(), Options{}, core.FullRange, nil, nil); err == nil {
 		t.Error("cancelled context should surface an error")
 	}
 }

@@ -42,12 +42,12 @@ func goldenRun(t *testing.T, seed int64, mask int) goldenRow {
 		db := testutil.RandomGraphDB(rng, 5+rng.Intn(8), 8+rng.Intn(22), 1+rng.Intn(3))
 		for _, q := range goldenQueries() {
 			plan := compile(t, q, db, nil, opts)
-			n, err := Run(ctx, plan, opts, core.FullRange, &sc, nil)
+			n, err := Run(ctx, plan, plan.Pin(), opts, core.FullRange, &sc, nil)
 			if err != nil {
 				t.Fatalf("seed %d mask %d %s: %v", seed, mask, q.Name, err)
 			}
 			var rows int64
-			if _, err := Run(ctx, plan, opts, core.FullRange, &sc, func([]int64) bool { rows++; return true }); err != nil {
+			if _, err := Run(ctx, plan, plan.Pin(), opts, core.FullRange, &sc, func([]int64) bool { rows++; return true }); err != nil {
 				t.Fatalf("seed %d mask %d %s: %v", seed, mask, q.Name, err)
 			}
 			if rows != n {

@@ -15,7 +15,7 @@ import (
 func statsOf(t *testing.T, q *query.Query, db *core.DB, opts Options) (int64, core.Stats) {
 	t.Helper()
 	var sc core.StatsCollector
-	n, err := Run(context.Background(), compile(t, q, db, nil, opts), opts, core.FullRange, &sc, nil)
+	n, err := Run(context.Background(), compile(t, q, db, nil, opts), db.Pin(), opts, core.FullRange, &sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestStatsAccumulateAcrossRuns(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 10, 30, 2)
 	plan := compile(t, query.Clique(3), db, nil, Options{})
 	var sc core.StatsCollector
-	if _, err := Run(context.Background(), plan, Options{}, core.FullRange, &sc, nil); err != nil {
+	if _, err := Run(context.Background(), plan, plan.Pin(), Options{}, core.FullRange, &sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := sc.Snapshot()
-	if _, err := Run(context.Background(), plan, Options{}, core.FullRange, &sc, nil); err != nil {
+	if _, err := Run(context.Background(), plan, plan.Pin(), Options{}, core.FullRange, &sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := sc.Snapshot(); s.Probes <= first.Probes || s.FreeTupleSteps <= first.FreeTupleSteps {

@@ -34,14 +34,11 @@ import (
 // underlying plan cache makes re-preparing an unchanged shape cheap. To read
 // one fixed state across several executions, use a ReadTxn.
 type Prepared struct {
-	s       *Store
-	q       *Query
-	alg     string
-	engOpts engine.Options
-	eng     core.Engine
-	plan    *core.Plan
-	sc      *core.StatsCollector
-	agg     *aggSpec
+	s    *Store
+	q    *Query
+	opts engine.Options // Stats is the handle's own collector
+	plan *core.Plan
+	agg  *aggSpec
 }
 
 // prepare compiles the query against a store (schema checks already done by
@@ -53,9 +50,8 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	if sh := opts.Shard; sh != nil && sh.Part >= sh.Of {
 		return nil, fmt.Errorf("repro: %w: shard part %d of %d out of range", ErrUnsupportedQuery, sh.Part, sh.Of)
 	}
-	sc := &core.StatsCollector{}
 	engOpts := opts.engineOptions()
-	engOpts.Stats = sc
+	engOpts.Stats = &core.StatsCollector{}
 	plan, err := engine.Compile(engOpts, q, s.db)
 	if err != nil {
 		return nil, err
@@ -64,21 +60,7 @@ func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 		return nil, fmt.Errorf("repro: query %q cannot be sharded on its leading attribute %q: %w (it is not an output column; lead the GAO with one)",
 			q.Name, lead, ErrUnsupportedQuery)
 	}
-	engOpts.Plan = plan
-	eng, err := engine.New(engOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{
-		s:       s,
-		q:       q,
-		alg:     string(engOpts.Algorithm),
-		engOpts: engOpts,
-		eng:     eng,
-		plan:    plan,
-		sc:      sc,
-		agg:     newAggSpec(q),
-	}, nil
+	return &Prepared{s: s, q: q, opts: engOpts, plan: plan, agg: newAggSpec(q)}, nil
 }
 
 var _ PreparedQuery = (*Prepared)(nil)
@@ -87,13 +69,13 @@ var _ PreparedQuery = (*Prepared)(nil)
 func (p *Prepared) Query() *Query { return p.q }
 
 // Algorithm returns the engine the query was compiled for.
-func (p *Prepared) Algorithm() string { return p.alg }
+func (p *Prepared) Algorithm() string { return p.plan.Algorithm }
 
 // Count executes the compiled plan and returns the number of result tuples.
 // For aggregate queries that is the number of groups — one tuple per
 // distinct binding of the output variables.
 func (p *Prepared) Count(ctx context.Context) (int64, error) {
-	return p.exec(ctx, p.eng, nil)
+	return p.exec(ctx, nil, nil)
 }
 
 // Enumerate executes the compiled plan, streaming result tuples in output
@@ -101,7 +83,7 @@ func (p *Prepared) Count(ctx context.Context) (int64, error) {
 // plain queries that is q.Vars() order). emit returns false to stop early.
 // The tuple slice is reused between calls — copy it to retain it.
 func (p *Prepared) Enumerate(ctx context.Context, emit func([]int64) bool) error {
-	_, err := p.exec(ctx, p.eng, emit)
+	_, err := p.exec(ctx, nil, emit)
 	return err
 }
 
@@ -115,10 +97,10 @@ func (p *Prepared) startEngineSpan(ctx context.Context, stage string) (context.C
 	if sp == nil {
 		return ctx, func() {}
 	}
-	sp.SetStr("algorithm", p.alg)
-	before := p.sc.Snapshot()
+	sp.SetStr("algorithm", p.plan.Algorithm)
+	before := p.opts.Stats.Snapshot()
 	return ctx, func() {
-		d := p.sc.Snapshot().Sub(before)
+		d := p.opts.Stats.Snapshot().Sub(before)
 		sp.SetInt("outputs", d.Outputs)
 		if d.Seeks != 0 {
 			sp.SetInt("seeks", d.Seeks)
@@ -134,11 +116,12 @@ func (p *Prepared) startEngineSpan(ctx context.Context, stage string) (context.C
 	}
 }
 
-// exec runs the plan on an engine (the handle's own, or one pinned to a
-// transaction snapshot). A nil emit counts: aggregate queries count groups,
-// everything else uses the engine's count mode. A non-nil emit enumerates,
-// folding the aggregation spec over the emission, and exec returns 0.
-func (p *Prepared) exec(ctx context.Context, eng core.Engine, emit func([]int64) bool) (int64, error) {
+// exec runs the plan on generation gen: a transaction's snapshot, or, when
+// nil, the generation current at the start of the execution. A nil emit
+// counts: aggregate queries count groups, everything else uses the engine's
+// count mode. A non-nil emit enumerates, folding the aggregation spec over
+// the emission; its callers ignore the count.
+func (p *Prepared) exec(ctx context.Context, gen *core.Generation, emit func([]int64) bool) (int64, error) {
 	stage := "engine.count"
 	if emit != nil {
 		stage = "engine.enumerate"
@@ -146,16 +129,16 @@ func (p *Prepared) exec(ctx context.Context, eng core.Engine, emit func([]int64)
 	ctx, finish := p.startEngineSpan(ctx, stage)
 	defer finish()
 	if p.agg != nil {
-		run := func(e func([]int64) bool) error { return eng.Enumerate(ctx, p.q, p.s.db, e) }
+		run := func(e func([]int64) bool) error {
+			_, err := engine.Run(ctx, p.plan, gen, &p.opts, e)
+			return err
+		}
 		if emit == nil {
 			return p.agg.count(run)
 		}
 		return 0, p.agg.run(run, emit)
 	}
-	if emit == nil {
-		return eng.Count(ctx, p.q, p.s.db)
-	}
-	return 0, eng.Enumerate(ctx, p.q, p.s.db, emit)
+	return engine.Run(ctx, p.plan, gen, &p.opts, emit)
 }
 
 // Rows executes the compiled plan as a streaming iterator over result
@@ -237,7 +220,7 @@ func OwnedRowsErr(ctx context.Context, enumerate func(context.Context, func([]in
 // index bindings) moves only at Prepare time; the execution block and the
 // engine-specific counters accumulate across every Count/Enumerate/Rows run,
 // for both engines.
-func (p *Prepared) Stats() ExecStats { return p.sc.Snapshot() }
+func (p *Prepared) Stats() ExecStats { return p.opts.Stats.Snapshot() }
 
 // Close implements PreparedQuery. A local prepared handle holds no resources
 // beyond its plan (shared via the store's plan cache), so Close is a no-op;
@@ -371,7 +354,7 @@ func scoreString(s GAOScore) string {
 func (p *Prepared) Explain() Explanation {
 	e := Explanation{
 		Query:     p.q.String(),
-		Algorithm: p.alg,
+		Algorithm: p.plan.Algorithm,
 	}
 	if sizes, err := relationSizes(p.s.db, p.q); err == nil {
 		if res, err := agm.Compute(p.q, sizes); err == nil {
@@ -380,10 +363,10 @@ func (p *Prepared) Explain() Explanation {
 	}
 	plan := p.plan
 	e.GAO = append([]string(nil), plan.GAO...)
-	if e.UserGAO = p.engOpts.GAO != nil; e.UserGAO {
-		e.Score = hypergraph.ScoreGAO(p.q, p.alg, plan.GAO)
+	if e.UserGAO = p.opts.GAO != nil; e.UserGAO {
+		e.Score = hypergraph.ScoreGAO(p.q, plan.Algorithm, plan.GAO)
 	} else {
-		best, second := hypergraph.RankGAO(p.q, p.alg)
+		best, second := hypergraph.RankGAO(p.q, plan.Algorithm)
 		e.Score, e.RunnerUp, e.RunnerUpScore = best.Score, second.GAO, second.Score
 	}
 	e.BetaCyclic = plan.BetaCyclic

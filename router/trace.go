@@ -69,7 +69,7 @@ func (p *Prepared) Explain(ctx context.Context) (string, error) {
 			fmt.Fprintf(&b, "merge: concatenation of parts in host order (leading attribute in output column %d)\n", p.leadCol)
 		}
 	}
-	sub, err := downstreamExplain(ctx, p.hosts[0])
+	sub, err := repro.ExplainText(ctx, p.hosts[0])
 	if err != nil {
 		return "", p.r.hostErr(p.hostIdx[0], err)
 	}
@@ -80,18 +80,4 @@ func (p *Prepared) Explain(ctx context.Context) (string, error) {
 		}
 	}
 	return b.String(), nil
-}
-
-// downstreamExplain renders one host handle's plan, accepting both explain
-// shapes behind the PreparedQuery seam (local Explanation, remote string).
-func downstreamExplain(ctx context.Context, h repro.PreparedQuery) (string, error) {
-	switch h := h.(type) {
-	case interface{ Explain() repro.Explanation }:
-		return h.Explain().String(), nil
-	case interface {
-		Explain(context.Context) (string, error)
-	}:
-		return h.Explain(ctx)
-	}
-	return "", nil
 }

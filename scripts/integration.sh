@@ -70,6 +70,13 @@ for engine in lftj ms; do
   echo "integration: $engine remote count $got matches local"
 done
 
+# -explain over the wire: the server renders its local handle's plan.
+"$bin/graphjoin" -connect "$addr" -query 3-clique -explain > "$bin/explain.log" 2>&1 \
+  || { echo "integration: remote -explain failed" >&2; cat "$bin/explain.log" >&2; exit 1; }
+grep -q '^gao ' "$bin/explain.log" \
+  || { echo "integration: remote -explain printed no gao line:" >&2; cat "$bin/explain.log" >&2; exit 1; }
+echo "integration: remote -explain: $(grep '^gao ' "$bin/explain.log")"
+
 # The same pattern as inline Datalog against the remote schema.
 got="$("$bin/graphjoin" -connect "$addr" -datalog 'fwd(a,b), fwd(a,c), fwd(b,c)' | extract)"
 if [ "$got" != "$want" ]; then
@@ -208,6 +215,15 @@ for engine in lftj ms; do
   fi
   echo "integration: routed ($engine) count $got matches local"
 done
+
+# -explain through the router: its routing decision, then host 0's plan.
+"$bin/graphjoin" -connect "$router_addr" -query 3-clique -explain > "$bin/explain-routed.log" 2>&1 \
+  || { echo "integration: routed -explain failed" >&2; cat "$bin/explain-routed.log" >&2; exit 1; }
+for line in '^routing: ' '^host 0 plan:'; do
+  grep -q "$line" "$bin/explain-routed.log" \
+    || { echo "integration: routed -explain missing $line:" >&2; cat "$bin/explain-routed.log" >&2; exit 1; }
+done
+echo "integration: routed -explain: $(grep '^routing: ' "$bin/explain-routed.log")"
 
 # --- End-to-end tracing ----------------------------------------------------
 # One traced query through the router must print a single stitched span tree:

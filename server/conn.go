@@ -53,13 +53,8 @@ type conn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	store     repro.Querier
-	storeName string
-	// sm/adm/lt are the bound store's instrumentation, admission gate (nil =
-	// unlimited), and lease tracker, fixed at handshake.
-	sm  *storeMetrics
-	adm *admission
-	lt  *leaseTracker
+	// tenant is the backend the Hello exchange bound; nil before it.
+	tenant *tenant
 
 	mu       sync.Mutex
 	prepared map[uint64]repro.PreparedQuery
@@ -124,10 +119,8 @@ func (c *conn) serve() {
 	defer func() {
 		c.close()
 		c.srv.removeConn(c)
-		if c.sm != nil {
-			c.sm.connections.Dec()
-		}
-		if c.lt != nil {
+		if c.tenant != nil {
+			c.tenant.metrics.connections.Dec()
 			// Leases die with the connection; drop them from the age gauges.
 			c.mu.Lock()
 			toks := make([]uint64, 0, len(c.leaseToks))
@@ -137,7 +130,7 @@ func (c *conn) serve() {
 			c.leaseToks = nil
 			c.mu.Unlock()
 			for _, tok := range toks {
-				c.lt.remove(tok)
+				c.tenant.leases.remove(tok)
 			}
 		}
 		// Release backend-held resources. Local handles hold none; a routed
@@ -233,18 +226,13 @@ func (c *conn) handshake(br *bufio.Reader) bool {
 			version, wire.ProtocolVersion, wire.ErrVersion))
 		return false
 	}
-	store, name, err := c.srv.lookupStore(storeName)
+	t, err := c.srv.lookupStore(storeName)
 	if err != nil {
 		c.sendErr(reqID, err)
 		return false
 	}
-	c.store, c.storeName = store, name
-	c.sm = c.srv.metrics[name]
-	c.adm = c.srv.admissions[name]
-	c.lt = c.srv.leases[name]
-	if c.sm != nil {
-		c.sm.connections.Inc()
-	}
+	c.tenant = t
+	t.metrics.connections.Inc()
 	var e wire.Enc
 	e.U64(wire.ProtocolVersion)
 	return c.send(wire.THelloOK, reqID, e.Bytes()) == nil
@@ -283,15 +271,14 @@ func (c *conn) creditStream(target uint64, n int) {
 // so a scrape taken after a client received all its responses matches the
 // client's request count exactly.
 func (c *conn) dispatch(ctx context.Context, typ byte, reqID uint64, body []byte) {
-	if err := c.adm.acquire(ctx); err != nil {
-		if c.sm != nil {
-			c.sm.rejected.Inc()
-		}
+	t := c.tenant
+	if err := t.adm.acquire(ctx); err != nil {
+		t.metrics.rejected.Inc()
 		c.sendErr(reqID, err)
 		return
 	}
-	defer c.adm.release()
-	c.sm.admitted(typ)
+	defer t.adm.release()
+	t.metrics.admitted(typ)
 	// Protocol v4: every dispatched request leads with a trace context. A
 	// client-traced request opens a root span parented at the client's span;
 	// an untraced one is sampled into an internal trace when the slow-query
@@ -321,9 +308,9 @@ func (c *conn) dispatch(ctx context.Context, typ byte, reqID uint64, body []byte
 	}
 	start := time.Now()
 	err := c.handle(ctx, typ, reqID, body)
-	c.sm.done(typ, start, err)
+	t.metrics.done(typ, start, err)
 	root.End()
-	c.srv.traces.observe(c.storeName, requestName(typ), tr, time.Since(start), err)
+	c.srv.traces.observe(t.name, requestName(typ), tr, time.Since(start), err)
 	if err != nil {
 		c.sendErr(reqID, err)
 	}
@@ -396,7 +383,7 @@ func (c *conn) handleDefine(reqID uint64, body []byte) error {
 	if d.Err() != nil {
 		return decodeErr(d)
 	}
-	if err := c.store.DefineRelation(name, arity); err != nil {
+	if err := c.tenant.store.DefineRelation(name, arity); err != nil {
 		return err
 	}
 	return c.sendOK(reqID)
@@ -409,7 +396,7 @@ func (c *conn) handleLoad(reqID uint64, body []byte) error {
 	if d.Err() != nil {
 		return decodeErr(d)
 	}
-	if err := c.store.Load(name, tuples); err != nil {
+	if err := c.tenant.store.Load(name, tuples); err != nil {
 		return err
 	}
 	return c.sendOK(reqID)
@@ -423,7 +410,7 @@ func (c *conn) handleApply(reqID uint64, body []byte) error {
 	if d.Err() != nil {
 		return decodeErr(d)
 	}
-	if err := c.store.Apply(name, ins, dels); err != nil {
+	if err := c.tenant.store.Apply(name, ins, dels); err != nil {
 		return err
 	}
 	return c.sendOK(reqID)
@@ -447,7 +434,7 @@ func (c *conn) handleApplyAll(reqID uint64, body []byte) error {
 	if d.Err() != nil {
 		return decodeErr(d)
 	}
-	if err := c.store.ApplyAll(batches); err != nil {
+	if err := c.tenant.store.ApplyAll(batches); err != nil {
 		return err
 	}
 	return c.sendOK(reqID)
@@ -460,7 +447,7 @@ func (c *conn) handleParse(reqID uint64, body []byte) error {
 	if d.Err() != nil {
 		return decodeErr(d)
 	}
-	q, err := c.store.ParseQuery(name, src)
+	q, err := c.tenant.store.ParseQuery(name, src)
 	if err != nil {
 		return err
 	}
@@ -481,7 +468,7 @@ func (c *conn) handlePrepare(ctx context.Context, reqID uint64, body []byte) err
 		return err
 	}
 	_, sp := trace.Start(ctx, "prepare")
-	p, err := c.store.Prepare(q, opts)
+	p, err := c.tenant.store.Prepare(q, opts)
 	if sp != nil {
 		if err == nil {
 			// The planning block moves only at Prepare time, so the handle's
@@ -580,14 +567,11 @@ func (c *conn) handleCount(ctx context.Context, reqID uint64, body []byte) error
 }
 
 func (c *conn) handleBegin(reqID uint64) error {
-	t, err := c.store.ReadTxn()
+	t, err := c.tenant.store.ReadTxn()
 	if err != nil {
 		return err
 	}
-	var tok uint64
-	if c.lt != nil {
-		tok = c.lt.add()
-	}
+	tok := c.tenant.leases.add()
 	c.mu.Lock()
 	c.nextTxn++
 	id := c.nextTxn
@@ -613,8 +597,8 @@ func (c *conn) handleEnd(reqID uint64, body []byte) error {
 	tok, hadTok := c.leaseToks[id]
 	delete(c.leaseToks, id)
 	c.mu.Unlock()
-	if hadTok && c.lt != nil {
-		c.lt.remove(tok)
+	if hadTok {
+		c.tenant.leases.remove(tok)
 	}
 	if !ok {
 		return fmt.Errorf("server: end of transaction %d: %w", id, wire.ErrUnknownTxn)
@@ -656,7 +640,7 @@ func (c *conn) handleBatch(ctx context.Context, reqID uint64, body []byte) error
 		batch = append(batch, repro.BatchRequest{Prepared: p, Rows: r.rows})
 		slots = append(slots, i)
 	}
-	batchRes, err := c.store.Batch(ctx, batch)
+	batchRes, err := c.tenant.store.Batch(ctx, batch)
 	if err != nil {
 		return err
 	}
@@ -704,21 +688,11 @@ func (c *conn) handleExplain(ctx context.Context, reqID uint64, body []byte) err
 	if err != nil {
 		return err
 	}
-	// Explain is not part of the PreparedQuery seam; both known handle shapes
-	// expose it with their own signatures (the local one synchronously, the
-	// remote/routed one with a round trip).
-	var text string
-	switch h := p.(type) {
-	case interface{ Explain() repro.Explanation }:
-		text = h.Explain().String()
-	case interface {
-		Explain(context.Context) (string, error)
-	}:
-		text, err = h.Explain(ctx)
-		if err != nil {
-			return err
-		}
-	default:
+	text, err := repro.ExplainText(ctx, p)
+	if err != nil {
+		return err
+	}
+	if text == "" {
 		text = "explain unavailable for this handle"
 	}
 	var e wire.Enc
@@ -741,7 +715,7 @@ func (c *conn) handleMetrics(reqID uint64) error {
 }
 
 func (c *conn) handleRelations(ctx context.Context, reqID uint64) error {
-	infos, err := c.store.Schema(ctx)
+	infos, err := c.tenant.store.Schema(ctx)
 	if err != nil {
 		return err
 	}

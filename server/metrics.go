@@ -278,12 +278,12 @@ type overlayDepther interface{ OverlayDepth() int }
 // beginClose: the registry outlives the server, and a series left pointing
 // at a closed server's store would pin that store for the life of the
 // process.
-func (s *Server) registerGauges(name string, depth overlayDepther) {
+func (s *Server) registerGauges(t *tenant) {
 	reg := metrics.Default()
 	gauge := func(metric, help string, fn func() float64) {
-		s.gaugeReleases = append(s.gaugeReleases, reg.GaugeFunc(metric, help, fn, "store", name))
+		s.gaugeReleases = append(s.gaugeReleases, reg.GaugeFunc(metric, help, fn, "store", t.name))
 	}
-	a, lt := s.admissions[name], s.leases[name]
+	a, lt := t.adm, t.leases
 	gauge("graphjoind_inflight_requests",
 		"Requests currently running (admitted, response not yet complete).", a.activeCount)
 	gauge("graphjoind_queued_requests",
@@ -292,7 +292,7 @@ func (s *Server) registerGauges(name string, depth overlayDepther) {
 		"Read-transactions currently pinning a snapshot.", lt.count)
 	gauge("graphjoind_oldest_lease_age_seconds",
 		"Age of the oldest open read-transaction (0 when none).", lt.oldestAge)
-	if depth != nil {
+	if depth, ok := t.store.(overlayDepther); ok {
 		gauge("graphjoind_overlay_depth",
 			"Tuples pending in CSR delta-overlay logs across the store's cached indexes.",
 			func() float64 { return float64(depth.OverlayDepth()) })

@@ -86,8 +86,8 @@ func TestAdmissionOverload(t *testing.T) {
 	ctx := context.Background()
 	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 80, 220, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"adm-overload": g},
-		Limits: map[string]server.Limits{"adm-overload": {MaxInflight: K, MaxQueued: 0}},
+		Queriers: map[string]repro.Querier{"adm-overload": repro.Local(g)},
+		Limits:   map[string]server.Limits{"adm-overload": {MaxInflight: K, MaxQueued: 0}},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("adm-overload"), client.WithStreamTuning(1, 1))
 	p, err := remote.Prepare(query.Clique(3), repro.Options{Workers: 1})
@@ -150,8 +150,8 @@ func TestAdmissionQueue(t *testing.T) {
 	ctx := context.Background()
 	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 80, 220, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"adm-queue": g},
-		Limits: map[string]server.Limits{"adm-queue": {MaxInflight: K, MaxQueued: M}},
+		Queriers: map[string]repro.Querier{"adm-queue": repro.Local(g)},
+		Limits:   map[string]server.Limits{"adm-queue": {MaxInflight: K, MaxQueued: M}},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("adm-queue"), client.WithStreamTuning(1, 1))
 	p, err := remote.Prepare(query.Clique(3), repro.Options{Workers: 1})
@@ -189,7 +189,7 @@ func TestMetricsOverWire(t *testing.T) {
 	ctx := context.Background()
 	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 80, 220, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"metr": g},
+		Queriers: map[string]repro.Querier{"metr": repro.Local(g)},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("metr"))
 
@@ -268,7 +268,7 @@ func TestMetricsLeaseGauges(t *testing.T) {
 	ctx := context.Background()
 	g := graphStore(t, dataset.Generate(dataset.HolmeKim, 60, 150, 3), 1, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"metr-lease": g},
+		Queriers: map[string]repro.Querier{"metr-lease": repro.Local(g)},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("metr-lease"))
 
@@ -317,7 +317,7 @@ func TestClosedServerReleasesItsStore(t *testing.T) {
 	func() {
 		st := graphStore(t, dataset.Generate(dataset.HolmeKim, 60, 150, 3), 1, 3)
 		runtime.SetFinalizer(st, func(*repro.Store) { close(collected) })
-		srv := server.New(server.Config{Stores: map[string]*repro.Store{name: st}})
+		srv := server.New(server.Config{Queriers: map[string]repro.Querier{name: repro.Local(st)}})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

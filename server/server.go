@@ -5,15 +5,16 @@
 // the deployment shape the paper assumes of LogicBlox, and the seam along
 // which stores shard across processes and hosts.
 //
-// A Server is multi-tenant: it hosts one or more named backends — in-process
-// Stores, or any repro.Querier (Config.Queriers), such as a router.Router
-// fronting a cluster of downstream servers — and each connection binds to one
-// of them in its Hello exchange. Per connection the
-// server keeps a prepared-statement table and a read-transaction table;
-// requests on one connection run concurrently (each in its own goroutine,
-// cancellable by a client Cancel frame), and a request failure answers only
-// that request — the connection, and every other in-flight request on it,
-// continues, mirroring the Store.Batch error-isolation contract.
+// A Server is multi-tenant: it hosts one or more named backends
+// (Config.Queriers) — an in-process Store wrapped by repro.Local, or any other
+// repro.Querier, such as a router.Router fronting a cluster of downstream
+// servers — and each connection binds to one of them in its Hello exchange.
+// Per connection the server keeps a prepared-statement table and a
+// read-transaction table; requests on one connection run concurrently (each
+// in its own goroutine, cancellable by a client Cancel frame), and a request
+// failure answers only that request — the connection, and every other
+// in-flight request on it, continues, mirroring the Store.Batch
+// error-isolation contract.
 //
 // Shutdown drains: new requests are refused while every in-flight query runs
 // to completion (or the drain context expires), then connections close.
@@ -33,20 +34,17 @@ import (
 // single-tenant deployments (NewSingle) register their store under it.
 const DefaultStore = "default"
 
-// ErrServerClosed is returned by Serve and ListenAndServe after Shutdown or
-// Close, mirroring net/http's contract.
+// ErrServerClosed is returned by Serve after Shutdown or Close, mirroring
+// net/http's contract.
 var ErrServerClosed = errors.New("server: closed")
 
 // Config configures a Server.
 type Config struct {
-	// Stores is the registry of named stores served to clients. Keys are the
-	// names clients select in their Hello exchange.
-	Stores map[string]*repro.Store
-	// Queriers registers additional backends by name — anything implementing
-	// repro.Querier, such as a router.Router fronting a cluster of remote
-	// hosts. Entries here and in Stores share one namespace; a name present
-	// in both resolves to the Stores entry. Store-level gauges (overlay
-	// depth) register only for backends that expose them.
+	// Queriers is the registry of named backends served to clients: a Store
+	// wrapped by repro.Local, or anything else implementing repro.Querier,
+	// such as a router.Router fronting a cluster of remote hosts. Keys are
+	// the names clients select in their Hello exchange. Store-level gauges
+	// (overlay depth) register only for backends that expose them.
 	Queriers map[string]repro.Querier
 	// Logf, when set, receives connection-level diagnostics (accept and
 	// protocol errors). Request-level errors are not logged — they are
@@ -64,17 +62,12 @@ type Config struct {
 }
 
 // Server serves Store queries to remote clients. Create one with New or
-// NewSingle, then call Serve (or ListenAndServe) on as many listeners as
-// needed.
+// NewSingle, then call Serve on as many listeners as needed.
 type Server struct {
-	stores map[string]repro.Querier
-	logf   func(string, ...any)
+	// tenants is the registry of hosted backends, fixed at New.
+	tenants map[string]*tenant
+	logf    func(string, ...any)
 
-	// Per-store serving instrumentation and admission gates, fixed at New.
-	// admissions entries are nil for unlimited stores.
-	metrics    map[string]*storeMetrics
-	admissions map[string]*admission
-	leases     map[string]*leaseTracker
 	// traces retains completed request traces and writes the slow-query log.
 	traces *traceSink
 
@@ -91,38 +84,40 @@ type Server struct {
 	inflight sync.WaitGroup
 }
 
-// New returns a server hosting the configured stores. The store map is
-// copied; stores themselves are shared with the caller, so an embedding
-// process can keep writing to a store (e.g. a live data feed) while the
-// server serves it — Store is safe for concurrent use.
+// tenant is one hosted backend with its serving instrumentation, admission
+// gate (nil = unlimited) and lease tracker.
+type tenant struct {
+	name    string
+	store   repro.Querier
+	metrics *storeMetrics
+	adm     *admission
+	leases  *leaseTracker
+}
+
+// New returns a server hosting the configured backends. The registry is
+// copied; the backends themselves are shared with the caller, so an
+// embedding process can keep writing to a store (e.g. a live data feed)
+// while the server serves it — Store is safe for concurrent use.
 func New(cfg Config) *Server {
-	n := len(cfg.Stores) + len(cfg.Queriers)
 	s := &Server{
-		stores:     make(map[string]repro.Querier, n),
-		logf:       cfg.Logf,
-		metrics:    make(map[string]*storeMetrics, n),
-		admissions: make(map[string]*admission, n),
-		leases:     make(map[string]*leaseTracker, n),
-		listeners:  make(map[net.Listener]struct{}),
-		conns:      make(map[*conn]struct{}),
-	}
-	register := func(name string, q repro.Querier) {
-		s.stores[name] = q
-		s.metrics[name] = newStoreMetrics(name)
-		s.admissions[name] = newAdmission(name, cfg.Limits[name])
-		s.leases[name] = newLeaseTracker()
-		depth, _ := q.(overlayDepther)
-		s.registerGauges(name, depth)
+		tenants:   make(map[string]*tenant, len(cfg.Queriers)),
+		logf:      cfg.Logf,
+		listeners: make(map[net.Listener]struct{}),
+		conns:     make(map[*conn]struct{}),
 	}
 	for name, q := range cfg.Queriers {
-		if q != nil {
-			register(name, q)
+		if q == nil {
+			continue
 		}
-	}
-	for name, st := range cfg.Stores {
-		if st != nil {
-			register(name, repro.Local(st))
+		t := &tenant{
+			name:    name,
+			store:   q,
+			metrics: newStoreMetrics(name),
+			adm:     newAdmission(name, cfg.Limits[name]),
+			leases:  newLeaseTracker(),
 		}
+		s.tenants[name] = t
+		s.registerGauges(t)
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -134,13 +129,13 @@ func New(cfg Config) *Server {
 // NewSingle returns a single-tenant server hosting one store under
 // DefaultStore.
 func NewSingle(st *repro.Store) *Server {
-	return New(Config{Stores: map[string]*repro.Store{DefaultStore: st}})
+	return New(Config{Queriers: map[string]repro.Querier{DefaultStore: repro.Local(st)}})
 }
 
 // Stores returns the names of the hosted stores (unordered).
 func (s *Server) Stores() []string {
-	names := make([]string, 0, len(s.stores))
-	for n := range s.stores {
+	names := make([]string, 0, len(s.tenants))
+	for n := range s.tenants {
 		names = append(names, n)
 	}
 	return names
@@ -170,16 +165,6 @@ func (s *Server) Serve(l net.Listener) error {
 		}
 		go c.serve()
 	}
-}
-
-// ListenAndServe listens on the TCP address and serves until failure or
-// shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Shutdown gracefully stops the server: listeners close immediately, new
@@ -301,13 +286,13 @@ func (s *Server) startRequest() bool {
 }
 
 // lookupStore resolves a Hello's store selection (empty means DefaultStore).
-func (s *Server) lookupStore(name string) (repro.Querier, string, error) {
+func (s *Server) lookupStore(name string) (*tenant, error) {
 	if name == "" {
 		name = DefaultStore
 	}
-	st, ok := s.stores[name]
+	t, ok := s.tenants[name]
 	if !ok {
-		return nil, name, fmt.Errorf("server: %q: %w", name, errUnknownStore)
+		return nil, fmt.Errorf("server: %q: %w", name, errUnknownStore)
 	}
-	return st, name, nil
+	return t, nil
 }

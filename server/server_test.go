@@ -754,9 +754,9 @@ func TestMultiTenant(t *testing.T) {
 	if err := road.DefineRelation("road", 2); err != nil {
 		t.Fatal(err)
 	}
-	addr := serve(t, server.New(server.Config{Stores: map[string]*repro.Store{
-		"social": social,
-		"road":   road,
+	addr := serve(t, server.New(server.Config{Queriers: map[string]repro.Querier{
+		"social": repro.Local(social),
+		"road":   repro.Local(road),
 	}}))
 
 	ctx := context.Background()

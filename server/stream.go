@@ -152,7 +152,7 @@ func (c *conn) handleRows(ctx context.Context, reqID uint64, body []byte) error 
 			return nil
 		}
 		stall, err := st.acquire(ctx)
-		c.sm.stalled(stall)
+		c.tenant.metrics.stalled(stall)
 		stallTotal += stall
 		if err != nil {
 			return err

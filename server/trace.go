@@ -192,7 +192,7 @@ func (c *conn) handleTrace(ctx context.Context, reqID uint64, body []byte) error
 	if !ok {
 		spans, _ = c.srv.traces.buf.Get(trace.ID(id))
 	}
-	if ds, hasDownstream := c.store.(interface {
+	if ds, hasDownstream := c.tenant.store.(interface {
 		TraceSpans(context.Context, uint64) ([]trace.SpanRecord, error)
 	}); hasDownstream {
 		remote, err := ds.TraceSpans(ctx, id)

@@ -53,7 +53,7 @@ func TestSlowQueryLog(t *testing.T) {
 	ctx := context.Background()
 	var log syncBuffer
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{server.DefaultStore: traceTestStore(t)},
+		Queriers: map[string]repro.Querier{server.DefaultStore: repro.Local(traceTestStore(t))},
 		Trace: server.TraceConfig{
 			SlowQuery:    time.Nanosecond,
 			SlowQueryLog: &log,

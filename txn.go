@@ -7,7 +7,6 @@ import (
 	"iter"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 )
 
 // ErrForeignPrepared reports a Prepared handle used against a store (or
@@ -47,10 +46,9 @@ func (s *Store) ReadTxn() *Txn {
 	return &Txn{s: s, lease: s.db.NewLease()}
 }
 
-// engineFor checks that p is a live handle of this transaction's store and
-// returns it with an engine executing its plan pinned to the transaction's
-// snapshot; every execution pins its own copy of the plan.
-func (t *Txn) engineFor(p PreparedQuery) (*Prepared, core.Engine, error) {
+// pin checks that p is a live handle of this transaction's store and
+// returns it with the transaction's generation for its plan.
+func (t *Txn) pin(p PreparedQuery) (*Prepared, *core.Generation, error) {
 	lp, ok := p.(*Prepared)
 	if p == nil || ok && lp == nil {
 		return nil, nil, fmt.Errorf("repro: nil Prepared handle")
@@ -58,21 +56,18 @@ func (t *Txn) engineFor(p PreparedQuery) (*Prepared, core.Engine, error) {
 	if !ok || lp.s != t.s {
 		return nil, nil, fmt.Errorf("repro: %w", ErrForeignPrepared)
 	}
-	opts := lp.engOpts
-	opts.Plan = t.lease.PinPlan(lp.plan)
-	eng, err := engine.New(opts)
-	return lp, eng, err
+	return lp, t.lease.Pin(lp.plan), nil
 }
 
 // Count executes the prepared query against the transaction's snapshot and
 // returns the number of result tuples (for aggregate queries, the number of
 // groups).
 func (t *Txn) Count(ctx context.Context, p PreparedQuery) (int64, error) {
-	lp, eng, err := t.engineFor(p)
+	lp, gen, err := t.pin(p)
 	if err != nil {
 		return 0, err
 	}
-	return lp.exec(ctx, eng, nil)
+	return lp.exec(ctx, gen, nil)
 }
 
 // Enumerate executes the prepared query against the transaction's snapshot,
@@ -80,11 +75,11 @@ func (t *Txn) Count(ctx context.Context, p PreparedQuery) (int64, error) {
 // values; q.Vars() order for plain queries); emit returns false to stop
 // early. The tuple slice is reused between calls — copy it to retain it.
 func (t *Txn) Enumerate(ctx context.Context, p PreparedQuery, emit func([]int64) bool) error {
-	lp, eng, err := t.engineFor(p)
+	lp, gen, err := t.pin(p)
 	if err != nil {
 		return err
 	}
-	_, err = lp.exec(ctx, eng, emit)
+	_, err = lp.exec(ctx, gen, emit)
 	return err
 }
 
