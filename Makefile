@@ -87,6 +87,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzDecodeOptions$$' -fuzztime $(FUZZTIME) ./internal/wire
+	go test -run '^$$' -fuzz '^FuzzRowChunk$$' -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzOverlayCursor$$' -fuzztime $(FUZZTIME) ./internal/relation
 	go test -run '^$$' -fuzz '^FuzzProbeGapFinger$$' -fuzztime $(FUZZTIME) ./internal/relation
 

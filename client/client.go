@@ -119,7 +119,7 @@ type Store struct {
 
 	// wmu serializes frame writes from concurrent requests.
 	wmu sync.Mutex
-	bw  *bufio.Writer
+	fw  wire.FrameWriter
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -207,7 +207,7 @@ func New(ctx context.Context, nc net.Conn, opts ...Option) (*Store, error) {
 	s := &Store{
 		nc:       nc,
 		cfg:      cfg,
-		bw:       bufio.NewWriter(nc),
+		fw:       wire.FrameWriter{W: nc},
 		pending:  make(map[uint64]*call),
 		readDone: make(chan struct{}),
 	}
@@ -312,20 +312,14 @@ func (s *Store) deregister(id uint64) {
 func (s *Store) write(typ byte, reqID uint64, body []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := wire.WriteFrame(s.bw, typ, reqID, body); err != nil {
-		// An oversized frame is rejected before any byte touches the wire:
-		// the request fails but the connection is still in sync — don't
-		// poison it for the other multiplexed requests.
-		if !errors.Is(err, wire.ErrFrameTooLarge) {
-			s.fail(err)
-		}
-		return err
-	}
-	if err := s.bw.Flush(); err != nil {
+	// An oversized frame is rejected before any byte touches the wire: the
+	// request fails but the connection is still in sync — don't poison it
+	// for the other multiplexed requests.
+	err := s.fw.Write(typ, reqID, body)
+	if err != nil && !errors.Is(err, wire.ErrFrameTooLarge) {
 		s.fail(err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // sendCancel asks the server to stop an in-flight request (best effort).

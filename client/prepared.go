@@ -64,13 +64,13 @@ func (p *Prepared) Enumerate(ctx context.Context, emit func([]int64) bool) error
 // Like repro.Prepared.Rows it discards mid-stream errors — use RowsErr to
 // distinguish a complete stream from a truncated one.
 func (p *Prepared) Rows(ctx context.Context) iter.Seq[[]int64] {
-	return rowsSeq(p.Enumerate, ctx)
+	return repro.OwnedRows(ctx, p.Enumerate)
 }
 
 // RowsErr is Rows with an explicit error: (tuple, nil) per result and a
 // final (nil, err) pair if execution fails mid-stream.
 func (p *Prepared) RowsErr(ctx context.Context) iter.Seq2[[]int64, error] {
-	return rowsErrSeq(p.Enumerate, ctx)
+	return repro.OwnedRowsErr(ctx, p.Enumerate)
 }
 
 // Stats snapshots the unified execution counters accumulated by the
@@ -156,16 +156,16 @@ func (t *Txn) Enumerate(ctx context.Context, p repro.PreparedQuery, emit func([]
 
 // Rows is Enumerate as a streaming iterator with owned tuple copies.
 func (t *Txn) Rows(ctx context.Context, p repro.PreparedQuery) iter.Seq[[]int64] {
-	return rowsSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return repro.OwnedRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
 
 // RowsErr is Rows with the explicit-error protocol.
 func (t *Txn) RowsErr(ctx context.Context, p repro.PreparedQuery) iter.Seq2[[]int64, error] {
-	return rowsErrSeq(func(ctx context.Context, emit func([]int64) bool) error {
+	return repro.OwnedRowsErr(ctx, func(ctx context.Context, emit func([]int64) bool) error {
 		return t.Enumerate(ctx, p, emit)
-	}, ctx)
+	})
 }
 
 // Close releases the server-side transaction (and its pinned snapshot).
@@ -244,6 +244,10 @@ func (s *Store) enumerate(ctx context.Context, handle, txnID uint64, emit func([
 	var one wire.Enc
 	one.Int(1)
 	grant := one.Bytes()
+	// Each chunk is decoded whole into two buffers reused across the
+	// stream, and emit borrows its rows from them.
+	var vals []int64
+	var ends []int
 	for {
 		select {
 		case f := <-c.ch:
@@ -255,17 +259,19 @@ func (s *Store) enumerate(ctx context.Context, handle, txnID uint64, emit func([
 					continue // draining
 				}
 				d := wire.NewDec(f.body)
-				rows := d.Tuples()
+				vals, ends = d.TuplesFlat(vals, ends)
 				if d.Err() != nil {
 					err := fmt.Errorf("client: malformed row chunk: %w", ErrProtocol)
 					s.fail(err)
 					return err
 				}
-				for _, row := range rows {
-					if !emit(row) {
+				start := 0
+				for _, end := range ends {
+					if !emit(vals[start:end:end]) {
 						cancel()
 						break
 					}
+					start = end
 				}
 				if !stopped {
 					if err := s.write(wire.TCredit, id, grant); err != nil {
@@ -320,34 +326,6 @@ func (s *Store) enumerate(ctx context.Context, handle, txnID uint64, emit func([
 			return err
 		case <-s.readDone:
 			return s.transportErr()
-		}
-	}
-}
-
-// rowsSeq adapts an Enumerate-shaped execution into a streaming iterator,
-// discarding any mid-stream error (the client-side counterpart of the repro
-// package's helper).
-func rowsSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq[[]int64] {
-	return func(yield func([]int64) bool) {
-		_ = enumerate(ctx, func(t []int64) bool {
-			return yield(t)
-		})
-	}
-}
-
-// rowsErrSeq is rowsSeq with the explicit-error protocol: (tuple, nil) per
-// result, and a final (nil, err) pair when execution fails before the
-// consumer stopped.
-func rowsErrSeq(enumerate func(context.Context, func([]int64) bool) error, ctx context.Context) iter.Seq2[[]int64, error] {
-	return func(yield func([]int64, error) bool) {
-		stopped := false
-		err := enumerate(ctx, func(t []int64) bool {
-			ok := yield(t, nil)
-			stopped = !ok
-			return ok
-		})
-		if err != nil && !stopped {
-			yield(nil, err)
 		}
 	}
 }

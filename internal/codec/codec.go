@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrTruncated reports a payload that ended before its fields did.
@@ -22,6 +23,9 @@ type Enc struct{ b []byte }
 
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.b }
+
+// Reset empties the payload but keeps its buffer for the next one.
+func (e *Enc) Reset() { e.b = e.b[:0] }
 
 // U64 appends an unsigned varint.
 func (e *Enc) U64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
@@ -245,4 +249,29 @@ func (d *Dec) Tuples() [][]int64 {
 		return nil
 	}
 	return out
+}
+
+// TuplesFlat consumes what Tuples does, accepting exactly the same payloads,
+// into caller-owned buffers it reuses: the values go back to back in vals
+// and each row's end offset in ends, so row i is vals[ends[i-1]:ends[i]].
+// Both are sized once, from the count and the first row's width, capped by
+// the bytes left — a hostile count cannot size an allocation. On a decoding
+// failure both come back empty.
+func (d *Dec) TuplesFlat(vals []int64, ends []int) ([]int64, []int) {
+	n := d.Count()
+	vals, ends = vals[:0], slices.Grow(ends[:0], n)
+	for i := 0; i < n && d.err == nil; i++ {
+		w := d.Count()
+		if i == 0 {
+			vals = slices.Grow(vals, min(n*w, len(d.b)))
+		}
+		for j := 0; j < w; j++ {
+			vals = append(vals, d.I64())
+		}
+		ends = append(ends, len(vals))
+	}
+	if d.err != nil {
+		return vals[:0], ends[:0]
+	}
+	return vals, ends
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -305,6 +306,68 @@ func FuzzDecodeOptions(f *testing.F) {
 		}
 		if (err == nil) != (err1 == nil) || n != n1 {
 			t.Fatalf("options %+v count %d (%v), on one worker %d (%v)", o, n, err, n1, err1)
+		}
+	})
+}
+
+// FuzzRowChunk throws arbitrary bytes at the two row-chunk decoders. The
+// invariants: Dec.TuplesFlat accepts exactly the payloads Dec.Tuples does,
+// leaves the same remainder and yields the same rows — zero-width rows
+// included, and into buffers reused from an earlier call — and re-encoding
+// accepted rows the way a server streams them (the count prefix, then
+// Enc.Tuple per row as each is emitted) is byte-identical to Enc.Tuples.
+func FuzzRowChunk(f *testing.F) {
+	seed := func(rows ...[]int64) {
+		var e Enc
+		e.Tuples(rows)
+		f.Add(e.Bytes())
+	}
+	seed()
+	seed([]int64{1, 2, 3}, []int64{-4, 5, 1 << 40})
+	seed([]int64{}, []int64{}, []int64{})
+	seed([]int64{7}, []int64{}, []int64{8, 9})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1}) // a count beyond the payload
+	f.Add([]byte{2, 3, 1, 2, 3, 3, 4})             // the second row cut short
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := NewDec(data)
+		rows := want.Tuples()
+		// Buffers left over from an earlier chunk, stale contents and all.
+		vals, ends := []int64{-1, -1, -1, -1, -1}, []int{5, 5}
+		for pass := 0; pass < 2; pass++ {
+			d := NewDec(data)
+			vals, ends = d.TuplesFlat(vals, ends)
+			if (d.Err() == nil) != (want.Err() == nil) {
+				t.Fatalf("pass %d: TuplesFlat error %v, Tuples error %v", pass, d.Err(), want.Err())
+			}
+			if d.Err() != nil {
+				if len(vals) != 0 || len(ends) != 0 {
+					t.Fatalf("pass %d: a rejected chunk left %d values and %d rows", pass, len(vals), len(ends))
+				}
+				return
+			}
+			if !bytes.Equal(d.Rest(), want.Rest()) {
+				t.Fatalf("pass %d: TuplesFlat left %x, Tuples %x", pass, d.Rest(), want.Rest())
+			}
+			if len(ends) != len(rows) {
+				t.Fatalf("pass %d: TuplesFlat gave %d rows, Tuples %d", pass, len(ends), len(rows))
+			}
+			start := 0
+			for i, end := range ends {
+				if !slices.Equal(vals[start:end], rows[i]) {
+					t.Fatalf("pass %d: row %d is %v, want %v", pass, i, vals[start:end], rows[i])
+				}
+				start = end
+			}
+		}
+		var streamed, chunk, whole Enc
+		for _, row := range rows {
+			streamed.Tuple(row)
+		}
+		chunk.Int(len(rows))
+		chunk.Raw(streamed.Bytes())
+		whole.Tuples(rows)
+		if !bytes.Equal(chunk.Bytes(), whole.Bytes()) {
+			t.Fatalf("streamed encoding %x, Enc.Tuples %x", chunk.Bytes(), whole.Bytes())
 		}
 	})
 }

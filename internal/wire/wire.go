@@ -99,21 +99,63 @@ const (
 // WriteFrame writes one frame. The caller serializes concurrent writers.
 func WriteFrame(w io.Writer, typ byte, reqID uint64, body []byte) error {
 	var hdr [5 + binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[5:], reqID)
-	payload := 1 + n + len(body)
-	if payload > MaxFrame {
-		return ErrFrameTooLarge
+	h, err := appendHeader(hdr[:0], typ, reqID, len(body))
+	if err != nil {
+		return err
 	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(payload))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:5+n]); err != nil {
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
 	if len(body) == 0 {
 		return nil
 	}
-	_, err := w.Write(body)
+	_, err = w.Write(body)
 	return err
+}
+
+// AppendFrame appends one frame to dst, so a connection can send it with a
+// single write. An oversized frame returns ErrFrameTooLarge with dst as it
+// was.
+func AppendFrame(dst []byte, typ byte, reqID uint64, body []byte) ([]byte, error) {
+	dst, err := appendHeader(dst, typ, reqID, len(body))
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, body...), nil
+}
+
+// FrameWriter sends each frame on W in one write, assembled in a scratch
+// buffer kept between frames; a body over 64 KiB is written after its header
+// instead, never copied. The caller serializes concurrent writers.
+type FrameWriter struct {
+	W   io.Writer
+	buf []byte
+}
+
+// Write sends one frame. An oversized frame fails with ErrFrameTooLarge
+// before any byte is written.
+func (f *FrameWriter) Write(typ byte, reqID uint64, body []byte) (err error) {
+	if len(body) > 64<<10 {
+		return WriteFrame(f.W, typ, reqID, body)
+	}
+	if f.buf, err = AppendFrame(f.buf[:0], typ, reqID, body); err == nil {
+		_, err = f.W.Write(f.buf)
+	}
+	return err
+}
+
+// appendHeader appends the length, type and request id of a frame whose body
+// is bodyLen bytes long, or returns dst unchanged and ErrFrameTooLarge.
+func appendHeader(dst []byte, typ byte, reqID uint64, bodyLen int) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, typ)
+	dst = binary.AppendUvarint(dst, reqID)
+	payload := len(dst) - start - 4 + bodyLen
+	if payload > MaxFrame {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
+	return dst, nil
 }
 
 // ReadFrame reads one frame, rejecting payloads over MaxFrame.

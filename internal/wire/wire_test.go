@@ -13,8 +13,21 @@ import (
 	"repro/internal/query"
 )
 
+// writeCounter counts the writes made on a buffer.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
 // TestFrameRoundTrip pins the frame layout: type, request id, and payload
-// survive a write/read cycle, including empty bodies and large ids.
+// survive a write/read cycle, including empty bodies and large ids. A
+// FrameWriter puts the same bytes on the wire as WriteFrame, in one write
+// per frame up to a 64 KiB body and after the header beyond that.
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []struct {
 		typ   byte
@@ -24,12 +37,29 @@ func TestFrameRoundTrip(t *testing.T) {
 		{THello, 1, []byte("payload")},
 		{TOK, 0, nil},
 		{TRowChunk, 1 << 60, bytes.Repeat([]byte{0xab}, 4096)},
+		{TLoad, 7, bytes.Repeat([]byte{0xcd}, 100<<10)},
 	}
 	var buf bytes.Buffer
+	var out writeCounter
+	fw := FrameWriter{W: &out}
 	for _, c := range cases {
 		if err := WriteFrame(&buf, c.typ, c.reqID, c.body); err != nil {
 			t.Fatal(err)
 		}
+		writes := out.writes
+		if err := fw.Write(c.typ, c.reqID, c.body); err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if len(c.body) > 64<<10 {
+			want = 2 // the header, then the body
+		}
+		if out.writes-writes != want {
+			t.Fatalf("FrameWriter made %d writes for a %d-byte body, want %d", out.writes-writes, len(c.body), want)
+		}
+	}
+	if !bytes.Equal(out.Bytes(), buf.Bytes()) {
+		t.Fatal("FrameWriter and WriteFrame put different bytes on the wire")
 	}
 	for _, c := range cases {
 		typ, id, body, err := ReadFrame(&buf)
@@ -67,6 +97,10 @@ func TestFrameTruncated(t *testing.T) {
 func TestFrameOversize(t *testing.T) {
 	if err := WriteFrame(io.Discard, TLoad, 1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("write oversize: got %v, want ErrFrameTooLarge", err)
+	}
+	dst := []byte("kept")
+	if got, err := AppendFrame(dst, TLoad, 1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) || string(got) != "kept" {
+		t.Fatalf("append oversize: got %q, %v; want dst unchanged and ErrFrameTooLarge", got, err)
 	}
 	hdr := []byte{0xff, 0xff, 0xff, 0xff, TLoad}
 	if _, _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {

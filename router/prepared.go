@@ -305,11 +305,12 @@ func (p *Prepared) foldPartials(ctx context.Context, t *Txn, emit func([]int64) 
 // that is the single-store order. Host 0's part streams straight through to
 // emit; every later leg copies its rows into chunks and runs up to two
 // chunks ahead (one queued, one filling) before blocking on the
-// concatenation. The first host to fail cancels the others and fails the
-// stream with a typed *HostError — never a silently truncated stream — and a
-// part that does not start after the previous one ended fails it with
-// ErrDiverged rather than repeating rows. The consumer stopping (emit false)
-// cancels every host's execution.
+// concatenation, which hands each drained chunk back to its leg for reuse.
+// The first host to fail cancels the others and fails the stream with a
+// typed *HostError — never a silently truncated stream — and a part that
+// does not start after the previous one ended fails it with ErrDiverged
+// rather than repeating rows. The consumer stopping (emit false) cancels
+// every host's execution.
 func (p *Prepared) concat(ctx context.Context, t *Txn, emit func([]int64) bool) error {
 	hctx, cancel := context.WithCancel(ctx)
 	n := len(p.hosts)
@@ -348,6 +349,7 @@ func (p *Prepared) concat(ctx context.Context, t *Txn, emit func([]int64) bool) 
 		width int
 	}
 	chunks := make([]chan chunk, n)
+	spares := make([]chan []int64, n) // drained chunks, back to their leg
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	defer func() {
@@ -363,6 +365,7 @@ func (p *Prepared) concat(ctx context.Context, t *Txn, emit func([]int64) bool) 
 	}()
 	for i := 1; i < n; i++ {
 		chunks[i] = make(chan chunk, 1)
+		spares[i] = make(chan []int64, 2)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -381,7 +384,12 @@ func (p *Prepared) concat(ctx context.Context, t *Txn, emit func([]int64) bool) 
 			}
 			err := run(i, func(row []int64) bool {
 				if c.vals == nil {
-					c = chunk{vals: make([]int64, 0, chunkRows*len(row)), width: len(row)}
+					c.width = len(row)
+					select {
+					case c.vals = <-spares[i]:
+					default:
+						c.vals = make([]int64, 0, chunkRows*c.width)
+					}
 				}
 				c.vals = append(c.vals, row...)
 				return len(c.vals) < cap(c.vals) || send()
@@ -433,6 +441,10 @@ func (p *Prepared) concat(ctx context.Context, t *Txn, emit func([]int64) bool) 
 					if !take(row) {
 						break drain
 					}
+				}
+				select {
+				case spares[i] <- c.vals[:0]:
+				default:
 				}
 			}
 			if !stopped && !diverged {

@@ -46,7 +46,7 @@ type conn struct {
 	// wmu serializes frame writes: responses from concurrent request
 	// goroutines and stream chunks interleave at frame granularity.
 	wmu sync.Mutex
-	bw  *bufio.Writer
+	fw  wire.FrameWriter
 
 	// ctx is cancelled when the connection closes; per-request contexts
 	// derive from it, so force-closing a connection cancels its work.
@@ -76,7 +76,7 @@ func newConn(srv *Server, nc net.Conn) *conn {
 	return &conn{
 		srv:       srv,
 		nc:        nc,
-		bw:        bufio.NewWriter(nc),
+		fw:        wire.FrameWriter{W: nc},
 		ctx:       ctx,
 		cancel:    cancel,
 		prepared:  make(map[uint64]repro.PreparedQuery),
@@ -98,10 +98,7 @@ func (c *conn) close() {
 func (c *conn) send(typ byte, reqID uint64, body []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := wire.WriteFrame(c.bw, typ, reqID, body); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return c.fw.Write(typ, reqID, body)
 }
 
 func (c *conn) sendOK(reqID uint64) error { return c.send(wire.TOK, reqID, nil) }

@@ -142,13 +142,16 @@ func (c *conn) handleRows(ctx context.Context, reqID uint64, body []byte) error 
 		c.mu.Unlock()
 	}()
 
+	// Each row is encoded as it is emitted into one encoder for the stream; a
+	// full chunk goes out as its row count and the rows: Enc.Tuples' bytes.
 	var (
-		pending   [][]int64
-		delivered int64
-		stopErr   error // credit acquisition / frame write failure
+		rows, chunk wire.Enc
+		pending     int // rows encoded in rows, not yet sent
+		delivered   int64
+		stopErr     error // credit acquisition / frame write failure
 	)
 	flush := func() error {
-		if len(pending) == 0 {
+		if pending == 0 {
 			return nil
 		}
 		stall, err := st.acquire(ctx)
@@ -157,18 +160,20 @@ func (c *conn) handleRows(ctx context.Context, reqID uint64, body []byte) error 
 		if err != nil {
 			return err
 		}
-		var e wire.Enc
-		e.Tuples(pending)
-		if err := c.send(wire.TRowChunk, reqID, e.Bytes()); err != nil {
+		chunk.Reset()
+		chunk.Int(pending)
+		chunk.Raw(rows.Bytes())
+		if err := c.send(wire.TRowChunk, reqID, chunk.Bytes()); err != nil {
 			return err
 		}
-		delivered += int64(len(pending))
-		pending = pending[:0]
+		delivered += int64(pending)
+		rows.Reset()
+		pending = 0
 		return nil
 	}
 	emit := func(tuple []int64) bool {
-		pending = append(pending, append([]int64(nil), tuple...))
-		if len(pending) >= chunkRows {
+		rows.Tuple(tuple)
+		if pending++; pending >= chunkRows {
 			if err := flush(); err != nil {
 				stopErr = err
 				return false
