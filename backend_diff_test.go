@@ -36,12 +36,12 @@ func sortedRows(rows [][]int64) {
 	})
 }
 
-// naiveRows enumerates q with the brute-force oracle (naive.Engine over the
+// naiveRows enumerates q with the brute-force oracle (naive.Enumerate over the
 // flat view of every relation) and returns its rows sorted.
 func naiveRows(t *testing.T, q *Query, db *core.DB) [][]int64 {
 	t.Helper()
 	var rows [][]int64
-	err := naive.Engine{}.Enumerate(context.Background(), q, db, func(tuple []int64) bool {
+	err := naive.Enumerate(context.Background(), q, db, func(tuple []int64) bool {
 		rows = append(rows, append([]int64(nil), tuple...))
 		return true
 	})
@@ -54,7 +54,7 @@ func naiveRows(t *testing.T, q *Query, db *core.DB) [][]int64 {
 
 // TestBackendDifferential runs every corpus query under both trie-driven
 // engines, sequentially and on four workers, and requires counts and sorted
-// rows identical to the brute-force oracle's (naive.Engine, which reads the
+// rows identical to the brute-force oracle's (naive.Enumerate, which reads the
 // flat rows) — the trie index must reproduce the flat reference exactly.
 func TestBackendDifferential(t *testing.T) {
 	ctx := context.Background()

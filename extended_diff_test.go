@@ -81,7 +81,7 @@ func extendedCorpus() []extendedCase {
 
 // referenceEval evaluates an extended query by brute force: enumerate the
 // plain natural join of the query's atoms with the oracle engine
-// (naive.Engine, over the flat rows), post-filter every predicate,
+// (naive.Enumerate, over the flat rows), post-filter every predicate,
 // project with duplicate elimination, and aggregate over the distinct
 // projected bindings — the semantics the engines' pushed-down execution must
 // reproduce exactly.
@@ -121,7 +121,7 @@ func referenceEval(t *testing.T, s *Store, q *Query) [][]int64 {
 	prefixVars := q.Vars()[:q.Prefix()]
 	seen := make(map[string]bool)
 	var prefixRows [][]int64
-	err := naive.Engine{}.Enumerate(ctx, plain, s.DB(), func(row []int64) bool {
+	err := naive.Enumerate(ctx, plain, s.DB(), func(row []int64) bool {
 		for _, p := range q.Preds {
 			if !evalPred(row, p) {
 				return true

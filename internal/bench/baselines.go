@@ -40,7 +40,7 @@ const (
 // count the unprojected, unfiltered result.
 var errPlainJoinsOnly = errors.New("bench: baseline engines run plain natural joins only")
 
-// counter is what a cell runs: the Count of a baseline's core.Engine, or of
+// counter is what a cell runs: the Count of a baseline engine, or of
 // compiled for the serving engines.
 type counter interface {
 	Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error)
@@ -72,7 +72,7 @@ func prepare(opts engine.Options, q *query.Query, db *core.DB) (counter, error) 
 
 // baseline returns the named baseline engine. It validates the query up
 // front, as engine.Compile does for the serving engines.
-func baseline(opts engine.Options, q *query.Query) (core.Engine, error) {
+func baseline(opts engine.Options, q *query.Query) (counter, error) {
 	if q.Extended() {
 		return nil, fmt.Errorf("%w: %s on query %q", errPlainJoinsOnly, opts.Algorithm, q.Name)
 	}

@@ -34,7 +34,7 @@ func TestBaselinesDifferential(t *testing.T) {
 		for _, c := range cases {
 			for _, q := range c.queries {
 				t.Run(fmt.Sprintf("seed=%d/%s/%s", seed, q.Name, c.alg), func(t *testing.T) {
-					want, err := naive.Engine{}.Count(ctx, q, db)
+					want, err := naive.Count(ctx, q, db)
 					if err != nil {
 						t.Fatal(err)
 					}

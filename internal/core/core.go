@@ -1,7 +1,7 @@
 // Package core holds the pieces shared by every join engine in the
 // reproduction: the database (a named collection of relations with a cache
-// of GAO-consistent secondary indexes, §4.1) and the Engine interface the
-// benchmark harness drives.
+// of GAO-consistent secondary indexes, §4.1), the compiled plans the
+// engines execute, and the atom-binding rule they share.
 package core
 
 import (
@@ -164,16 +164,6 @@ func (db *DB) OverlayDepth() int {
 	return total
 }
 
-// Version returns the database's mutation counter (incremented by every Add
-// and ApplyDelta). Callers that cache derived state — the incremental views
-// cache compiled delta plans — compare versions to detect relations changing
-// underneath them.
-func (db *DB) Version() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.version
-}
-
 // ApplyDelta applies an in-place update batch to the named relation in time
 // proportional to the batch and the small overlay logs, never to the
 // relation: the batch is reduced to its canonical delta against the
@@ -289,23 +279,6 @@ func (st *relState) canonicalDelta(name string, canon *relation.Overlay, inserts
 	dels = allDels.Filter(func(t []int64) bool { return st.contains(canon, t) })
 	ins = insB.Build().Filter(func(t []int64) bool { return !allDels.Contains(t) && !st.contains(canon, t) })
 	return ins, dels
-}
-
-// CanonicalDelta returns the canonical form of a raw update batch against
-// the named relation's current contents — exactly the delta ApplyDelta would
-// land, in sorted order — without applying it and without materialising the
-// relation. The incremental views canonicalize their batches through it
-// before deriving correction terms, so view maintenance and the raw
-// ApplyDelta path agree on batch semantics.
-func (db *DB) CanonicalDelta(name string, inserts, deletes [][]int64) (ins, dels [][]int64, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, ok := db.rels[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
-	}
-	insRel, delsRel := st.canonicalDelta(name, db.canonLocked(st), inserts, deletes)
-	return insRel.Tuples(), delsRel.Tuples(), nil
 }
 
 // RelationSnapshot is one relation's immutable contents at the moment
@@ -472,16 +445,6 @@ func (db *DB) trieIndexLocked(name string, perm []int) (*Index, error) {
 	return x, nil
 }
 
-// Engine is a join algorithm. Count returns the number of result tuples of
-// the natural join; Enumerate calls emit for every result tuple with the
-// variable bindings in q.Vars() order and stops early if emit returns false.
-// Both honor context cancellation.
-type Engine interface {
-	Name() string
-	Count(ctx context.Context, q *query.Query, db *DB) (int64, error)
-	Enumerate(ctx context.Context, q *query.Query, db *DB, emit func([]int64) bool) error
-}
-
 // AtomIndex resolves the GAO-consistent index for one atom: the atom's
 // variables sorted by GAO position, the permutation applied, and the global
 // GAO positions of its columns in index order.
@@ -518,21 +481,6 @@ func AtomOrder(a query.Atom, gaoPos map[string]int) (order, varPos []int, err er
 	return order, varPos, nil
 }
 
-// BindAtom builds the GAO-consistent trie index for one atom. gaoPos maps
-// variable name to GAO position. The incremental views use it to re-bind
-// just their delta atoms per update batch.
-func BindAtom(a query.Atom, db *DB, gaoPos map[string]int) (AtomIndex, error) {
-	order, varPos, err := AtomOrder(a, gaoPos)
-	if err != nil {
-		return AtomIndex{}, err
-	}
-	trie, err := db.TrieIndex(a.Rel, order)
-	if err != nil {
-		return AtomIndex{}, err
-	}
-	return AtomIndex{Index: trie, VarPos: varPos}, nil
-}
-
 // GAOPositions maps each variable of a global attribute order to its
 // position.
 func GAOPositions(gao []string) map[string]int {
@@ -549,11 +497,15 @@ func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
 	pos := GAOPositions(gao)
 	out := make([]AtomIndex, len(q.Atoms))
 	for i, a := range q.Atoms {
-		ai, err := BindAtom(a, db, pos)
+		order, varPos, err := AtomOrder(a, pos)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = ai
+		trie, err := db.TrieIndex(a.Rel, order)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = AtomIndex{Index: trie, VarPos: varPos}
 	}
 	return out, nil
 }

@@ -101,9 +101,9 @@ func TestBindArityMismatch(t *testing.T) {
 	if _, err := NewPlan(wide, db, "lftj", []string{"a", "b", "c"}, nil, false, "", nil); !errors.Is(err, ErrArityMismatch) {
 		t.Errorf("NewPlan over a 3-variable atom of a 2-ary relation: %v, want ErrArityMismatch", err)
 	}
-	narrow := query.Atom{Rel: "edge", Vars: []string{"a"}}
-	if _, err := BindAtom(narrow, db, map[string]int{"a": 0}); !errors.Is(err, ErrArityMismatch) {
-		t.Errorf("BindAtom of a 1-variable atom over a 2-ary relation: %v, want ErrArityMismatch", err)
+	narrow := query.New("narrow", query.Atom{Rel: "edge", Vars: []string{"a"}})
+	if _, err := BindAtoms(narrow, db, []string{"a"}); !errors.Is(err, ErrArityMismatch) {
+		t.Errorf("BindAtoms over a 1-variable atom of a 2-ary relation: %v, want ErrArityMismatch", err)
 	}
 	if _, err := db.TrieIndex("edge", []int{0, 1, 2}); !errors.Is(err, ErrArityMismatch) {
 		t.Errorf("TrieIndex with a 3-column order: %v, want ErrArityMismatch", err)

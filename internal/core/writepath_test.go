@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -305,10 +306,11 @@ func TestCanonicalDelta(t *testing.T) {
 	} {
 		for setup, mk := range map[string]func() *DB{"flat": flat, "overlaid": overlaid} {
 			db := mk()
-			ins, dels, err := db.CanonicalDelta("e", tc.inserts, tc.deletes)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db.mu.Lock()
+			st := db.rels["e"]
+			insRel, delsRel := st.canonicalDelta("e", db.canonLocked(st), tc.inserts, tc.deletes)
+			db.mu.Unlock()
+			ins, dels := insRel.Tuples(), delsRel.Tuples()
 			if !sameTuples(ins, tc.wantIns) || !sameTuples(dels, tc.wantDels) {
 				t.Errorf("%s (%s): got +%v -%v, want +%v -%v", tc.name, setup, ins, dels, tc.wantIns, tc.wantDels)
 			}
@@ -328,8 +330,8 @@ func TestCanonicalDelta(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := NewDB().CanonicalDelta("missing", nil, nil); err == nil {
-		t.Error("CanonicalDelta on an unknown relation should fail")
+	if err := NewDB().ApplyDelta("missing", nil, nil); !errors.Is(err, ErrUnknownRelation) {
+		t.Errorf("ApplyDelta on an unknown relation: %v, want ErrUnknownRelation", err)
 	}
 }
 

@@ -231,3 +231,39 @@ func TestModelString(t *testing.T) {
 		t.Error("Model.String wrong")
 	}
 }
+
+// TriangleCount counts the triangles of the generated graph, so the tests
+// can assert the regimes match the paper's table qualitatively.
+func (g *Graph) TriangleCount() int64 {
+	adj := make(map[int64][]int64)
+	for _, e := range g.Edges {
+		u, v := e[0], e[1]
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+	}
+	for u := range adj {
+		slices.Sort(adj[u])
+	}
+	var n int64
+	for _, e := range g.Edges {
+		u, v := e[0], e[1]
+		// Count common neighbors w > v > u to count each triangle once.
+		a, b := adj[u], adj[v]
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			switch {
+			case a[i] < b[j]:
+				i++
+			case a[i] > b[j]:
+				j++
+			default:
+				if a[i] > u && a[i] > v {
+					n++
+				}
+				i++
+				j++
+			}
+		}
+	}
+	return n
+}

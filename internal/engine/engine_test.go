@@ -25,7 +25,7 @@ func compile(t *testing.T, opts Options, q *query.Query, db *core.DB) *core.Plan
 // oracle counts q's rows with the naive engine.
 func oracle(t *testing.T, q *query.Query, db *core.DB) int64 {
 	t.Helper()
-	n, err := (naive.Engine{}).Count(context.Background(), q, db)
+	n, err := naive.Count(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

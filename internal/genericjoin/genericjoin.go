@@ -32,10 +32,7 @@ type Engine struct {
 	GAO []string
 }
 
-// Name implements core.Engine.
-func (Engine) Name() string { return "genericjoin" }
-
-// Count implements core.Engine.
+// Count returns the number of result tuples of q.
 func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
 	var n int64
 	err := e.Enumerate(ctx, q, db, func([]int64) bool {
@@ -45,14 +42,15 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 	return n, err
 }
 
-// Enumerate implements core.Engine.
+// Enumerate calls emit for every result tuple, with the variable bindings in
+// q.Vars() order, and stops early if emit returns false.
 func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
 	gao := e.GAO
 	if gao == nil {
-		gao, _ = hypergraph.ChooseGAO(q, e.Name())
+		gao, _ = hypergraph.ChooseGAO(q, "genericjoin")
 	}
 	if len(gao) != q.NumVars() {
 		return fmt.Errorf("genericjoin: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)

@@ -25,9 +25,6 @@ type Engine struct {
 	Workers int
 }
 
-// Name implements core.Engine.
-func (Engine) Name() string { return "graphlab" }
-
 // csr is a forward adjacency: for each vertex, its oriented neighbors
 // (u < v), sorted.
 type csr struct {
@@ -95,8 +92,9 @@ func intersect(a, b []int64, out []int64) []int64 {
 	return out
 }
 
-// Count implements core.Engine for the 3-clique and 4-clique patterns; all
-// other queries are rejected, mirroring the paper's GraphLab coverage.
+// Count counts the 3-clique and 4-clique patterns; all other queries are
+// rejected, mirroring the paper's GraphLab coverage. Like the paper's
+// GraphLab programs it is count-only.
 func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
 	var k int
 	switch q.Name {
@@ -164,10 +162,4 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 		return 0, runErr
 	}
 	return total.Load(), nil
-}
-
-// Enumerate is intentionally unsupported: the paper's GraphLab baselines are
-// count-only gather-apply-scatter programs.
-func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	return fmt.Errorf("graphengine: enumeration not supported")
 }

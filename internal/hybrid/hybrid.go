@@ -25,9 +25,6 @@ import (
 // paper's {2,3}-lollipop shapes. Splits are detected automatically.
 type Engine struct{}
 
-// Name implements core.Engine.
-func (Engine) Name() string { return "hybrid" }
-
 // Split describes the decomposition of a query.
 type split struct {
 	pathAtoms   []query.Atom
@@ -109,7 +106,8 @@ func plans(q *query.Query, db *core.DB) (sp *split, path, clique *core.Plan, err
 // value.
 func attachment(v int64) core.Range { return core.Range{Lo: v, Hi: v + 1} }
 
-// Count implements core.Engine.
+// Count returns the number of result tuples of the lollipop query q: Σ
+// over the path part's bindings of the clique count at their attachment.
 func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
 	sp, path, clique, err := plans(q, db)
 	if err != nil {
@@ -154,57 +152,4 @@ func others(vars []string, skip string) []string {
 		}
 	}
 	return out
-}
-
-// Enumerate implements core.Engine by joining the parts explicitly; it is
-// provided for completeness and testing (the paper's hybrid is count-only).
-func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	sp, path, clique, err := plans(q, db)
-	if err != nil {
-		return err
-	}
-	gen := db.Pin()
-	idx := q.VarIndex()
-	perm := func(vars []string) []int {
-		p := make([]int, len(vars))
-		for i, v := range vars {
-			p[i] = idx[v]
-		}
-		return p
-	}
-	pathPerm, cliquePerm := perm(path.Query.Vars()), perm(clique.Query.Vars())
-	attachPath := slices.Index(path.Query.Vars(), sp.attachment)
-	// Group clique bindings per attachment value lazily.
-	cliqueCache := make(map[int64][][]int64)
-	out := make([]int64, q.NumVars())
-	var cliqueErr error
-	_, err = minesweeper.Run(ctx, path, gen, minesweeper.Options{}, core.FullRange, nil, func(pt []int64) bool {
-		v := pt[attachPath]
-		rows, ok := cliqueCache[v]
-		if !ok {
-			if _, cliqueErr = lftj.Run(ctx, clique, gen, attachment(v), nil, func(ct []int64) bool {
-				rows = append(rows, append([]int64(nil), ct...))
-				return true
-			}); cliqueErr != nil {
-				return false
-			}
-			cliqueCache[v] = rows
-		}
-		for _, ct := range rows {
-			for i, p := range pathPerm {
-				out[p] = pt[i]
-			}
-			for i, p := range cliquePerm {
-				out[p] = ct[i]
-			}
-			if !emit(out) {
-				return false
-			}
-		}
-		return true
-	})
-	if err == nil {
-		err = cliqueErr
-	}
-	return err
 }

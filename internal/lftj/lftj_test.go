@@ -134,7 +134,7 @@ func TestDifferentialVsNaive(t *testing.T) {
 		m := 2 + rng.Intn(20)
 		db := testutil.RandomGraphDB(rng, n, m, 2)
 		for _, q := range testutil.BenchmarkQueries() {
-			want, err := (naive.Engine{}).Count(context.Background(), q, db)
+			want, err := naive.Count(context.Background(), q, db)
 			if err != nil {
 				t.Fatal(err)
 			}

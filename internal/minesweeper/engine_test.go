@@ -55,7 +55,7 @@ func count(t *testing.T, q *query.Query, db *core.DB) int64 {
 // oracle counts q's rows with the naive engine.
 func oracle(t *testing.T, q *query.Query, db *core.DB) int64 {
 	t.Helper()
-	n, err := (naive.Engine{}).Count(context.Background(), q, db)
+	n, err := naive.Count(context.Background(), q, db)
 	if err != nil {
 		t.Fatalf("naive Count(%s): %v", q.Name, err)
 	}
@@ -98,7 +98,7 @@ func TestEnumerateMatchesLFTJ(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 10, 25, 2)
 	for _, q := range []*query.Query{query.Clique(3), query.Path(3), query.Comb(), query.Tree(1)} {
 		var want, got [][]int64
-		if err := (naive.Engine{}).Enumerate(context.Background(), q, db, collector(&want)); err != nil {
+		if err := naive.Enumerate(context.Background(), q, db, collector(&want)); err != nil {
 			t.Fatal(err)
 		}
 		if err := enumerate(t, q, db, collector(&got)); err != nil {

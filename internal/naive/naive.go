@@ -15,24 +15,20 @@ import (
 	"repro/internal/relation"
 )
 
-// Engine is the oracle engine.
-type Engine struct{}
-
-// Name implements core.Engine.
-func (Engine) Name() string { return "naive" }
-
-// Count implements core.Engine.
-func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
+// Count returns the number of result tuples of the natural join q.
+func Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
 	var n int64
-	err := e.Enumerate(ctx, q, db, func([]int64) bool {
+	err := Enumerate(ctx, q, db, func([]int64) bool {
 		n++
 		return true
 	})
 	return n, err
 }
 
-// Enumerate implements core.Engine.
-func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
+// Enumerate calls emit for every result tuple, with the variable bindings in
+// q.Vars() order, and stops early if emit returns false. It honors context
+// cancellation.
+func Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}

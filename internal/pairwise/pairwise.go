@@ -50,47 +50,16 @@ type Engine struct {
 	Opts Options
 }
 
-// Name implements core.Engine.
-func (e Engine) Name() string {
-	if e.Opts.Flavor == Greedy {
-		return "monetdb"
-	}
-	return "psql"
-}
-
 const defaultMaxRows = 30_000_000
 
-// Count implements core.Engine.
+// Count returns the number of result tuples of the natural join q,
+// materialising every intermediate.
 func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
 	res, err := e.join(ctx, q, db)
 	if err != nil {
 		return 0, err
 	}
 	return int64(res.count()), nil
-}
-
-// Enumerate implements core.Engine.
-func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	res, err := e.join(ctx, q, db)
-	if err != nil {
-		return err
-	}
-	idx := q.VarIndex()
-	perm := make([]int, len(res.schema))
-	for i, v := range res.schema {
-		perm[i] = idx[v]
-	}
-	out := make([]int64, len(res.schema))
-	for r := 0; r < res.count(); r++ {
-		row := res.row(r)
-		for i, p := range perm {
-			out[p] = row[i]
-		}
-		if !emit(out) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // table is a materialized intermediate with a variable schema.

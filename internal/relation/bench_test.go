@@ -44,7 +44,7 @@ func BenchmarkCSRBuild100k(b *testing.B) {
 // fullScan drives a two-level depth-first walk through either access path's
 // cursor (the shapes BenchmarkTrieIteratorFullScan and BenchmarkCSR*FullScan
 // compare).
-func fullScan(it trieCursor) {
+func fullScan(it Cursor) {
 	it.Open()
 	for !it.AtEnd() {
 		it.Open()

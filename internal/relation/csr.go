@@ -9,8 +9,8 @@ import (
 // compressed-sparse-row layout: one contiguous key array per attribute level
 // plus an offset array mapping each node to its children's range in the next
 // level (the layout TrieJax and EmptyHeaded use for worst-case-optimal join
-// indices). Where the flat Relation re-derives child ranges by binary search
-// over full row ranges on every TrieIterator.Open/Next, the CSR trie resolves
+// indices). Where a cursor over the flat Relation re-derives child ranges by
+// binary search over full row ranges on every Open/Next, the CSR trie resolves
 // Open and Next in O(1) array arithmetic and SeekGE by galloping over a
 // dense, cache-resident key array — the access pattern of the innermost
 // leapfrog loop. A CSRTrie is immutable and safe for concurrent cursors.
@@ -240,10 +240,10 @@ func gallopGE(vals []int64, pos, hi int32, v int64) int32 {
 	return lowerBound64(vals, lo, min(bound, hi), v)
 }
 
-// CSRCursor is the trie cursor over a CSRTrie, with the same contract as
-// TrieIterator: Open descends to the first child, Up pops back, Next/SeekGE
-// move within the current level in increasing key order, and calling them at
-// the end of a level is a no-op.
+// CSRCursor is the trie cursor over a CSRTrie, with the Cursor contract:
+// Open descends to the first child, Up pops back, Next/SeekGE move within
+// the current level in increasing key order, and calling them at the end of
+// a level is a no-op.
 type CSRCursor struct {
 	t     *CSRTrie
 	depth int

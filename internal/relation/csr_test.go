@@ -6,20 +6,9 @@ import (
 	"testing"
 )
 
-// trieCursor is the shared contract of TrieIterator and CSRCursor, so the
-// differential tests below can drive both identically.
-type trieCursor interface {
-	Open()
-	Up()
-	Next()
-	SeekGE(v int64)
-	AtEnd() bool
-	Key() int64
-}
-
 // walk enumerates the full trie depth-first, recording every (depth, key)
 // visit in order.
-func walk(c trieCursor, arity int) [][2]int64 {
+func walk(c Cursor, arity int) [][2]int64 {
 	var out [][2]int64
 	var rec func(depth int)
 	rec = func(depth int) {
@@ -59,7 +48,7 @@ func TestCSRCursorMatchesTrieIterator(t *testing.T) {
 
 // walkWithSeeks descends the trie performing a SeekGE at every level before
 // iterating, exercising the galloping path against the binary-search path.
-func walkWithSeeks(c trieCursor, arity int, seeks []int64) [][2]int64 {
+func walkWithSeeks(c Cursor, arity int, seeks []int64) [][2]int64 {
 	var out [][2]int64
 	var rec func(depth int)
 	rec = func(depth int) {

@@ -19,9 +19,6 @@ import (
 // Engine is the Yannakakis engine. It rejects cyclic queries.
 type Engine struct{}
 
-// Name implements core.Engine.
-func (Engine) Name() string { return "yannakakis" }
-
 // table is a mutable copy of one atom's tuples with per-tuple weights.
 type table struct {
 	vars   []string
@@ -34,7 +31,8 @@ type table struct {
 func (t *table) row(i int) []int64 { return t.rows[i*t.width : (i+1)*t.width] }
 func (t *table) count() int        { return len(t.weight) }
 
-// Count implements core.Engine.
+// Count returns the number of result tuples of the acyclic query q; the
+// counting pass never materialises them.
 func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -106,12 +104,6 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 		}
 	}
 	return total, nil
-}
-
-// Enumerate is not provided: the counting pass never materializes output
-// tuples. Callers needing enumeration use LFTJ or Minesweeper.
-func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	return fmt.Errorf("yannakakis: enumeration not supported (count-only engine)")
 }
 
 // sharedPositions returns aligned column positions of the variables common

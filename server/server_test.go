@@ -170,7 +170,7 @@ func TestRemoteDifferential(t *testing.T) {
 	}
 	for _, q := range corpus() {
 		want, err := collect(ctx, func(ctx context.Context, fn func([]int64) bool) error {
-			return naive.Engine{}.Enumerate(ctx, q, st.DB(), fn)
+			return naive.Enumerate(ctx, q, st.DB(), fn)
 		})
 		if err != nil {
 			t.Fatalf("%s naive enumerate: %v", q.Name, err)
