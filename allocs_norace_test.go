@@ -66,6 +66,35 @@ func TestTxnExecAllocs(t *testing.T) {
 	}
 }
 
+// TestPointExecAllocs gates the fixed cost of one execution: a Count of the
+// served point query on a prepared handle allocates at most 2 objects (0 on
+// go1.24), because the engine takes its execution state from a pooled frame.
+func TestPointExecAllocs(t *testing.T) {
+	ctx := context.Background()
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 400, 2000, 3), 1, 3)
+	q, err := ParseQuery("point", "out(a,b,c) :- edge(a,b), edge(b,c), a = 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := p.Count(ctx)
+	if err != nil || n == 0 {
+		t.Fatalf("Count = %d, %v; want rows, or the gate measures nothing", n, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.Count(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("point Count: %.0f allocs per execution, %d rows", allocs, n)
+	if allocs > 2 {
+		t.Errorf("a point Count allocates %.1f objects, want <= 2", allocs)
+	}
+}
+
 // TestApplyAllocsIndependentOfRelationSize gates the O(batch) write path: a
 // 64+64-tuple Store.Apply with two attribute orders bound allocates a few
 // dozen KiB for the overlay logs and nothing proportional to the relation —

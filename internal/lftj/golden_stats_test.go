@@ -57,5 +57,14 @@ func TestStatsGolden(t *testing.T) {
 		if got := [2]int64{st.Seeks, st.Outputs}; got != goldenStats[i] {
 			t.Errorf("%s: {Seeks, Outputs} = %v, golden %v", g.name, got, goldenStats[i])
 		}
+		// Count mode (a nil emit) makes the same seeks.
+		var cc core.StatsCollector
+		n, err := Run(context.Background(), compile(t, q, db, nil), db.Pin(), core.FullRange, &cc, nil)
+		if err != nil {
+			t.Fatalf("%s count: %v", g.name, err)
+		}
+		if got := [2]int64{cc.Snapshot().Seeks, n}; got != goldenStats[i] {
+			t.Errorf("%s count mode: {Seeks, rows} = %v, golden %v", g.name, got, goldenStats[i])
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -38,69 +39,13 @@ func (e Engine) Count(ctx context.Context, _ *query.Query, _ *core.DB) (int64, e
 // states mid-join. Each row goes to emit, which returns false to stop; a nil
 // emit only counts. Run returns the number of rows.
 func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Range, sc *core.StatsCollector, emit func([]int64) bool) (int64, error) {
-	gao, push := plan.GAO, plan.Push
-	ex := &exec{
-		n:       len(gao),
-		last:    push.EmitDepth(len(gao)) - 1,
-		binding: make([]int64, len(gao)),
-		emitPos: core.EmitPositions(make([]int, 0, len(gao)), plan.Query, gao, push),
-		emit:    emit,
-		tick:    core.NewTicker(ctx),
-	}
-	if push.Buffered() {
-		ex.sink = sinks.Get().(*core.GroupSink)
-		ex.sink.Reset(push, emit)
-		defer func() {
-			ex.sink.Release()
-			sinks.Put(ex.sink)
-		}()
-	}
-	// Fold the compiled seek bounds and the first-variable range into one
-	// per-depth [lo, hi) table; residual predicates are bucketed by the
-	// depth that decides them.
-	if push != nil {
-		if push.Bounds != nil {
-			ex.lo = make([]int64, len(gao))
-			ex.hi = make([]int64, len(gao))
-			for d, b := range push.Bounds {
-				ex.lo[d], ex.hi[d] = b.Lo, b.Hi
-			}
-		}
-		if len(push.Residuals) > 0 {
-			ex.resAt = make([][]core.ResidualPred, len(gao))
-			for d := range ex.resAt {
-				ex.resAt[d] = push.ResidualsAt(d)
-			}
-		}
-	}
-	if r != core.FullRange {
-		if ex.lo == nil {
-			ex.lo = make([]int64, len(gao))
-			ex.hi = make([]int64, len(gao))
-			for d := range ex.hi {
-				ex.hi[d] = relation.PosInf
-			}
-		}
-		ex.lo[0] = max(ex.lo[0], r.Lo)
-		ex.hi[0] = min(ex.hi[0], r.Hi)
-	}
-	// One cursor per atom, and for each GAO depth the cursors of the atoms
-	// participating in it.
-	ex.byVar = make([][]*relation.OverlayCursor, len(gao))
-	cursors := make([]relation.OverlayCursor, len(plan.Atoms))
-	for i, a := range plan.Atoms {
-		cursors[i].Reset(gen.Overlay(a.Index))
-		for _, p := range a.VarPos {
-			ex.byVar[p] = append(ex.byVar[p], &cursors[i])
-		}
-	}
-	for d, its := range ex.byVar {
-		if len(its) == 0 {
-			return 0, fmt.Errorf("lftj: variable %s (depth %d) not bound by any atom: %w", gao[d], d, core.ErrUnboundVar)
-		}
+	ex := takeFrame()
+	defer ex.release()
+	if err := ex.reset(ctx, plan, gen, r, emit); err != nil {
+		return 0, err
 	}
 	_, err := ex.run(0)
-	if ex.sink != nil {
+	if ex.buffered {
 		if err == nil {
 			ex.sink.Flush()
 		}
@@ -113,30 +58,156 @@ func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Rang
 	return ex.outputs, nil
 }
 
-// sinks pools the group sinks of buffered executions, so their buffers are
-// reused across executions rather than regrown by each.
-var sinks = sync.Pool{New: func() any { return new(core.GroupSink) }}
+// frame is one execution's state: the run's parameters, the binding, the
+// per-depth bounds and residuals, one cursor per atom, the members of every
+// depth's leapfrog, the output row and the group sink. Frames live in a
+// sync.Pool: a run takes one, resets it (lengths set, capacity kept) and
+// gives it back, so steady-state executions allocate nothing here and every
+// concurrent execution has its own. An idle frame is the garbage
+// collector's to drop, all but the one most recently released, which
+// hotFrame keeps.
+type frame struct {
+	n     int
+	last  int // deepest level a row reads; below it one witness suffices
+	byVar [][]member
+	// members backs byVar; cursors holds one cursor per atom, which the
+	// members of the atom's depths share.
+	members  []member
+	cursors  []relation.OverlayCursor
+	binding  []int64
+	emitPos  []int              // GAO position of each emitted column
+	emit     func([]int64) bool // nil: count only
+	buffered bool               // rows go through sink (core.Pushdown.Buffered)
+	sink     core.GroupSink
+	tick     core.Ticker
+	lo, hi   []int64               // per-depth seek bounds [lo, hi); nil when unbounded
+	bounds   []int64               // backs lo and hi
+	resAt    [][]core.ResidualPred // residual predicates decided at each depth; empty when none
+	out      []int64
+	outputs  int64
+	seeks    int64
+}
 
-type exec struct {
-	n       int
-	last    int // deepest level a row reads; below it one witness suffices
-	byVar   [][]*relation.OverlayCursor
-	binding []int64
-	emitPos []int              // GAO position of each emitted column
-	emit    func([]int64) bool // nil: count only
-	sink    *core.GroupSink    // non-nil: rows go through it (core.Pushdown.Buffered)
-	tick    *core.Ticker
-	lo, hi  []int64               // per-depth seek bounds [lo, hi); nil when unbounded
-	resAt   [][]core.ResidualPred // residual predicates decided at each depth
-	out     []int64
-	outputs int64
-	seeks   int64
+var frames = sync.Pool{New: func() any { return new(frame) }}
+
+// hotFrame holds the most recently released frame by a strong reference: a
+// sync.Pool alone loses a frame parked in another P's private slot and
+// empties within two collections, and the next execution would regrow it.
+var hotFrame atomic.Pointer[frame]
+
+func takeFrame() *frame {
+	if ex := hotFrame.Swap(nil); ex != nil {
+		return ex
+	}
+	return frames.Get().(*frame)
+}
+
+// reset prepares the frame for a run of plan on gen over r.
+func (ex *frame) reset(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Range, emit func([]int64) bool) error {
+	gao, push, atoms := plan.GAO, plan.Push, plan.Atoms
+	n := len(gao)
+	ex.n, ex.last, ex.emit = n, push.EmitDepth(n)-1, emit
+	ex.outputs, ex.seeks = 0, 0
+	ex.tick = *core.NewTicker(ctx)
+	ex.binding = zeroed(ex.binding, n)
+	ex.emitPos = core.EmitPositions(ex.emitPos[:0], plan.Query, gao, push)
+	ex.out = zeroed(ex.out, len(ex.emitPos))
+	if ex.buffered = push.Buffered(); ex.buffered {
+		ex.sink.Reset(push, emit)
+	}
+	// Fold the compiled seek bounds and the first-variable range into one
+	// per-depth [lo, hi) table; residual predicates are bucketed by the
+	// depth that decides them.
+	ex.lo, ex.hi = nil, nil
+	if bounded := push != nil && push.Bounds != nil; bounded || r != core.FullRange {
+		ex.bounds = zeroed(ex.bounds, 2*n)
+		ex.lo, ex.hi = ex.bounds[:n:n], ex.bounds[n:]
+		if bounded {
+			for d, b := range push.Bounds {
+				ex.lo[d], ex.hi[d] = b.Lo, b.Hi
+			}
+		} else {
+			for d := range ex.hi {
+				ex.hi[d] = relation.PosInf
+			}
+		}
+		if r != core.FullRange {
+			ex.lo[0] = max(ex.lo[0], r.Lo)
+			ex.hi[0] = min(ex.hi[0], r.Hi)
+		}
+	}
+	ex.resAt = ex.resAt[:0]
+	if push != nil && len(push.Residuals) > 0 {
+		ex.resAt = zeroed(ex.resAt, n)
+		for d := range ex.resAt {
+			ex.resAt[d] = push.ResidualsAt(d)
+		}
+	}
+	// One cursor per atom (grown in place, so each keeps its buffers), and
+	// for each GAO depth a member per participating atom, in atom order.
+	if have := cap(ex.cursors); have < len(atoms) {
+		ex.cursors = append(ex.cursors[:have], make([]relation.OverlayCursor, len(atoms)-have)...)
+	}
+	ex.cursors = ex.cursors[:len(atoms)]
+	width := 0
+	for i, a := range atoms {
+		ex.cursors[i].Reset(gen.Overlay(a.Index))
+		width += len(a.VarPos)
+	}
+	ex.members = zeroed(ex.members, width)
+	ex.byVar = zeroed(ex.byVar, n)
+	off := 0
+	for d := range ex.byVar {
+		from := off
+		for i, a := range atoms {
+			for _, p := range a.VarPos {
+				if p == d {
+					ex.members[off].c = &ex.cursors[i]
+					off++
+				}
+			}
+		}
+		if off == from {
+			return fmt.Errorf("lftj: variable %s (depth %d) not bound by any atom: %w", gao[d], d, core.ErrUnboundVar)
+		}
+		ex.byVar[d] = ex.members[from:off:off]
+	}
+	return nil
+}
+
+// zeroed returns buf resized to n zero values, reusing its storage when it
+// can.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// release drops the run's references — the consumer, the context, the
+// plan's residuals and every overlay and trie of the run's generation — and
+// returns the frame to the pool, so a pooled frame never pins a superseded
+// generation.
+func (ex *frame) release() {
+	ex.emit = nil
+	ex.tick = core.Ticker{}
+	ex.sink.Release()
+	clear(ex.resAt)
+	clear(ex.members)
+	for i := range ex.cursors {
+		ex.cursors[i].Reset(nil)
+	}
+	if !hotFrame.CompareAndSwap(nil, ex) {
+		frames.Put(ex)
+	}
 }
 
 // residualsOK evaluates the residual predicates decided at depth d against
 // the binding prefix built so far.
-func (ex *exec) residualsOK(d int) bool {
-	if ex.resAt == nil {
+func (ex *frame) residualsOK(d int) bool {
+	if len(ex.resAt) == 0 {
 		return true
 	}
 	for _, r := range ex.resAt[d] {
@@ -147,19 +218,31 @@ func (ex *exec) residualsOK(d int) bool {
 	return true
 }
 
+// open descends every cursor of depth d and turns each member into a lane
+// where its cursor reads the base trie alone.
+func (ex *frame) open(d int) []member {
+	ms := ex.byVar[d]
+	for i := range ms {
+		m := &ms[i]
+		m.c.Open()
+		m.vals, m.pos, m.hi, _ = m.c.PureLevel()
+	}
+	return ms
+}
+
+// up returns every cursor of depth d to depth d-1.
+func up(ms []member) {
+	for i := range ms {
+		ms[i].c.Up()
+	}
+}
+
 // run executes the triejoin at GAO depth d; it returns false when
 // enumeration should stop (emit returned false).
-func (ex *exec) run(d int) (bool, error) {
-	its := ex.byVar[d]
-	for _, it := range its {
-		it.Open()
-	}
-	defer func() {
-		for _, it := range its {
-			it.Up()
-		}
-	}()
-	lf := leapfrog{its: its, seeks: &ex.seeks}
+func (ex *frame) run(d int) (bool, error) {
+	ms := ex.open(d)
+	defer up(ms)
+	lf := leapfrog{ms: ms, seeks: &ex.seeks}
 	if !lf.init() {
 		return true, nil
 	}
@@ -212,17 +295,10 @@ func (ex *exec) run(d int) (bool, error) {
 // exists reports whether any full binding extends the current prefix through
 // depths d..n-1, respecting bounds and residual predicates; it stops at the
 // first witness.
-func (ex *exec) exists(d int) (bool, error) {
-	its := ex.byVar[d]
-	for _, it := range its {
-		it.Open()
-	}
-	defer func() {
-		for _, it := range its {
-			it.Up()
-		}
-	}()
-	lf := leapfrog{its: its, seeks: &ex.seeks}
+func (ex *frame) exists(d int) (bool, error) {
+	ms := ex.open(d)
+	defer up(ms)
+	lf := leapfrog{ms: ms, seeks: &ex.seeks}
 	if !lf.init() {
 		return false, nil
 	}
@@ -257,16 +333,13 @@ func (ex *exec) exists(d int) (bool, error) {
 
 // output reports the current binding: into the group sink when the GAO does
 // not enumerate in output order, else straight to emit.
-func (ex *exec) output() bool {
-	if ex.sink != nil {
+func (ex *frame) output() bool {
+	if ex.buffered {
 		return ex.sink.Add(ex.binding)
 	}
 	ex.outputs++
 	if ex.emit == nil {
 		return true
-	}
-	if ex.out == nil {
-		ex.out = make([]int64, len(ex.emitPos))
 	}
 	for i, g := range ex.emitPos {
 		ex.out[i] = ex.binding[g]
@@ -274,63 +347,122 @@ func (ex *exec) output() bool {
 	return ex.emit(ex.out)
 }
 
+// member is one atom's cursor in the leapfrog of one depth. While the
+// cursor reads its base trie alone (OverlayCursor.PureLevel) the member is
+// a lane: the level's key array, a pointer to the cursor's own position in
+// it and the end of its sibling range, moved by array arithmetic and
+// GallopGE with no cursor call. Otherwise (pos nil) it goes through the
+// cursor, which merges the overlay's live log. Both make the same moves
+// over the same keys, so the seek sequence does not depend on which one a
+// member is, and the cursor rests where the lane left it when the next
+// depth opens below it.
+type member struct {
+	c    *relation.OverlayCursor
+	vals []int64
+	pos  *int32 // nil: not a lane
+	hi   int32
+}
+
+func (m *member) atEnd() bool {
+	if m.pos != nil {
+		return *m.pos >= m.hi
+	}
+	return m.c.AtEnd()
+}
+
+func (m *member) key() int64 {
+	if m.pos != nil {
+		return m.vals[*m.pos]
+	}
+	return m.c.Key()
+}
+
+func (m *member) next() {
+	if m.pos != nil {
+		if *m.pos < m.hi {
+			*m.pos++
+		}
+		return
+	}
+	m.c.Next()
+}
+
+func (m *member) seekGE(v int64) {
+	if m.pos != nil {
+		*m.pos = relation.GallopGE(m.vals, *m.pos, m.hi, v)
+		return
+	}
+	m.c.SeekGE(v)
+}
+
 // leapfrog is the multiway sorted intersection of one trie level across the
 // participating atoms (Veldhuizen's leapfrog-init/search/next).
 type leapfrog struct {
-	its   []*relation.OverlayCursor
+	ms    []member
 	p     int
 	key   int64
 	seeks *int64
 }
 
-// init sorts the iterators by key and finds the first match. It returns
-// false if the intersection is empty.
+// init sorts the members by key and finds the first match. It returns false
+// if the intersection is empty. The order is the depth's own and persists
+// across its invocations within a run, as the seek counts assume.
 func (lf *leapfrog) init() bool {
-	for _, it := range lf.its {
-		if it.AtEnd() {
+	for i := range lf.ms {
+		if lf.ms[i].atEnd() {
 			return false
 		}
 	}
 	// Insertion sort by current key; the lists are tiny.
-	for i := 1; i < len(lf.its); i++ {
-		for j := i; j > 0 && lf.its[j].Key() < lf.its[j-1].Key(); j-- {
-			lf.its[j], lf.its[j-1] = lf.its[j-1], lf.its[j]
+	for i := 1; i < len(lf.ms); i++ {
+		for j := i; j > 0 && lf.ms[j].key() < lf.ms[j-1].key(); j-- {
+			lf.ms[j], lf.ms[j-1] = lf.ms[j-1], lf.ms[j]
 		}
 	}
 	lf.p = 0
 	return lf.search()
 }
 
-// search advances iterators until all agree on a key.
+// search advances members until all agree on a key.
 func (lf *leapfrog) search() bool {
-	k := len(lf.its)
-	max := lf.its[(lf.p+k-1)%k].Key()
+	prev := lf.p - 1
+	if prev < 0 {
+		prev = len(lf.ms) - 1
+	}
+	max := lf.ms[prev].key()
 	for {
-		it := lf.its[lf.p]
-		x := it.Key()
+		m := &lf.ms[lf.p]
+		x := m.key()
 		if x == max {
 			lf.key = x
 			return true
 		}
-		it.SeekGE(max)
+		m.seekGE(max)
 		*lf.seeks++
-		if it.AtEnd() {
+		if m.atEnd() {
 			return false
 		}
-		max = it.Key()
-		lf.p = (lf.p + 1) % k
+		max = m.key()
+		lf.advance()
 	}
 }
 
 // next moves past the current match.
 func (lf *leapfrog) next() bool {
-	it := lf.its[lf.p]
-	it.Next()
-	if it.AtEnd() {
+	m := &lf.ms[lf.p]
+	m.next()
+	if m.atEnd() {
 		return false
 	}
-	lf.p = (lf.p + 1) % len(lf.its)
+	lf.advance()
 	return lf.search()
+}
+
+// advance moves the turn to the next member, cyclically.
+func (lf *leapfrog) advance() {
+	if lf.p++; lf.p == len(lf.ms) {
+		lf.p = 0
+	}
 }
 
 // seek positions the intersection at the least match >= v.
@@ -338,12 +470,12 @@ func (lf *leapfrog) seek(v int64) bool {
 	if lf.key >= v {
 		return true
 	}
-	it := lf.its[lf.p]
-	it.SeekGE(v)
+	m := &lf.ms[lf.p]
+	m.seekGE(v)
 	*lf.seeks++
-	if it.AtEnd() {
+	if m.atEnd() {
 		return false
 	}
-	lf.p = (lf.p + 1) % len(lf.its)
+	lf.advance()
 	return lf.search()
 }

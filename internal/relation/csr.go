@@ -183,7 +183,7 @@ func (t *CSRTrie) probeGap(point []int64, f *ProbeFinger) (gap Gap, found bool) 
 			case v == old.key:
 				pos = old.pos
 			case v > old.key:
-				pos, same = gallopGE(vals, old.pos, hi, v), d
+				pos, same = GallopGE(vals, old.pos, hi, v), d
 			default:
 				pos, same = lowerBound64(vals, lo, old.pos, v), d
 			}
@@ -225,11 +225,12 @@ func lowerBound64(vals []int64, lo, hi int32, v int64) int32 {
 	return lo
 }
 
-// gallopGE returns the first index in [pos, hi) with vals[i] >= v (hi when
+// GallopGE returns the first index in [pos, hi) with vals[i] >= v (hi when
 // none, pos when pos >= hi), probing keys 0, 1, 3, 7, … past pos before it
 // bisects: O(log distance) for a target near pos. It is small enough to
-// inline into the leapfrog loop's SeekGE.
-func gallopGE(vals []int64, pos, hi int32, v int64) int32 {
+// inline into the leapfrog loop's SeekGE, and into LFTJ's loop over the
+// levels OverlayCursor.PureLevel exposes.
+func GallopGE(vals []int64, pos, hi int32, v int64) int32 {
 	// The target lies in [lo, bound]: every key before lo is < v.
 	lo, bound, step := pos, pos, int32(1)
 	for bound < hi && vals[bound] < v {
@@ -337,5 +338,5 @@ func (c *CSRCursor) Next() {
 func (c *CSRCursor) SeekGE(v int64) {
 	cur := c.depth - 1
 	f := &c.lv[cur]
-	f.pos = gallopGE(c.t.levels[cur].vals, f.pos, f.hi, v)
+	f.pos = GallopGE(c.t.levels[cur].vals, f.pos, f.hi, v)
 }

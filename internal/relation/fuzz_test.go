@@ -31,7 +31,8 @@ func (in *fuzzInput) tuple(arity, domain int) []int64 {
 // log cancellation, so overlays go dirty and pristine again), and after
 // every batch a full walk, a walk with seeks, and gap probes — each checked
 // against TrieIterator and Relation.ProbeGap over a flat relation holding
-// the same contents. Every overlay is walked by a fresh cursor and by one
+// the same contents, and a walk checking every level PureLevel exposes
+// against the cursor. Every overlay is walked by a fresh cursor and by one
 // cursor Reset from overlay to overlay (dirty→pristine, pristine→dirty, and
 // first from an overlay of a different arity).
 func FuzzOverlayCursor(f *testing.F) {
@@ -102,6 +103,8 @@ func FuzzOverlayCursor(f *testing.F) {
 			if got, want := walkWithSeeks(&c, arity, seeks), walkWithSeeks(NewTrieIterator(want), arity, seeks); !reflect.DeepEqual(got, want) {
 				t.Fatalf("batch %d (log %d): seek walk %v differs from flat", batch, ov.LogLen(), seeks)
 			}
+			c.Reset(ov)
+			checkPureLevels(t, &c, arity, seeks, ov.LogLen() == 0)
 			for i := 0; i < 8; i++ {
 				point := in.tuple(arity, domain+2)
 				fg, ffound := want.ProbeGap(point)
@@ -112,6 +115,63 @@ func FuzzOverlayCursor(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkPureLevels walks c through every level, moving by Next and by
+// SeekGE in turn, and wherever PureLevel reports ok checks the exposed level
+// against the cursor: vals[*pos] is Key, *pos < hi exactly when the level is
+// not at its end, the level stays exposed while the cursor walks the levels
+// below it, and galloping *pos to a target lands where SeekGE leaves the
+// cursor. A pristine overlay must report ok at every level.
+func checkPureLevels(t *testing.T, c *OverlayCursor, arity int, seeks []int64, pristine bool) {
+	t.Helper()
+	level := func(depth int) (vals []int64, pos *int32, hi int32, ok bool) {
+		vals, pos, hi, ok = c.PureLevel()
+		if pristine && !ok {
+			t.Fatalf("depth %d of a pristine overlay is not a pure level", depth)
+		}
+		if ok && (*pos < hi) == c.AtEnd() {
+			t.Fatalf("depth %d: pos %d, hi %d, AtEnd %v", depth, *pos, hi, c.AtEnd())
+		}
+		if ok && *pos < hi && vals[*pos] != c.Key() {
+			t.Fatalf("depth %d: vals[pos] = %d, Key = %d", depth, vals[*pos], c.Key())
+		}
+		return vals, pos, hi, ok
+	}
+	var rec func(depth int)
+	rec = func(depth int) {
+		c.Open()
+		for step := 0; ; step++ {
+			vals, pos, hi, ok := level(depth)
+			if c.AtEnd() {
+				break
+			}
+			if depth+1 < arity {
+				rec(depth + 1)
+			}
+			if _, p, h, still := c.PureLevel(); ok && (!still || p != pos || h != hi) {
+				t.Fatalf("depth %d: the exposed level moved while the cursor went below it", depth)
+			}
+			if step%2 == 0 {
+				c.Next()
+				continue
+			}
+			target := c.Key() + 1 + seeks[depth]%3
+			var want int32
+			if ok {
+				want = GallopGE(vals, *pos, hi, target)
+			}
+			c.SeekGE(target)
+			if ok && *pos != want {
+				t.Fatalf("depth %d: SeekGE(%d) left pos %d, GallopGE lands at %d", depth, target, *pos, want)
+			}
+		}
+		c.Up()
+	}
+	rec(0)
+	if _, _, _, ok := c.PureLevel(); ok {
+		t.Fatal("PureLevel reports a level at the root")
+	}
 }
 
 // FuzzProbeGapFinger runs probe sequences through one ProbeFinger and checks

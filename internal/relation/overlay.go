@@ -190,9 +190,17 @@ type OverlayCursor struct {
 // hold the current path prefix at one level.
 type sides struct{ b, a, d bool }
 
-// Reset targets the cursor at the root of o's merged contents.
+// Reset targets the cursor at the root of o's merged contents. Reset(nil)
+// drops the cursor's overlay and tries, keeping its buffers, so a pooled
+// cursor pins no generation; the cursor is unusable until the next Reset.
 func (c *OverlayCursor) Reset(o *Overlay) {
 	c.o, c.depth, c.on = o, 0, c.on[:0]
+	if o == nil {
+		c.b.reset(nil)
+		c.a.reset(nil)
+		c.d.reset(nil)
+		return
+	}
 	c.b.reset(o.base)
 	c.a.reset(o.addsT)
 	c.d.reset(o.delsT)
@@ -375,6 +383,24 @@ func (c *OverlayCursor) SeekGE(v int64) {
 	if c.aLive() {
 		c.a.SeekGE(v)
 	}
+}
+
+// PureLevel exposes the current level while the cursor reads its base trie
+// alone — every level of a pristine overlay, and every level below the
+// point where both logs leave the path: vals is the base trie's key array
+// at this depth, *pos the cursor's own position in it and hi the end of the
+// current sibling range, so Key is vals[*pos] and AtEnd is *pos >= hi. A
+// caller may move *pos forward within [*pos, hi] — by one for Next, by
+// GallopGE for SeekGE — in place of those calls. The level stays exposed
+// while the cursor opens levels below it and comes back, until it goes up
+// from this level or is Reset. ok is false at the root and while this
+// level merges a live log; vals and pos are then nil.
+func (c *OverlayCursor) PureLevel() (vals []int64, pos *int32, hi int32, ok bool) {
+	if c.depth == 0 || c.depth < c.pure {
+		return nil, nil, 0, false
+	}
+	f := &c.b.lv[c.depth-1]
+	return c.b.t.levels[c.depth-1].vals, &f.pos, f.hi, true
 }
 
 // ProbeGap is Relation.ProbeGap over the overlay's merged contents: walk
