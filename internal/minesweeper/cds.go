@@ -138,13 +138,6 @@ type CDS struct {
 	Err error
 }
 
-// NewCDS returns an empty CDS for n attributes with frontier (-1, ..., -1).
-func NewCDS(n int) *CDS {
-	c := new(CDS)
-	c.reset(n)
-	return c
-}
-
 // reset empties the CDS for a run over n attributes, keeping every slab's
 // capacity: lengths go to zero, the free lists empty, the frontier back to
 // (-1, ..., -1). Nothing of the previous run stays readable — every node

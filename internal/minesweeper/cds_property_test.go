@@ -21,7 +21,7 @@ func TestFreeTupleEnumerationOracle(t *testing.T) {
 		n      = 3
 		maxVal = 6
 	)
-	recycled := NewCDS(n)
+	recycled := newCDS(n)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var cons []Constraint
@@ -75,7 +75,7 @@ func TestFreeTupleEnumerationOracle(t *testing.T) {
 		for run := 0; run < 3; run++ {
 			c := recycled
 			if run == 2 {
-				c = NewCDS(n)
+				c = newCDS(n)
 			} else {
 				c.reset(n)
 			}
@@ -116,7 +116,7 @@ func TestFreeTupleResumeOracle(t *testing.T) {
 	)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewCDS(n)
+		c := newCDS(n)
 		var cons []Constraint
 		for d := 0; d < n; d++ {
 			cons = append(cons, Constraint{Col: d, Lo: maxVal, Hi: relation.PosInf})
@@ -230,7 +230,7 @@ func TestArenaChurn(t *testing.T) {
 		children = 300
 	)
 	rng := rand.New(rand.NewSource(8))
-	c := NewCDS(2)
+	c := newCDS(2)
 	var nodesAfterFirst, valsAfterFirst int
 	inserts := 0
 	for round := 0; round < rounds; round++ {

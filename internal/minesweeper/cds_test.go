@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// newCDS returns an empty CDS for n attributes with frontier (-1, ..., -1).
+func newCDS(n int) *CDS {
+	c := new(CDS)
+	c.reset(n)
+	return c
+}
+
 // intervals returns the node's interval list.
 func (c *CDS) intervals(id nodeID) [][2]int64 {
 	var out [][2]int64
@@ -20,7 +27,7 @@ func (c *CDS) intervals(id nodeID) [][2]int64 {
 }
 
 func TestPointListInsertAndNext(t *testing.T) {
-	c, nd := NewCDS(1), rootID
+	c, nd := newCDS(1), rootID
 	c.insertInterval(nd, 5, 7)
 	if got := c.intervals(nd); !reflect.DeepEqual(got, [][2]int64{{5, 7}}) {
 		t.Fatalf("intervals = %v", got)
@@ -39,7 +46,7 @@ func TestPointListInsertAndNext(t *testing.T) {
 // TestPointListPaperExample replays the Figure 2 bottom node v with
 // intervals (1,3),(3,9),(10,14): pointList 1(L),3(L&R),9(R),10(L),14(R).
 func TestPointListPaperExample(t *testing.T) {
-	c, nd := NewCDS(1), rootID
+	c, nd := newCDS(1), rootID
 	c.insertInterval(nd, 3, 9)
 	c.insertInterval(nd, 1, 3)
 	c.insertInterval(nd, 10, 14)
@@ -67,7 +74,7 @@ func TestPointListPaperExample(t *testing.T) {
 }
 
 func TestInsertIntervalMergesOverlaps(t *testing.T) {
-	c, nd := NewCDS(1), rootID
+	c, nd := newCDS(1), rootID
 	c.insertInterval(nd, 1, 5)
 	c.insertInterval(nd, 3, 9)
 	if got := c.intervals(nd); !reflect.DeepEqual(got, [][2]int64{{1, 9}}) {
@@ -80,7 +87,7 @@ func TestInsertIntervalMergesOverlaps(t *testing.T) {
 }
 
 func TestInsertIntervalEmpty(t *testing.T) {
-	c, nd := NewCDS(1), rootID
+	c, nd := newCDS(1), rootID
 	c.insertInterval(nd, 5, 6) // open (5,6) covers no integer
 	c.insertInterval(nd, 5, 5)
 	if vals, _ := c.points(nd); len(vals) != 0 {
@@ -89,7 +96,7 @@ func TestInsertIntervalEmpty(t *testing.T) {
 }
 
 func TestInsertIntervalRemovesChildren(t *testing.T) {
-	c, nd := NewCDS(1), rootID
+	c, nd := newCDS(1), rootID
 	c.ensureChild(nd, 5)
 	c.ensureChild(nd, 8)
 	c.insertInterval(nd, 4, 7) // kills child 5, keeps child 8
@@ -102,7 +109,7 @@ func TestInsertIntervalRemovesChildren(t *testing.T) {
 }
 
 func TestChildOnEndpointSurvives(t *testing.T) {
-	c, nd := NewCDS(1), rootID
+	c, nd := newCDS(1), rootID
 	c.ensureChild(nd, 5)
 	c.insertInterval(nd, 5, 9) // 5 is an open endpoint: not covered
 	if c.childAt(nd, 5) == 0 {
@@ -114,7 +121,7 @@ func TestChildOnEndpointSurvives(t *testing.T) {
 }
 
 func TestHasNoFreeValue(t *testing.T) {
-	c, nd := NewCDS(1), rootID
+	c, nd := newCDS(1), rootID
 	if c.hasNoFreeValue(nd) {
 		t.Error("fresh node should have free values")
 	}
@@ -130,7 +137,7 @@ func TestHasNoFreeValue(t *testing.T) {
 func TestIntervalSetProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c, nd := NewCDS(1), rootID
+		c, nd := newCDS(1), rootID
 		covered := make(map[int64]bool)
 		const domain = 40
 		for op := 0; op < 30; op++ {
@@ -177,7 +184,7 @@ func TestIntervalSetProperty(t *testing.T) {
 // TestCDSFigure2 replays the paper's Figure 2 construction and checks the
 // tree shape.
 func TestCDSFigure2(t *testing.T) {
-	c := NewCDS(5)
+	c := newCDS(5)
 	// <*,*,(5,7),*,*>
 	c.InsConstraint(Constraint{Col: 2, Lo: 5, Hi: 7})
 	// <*,*,7,*,(4,9)>
@@ -220,7 +227,7 @@ func TestCDSFigure2(t *testing.T) {
 }
 
 func TestConstraintSubsumption(t *testing.T) {
-	c := NewCDS(3)
+	c := newCDS(3)
 	c.InsConstraint(Constraint{Col: 0, Lo: 2, Hi: 9})
 	// A constraint whose pattern value 5 is covered at the root is subsumed.
 	c.InsConstraint(Constraint{EqPos: []int{0}, EqVal: []int64{5}, Col: 1, Lo: 0, Hi: 100})
@@ -231,7 +238,7 @@ func TestConstraintSubsumption(t *testing.T) {
 
 // TestComputeFreeTupleSimple: one attribute, gaps carve the domain.
 func TestComputeFreeTupleSimple(t *testing.T) {
-	c := NewCDS(1)
+	c := newCDS(1)
 	c.InsConstraint(Constraint{Col: 0, Lo: negInf, Hi: 3})
 	if !c.ComputeFreeTuple() {
 		t.Fatal("expected a free tuple")
@@ -251,7 +258,7 @@ func TestComputeFreeTupleSimple(t *testing.T) {
 
 // TestComputeFreeTupleDescends: two attributes with a branch-specific gap.
 func TestComputeFreeTupleDescends(t *testing.T) {
-	c := NewCDS(2)
+	c := newCDS(2)
 	// Attribute 0: everything outside {2} is a gap.
 	c.InsConstraint(Constraint{Col: 0, Lo: negInf, Hi: 2})
 	c.InsConstraint(Constraint{Col: 0, Lo: 2, Hi: posInf})
@@ -274,7 +281,7 @@ func TestComputeFreeTupleDescends(t *testing.T) {
 // TestTruncation: when a branch's subspace is fully covered, the branch
 // value itself must be ruled out at the parent (Algorithm 6).
 func TestTruncation(t *testing.T) {
-	c := NewCDS(2)
+	c := newCDS(2)
 	// Kill all of attribute 1 under value 4 of attribute 0.
 	c.InsConstraint(Constraint{EqPos: []int{0}, EqVal: []int64{4}, Col: 1, Lo: negInf, Hi: posInf})
 	// Attribute 0 must skip 4: gaps force candidates {4,9}.
@@ -295,7 +302,7 @@ func TestTruncation(t *testing.T) {
 
 func TestFrontierMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := NewCDS(3)
+	c := newCDS(3)
 	prev := []int64{negInf, negInf, negInf}
 	for i := 0; i < 200 && c.ComputeFreeTuple(); i++ {
 		cur := append([]int64(nil), c.Frontier()...)

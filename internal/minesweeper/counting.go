@@ -163,12 +163,13 @@ func (c *counter) visit(t []int64) (reused bool) {
 	return false
 }
 
-// onOutput credits the reported output to the deepest open subtree.
-func (c *counter) onOutput() {
+// credit adds k outputs — one reported tuple, or a leaf message's count of
+// a whole prefix — to the deepest open subtree.
+func (c *counter) credit(k int64) {
 	if counterTrace != nil {
-		counterTrace("output", append([]int64(nil), c.prev...))
+		counterTrace("output", append([]int64(nil), c.prev...), k)
 	}
-	c.acc[c.n-1]++
+	c.acc[c.n-1] += k
 }
 
 // flush closes every open subtree at depth >= first against the previous

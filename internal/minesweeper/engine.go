@@ -21,8 +21,10 @@ type Options struct {
 	// fixpoint iteration wherever chains break. It shapes the plan
 	// (engine.Compile hands it to Skeleton); Run ignores it.
 	DisableSkeleton bool
-	// DisableCountMemo turns off the #Minesweeper-style count-mode subtree
-	// reuse (Idea 8; see ARCHITECTURE.md, "Count-memo soundness").
+	// DisableCountMemo turns off the #Minesweeper-style count mode (Idea 8;
+	// see ARCHITECTURE.md, "Count-memo soundness"): the subtree reuse and
+	// the leaf messages, which count the last attribute below a verified
+	// prefix as one intersection instead of one free tuple per value.
 	DisableCountMemo bool
 }
 
@@ -54,10 +56,15 @@ type exec struct {
 	adv, cand []int64
 	counter   counter
 	counting  bool // count-mode subtree reuse (Idea 8) is on for this run
-	noMemo    bool // Options.DisableMemo
-	push      *core.Pushdown
-	total     int64
-	stats     core.Stats // this run's counters (the Minesweeper block)
+	// leaf holds the leaf atoms, those whose last GAO position is n-1, when
+	// this count run sends leaf messages (leafShape), and is empty when it
+	// does not; lists is leafMessage's scratch.
+	leaf   []int
+	lists  [maxLeaf][]int64
+	noMemo bool // Options.DisableMemo
+	push   *core.Pushdown
+	total  int64
+	stats  core.Stats // this run's counters (the Minesweeper block)
 	// sink restores the output order when the GAO does not provide it
 	// (push.Buffered()).
 	sink core.GroupSink
@@ -91,7 +98,7 @@ const maxPooledFrame = 16 << 20
 func (ex *exec) reset(ctx context.Context, plan *core.Plan, gen *core.Generation, emit func([]int64) bool, opts Options) {
 	n, atoms, push := len(plan.GAO), plan.Atoms, plan.Push
 	ex.n, ex.atoms, ex.inSkel, ex.push, ex.emit, ex.noMemo = n, atoms, plan.InSkel, push, emit, opts.DisableMemo
-	ex.total, ex.stats, ex.counting = 0, core.Stats{}, false
+	ex.total, ex.stats = 0, core.Stats{}
 	ex.emitPos, ex.last = core.EmitPositions(ex.emitPos[:0], plan.Query, plan.GAO, push), push.EmitDepth(n)-1
 	if push.Buffered() {
 		ex.sink.Reset(push, emit)
@@ -122,6 +129,51 @@ func (ex *exec) reset(ctx context.Context, plan *core.Plan, gen *core.Generation
 		off += k
 	}
 	ex.adv, ex.cand, ex.out = zeroed(ex.adv, n), zeroed(ex.cand, n), zeroed(ex.out, n)
+	// The count-mode subtree reuse assumes plain full-binding semantics;
+	// residual predicates and projection dedup both break its memo, so
+	// extended queries always take the exact path.
+	ex.counting = emit == nil && push == nil && !opts.DisableCountMemo
+	ex.leaf = ex.leaf[:0]
+	if ex.counting {
+		ex.counter.reset(ex)
+		ex.leafShape()
+	}
+}
+
+// maxLeaf bounds the leaf atoms a leaf message intersects.
+const maxLeaf = 8
+
+// leafShape fills ex.leaf with the leaf atoms when leaf messages apply to
+// this count run: n >= 2, every atom in the skeleton and free of repeated
+// variables, and at most maxLeaf leaf atoms, each over a pristine overlay
+// (LeafRange reads the base trie). Otherwise ex.leaf stays empty and every
+// last-attribute value is its own free tuple.
+func (ex *exec) leafShape() {
+	if ex.n < 2 {
+		return
+	}
+	for i, a := range ex.atoms {
+		vp := a.VarPos
+		leaf := vp[len(vp)-1] == ex.n-1
+		if !ex.inSkel[i] || repeats(vp) || leaf && (len(ex.leaf) == maxLeaf || ex.ovs[i].LogLen() != 0) {
+			ex.leaf = ex.leaf[:0]
+			return
+		}
+		if leaf {
+			ex.leaf = append(ex.leaf, i)
+		}
+	}
+}
+
+// repeats reports whether an atom's ascending GAO positions name one
+// position twice.
+func repeats(varPos []int) bool {
+	for k := 1; k < len(varPos); k++ {
+		if varPos[k] == varPos[k-1] {
+			return true
+		}
+	}
+	return false
 }
 
 // zeroed returns buf resized to n zeros, reusing its storage when it can.
@@ -134,6 +186,7 @@ func zeroed(buf []int64, n int) []int64 {
 func (ex *exec) release() {
 	ex.atoms, ex.inSkel, ex.push, ex.emit = nil, nil, nil, nil
 	clear(ex.ovs)
+	clear(ex.lists[:]) // they are slices of the generation's tries
 	for i := range ex.probes {
 		ex.probes[i].finger.Reset() // it names a trie of the run's generation
 	}
@@ -182,13 +235,6 @@ func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, opts Option
 			}
 		}
 	}
-	// The count-mode subtree reuse assumes plain full-binding semantics;
-	// residual predicates and projection dedup both break its memo, so
-	// extended queries always take the exact path.
-	if emit == nil && !opts.DisableCountMemo && push == nil {
-		ex.counting = true
-		ex.counter.reset(ex)
-	}
 	err := ex.loop()
 	ex.stats.FreeTupleSteps = int64(ex.cds.Steps())
 	ex.stats.Outputs = ex.total
@@ -225,8 +271,15 @@ func Skeleton(q *query.Query, gao []string, betaCyclic, disable bool) []bool {
 }
 
 // loop is Minesweeper's outer algorithm (Algorithm 3) with Ideas 2, 4, 7 and
-// the count-mode reuse wired in.
+// the count-mode reuse wired in. With leaf messages on, a gap on the last
+// column inserts nothing: when every gap lies there the prefix t[0..n-2] is
+// verified and counted whole (leafMessage), and when some gap lies before
+// it, that gap's constraint already rules the prefix out.
 func (ex *exec) loop() error {
+	lastCol := -1 // the GAO position whose gaps insert nothing, if any
+	if len(ex.leaf) > 0 {
+		lastCol = ex.n - 1
+	}
 	for ex.cds.ComputeFreeTuple() {
 		if err := ex.tick.Tick(); err != nil {
 			return err
@@ -240,7 +293,7 @@ func (ex *exec) loop() error {
 		done := false
 		for i := range ex.atoms {
 			gap, found := ex.probeAtom(i, t)
-			if found {
+			if found || ex.atoms[i].VarPos[gap.Col] == lastCol {
 				continue
 			}
 			gapFound = true
@@ -266,6 +319,11 @@ func (ex *exec) loop() error {
 			break
 		}
 		if !gapFound {
+			if lastCol >= 0 {
+				ex.leafMessage()
+				ex.cds.AdvancePast(ex.n - 2)
+				continue
+			}
 			if !ex.residualsOK(t) {
 				// Verified present in every atom but rejected by a residual
 				// predicate: step past it without reporting.
@@ -321,7 +379,7 @@ func (ex *exec) output(t []int64) bool {
 	}
 	ex.total++
 	if ex.counting {
-		ex.counter.onOutput()
+		ex.counter.credit(1)
 		return true
 	}
 	if ex.emit == nil {
@@ -332,6 +390,22 @@ func (ex *exec) output(t []int64) bool {
 		out[i] = t[g]
 	}
 	return ex.emit(out)
+}
+
+// leafMessage counts the outputs below the verified prefix t[0..n-2] — the
+// last-attribute values common to every leaf atom's sibling range below its
+// projection of the prefix — and credits them as outputs of the deepest
+// subtree. Every other atom holds on the prefix, so these are exactly the
+// prefix's completions (ARCHITECTURE.md, "Count-memo soundness").
+func (ex *exec) leafMessage() {
+	lists := ex.lists[:len(ex.leaf)]
+	for j, i := range ex.leaf {
+		pm := &ex.probes[i]
+		lists[j] = ex.ovs[i].LeafRange(pm.point[:len(pm.point)-1], &pm.finger)
+	}
+	k := relation.IntersectCount(lists)
+	ex.total += k
+	ex.counter.credit(k)
 }
 
 // advanceFrom computes into ex.cand the Idea 7 frontier advance for a gap on

@@ -154,12 +154,23 @@ type fingerStep struct {
 func (f *ProbeFinger) Reset() { f.trie, f.n = nil, 0 }
 
 // probeGap is ProbeGap resuming from f's last path (nil: none), which it
-// then replaces with this probe's path. The answer does not depend on f; a
-// finger left by another trie is emptied first.
+// then replaces with this probe's path.
 func (t *CSRTrie) probeGap(point []int64, f *ProbeFinger) (gap Gap, found bool) {
 	if len(point) != t.arity {
 		panic("relation: ProbeGap point length mismatch")
 	}
+	gap, found, _, _ = t.descend(point, f)
+	return gap, found
+}
+
+// descend walks the keys of point, at most arity of them, down from the
+// root, resuming from f's last path (nil: none), which it then replaces
+// with this walk's path. At the first level whose key is absent it returns
+// that level's gap; when every key is present it returns found == true and,
+// for a point shorter than the arity, the child range [lo, hi) below it at
+// level len(point). The answer does not depend on f; a finger left by
+// another trie is emptied first.
+func (t *CSRTrie) descend(point []int64, f *ProbeFinger) (gap Gap, found bool, lo, hi int32) {
 	var path []fingerStep
 	same := 0 // levels whose search the finger answers: the keys above agree
 	if f != nil {
@@ -171,8 +182,8 @@ func (t *CSRTrie) probeGap(point []int64, f *ProbeFinger) (gap Gap, found bool) 
 		}
 		path, same = f.path[:t.arity], f.n
 	}
-	lo, hi := int32(0), int32(len(t.levels[0].vals))
-	for d := 0; d < t.arity; d++ {
+	lo, hi = 0, int32(len(t.levels[0].vals))
+	for d := range point {
 		vals := t.levels[d].vals
 		v := point[d]
 		var pos int32
@@ -207,9 +218,9 @@ func (t *CSRTrie) probeGap(point []int64, f *ProbeFinger) (gap Gap, found bool) 
 		if pos < hi {
 			g.Hi = vals[pos]
 		}
-		return g, false
+		return g, false, 0, 0
 	}
-	return Gap{}, true
+	return Gap{}, true, lo, hi
 }
 
 // lowerBound64 returns the first index in [lo, hi) with vals[i] >= v.
@@ -239,6 +250,52 @@ func GallopGE(vals []int64, pos, hi int32, v int64) int32 {
 		step <<= 1
 	}
 	return lowerBound64(vals, lo, min(bound, hi), v)
+}
+
+// IntersectCount returns the number of keys common to every list, each
+// sorted strictly ascending (0 for no lists): a k-way leapfrog that moves
+// each list to the current candidate key with GallopGE, so a short list
+// skips through a long one in O(log distance) per step. It consumes the
+// lists, re-slicing each in place past the keys it has passed.
+func IntersectCount(lists [][]int64) int64 {
+	if len(lists) == 0 {
+		return 0
+	}
+	x := int64(math.MinInt64) // the candidate: the largest head seen
+	for _, l := range lists {
+		if len(l) == 0 {
+			return 0
+		}
+		x = max(x, l[0])
+	}
+	if len(lists) == 1 {
+		return int64(len(lists[0]))
+	}
+	var n int64
+	// agree counts the lists, ending with the one just moved, whose head
+	// is x; when it reaches len(lists) every list holds x.
+	for i, agree := 0, 0; ; {
+		l := lists[i]
+		l = l[GallopGE(l, 0, int32(len(l)), x):]
+		if len(l) == 0 {
+			lists[i] = l
+			return n
+		}
+		if l[0] != x {
+			x, agree = l[0], 1
+		} else if agree++; agree == len(lists) {
+			n++
+			if l = l[1:]; len(l) == 0 {
+				lists[i] = l
+				return n
+			}
+			x, agree = l[0], 1
+		}
+		lists[i] = l
+		if i++; i == len(lists) {
+			i = 0
+		}
+	}
 }
 
 // CSRCursor is the trie cursor over a CSRTrie, with the Cursor contract:

@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -217,6 +219,89 @@ func TestCSRTrieBuiltAtFinalSize(t *testing.T) {
 				t.Errorf("arity %d level %d: offsets do not span the level", arity, d)
 			}
 			parents = len(lvl.vals)
+		}
+	}
+}
+
+// TestLeafRangeMatchesFlat checks Overlay.LeafRange against the flat rows on
+// random prefixes, present and absent, with one finger shared by the range
+// lookups and by gap probes in between (the way Minesweeper uses it).
+func TestLeafRangeMatchesFlat(t *testing.T) {
+	for _, arity := range []int{1, 2, 3} {
+		r := randomRelation(rand.New(rand.NewSource(int64(60+arity))), arity, 300, 9)
+		o := NewOverlay(r)
+		rng := rand.New(rand.NewSource(int64(arity)))
+		var f ProbeFinger
+		point := make([]int64, arity)
+		for trial := 0; trial < 2000; trial++ {
+			for k := range point {
+				point[k] = int64(rng.Intn(11)) // domain+2: probes off both ends
+			}
+			if trial%2 == 0 {
+				g, found := o.ProbeGapFinger(point, &f)
+				if wg, wfound := r.ProbeGap(point); g != wg || found != wfound {
+					t.Fatalf("arity %d point %v: fingered probe (%v, %v), flat (%v, %v)", arity, point, g, found, wg, wfound)
+				}
+			}
+			prefix := point[:arity-1]
+			var want []int64
+			for i := 0; i < r.Len(); i++ {
+				match := true
+				for k, v := range prefix {
+					match = match && r.Value(i, k) == v
+				}
+				if match {
+					want = append(want, r.Value(i, arity-1))
+				}
+			}
+			if got := o.LeafRange(prefix, &f); !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
+				t.Fatalf("arity %d prefix %v: LeafRange %v, want %v", arity, prefix, got, want)
+			}
+		}
+	}
+	live := NewOverlay(FromTuples("R", 2, [][]int64{{1, 2}})).Apply([][]int64{{1, 3}}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("LeafRange over a live log did not panic")
+		}
+	}()
+	live.LeafRange([]int64{1}, new(ProbeFinger))
+}
+
+// TestIntersectCount checks the k-way galloping count against a brute-force
+// count on random sorted lists of skewed lengths.
+func TestIntersectCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	if n := IntersectCount(nil); n != 0 {
+		t.Errorf("IntersectCount(nil) = %d, want 0", n)
+	}
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + rng.Intn(5)
+		domain := 1 + rng.Intn(60)
+		lists := make([][]int64, k)
+		seen := map[int64]int{}
+		for i := range lists {
+			size := rng.Intn(domain + 1)
+			if rng.Intn(4) == 0 {
+				size = min(size, rng.Intn(3))
+			}
+			for _, v := range rng.Perm(domain)[:size] {
+				lists[i] = append(lists[i], int64(v))
+			}
+			sort.Slice(lists[i], func(a, b int) bool { return lists[i][a] < lists[i][b] })
+			for _, v := range lists[i] {
+				seen[v]++
+			}
+		}
+		var want int64
+		for _, c := range seen {
+			if c == k {
+				want++
+			}
+		}
+		in := fmt.Sprint(lists)
+		if got := IntersectCount(lists); got != want {
+			t.Fatalf("IntersectCount(%s) = %d, want %d", in, got, want)
 		}
 	}
 }

@@ -514,6 +514,27 @@ func (o *Overlay) ProbeGapFinger(point []int64, f *ProbeFinger) (Gap, bool) {
 	return o.ProbeGap(point)
 }
 
+// LeafRange returns the last-level keys below prefix, which holds arity-1
+// keys: the sorted values v with (prefix, v) in the overlay, a sub-slice of
+// the base trie's last level (empty when the prefix is absent). The overlay
+// must be pristine (LogLen() == 0). Like ProbeGapFinger it resumes the
+// descent from f's last path and leaves this one there, so a caller that
+// has just probed a point extending prefix pays for no search above the
+// last level.
+func (o *Overlay) LeafRange(prefix []int64, f *ProbeFinger) []int64 {
+	if !o.pristine() {
+		panic("relation: LeafRange over an overlay with a live log")
+	}
+	if len(prefix) != o.rel.arity-1 {
+		panic("relation: LeafRange prefix length mismatch")
+	}
+	_, found, lo, hi := o.base.descend(prefix, f)
+	if !found {
+		return nil
+	}
+	return o.base.levels[len(prefix)].vals[lo:hi]
+}
+
 // baseVisible reports whether base node i at the given level survives the
 // dels log (its subtree is not fully deleted).
 func (o *Overlay) baseVisible(col int, i int32, dOk bool, dLo, dHi int32) bool {
