@@ -43,29 +43,24 @@ func newAggSpec(q *Query) *aggSpec {
 // tuple slices and returns the first error.
 type enumerateFn func(emit func([]int64) bool) error
 
+// value is what engine row t contributes to aggregate i: 1 for a count,
+// the aggregated column otherwise.
+func (sp *aggSpec) value(i int, t []int64) int64 {
+	if sp.fns[i] == query.AggCount {
+		return 1
+	}
+	return t[sp.cols[i]]
+}
+
 func (sp *aggSpec) initAcc(acc []int64, t []int64) {
-	for i, fn := range sp.fns {
-		if fn == query.AggCount {
-			acc[i] = 1
-		} else {
-			acc[i] = t[sp.cols[i]]
-		}
+	for i := range sp.fns {
+		acc[i] = sp.value(i, t)
 	}
 }
 
 func (sp *aggSpec) foldAcc(acc []int64, t []int64) {
 	for i, fn := range sp.fns {
-		v := t[sp.cols[i]]
-		switch fn {
-		case query.AggCount:
-			acc[i]++
-		case query.AggSum:
-			acc[i] += v
-		case query.AggMin:
-			acc[i] = min(acc[i], v)
-		case query.AggMax:
-			acc[i] = max(acc[i], v)
-		}
+		acc[i] = fn.Merge(acc[i], sp.value(i, t))
 	}
 }
 

@@ -28,6 +28,24 @@
 //	generate ba 10000 50000 1
 //	selectivity 10 1
 //
+// A store can also be routed: it fronts a cluster of graphjoind hosts that
+// each hold the full data (package router). Writes broadcast to every host,
+// and a query fans out with host i of n running part i of n of the leading
+// attribute's values; the answers merge into a single store's. -route
+// routes the default store, and a "route" directive routes a -stores
+// section; each host is ADDR[/STORE], where STORE defaults to the host's
+// default store:
+//
+//	graphjoind -listen :7475 -route 10.0.0.1:7474,10.0.0.2:7474,10.0.0.3:7474
+//
+//	# cluster.conf
+//	[social]
+//	route 10.0.0.1:7474/social 10.0.0.2:7474/social
+//
+// A routed store takes no preload, is never made durable (its hosts own the
+// data), and is closed once the server has drained. -request-timeout,
+// -retries and -dial-attempts tune its host connections.
+//
 // With -data-dir the server is durable: every acknowledged write is fsynced
 // to a per-store write-ahead log under DIR/<store> before the client sees
 // success (policy via -fsync), a background snapshotter checkpoints each
@@ -49,7 +67,7 @@
 //
 // The server drains on SIGINT/SIGTERM: in-flight queries finish (up to
 // -drain), new requests are refused, then a final checkpoint is written and
-// the logs are closed.
+// the logs and host connections are closed.
 package main
 
 import (
@@ -57,136 +75,175 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/dataset"
+	"repro/internal/metrics"
+	"repro/router"
 	"repro/server"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "graphjoind: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var relations, loads cli.ListFlag
-	var (
-		listen      = flag.String("listen", ":7474", "address to serve on")
-		storesPath  = flag.String("stores", "", "multi-tenant store config file (see the command doc)")
-		datasetName = flag.String("dataset", "", "preload the default store with a catalog benchmark graph")
-		model       = flag.String("model", "", "preload the default store with a generated graph: er | ba | hk")
-		nodes       = flag.Int("nodes", 10000, "generated graph nodes (with -model)")
-		edges       = flag.Int("edges", 50000, "generated graph edges (with -model)")
-		seed        = flag.Int64("seed", 1, "generator seed (with -model)")
-		selectivity = flag.Int("selectivity", 10, "node-sample selectivity for a preloaded graph")
-		drain       = flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight queries")
-		metricsAddr = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus text) and /healthz; empty disables")
-		maxInflight = flag.Int("max-inflight", 0, "per-store cap on concurrently running requests (0 = unlimited)")
-		maxQueued   = flag.Int("max-queued", 0, "per-store queue depth beyond -max-inflight before requests are rejected as overloaded")
-		dataDir     = flag.String("data-dir", "", "root directory for durable stores (one subdirectory per store); empty serves in-memory")
-		fsync       = flag.String("fsync", "group", "WAL fsync policy with -data-dir: group | always | none")
-		fsyncWindow = flag.Duration("fsync-window", 0, "group-commit accumulation window (how long a sync leader waits for more writers)")
-		checkpoint  = flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint interval with -data-dir (0 disables)")
-		ckptBytes   = flag.Int64("checkpoint-bytes", 0, "with -data-dir, also checkpoint whenever the un-pruned WAL exceeds this many bytes (0 disables)")
-		slowQueryMs = flag.Int64("slow-query-ms", 0, "log one JSON line per request slower than this many milliseconds (0 disables)")
-		slowQueryLg = flag.String("slow-query-log", "", "file the slow-query lines append to (empty routes them to stderr)")
-		traceSample = flag.Int("trace-sample", 1, "with -slow-query-ms, trace one in N untraced requests so slow-query lines carry span trees")
-	)
-	flag.Var(&relations, "relation", "define a default-store relation as name:arity (repeatable)")
-	flag.Var(&loads, "load", "load a default-store relation from a file of integer rows, as name=path (repeatable)")
-	flag.Parse()
+// options holds the parsed command line.
+type options struct {
+	listen, storesPath, route string
+	dataset, model            string
+	nodes, edges, selectivity int
+	seed                      int64
+	relations, loads          cli.ListFlag
+	drain                     time.Duration
+	metricsAddr               string
+	maxInflight, maxQueued    int
+	dataDir, fsync            string
+	fsyncWindow, checkpoint   time.Duration
+	ckptBytes, slowQueryMs    int64
+	slowQueryLog              string
+	traceSample               int
+	reqTimeout                time.Duration
+	retries, dialAttempts     int
+}
 
-	stores := make(map[string]*repro.Store)
-	if *storesPath != "" {
-		if err := loadStoresConfig(*storesPath, stores); err != nil {
-			return err
+// parseFlags parses the command line. A bad flag is one error, with no usage
+// text, so it prints as one stderr line like every other startup error;
+// -help prints the usage and returns flag.ErrHelp.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("graphjoind", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.StringVar(&o.listen, "listen", ":7474", "address to serve on")
+	fs.StringVar(&o.storesPath, "stores", "", "multi-tenant store config file (see the command doc)")
+	fs.StringVar(&o.route, "route", "", "route the default store over a cluster of graphjoind hosts, as ADDR[/STORE],...")
+	fs.StringVar(&o.dataset, "dataset", "", "preload the default store with a catalog benchmark graph")
+	fs.StringVar(&o.model, "model", "", "preload the default store with a generated graph: er | ba | hk")
+	fs.IntVar(&o.nodes, "nodes", 10000, "generated graph nodes (with -model)")
+	fs.IntVar(&o.edges, "edges", 50000, "generated graph edges (with -model)")
+	fs.Int64Var(&o.seed, "seed", 1, "generator seed (with -model)")
+	fs.IntVar(&o.selectivity, "selectivity", 10, "node-sample selectivity for a preloaded graph")
+	fs.Var(&o.relations, "relation", "define a default-store relation as name:arity (repeatable)")
+	fs.Var(&o.loads, "load", "load a default-store relation from a file of integer rows, as name=path (repeatable)")
+	fs.DurationVar(&o.drain, "drain", 30*time.Second, "how long shutdown waits for in-flight queries")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "HTTP address serving /metrics (Prometheus text) and /healthz; empty disables")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "per-store cap on concurrently running requests (0 = unlimited)")
+	fs.IntVar(&o.maxQueued, "max-queued", 0, "per-store queue depth beyond -max-inflight before requests are rejected as overloaded")
+	fs.StringVar(&o.dataDir, "data-dir", "", "root directory for durable stores (one subdirectory per store); empty serves in-memory")
+	fs.StringVar(&o.fsync, "fsync", "group", "WAL fsync policy with -data-dir: group | always | none")
+	fs.DurationVar(&o.fsyncWindow, "fsync-window", 0, "group-commit accumulation window (how long a sync leader waits for more writers)")
+	fs.DurationVar(&o.checkpoint, "checkpoint-every", 5*time.Minute, "background checkpoint interval with -data-dir (0 disables)")
+	fs.Int64Var(&o.ckptBytes, "checkpoint-bytes", 0, "with -data-dir, also checkpoint whenever the un-pruned WAL exceeds this many bytes (0 disables)")
+	fs.Int64Var(&o.slowQueryMs, "slow-query-ms", 0, "log one JSON line per request slower than this many milliseconds (0 disables)")
+	fs.StringVar(&o.slowQueryLog, "slow-query-log", "", "file the slow-query lines append to (empty routes them to stderr)")
+	fs.IntVar(&o.traceSample, "trace-sample", 1, "with -slow-query-ms, trace one in N untraced requests so slow-query lines carry span trees")
+	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "routed stores: per-host request timeout (0 = none)")
+	fs.IntVar(&o.retries, "retries", 2, "routed stores: bounded retries for idempotent reads after a host admission rejection")
+	fs.IntVar(&o.dialAttempts, "dial-attempts", 5, "routed stores: connection attempts per host at startup")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stderr)
+			fs.Usage()
 		}
+		return nil, err
 	}
-	// The flag-configured default store; a [default] section in -stores and
-	// the flags are mutually exclusive so neither silently wins.
-	if *datasetName != "" || *model != "" || len(relations) > 0 || len(loads) > 0 {
-		if _, ok := stores[server.DefaultStore]; ok {
-			return fmt.Errorf("the default store is configured both by flags and by %s", *storesPath)
-		}
-		st, err := buildFlagStore(*datasetName, *model, *nodes, *edges, *seed, *selectivity, relations, loads)
-		if err != nil {
-			return err
-		}
-		stores[server.DefaultStore] = st
+	return o, nil
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
 	}
-	if _, ok := stores[server.DefaultStore]; !ok {
-		stores[server.DefaultStore] = repro.NewStore()
+	if err != nil {
+		return err
+	}
+	specs, err := o.storeSpecs()
+	if err != nil {
+		return err
 	}
 
-	// With -data-dir, swap every configured store for a durable one rooted
-	// at DIR/<name>: recovered state wins over the preload (the preload
-	// seeded the store on its first start and is already on disk), and every
-	// write from here on is logged and fsynced before it is acknowledged.
+	// Build every store. With -data-dir a local store is swapped for a
+	// durable one rooted at DIR/<name>: recovered state wins over the
+	// preload (the preload seeded the store on its first start and is
+	// already on disk), and every write from here on is logged and fsynced
+	// before it is acknowledged. A routed store's hosts own its data, so it
+	// is neither preloaded nor made durable here. The deferred closes run
+	// after the server has drained.
+	queriers := make(map[string]repro.Querier, len(specs))
 	var durables []*repro.Store
-	if *dataDir != "" {
-		names := make([]string, 0, len(stores))
-		for name := range stores {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			st, err := openDurable(filepath.Join(*dataDir, name), name, *fsync, *fsyncWindow, *ckptBytes, stores[name])
-			if err != nil {
-				return err
-			}
-			stores[name] = st
-			durables = append(durables, st)
-		}
-	}
+	var routers []*router.Router
 	defer func() {
+		for _, r := range routers {
+			r.Close()
+		}
 		for _, st := range durables {
 			st.Close()
 		}
 	}()
+	for _, sp := range specs {
+		if sp.route != nil {
+			r, err := sp.openRouter(router.Config{RequestTimeout: o.reqTimeout, MaxRetries: o.retries, DialAttempts: o.dialAttempts})
+			if err != nil {
+				return err
+			}
+			routers = append(routers, r)
+			queriers[sp.name] = r
+			fmt.Printf("graphjoind: store %s: routing over %d hosts [%s]\n", sp.name, len(sp.route), strings.Join(r.Hosts(), " "))
+			continue
+		}
+		st, err := sp.build()
+		if err != nil {
+			return err
+		}
+		if o.dataDir != "" {
+			if st, err = openDurable(filepath.Join(o.dataDir, sp.name), sp.name, o.fsync, o.fsyncWindow, o.ckptBytes, st); err != nil {
+				return err
+			}
+			durables = append(durables, st)
+		}
+		queriers[sp.name] = repro.Local(st)
+	}
 
 	// Per-tenant admission control: the same budget for every store. A
 	// tenant beyond its budget gets a typed overloaded error; other tenants
 	// are unaffected.
 	var limits map[string]server.Limits
-	if *maxInflight > 0 {
-		limits = make(map[string]server.Limits, len(stores))
-		for name := range stores {
-			limits[name] = server.Limits{MaxInflight: *maxInflight, MaxQueued: *maxQueued}
+	if o.maxInflight > 0 {
+		limits = make(map[string]server.Limits, len(queriers))
+		for name := range queriers {
+			limits[name] = server.Limits{MaxInflight: o.maxInflight, MaxQueued: o.maxQueued}
 		}
 	}
 
-	slowLog, closeSlowLog, err := cli.OpenSlowQueryLog(*slowQueryLg)
+	slowLog, closeSlowLog, err := openSlowQueryLog(o.slowQueryLog)
 	if err != nil {
 		return err
 	}
 	defer closeSlowLog()
 
-	queriers := make(map[string]repro.Querier, len(stores))
-	for name, st := range stores {
-		queriers[name] = repro.Local(st)
-	}
 	srv := server.New(server.Config{Queriers: queriers, Limits: limits, Logf: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "graphjoind: "+format+"\n", args...)
 	}, Trace: server.TraceConfig{
-		SlowQuery:    time.Duration(*slowQueryMs) * time.Millisecond,
+		SlowQuery:    time.Duration(o.slowQueryMs) * time.Millisecond,
 		SlowQueryLog: slowLog,
-		SampleEvery:  *traceSample,
+		SampleEvery:  o.traceSample,
 	}})
 
-	l, err := net.Listen("tcp", *listen)
+	l, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		return err
 	}
@@ -198,13 +255,12 @@ func run() error {
 	// /healthz for liveness probes, /debug/pprof for profiling, /debug/traces
 	// for the retained request traces. It binds before the banner-reading
 	// scripts proceed and is torn down with the server.
-	var metricsSrv *http.Server
-	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
+	if o.metricsAddr != "" {
+		ml, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		metricsSrv = &http.Server{Handler: cli.ObservabilityMux(srv.DebugTracesHandler())}
+		metricsSrv := &http.Server{Handler: observabilityMux(srv.DebugTracesHandler())}
 		go func() {
 			if err := metricsSrv.Serve(ml); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "graphjoind: metrics server: %v\n", err)
@@ -224,9 +280,9 @@ func run() error {
 	// The background snapshotter: checkpoint every durable store on a
 	// ticker, bounding log growth and recovery time. Checkpoints serialize
 	// and write outside the stores' write path, concurrent with traffic.
-	if len(durables) > 0 && *checkpoint > 0 {
+	if len(durables) > 0 && o.checkpoint > 0 {
 		go func() {
-			t := time.NewTicker(*checkpoint)
+			t := time.NewTicker(o.checkpoint)
 			defer t.Stop()
 			for {
 				select {
@@ -252,7 +308,7 @@ func run() error {
 	}
 	stop()
 	fmt.Println("graphjoind: draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "graphjoind: drain cut short: %v\n", err)
@@ -271,197 +327,37 @@ func run() error {
 	return nil
 }
 
-// openDurable opens the durable store for one tenant, prints its recovery
-// banner, and — only on a first start over an empty directory — seeds it
-// with the flag/config-preloaded in-memory store's schema and contents. On
-// every later start the disk is the source of truth and the preload is
-// ignored, so changing preload flags cannot silently fork a live dataset.
-func openDurable(dir, name, fsync string, window time.Duration, ckptBytes int64, seed *repro.Store) (*repro.Store, error) {
-	st, info, err := repro.OpenStore(dir, repro.DurabilityOptions{Sync: fsync, GroupWindow: window, MetricsName: name, CheckpointBytes: ckptBytes})
+// observabilityMux builds the -metrics-addr sidecar's HTTP mux: Prometheus
+// text metrics, a liveness probe, the Go pprof surfaces, and the server's
+// retained traces. A routed store's fan-out metrics share the default
+// registry with the serving metrics, so a cluster's coordinator and shards
+// are watched and profiled the same way.
+func observabilityMux(traces http.Handler) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics.Default().Handler())
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/traces", traces)
+	return mux
+}
+
+// openSlowQueryLog opens (appending) the file the slow-query log writes to.
+// An empty path returns a nil writer, which routes slow-query lines through
+// the server's diagnostic log instead.
+func openSlowQueryLog(path string) (io.Writer, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store %q: %w", name, err)
+		return nil, nil, fmt.Errorf("slow-query log: %w", err)
 	}
-	switch {
-	case info.LastLSN == 0 && info.SnapshotLSN == 0:
-		fmt.Printf("graphjoind: store %s: fresh data dir %s\n", name, dir)
-		if err := importStore(st, seed); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("store %q: seeding preload: %w", name, err)
-		}
-	default:
-		fmt.Printf("graphjoind: store %s: recovered snapshot lsn=%d + %d replayed records, durable through lsn=%d\n",
-			name, info.SnapshotLSN, info.Replayed, info.LastLSN)
-	}
-	if info.TailErr != nil {
-		fmt.Printf("graphjoind: store %s: unclean shutdown: %v\n", name, info.TailErr)
-	}
-	return st, nil
+	return f, f.Close, nil
 }
-
-// importStore copies every relation of an in-memory store into a durable
-// one through the logged write path (DefineRelation + Load), so the seeded
-// contents are durable before the server starts accepting writes.
-func importStore(dst, src *repro.Store) error {
-	for _, name := range src.Relations() {
-		arity, err := src.Arity(name)
-		if err != nil {
-			return err
-		}
-		if err := dst.DefineRelation(name, arity); err != nil {
-			return err
-		}
-		r, err := src.DB().Relation(name)
-		if err != nil {
-			return err
-		}
-		if err := dst.Load(name, r.Tuples()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// buildFlagStore constructs the default store from the command-line flags:
-// either a benchmark graph (dataset or generator model) or a -relation/-load
-// schema, but not both — the graph schema is canned and loading over it
-// would break its invariants.
-func buildFlagStore(datasetName, model string, nodes, edges int, seed int64, selectivity int, relations, loads []string) (*repro.Store, error) {
-	graphMode := datasetName != "" || model != ""
-	if graphMode && (len(relations) > 0 || len(loads) > 0) {
-		return nil, fmt.Errorf("-relation/-load conflict with a benchmark-graph preload (-dataset/-model)")
-	}
-	st := repro.NewStore()
-	if graphMode {
-		g, err := cli.BuildGraph(datasetName, model, nodes, edges, seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := dataset.Load(repro.Local(st), g, selectivity, seed); err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
-	if err := cli.SetupSchema(repro.Local(st), relations, loads); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// loadStoresConfig parses the -stores file: "[name]" opens a store section;
-// within one, "relation name:arity", "load name=path", "dataset NAME",
-// "generate MODEL NODES EDGES SEED", and "selectivity S SEED" configure it.
-// Blank lines and #-comments are skipped.
-func loadStoresConfig(path string, stores map[string]*repro.Store) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	type section struct {
-		name                  string
-		relations, loads      []string
-		dataset, model        string
-		nodes, edges          int
-		seed                  int64
-		selectivity, selSeed  int
-		hasGraph, hasSelector bool
-	}
-	var sections []*section
-	var cur *section
-	for lineNo, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		where := fmt.Sprintf("%s:%d", path, lineNo+1)
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return fmt.Errorf("%s: malformed section header %q", where, line)
-			}
-			name := strings.TrimSpace(line[1 : len(line)-1])
-			if name == "" {
-				return fmt.Errorf("%s: empty store name", where)
-			}
-			cur = &section{name: name}
-			sections = append(sections, cur)
-			continue
-		}
-		if cur == nil {
-			return fmt.Errorf("%s: directive before the first [store] section", where)
-		}
-		directive, rest, _ := strings.Cut(line, " ")
-		rest = strings.TrimSpace(rest)
-		switch directive {
-		case "relation":
-			cur.relations = append(cur.relations, rest)
-		case "load":
-			cur.loads = append(cur.loads, rest)
-		case "dataset":
-			if cur.hasGraph {
-				return fmt.Errorf("%s: store %q already has a graph preload", where, cur.name)
-			}
-			cur.dataset, cur.hasGraph = rest, true
-		case "generate":
-			if cur.hasGraph {
-				return fmt.Errorf("%s: store %q already has a graph preload", where, cur.name)
-			}
-			f := strings.Fields(rest)
-			if len(f) != 4 {
-				return fmt.Errorf("%s: generate wants MODEL NODES EDGES SEED", where)
-			}
-			var errs [3]error
-			cur.model = f[0]
-			cur.nodes, errs[0] = strconv.Atoi(f[1])
-			cur.edges, errs[1] = strconv.Atoi(f[2])
-			cur.seed, errs[2] = parseInt64(f[3])
-			for _, e := range errs {
-				if e != nil {
-					return fmt.Errorf("%s: generate: %v", where, e)
-				}
-			}
-			cur.hasGraph = true
-		case "selectivity":
-			f := strings.Fields(rest)
-			if len(f) != 2 {
-				return fmt.Errorf("%s: selectivity wants S SEED", where)
-			}
-			var e1, e2 error
-			cur.selectivity, e1 = strconv.Atoi(f[0])
-			cur.selSeed, e2 = strconv.Atoi(f[1])
-			if e1 != nil || e2 != nil {
-				return fmt.Errorf("%s: selectivity: bad number", where)
-			}
-			cur.hasSelector = true
-		default:
-			return fmt.Errorf("%s: unknown directive %q", where, directive)
-		}
-	}
-	for _, sec := range sections {
-		if _, ok := stores[sec.name]; ok {
-			return fmt.Errorf("%s: store %q defined twice", path, sec.name)
-		}
-		if sec.hasGraph && (len(sec.relations) > 0 || len(sec.loads) > 0) {
-			return fmt.Errorf("%s: store %q mixes a graph preload with relation/load", path, sec.name)
-		}
-		if sec.hasSelector && !sec.hasGraph {
-			return fmt.Errorf("%s: store %q: selectivity applies to a graph preload (dataset/generate)", path, sec.name)
-		}
-		st := repro.NewStore()
-		if sec.hasGraph {
-			g, err := cli.BuildGraph(sec.dataset, sec.model, sec.nodes, sec.edges, sec.seed)
-			if err != nil {
-				return fmt.Errorf("%s: store %q: %w", path, sec.name, err)
-			}
-			// Without a selectivity directive the samples hold every vertex
-			// (selectivity 0 samples like 1).
-			if err := dataset.Load(repro.Local(st), g, sec.selectivity, int64(sec.selSeed)); err != nil {
-				return fmt.Errorf("%s: store %q: %w", path, sec.name, err)
-			}
-		} else if err := cli.SetupSchema(repro.Local(st), sec.relations, sec.loads); err != nil {
-			return fmt.Errorf("%s: store %q: %w", path, sec.name, err)
-		}
-		stores[sec.name] = st
-	}
-	return nil
-}
-
-func parseInt64(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }

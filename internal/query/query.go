@@ -105,6 +105,20 @@ func ValidAgg(fn AggFunc) bool {
 	return false
 }
 
+// Merge folds v into the accumulator acc: count and sum add v, min and max
+// keep the smaller or larger. For count, v is a contribution — 1 for a row,
+// a partial count for a partial accumulator — so the same merge folds rows
+// into an accumulator and accumulators into one another.
+func (fn AggFunc) Merge(acc, v int64) int64 {
+	switch fn {
+	case AggMin:
+		return min(acc, v)
+	case AggMax:
+		return max(acc, v)
+	}
+	return acc + v
+}
+
 // Agg is one aggregate head term fn(Var). Aggregates range over the distinct
 // bindings of the grouped variables together with every aggregated variable
 // (set semantics, matching the set semantics of the relations themselves).

@@ -136,7 +136,7 @@ func (p *Prepared) hostCtx(ctx context.Context) (context.Context, context.Cancel
 // bounded retry: admission rejections (client.ErrOverloaded) back off and
 // retry; everything else returns immediately.
 func (p *Prepared) retryUnary(ctx context.Context, f func(ctx context.Context) error) error {
-	backoff := p.r.retryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		hctx, cancel := p.hostCtx(ctx)
 		err := f(hctx)
@@ -284,14 +284,7 @@ func (p *Prepared) foldPartials(ctx context.Context, t *Txn, emit func([]int64) 
 			continue
 		}
 		for j, ag := range p.aggs {
-			switch ag.Func {
-			case query.AggCount, query.AggSum:
-				acc[j] += part[j]
-			case query.AggMin:
-				acc[j] = min(acc[j], part[j])
-			case query.AggMax:
-				acc[j] = max(acc[j], part[j])
-			}
+			acc[j] = ag.Func.Merge(acc[j], part[j])
 		}
 	}
 	if acc != nil {

@@ -103,17 +103,21 @@ type Config struct {
 	// promptly through the transport.
 	RequestTimeout time.Duration
 	// MaxRetries is how many times an idempotent unary read is retried
-	// after a host admission rejection (client.ErrOverloaded). Zero
-	// disables retries.
+	// after a host admission rejection (client.ErrOverloaded), backing off
+	// retryBackoff and doubling per attempt. Zero disables retries.
 	MaxRetries int
-	// RetryBackoff is the first retry's backoff, doubling per attempt.
-	// Zero defaults to 25ms.
-	RetryBackoff time.Duration
-	// DialAttempts and DialBackoff configure Open's per-host dial retry
-	// (client.WithDialRetry) — a cluster's hosts rarely boot atomically.
+	// DialAttempts is how many times Open dials each host, backing off
+	// dialBackoff and doubling per attempt (client.WithDialRetry) — a
+	// cluster's hosts rarely boot atomically.
 	DialAttempts int
-	DialBackoff  time.Duration
 }
+
+// The first backoff of a read retry and of a dial retry; each doubles per
+// attempt.
+const (
+	retryBackoff = 25 * time.Millisecond
+	dialBackoff  = 100 * time.Millisecond
+)
 
 // Router coordinates a cluster of hosts behind the repro.Querier seam.
 // Create one with Open (dialing graphjoind hosts) or New (over any Querier
@@ -122,10 +126,9 @@ type Router struct {
 	hosts []repro.Querier
 	names []string
 
-	reqTimeout   time.Duration
-	maxRetries   int
-	retryBackoff time.Duration
-	ownsHosts    bool
+	reqTimeout time.Duration
+	maxRetries int
+	ownsHosts  bool
 
 	met *routerMetrics
 
@@ -157,7 +160,7 @@ func Open(ctx context.Context, hosts []HostSpec, cfg Config) (*Router, error) {
 			opts = append(opts, client.WithRequestTimeout(cfg.RequestTimeout))
 		}
 		if cfg.DialAttempts > 1 {
-			opts = append(opts, client.WithDialRetry(cfg.DialAttempts, cfg.DialBackoff))
+			opts = append(opts, client.WithDialRetry(cfg.DialAttempts, dialBackoff))
 		}
 		c, err := client.Dial(ctx, h.Addr, opts...)
 		if err != nil {
@@ -198,17 +201,12 @@ func New(hosts []repro.Querier, labels []string, cfg Config) (*Router, error) {
 	if len(labels) != len(hosts) {
 		return nil, fmt.Errorf("router: %d hosts but %d labels", len(hosts), len(labels))
 	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = 25 * time.Millisecond
-	}
 	return &Router{
-		hosts:        hosts,
-		names:        append([]string(nil), labels...),
-		reqTimeout:   cfg.RequestTimeout,
-		maxRetries:   cfg.MaxRetries,
-		retryBackoff: backoff,
-		met:          newRouterMetrics(labels),
+		hosts:      hosts,
+		names:      append([]string(nil), labels...),
+		reqTimeout: cfg.RequestTimeout,
+		maxRetries: cfg.MaxRetries,
+		met:        newRouterMetrics(labels),
 	}, nil
 }
 

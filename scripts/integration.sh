@@ -163,12 +163,12 @@ server_pid=""
 ls "$data_dir"/default/snap-*.snap > /dev/null 2>&1 \
   || { echo "integration: no checkpoint snapshot after clean shutdown" >&2; exit 1; }
 
-# --- Distributed layer: a 3-node cluster behind graphjoinrouter ------------
+# --- Distributed layer: a 3-node cluster behind a routed graphjoind ---------
 # Boot three graphjoind hosts with identical replicated data, front them with
-# the router, and require routed counts to match the in-process run. Then
-# kill -9 one shard and require a one-line typed error (not a hang, not a
-# panic) through an unmodified graphjoin -connect.
-go build -o "$bin/graphjoinrouter" ./cmd/graphjoinrouter
+# a fourth graphjoind whose default store routes over them (-route), and
+# require routed counts to match the in-process run. Then kill -9 one shard
+# and require a one-line typed error (not a hang, not a panic) through an
+# unmodified graphjoin -connect.
 
 # boot_member <logfile> [flags...]: like boot, but for cluster members —
 # appends to cluster_pids instead of claiming the singleton server_pid.
@@ -197,7 +197,7 @@ hosts="$(IFS=,; echo "${shard_addrs[*]}")"
 # There is one partition rule and no flag choosing one: -partition is an
 # unknown flag, reported on one stderr line.
 status=0
-"$bin/graphjoinrouter" -hosts "$hosts" -partition hash > /dev/null 2> "$bin/partition.log" || status=$?
+"$bin/graphjoind" -route "$hosts" -partition hash > /dev/null 2> "$bin/partition.log" || status=$?
 if [ "$status" -eq 0 ] || [ "$(wc -l < "$bin/partition.log")" -ne 1 ]; then
   echo "integration: -partition hash did not fail with one stderr line (exit $status):" >&2
   cat "$bin/partition.log" >&2
@@ -205,7 +205,7 @@ if [ "$status" -eq 0 ] || [ "$(wc -l < "$bin/partition.log")" -ne 1 ]; then
 fi
 echo "integration: -partition rejected: $(cat "$bin/partition.log")"
 
-boot_member "$bin/router.log" "$bin/graphjoinrouter" -hosts "$hosts"
+boot_member "$bin/router.log" "$bin/graphjoind" -route "$hosts"
 router_addr="$addr"
 for engine in lftj ms; do
   got="$("$bin/graphjoin" -connect "$router_addr" -query 3-clique -engine "$engine" | extract)"

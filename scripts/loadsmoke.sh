@@ -7,11 +7,11 @@
 # requests_total delta, so a green smoke also proves the metrics pipeline
 # counts exactly.
 #
-# With LOADSMOKE_CLUSTER=N the workload is driven through graphjoinrouter
-# fronting N graphjoind shards instead of a single server. The ledger==delta
-# cross-check then runs against the router's own frontend metrics: every
-# harness request is exactly one request at the coordinator no matter how
-# wide it fans out behind it.
+# With LOADSMOKE_CLUSTER=N the workload is driven through a graphjoind whose
+# default store routes over N graphjoind shards (-route) instead of a single
+# server. The ledger==delta cross-check then runs against the coordinator's
+# own frontend metrics: every harness request is exactly one request at the
+# coordinator no matter how wide it fans out behind it.
 #
 # Tunables (environment): LOADSMOKE_CONNS (default 4), LOADSMOKE_DURATION
 # (default 5s), LOADSMOKE_CLUSTER (default empty = single server).
@@ -72,9 +72,8 @@ scrape_metrics() {
 
 if [ -n "${LOADSMOKE_CLUSTER:-}" ]; then
   # Routed mode: N shards, one coordinator. The shards run without
-  # admission budgets (the coordinator is the tested surface); the router
-  # exposes the metrics endpoint the cross-check scrapes.
-  go build -o "$bin/graphjoinrouter" ./cmd/graphjoinrouter
+  # admission budgets (the coordinator is the tested surface); the
+  # coordinator exposes the metrics endpoint the cross-check scrapes.
   shard_addrs=()
   for i in $(seq 1 "$LOADSMOKE_CLUSTER"); do
     "$bin/graphjoind" -listen 127.0.0.1:0 > "$bin/shard$i.log" 2>&1 &
@@ -82,8 +81,8 @@ if [ -n "${LOADSMOKE_CLUSTER:-}" ]; then
     scrape_banner "$bin/shard$i.log" "${cluster_pids[-1]}"
     shard_addrs+=("$addr")
   done
-  "$bin/graphjoinrouter" -listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
-    -hosts "$(IFS=,; echo "${shard_addrs[*]}")" > "$bin/server.log" 2>&1 &
+  "$bin/graphjoind" -listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
+    -route "$(IFS=,; echo "${shard_addrs[*]}")" > "$bin/server.log" 2>&1 &
   server_pid=$!
 else
   "$bin/graphjoind" -listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
