@@ -69,13 +69,13 @@ type RecoveryInfo struct {
 // OpenStore opens (or initializes) a durable store rooted at dir. Recovery
 // runs first: the newest valid snapshot is loaded, then the log tail is
 // replayed through the same delta path live writes take — O(batch) per
-// record after the first delta binds each written relation's canonical
-// index — so cached CSR indexes warm up through the ordinary overlay
-// fold-in. After OpenStore
-// returns, every mutation — DefineRelation, Load, Apply, ApplyAll, and the
-// Graph wrappers routing through them — is appended to the write-ahead log
-// and fsynced per opts.Sync before the call returns, so an acknowledged
-// write survives a crash. Call Checkpoint periodically to bound log growth
+// record — so cached CSR indexes warm up through the ordinary overlay
+// fold-in. A snapshot or record holding a value outside the storage domain
+// fails recovery with an error wrapping ErrValueOutOfRange that names the
+// file. After OpenStore returns, every mutation — DefineRelation, Load,
+// Apply, ApplyAll, and the Graph wrappers routing through them — is appended
+// to the write-ahead log and fsynced per opts.Sync before the call returns,
+// so an acknowledged write survives a crash. Call Checkpoint periodically to bound log growth
 // and recovery time, and Close on shutdown.
 func OpenStore(dir string, opts DurabilityOptions) (*Store, *RecoveryInfo, error) {
 	policy, err := durable.ParsePolicy(opts.Sync)
@@ -220,10 +220,10 @@ func (s *Store) maybeCheckpoint() {
 // checkpoint replays only records written since, so periodic checkpoints
 // bound both log growth and restart time. The capture is consistent and
 // O(#relations): one database lock acquisition, paired with the current LSN
-// under the store's write lock, collects immutable relation and overlay
-// snapshots. Merging an overlay into flat rows, serialization and file I/O
-// all happen after both locks are released, concurrent with new writes, and
-// the merged copy is dropped with the call. On an in-memory store
+// under the store's write lock, collects every relation's immutable
+// canonical overlay. Serialization, which encodes the rows straight from the
+// overlays' tries with no flat copy, and file I/O happen after both locks
+// are released, concurrent with new writes. On an in-memory store
 // Checkpoint is a no-op.
 func (s *Store) Checkpoint() error {
 	if s.dur == nil {
@@ -240,15 +240,9 @@ func (s *Store) checkpoint() (lsn uint64, err error) {
 	// no append lands between reading one and the other.
 	s.mu.Lock()
 	lsn = s.dur.LastLSN()
-	snaps := s.db.Snapshot()
+	rels := s.db.Snapshot()
 	s.mu.Unlock()
-	return lsn, s.dur.Checkpoint(lsn, func() []*relation.Relation {
-		rels := make([]*relation.Relation, len(snaps))
-		for i, sn := range snaps {
-			rels[i] = sn.Flat()
-		}
-		return rels
-	})
+	return lsn, s.dur.Checkpoint(lsn, rels)
 }
 
 // LastLSN returns the store's current log position (0 on an in-memory

@@ -251,8 +251,8 @@ func TestExtendedDifferential(t *testing.T) {
 					t.Fatalf("count %d != enumerated %d", n, len(rows))
 				}
 				for i, r := range rows {
-					if len(r) != q.OutWidth() {
-						t.Fatalf("row width %d, want OutWidth %d", len(r), q.OutWidth())
+					if width := len(q.Out()) + len(q.Aggs); len(r) != width {
+						t.Fatalf("row width %d, want %d (output variables and aggregates)", len(r), width)
 					}
 					if q.PrefixOrdered() && i > 0 && relation.CompareTuples(rows[i-1], r) >= 0 {
 						t.Fatalf("row %d = %v after %v: not ascending in head order", i, r, rows[i-1])

@@ -19,11 +19,15 @@ func graphStore(tb testing.TB, g *dataset.Graph, sel int, sampleSeed int64) *Sto
 	return st
 }
 
-// edgeStore is graphStore over an undirected edge list, every vertex
-// sampled.
+// edgeStore is graphStore over an undirected edge list, each edge u < v
+// and listed once, every vertex sampled.
 func edgeStore(tb testing.TB, edges [][2]int64) *Store {
 	tb.Helper()
-	return graphStore(tb, dataset.FromEdges(edges), 1, 0)
+	g := &dataset.Graph{Edges: edges}
+	for _, e := range edges {
+		g.N = max(g.N, int(e[1])+1)
+	}
+	return graphStore(tb, g, 1, 0)
 }
 
 // k4 is the complete graph on four vertices.

@@ -1,7 +1,7 @@
 // Package core holds the pieces shared by every join engine in the
-// reproduction: the database (a named collection of relations with a cache
-// of GAO-consistent secondary indexes, §4.1), the compiled plans the
-// engines execute, and the atom-binding rule they share.
+// reproduction: the database (a named collection of relations, each stored
+// once as GAO-consistent trie indexes, §4.1), the compiled plans the engines
+// execute, and the atom-binding rule they share.
 package core
 
 import (
@@ -31,22 +31,21 @@ var (
 	ErrArityMismatch = errors.New("arity mismatch")
 )
 
-// DB is a collection of named relations. Engines request GAO-consistent
-// secondary indexes through Index; results are cached because the paper's
-// protocol reuses the same physical design across queries (§4.1: "all input
-// relations are indexed consistent with this GAO"). The DB also caches
-// compiled query plans (see plan.go); both caches are invalidated per
-// relation by Add. The contents of every cached trie index live in the
-// published generation (gen, see Generation): writers build the next one
-// under mu and publish it in one atomic store, readers pin it without
-// taking mu.
+// DB is a collection of named relations, each stored once: as the CSR trie
+// index over its identity attribute order, which Add builds. Engines request
+// further GAO-consistent indexes through TrieIndex; they are cached because
+// the paper's protocol reuses the same physical design across queries (§4.1:
+// "all input relations are indexed consistent with this GAO"). The DB also
+// caches compiled query plans (see plan.go); both caches are invalidated per
+// relation by Add. The contents of every trie index live in the published
+// generation (gen, see Generation): writers build the next one under mu and
+// publish it in one atomic store, readers pin it without taking mu.
 type DB struct {
-	mu      sync.Mutex
-	rels    map[string]*relState
-	indexes map[string]*relation.Relation
-	tries   map[string]*Index
-	plans   map[string]*Plan
-	gen     atomic.Pointer[Generation]
+	mu    sync.Mutex
+	rels  map[string]*relState
+	tries map[string]*Index
+	plans map[string]*Plan
+	gen   atomic.Pointer[Generation]
 	// draft is the next generation while a write holding mu builds it (see
 	// draftLocked); nil otherwise.
 	draft map[*Index]*relation.Overlay
@@ -57,49 +56,28 @@ type DB struct {
 	version int64
 }
 
-// relState is one relation's contents. Add registers a flat relation; from
-// the first delta on, the identity-order CSR index (canon) is the source of
-// truth — ApplyDelta advances its overlay in O(batch) and never re-merges
-// the flat form, which becomes a view materialised on demand (Relation).
+// relState is one relation: its arity and its canonical index, the trie
+// index over the identity attribute order (shared with every plan that binds
+// that order). The canonical index's overlay is the relation's contents —
+// ApplyDelta advances it in O(batch), and the flat form is a view
+// materialised from it on every request (Relation).
 type relState struct {
 	arity int
-	// flat is the relation in flat form when that is known: what Add
-	// registered or, once canon is bound, what Relation last merged from the
-	// current overlay snapshot. ApplyDelta resets it, so no flat copy
-	// outlives the write generation it was made for.
-	flat *relation.Relation
-	// canon is the cached trie index over the identity attribute order
-	// (shared with every plan that binds that order); nil until the first
-	// delta, so Load-only databases never build it.
 	canon *Index
 }
 
 // canonLocked returns the relation's canonical overlay as the write holding
-// DB.mu leaves it, nil while the relation is still flat.
+// DB.mu leaves it.
 func (db *DB) canonLocked(st *relState) *relation.Overlay {
-	if st.canon == nil {
-		return nil
-	}
 	return db.overlayLocked(st.canon)
-}
-
-// contains reports whether t is in the relation: canon is its canonical
-// overlay (canonLocked).
-func (st *relState) contains(canon *relation.Overlay, t []int64) bool {
-	if canon != nil {
-		_, found := canon.ProbeGap(t)
-		return found
-	}
-	return st.flat.Contains(t)
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
 	db := &DB{
-		rels:    make(map[string]*relState),
-		indexes: make(map[string]*relation.Relation),
-		tries:   make(map[string]*Index),
-		plans:   make(map[string]*Plan),
+		rels:  make(map[string]*relState),
+		tries: make(map[string]*Index),
+		plans: make(map[string]*Plan),
 	}
 	db.gen.Store(&Generation{ovs: make(map[*Index]*relation.Overlay)})
 	return db
@@ -108,6 +86,7 @@ func NewDB() *DB {
 // Add registers a relation under its name, replacing any previous relation
 // with that name and invalidating its cached indexes and any cached plans
 // that read it. Plans compiled before keep reading the replaced contents.
+// Add builds the relation's canonical index and keeps no reference to r.
 func (db *DB) Add(r *relation.Relation) {
 	db.mu.Lock()
 	defer db.unlock()
@@ -129,16 +108,10 @@ func (db *DB) AddAll(rels []*relation.Relation) {
 
 func (db *DB) addLocked(r *relation.Relation) {
 	db.version++
-	db.rels[r.Name()] = &relState{arity: r.Arity(), flat: r}
 	prefix := r.Name() + "/"
-	for k := range db.indexes {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(db.indexes, k)
-		}
-	}
+	draft := db.draftLocked()
 	for k, x := range db.tries {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			draft := db.draftLocked()
 			x.retired = draft[x]
 			delete(draft, x)
 			delete(db.tries, k)
@@ -149,6 +122,14 @@ func (db *DB) addLocked(r *relation.Relation) {
 			delete(db.plans, k)
 		}
 	}
+	identity := make([]int, r.Arity())
+	for k := range identity {
+		identity[k] = k
+	}
+	canon := &Index{db: db, perm: identity}
+	draft[canon] = relation.NewOverlay(r)
+	db.tries[indexKey(r.Name(), identity)] = canon
+	db.rels[r.Name()] = &relState{arity: r.Arity(), canon: canon}
 }
 
 // OverlayDepth sums the pending delta-log sizes of every cached trie index:
@@ -167,13 +148,12 @@ func (db *DB) OverlayDepth() int {
 // ApplyDelta applies an in-place update batch to the named relation in time
 // proportional to the batch and the small overlay logs, never to the
 // relation: the batch is reduced to its canonical delta against the
-// relation's canonical index (the identity-order CSR overlay, bound at the
-// first delta), sorted once, and handed to every cached index as a log
-// increment in that index's own attribute order (relation.Overlay) — no
-// trie rebuild, no merge of the base rows. The new overlays are published
-// as the next generation in one store. Compiled plans stay cached and valid
-// because their index objects carry over into it: every handle over them
-// follows the write.
+// relation's canonical index (the identity-order CSR overlay), sorted once,
+// and handed to every cached index as a log increment in that index's own
+// attribute order (relation.Overlay) — no trie rebuild, no merge of the base
+// rows. The new overlays are published as the next generation in one store.
+// Compiled plans stay cached and valid because their index objects carry
+// over into it: every handle over them follows the write.
 //
 // Inserts already present and deletes absent are ignored, and a tuple
 // appearing on both sides of one batch resolves as delete-after-insert (an
@@ -225,25 +205,8 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 	if ins.Len() == 0 && dels.Len() == 0 {
 		return nil
 	}
-	if st.canon == nil {
-		identity := make([]int, st.arity)
-		for k := range identity {
-			identity[k] = k
-		}
-		idx, err := db.trieIndexLocked(name, identity)
-		if err != nil {
-			return err
-		}
-		st.canon = idx
-	}
-	st.flat = nil
 	db.version++
 	prefix := name + "/"
-	for k := range db.indexes {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(db.indexes, k)
-		}
-	}
 	draft := db.draftLocked()
 	for k, x := range db.tries {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
@@ -259,8 +222,8 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 // both sides resolves as delete-after-insert: a no-op for absent tuples, a
 // delete for present ones. The result satisfies the overlay invariants
 // (ins ∩ r = ∅, dels ⊆ r, ins ∩ dels = ∅). Each side is sorted once and
-// probed against the relation's index (canon, see canonLocked) — no
-// per-tuple keys. Tuples of the wrong arity are skipped, as are deletes
+// probed against the relation's canonical overlay (canon, see canonLocked)
+// — no per-tuple keys. Tuples of the wrong arity are skipped, as are deletes
 // outside the storage domain (they cannot be present).
 func (st *relState) canonicalDelta(name string, canon *relation.Overlay, inserts, deletes [][]int64) (ins, dels *relation.Relation) {
 	delB := relation.NewBuilder(name, st.arity)
@@ -276,71 +239,52 @@ func (st *relState) canonicalDelta(name string, canon *relation.Overlay, inserts
 			insB.Add(t...)
 		}
 	}
-	dels = allDels.Filter(func(t []int64) bool { return st.contains(canon, t) })
-	ins = insB.Build().Filter(func(t []int64) bool { return !allDels.Contains(t) && !st.contains(canon, t) })
+	contains := func(t []int64) bool {
+		_, found := canon.ProbeGap(t)
+		return found
+	}
+	dels = allDels.Filter(contains)
+	ins = insB.Build().Filter(func(t []int64) bool { return !allDels.Contains(t) && !contains(t) })
 	return ins, dels
 }
 
-// RelationSnapshot is one relation's immutable contents at the moment
-// DB.Snapshot captured it: the flat relation if one is at hand, else the
-// canonical overlay snapshot.
-type RelationSnapshot struct {
-	flat *relation.Relation
-	ov   *relation.Overlay
-}
-
-// Flat returns the captured contents as a flat relation — for a relation
-// captured as an overlay, one linear merge per call, done here and kept
-// nowhere, so the caller decides under which locks (none) it is paid and
-// how long the copy lives.
-func (s RelationSnapshot) Flat() *relation.Relation {
-	if s.flat != nil {
-		return s.flat
-	}
-	return s.ov.Flat()
-}
-
-// Snapshot captures every relation under one lock acquisition, in
-// O(#relations): relations and overlay snapshots are immutable, so the
-// captures form a consistent point-in-time view of the database — the
-// capture the durability layer's checkpointer pairs with the WAL position it
-// holds while calling, and materialises (RelationSnapshot.Flat) after it has
-// let go of every lock.
-func (db *DB) Snapshot() []RelationSnapshot {
+// Snapshot captures every relation's canonical overlay under one lock
+// acquisition, in O(#relations): overlays are immutable, so the captures
+// form a consistent point-in-time view of the database — the capture the
+// durability layer's checkpointer pairs with the WAL position it holds while
+// calling, and encodes (Overlay.Rows) after it has let go of every lock.
+func (db *DB) Snapshot() []*relation.Overlay {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]RelationSnapshot, 0, len(db.rels))
+	out := make([]*relation.Overlay, 0, len(db.rels))
 	for _, st := range db.rels {
-		s := RelationSnapshot{flat: st.flat}
-		if s.flat == nil {
-			s.ov = db.canonLocked(st)
-		}
-		out = append(out, s)
+		out = append(out, db.canonLocked(st))
 	}
 	return out
 }
 
-// Relation returns the named relation in flat form. Once a delta has landed
-// that form is a view: it is merged from the canonical overlay on the first
-// call after a write and kept until the next write, so the engines that
-// read flat rows (the ablation baselines and generic join) pay one linear
-// merge per write generation, and only if they ask. Use Arity and Len for
-// metadata — they never materialise.
+// Relation returns the named relation in flat form: a view merged from the
+// canonical overlay (Overlay.Flat) on every call, outside the lock, and kept
+// nowhere — so the engines that read flat rows (the ablation baselines and
+// the test oracle) pay one linear merge per call, and only they do. Use
+// Arity and Len for metadata — they never materialise.
 func (db *DB) Relation(name string) (*relation.Relation, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.relationLocked(name)
+	canon, err := db.canonical(name)
+	if err != nil {
+		return nil, err
+	}
+	return canon.Flat(), nil
 }
 
-func (db *DB) relationLocked(name string) (*relation.Relation, error) {
+// canonical returns the named relation's published canonical overlay.
+func (db *DB) canonical(name string) (*relation.Overlay, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	st, ok := db.rels[name]
 	if !ok {
 		return nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
-	if st.flat == nil {
-		st.flat = db.canonLocked(st).Flat()
-	}
-	return st.flat, nil
+	return db.canonLocked(st), nil
 }
 
 // Arity returns the named relation's arity.
@@ -356,16 +300,11 @@ func (db *DB) Arity(name string) (int, error) {
 
 // Len returns the named relation's tuple count.
 func (db *DB) Len(name string) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, ok := db.rels[name]
-	if !ok {
-		return 0, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
+	canon, err := db.canonical(name)
+	if err != nil {
+		return 0, err
 	}
-	if st.flat != nil {
-		return st.flat.Len(), nil
-	}
-	return db.canonLocked(st).Len(), nil
+	return canon.Len(), nil
 }
 
 // Names returns the registered relation names (unordered).
@@ -379,15 +318,6 @@ func (db *DB) Names() []string {
 	return out
 }
 
-// Index returns the named relation with its columns permuted by perm and
-// re-sorted, caching the result. perm[k] is the source column stored at
-// output position k.
-func (db *DB) Index(name string, perm []int) (*relation.Relation, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.indexLocked(name, perm)
-}
-
 func indexKey(name string, perm []int) string {
 	key := name + "/"
 	for _, p := range perm {
@@ -396,27 +326,13 @@ func indexKey(name string, perm []int) string {
 	return key
 }
 
-func (db *DB) indexLocked(name string, perm []int) (*relation.Relation, error) {
-	key := indexKey(name, perm)
-	if idx, ok := db.indexes[key]; ok {
-		return idx, nil
-	}
-	r, err := db.relationLocked(name)
-	if err != nil {
-		return nil, err
-	}
-	idx := r.Permute(perm)
-	db.indexes[key] = idx
-	return idx, nil
-}
-
 // TrieIndex returns the named relation's GAO-consistent trie index for the
-// attribute order perm, caching the built index alongside the permuted
-// relation (both caches are invalidated per relation by Add; ApplyDelta
-// instead advances cached indexes through their delta overlays). The CSR
-// trie levels are materialized here, so the build cost is paid once per
-// relation × permutation and amortized across executions. A perm whose
-// length is not the relation's arity fails with ErrArityMismatch.
+// attribute order perm, caching it (the cache is invalidated per relation by
+// Add; ApplyDelta instead advances cached indexes through their delta
+// overlays). The identity order is the canonical index Add built; any other
+// order is built here from the flat view permuted into it, so the build cost
+// is paid once per relation × permutation and amortized across executions. A
+// perm whose length is not the relation's arity fails with ErrArityMismatch.
 func (db *DB) TrieIndex(name string, perm []int) (*Index, error) {
 	db.mu.Lock()
 	defer db.unlock()
@@ -435,12 +351,8 @@ func (db *DB) trieIndexLocked(name string, perm []int) (*Index, error) {
 	if len(perm) != st.arity {
 		return nil, fmt.Errorf("core: %w: %d columns bound over relation %q of arity %d", ErrArityMismatch, len(perm), name, st.arity)
 	}
-	rel, err := db.indexLocked(name, perm)
-	if err != nil {
-		return nil, err
-	}
 	x := &Index{db: db, perm: append([]int(nil), perm...)}
-	db.draftLocked()[x] = relation.NewOverlay(rel)
+	db.draftLocked()[x] = relation.NewOverlay(db.canonLocked(st).Flat().Permute(perm))
 	db.tries[key] = x
 	return x, nil
 }
@@ -459,7 +371,7 @@ type AtomIndex struct {
 
 // AtomOrder is the column-order rule of §4.1: the atom's columns sorted by
 // the GAO position of their variables (order[k] is the source column stored
-// at index position k, the perm DB.Index and DB.TrieIndex take), and the GAO
+// at index position k, the perm DB.TrieIndex takes), and the GAO
 // position of each index column (varPos). gaoPos maps variable name to GAO
 // position.
 func AtomOrder(a query.Atom, gaoPos map[string]int) (order, varPos []int, err error) {

@@ -14,9 +14,9 @@ import (
 // Index itself is only an identity plus its attribute order: its contents
 // live in the database's generations (Generation), so DB.ApplyDelta advances
 // every index, and every compiled plan over them, without rebinding
-// anything. The index over a relation's identity attribute order doubles as
-// that relation's source of truth once a delta has landed (relState.canon):
-// the database keeps no flat copy beside it.
+// anything. The index over a relation's identity attribute order, which
+// DB.Add builds, is that relation's one copy (relState.canon): the database
+// keeps no flat rows beside it, and every other order is built from it.
 type Index struct {
 	db *DB
 	// perm is the attribute order: perm[k] is the relation column stored at

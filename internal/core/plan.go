@@ -126,14 +126,6 @@ func (db *DB) StorePlan(key string, p *Plan, version int64) {
 	db.plans[key] = p
 }
 
-// CachedPlanCount returns the number of cached plans (tests observe
-// invalidation through it).
-func (db *DB) CachedPlanCount() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.plans)
-}
-
 // NewPlan compiles a query for an engine: validates it, checks the GAO
 // covers every variable, and binds the GAO-consistent indexes (an atom whose
 // arity disagrees with its relation's fails with ErrArityMismatch). Counters

@@ -136,19 +136,6 @@ func Load(l Loader, g *Graph, selectivity int, sampleSeed int64) error {
 	return nil
 }
 
-// FromEdges builds a graph from an undirected edge list: every edge becomes
-// u < v, duplicates merge and self-loops drop. Vertex ids must be
-// non-negative; the vertex count is one past the largest id.
-func FromEdges(edges [][2]int64) *Graph {
-	s := newEdgeSet(len(edges))
-	n := 0
-	for _, e := range edges {
-		n = max(n, int(e[0])+1, int(e[1])+1)
-		s.add(e[0], e[1])
-	}
-	return &Graph{N: n, Edges: s.edges}
-}
-
 // SampleOfSize draws exactly k distinct vertices (Figures 3–5 use absolute
 // sample sizes rather than selectivities).
 func (g *Graph) SampleOfSize(rng *rand.Rand, k int) []int64 {

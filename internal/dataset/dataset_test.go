@@ -187,18 +187,6 @@ func TestDBSchema(t *testing.T) {
 	}
 }
 
-// TestFromEdges checks the edge-list normalisation: u < v, duplicates
-// merged, self-loops dropped, and the vertex count one past the largest id.
-func TestFromEdges(t *testing.T) {
-	g := FromEdges([][2]int64{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}})
-	if want := [][2]int64{{0, 1}, {1, 2}}; !slices.Equal(g.Edges, want) {
-		t.Errorf("edges = %v, want %v (duplicates and self-loops dropped)", g.Edges, want)
-	}
-	if g.N != 3 {
-		t.Errorf("N = %d, want 3", g.N)
-	}
-}
-
 func TestReplaceSamples(t *testing.T) {
 	g := Generate(ErdosRenyi, 50, 100, 5)
 	db := DB(g, 10, 42)

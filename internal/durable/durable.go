@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -106,6 +107,11 @@ func Open(dir string, opts Options) (*Manager, *Recovered, error) {
 	// until a newer snapshot has fully replaced it.
 	for i := len(snaps) - 1; i >= 0; i-- {
 		lsn, rels, serr := readSnapshot(snaps[i])
+		if errors.Is(serr, relation.ErrValueOutOfRange) {
+			// Intact but holding a value no write stores: not damage an
+			// older snapshot would repair, so refuse rather than guess.
+			return nil, nil, fmt.Errorf("%w: %w", ErrCorruptLog, serr)
+		}
 		if serr != nil {
 			continue
 		}
@@ -124,7 +130,7 @@ func Open(dir string, opts Options) (*Manager, *Recovered, error) {
 		dec, derr := decodeRecord(r)
 		if derr != nil {
 			l.close()
-			return nil, nil, fmt.Errorf("%w: record %d: %v", ErrCorruptLog, r.lsn, derr)
+			return nil, nil, fmt.Errorf("%w: %s: record %d: %w", ErrCorruptLog, r.seg, r.lsn, derr)
 		}
 		rec.Records = append(rec.Records, dec)
 	}
@@ -176,9 +182,14 @@ func listSnapshots(dir string) ([]string, error) {
 	return paths, nil
 }
 
+// decodeRecord parses one record's payload. A tuple outside the storage
+// domain fails it with an error wrapping relation.ErrValueOutOfRange: the
+// write paths reject such values before logging, so replaying one would load
+// what no write could have stored.
 func decodeRecord(r rawRecord) (Record, error) {
 	out := Record{LSN: r.lsn, Op: r.op}
 	d := codec.NewDec(r.body)
+	var tuples [][][]int64
 	switch r.op {
 	case OpDefine:
 		out.Name = d.Str()
@@ -186,6 +197,7 @@ func decodeRecord(r rawRecord) (Record, error) {
 	case OpLoad:
 		out.Name = d.Str()
 		out.Tuples = d.Tuples()
+		tuples = append(tuples, out.Tuples)
 	case OpDeltas:
 		n := d.Count()
 		out.Batches = make([]core.DeltaBatch, 0, n)
@@ -194,11 +206,22 @@ func decodeRecord(r rawRecord) (Record, error) {
 			b.Inserts = d.Tuples()
 			b.Deletes = d.Tuples()
 			out.Batches = append(out.Batches, b)
+			tuples = append(tuples, b.Inserts, b.Deletes)
 		}
 	default:
 		return out, fmt.Errorf("unknown op %d", r.op)
 	}
-	return out, d.Err()
+	if err := d.Err(); err != nil {
+		return out, err
+	}
+	for _, ts := range tuples {
+		for _, t := range ts {
+			if !relation.InDomain(t) {
+				return out, fmt.Errorf("tuple %v: %w", t, relation.ErrValueOutOfRange)
+			}
+		}
+	}
+	return out, nil
 }
 
 // AppendDefine logs a relation definition and returns its LSN.
@@ -245,23 +268,21 @@ func (m *Manager) LastLSN() uint64 {
 // size-triggered checkpointing watches.
 func (m *Manager) UnprunedBytes() uint64 { return m.log.unprunedBytes() }
 
-// Checkpoint rotates the log, durably writes the relations rels returns as
-// the snapshot at lsn — which must be the last LSN already applied to that
-// relation set — and prunes the segments and snapshots the new snapshot
+// Checkpoint rotates the log, durably writes the contents of rels as the
+// snapshot at lsn — which must be the last LSN already applied to those
+// overlays — and prunes the segments and snapshots the new snapshot
 // supersedes. After a successful checkpoint, recovery replays only records
-// past lsn. rels runs after the rotation, with no lock held: the caller
-// pairs lsn with a cheap capture of immutable state and defers whatever it
-// costs to turn that into flat relations to here, so the segment being
-// rotated away closes as soon after lsn as it can (a record past lsn in it
-// would keep the whole segment from being pruned this time round).
-func (m *Manager) Checkpoint(lsn uint64, rels func() []*relation.Relation) error {
+// past lsn. The overlays are immutable, so the caller captures them with lsn
+// under its own lock and calls this with no lock held; the rows are encoded
+// straight from their tries.
+func (m *Manager) Checkpoint(lsn uint64, rels []*relation.Overlay) error {
 	start := time.Now()
 	// Rotation fsyncs all appended records, so the snapshot never claims an
 	// LSN the log hasn't durably reached.
 	if err := m.log.rotate(); err != nil {
 		return err
 	}
-	if _, err := writeSnapshot(m.dir, lsn, rels()); err != nil {
+	if _, err := writeSnapshot(m.dir, lsn, rels); err != nil {
 		return err
 	}
 	m.log.prune(lsn)

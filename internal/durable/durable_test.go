@@ -130,7 +130,7 @@ func TestCheckpointPrunesAndRecovers(t *testing.T) {
 		appendCommit(t, m, OpDeltas, i)
 	}
 	rel := relation.FromTuples("e", 2, [][]int64{{1, 2}, {3, 4}})
-	if err := m.Checkpoint(10, func() []*relation.Relation { return []*relation.Relation{rel} }); err != nil {
+	if err := m.Checkpoint(10, []*relation.Overlay{relation.NewOverlay(rel)}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	// Records after the checkpoint replay on top of the snapshot.
@@ -150,7 +150,7 @@ func TestCheckpointPrunesAndRecovers(t *testing.T) {
 		t.Fatalf("post-snapshot records = %+v", rec.Records)
 	}
 	// A second checkpoint supersedes the first snapshot and the old segments.
-	if err := m2.Checkpoint(11, func() []*relation.Relation { return []*relation.Relation{rel} }); err != nil {
+	if err := m2.Checkpoint(11, []*relation.Overlay{relation.NewOverlay(rel)}); err != nil {
 		t.Fatalf("checkpoint 2: %v", err)
 	}
 	if err := m2.Close(); err != nil {
@@ -238,12 +238,12 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	m, _ := openT(t, dir, Options{Sync: SyncNone})
 	rel := relation.FromTuples("e", 2, [][]int64{{1, 2}})
 	appendCommit(t, m, OpDeltas, 0)
-	if err := m.Checkpoint(1, func() []*relation.Relation { return []*relation.Relation{rel} }); err != nil {
+	if err := m.Checkpoint(1, []*relation.Overlay{relation.NewOverlay(rel)}); err != nil {
 		t.Fatal(err)
 	}
 	appendCommit(t, m, OpDeltas, 1)
 	rel2 := relation.FromTuples("e", 2, [][]int64{{1, 2}, {3, 4}, {5, 6}})
-	if err := m.Checkpoint(2, func() []*relation.Relation { return []*relation.Relation{rel2} }); err != nil {
+	if err := m.Checkpoint(2, []*relation.Overlay{relation.NewOverlay(rel2)}); err != nil {
 		t.Fatal(err)
 	}
 	// Resurrect an older snapshot alongside, then corrupt the newest.
@@ -252,7 +252,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 		t.Fatalf("snapshots = %v", snaps)
 	}
 	old := snapPath(dir, 1)
-	if _, err := writeSnapshot(dir, 1, []*relation.Relation{rel}); err != nil {
+	if _, err := writeSnapshot(dir, 1, []*relation.Overlay{relation.NewOverlay(rel)}); err != nil {
 		t.Fatal(err)
 	}
 	newest := snapPath(dir, 2)
@@ -281,7 +281,7 @@ func TestChunkCutsAlignFirstAttribute(t *testing.T) {
 		}
 	}
 	r := relation.FromTuples("e", 2, tuples)
-	cuts := chunkCuts(r)
+	cuts := chunkCuts(relation.NewOverlay(r))
 	if len(cuts) < 3 {
 		t.Fatalf("cuts = %v, want multiple chunks", cuts)
 	}
@@ -315,7 +315,7 @@ func TestBackToBackCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := openT(t, dir, Options{Sync: SyncNone})
 	rel := relation.FromTuples("e", 2, [][]int64{{1, 2}})
-	rels := func() []*relation.Relation { return []*relation.Relation{rel} }
+	rels := []*relation.Overlay{relation.NewOverlay(rel)}
 	appendCommit(t, m, OpDeltas, 0)
 	for i := 0; i < 3; i++ {
 		if err := m.Checkpoint(1, rels); err != nil {

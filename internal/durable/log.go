@@ -453,6 +453,7 @@ type rawRecord struct {
 	lsn  uint64
 	op   byte
 	body []byte // payload after lsn+op
+	seg  string // base name of the segment file holding it
 }
 
 // scanSegment reads records from one segment file. It returns the records,
@@ -470,6 +471,7 @@ func scanSegment(path string) (recs []rawRecord, validEnd int64, tailErr error) 
 		return nil, 0, fmt.Errorf("bad segment magic")
 	}
 	off := int64(len(walMagic))
+	seg := filepath.Base(path)
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
@@ -493,7 +495,7 @@ func scanSegment(path string) (recs []rawRecord, validEnd int64, tailErr error) 
 		if k <= 0 || k >= len(body) {
 			return recs, off, fmt.Errorf("record body too short for LSN+op")
 		}
-		recs = append(recs, rawRecord{lsn: lsn, op: body[k], body: body[k+1:]})
+		recs = append(recs, rawRecord{lsn: lsn, op: body[k], body: body[k+1:], seg: seg})
 		off += int64(8 + n)
 	}
 }

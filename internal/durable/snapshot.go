@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,6 +33,15 @@ import (
 // snapChunkRows is the target rows per snapshot chunk.
 const snapChunkRows = 32 << 10
 
+// snapFlushBytes is how much encoded body a checkpoint holds before writing
+// it to the file: its whole buffer, however large the snapshot, so a
+// checkpoint in flight holds no more heap than this beside the overlays.
+const snapFlushBytes = 64 << 10
+
+// snapHeaderLen is the size of a snapshot file's header: the magic, the
+// body's length and its CRC.
+const snapHeaderLen = len(snapMagic) + 12
+
 // SnapRelation is one relation restored from a snapshot.
 type SnapRelation struct {
 	Name   string
@@ -39,44 +49,25 @@ type SnapRelation struct {
 	Tuples [][]int64
 }
 
-// writeSnapshot durably writes rels as the snapshot at lsn and returns its
-// final path.
-func writeSnapshot(dir string, lsn uint64, rels []*relation.Relation) (string, error) {
-	sorted := append([]*relation.Relation(nil), rels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
-
-	var e codec.Enc
-	e.U64(lsn)
-	e.Int(len(sorted))
-	for _, r := range sorted {
-		e.Str(r.Name())
-		e.Int(r.Arity())
-		cuts := chunkCuts(r)
-		e.Int(len(cuts) - 1)
-		for c := 0; c+1 < len(cuts); c++ {
-			lo, hi := cuts[c], cuts[c+1]
-			e.U64(uint64(hi - lo))
-			for i := lo; i < hi; i++ {
-				e.Tuple(r.Tuple(i))
-			}
-		}
-	}
-	body := e.Bytes()
-
-	hdr := make([]byte, len(snapMagic)+12)
-	copy(hdr, snapMagic)
-	binary.BigEndian.PutUint64(hdr[len(snapMagic):], uint64(len(body)))
-	binary.BigEndian.PutUint32(hdr[len(snapMagic)+8:], crc32.ChecksumIEEE(body))
-
+// writeSnapshot durably writes the contents of rels as the snapshot at lsn
+// and returns its final path. The body streams to the file as it is encoded,
+// after a reserved header that is filled in once its length and CRC are
+// known.
+func writeSnapshot(dir string, lsn uint64, rels []*relation.Overlay) (string, error) {
 	final := snapPath(dir, lsn)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return "", err
 	}
-	_, err = f.Write(hdr)
+	crc := crc32.NewIEEE()
+	var n int64
+	_, err = f.Write(make([]byte, snapHeaderLen))
 	if err == nil {
-		_, err = f.Write(body)
+		n, err = encodeSnapshot(io.MultiWriter(f, crc), lsn, rels)
+	}
+	if err == nil {
+		_, err = f.WriteAt(snapHeader(uint64(n), crc.Sum32()), 0)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -95,27 +86,79 @@ func writeSnapshot(dir string, lsn uint64, rels []*relation.Relation) (string, e
 	return final, nil
 }
 
-// chunkCuts returns row-index boundaries [0, ..., Len] splitting r into
-// chunks of about snapChunkRows rows, each cut aligned to a first-attribute
-// boundary so no key's row group straddles two chunks.
-func chunkCuts(r *relation.Relation) []int {
-	n := r.Len()
-	cuts := []int{0}
-	for end := 0; end < n; {
-		end += snapChunkRows
-		if end >= n {
-			end = n
-		} else {
-			for end < n && r.Value(end, 0) == r.Value(end-1, 0) {
-				end++
-			}
+// encodeSnapshot writes the body of the snapshot of rels at lsn to w and
+// returns its length. Rows are encoded straight from each overlay's row walk
+// (Overlay.Rows), so no flat copy of a relation is made, and reach w in
+// pieces of about snapFlushBytes.
+func encodeSnapshot(w io.Writer, lsn uint64, rels []*relation.Overlay) (n int64, err error) {
+	sorted := append([]*relation.Overlay(nil), rels...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
+
+	var e codec.Enc
+	flush := func() {
+		if err == nil {
+			var k int
+			k, err = w.Write(e.Bytes())
+			n += int64(k)
 		}
-		cuts = append(cuts, end)
+		e.Reset()
 	}
-	if n == 0 {
-		cuts = append(cuts, 0)
+	e.U64(lsn)
+	e.Int(len(sorted))
+	for _, r := range sorted {
+		e.Str(r.Name())
+		e.Int(r.Arity())
+		cuts := chunkCuts(r)
+		e.Int(len(cuts) - 1)
+		i, c := 0, 0
+		r.Rows(func(row []int64) bool {
+			if i == cuts[c] {
+				e.U64(uint64(cuts[c+1] - i))
+				c++
+			}
+			e.Tuple(row)
+			i++
+			if len(e.Bytes()) >= snapFlushBytes {
+				flush()
+			}
+			return err == nil
+		})
+		if c == 0 { // an empty relation is one empty chunk
+			e.U64(0)
+		}
 	}
-	return cuts
+	flush()
+	return n, err
+}
+
+// snapHeader returns the file header of a snapshot whose body is n bytes
+// with CRC-32 crc.
+func snapHeader(n uint64, crc uint32) []byte {
+	hdr := make([]byte, snapHeaderLen)
+	copy(hdr, snapMagic)
+	binary.BigEndian.PutUint64(hdr[len(snapMagic):], n)
+	binary.BigEndian.PutUint32(hdr[len(snapMagic)+8:], crc)
+	return hdr
+}
+
+// chunkCuts returns row-index boundaries [0, ..., Len] splitting r into
+// chunks of about snapChunkRows rows: a chunk ends at the first
+// first-attribute boundary at or past snapChunkRows rows, so no key's row
+// group straddles two chunks. It reads the rows' first column in one walk.
+func chunkCuts(r *relation.Overlay) []int {
+	cuts := []int{0}
+	due, i := snapChunkRows, 0 // the row a cut is due at, the row at hand
+	var prev int64
+	r.Rows(func(row []int64) bool {
+		if i >= due && row[0] != prev {
+			cuts = append(cuts, i)
+			due = i + snapChunkRows
+		}
+		prev = row[0]
+		i++
+		return true
+	})
+	return append(cuts, i)
 }
 
 // readSnapshot loads and validates one snapshot file.
@@ -124,8 +167,15 @@ func readSnapshot(path string) (lsn uint64, rels []SnapRelation, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	base := filepath.Base(path)
-	hdrLen := len(snapMagic) + 12
+	return decodeSnapshot(filepath.Base(path), data)
+}
+
+// decodeSnapshot validates and decodes the bytes of the snapshot file named
+// base. A tuple outside the storage domain fails it with an error wrapping
+// relation.ErrValueOutOfRange: no write path stores one, so the file is
+// refused rather than loaded.
+func decodeSnapshot(base string, data []byte) (lsn uint64, rels []SnapRelation, err error) {
+	hdrLen := snapHeaderLen
 	if len(data) < hdrLen || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, nil, fmt.Errorf("%s: bad snapshot header", base)
 	}
@@ -159,6 +209,9 @@ func readSnapshot(path string) (lsn uint64, rels []SnapRelation, err error) {
 		for _, t := range tuples {
 			if len(t) != arity {
 				return 0, nil, fmt.Errorf("%s: relation %q tuple width %d != arity %d", base, name, len(t), arity)
+			}
+			if !relation.InDomain(t) {
+				return 0, nil, fmt.Errorf("%s: relation %q tuple %v: %w", base, name, t, relation.ErrValueOutOfRange)
 			}
 		}
 		rels = append(rels, SnapRelation{Name: name, Arity: arity, Tuples: tuples})

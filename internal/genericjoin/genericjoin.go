@@ -25,8 +25,10 @@ import (
 )
 
 // Engine is the materializing generic-join engine. It narrows explicit row
-// spans over flat GAO-consistent relations (core.DB.Index), so like the other
-// ablation baselines it has no compiled plan and binds per run.
+// spans over flat GAO-consistent relations — each atom's trie index
+// (core.DB.TrieIndex) materialised by Overlay.Flat from one pinned
+// generation — so like the other ablation baselines it has no compiled plan
+// and binds per run.
 type Engine struct {
 	// GAO overrides the variable order; empty means hypergraph.ChooseGAO's.
 	GAO []string
@@ -55,21 +57,14 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	if len(gao) != q.NumVars() {
 		return fmt.Errorf("genericjoin: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
 	}
-	pos := core.GAOPositions(gao)
+	bound, err := core.BindAtoms(q, db, gao)
+	if err != nil {
+		return err
+	}
+	gen := db.Pin()
 	atoms := make([]atom, len(q.Atoms))
-	for i, a := range q.Atoms {
-		order, varPos, err := core.AtomOrder(a, pos)
-		if err != nil {
-			return err
-		}
-		r, err := db.Index(a.Rel, order)
-		if err != nil {
-			return err
-		}
-		if r.Arity() != len(a.Vars) {
-			return fmt.Errorf("genericjoin: atom %s arity mismatch with relation %s", a, r)
-		}
-		atoms[i] = atom{rel: r, varPos: varPos}
+	for i, a := range bound {
+		atoms[i] = atom{rel: gen.Overlay(a.Index).Flat(), varPos: a.VarPos}
 	}
 	ex := &exec{
 		n:       len(gao),
@@ -97,7 +92,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 			return fmt.Errorf("genericjoin: variable %s (depth %d) not bound by any atom", gao[d], d)
 		}
 	}
-	_, err := ex.run(0, rangesAll(atoms))
+	_, err = ex.run(0, rangesAll(atoms))
 	return err
 }
 

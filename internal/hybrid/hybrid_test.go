@@ -83,7 +83,10 @@ func TestCancellation(t *testing.T) {
 // Count with its typed error: the halves are compiled before either runs.
 func TestCliqueErrorSurfaces(t *testing.T) {
 	db := testutil.GraphDB(testutil.K4, nil)
-	q := query.MustParse("q", "edge(x,y), edge(y,a), nope(a,b), nope(b,c), nope(a,c)")
+	q, err := query.Parse("q", "edge(x,y), edge(y,a), nope(a,b), nope(b,c), nope(a,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sp, err := splitQuery(q); err != nil || sp.attachment != "a" {
 		t.Fatalf("split = %+v, %v; want attachment a", sp, err)
 	}

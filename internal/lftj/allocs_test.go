@@ -27,7 +27,7 @@ func TestLFTJExecAllocs(t *testing.T) {
 	}{
 		{"triangle", query.Clique(3), 2},
 		{"clique4", query.Clique(4), 2},
-		{"pinned", query.MustParse("pinned", "out(b,c) :- edge(a,b), edge(b,c), a = 7"), 2},
+		{"pinned", mustParse("pinned", "out(b,c) :- edge(a,b), edge(b,c), a = 7"), 2},
 	} {
 		eng := Engine{Opts: Options{Plan: compile(t, tc.q, db, nil)}}
 		var n int64

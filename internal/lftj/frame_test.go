@@ -25,7 +25,7 @@ func goldenQuery(t *testing.T, name string) *query.Query {
 	t.Helper()
 	for _, g := range goldenQueries {
 		if g.name == name {
-			return query.MustParse(g.name, g.src)
+			return mustParse(g.name, g.src)
 		}
 	}
 	t.Fatalf("no golden query %q", name)

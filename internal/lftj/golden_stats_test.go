@@ -43,7 +43,7 @@ var goldenStats = [][2]int64{
 func TestStatsGolden(t *testing.T) {
 	db := testutil.RandomGraphDB(rand.New(rand.NewSource(7)), 120, 700, 10)
 	for i, g := range goldenQueries {
-		q := query.MustParse(g.name, g.src)
+		q := mustParse(g.name, g.src)
 		var sc core.StatsCollector
 		var rows int64
 		_, err := Run(context.Background(), compile(t, q, db, nil), db.Pin(), core.FullRange, &sc, func([]int64) bool { rows++; return true })
@@ -67,4 +67,14 @@ func TestStatsGolden(t *testing.T) {
 			t.Errorf("%s count mode: {Seeks, rows} = %v, golden %v", g.name, got, goldenStats[i])
 		}
 	}
+}
+
+// mustParse is query.Parse that panics on error, for statically known
+// queries.
+func mustParse(name, src string) *query.Query {
+	q, err := query.Parse(name, src)
+	if err != nil {
+		panic(err)
+	}
+	return q
 }

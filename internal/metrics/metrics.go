@@ -366,41 +366,3 @@ func (h *Histogram) BucketCounts() []uint64 {
 	out[len(h.buckets)] = h.inf.Load()
 	return out
 }
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts by
-// linear interpolation within the containing bucket — the standard
-// histogram_quantile estimate. Returns 0 with no observations; observations
-// in the overflow bucket resolve to the highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := h.BucketCounts()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		// Interpolate the rank within this bucket's count.
-		within := rank - float64(cum-c)
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(within/float64(c))
-	}
-	return h.bounds[len(h.bounds)-1]
-}

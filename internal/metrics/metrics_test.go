@@ -57,32 +57,6 @@ func TestHistogramBucketAssignment(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("t_q", "", []float64{1, 2, 4, 8})
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all in le=2
-	}
-	// Every rank interpolates inside (1, 2].
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		got := h.Quantile(q)
-		if got <= 1 || got > 2 {
-			t.Fatalf("Quantile(%g) = %g, want in (1,2]", q, got)
-		}
-	}
-	if h.Quantile(1) != 2 {
-		t.Fatalf("Quantile(1) = %g, want 2", h.Quantile(1))
-	}
-	h.Observe(100) // overflow resolves to the top finite bound
-	if got := h.Quantile(1); got != 8 {
-		t.Fatalf("Quantile(1) with overflow = %g, want 8", got)
-	}
-	empty := r.HistogramBuckets("t_q_empty", "", []float64{1})
-	if empty.Quantile(0.5) != 0 {
-		t.Fatalf("empty Quantile = %g, want 0", empty.Quantile(0.5))
-	}
-}
-
 // TestConcurrentCounters hammers one counter, one gauge, and one histogram
 // from many goroutines (run under -race in CI) and requires exact totals.
 func TestConcurrentCounters(t *testing.T) {

@@ -18,9 +18,9 @@ func goldenQueries() []*query.Query {
 	return append([]*query.Query{
 		query.Clique(3), query.Clique(4), query.Cycle(4), query.Path(3),
 		query.Tree(1), query.Comb(), query.Lollipop(2)},
-		query.MustParse("band", "out(a,b,c) :- edge(a,b), edge(b,c), a >= 2, a < 9"),
-		query.MustParse("resid", "out(a,b,c) :- edge(a,b), edge(b,c), a != c"),
-		query.MustParse("proj", "out(a,b) :- edge(a,b), edge(b,c), fwd(c,d)"),
+		mustParse("band", "out(a,b,c) :- edge(a,b), edge(b,c), a >= 2, a < 9"),
+		mustParse("resid", "out(a,b,c) :- edge(a,b), edge(b,c), a != c"),
+		mustParse("proj", "out(a,b) :- edge(a,b), edge(b,c), fwd(c,d)"),
 	)
 }
 

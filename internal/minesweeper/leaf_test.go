@@ -32,10 +32,10 @@ func leafQueries() []struct {
 		{query.Comb(), true},
 		{query.Lollipop(2), false},
 		{query.Clique(3), false},
-		{query.MustParse("leafonly", "edge(a,b), v2(b)"), true},
-		{query.MustParse("edge", "edge(a,b)"), true},
-		{query.MustParse("leafloop", "out(a,b,c) :- edge(a,b), loop(b,c), b = c"), false},
-		{query.MustParse("prefixloop", "out(a,b,c) :- loop(a,b), edge(b,c), a = b"), false},
+		{mustParse("leafonly", "edge(a,b), v2(b)"), true},
+		{mustParse("edge", "edge(a,b)"), true},
+		{mustParse("leafloop", "out(a,b,c) :- edge(a,b), loop(b,c), b = c"), false},
+		{mustParse("prefixloop", "out(a,b,c) :- loop(a,b), edge(b,c), a = b"), false},
 	}
 }
 
@@ -180,7 +180,7 @@ func TestLeafMessagesLiveLog(t *testing.T) {
 		for _, i := range rng.Perm(edges.Len())[:2] {
 			del = append(del, []int64{edges.Value(i, 0), edges.Value(i, 1)}, []int64{edges.Value(i, 1), edges.Value(i, 0)})
 		}
-		for _, q := range []*query.Query{query.Path(3), query.Comb(), query.MustParse("leafonly", "edge(a,b), v2(b)")} {
+		for _, q := range []*query.Query{query.Path(3), query.Comb(), mustParse("leafonly", "edge(a,b), v2(b)")} {
 			// Bind the indexes first, so the delta lands in their logs.
 			plan := compile(t, q, db, nil, Options{})
 			if trial == 0 && !sendsLeafMessages(plan, plan.Pin()) {
@@ -198,7 +198,7 @@ func TestLeafMessagesLiveLog(t *testing.T) {
 			}
 			twin.Add(r)
 		}
-		for _, q := range []*query.Query{query.Path(3), query.Comb(), query.MustParse("leafonly", "edge(a,b), v2(b)")} {
+		for _, q := range []*query.Query{query.Path(3), query.Comb(), mustParse("leafonly", "edge(a,b), v2(b)")} {
 			live, compacted := compile(t, q, db, nil, Options{}), compile(t, q, twin, nil, Options{})
 			if sendsLeafMessages(live, live.Pin()) {
 				t.Fatalf("%s: leaf messages over a live log", q.Name)
@@ -236,4 +236,14 @@ func TestLeafFrameReuse(t *testing.T) {
 			t.Fatalf("round %d: triangle Count = %d, Enumerate %d rows, naive %d", i, n, rows, wantTri)
 		}
 	}
+}
+
+// mustParse is query.Parse that panics on error, for statically known
+// queries.
+func mustParse(name, src string) *query.Query {
+	q, err := query.Parse(name, src)
+	if err != nil {
+		panic(err)
+	}
+	return q
 }

@@ -17,9 +17,13 @@ import (
 func TestLeafMessagesWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
+	leafOnly, err := query.Parse("leafonly", "edge(a,b), v2(b)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 10; trial++ {
 		db := testutil.RandomGraphDB(rng, 10+rng.Intn(30), 20+rng.Intn(80), 1+rng.Intn(3))
-		for _, q := range []*query.Query{query.Path(3), query.Path(4), query.Tree(1), query.Comb(), query.MustParse("leafonly", "edge(a,b), v2(b)")} {
+		for _, q := range []*query.Query{query.Path(3), query.Path(4), query.Tree(1), query.Comb(), leafOnly} {
 			want, err := naive.Count(ctx, q, db)
 			if err != nil {
 				t.Fatal(err)

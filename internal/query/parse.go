@@ -215,15 +215,6 @@ func assemble(name string, head *rawAtom, atoms []rawAtom, preds []rawPred) (*Qu
 	return NewRule(name, outVars, nil, allPreds, bodyAtoms...)
 }
 
-// MustParse is Parse that panics on error, for statically known queries.
-func MustParse(name, src string) *Query {
-	q, err := Parse(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // term is one argument of a raw (pre-desugaring) atom: a variable, an
 // integer constant, or — in rule heads only — an aggregate fn(var).
 type term struct {

@@ -280,10 +280,6 @@ func (q *Query) Out() []string {
 	return q.out
 }
 
-// OutWidth returns the arity of result rows: the output variables plus one
-// column per aggregate.
-func (q *Query) OutWidth() int { return len(q.Out()) + len(q.Aggs) }
-
 // Prefix returns the number of leading execution variables engines must
 // emit: the output variables plus any aggregated variables. Equal to
 // NumVars() for plain queries.

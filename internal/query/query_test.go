@@ -54,7 +54,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestFormatRoundTrip(t *testing.T) {
 	src := "v1(a), edge(a, b), edge(b, c)"
-	q := MustParse("q", src)
+	q := mustParse("q", src)
 	q2, err := Parse("q", Format(q))
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestFormatRoundTrip(t *testing.T) {
 }
 
 func TestAtomsWith(t *testing.T) {
-	q := MustParse("q", "v1(a), edge(a,b), edge(b,c)")
+	q := mustParse("q", "v1(a), edge(a,b), edge(b,c)")
 	if got := q.AtomsWith("b"); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("AtomsWith(b) = %v", got)
 	}
@@ -103,7 +103,7 @@ func TestCycleBuilder(t *testing.T) {
 
 func TestPathBuilder(t *testing.T) {
 	q := Path(3)
-	want := MustParse("3-path", "v1(a), v2(d), edge(a, b), edge(b, c), edge(c, d)")
+	want := mustParse("3-path", "v1(a), v2(d), edge(a, b), edge(b, c), edge(c, d)")
 	if Format(q) != Format(want) {
 		t.Errorf("3-path = %s, want %s", Format(q), Format(want))
 	}
@@ -208,4 +208,13 @@ func TestParseRuleHeadErrors(t *testing.T) {
 	if _, err := Parse("q", "e(a, b), out(a, b) :- e(b, a)"); err == nil {
 		t.Error("mid-query rule arrow should fail")
 	}
+}
+
+// mustParse is Parse that panics on error, for statically known queries.
+func mustParse(name, src string) *Query {
+	q, err := Parse(name, src)
+	if err != nil {
+		panic(err)
+	}
+	return q
 }

@@ -101,6 +101,39 @@ func NewCSRTrie(r *Relation) *CSRTrie {
 	return t
 }
 
+// trieRows pulls a trie's rows in lexicographic order, rebuilt from the
+// levels alone (see next).
+type trieRows struct {
+	t    *CSRTrie
+	i    int32   // rows pulled so far
+	row  []int64 // the current row, rewritten by next
+	node []int32 // per level, the next node to enter
+}
+
+func (t *CSRTrie) rows() trieRows {
+	return trieRows{t: t, row: make([]int64, t.arity), node: make([]int32, t.arity)}
+}
+
+// next returns the next row, nil after the last, in one buffer rewritten per
+// call. Row i enters node[d] at level d exactly when that node's first row
+// is i; a node entered at level d means new nodes at every level below, and
+// the leaf level enters one per row.
+func (w *trieRows) next() []int64 {
+	if w.i == int32(w.t.n) {
+		return nil
+	}
+	d := 0
+	for w.t.levels[d].rows[w.node[d]] != w.i {
+		d++
+	}
+	for ; d < len(w.row); d++ {
+		w.row[d] = w.t.levels[d].vals[w.node[d]]
+		w.node[d]++
+	}
+	w.i++
+	return w.row
+}
+
 // Name returns the indexed relation's name.
 func (t *CSRTrie) Name() string { return t.name }
 
@@ -124,11 +157,33 @@ func (t *CSRTrie) String() string {
 	return fmt.Sprintf("csr(%s/%d)[%d tuples, %d nodes]", t.name, t.arity, t.n, t.Nodes())
 }
 
-// ProbeGap is the CSR counterpart of Relation.ProbeGap (Minesweeper's
-// seekGap, Algorithm 3): walk the materialized levels with one bounded
-// binary search each, descending through O(1) child-range lookups instead of
-// re-narrowing full row ranges. Gap semantics are identical to the flat
-// reference's.
+// Gap describes the maximal empty box a relation reports around a probe
+// point (paper §4.5, Idea 3). Col is the first column at which the probe
+// point leaves the relation's index: the point's prefix before Col is
+// present, but extending it with point[Col] is not. Lo and Hi are the
+// greatest present value < point[Col] and the least present value >
+// point[Col] under that prefix (NegInf/PosInf when none), so the open
+// interval (Lo, Hi) on column Col — under the equality prefix — contains no
+// tuple of the relation.
+type Gap struct {
+	Col    int
+	Lo, Hi int64
+}
+
+// ProbeGap implements seekGap from Algorithm 3. It probes the trie with the
+// projected free tuple `point` (len == arity). If the tuple is present it
+// returns found == true and a zero Gap; otherwise it returns the maximal gap
+// box around the point as defined in §4.5:
+//
+//	j   = min { j : prefix(j-1) present ∧ prefix(j) absent }
+//	Lo  = max { x < point[j] : (prefix, x) present } ∪ {NegInf}
+//	Hi  = min { x > point[j] : (prefix, x) present } ∪ {PosInf}
+//
+// It walks the materialized levels with one bounded binary search each,
+// descending through O(1) child-range lookups — O(arity · log n), standing
+// in for the B-tree seek_glb/seek_lub operators of the LogicBlox trie index
+// (Idea 4 discusses their cost; memoization lives in the Minesweeper
+// engine).
 func (t *CSRTrie) ProbeGap(point []int64) (gap Gap, found bool) {
 	return t.probeGap(point, nil)
 }

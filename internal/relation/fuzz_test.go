@@ -31,14 +31,33 @@ func (in *fuzzInput) tuple(arity, domain int) []int64 {
 // log cancellation, so overlays go dirty and pristine again), and after
 // every batch a full walk, a walk with seeks, and gap probes — each checked
 // against TrieIterator and Relation.ProbeGap over a flat relation holding
-// the same contents, and a walk checking every level PureLevel exposes
-// against the cursor. Every overlay is walked by a fresh cursor and by one
+// the same contents, a walk checking every level PureLevel exposes against
+// the cursor, and Flat checked against the reference merge (MergeDelta of
+// the base trie's rows and the logs) — on pristine, live-log and just
+// compacted overlays alike. Every overlay is walked by a fresh cursor and by one
 // cursor Reset from overlay to overlay (dirty→pristine, pristine→dirty, and
 // first from an overlay of a different arity).
 func FuzzOverlayCursor(f *testing.F) {
 	f.Add([]byte{1, 20, 3, 4, 5, 6, 7, 8, 2, 10, 1, 2, 3, 4, 5})
 	f.Add([]byte{2, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4, 16, 5, 4, 3, 2, 1})
 	f.Add([]byte{0, 5, 1, 1, 2, 2, 3, 3, 6, 30, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
+	// Arity 2 through every overlay state: a live log, cancelled back to
+	// pristine, then 20 inserts that compact. pad is what one batch's seeks
+	// and probes read.
+	seed, pad := []byte{1, 4, 0, 0, 1, 1, 2, 2, 3, 3, 3}, make([]byte, 18)
+	seed = append(seed, pad...)
+	for range 2 {
+		seed = append(append(seed, 2, 5, 5, 5, 4), pad...)
+	}
+	seed = append(seed, 20)
+	for a := byte(0); a < 4; a++ {
+		for b := byte(0); b < 6; b++ {
+			if a != b {
+				seed = append(seed, a, b)
+			}
+		}
+	}
+	f.Add(append(seed, pad...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const domain = 6
 		in := fuzzInput(data)
@@ -77,7 +96,19 @@ func FuzzOverlayCursor(f *testing.F) {
 						ins = append(ins, tp)
 					}
 				}
+				before := OverlayCompactions()
 				ov = ov.Apply(ins, dels)
+				state := "live-log"
+				switch {
+				case OverlayCompactions() != before:
+					state = "compacted"
+				case ov.LogLen() == 0:
+					state = "pristine"
+				}
+				base := FromTuples("R", arity, cursorRows(NewCSRCursor(ov.base), arity))
+				if got, ref := ov.Flat(), MergeDelta(base, ov.adds, ov.dels); !reflect.DeepEqual(got.Tuples(), ref.Tuples()) {
+					t.Fatalf("batch %d (%s): Flat %v, reference merge %v", batch, state, got.Tuples(), ref.Tuples())
+				}
 			}
 			rb := NewBuilder("R", arity)
 			for _, tp := range live {
@@ -115,6 +146,27 @@ func FuzzOverlayCursor(f *testing.F) {
 			}
 		}
 	})
+}
+
+// cursorRows returns every tuple under c, in cursor order.
+func cursorRows(c Cursor, arity int) [][]int64 {
+	var out [][]int64
+	tuple := make([]int64, arity)
+	var rec func(depth int)
+	rec = func(depth int) {
+		c.Open()
+		for ; !c.AtEnd(); c.Next() {
+			tuple[depth] = c.Key()
+			if depth+1 < arity {
+				rec(depth + 1)
+			} else {
+				out = append(out, append([]int64(nil), tuple...))
+			}
+		}
+		c.Up()
+	}
+	rec(0)
+	return out
 }
 
 // checkPureLevels walks c through every level, moving by Next and by

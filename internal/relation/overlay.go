@@ -26,7 +26,6 @@ func OverlayCompactions() int64 { return compactions.Load() }
 // cursors over an old snapshot stay valid while a writer installs a new
 // one.
 type Overlay struct {
-	rel          *Relation // base rows (the snapshot the base trie indexes)
 	base         *CSRTrie
 	adds, dels   *Relation
 	addsT, delsT *CSRTrie
@@ -41,21 +40,22 @@ const (
 	overlayCompactMax = 1 << 14
 )
 
-// NewOverlay wraps a sorted relation as an overlay with empty logs. The
-// base trie is built here (or pass one already built via NewOverlayTrie).
+// NewOverlay builds the base trie of a sorted relation and wraps it as an
+// overlay with empty logs. The overlay keeps no reference to r: the trie is
+// its one copy of the rows.
 func NewOverlay(r *Relation) *Overlay {
-	return &Overlay{rel: r, base: NewCSRTrie(r)}
+	return &Overlay{base: NewCSRTrie(r)}
 }
 
 // Name returns the indexed relation's name.
-func (o *Overlay) Name() string { return o.rel.name }
+func (o *Overlay) Name() string { return o.base.name }
 
 // Arity returns the number of attributes.
-func (o *Overlay) Arity() int { return o.rel.arity }
+func (o *Overlay) Arity() int { return o.base.arity }
 
 // Len returns the live tuple count: base − deleted + added.
 func (o *Overlay) Len() int {
-	n := o.rel.n
+	n := o.base.n
 	if o.dels != nil {
 		n -= o.dels.n
 	}
@@ -84,7 +84,7 @@ func (o *Overlay) pristine() bool { return o.LogLen() == 0 }
 // side first. The write path (core.DB.ApplyDelta) already holds its batch as
 // sorted relations and calls ApplySorted directly.
 func (o *Overlay) Apply(ins, dels [][]int64) *Overlay {
-	return o.ApplySorted(FromTuples(o.rel.name, o.rel.arity, ins), FromTuples(o.rel.name, o.rel.arity, dels))
+	return o.ApplySorted(FromTuples(o.Name(), o.Arity(), ins), FromTuples(o.Name(), o.Arity(), dels))
 }
 
 // ApplySorted returns a new overlay snapshot with the update batch folded
@@ -110,10 +110,10 @@ func (o *Overlay) ApplySorted(ins, dels *Relation) *Overlay {
 	insRestored := ins.minus(insNew)
 	delsBase := dels.minus(o.adds)
 	delsPending := dels.minus(delsBase)
-	next := &Overlay{rel: o.rel, base: o.base}
+	next := &Overlay{base: o.base}
 	next.adds = mergeLog(o.adds, insNew, delsPending)
 	next.dels = mergeLog(o.dels, delsBase, insRestored)
-	if n := next.LogLen(); n >= overlayCompactMax || (n >= overlayCompactMin && 4*n >= o.rel.n) {
+	if n := next.LogLen(); n >= overlayCompactMax || (n >= overlayCompactMin && 4*n >= o.base.n) {
 		compactions.Add(1)
 		return NewOverlay(next.Flat())
 	}
@@ -140,13 +140,47 @@ func mergeLog(log, add, remove *Relation) *Relation {
 	return merged
 }
 
-// Flat materialises the overlay's contents, base ∪ adds \ dels, as a flat
-// relation: one linear merge, or the base rows themselves while the logs
-// are empty. It is the single place that merge happens — compaction, the
-// database's on-demand flat view (core.DB.Relation) and checkpoints all
-// come through here — and it is not memoised: callers that want to keep the
-// result hold it themselves.
-func (o *Overlay) Flat() *Relation { return MergeDelta(o.rel, o.adds, o.dels) }
+// Rows calls yield with every tuple of the overlay's contents, base ∪ adds ∖
+// dels, in lexicographic order, until yield returns false: the base trie's
+// rows, walked off its levels, merged with the two logs as MergeDelta merges
+// flat rows — allocating no copy of the contents. The slice yield receives
+// is read-only and valid only until yield returns. Checkpoints encode the
+// rows straight from here.
+func (o *Overlay) Rows(yield func(row []int64) bool) {
+	base := o.base.rows()
+	adds, dels := o.adds, o.dels
+	j, k := 0, 0 // cursors into adds and dels
+	for t := base.next(); t != nil || j < adds.size(); {
+		if t == nil || j < adds.size() && CompareTuples(adds.Tuple(j), t) < 0 {
+			if !yield(adds.Tuple(j)) {
+				return
+			}
+			j++
+			continue
+		}
+		// dels ⊆ base, in the same order: each matches the base row at hand
+		// when the walk reaches it.
+		if k < dels.size() && CompareTuples(dels.Tuple(k), t) == 0 {
+			k++
+		} else if !yield(t) {
+			return
+		}
+		t = base.next()
+	}
+}
+
+// Flat materialises the overlay's contents as a flat relation: Rows
+// collected into one presized slice. Compaction and the database's flat view
+// (core.DB.Relation) come through here; nothing memoises the result, so
+// callers that want to keep it hold it themselves.
+func (o *Overlay) Flat() *Relation {
+	rows := make([]int64, 0, o.Len()*o.Arity())
+	o.Rows(func(t []int64) bool {
+		rows = append(rows, t...)
+		return true
+	})
+	return fromSortedRows(o.Name(), o.Arity(), rows)
+}
 
 // NewCursor returns a trie cursor over the overlay's merged contents.
 func (o *Overlay) NewCursor() Cursor {
@@ -206,9 +240,9 @@ func (c *OverlayCursor) Reset(o *Overlay) {
 	c.d.reset(o.delsT)
 	c.pure = 0
 	if !o.pristine() {
-		c.pure = o.rel.arity + 1
-		if cap(c.on) < o.rel.arity {
-			c.on = make([]sides, 0, o.rel.arity)
+		c.pure = o.base.arity + 1
+		if cap(c.on) < o.base.arity {
+			c.on = make([]sides, 0, o.base.arity)
 		}
 	}
 }
@@ -243,7 +277,7 @@ func (c *OverlayCursor) skipDeleted() {
 
 // Open descends one level to the current node's first child.
 func (c *OverlayCursor) Open() {
-	if c.depth == c.o.rel.arity {
+	if c.depth == c.o.base.arity {
 		panic("relation: OverlayCursor.Open below leaf level")
 	}
 	if c.depth >= c.pure {
@@ -314,7 +348,7 @@ func (c *OverlayCursor) Up() {
 	c.on = c.on[:top]
 	c.depth--
 	if c.depth < c.pure {
-		c.pure = c.o.rel.arity + 1 // left the pure subtree
+		c.pure = c.o.base.arity + 1 // left the pure subtree
 	}
 }
 
@@ -403,7 +437,7 @@ func (c *OverlayCursor) PureLevel() (vals []int64, pos *int32, hi int32, ok bool
 	return c.b.t.levels[c.depth-1].vals, &f.pos, f.hi, true
 }
 
-// ProbeGap is Relation.ProbeGap over the overlay's merged contents: walk
+// ProbeGap is CSRTrie.ProbeGap over the overlay's merged contents: walk
 // the three tries level by level, treating a base node as present only
 // while its subtree is not fully deleted, and report gap endpoints as the
 // tightest visible neighbours across the base and adds sides. Semantics
@@ -413,7 +447,7 @@ func (o *Overlay) ProbeGap(point []int64) (Gap, bool) {
 	if o.pristine() {
 		return o.base.ProbeGap(point)
 	}
-	arity := o.rel.arity
+	arity := o.base.arity
 	if len(point) != arity {
 		panic("relation: ProbeGap point length mismatch")
 	}
@@ -525,7 +559,7 @@ func (o *Overlay) LeafRange(prefix []int64, f *ProbeFinger) []int64 {
 	if !o.pristine() {
 		panic("relation: LeafRange over an overlay with a live log")
 	}
-	if len(prefix) != o.rel.arity-1 {
+	if len(prefix) != o.base.arity-1 {
 		panic("relation: LeafRange prefix length mismatch")
 	}
 	_, found, lo, hi := o.base.descend(prefix, f)

@@ -6,6 +6,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -90,6 +91,11 @@ func (b *Builder) Add(tuple ...int64) {
 	b.rows = append(b.rows, tuple...)
 }
 
+// ErrValueOutOfRange reports a tuple value outside the storage domain
+// [0, PosInf): negative values and the top of the int64 range are reserved
+// as sentinels.
+var ErrValueOutOfRange = errors.New("value outside the storage domain")
+
 // InDomain reports whether every value of the tuple lies in the storage
 // domain [0, PosInf).
 func InDomain(tuple []int64) bool {
@@ -131,16 +137,11 @@ func fromSortedRows(name string, arity int, rows []int64) *Relation {
 // MergeDelta returns r ∪ ins \ dels as a new relation by one linear merge
 // of the three sorted row sets — no re-sort, so the cost is O(n) copying
 // instead of O(n log n). ins must be disjoint from r and dels a subset of r
-// (both may be nil). This is the one merge behind the overlay's small logs and its flat materialisation
-// (Overlay.Flat) — the write path itself never runs it over a base relation.
+// (both may be nil). The overlay merges its small logs with it; its contents
+// come out of the base trie through Overlay.Rows, the same merge over the
+// trie's row walk.
 func MergeDelta(r, ins, dels *Relation) *Relation {
-	insN, delsN := 0, 0
-	if ins != nil {
-		insN = ins.n
-	}
-	if dels != nil {
-		delsN = dels.n
-	}
+	insN, delsN := ins.size(), dels.size()
 	if insN == 0 && delsN == 0 {
 		return r
 	}
@@ -149,11 +150,7 @@ func MergeDelta(r, ins, dels *Relation) *Relation {
 	i, j, k := 0, 0, 0 // cursors into r, ins, dels
 	for i < r.n || j < insN {
 		// Emit the smaller head of r (minus dels) and ins.
-		takeIns := i >= r.n
-		if !takeIns && j < insN && CompareTuples(ins.Tuple(j), r.Tuple(i)) < 0 {
-			takeIns = true
-		}
-		if takeIns {
+		if i == r.n || j < insN && CompareTuples(ins.Tuple(j), r.Tuple(i)) < 0 {
 			out = append(out, ins.Tuple(j)...)
 			j++
 			continue
@@ -170,6 +167,14 @@ func MergeDelta(r, ins, dels *Relation) *Relation {
 		out = append(out, t...)
 	}
 	return fromSortedRows(r.name, a, out)
+}
+
+// size is Len, reading 0 for a nil relation (an empty overlay log).
+func (r *Relation) size() int {
+	if r == nil {
+		return 0
+	}
+	return r.n
 }
 
 // Filter returns the sub-relation of tuples keep accepts, in order (no

@@ -105,3 +105,31 @@ func (it *TrieIterator) SeekGE(v int64) {
 	}
 	it.pos[cur] = it.r.lowerBound(cur, it.pos[cur], it.hi[cur], v)
 }
+
+// ProbeGap is the gap-probe oracle the CSR trie's and the overlay's
+// ProbeGap are tested against: seekGap (Algorithm 3, see CSRTrie.ProbeGap)
+// by binary searches over the flat sorted rows.
+func (r *Relation) ProbeGap(point []int64) (gap Gap, found bool) {
+	if len(point) != r.arity {
+		panic("relation: ProbeGap point length mismatch")
+	}
+	lo, hi := 0, r.n
+	for col := 0; col < r.arity; col++ {
+		v := point[col]
+		pos := r.lowerBound(col, lo, hi, v)
+		if pos < hi && r.Value(pos, col) == v {
+			lo = pos
+			hi = r.upperBound(col, pos, hi, v)
+			continue
+		}
+		g := Gap{Col: col, Lo: NegInf, Hi: PosInf}
+		if pos > lo {
+			g.Lo = r.Value(pos-1, col)
+		}
+		if pos < hi {
+			g.Hi = r.Value(pos, col)
+		}
+		return g, false
+	}
+	return Gap{}, true
+}

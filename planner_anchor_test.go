@@ -131,7 +131,10 @@ func TestChooseGAOKeepsCrossJoinFreeSpelling(t *testing.T) {
 		{"edge(a, 3), edge(7, b)", []string{"$1", "$2", "a", "b"}, 2},
 		{"both(count(a), count(c)) :- edge(a, b), edge(b, c)", []string{"a", "b", "c"}, 1},
 	} {
-		q := query.MustParse("q", tc.src)
+		q, err := query.Parse("q", tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
 		gao, keys := hypergraph.ChooseGAO(q, string(LFTJ))
 		if !slices.Equal(gao, tc.want) || keys != tc.keys {
 			t.Errorf("%s: chose %v with %d keys, want %v with %d", tc.src, gao, keys, tc.want, tc.keys)

@@ -26,10 +26,11 @@ var ErrArityMismatch = core.ErrArityMismatch
 // replay and client retries re-issue definitions freely).
 var ErrRelationExists = errors.New("relation already defined")
 
-// ErrValueOutOfRange reports a loaded or applied tuple value outside the
-// storage domain [0, relation.PosInf) — the storage layer reserves negative
-// values and the top of the int64 range as sentinels.
-var ErrValueOutOfRange = errors.New("value outside the storage domain")
+// ErrValueOutOfRange reports a loaded, applied or recovered tuple value
+// outside the storage domain [0, relation.PosInf) — the storage layer
+// reserves negative values and the top of the int64 range as sentinels
+// (relation.ErrValueOutOfRange re-exported).
+var ErrValueOutOfRange = relation.ErrValueOutOfRange
 
 // checkDomain validates one tuple against the declared arity and the
 // storage value domain, so the public write surface reports typed errors
