@@ -166,16 +166,19 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// encodeRecord renders one record (header + body) ready to append.
-func encodeRecord(lsn uint64, op byte, payload []byte) []byte {
-	body := make([]byte, 0, binary.MaxVarintLen64+1+len(payload))
-	body = binary.AppendUvarint(body, lsn)
-	body = append(body, op)
-	body = append(body, payload...)
-	rec := make([]byte, 8, 8+len(body))
-	binary.BigEndian.PutUint32(rec[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
-	return append(rec, body...)
+// appendRecord appends one record to buf in place: the header is reserved,
+// the body appended behind it, and the header then filled with the body's
+// length and CRC.
+func appendRecord(buf []byte, lsn uint64, op byte, payload []byte) []byte {
+	hdr := len(buf)
+	buf = binary.BigEndian.AppendUint64(buf, 0)
+	buf = binary.AppendUvarint(buf, lsn)
+	buf = append(buf, op)
+	buf = append(buf, payload...)
+	body := buf[hdr+8:]
+	binary.BigEndian.PutUint32(buf[hdr:], uint32(len(body)))
+	binary.BigEndian.PutUint32(buf[hdr+4:], crc32.ChecksumIEEE(body))
+	return buf
 }
 
 // append assigns the next LSN and buffers the record. The caller must
@@ -188,10 +191,10 @@ func (l *log) append(op byte, payload []byte) (uint64, error) {
 	}
 	lsn := l.nextLSN
 	l.nextLSN++
-	rec := encodeRecord(lsn, op, payload)
-	l.buf = append(l.buf, rec...)
+	n := len(l.buf)
+	l.buf = appendRecord(l.buf, lsn, op, payload)
 	l.appended = lsn
-	l.unpruned += uint64(len(rec))
+	l.unpruned += uint64(len(l.buf) - n)
 	if len(l.buf) >= bufSize {
 		if err := l.writeOutLocked(); err != nil {
 			return 0, err
@@ -209,7 +212,8 @@ func (l *log) unprunedBytes() uint64 {
 	return l.unpruned
 }
 
-// writeOutLocked drains the append buffer into the OS (no fsync).
+// writeOutLocked drains the append buffer into the OS (no fsync), dropping a
+// buffer that one large record (a bulk load) grew past bufSize.
 func (l *log) writeOutLocked() error {
 	if len(l.buf) == 0 {
 		return nil
@@ -218,6 +222,9 @@ func (l *log) writeOutLocked() error {
 		return err
 	}
 	l.buf = l.buf[:0]
+	if cap(l.buf) > bufSize {
+		l.buf = nil
+	}
 	return nil
 }
 
@@ -531,7 +538,7 @@ func openLog(dir string, policy SyncPolicy, window time.Duration, afterLSN uint6
 		recs, validEnd, scanErr := scanSegment(s.path)
 		for _, r := range recs {
 			if r.lsn <= afterLSN {
-				next = maxU64(next, r.lsn+1)
+				next = max(next, r.lsn+1)
 				continue
 			}
 			if r.lsn != next {
@@ -593,11 +600,4 @@ func openLog(dir string, policy SyncPolicy, window time.Duration, afterLSN uint6
 		l.f = f
 	}
 	return l, all, tailErr, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

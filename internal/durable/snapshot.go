@@ -144,18 +144,17 @@ func snapHeader(n uint64, crc uint32) []byte {
 // chunkCuts returns row-index boundaries [0, ..., Len] splitting r into
 // chunks of about snapChunkRows rows: a chunk ends at the first
 // first-attribute boundary at or past snapChunkRows rows, so no key's row
-// group straddles two chunks. It reads the rows' first column in one walk.
+// group straddles two chunks. It reads the first-attribute run lengths
+// (Overlay.Runs), not the rows.
 func chunkCuts(r *relation.Overlay) []int {
 	cuts := []int{0}
 	due, i := snapChunkRows, 0 // the row a cut is due at, the row at hand
-	var prev int64
-	r.Rows(func(row []int64) bool {
-		if i >= due && row[0] != prev {
+	r.Runs(func(_ int64, rows int) bool {
+		if i >= due {
 			cuts = append(cuts, i)
 			due = i + snapChunkRows
 		}
-		prev = row[0]
-		i++
+		i += rows
 		return true
 	})
 	return append(cuts, i)

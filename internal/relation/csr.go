@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // CSRTrie is a materialized attribute trie over a sorted relation, stored in
@@ -25,19 +26,30 @@ type CSRTrie struct {
 // csrLevel is one materialized trie level: vals holds the keys of every node
 // at this depth, grouped by parent; start[p] .. start[p+1] bounds the
 // children of parent node p in vals (level 0 has the single virtual root as
-// parent, so start is [0, len(vals)]). rows[i] is the first source row of
-// node i's subtree; because nodes at a level partition the sorted rows in
-// order, node i spans rows [rows[i], rows[i+1]) and rows[len(vals)] == n.
-// The spans give every node its subtree tuple count in O(1) — the delta
-// overlay's tombstone check (is a base subtree fully deleted?) reads them.
+// parent, so start is [0, len(vals)]). Nothing else is stored: a tuple costs
+// 8 bytes at the leaf and an inner node 12 (its key and its children's
+// offset), and a node's row span follows from start (CSRTrie.firstRow).
 type csrLevel struct {
 	vals  []int64
 	start []int32
-	rows  []int32
 }
 
-// span returns the subtree tuple count of node pos at this level.
-func (l *csrLevel) span(pos int32) int32 { return l.rows[pos+1] - l.rows[pos] }
+// firstRow returns the first row of node i's subtree at level d: the leaf
+// below it reached by first children, since the leaf level holds one node per
+// row. Node i == len(levels[d].vals) is allowed and gives n.
+func (t *CSRTrie) firstRow(d int, i int32) int32 {
+	for d++; d < t.arity; d++ {
+		i = t.levels[d].start[i]
+	}
+	return i
+}
+
+// span returns the subtree tuple count of node pos at level d — how many
+// rows share its key path. The delta overlay's tombstone check (is a base
+// subtree fully deleted?) compares spans.
+func (t *CSRTrie) span(d int, pos int32) int32 {
+	return t.firstRow(d, pos+1) - t.firstRow(d, pos)
+}
 
 // NewCSRTrie materializes the attribute trie of a sorted, deduplicated
 // relation in two linear passes over the rows: the first counts each level's
@@ -72,7 +84,6 @@ func NewCSRTrie(r *Relation) *CSRTrie {
 		t.levels[d] = csrLevel{
 			vals:  make([]int64, nodes),
 			start: make([]int32, parents+1),
-			rows:  make([]int32, nodes+1),
 		}
 		parents = nodes
 	}
@@ -80,23 +91,18 @@ func NewCSRTrie(r *Relation) *CSRTrie {
 	clear(next)
 	for i := 0; i < r.n; i++ {
 		for d := firstDiff(i); d < a; d++ {
-			lvl, k := &t.levels[d], next[d]
-			lvl.vals[k] = r.rows[i*a+d]
-			lvl.rows[k] = int32(i)
+			k := next[d]
+			t.levels[d].vals[k] = r.rows[i*a+d]
 			if d+1 < a {
 				t.levels[d+1].start[k] = int32(next[d+1])
 			}
 			next[d]++
 		}
 	}
-	// Close every level: the end offset of the last parent's children and
-	// the end row of the last node.
+	// Close every level: the end offset of the last parent's children.
 	t.levels[0].start[1] = int32(next[0])
-	for d := 0; d < a; d++ {
-		t.levels[d].rows[next[d]] = int32(r.n)
-		if d+1 < a {
-			t.levels[d+1].start[next[d]] = int32(next[d+1])
-		}
+	for d := 0; d+1 < a; d++ {
+		t.levels[d+1].start[next[d]] = int32(next[d+1])
 	}
 	return t
 }
@@ -115,16 +121,17 @@ func (t *CSRTrie) rows() trieRows {
 }
 
 // next returns the next row, nil after the last, in one buffer rewritten per
-// call. Row i enters node[d] at level d exactly when that node's first row
-// is i; a node entered at level d means new nodes at every level below, and
-// the leaf level enters one per row.
+// call. The leaf level enters one node per row; going up, row i enters
+// node[d-1] exactly when that node's first child is the node it enters at
+// level d (levels[d].start[node[d-1]] == node[d]), and a node entered at a
+// level means new nodes at every level below.
 func (w *trieRows) next() []int64 {
 	if w.i == int32(w.t.n) {
 		return nil
 	}
-	d := 0
-	for w.t.levels[d].rows[w.node[d]] != w.i {
-		d++
+	d := len(w.row) - 1
+	for d > 0 && w.t.levels[d].start[w.node[d-1]] == w.node[d] {
+		d--
 	}
 	for ; d < len(w.row); d++ {
 		w.row[d] = w.t.levels[d].vals[w.node[d]]
@@ -142,20 +149,6 @@ func (t *CSRTrie) Arity() int { return t.arity }
 
 // Len returns the number of tuples (leaf nodes).
 func (t *CSRTrie) Len() int { return t.n }
-
-// Nodes returns the total materialized trie-node count across all levels
-// (the index's memory footprint in keys).
-func (t *CSRTrie) Nodes() int {
-	total := 0
-	for _, lvl := range t.levels {
-		total += len(lvl.vals)
-	}
-	return total
-}
-
-func (t *CSRTrie) String() string {
-	return fmt.Sprintf("csr(%s/%d)[%d tuples, %d nodes]", t.name, t.arity, t.n, t.Nodes())
-}
 
 // Gap describes the maximal empty box a relation reports around a probe
 // point (paper §4.5, Idea 3). Col is the first column at which the probe
@@ -278,24 +271,37 @@ func (t *CSRTrie) descend(point []int64, f *ProbeFinger) (gap Gap, found bool, l
 	return Gap{}, true, lo, hi
 }
 
-// lowerBound64 returns the first index in [lo, hi) with vals[i] >= v.
+// lowerBound64 returns the first index in [lo, hi) with vals[i] >= v (hi when
+// none, lo when lo >= hi). It halves a window of n keys that holds the answer
+// and moves the window's base by an arithmetic select, not a branch: the
+// compare is a coin flip the branch predictor loses half the time, and Go
+// compiles no conditional move for a loop-carried select.
 func lowerBound64(vals []int64, lo, hi int32, v int64) int32 {
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if vals[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	n := hi - lo
+	for n > 1 {
+		half := n >> 1
+		lo += half & lessMask(vals[lo+half], v)
+		n -= half
+	}
+	if n == 1 && vals[lo] < v {
+		lo++
 	}
 	return lo
 }
 
+// lessMask returns -1 (all ones) when x < y and 0 otherwise, without a
+// branch: flipping the sign bits turns the signed compare into an unsigned
+// one, whose answer is the borrow of x − y (Hacker's Delight 2-12).
+func lessMask(x, y int64) int32 {
+	_, borrow := bits.Sub64(uint64(x)^1<<63, uint64(y)^1<<63, 0)
+	return -int32(borrow)
+}
+
 // GallopGE returns the first index in [pos, hi) with vals[i] >= v (hi when
 // none, pos when pos >= hi), probing keys 0, 1, 3, 7, … past pos before it
-// bisects: O(log distance) for a target near pos. It is small enough to
-// inline into the leapfrog loop's SeekGE, and into LFTJ's loop over the
-// levels OverlayCursor.PureLevel exposes.
+// bisects: O(log distance) for a target near pos. The leapfrog loop's
+// SeekGE and LFTJ's loop over the levels OverlayCursor.PureLevel exposes
+// call it.
 func GallopGE(vals []int64, pos, hi int32, v int64) int32 {
 	// The target lies in [lo, bound]: every key before lo is < v.
 	lo, bound, step := pos, pos, int32(1)
@@ -431,7 +437,7 @@ func (c *CSRCursor) Key() int64 {
 // subtree is fully deleted.
 func (c *CSRCursor) Span() int32 {
 	cur := c.depth - 1
-	return c.t.levels[cur].span(c.lv[cur].pos)
+	return c.t.span(cur, c.lv[cur].pos)
 }
 
 // Next advances to the next distinct key: a single increment, because every

@@ -2,8 +2,10 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -190,14 +192,15 @@ func TestCSREmptyAndSingleton(t *testing.T) {
 	if got := walk(NewCSRCursor(single), 2); !reflect.DeepEqual(got, [][2]int64{{0, 3}, {1, 4}}) {
 		t.Errorf("singleton walk = %v", got)
 	}
-	if single.Nodes() != 2 {
-		t.Errorf("singleton Nodes = %d, want 2", single.Nodes())
+	if nodes := len(single.levels[0].vals) + len(single.levels[1].vals); nodes != 2 {
+		t.Errorf("singleton has %d nodes, want 2", nodes)
 	}
 }
 
 // TestCSRTrieBuiltAtFinalSize: the build counts each level's nodes before it
 // allocates, so no array carries append-growth slack into the built trie, and
-// the spans it records partition the rows.
+// a level holds two arrays, its keys and its parents' child offsets: 8 bytes
+// per node plus 4 per parent and one.
 func TestCSRTrieBuiltAtFinalSize(t *testing.T) {
 	for _, arity := range []int{1, 2, 3, 4} {
 		r := randomRelation(rand.New(rand.NewSource(int64(70+arity))), arity, 500, 7)
@@ -207,18 +210,71 @@ func TestCSRTrieBuiltAtFinalSize(t *testing.T) {
 			if want := r.DistinctPrefixes(d + 1); len(lvl.vals) != want {
 				t.Fatalf("arity %d level %d: %d nodes, want %d distinct prefixes", arity, d, len(lvl.vals), want)
 			}
-			if cap(lvl.vals) != len(lvl.vals) || cap(lvl.start) != len(lvl.start) || cap(lvl.rows) != len(lvl.rows) {
-				t.Errorf("arity %d level %d: slack left on the built trie (vals %d/%d, start %d/%d, rows %d/%d)", arity, d,
-					len(lvl.vals), cap(lvl.vals), len(lvl.start), cap(lvl.start), len(lvl.rows), cap(lvl.rows))
+			if len(lvl.start) != parents+1 {
+				t.Fatalf("arity %d level %d: start has %d entries for %d parents", arity, d, len(lvl.start), parents)
 			}
-			if len(lvl.start) != parents+1 || len(lvl.rows) != len(lvl.vals)+1 {
-				t.Fatalf("arity %d level %d: start has %d entries for %d parents, rows %d for %d nodes",
-					arity, d, len(lvl.start), parents, len(lvl.rows), len(lvl.vals))
-			}
-			if lvl.start[0] != 0 || int(lvl.start[parents]) != len(lvl.vals) || lvl.rows[0] != 0 || int(lvl.rows[len(lvl.vals)]) != r.Len() {
+			if lvl.start[0] != 0 || int(lvl.start[parents]) != len(lvl.vals) {
 				t.Errorf("arity %d level %d: offsets do not span the level", arity, d)
 			}
+			v := reflect.ValueOf(lvl)
+			bytes := 0
+			for f := 0; f < v.NumField(); f++ {
+				arr := v.Field(f)
+				if arr.Len() != arr.Cap() {
+					t.Errorf("arity %d level %d: slack left on %s (%d/%d)", arity, d, v.Type().Field(f).Name, arr.Len(), arr.Cap())
+				}
+				bytes += arr.Cap() * int(arr.Type().Elem().Size())
+			}
+			if want := 8*len(lvl.vals) + 4*(parents+1); v.NumField() != 2 || bytes != want {
+				t.Errorf("arity %d level %d: %d arrays of %d bytes, want 2 of %d", arity, d, v.NumField(), bytes, want)
+			}
 			parents = len(lvl.vals)
+		}
+	}
+}
+
+// TestCSRSpansMatchFlat checks, at every node of tries of arity 1–4, that the
+// spans derived from the child offsets — CSRCursor.Span, CSRTrie.span and
+// firstRow — count and place the flat rows that extend the node's key path.
+func TestCSRSpansMatchFlat(t *testing.T) {
+	for _, arity := range []int{1, 2, 3, 4} {
+		r := randomRelation(rand.New(rand.NewSource(int64(80+arity))), arity, 300, 6)
+		trie := NewCSRTrie(r)
+		c := NewCSRCursor(trie)
+		prefix := make([]int64, 0, arity)
+		var rec func(d int)
+		rec = func(d int) {
+			c.Open()
+			for ; !c.AtEnd(); c.Next() {
+				prefix = append(prefix, c.Key())
+				first, rows := -1, 0
+				for i := 0; i < r.Len(); i++ {
+					match := true
+					for k, v := range prefix {
+						match = match && r.Value(i, k) == v
+					}
+					if match {
+						if first < 0 {
+							first = i
+						}
+						rows++
+					}
+				}
+				pos := c.lv[d].pos
+				if c.Span() != int32(rows) || trie.span(d, pos) != int32(rows) || trie.firstRow(d, pos) != int32(first) {
+					t.Fatalf("arity %d node %v: Span %d, span %d, firstRow %d; want %d rows from row %d",
+						arity, prefix, c.Span(), trie.span(d, pos), trie.firstRow(d, pos), rows, first)
+				}
+				if d+1 < arity {
+					rec(d + 1)
+				}
+				prefix = prefix[:d]
+			}
+			c.Up()
+		}
+		rec(0)
+		if end := int32(len(trie.levels[0].vals)); trie.firstRow(0, end) != int32(r.Len()) {
+			t.Errorf("arity %d: firstRow past the last node = %d, want %d", arity, trie.firstRow(0, end), r.Len())
 		}
 	}
 }
@@ -266,6 +322,39 @@ func TestLeafRangeMatchesFlat(t *testing.T) {
 		}
 	}()
 	live.LeafRange([]int64{1}, new(ProbeFinger))
+}
+
+// TestLowerBound64MatchesSortSearch checks the branch-free bisection, and
+// GallopGE over it, against sort.Search on random sorted keys that include
+// the int64 extremes and the storage sentinels, over windows [lo, hi) that
+// are often empty or inverted.
+func TestLowerBound64MatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, NegInf, -1, 0, 1, PosInf, math.MaxInt64 - 1, math.MaxInt64}
+	for trial := 0; trial < 3000; trial++ {
+		vals := make([]int64, rng.Intn(40))
+		for i := range vals {
+			vals[i] = int64(rng.Intn(50)) - 25
+			if rng.Intn(3) == 0 {
+				vals[i] = edges[rng.Intn(len(edges))]
+			}
+		}
+		slices.Sort(vals)
+		n := len(vals)
+		for _, v := range append(slices.Clone(edges), int64(rng.Intn(50))-25) {
+			lo, hi := int32(rng.Intn(n+1)), int32(rng.Intn(n+1))
+			want := lo
+			if lo < hi {
+				want += int32(sort.Search(int(hi-lo), func(i int) bool { return vals[int(lo)+i] >= v }))
+			}
+			if got := lowerBound64(vals, lo, hi, v); got != want {
+				t.Fatalf("lowerBound64(%v, %d, %d, %d) = %d, want %d", vals, lo, hi, v, got, want)
+			}
+			if got := GallopGE(vals, lo, hi, v); got != want {
+				t.Fatalf("GallopGE(%v, %d, %d, %d) = %d, want %d", vals, lo, hi, v, got, want)
+			}
+		}
+	}
 }
 
 // TestIntersectCount checks the k-way galloping count against a brute-force

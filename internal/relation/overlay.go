@@ -54,28 +54,10 @@ func (o *Overlay) Name() string { return o.base.name }
 func (o *Overlay) Arity() int { return o.base.arity }
 
 // Len returns the live tuple count: base − deleted + added.
-func (o *Overlay) Len() int {
-	n := o.base.n
-	if o.dels != nil {
-		n -= o.dels.n
-	}
-	if o.adds != nil {
-		n += o.adds.n
-	}
-	return n
-}
+func (o *Overlay) Len() int { return o.base.n - o.dels.size() + o.adds.size() }
 
 // LogLen returns the total log size (tests observe compaction through it).
-func (o *Overlay) LogLen() int {
-	n := 0
-	if o.adds != nil {
-		n += o.adds.n
-	}
-	if o.dels != nil {
-		n += o.dels.n
-	}
-	return n
-}
+func (o *Overlay) LogLen() int { return o.adds.size() + o.dels.size() }
 
 // pristine reports whether the overlay carries no pending deltas.
 func (o *Overlay) pristine() bool { return o.LogLen() == 0 }
@@ -166,6 +148,37 @@ func (o *Overlay) Rows(yield func(row []int64) bool) {
 			return
 		}
 		t = base.next()
+	}
+}
+
+// Runs calls yield with each first-attribute key of the overlay's contents
+// and the number of rows it leads, in key order, until yield returns false.
+// It merges the three tries' first levels and reads no level below them: a
+// key leads its base span plus its adds span less its dels span (adds ∩ base
+// = ∅ and dels ⊆ base), and a key whose rows are all deleted is skipped.
+func (o *Overlay) Runs(yield func(key int64, rows int) bool) {
+	var at [3]int32 // per trie (base, adds, dels), the next first-level node
+	tries := [3]*CSRTrie{o.base, o.addsT, o.delsT}
+	take := func(s int, key int64) int32 { // key's span in trie s, then step past it
+		if t := tries[s]; t != nil && int(at[s]) < len(t.levels[0].vals) && t.levels[0].vals[at[s]] == key {
+			at[s]++
+			return t.span(0, at[s]-1)
+		}
+		return 0
+	}
+	for {
+		key, more := PosInf, false
+		for s, t := range tries[:2] {
+			if t != nil && int(at[s]) < len(t.levels[0].vals) {
+				key, more = min(key, t.levels[0].vals[at[s]]), true
+			}
+		}
+		if !more {
+			return
+		}
+		if n := take(0, key) + take(1, key) - take(2, key); n > 0 && !yield(key, int(n)) {
+			return
+		}
 	}
 }
 
@@ -478,7 +491,7 @@ func (o *Overlay) ProbeGap(point []int64) (Gap, bool) {
 			dPos = lowerBound64(dvals, dLo, dHi, v)
 			dHas = dPos < dHi && dvals[dPos] == v
 		}
-		bVis := bHas && !(dHas && o.delsT.levels[col].span(dPos) == o.base.levels[col].span(bPos))
+		bVis := bHas && !(dHas && o.delsT.span(col, dPos) == o.base.span(col, bPos))
 		if aOk {
 			avals = o.addsT.levels[col].vals
 			aPos = lowerBound64(avals, aLo, aHi, v)
@@ -578,7 +591,7 @@ func (o *Overlay) baseVisible(col int, i int32, dOk bool, dLo, dHi int32) bool {
 	dvals := o.delsT.levels[col].vals
 	k := o.base.levels[col].vals[i]
 	dp := lowerBound64(dvals, dLo, dHi, k)
-	if dp < dHi && dvals[dp] == k && o.delsT.levels[col].span(dp) == o.base.levels[col].span(i) {
+	if dp < dHi && dvals[dp] == k && o.delsT.span(col, dp) == o.base.span(col, i) {
 		return false
 	}
 	return true

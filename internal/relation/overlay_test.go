@@ -71,6 +71,21 @@ func TestOverlayWalkMatchesFlat(t *testing.T) {
 		if merged := ov.Flat(); !reflect.DeepEqual(merged.Tuples(), want.Tuples()) {
 			t.Errorf("arity %d: Flat() differs from the reference relation", tc.arity)
 		}
+		var runs, wantRuns [][2]int64
+		ov.Runs(func(key int64, rows int) bool {
+			runs = append(runs, [2]int64{key, int64(rows)})
+			return true
+		})
+		for i := 0; i < want.Len(); i++ {
+			if last := len(wantRuns) - 1; last >= 0 && wantRuns[last][0] == want.Value(i, 0) {
+				wantRuns[last][1]++
+			} else {
+				wantRuns = append(wantRuns, [2]int64{want.Value(i, 0), 1})
+			}
+		}
+		if !reflect.DeepEqual(runs, wantRuns) {
+			t.Errorf("arity %d: Runs %v, want %v", tc.arity, runs, wantRuns)
+		}
 		flat := walk(NewTrieIterator(want), want.Arity())
 		got := walk(ov.NewCursor(), ov.Arity())
 		if !reflect.DeepEqual(flat, got) {

@@ -8,6 +8,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -250,7 +251,7 @@ func (r *Relation) dedup() {
 	}
 	w := 1
 	for i := 1; i < r.n; i++ {
-		if !equalRows(r.rows, w-1, i, r.arity) {
+		if !slices.Equal(r.Tuple(w-1), r.Tuple(i)) {
 			if w != i {
 				copy(r.rows[w*r.arity:(w+1)*r.arity], r.rows[i*r.arity:(i+1)*r.arity])
 			}
@@ -259,16 +260,6 @@ func (r *Relation) dedup() {
 	}
 	r.rows = r.rows[:w*r.arity]
 	r.n = w
-}
-
-func equalRows(rows []int64, i, j, arity int) bool {
-	a, b := rows[i*arity:(i+1)*arity], rows[j*arity:(j+1)*arity]
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // Permute returns a new relation whose columns are reordered so that output
@@ -351,23 +342,12 @@ func (r *Relation) DistinctPrefixes(length int) int {
 	count := 0
 	for lo, hi := 0, 0; lo < r.n; lo = hi {
 		hi = lo + 1
-		for hi < r.n && prefixEqual(r, lo, hi, length) {
+		for hi < r.n && slices.Equal(r.Tuple(lo)[:length], r.Tuple(hi)[:length]) {
 			hi++
 		}
 		count++
 	}
 	return count
-}
-
-func prefixEqual(r *Relation, i, j, length int) bool {
-	a := r.rows[i*r.arity : i*r.arity+length]
-	b := r.rows[j*r.arity : j*r.arity+length]
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // CompareTuples compares two equal-length tuples lexicographically.
