@@ -32,3 +32,10 @@ func benchmarkCount(b *testing.B, q *query.Query) {
 	}
 	b.ReportMetric(float64(sc.Snapshot().Seeks)/float64(b.N), "seeks/op")
 }
+
+// BenchmarkRangeCount times the range2hop Count, whose last variable one
+// atom binds: every prefix's leaf level is counted as a span
+// (frame.countLeaf), not walked.
+func BenchmarkRangeCount(b *testing.B) {
+	benchmarkCount(b, mustParse("range2hop", "out(a,b,c) :- edge(a,b), edge(b,c), a >= 100, a < 1100"))
+}

@@ -78,6 +78,7 @@ type frame struct {
 	emitPos  []int              // GAO position of each emitted column
 	emit     func([]int64) bool // nil: count only
 	buffered bool               // rows go through sink (core.Pushdown.Buffered)
+	span     bool               // count mode sizes the deepest level (countLeaf)
 	sink     core.GroupSink
 	tick     core.Ticker
 	lo, hi   []int64               // per-depth seek bounds [lo, hi); nil when unbounded
@@ -172,6 +173,8 @@ func (ex *frame) reset(ctx context.Context, plan *core.Plan, gen *core.Generatio
 		}
 		ex.byVar[d] = ex.members[from:off:off]
 	}
+	ex.span = emit == nil && !ex.buffered && ex.last == n-1 && len(ex.byVar[n-1]) == 1 &&
+		(len(ex.resAt) == 0 || len(ex.resAt[n-1]) == 0)
 	return nil
 }
 
@@ -242,6 +245,9 @@ func up(ms []member) {
 func (ex *frame) run(d int) (bool, error) {
 	ms := ex.open(d)
 	defer up(ms)
+	if ex.span && d == ex.last {
+		return true, ex.countLeaf(d, &ms[0])
+	}
 	lf := leapfrog{ms: ms, seeks: &ex.seeks}
 	if !lf.init() {
 		return true, nil
@@ -290,6 +296,30 @@ func (ex *frame) run(d int) (bool, error) {
 			return true, nil
 		}
 	}
+}
+
+// countLeaf counts the rows of the deepest level in count mode when one
+// atom binds it and no residual is decided there: the level's keys inside
+// its bounds, sized by OverlayCursor.CountLeaf without visiting one. It
+// ticks once per prefix, and it makes the one seek a one-member leapfrog
+// makes — to the lower bound, when the first key lies below it — so Seeks
+// do not depend on which way a count went.
+func (ex *frame) countLeaf(d int, m *member) error {
+	if err := ex.tick.Tick(); err != nil {
+		return err
+	}
+	if m.atEnd() {
+		return nil
+	}
+	lo, hi := relation.NegInf, relation.PosInf
+	if ex.lo != nil {
+		lo, hi = ex.lo[d], ex.hi[d]
+		if lo > 0 && m.key() < lo {
+			ex.seeks++
+		}
+	}
+	ex.outputs += m.c.CountLeaf(lo, hi)
+	return nil
 }
 
 // exists reports whether any full binding extends the current prefix through

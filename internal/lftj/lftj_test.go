@@ -2,6 +2,7 @@ package lftj
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -190,6 +191,31 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, compile(t, query.Clique(4), db, nil), db.Pin(), core.FullRange, nil, nil); err == nil {
 		t.Error("cancelled context should surface an error")
+	}
+}
+
+// TestCancellationSpanCount: a count that sizes its last level as a span
+// (frame.countLeaf) still ticks once per prefix, so a cancelled context
+// stops it with the context's error. The relation has 3/4·CheckEvery first
+// keys, so the first level's own ticks never reach a context check; only
+// with the span's ticks do they.
+func TestCancellationSpanCount(t *testing.T) {
+	b := relation.NewBuilder("r", 2)
+	keys := int64(core.CheckEvery * 3 / 4)
+	for a := int64(0); a < keys; a++ {
+		b.Add(a, 1)
+		b.Add(a, 2)
+	}
+	db := core.NewDB()
+	db.Add(b.Build())
+	plan := compile(t, mustParse("pairs", "r(a,b)"), db, []string{"a", "b"})
+	if got := countIn(t, plan, core.FullRange); got != 2*keys {
+		t.Fatalf("count = %d, want %d", got, 2*keys)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if n, err := Run(ctx, plan, plan.Pin(), core.FullRange, nil, nil); !errors.Is(err, context.Canceled) || n != 0 {
+		t.Errorf("cancelled span count = %d, %v; want 0, %v", n, err, context.Canceled)
 	}
 }
 

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -188,5 +189,50 @@ func BenchmarkOverlayApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := []int64{int64(rng.Intn(30_000)), int64(rng.Intn(30_000))}
 		ov.Apply([][]int64{t}, nil)
+	}
+}
+
+// minusSink keeps BenchmarkMinus's result live.
+var minusSink *Relation
+
+// BenchmarkMinus is the set difference the overlay write path takes six
+// times per batch, for a 64-tuple batch against a ~1k-tuple log and against
+// another 64-tuple batch. "clustered" is the shape of a write batch, every
+// tuple under one first key, and of a log built from 16 of them; "uniform"
+// scatters both sides over 4096 × 64 keys.
+func BenchmarkMinus(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	uniform := func(n int) *Relation {
+		ts := make([][]int64, n)
+		for i := range ts {
+			ts[i] = []int64{int64(rng.Intn(4096)), int64(rng.Intn(64))}
+		}
+		return FromTuples("e", 2, ts)
+	}
+	clustered := func(keys int) *Relation {
+		var ts [][]int64
+		for k := 0; k < keys; k++ {
+			v := int64(rng.Intn(4096))
+			for i := 0; i < 64; i++ {
+				ts = append(ts, []int64{v, int64(rng.Intn(4096))})
+			}
+		}
+		return FromTuples("e", 2, ts)
+	}
+	for _, c := range []struct {
+		shape        string
+		batch, other *Relation
+	}{
+		{"clustered", clustered(1), clustered(16)},
+		{"clustered", clustered(1), clustered(1)},
+		{"uniform", uniform(64), uniform(1024)},
+		{"uniform", uniform(64), uniform(64)},
+	} {
+		b.Run(fmt.Sprintf("%s/other=%d", c.shape, c.other.Len()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				minusSink = c.batch.minus(c.other)
+			}
+		})
 	}
 }

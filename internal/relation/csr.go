@@ -440,6 +440,21 @@ func (c *CSRCursor) Span() int32 {
 	return c.t.span(cur, c.lv[cur].pos)
 }
 
+// countIn returns how many keys of the current level's whole sibling range —
+// the children the last Open entered, wherever the cursor has moved since —
+// lie in [lo, hi): two binary searches, the second from where the first
+// stopped.
+func (c *CSRCursor) countIn(lo, hi int64) int64 {
+	cur := c.depth - 1
+	first, end := int32(0), c.lv[cur].hi
+	if cur > 0 {
+		first = c.t.levels[cur].start[c.lv[cur-1].pos]
+	}
+	vals := c.t.levels[cur].vals
+	first = lowerBound64(vals, first, end, lo)
+	return int64(lowerBound64(vals, first, end, hi) - first)
+}
+
 // Next advances to the next distinct key: a single increment, because every
 // node at a level is already distinct under its parent.
 func (c *CSRCursor) Next() {

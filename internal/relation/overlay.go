@@ -450,6 +450,33 @@ func (c *OverlayCursor) PureLevel() (vals []int64, pos *int32, hi int32, ok bool
 	return c.b.t.levels[c.depth-1].vals, &f.pos, f.hi, true
 }
 
+// CountLeaf returns the number of visible keys in [lo, hi) among the
+// children the last Open entered, without moving the cursor; the cursor
+// must be at the leaf level. A level read off the base trie alone costs two
+// binary searches over its sibling range. A merged leaf counts each side
+// over its node's whole child range — never from the base side's position,
+// which skipDeleted may have moved past tombstoned keys — as |base| −
+// |dels| + |adds|: exact at the leaf, where dels ⊆ base and adds ∩ base = ∅.
+func (c *OverlayCursor) CountLeaf(lo, hi int64) int64 {
+	if c.depth != c.o.base.arity {
+		panic("relation: OverlayCursor.CountLeaf above the leaf level")
+	}
+	if c.depth >= c.pure {
+		return c.b.countIn(lo, hi)
+	}
+	on, n := c.on[c.depth-1], int64(0)
+	if on.b {
+		n += c.b.countIn(lo, hi)
+	}
+	if on.d {
+		n -= c.d.countIn(lo, hi)
+	}
+	if on.a {
+		n += c.a.countIn(lo, hi)
+	}
+	return n
+}
+
 // ProbeGap is CSRTrie.ProbeGap over the overlay's merged contents: walk
 // the three tries level by level, treating a base node as present only
 // while its subtree is not fully deleted, and report gap endpoints as the

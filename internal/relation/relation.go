@@ -207,11 +207,38 @@ func (r *Relation) Filter(keep func(tuple []int64) bool) *Relation {
 }
 
 // minus returns r \ b (r itself when nothing is removed); b may be nil.
+// Both sides are sorted, so one forward walk over b decides every tuple of
+// r: a gallop from where the last one stopped to the first tuple >= it.
 func (r *Relation) minus(b *Relation) *Relation {
 	if b == nil || b.n == 0 {
 		return r
 	}
-	return r.Filter(func(t []int64) bool { return !b.Contains(t) })
+	j := 0
+	return r.Filter(func(t []int64) bool {
+		j = b.gallopRow(j, t)
+		return j == b.n || CompareTuples(b.Tuple(j), t) != 0
+	})
+}
+
+// gallopRow returns the first row index in [from, n) whose tuple is >= t (n
+// when none), probing rows 0, 1, 3, 7, … past from before it bisects, as
+// GallopGE does over one level.
+func (r *Relation) gallopRow(from int, t []int64) int {
+	lo, bound, step := from, from, 1
+	for bound < r.n && CompareTuples(r.Tuple(bound), t) < 0 {
+		lo = bound + 1
+		bound += step
+		step <<= 1
+	}
+	for hi := min(bound, r.n); lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if CompareTuples(r.Tuple(mid), t) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // rowSorter sorts a flat row-major slice lexicographically without

@@ -367,3 +367,64 @@ func TestTrieIteratorPanics(t *testing.T) {
 		it.Open()
 	})
 }
+
+// TestMinusMatchesContains: the galloping merge of minus removes exactly
+// the tuples Contains finds in b, keeps r's order, and returns r itself
+// when nothing is removed — for arities 1 to 3 and for b nil, empty,
+// disjoint from r, identical to it, and interleaved with it at random.
+func TestMinusMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	random := func(arity, n int, vals int64) *Relation {
+		ts := make([][]int64, n)
+		for i := range ts {
+			ts[i] = make([]int64, arity)
+			for k := range ts[i] {
+				ts[i][k] = rng.Int63n(vals)
+			}
+		}
+		return FromTuples("R", arity, ts)
+	}
+	shifted := func(r *Relation, by int64) *Relation { // disjoint from r
+		ts := r.Tuples()
+		out := make([][]int64, len(ts))
+		for i, tp := range ts {
+			out[i] = append([]int64{tp[0] + by}, tp[1:]...)
+		}
+		return FromTuples("R", r.Arity(), out)
+	}
+	for arity := 1; arity <= 3; arity++ {
+		vals := []int64{0, 40, 8, 5}[arity]
+		r := random(arity, 30, vals)
+		cases := []struct {
+			name string
+			b    *Relation
+		}{
+			{"nil", nil},
+			{"empty", FromTuples("R", arity, nil)},
+			{"disjoint", shifted(r, 1000)},
+			{"identical", r},
+			{"single", FromTuples("R", arity, [][]int64{r.Tuple(r.Len() / 2)})},
+		}
+		for i := 0; i < 20; i++ {
+			cases = append(cases, struct {
+				name string
+				b    *Relation
+			}{"interleaved", random(arity, 1+rng.Intn(40), vals)})
+		}
+		for _, c := range cases {
+			var want [][]int64
+			for _, tp := range r.Tuples() {
+				if c.b == nil || !c.b.Contains(tp) {
+					want = append(want, tp)
+				}
+			}
+			got := r.minus(c.b)
+			if !reflect.DeepEqual(got.Tuples(), want) && len(want)+got.Len() > 0 {
+				t.Errorf("arity %d, %s: minus kept %v, want %v", arity, c.name, got.Tuples(), want)
+			}
+			if len(want) == r.Len() && got != r {
+				t.Errorf("arity %d, %s: nothing removed, but minus did not return r", arity, c.name)
+			}
+		}
+	}
+}
