@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 )
 
 // Delta is one tuple-level change in a write batch: an insertion by default,
@@ -53,7 +54,7 @@ func (s *Store) ApplyAll(batches map[string][]Delta) error {
 		}
 		checked = append(checked, b)
 	}
-	return s.applyDeltas(checked)
+	return s.write(durable.Record{Op: durable.OpDeltas, Batches: checked}, nil)
 }
 
 // deltaBatch schema-checks one relation's deltas and splits them into the

@@ -25,12 +25,13 @@
 //	fmt.Print(p.Explain())            // GAO, per-atom index, AGM bound
 //	st := p.Stats()                   // unified counters across executions
 //
-// A Prepared handle is safe for concurrent use and follows incremental
-// writes: its indexes advance in place, so the next execution counts the
-// post-write state. Compiled plans are also cached on the store (keyed on
-// query shape × algorithm × GAO, invalidated when a relation they read is
-// replaced), so re-preparing an unchanged shape is cheap. A ReadTxn pins at
-// begin: executions through it keep reading the state it opened on. One-shot
+// A Prepared handle is safe for concurrent use and follows every write —
+// Apply, ApplyAll and Load alike: its indexes advance or are rebuilt in
+// place, so the next execution counts the post-write state. Compiled plans
+// are also cached on the store (keyed on query shape × algorithm × GAO and
+// kept through every write), so re-preparing a shape is a cache hit. A
+// ReadTxn pins at begin: executions through it keep reading the state it
+// opened on, through any handle. One-shot
 // helpers (Store.Count, Store.Enumerate) remain as thin wrappers over
 // Prepare.
 //
@@ -45,7 +46,7 @@
 //
 //	s := repro.NewStore()
 //	err := s.DefineRelation("follows", 2)
-//	err = s.Load("follows", tuples)          // bulk load (replaces)
+//	err = s.Load("follows", tuples)          // bulk load (replaces); plans stay valid
 //	err = s.Apply("follows", ins, dels)      // incremental; plans stay valid
 //	q, err := s.ParseQuery("fof", "follows(a, b), follows(b, c)")
 //	p, err := s.Prepare(q, repro.Options{})
@@ -57,7 +58,7 @@
 //
 // Store.ReadTxn returns a snapshot read-transaction: every execution
 // through it observes the single index state pinned when the transaction
-// began, regardless of concurrent Apply batches — several counts and row
+// began, regardless of concurrent writes — several counts and row
 // streams that must agree with each other run inside one transaction.
 // Store.Batch executes many prepared queries concurrently against one
 // shared snapshot under a GOMAXPROCS worker budget (the serving regime:
@@ -143,11 +144,10 @@
 //     for β-acyclic queries.
 //
 // Both execute pinned compiled plans, inside read transactions and as one
-// shard of a routed fan-out. The paper's outside systems and ablations —
-// the psql and monetdb pairwise baselines, yannakakis, graphlab,
-// genericjoin (Algorithm 1) and the §4.12 hybrid — are not served: they run
-// in internal/bench, which regenerates Tables 6–7 and Figures 3–7 with them
-// (go run ./cmd/benchtables -table 6).
+// shard of a routed fan-out. The paper's outside systems — the psql and
+// monetdb pairwise baselines, yannakakis, graphlab and the §4.12 hybrid —
+// are not served: they run in internal/bench, which regenerates Tables 6–7
+// and Figures 3–7 with them (go run ./cmd/benchtables -table 6).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // regenerated tables and figures.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -68,9 +69,9 @@ type RecoveryInfo struct {
 
 // OpenStore opens (or initializes) a durable store rooted at dir. Recovery
 // runs first: the newest valid snapshot is loaded, then the log tail is
-// replayed through the same delta path live writes take — O(batch) per
-// record — so cached CSR indexes warm up through the ordinary overlay
-// fold-in. A snapshot or record holding a value outside the storage domain
+// replayed through the function live writes apply their records with — a
+// delta batch costs O(batch) — so recovery rebuilds exactly what the writes
+// built. A snapshot or record holding a value outside the storage domain
 // fails recovery with an error wrapping ErrValueOutOfRange that names the
 // file. After OpenStore returns, every mutation — DefineRelation, Load,
 // Apply, ApplyAll, and the Graph wrappers routing through them — is appended
@@ -95,7 +96,10 @@ func OpenStore(dir string, opts DurabilityOptions) (*Store, *RecoveryInfo, error
 	}
 	db := core.NewDB()
 	for _, sr := range rec.Relations {
-		db.Add(relation.FromTuples(sr.Name, sr.Arity, sr.Tuples))
+		if err := db.Add(relation.FromTuples(sr.Name, sr.Arity, sr.Tuples)); err != nil {
+			mgr.Close()
+			return nil, nil, fmt.Errorf("%w: snapshot %d: %v", ErrCorruptLog, rec.SnapshotLSN, err)
+		}
 	}
 	if err := replay(db, rec.Records); err != nil {
 		mgr.Close()
@@ -111,60 +115,48 @@ func OpenStore(dir string, opts DurabilityOptions) (*Store, *RecoveryInfo, error
 	return &Store{db: db, dur: mgr, ckptBytes: opts.CheckpointBytes}, info, nil
 }
 
-// replay folds recovered log records into the database through the same
-// paths the live writes took. A record that no longer applies is corruption
-// by definition — the live process validated it before logging it.
+// replay applies recovered log records to the database with apply, the
+// function the live writes applied them with. A record that does not apply
+// is corruption by definition: the live process applied it after logging
+// it.
 func replay(db *core.DB, records []durable.Record) error {
 	for _, r := range records {
-		var err error
-		switch r.Op {
-		case durable.OpDefine:
-			if arity, lookErr := db.Arity(r.Name); lookErr == nil {
-				if arity != r.Arity {
-					err = fmt.Errorf("define %q arity %d over existing arity %d", r.Name, r.Arity, arity)
-				}
-				// Same arity: the no-op redefine, same as live.
-			} else {
-				db.Add(relation.NewBuilder(r.Name, r.Arity).Build())
-			}
-		case durable.OpLoad:
-			arity, lookErr := db.Arity(r.Name)
-			if lookErr != nil {
-				err = fmt.Errorf("load into undefined relation %q", r.Name)
-				break
-			}
-			db.Add(relation.FromTuples(r.Name, arity, r.Tuples))
-		case durable.OpDeltas:
-			err = db.ApplyDeltas(r.Batches)
-		default:
-			err = fmt.Errorf("unknown op %d", r.Op)
-		}
-		if err != nil {
+		if err := apply(db, r, nil); err != nil {
 			return fmt.Errorf("%w: replaying record %d: %v", ErrCorruptLog, r.LSN, err)
 		}
 	}
 	return nil
 }
 
-// applyDeltas is the single funnel every incremental write takes —
-// Store.Apply and Store.ApplyAll both land here as one atomic multi-relation
-// delta. On a durable
-// store the record is appended and the in-memory apply performed under one
-// lock (so log order equals apply order), then the caller blocks until the
-// record is fsynced per the store's policy; on an in-memory store it is a
-// plain atomic apply. Batches must be fully validated before calling — a
-// logged record must never fail to apply, here or during recovery replay.
-func (s *Store) applyDeltas(batches []core.DeltaBatch) error {
-	if s.dur == nil {
-		return s.db.ApplyDeltas(batches)
-	}
+// write is the one write path: DefineRelation, Load, Apply and ApplyAll
+// validate their arguments and hand the record here. Under the write lock it
+// appends the record to the log of a durable store and applies it (apply),
+// so log order equals apply order; then, with the lock released so
+// concurrent writers share an fsync, it waits until the record is durable
+// under the store's sync policy and lets the log trigger a checkpoint. rel
+// is a Load's relation, built by the caller before taking the lock. A
+// logged record must never fail to apply, here or during recovery replay,
+// so records are validated before they come here; a redefinition, which
+// changes nothing or fails, is settled under the lock and never logged.
+func (s *Store) write(r durable.Record, rel *relation.Relation) error {
 	s.mu.Lock()
-	lsn, err := s.dur.AppendDeltas(batches)
+	if r.Op == durable.OpDefine {
+		name := strings.Clone(r.Name) // see apply
+		if cur, err := s.db.Arity(name); err == nil {
+			s.mu.Unlock()
+			return redefine(name, cur, r.Arity)
+		}
+	}
+	var lsn uint64
+	var err error
+	if s.dur != nil {
+		lsn, err = s.dur.Append(r)
+	}
 	if err == nil {
-		err = s.db.ApplyDeltas(batches)
+		err = apply(s.db, r, rel)
 	}
 	s.mu.Unlock()
-	if err != nil {
+	if err != nil || s.dur == nil {
 		return err
 	}
 	if err := s.dur.Commit(lsn); err != nil {
@@ -172,6 +164,41 @@ func (s *Store) applyDeltas(batches []core.DeltaBatch) error {
 	}
 	s.maybeCheckpoint()
 	return nil
+}
+
+// apply applies one write record to the database. Live writes (write) and
+// recovery (replay) both call it, so recovery rebuilds exactly what the live
+// writes built. rel is an OpLoad record's relation when the caller built it
+// already; nil builds it from the record.
+func apply(db *core.DB, r durable.Record, rel *relation.Relation) error {
+	if r.Op == durable.OpDeltas {
+		return db.ApplyDeltas(r.Batches)
+	}
+	// Only a copy of the name may reach the heap: were r.Name to escape, so
+	// would every field of r, and each Apply would allocate its batch list.
+	name := strings.Clone(r.Name)
+	switch r.Op {
+	case durable.OpDefine:
+		if cur, err := db.Arity(name); err == nil {
+			return redefine(name, cur, r.Arity)
+		}
+		return db.Add(relation.NewBuilder(name, r.Arity).Build())
+	case durable.OpLoad:
+		if rel == nil {
+			arity, err := db.Arity(name)
+			if err != nil {
+				return err
+			}
+			for _, t := range r.Tuples {
+				if len(t) != arity {
+					return fmt.Errorf("%w: load of %d-ary tuple into %q of arity %d", ErrArityMismatch, len(t), name, arity)
+				}
+			}
+			rel = relation.FromTuples(name, arity, r.Tuples)
+		}
+		return db.Add(rel)
+	}
+	return fmt.Errorf("unknown op %d", r.Op)
 }
 
 // maybeCheckpoint starts a background checkpoint when the un-pruned log has

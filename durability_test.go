@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,6 +49,70 @@ func durWorkload(seed int64, batches int) []func(*Store) error {
 		ops = append(ops, func(s *Store) error { return s.ApplyAll(b) })
 	}
 	return ops
+}
+
+// reloadOps are the writes TestOpenStoreRoundTrip appends to durWorkload: a
+// same-arity redefine with a second Load of "e" (one record, since the
+// redefine logs nothing), then an ApplyAll over the reloaded relation.
+// They stay out of durWorkload, whose log bytes name the crash
+// differential's subtests.
+func reloadOps(seed int64) []func(*Store) error {
+	rng := rand.New(rand.NewSource(seed))
+	edge := func() []int64 { return []int64{rng.Int63n(48), rng.Int63n(48)} }
+	reload := make([][]int64, 30)
+	for i := range reload {
+		reload[i] = edge()
+	}
+	after := map[string][]Delta{
+		"e":     {Insert(edge()...), Remove(reload[0]...)},
+		"label": {Insert(edge()...)},
+	}
+	return []func(*Store) error{
+		func(s *Store) error {
+			if err := s.DefineRelation("e", 2); err != nil {
+				return err
+			}
+			return s.Load("e", reload)
+		},
+		func(s *Store) error { return s.ApplyAll(after) },
+	}
+}
+
+// durQueries are the queries the durability tests count on live handles
+// and on recovered stores; the reversed order binds e's swapped index.
+var durQueries = []struct {
+	src string
+	gao []string
+}{
+	{"e(a, b), e(b, c), e(c, a)", nil},
+	{"e(a, b), e(b, c), e(c, a)", []string{"c", "b", "a"}},
+	{"e(a, b), label(b, c)", []string{"c", "b", "a"}},
+}
+
+// durCounts counts every durQueries entry on the handles, preparing them
+// on s first when handles is nil, and returns the handles for reuse.
+func durCounts(t *testing.T, s *Store, handles []*Prepared) ([]int64, []*Prepared) {
+	t.Helper()
+	for i := len(handles); i < len(durQueries); i++ {
+		q, err := s.ParseQuery("q", durQueries[i].src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Prepare(q, Options{GAO: durQueries[i].gao, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, p)
+	}
+	out := make([]int64, len(handles))
+	for i, p := range handles {
+		n, err := p.Count(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = n
+	}
+	return out, handles
 }
 
 // oracleAt replays the first n workload ops into a fresh in-memory store.
@@ -137,7 +202,7 @@ func newestSegment(t *testing.T, dir string) string {
 // LSN, and a checkpoint makes the next open replay-free.
 func TestOpenStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ops := durWorkload(11, 20)
+	ops := append(durWorkload(11, 20), reloadOps(13)...)
 	st, info, err := OpenStore(dir, DurabilityOptions{Sync: "always"})
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +210,7 @@ func TestOpenStoreRoundTrip(t *testing.T) {
 	if info.LastLSN != 0 || info.SnapshotLSN != 0 {
 		t.Fatalf("fresh dir recovered lsn=%d snap=%d, want 0/0", info.LastLSN, info.SnapshotLSN)
 	}
+	var handles []*Prepared
 	for i, op := range ops {
 		if err := op(st); err != nil {
 			t.Fatalf("op %d: %v", i+1, err)
@@ -153,8 +219,13 @@ func TestOpenStoreRoundTrip(t *testing.T) {
 		if got := st.LastLSN(); got != uint64(i+1) {
 			t.Fatalf("after op %d: LastLSN = %d, want %d", i+1, got, i+1)
 		}
+		if i == 2 { // both relations defined and e loaded: bind the handles
+			_, handles = durCounts(t, st, nil)
+		}
 	}
 	want := storeState(t, st)
+	// The handles prepared before the workload's second Load of e follow it.
+	wantCounts, _ := durCounts(t, st, handles)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +242,9 @@ func TestOpenStoreRoundTrip(t *testing.T) {
 	}
 	if d := diffStates(storeState(t, st2), want); d != "" {
 		t.Fatalf("reopened state: %s", d)
+	}
+	if got, _ := durCounts(t, st2, nil); !slices.Equal(got, wantCounts) {
+		t.Fatalf("reopened counts %v, the live handles counted %v", got, wantCounts)
 	}
 	if err := st2.Checkpoint(); err != nil {
 		t.Fatal(err)

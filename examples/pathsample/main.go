@@ -26,6 +26,18 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges (LiveJournal-regime stand-in)\n", g.N, len(g.Edges))
 	fmt.Printf("%-10s %12s %12s %14s\n", "sample N", "lftj", "ms", "3-path count")
 
+	// Compile the 3-path query once per engine. A Load is a write like any
+	// other: it rebuilds the samples' indexes in place, so these handles
+	// count each new sample below without being prepared again, and the
+	// timings cover execution only.
+	var handles []*repro.Prepared
+	for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
+		p, err := st.Prepare(repro.Paths(3), repro.Options{Algorithm: alg, Workers: 1})
+		if err != nil {
+			log.Fatalf("%s: %v", alg, err)
+		}
+		handles = append(handles, p)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{10, 100, 500, 2000} {
 		// The 3-path query runs between the samples v1 and v2; replace both.
@@ -34,22 +46,13 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		q := repro.Paths(3)
-
 		var times []time.Duration
 		var count int64
-		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-			// Samples changed above, so the physical design changed:
-			// re-prepare (the plan cache invalidated the stale plans) and
-			// time only the execution of the compiled query.
-			p, err := st.Prepare(q, repro.Options{Algorithm: alg, Workers: 1})
-			if err != nil {
-				log.Fatalf("%s: %v", alg, err)
-			}
+		for _, p := range handles {
 			start := time.Now()
 			c, err := p.Count(ctx)
 			if err != nil {
-				log.Fatalf("%s: %v", alg, err)
+				log.Fatalf("%s: %v", p.Algorithm(), err)
 			}
 			times = append(times, time.Since(start))
 			count = c

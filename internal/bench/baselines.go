@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/genericjoin"
 	"repro/internal/graphengine"
 	"repro/internal/hybrid"
 	"repro/internal/pairwise"
@@ -16,7 +15,7 @@ import (
 )
 
 // The systems the paper measures the LogicBlox engines against (§5.1), plus
-// two implementation ablations. They run only here: the serving surface
+// Yannakakis and the §4.12 hybrid. They run only here: the serving surface
 // knows engine.LFTJ and engine.MS alone.
 const (
 	// PSQL and MonetDB are the pairwise-join baselines: a Selinger-style DP
@@ -27,9 +26,6 @@ const (
 	Yannakakis engine.Algorithm = "yannakakis"
 	// GraphLab is a specialised parallel clique counter.
 	GraphLab engine.Algorithm = "graphlab"
-	// GenericJoin is the paper's Algorithm 1 — the recursive,
-	// intersection-materialising formulation of a worst-case-optimal join.
-	GenericJoin engine.Algorithm = "genericjoin"
 	// Hybrid is the paper's lb/hybrid (§4.12): Minesweeper on the acyclic
 	// part of a lollipop, LFTJ on its clique.
 	Hybrid engine.Algorithm = "hybrid"
@@ -88,8 +84,6 @@ func baseline(opts engine.Options, q *query.Query) (counter, error) {
 		return yannakakis.Engine{}, nil
 	case GraphLab:
 		return graphengine.Engine{Workers: opts.Workers}, nil
-	case GenericJoin:
-		return genericjoin.Engine{GAO: opts.GAO}, nil
 	case Hybrid:
 		return hybrid.Engine{}, nil
 	}

@@ -24,7 +24,6 @@ func TestBaselinesDifferential(t *testing.T) {
 	}{
 		{PSQL, general},
 		{MonetDB, general},
-		{GenericJoin, general},
 		{GraphLab, []*query.Query{query.Clique(3), query.Clique(4)}},
 		{Yannakakis, []*query.Query{query.Path(3), query.Comb()}},
 		{Hybrid, []*query.Query{query.Lollipop(2), query.Lollipop(3)}},
@@ -65,7 +64,7 @@ func TestBaselinesRejectExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []engine.Algorithm{Hybrid, PSQL, MonetDB, Yannakakis, GraphLab, GenericJoin} {
+	for _, alg := range []engine.Algorithm{Hybrid, PSQL, MonetDB, Yannakakis, GraphLab} {
 		if _, err := prepare(engine.Options{Algorithm: alg}, q, db); !errors.Is(err, errPlainJoinsOnly) {
 			t.Errorf("%s: extended query gave %v, want errPlainJoinsOnly", alg, err)
 		}

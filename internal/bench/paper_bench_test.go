@@ -215,12 +215,11 @@ func BenchmarkCountReuse(b *testing.B) {
 
 // BenchmarkWCOJImplementations is the implementation ablation: the same
 // worst-case-optimal computation via leapfrogging sorted iterators (lftj)
-// vs the paper's recursive Algorithm 1 formulation (genericjoin) vs
-// Minesweeper's gap-driven search (ms).
+// vs Minesweeper's gap-driven search (ms).
 func BenchmarkWCOJImplementations(b *testing.B) {
 	db := benchDB(dataset.HolmeKim, 5000, 29000, 1)
 	q := query.Clique(3)
-	for _, a := range []engine.Algorithm{engine.LFTJ, GenericJoin, engine.MS} {
+	for _, a := range []engine.Algorithm{engine.LFTJ, engine.MS} {
 		b.Run(string(a), func(b *testing.B) { benchCount(b, db, q, oneWorker(a)) })
 	}
 }

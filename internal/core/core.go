@@ -8,8 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -36,100 +36,92 @@ var (
 // further GAO-consistent indexes through TrieIndex; they are cached because
 // the paper's protocol reuses the same physical design across queries (§4.1:
 // "all input relations are indexed consistent with this GAO"). The DB also
-// caches compiled query plans (see plan.go); both caches are invalidated per
-// relation by Add. The contents of every trie index live in the published
-// generation (gen, see Generation): writers build the next one under mu and
-// publish it in one atomic store, readers pin it without taking mu.
+// caches compiled query plans (see plan.go). Neither cache is ever
+// invalidated: every write — Add as much as ApplyDelta — advances the
+// contents of the indexes it touches and keeps the index objects, so every
+// cached plan stays valid. The contents of every trie index live in the
+// published generation (gen, see Generation): writers build the next one
+// under mu and publish it in one atomic store, readers pin it without taking
+// mu.
 type DB struct {
 	mu    sync.Mutex
 	rels  map[string]*relState
-	tries map[string]*Index
 	plans map[string]*Plan
 	gen   atomic.Pointer[Generation]
 	// draft is the next generation while a write holding mu builds it (see
 	// draftLocked); nil otherwise.
 	draft map[*Index]*relation.Overlay
-	// version increments on every Add and ApplyDelta; plan compilation
-	// snapshots it so a plan bound against relations that were replaced
-	// mid-compile is never cached (it would otherwise dodge Add's
-	// invalidation sweep forever).
-	version int64
 }
 
-// relState is one relation: its arity and its canonical index, the trie
-// index over the identity attribute order (shared with every plan that binds
-// that order). The canonical index's overlay is the relation's contents —
-// ApplyDelta advances it in O(batch), and the flat form is a view
-// materialised from it on every request (Relation).
+// relState is one relation: its arity and its indexes. The first is the
+// canonical index, the trie index over the identity attribute order (shared
+// with every plan that binds that order); its overlay is the relation's
+// contents, which ApplyDelta advances in O(batch) and from which the flat
+// form is materialised on every request (Relation). The others are the
+// permutations TrieIndex built, in the order it built them.
 type relState struct {
-	arity int
-	canon *Index
+	arity   int
+	indexes []*Index
 }
 
 // canonLocked returns the relation's canonical overlay as the write holding
 // DB.mu leaves it.
 func (db *DB) canonLocked(st *relState) *relation.Overlay {
-	return db.overlayLocked(st.canon)
+	return db.overlayLocked(st.indexes[0])
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
 	db := &DB{
 		rels:  make(map[string]*relState),
-		tries: make(map[string]*Index),
 		plans: make(map[string]*Plan),
 	}
 	db.gen.Store(&Generation{ovs: make(map[*Index]*relation.Overlay)})
 	return db
 }
 
-// Add registers a relation under its name, replacing any previous relation
-// with that name and invalidating its cached indexes and any cached plans
-// that read it. Plans compiled before keep reading the replaced contents.
-// Add builds the relation's canonical index and keeps no reference to r.
-func (db *DB) Add(r *relation.Relation) {
-	db.mu.Lock()
-	defer db.unlock()
-	db.addLocked(r)
+// Add registers a relation under its name, or replaces the contents of the
+// relation of that name. A replacement is a write like ApplyDelta: every
+// index of the relation — the canonical one and each cached permutation —
+// is rebuilt from r in the next generation and published with it, so the
+// index objects and every cached plan over them carry over and every handle
+// follows the write, while a generation pinned before it (a Lease) keeps
+// reading the old contents. Replacing a relation at another arity fails
+// with ErrArityMismatch and changes nothing. Add keeps no reference to r.
+func (db *DB) Add(r *relation.Relation) error {
+	return db.AddAll([]*relation.Relation{r})
 }
 
-// AddAll registers several relations under one lock acquisition, so no
-// reader — in particular no snapshot lease — can observe some of them
-// replaced and others not (the multi-relation counterpart of Add, as
-// ApplyDeltas is of ApplyDelta; the benchmark schema's sample redraws
-// replace four relations at once).
-func (db *DB) AddAll(rels []*relation.Relation) {
+// AddAll registers or replaces several relations as one write, published as
+// one generation, so no reader — in particular no snapshot lease — can
+// observe some of them replaced and others not (the multi-relation
+// counterpart of Add, as ApplyDeltas is of ApplyDelta; the benchmark
+// schema's sample redraws replace two relations at once). Every arity is
+// checked before anything is written.
+func (db *DB) AddAll(rels []*relation.Relation) error {
 	db.mu.Lock()
 	defer db.unlock()
 	for _, r := range rels {
-		db.addLocked(r)
+		if st, ok := db.rels[r.Name()]; ok && st.arity != r.Arity() {
+			return fmt.Errorf("core: %w: relation %q of arity %d replaced at arity %d", ErrArityMismatch, r.Name(), st.arity, r.Arity())
+		}
 	}
-}
-
-func (db *DB) addLocked(r *relation.Relation) {
-	db.version++
-	prefix := r.Name() + "/"
 	draft := db.draftLocked()
-	for k, x := range db.tries {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			x.retired = draft[x]
-			delete(draft, x)
-			delete(db.tries, k)
+	for _, r := range rels {
+		st, ok := db.rels[r.Name()]
+		if !ok {
+			identity := make([]int, r.Arity())
+			for k := range identity {
+				identity[k] = k
+			}
+			st = &relState{arity: r.Arity(), indexes: []*Index{{db: db, perm: identity}}}
+			db.rels[r.Name()] = st
+		}
+		for _, x := range st.indexes {
+			draft[x] = relation.NewOverlay(r.Permute(x.perm))
 		}
 	}
-	for k, p := range db.plans {
-		if p.reads(r.Name()) {
-			delete(db.plans, k)
-		}
-	}
-	identity := make([]int, r.Arity())
-	for k := range identity {
-		identity[k] = k
-	}
-	canon := &Index{db: db, perm: identity}
-	draft[canon] = relation.NewOverlay(r)
-	db.tries[indexKey(r.Name(), identity)] = canon
-	db.rels[r.Name()] = &relState{arity: r.Arity(), canon: canon}
+	return nil
 }
 
 // OverlayDepth sums the pending delta-log sizes of every cached trie index:
@@ -139,8 +131,10 @@ func (db *DB) OverlayDepth() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	total := 0
-	for _, x := range db.tries {
-		total += db.overlayLocked(x).LogLen()
+	for _, st := range db.rels {
+		for _, x := range st.indexes {
+			total += db.overlayLocked(x).LogLen()
+		}
 	}
 	return total
 }
@@ -205,13 +199,9 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 	if ins.Len() == 0 && dels.Len() == 0 {
 		return nil
 	}
-	db.version++
-	prefix := name + "/"
 	draft := db.draftLocked()
-	for k, x := range db.tries {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			draft[x] = draft[x].ApplySorted(ins.Permute(x.perm), dels.Permute(x.perm))
-		}
+	for _, x := range st.indexes {
+		draft[x] = draft[x].ApplySorted(ins.Permute(x.perm), dels.Permute(x.perm))
 	}
 	return nil
 }
@@ -318,21 +308,14 @@ func (db *DB) Names() []string {
 	return out
 }
 
-func indexKey(name string, perm []int) string {
-	key := name + "/"
-	for _, p := range perm {
-		key += strconv.Itoa(p) + ","
-	}
-	return key
-}
-
 // TrieIndex returns the named relation's GAO-consistent trie index for the
-// attribute order perm, caching it (the cache is invalidated per relation by
-// Add; ApplyDelta instead advances cached indexes through their delta
-// overlays). The identity order is the canonical index Add built; any other
-// order is built here from the flat view permuted into it, so the build cost
-// is paid once per relation × permutation and amortized across executions. A
-// perm whose length is not the relation's arity fails with ErrArityMismatch.
+// attribute order perm, caching it for the database's life (ApplyDelta
+// advances cached indexes through their delta overlays, and Add rebuilds
+// them in place). The identity order is the canonical index Add built; any
+// other order is built here from the flat view permuted into it, so the
+// build cost is paid once per relation × permutation and amortized across
+// executions. A perm whose length is not the relation's arity fails with
+// ErrArityMismatch.
 func (db *DB) TrieIndex(name string, perm []int) (*Index, error) {
 	db.mu.Lock()
 	defer db.unlock()
@@ -340,20 +323,21 @@ func (db *DB) TrieIndex(name string, perm []int) (*Index, error) {
 }
 
 func (db *DB) trieIndexLocked(name string, perm []int) (*Index, error) {
-	key := indexKey(name, perm)
-	if x, ok := db.tries[key]; ok {
-		return x, nil
-	}
 	st, ok := db.rels[name]
 	if !ok {
 		return nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
+	}
+	for _, x := range st.indexes {
+		if slices.Equal(x.perm, perm) {
+			return x, nil
+		}
 	}
 	if len(perm) != st.arity {
 		return nil, fmt.Errorf("core: %w: %d columns bound over relation %q of arity %d", ErrArityMismatch, len(perm), name, st.arity)
 	}
 	x := &Index{db: db, perm: append([]int(nil), perm...)}
 	db.draftLocked()[x] = relation.NewOverlay(db.canonLocked(st).Flat().Permute(perm))
-	db.tries[key] = x
+	st.indexes = append(st.indexes, x)
 	return x, nil
 }
 

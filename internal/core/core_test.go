@@ -49,14 +49,19 @@ func TestIndexCaching(t *testing.T) {
 	if got := db.Pin().Overlay(a).Flat().Tuple(0); !reflect.DeepEqual(got, []int64{2, 1}) {
 		t.Errorf("permuted index tuple = %v", got)
 	}
-	// Replacing the relation invalidates its cached indexes.
-	db.Add(relation.FromTuples("R", 2, [][]int64{{9, 9}}))
+	// Replacing the relation rebuilds its cached indexes in place.
+	if err := db.Add(relation.FromTuples("R", 2, [][]int64{{9, 8}})); err != nil {
+		t.Fatal(err)
+	}
 	c, err := db.TrieIndex("R", []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c == a {
-		t.Error("stale index survived relation replacement")
+	if c != a {
+		t.Error("relation replacement dropped the cached index")
+	}
+	if got := db.Pin().Overlay(c).Flat().Tuples(); !reflect.DeepEqual(got, [][]int64{{8, 9}}) {
+		t.Errorf("permuted index after replacement = %v, want [[8 9]]", got)
 	}
 	if _, err := db.TrieIndex("missing", []int{0}); err == nil {
 		t.Error("indexing a missing relation should error")
@@ -110,8 +115,8 @@ func TestBindArityMismatch(t *testing.T) {
 	if _, err := db.TrieIndex("edge", []int{0, 1, 2}); !errors.Is(err, ErrArityMismatch) {
 		t.Errorf("TrieIndex with a 3-column order: %v, want ErrArityMismatch", err)
 	}
-	if len(db.tries) != 1 || len(db.Pin().ovs) != 1 {
-		t.Errorf("a failed bind left %d cached indexes behind, want the canonical one", len(db.tries))
+	if n := len(db.rels["edge"].indexes); n != 1 || len(db.Pin().ovs) != 1 {
+		t.Errorf("a failed bind left %d cached indexes behind, want the canonical one", n)
 	}
 }
 
@@ -137,8 +142,7 @@ func TestOneCopyOfEveryRelation(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := rel + "|" + gao[0]
-			_, version, _ := db.CachedPlan(key)
-			db.StorePlan(key, p, version)
+			db.StorePlan(key, p)
 		}
 	}
 	if err := db.ApplyDelta("edge", [][]int64{{50, 1}}, [][]int64{{0, 0}}); err != nil {

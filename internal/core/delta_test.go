@@ -92,9 +92,10 @@ func TestApplyDeltaPermutedIndexes(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaPlanInvalidation: a delta batch invalidates no cached plan —
-// the plan's indexes are advanced in place — while Add, which replaces the
-// relation, drops it.
+// TestApplyDeltaPlanInvalidation: no write invalidates a cached plan. A
+// delta batch advances the plan's indexes in place, and Add, which replaces
+// the relation, rebuilds them in place, so the cached plan reads the
+// current contents after either.
 func TestApplyDeltaPlanInvalidation(t *testing.T) {
 	db := deltaDB()
 	q := query.New("q", query.Atom{Rel: "edge", Vars: []string{"a", "b"}})
@@ -102,18 +103,22 @@ func TestApplyDeltaPlanInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.StorePlan("k", p, db.version)
+	db.StorePlan("k", p)
 	if err := db.ApplyDelta("edge", [][]int64{{8, 9}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if cached, _, ok := db.CachedPlan("k"); !ok {
+	if cached, ok := db.CachedPlan("k"); !ok {
 		t.Error("plan dropped by ApplyDelta")
 	} else if n := db.Pin().Overlay(cached.Atoms[0].Index).Len(); n != 6 {
 		t.Errorf("plan index Len = %d, want 6", n)
 	}
-	db.Add(relation.FromTuples("edge", 2, [][]int64{{1, 2}}))
-	if _, _, ok := db.CachedPlan("k"); ok {
-		t.Error("plan survived Add replacing the relation it reads")
+	if err := db.Add(relation.FromTuples("edge", 2, [][]int64{{1, 2}})); err != nil {
+		t.Fatal(err)
+	}
+	if cached, ok := db.CachedPlan("k"); !ok || cached != p {
+		t.Error("Add dropped the plan over the relation it replaced")
+	} else if n := p.Pin().Overlay(p.Atoms[0].Index).Len(); n != 1 {
+		t.Errorf("after Add the plan index Len = %d, want 1", n)
 	}
 }
 
@@ -121,7 +126,7 @@ func TestApplyDeltaPlanInvalidation(t *testing.T) {
 // deletes, and both-sides tuples resolve to a canonical delta.
 func TestApplyDeltaFilters(t *testing.T) {
 	db := deltaDB()
-	v0 := db.version
+	g0 := db.Pin()
 	// Everything a no-op: present insert, absent delete, absent both-sides.
 	err := db.ApplyDelta("edge",
 		[][]int64{{1, 2}, {50, 50}},
@@ -129,8 +134,8 @@ func TestApplyDeltaFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.version != v0 {
-		t.Error("no-op batch bumped the version")
+	if db.Pin() != g0 {
+		t.Error("no-op batch published a generation")
 	}
 	r, _ := db.Relation("edge")
 	if r.Len() != 5 {
@@ -151,8 +156,8 @@ func TestApplyDeltaFilters(t *testing.T) {
 
 // TestPinnedGeneration: a pinned generation keeps the pre-delta index state
 // for as long as it is held, atoms sharing an index object share one
-// overlay, and Add retires an index without taking its contents from the
-// plans and generations that still hold it.
+// overlay, and Add replaces an index's contents in the next generation
+// without touching a generation pinned before it.
 func TestPinnedGeneration(t *testing.T) {
 	db := deltaDB()
 	q := query.New("q",
@@ -183,17 +188,23 @@ func TestPinnedGeneration(t *testing.T) {
 	if _, found := plan.Pin().Overlay(idx).ProbeGap([]int64{9, 9}); !found {
 		t.Error("the next execution misses the post-delta tuple")
 	}
-	// Add replaces the relation: the old index leaves the generation, and a
-	// plan compiled before keeps reading its last contents.
-	db.Add(relation.FromTuples("edge", 2, [][]int64{{7, 7}}))
-	if _, ok := db.Pin().ovs[idx]; ok {
-		t.Error("Add left the replaced relation's index in the generation")
+	// Add replaces the relation the same way: the index stays, the next
+	// execution reads the new contents, and a generation pinned before the
+	// replacement keeps the old ones.
+	if err := db.Add(relation.FromTuples("edge", 2, [][]int64{{7, 7}})); err != nil {
+		t.Fatal(err)
 	}
-	if n := plan.Pin().Overlay(idx).Len(); n != 5 {
-		t.Errorf("a retired index reads %d tuples, want its last 5", n)
+	if n := plan.Pin().Overlay(idx).Len(); n != 1 {
+		t.Errorf("after Add the next execution reads %d tuples, want 1", n)
 	}
 	if n := gen.Overlay(idx).Len(); n != 5 {
 		t.Errorf("a generation pinned before the replacement reads %d tuples, want 5", n)
+	}
+	if err := db.Add(relation.FromTuples("edge", 3, nil)); !errors.Is(err, ErrArityMismatch) {
+		t.Errorf("Add at another arity: %v, want ErrArityMismatch", err)
+	}
+	if n := plan.Pin().Overlay(idx).Len(); n != 1 {
+		t.Errorf("a refused Add changed the relation: %d tuples, want 1", n)
 	}
 }
 

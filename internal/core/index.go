@@ -14,20 +14,16 @@ import (
 // Index itself is only an identity plus its attribute order: its contents
 // live in the database's generations (Generation), so DB.ApplyDelta advances
 // every index, and every compiled plan over them, without rebinding
-// anything. The index over a relation's identity attribute order, which
-// DB.Add builds, is that relation's one copy (relState.canon): the database
-// keeps no flat rows beside it, and every other order is built from it.
+// anything; DB.Add replaces them the same way. The index over a relation's
+// identity attribute order, which DB.Add builds, is that relation's one copy
+// (relState.indexes[0]): the database keeps no flat rows beside it, and
+// every other order is built from it. An index, once built, lives as long
+// as its database.
 type Index struct {
 	db *DB
 	// perm is the attribute order: perm[k] is the relation column stored at
 	// index position k.
 	perm []int
-	// retired is the index's final contents once DB.Add replaced its
-	// relation and dropped it from the generations; nil while the index is
-	// live. It is written under DB.mu before the first generation without
-	// the index is published, and read only by a reader holding such a
-	// generation.
-	retired *relation.Overlay
 }
 
 // Generation is one consistent cut of the database: the contents of every
@@ -43,17 +39,13 @@ type Generation struct {
 }
 
 // Overlay returns x's contents in this generation. An index the generation
-// does not carry is either newer than the generation (bound after a Lease
-// began and not pinned through it) or retired; both read what the database
-// holds for it now.
+// does not carry is newer than it (bound after a Lease began and not pinned
+// through it) and reads what the database holds for it now.
 func (g *Generation) Overlay(x *Index) *relation.Overlay {
 	if ov, ok := g.ovs[x]; ok {
 		return ov
 	}
-	if ov, ok := x.db.Pin().ovs[x]; ok {
-		return ov
-	}
-	return x.retired
+	return x.db.Pin().ovs[x]
 }
 
 // with returns g extended by the current contents of every atom index g

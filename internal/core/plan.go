@@ -12,11 +12,12 @@ import (
 // GAO-consistent atom indexes already bound (§4.1's physical design, derived
 // once). Engines that execute plans skip validation, attribute-order
 // resolution, and index binding entirely on every run. A Plan is immutable
-// after construction and safe to share across goroutines: DB.ApplyDelta
-// advances its bound indexes through new generations, and each execution
-// builds its own iterator and memo state. A plan holds no generation: each
-// execution is handed the one it reads — a transaction's (Lease.Pin), or the
-// current one (Plan.Pin) — as an argument.
+// after construction and safe to share across goroutines: every write
+// (DB.ApplyDelta, DB.Add) advances its bound indexes through new
+// generations, and each execution builds its own iterator and memo state.
+// A plan holds no generation: each execution is handed the one it reads —
+// a transaction's (Lease.Pin), or the current one (Plan.Pin) — as an
+// argument.
 type Plan struct {
 	// Query is the compiled query.
 	Query *query.Query
@@ -55,16 +56,6 @@ var FullRange = Range{-1, relation.PosInf}
 // Empty reports whether the range holds no value.
 func (r Range) Empty() bool { return r.Lo >= r.Hi }
 
-// reads reports whether the plan binds an index over the named relation.
-func (p *Plan) reads(rel string) bool {
-	for _, a := range p.Query.Atoms {
-		if a.Rel == rel {
-			return true
-		}
-	}
-	return false
-}
-
 // PlanKey builds the plan-cache key for a query shape under one algorithm
 // and (possibly empty) user-supplied GAO. variant
 // distinguishes compilations of the same shape that planner toggles would
@@ -93,30 +84,22 @@ func PlanKey(algorithm, variant string, userGAO []string, q *query.Query) string
 // because any entry is equally cheap to recompile.
 const maxCachedPlans = 1024
 
-// CachedPlan returns the cached plan for key, if present, together with the
-// database version to pass back to StorePlan on a miss.
-func (db *DB) CachedPlan(key string) (*Plan, int64, bool) {
+// CachedPlan returns the cached plan for key, if present.
+func (db *DB) CachedPlan(key string) (*Plan, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	p, ok := db.plans[key]
-	return p, db.version, ok
+	return p, ok
 }
 
-// StorePlan caches a compiled plan under key. version must be the database
-// version the compilation started from (returned by CachedPlan): if any
-// relation was replaced while the plan was being built, the store is
-// skipped — caching it would pin a pre-replacement snapshot that Add's
-// invalidation sweep already ran past. Cached plans are dropped when Add
-// replaces a relation they read.
-func (db *DB) StorePlan(key string, p *Plan, version int64) {
+// StorePlan caches a compiled plan under key. A cached plan stays valid for
+// the database's life: no write replaces the indexes it binds.
+func (db *DB) StorePlan(key string, p *Plan) {
 	if p == nil || p.Query == nil {
 		return
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.version != version {
-		return
-	}
 	if len(db.plans) >= maxCachedPlans {
 		for k := range db.plans {
 			delete(db.plans, k)

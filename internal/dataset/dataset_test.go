@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -187,14 +188,31 @@ func TestDBSchema(t *testing.T) {
 	}
 }
 
+// TestReplaceSamples: the redraw replaces both samples as one write, so a
+// lease taken before it reads both old samples through a plan compiled
+// before it, and the next execution reads both new ones.
 func TestReplaceSamples(t *testing.T) {
 	g := Generate(ErdosRenyi, 50, 100, 5)
 	db := DB(g, 10, 42)
+	q := query.New("q", query.Atom{Rel: query.Sample1, Vars: []string{"a"}}, query.Atom{Rel: query.Sample2, Vars: []string{"b"}})
+	plan, err := core.NewPlan(q, db, "lftj", []string{"a", "b"}, nil, false, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens := func(gen *core.Generation) [2]int {
+		return [2]int{gen.Overlay(plan.Atoms[0].Index).Len(), gen.Overlay(plan.Atoms[1].Index).Len()}
+	}
+	lease := db.NewLease()
+	old := lens(plan.Pin())
+	if old == [2]int{3, 1} {
+		t.Fatal("the old samples have the new sizes; the lease check would prove nothing")
+	}
 	ReplaceSamples(db, []int64{1, 2, 3}, []int64{4})
-	v1, _ := db.Relation(query.Sample1)
-	v2, _ := db.Relation(query.Sample2)
-	if v1.Len() != 3 || v2.Len() != 1 {
-		t.Errorf("ReplaceSamples: v1=%d v2=%d", v1.Len(), v2.Len())
+	if got := lens(plan.Pin()); got != [2]int{3, 1} {
+		t.Errorf("ReplaceSamples: v1, v2 sizes %v, want [3 1]", got)
+	}
+	if got := lens(lease.Pin(plan)); got != old {
+		t.Errorf("a lease taken before the redraw reads v1, v2 sizes %v, want the old %v", got, old)
 	}
 }
 

@@ -37,7 +37,8 @@ type Options struct {
 	MetricsLabel string
 }
 
-// Record is one replayable log record surfaced by recovery.
+// Record is one write as the log holds it: what Append logs, and what
+// recovery surfaces for replay.
 type Record struct {
 	LSN uint64
 	Op  byte
@@ -71,7 +72,7 @@ type Recovered struct {
 
 // Manager is the durability endpoint a store writes through: append a
 // record, apply in memory, then Commit the returned LSN before
-// acknowledging. Append methods and Commit are safe for concurrent use;
+// acknowledging. Append and Commit are safe for concurrent use;
 // Checkpoint and Close serialize against in-flight fsyncs internally.
 type Manager struct {
 	dir string
@@ -224,32 +225,28 @@ func decodeRecord(r rawRecord) (Record, error) {
 	return out, nil
 }
 
-// AppendDefine logs a relation definition and returns its LSN.
-func (m *Manager) AppendDefine(name string, arity int) (uint64, error) {
+// Append logs one write record — its Op and the fields that op reads — and
+// returns its LSN; the record's own LSN is ignored.
+func (m *Manager) Append(r Record) (uint64, error) {
 	var e codec.Enc
-	e.Str(name)
-	e.Int(arity)
-	return m.log.append(OpDefine, e.Bytes())
-}
-
-// AppendLoad logs a bulk load and returns its LSN.
-func (m *Manager) AppendLoad(name string, tuples [][]int64) (uint64, error) {
-	var e codec.Enc
-	e.Str(name)
-	e.Tuples(tuples)
-	return m.log.append(OpLoad, e.Bytes())
-}
-
-// AppendDeltas logs one atomic multi-relation batch and returns its LSN.
-func (m *Manager) AppendDeltas(batches []core.DeltaBatch) (uint64, error) {
-	var e codec.Enc
-	e.Int(len(batches))
-	for _, b := range batches {
-		e.Str(b.Name)
-		e.Tuples(b.Inserts)
-		e.Tuples(b.Deletes)
+	switch r.Op {
+	case OpDefine:
+		e.Str(r.Name)
+		e.Int(r.Arity)
+	case OpLoad:
+		e.Str(r.Name)
+		e.Tuples(r.Tuples)
+	case OpDeltas:
+		e.Int(len(r.Batches))
+		for _, b := range r.Batches {
+			e.Str(b.Name)
+			e.Tuples(b.Inserts)
+			e.Tuples(b.Deletes)
+		}
+	default:
+		return 0, fmt.Errorf("durable: unknown op %d", r.Op)
 	}
-	return m.log.append(OpDeltas, e.Bytes())
+	return m.log.append(r.Op, e.Bytes())
 }
 
 // Commit blocks until lsn is durable under the configured sync policy.

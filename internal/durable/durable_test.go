@@ -27,15 +27,15 @@ func appendCommit(t *testing.T, m *Manager, op byte, i int) uint64 {
 	var err error
 	switch op {
 	case OpDefine:
-		lsn, err = m.AppendDefine(fmt.Sprintf("r%d", i), 2)
+		lsn, err = m.Append(Record{Op: OpDefine, Name: fmt.Sprintf("r%d", i), Arity: 2})
 	case OpLoad:
-		lsn, err = m.AppendLoad("e", [][]int64{{int64(i), int64(i + 1)}})
+		lsn, err = m.Append(Record{Op: OpLoad, Name: "e", Tuples: [][]int64{{int64(i), int64(i + 1)}}})
 	case OpDeltas:
-		lsn, err = m.AppendDeltas([]core.DeltaBatch{{
+		lsn, err = m.Append(Record{Op: OpDeltas, Batches: []core.DeltaBatch{{
 			Name:    "e",
 			Inserts: [][]int64{{int64(i), 0}},
 			Deletes: [][]int64{{0, int64(i)}},
-		}})
+		}}})
 	}
 	if err != nil {
 		t.Fatalf("append: %v", err)
@@ -81,7 +81,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("record 2 = %+v", r)
 	}
 	// Appends resume contiguously after recovery.
-	lsn, err := m2.AppendDefine("r9", 3)
+	lsn, err := m2.Append(Record{Op: OpDefine, Name: "r9", Arity: 3})
 	if err != nil || lsn != 4 {
 		t.Fatalf("post-recovery append LSN = %d, %v; want 4", lsn, err)
 	}
@@ -97,7 +97,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				lsn, err := m.AppendDeltas([]core.DeltaBatch{{Name: "e", Inserts: [][]int64{{int64(w), int64(i)}}}})
+				lsn, err := m.Append(Record{Op: OpDeltas, Batches: []core.DeltaBatch{{Name: "e", Inserts: [][]int64{{int64(w), int64(i)}}}}})
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return

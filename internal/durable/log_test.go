@@ -72,7 +72,7 @@ func TestAppendBufferBoundedAfterLargeRecord(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = []int64{int64(i), int64(i) << 20}
 	}
-	lsn, err := m.AppendLoad("e", tuples)
+	lsn, err := m.Append(Record{Op: OpLoad, Name: "e", Tuples: tuples})
 	if err == nil {
 		err = m.Commit(lsn)
 	}

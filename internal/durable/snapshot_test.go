@@ -229,9 +229,13 @@ func TestRecoveryRejectsOutOfDomainValues(t *testing.T) {
 	})
 	bad := [][]int64{{-1, 2}}
 	for name, write := range map[string]func(m *Manager) (uint64, error){
-		"load":   func(m *Manager) (uint64, error) { return m.AppendLoad("e", bad) },
-		"insert": func(m *Manager) (uint64, error) { return m.AppendDeltas([]core.DeltaBatch{{Name: "e", Inserts: bad}}) },
-		"delete": func(m *Manager) (uint64, error) { return m.AppendDeltas([]core.DeltaBatch{{Name: "e", Deletes: bad}}) },
+		"load": func(m *Manager) (uint64, error) { return m.Append(Record{Op: OpLoad, Name: "e", Tuples: bad}) },
+		"insert": func(m *Manager) (uint64, error) {
+			return m.Append(Record{Op: OpDeltas, Batches: []core.DeltaBatch{{Name: "e", Inserts: bad}}})
+		},
+		"delete": func(m *Manager) (uint64, error) {
+			return m.Append(Record{Op: OpDeltas, Batches: []core.DeltaBatch{{Name: "e", Deletes: bad}}})
+		},
 	} {
 		t.Run("wal "+name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -6,7 +6,7 @@
 // unclaimed job (work stealing), because on skewed graphs "the parts are not
 // born equal". The same cut divides a distributed fan-out: Options.Part runs
 // one part of it. The paper's outside baselines (psql, MonetDB, GraphLab,
-// Yannakakis, generic join and the §4.12 hybrid) are not served;
+// Yannakakis and the §4.12 hybrid) are not served;
 // internal/bench runs them.
 package engine
 

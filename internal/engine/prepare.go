@@ -51,8 +51,9 @@ func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 // (ResolveGAO) and, for Minesweeper, the skeleton (minesweeper.Skeleton),
 // and binds the GAO-consistent indexes — or answers from the DB's plan
 // cache. The cache key is the query shape × algorithm × user-supplied GAO,
-// plus the skeleton toggle, which changes the compilation; entries are
-// dropped when DB.Add replaces a relation the plan reads. Counters for the
+// plus the skeleton toggle, which changes the compilation. No write evicts
+// an entry: a write, DB.Add included, advances the indexes a plan binds and
+// keeps them, so a cached plan reads the current contents. Counters for the
 // compilation land on opts.Stats. An unknown algorithm fails with
 // ErrUnknownAlgorithm before any index is bound.
 func Compile(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) {
@@ -66,7 +67,7 @@ func Compile(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) {
 		variant = "noskel"
 	}
 	key := core.PlanKey(string(alg), variant, opts.GAO, q)
-	p, version, ok := db.CachedPlan(key)
+	p, ok := db.CachedPlan(key)
 	if ok {
 		opts.Stats.Add(core.Stats{PlanCacheHits: 1})
 		return p, nil
@@ -85,7 +86,7 @@ func Compile(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.StorePlan(key, plan, version)
+	db.StorePlan(key, plan)
 	opts.Stats.Add(core.Stats{PlanCacheMisses: 1})
 	return plan, nil
 }

@@ -26,13 +26,13 @@ import (
 // execution builds its own iterator and memo state, and the stats collector
 // is synchronized.
 //
-// Freshness: a handle follows writes. Incremental writes (Store.Apply,
-// Store.ApplyAll) advance the handle's indexes in place, so every later
-// execution counts the post-write state; each single execution reads one
-// consistent snapshot. Bulk replacements (Store.Load) swap whole relations
-// instead and never re-point existing handles: Prepare again after one — the
-// underlying plan cache makes re-preparing an unchanged shape cheap. To read
-// one fixed state across several executions, use a ReadTxn.
+// Freshness: a handle follows every write. Incremental writes (Store.Apply,
+// Store.ApplyAll) advance the handle's indexes in place and a bulk
+// replacement (Store.Load) rebuilds them in place, so every later execution
+// counts the post-write state; each single execution reads one consistent
+// snapshot. No write evicts the handle's plan, so re-preparing the same
+// shape is a plan-cache hit. To read one fixed state across several
+// executions, use a ReadTxn.
 type Prepared struct {
 	s    *Store
 	q    *Query
@@ -43,9 +43,8 @@ type Prepared struct {
 
 // prepare compiles the query against a store (schema checks already done by
 // the callers). The compiled plan is cached on the store's database — keyed
-// on query shape × algorithm × GAO and invalidated when a relation it reads
-// is replaced — so preparing the same shape twice reuses the first
-// compilation.
+// on query shape × algorithm × GAO and kept through every write — so
+// preparing the same shape twice reuses the first compilation.
 func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	if sh := opts.Shard; sh != nil && sh.Part >= sh.Of {
 		return nil, fmt.Errorf("repro: %w: shard part %d of %d out of range", ErrUnsupportedQuery, sh.Part, sh.Of)

@@ -142,10 +142,10 @@ func TestPreparedConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation checks the cache key and invalidation rules:
-// re-preparing an unchanged shape hits the cache; replacing a relation the
-// plan reads (sample redraw or a direct DB.Add) evicts it; plans over
-// untouched relations survive.
+// TestPlanCacheInvalidation checks the cache key and that no write evicts:
+// re-preparing an unchanged shape hits the cache, and it still hits after a
+// Load replaces a relation the plan reads (sample redraw) or a direct
+// DB.Add re-registers one, because both rebuild the plan's indexes in place.
 func TestPlanCacheInvalidation(t *testing.T) {
 	g := dataset.Generate(dataset.ErdosRenyi, 200, 600, 5)
 	s := graphStore(t, g, 4, 1)
@@ -168,37 +168,33 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Redrawing samples replaces v1 and v2: the path plan must recompile,
-	// the triangle plan must not.
+	// Redrawing samples replaces v1 and v2: both plans stay cached.
 	rng := rand.New(rand.NewSource(99))
 	setSamples(t, s, g.Sample(rng, 4), g.Sample(rng, 4))
-	p3, err := s.Prepare(pathQ, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p3.Stats(); st.PlanCacheMisses != 1 {
-		t.Errorf("post-invalidation stats = %+v, want a recompile", st)
-	}
-	p4, err := s.Prepare(triQ, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p4.Stats(); st.PlanCacheHits != 1 {
-		t.Errorf("triangle plan should have survived the sample redraw: %+v", st)
+	for _, q := range []*Query{pathQ, triQ} {
+		p, err := s.Prepare(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Stats(); st.PlanCacheHits != 1 || st.PlanCacheMisses != 0 {
+			t.Errorf("%s after the sample redraw: %+v, want a cache hit", q.Name, st)
+		}
 	}
 
-	// A direct relation replacement evicts too.
+	// A direct relation replacement keeps the plan too.
 	fwd, err := s.DB().Relation("fwd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DB().Add(fwd) // same data, new registration
+	if err := s.DB().Add(fwd); err != nil { // same data, new registration
+		t.Fatal(err)
+	}
 	p5, err := s.Prepare(triQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := p5.Stats(); st.PlanCacheMisses != 1 {
-		t.Errorf("triangle plan should have been evicted by DB.Add: %+v", st)
+	if st := p5.Stats(); st.PlanCacheHits != 1 {
+		t.Errorf("triangle plan should have survived DB.Add: %+v", st)
 	}
 
 	// Different algorithm and different GAO are different cache keys.
@@ -452,9 +448,9 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
-// TestPreparedSnapshotSemantics: a handle pins the physical design it was
-// compiled against; re-preparing after a sample redraw picks up the new
-// design.
+// TestPreparedSnapshotSemantics: a handle follows every write, a Load
+// included — emptying the v1 sample empties the count the handle compiled
+// before it returns — and re-preparing after the Load reuses its plan.
 func TestPreparedSnapshotSemantics(t *testing.T) {
 	ctx := context.Background()
 	g := graphStore(t, dataset.Generate(dataset.ErdosRenyi, 150, 450, 7), 1, 7)
@@ -463,28 +459,21 @@ func TestPreparedSnapshotSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := p.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if before, err := p.Count(ctx); err != nil || before == 0 {
+		t.Fatalf("count before the Load = %d, %v; want > 0", before, err)
 	}
-	// Empty the v1 sample: the pinned handle keeps the old snapshot.
 	setSamples(t, g, nil, []int64{3, 4, 5})
-	again, err := p.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != before {
-		t.Errorf("pinned handle changed result: %d -> %d", before, again)
+	if again, err := p.Count(ctx); err != nil || again != 0 {
+		t.Errorf("handle over the emptied v1 sample = %d, %v; want 0", again, err)
 	}
 	p2, err := g.Prepare(Paths(3), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	now, err := p2.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if st := p2.Stats(); st.PlanCacheHits != 1 {
+		t.Errorf("re-prepare after the Load: %+v, want a cache hit", st)
 	}
-	if now != 0 {
-		t.Errorf("fresh handle over empty v1 sample = %d, want 0", now)
+	if now, err := p2.Count(ctx); err != nil || now != 0 {
+		t.Errorf("fresh handle over empty v1 sample = %d, %v; want 0", now, err)
 	}
 }

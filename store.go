@@ -54,20 +54,21 @@ func checkDomain(op, name string, arity int, t []int64) error {
 //
 // The lifecycle is the one the paper assumes of LogicBlox: define the
 // physical design once (DefineRelation + Load), compile queries against it
-// once (Prepare), then execute repeatedly while Apply routes incremental
-// update batches through the database's delta overlays so compiled plans
-// stay valid and current. ReadTxn pins one index snapshot across several
+// once (Prepare), then execute repeatedly while writes land: Apply routes
+// incremental update batches through the database's delta overlays and Load
+// rebuilds a relation's indexes in place, so compiled plans stay valid and
+// current through both. ReadTxn pins one index snapshot across several
 // executions and Batch executes many prepared queries concurrently against
 // one shared snapshot.
 //
 // A Store is safe for concurrent use.
 type Store struct {
 	db *core.DB
-	// mu is the write lock: it serializes DefineRelation's exists-check
-	// against its registration and, on a durable store, pairs every WAL
-	// append with its in-memory apply so log order equals apply order.
-	// Reads never take it (the database has its own lock); fsync waits
-	// happen after it is released so concurrent writers group-commit.
+	// mu is the write lock (see write): it serializes DefineRelation's
+	// exists-check against its registration and, on a durable store, pairs
+	// every WAL append with its in-memory apply so log order equals apply
+	// order. Reads never take it (the database has its own lock); fsync
+	// waits happen after it is released so concurrent writers group-commit.
 	mu sync.Mutex
 	// dur is the durability manager for stores opened with OpenStore; nil
 	// for in-memory stores, which skip logging entirely.
@@ -102,28 +103,16 @@ func (s *Store) DefineRelation(name string, arity int) error {
 	if arity < 1 {
 		return fmt.Errorf("store: relation %q: arity %d out of range (want >= 1)", name, arity)
 	}
-	s.mu.Lock()
-	if cur, err := s.db.Arity(name); err == nil {
-		defer s.mu.Unlock()
-		if cur == arity {
-			return nil
-		}
-		return fmt.Errorf("store: %w: %q has arity %d, redefined as %d", ErrRelationExists, name, cur, arity)
+	return s.write(durable.Record{Op: durable.OpDefine, Name: name, Arity: arity}, nil)
+}
+
+// redefine is the outcome of defining an existing relation of arity cur at
+// arity: a no-op at the same arity, ErrRelationExists at another.
+func redefine(name string, cur, arity int) error {
+	if cur == arity {
+		return nil
 	}
-	var lsn uint64
-	if s.dur != nil {
-		var err error
-		if lsn, err = s.dur.AppendDefine(name, arity); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.db.Add(relation.NewBuilder(name, arity).Build())
-	s.mu.Unlock()
-	if s.dur != nil {
-		return s.dur.Commit(lsn)
-	}
-	return nil
+	return fmt.Errorf("store: %w: %q has arity %d, redefined as %d", ErrRelationExists, name, cur, arity)
 }
 
 // Relations returns the schema as sorted relation names; Arity looks up one
@@ -155,10 +144,12 @@ func (s *Store) Schema(context.Context) ([]RelationInfo, error) {
 
 // Load replaces the named relation's contents with the given tuples in one
 // bulk registration (duplicates merge; tuples must match the declared arity
-// and carry values in [0, relation.PosInf)). Loading rebuilds the relation's
-// physical indexes and invalidates compiled plans that read it — it is the
-// bulk path; route incremental changes through Apply, which keeps prepared
-// plans valid.
+// and carry values in [0, relation.PosInf)). Load is a write like Apply: it
+// rebuilds the relation's indexes in place, so every compiled plan stays
+// cached and every Prepared handle counts the new contents at its next
+// execution, while a ReadTxn opened before the Load keeps reading the old
+// ones. Route small changes through Apply, which costs the batch rather than
+// the relation.
 func (s *Store) Load(name string, tuples [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {
@@ -171,25 +162,7 @@ func (s *Store) Load(name string, tuples [][]int64) error {
 		}
 		b.Add(t...)
 	}
-	rel := b.Build()
-	if s.dur == nil {
-		s.db.Add(rel)
-		return nil
-	}
-	s.mu.Lock()
-	lsn, err := s.dur.AppendLoad(name, tuples)
-	if err == nil {
-		s.db.Add(rel)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := s.dur.Commit(lsn); err != nil {
-		return err
-	}
-	s.maybeCheckpoint()
-	return nil
+	return s.write(durable.Record{Op: durable.OpLoad, Name: name, Tuples: tuples}, b.Build())
 }
 
 // Apply applies an incremental update batch to the named relation: inserts
@@ -199,10 +172,10 @@ func (s *Store) Load(name string, tuples [][]int64) error {
 // database's delta path (core.DB.ApplyDelta), which folds it into the cached
 // indexes' delta overlays in time proportional to the batch, not the
 // relation — the flat rows are never re-merged on a write. The freshness
-// rule: every Prepared handle follows the write (its next execution counts
-// the post-write state), while a ReadTxn opened before it keeps reading the
-// state pinned at its begin. That is what makes prepare-once /
-// execute-repeatedly hold under a live write stream.
+// rule, the same for every write: every Prepared handle follows the write
+// (its next execution counts the post-write state), while a ReadTxn opened
+// before it keeps reading the state pinned at its begin. That is what makes
+// prepare-once / execute-repeatedly hold under a live write stream.
 func (s *Store) Apply(name string, inserts, deletes [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {
@@ -218,7 +191,7 @@ func (s *Store) Apply(name string, inserts, deletes [][]int64) error {
 			return err
 		}
 	}
-	return s.applyDeltas([]core.DeltaBatch{{Name: name, Inserts: inserts, Deletes: deletes}})
+	return s.write(durable.Record{Op: durable.OpDeltas, Batches: []core.DeltaBatch{{Name: name, Inserts: inserts, Deletes: deletes}}}, nil)
 }
 
 // CheckQuery validates a query against the store's schema: every atom must

@@ -17,7 +17,8 @@ var _ QueryTxn = (*Txn)(nil)
 
 // Txn is a snapshot read-transaction: a transaction pins at begin.
 // Executions through it observe the database generation pinned when ReadTxn
-// was called, no matter how many Apply/ApplyAll batches land concurrently.
+// was called, no matter how many writes — Load, Apply, ApplyAll — land
+// concurrently.
 // Every execution outside a transaction already reads one generation, pinned
 // at its start, so it never sees a write half-applied; a Txn extends that
 // pin across executions. Several Count and Rows calls inside one transaction
@@ -26,11 +27,13 @@ var _ QueryTxn = (*Txn)(nil)
 //
 // The begin-time pin covers every index bound when the transaction began —
 // i.e. the indexes of every Prepared handle that existed by then, which is
-// the supported lifecycle (prepare first, then open transactions). A handle
-// prepared only after the transaction began binds fresh indexes the
-// transaction could not have pinned; those are pinned at their first use
-// inside the transaction instead (self-consistent from then on, but that
-// first pin may observe writes that landed after ReadTxn). A Txn is safe for
+// the supported lifecycle (prepare first, then open transactions). No write
+// replaces an index, so a handle prepared after the transaction began that
+// binds only such indexes (a plan-cache hit, say) reads the begin state
+// too. An index first built after the transaction began is one the
+// transaction could not have pinned; it is pinned at its first use inside
+// the transaction instead (self-consistent from then on, but that first pin
+// may observe writes that landed after ReadTxn). A Txn is safe for
 // concurrent use and needs no explicit close (Close exists for QueryTxn and
 // returns nil); dropping it releases the pinned snapshot to the garbage
 // collector.
