@@ -90,6 +90,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRowChunk$$' -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzOverlayCursor$$' -fuzztime $(FUZZTIME) ./internal/relation
 	go test -run '^$$' -fuzz '^FuzzProbeGapFinger$$' -fuzztime $(FUZZTIME) ./internal/relation
+	go test -run '^$$' -fuzz '^FuzzSortRows$$' -fuzztime $(FUZZTIME) ./internal/relation
 	go test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/durable
 	go test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime $(FUZZTIME) ./internal/durable
 

@@ -138,10 +138,12 @@ func (o Options) engineOptions() engine.Options {
 	return eo
 }
 
-// ResolveGAO derives the global attribute order Prepare would fix for the
-// query under these options — purely structural, touching no data, so a
-// coordinator can compute the order remote hosts will execute under and
-// partition or merge on its leading attribute.
+// ResolveGAO derives the structural global attribute order of the query
+// under these options — Options.GAO, or hypergraph.ChooseGAO's, touching no
+// data — which is the order a router cuts on and hands its hosts in
+// Options.GAO. Prepare fixes the same order, except for an LFTJ query
+// without a head and without a user order, whose order it prices on the
+// data.
 func ResolveGAO(q *Query, opts Options) ([]string, error) {
 	return engine.ResolveGAO(opts.engineOptions(), q)
 }

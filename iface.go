@@ -19,7 +19,10 @@ type PreparedQuery interface {
 	Count(ctx context.Context) (int64, error)
 	// Enumerate streams result tuples with bindings in Query().Vars() order;
 	// emit returns false to stop early. The tuple slice may be reused between
-	// calls — copy it to retain it.
+	// calls — copy it to retain it. Projected and aggregate rows ascend in
+	// head order; the rows of a query without a head arrive in the order of
+	// the plan's GAO, which a local store prices on its data and a router
+	// fixes to the structural order it cuts on (ResolveGAO).
 	Enumerate(ctx context.Context, emit func([]int64) bool) error
 	// Rows is Enumerate as a streaming iterator; each yielded slice is a
 	// fresh copy owned by the consumer. Breaking out of the range stops

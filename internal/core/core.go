@@ -117,8 +117,10 @@ func (db *DB) AddAll(rels []*relation.Relation) error {
 			st = &relState{arity: r.Arity(), indexes: []*Index{{db: db, perm: identity}}}
 			db.rels[r.Name()] = st
 		}
+		var built []*relation.Overlay
 		for _, x := range st.indexes {
-			draft[x] = relation.NewOverlay(r.Permute(x.perm))
+			draft[x] = buildOverlay(r, x.perm, built)
+			built = append(built, draft[x])
 		}
 	}
 	return nil
@@ -314,8 +316,10 @@ func (db *DB) Names() []string {
 // them in place). The identity order is the canonical index Add built; any
 // other order is built here from the flat view permuted into it, so the
 // build cost is paid once per relation × permutation and amortized across
-// executions. A perm whose length is not the relation's arity fails with
-// ErrArityMismatch.
+// executions — or not at all when a pristine index of the relation already
+// holds exactly those rows (a symmetric relation's swapped order), whose
+// overlay the new index then shares (buildOverlay). A perm whose length is
+// not the relation's arity fails with ErrArityMismatch.
 func (db *DB) TrieIndex(name string, perm []int) (*Index, error) {
 	db.mu.Lock()
 	defer db.unlock()
@@ -336,9 +340,20 @@ func (db *DB) trieIndexLocked(name string, perm []int) (*Index, error) {
 		return nil, fmt.Errorf("core: %w: %d columns bound over relation %q of arity %d", ErrArityMismatch, len(perm), name, st.arity)
 	}
 	x := &Index{db: db, perm: append([]int(nil), perm...)}
-	db.draftLocked()[x] = relation.NewOverlay(db.canonLocked(st).Flat().Permute(perm))
+	db.draftLocked()[x] = db.buildIndexLocked(st, perm)
 	st.indexes = append(st.indexes, x)
 	return x, nil
+}
+
+// buildIndexLocked builds the relation's contents, as the write holding
+// DB.mu leaves them, in the attribute order perm (buildOverlay: sharing the
+// base trie of an index that already holds them in that order).
+func (db *DB) buildIndexLocked(st *relState, perm []int) *relation.Overlay {
+	peers := make([]*relation.Overlay, len(st.indexes))
+	for i, x := range st.indexes {
+		peers[i] = db.overlayLocked(x)
+	}
+	return buildOverlay(db.canonLocked(st).Flat(), perm, peers)
 }
 
 // AtomIndex resolves the GAO-consistent index for one atom: the atom's
@@ -390,6 +405,12 @@ func GAOPositions(gao []string) map[string]int {
 // BindAtoms builds GAO-consistent trie indexes for all atoms of a query
 // (paper §4.1).
 func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
+	return bindAtoms(q, gao, db.TrieIndex)
+}
+
+// bindAtoms binds each atom of q to the index index returns for its
+// relation and GAO-consistent column order.
+func bindAtoms(q *query.Query, gao []string, index func(name string, perm []int) (*Index, error)) ([]AtomIndex, error) {
 	pos := GAOPositions(gao)
 	out := make([]AtomIndex, len(q.Atoms))
 	for i, a := range q.Atoms {
@@ -397,7 +418,7 @@ func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		trie, err := db.TrieIndex(a.Rel, order)
+		trie, err := index(a.Rel, order)
 		if err != nil {
 			return nil, err
 		}
@@ -410,22 +431,42 @@ func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
 // checks; exported so all engines share the same responsiveness contract.
 const CheckEvery = 4096
 
+// ErrOverBudget reports an execution stopped because its seeks passed the
+// limit its Ticker was given (Ticker.Limit): a priced order that already
+// costs more than the cheapest one found.
+var ErrOverBudget = errors.New("seek budget exhausted")
+
 // Ticker counts engine steps and surfaces context cancellation with low
 // overhead.
 type Ticker struct {
-	n   int
-	ctx context.Context
+	n     int
+	ctx   context.Context
+	seeks *int64 // nil: no seek budget
+	limit int64
 }
 
 // NewTicker returns a Ticker for ctx.
 func NewTicker(ctx context.Context) *Ticker { return &Ticker{ctx: ctx} }
 
-// Tick reports a non-nil error when the context is done; it only inspects
-// the context every CheckEvery calls.
+// Limit makes Tick fail with ErrOverBudget once *seeks passes limit.
+func (t *Ticker) Limit(seeks *int64, limit int64) { t.seeks, t.limit = seeks, limit }
+
+// Tick reports a non-nil error when the context is done or the seek budget
+// is spent; it only inspects either every CheckEvery calls.
 func (t *Ticker) Tick() error {
 	t.n++
 	if t.n%CheckEvery != 0 {
 		return nil
+	}
+	return t.check()
+}
+
+// check is Tick's rare half, kept out of line so that Tick inlines.
+//
+//go:noinline
+func (t *Ticker) check() error {
+	if t.seeks != nil && *t.seeks > t.limit {
+		return ErrOverBudget
 	}
 	return t.ctx.Err()
 }

@@ -37,6 +37,8 @@ type Plan struct {
 	// Push carries the compiled selection bounds, residual predicates, and
 	// output shape (Emit/Keys) of an extended query; nil for plain joins.
 	Push *Pushdown
+	// Pricing records how GAO was chosen on the data; nil when it was not.
+	Pricing *Pricing
 	// db is the database the atoms are bound in.
 	db *DB
 }
@@ -64,19 +66,44 @@ func (r Range) Empty() bool { return r.Lo >= r.Hi }
 // different output orders (a parsed head reorders Vars) resolve different
 // default GAOs and must not share a compilation. Extended queries render
 // their head, inlined constants, predicates, and aggregates into q.String(),
-// so projection, selection, and aggregation are all key dimensions.
+// so projection, selection, and aggregation are all key dimensions. Whether
+// the query has a head is one too: a head covering every variable renders
+// like the bare body, but only the bare body has its order priced on the
+// data (engine.Compile).
 func PlanKey(algorithm, variant string, userGAO []string, q *query.Query) string {
+	body := q.String()
+	n := len("head|") + len(algorithm) + len(variant) + len(body) + 3
+	for _, v := range userGAO {
+		n += len(v) + 1
+	}
+	for _, v := range q.Vars() {
+		n += len(v) + 1
+	}
 	var b strings.Builder
+	b.Grow(n)
+	if q.Headed() {
+		b.WriteString("head|")
+	}
 	b.WriteString(algorithm)
 	b.WriteByte('|')
 	b.WriteString(variant)
 	b.WriteByte('|')
-	b.WriteString(strings.Join(userGAO, ","))
+	writeList(&b, userGAO)
 	b.WriteByte('|')
-	b.WriteString(strings.Join(q.Vars(), ","))
+	writeList(&b, q.Vars())
 	b.WriteByte('|')
-	b.WriteString(q.String())
+	b.WriteString(body)
 	return b.String()
+}
+
+// writeList writes vs to b, comma-separated.
+func writeList(b *strings.Builder, vs []string) {
+	for i, v := range vs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(v)
+	}
 }
 
 // maxCachedPlans bounds the plan cache so ad-hoc query streams with many

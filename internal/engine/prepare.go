@@ -9,11 +9,13 @@ import (
 	"repro/internal/query"
 )
 
-// ResolveGAO derives the global attribute order Compile would fix for the
-// query under these options, without touching any data: the order is
-// Options.GAO, or else hypergraph.ChooseGAO's, which reads only the query's
-// structure — so a coordinator computes the very order a remote host will
-// execute under and partitions or merges on its leading attribute. It is the
+// ResolveGAO derives the structural global attribute order of the query
+// under these options, without touching any data: Options.GAO, or else
+// hypergraph.ChooseGAO's, which reads only the query's structure — so a
+// coordinator computes it alone, cuts on its leading attribute and hands it
+// to every host. Compile fixes the same order, except that it prices the
+// order of an LFTJ query without a head and without Options.GAO on the data
+// (pricedPlan). It is the
 // one check on a user order: an unknown algorithm fails with
 // ErrUnknownAlgorithm, an invalid query with its validation error, and an
 // order that does not name every query variable exactly once with
@@ -48,9 +50,10 @@ func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 }
 
 // Compile is the one way to get a plan: it validates q, resolves the GAO
-// (ResolveGAO) and, for Minesweeper, the skeleton (minesweeper.Skeleton),
-// and binds the GAO-consistent indexes — or answers from the DB's plan
-// cache. The cache key is the query shape × algorithm × user-supplied GAO,
+// (ResolveGAO, or for an LFTJ query without a head and without a user order
+// the cheapest order priced on the data, pricedPlan) and, for Minesweeper,
+// the skeleton (minesweeper.Skeleton), and binds the GAO-consistent
+// indexes — or answers from the DB's plan cache. The cache key is the query shape × algorithm × user-supplied GAO,
 // plus the skeleton toggle, which changes the compilation. No write evicts
 // an entry: a write, DB.Add included, advances the indexes a plan binds and
 // keeps them, so a cached plan reads the current contents. Counters for the
@@ -76,6 +79,17 @@ func Compile(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) {
 	gao, err := ResolveGAO(opts, q)
 	if err != nil {
 		return nil, err
+	}
+	if alg == LFTJ && opts.GAO == nil {
+		plan, err := pricedPlan(q, db)
+		if err != nil {
+			return nil, err
+		}
+		if plan != nil {
+			db.StorePlan(key, plan)
+			opts.Stats.Add(core.Stats{IndexBindings: int64(len(plan.Atoms)), PlanCacheMisses: 1})
+			return plan, nil
+		}
 	}
 	betaCyclic := !hypergraph.BetaAcyclic(q.Atoms)
 	var inSkel []bool

@@ -257,3 +257,123 @@ func (pl *planner) greedy(order []int, fixed int) {
 		order[d] = v
 	}
 }
+
+// maxPricedOrders bounds the orders Candidates lists: a triangle's 6 and a
+// 4-cycle's 8 fit. A query with more cross-free orders (clique4 has 24) is
+// priced a variable at a time (Extensions), at most n(n+1)/2 orders for n
+// variables.
+const maxPricedOrders = 8
+
+// Candidates returns the orders a data-aware choice prices (engine.Compile)
+// for an LFTJ query without a head, best structural rank first: every order
+// of the query's variables without a cross-join level. ChooseGAO's step
+// that leads with the first emitted variable is dropped, because such a
+// query emits every variable and promises its rows in no order but its
+// GAO's. all is false, and orders nil, when there are more than
+// maxPricedOrders of them; the choice then goes by Extensions. A query with
+// a head, or with fewer than two such orders, gets none: its order stays
+// ChooseGAO's.
+func Candidates(q *query.Query) (orders [][]string, all bool) {
+	pl := newPlanner(q, "lftj")
+	if q.Headed() || !pl.connected() {
+		return nil, true
+	}
+	order := make([]int, len(pl.vars))
+	for i := range order {
+		order[i] = i
+	}
+	var ranked []RankedGAO
+	var visit func(d int) bool
+	visit = func(d int) bool {
+		if d == len(order) {
+			r := pl.rank(slices.Clone(order))
+			ranked = append(ranked, r)
+			return len(ranked) <= maxPricedOrders
+		}
+		for i := d; i < len(order); i++ {
+			order[d], order[i] = order[i], order[d]
+			if pl.joins(order[:d], order[d]) && !visit(d+1) {
+				return false
+			}
+			order[d], order[i] = order[i], order[d]
+		}
+		return true
+	}
+	if !visit(0) {
+		return nil, false
+	}
+	if len(ranked) < 2 {
+		return nil, true
+	}
+	slices.SortFunc(ranked, func(a, b RankedGAO) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+	for _, r := range ranked {
+		orders = append(orders, r.GAO)
+	}
+	return orders, true
+}
+
+// Extensions returns, for each variable that may follow prefix without a
+// cross-join level, in q.Vars() order, the order that places it next and
+// completes the rest as ChooseGAO completes queries too wide to enumerate
+// (greedy). A data-aware choice over more than maxPricedOrders orders
+// prices these and keeps the cheapest one's next variable.
+func Extensions(q *query.Query, prefix []string) [][]string {
+	pl := newPlanner(q, "lftj")
+	placed := make([]int, 0, len(pl.vars))
+	for _, v := range prefix {
+		placed = append(placed, slices.Index(pl.vars, v))
+	}
+	var out [][]string
+	for v := range pl.vars {
+		if slices.Contains(placed, v) || !pl.joins(placed, v) {
+			continue
+		}
+		order := append(slices.Clone(placed), v)
+		for w := range pl.vars {
+			if !slices.Contains(order, w) {
+				order = append(order, w)
+			}
+		}
+		pl.greedy(order, len(placed)+1)
+		out = append(out, pl.rank(order).GAO)
+	}
+	return out
+}
+
+// joins reports whether v may follow the variables placed without a
+// cross-join level: it leads, is pinned, or shares an atom with one of them.
+func (pl *planner) joins(placed []int, v int) bool {
+	if len(placed) == 0 || pl.pinned[v] {
+		return true
+	}
+	for _, w := range placed {
+		if pl.adj[v][w] {
+			return true
+		}
+	}
+	return false
+}
+
+// connected reports whether every variable is reachable from the first
+// through shared atoms, so that some order has no cross-join level.
+func (pl *planner) connected() bool {
+	seen := make([]bool, len(pl.vars))
+	stack := []int{0}
+	seen[0] = true
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for w, adj := range pl.adj[v] {
+			if adj && !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return !slices.Contains(seen, false)
+}

@@ -7,6 +7,7 @@ package lftj
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -56,6 +57,23 @@ func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Rang
 		return 0, err
 	}
 	return ex.outputs, nil
+}
+
+// Seeks runs plan in count mode over the first-variable values in r, as Run
+// does, and returns the seeks it makes: the price engine.Compile compares
+// attribute orders by. It gives up once they pass limit (checked every
+// core.CheckEvery steps) and then returns a count past limit.
+func Seeks(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Range, limit int64) (int64, error) {
+	ex := takeFrame()
+	defer ex.release()
+	if err := ex.reset(ctx, plan, gen, r, nil); err != nil {
+		return 0, err
+	}
+	ex.tick.Limit(&ex.seeks, limit)
+	if _, err := ex.run(0); err != nil && !errors.Is(err, core.ErrOverBudget) {
+		return 0, err
+	}
+	return ex.seeks, nil
 }
 
 // frame is one execution's state: the run's parameters, the binding, the

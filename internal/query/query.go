@@ -481,3 +481,9 @@ func (q *Query) Validate() error {
 	}
 	return nil
 }
+
+// Headed reports whether the query has a rule head: a written one, or the
+// one a bare body with constants or predicates gets (its visible variables).
+// A query without one emits every variable, and its rows come in the order
+// of the global attribute order it runs under.
+func (q *Query) Headed() bool { return q.out != nil }

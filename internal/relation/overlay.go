@@ -1,6 +1,9 @@
 package relation
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // compactions counts overlay log fold-ins process-wide; the metrics layer
 // exports it as graphjoind_overlay_compactions_total.
@@ -180,6 +183,21 @@ func (o *Overlay) Runs(yield func(key int64, rows int) bool) {
 			return
 		}
 	}
+}
+
+// Holds reports whether the overlay's contents are exactly r's rows: one
+// walk of Rows against r, stopping at the first difference.
+func (o *Overlay) Holds(r *Relation) bool {
+	if o.Arity() != r.arity || o.Len() != r.n {
+		return false
+	}
+	i, same := 0, true
+	o.Rows(func(t []int64) bool {
+		same = slices.Equal(t, r.Tuple(i))
+		i++
+		return same
+	})
+	return same
 }
 
 // Flat materialises the overlay's contents as a flat relation: Rows

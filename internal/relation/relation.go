@@ -8,6 +8,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -111,9 +112,8 @@ func InDomain(tuple []int64) bool {
 // Build sorts, deduplicates, and returns the immutable Relation. The Builder
 // must not be reused afterwards.
 func (b *Builder) Build() *Relation {
-	r := &Relation{name: b.name, arity: b.arity, rows: b.rows}
+	r := &Relation{name: b.name, arity: b.arity, rows: sortRows(b.rows, b.arity)}
 	r.n = len(b.rows) / b.arity
-	sortRows(r.rows, r.arity)
 	r.dedup()
 	b.rows = nil
 	return r
@@ -268,8 +268,91 @@ func (s *rowSorter) Swap(i, j int) {
 	copy(b, s.tmp)
 }
 
-func sortRows(rows []int64, arity int) {
-	sort.Sort(&rowSorter{rows: rows, arity: arity, tmp: make([]int64, arity)})
+// radixMinRows is the row count from which sortRows sorts by radix. Below
+// it the comparison sort runs in place and allocates one row of scratch,
+// which is what a write batch of a few dozen tuples wants; above it the
+// radix sort's linear passes beat n log n row compares.
+const radixMinRows = 512
+
+// sortRows sorts a flat row-major slice lexicographically and returns it:
+// rows itself, sorted in place, below radixMinRows rows, and a new slice in
+// sorted order from there on.
+func sortRows(rows []int64, arity int) []int64 {
+	if n := len(rows) / arity; n < radixMinRows || n > math.MaxInt32 {
+		sort.Sort(&rowSorter{rows: rows, arity: arity, tmp: make([]int64, arity)})
+		return rows
+	}
+	return gatherRows(rows, arity, identityCols(arity), radixOrder(rows, arity, identityCols(arity)))
+}
+
+func identityCols(arity int) []int {
+	cols := make([]int, arity)
+	for k := range cols {
+		cols[k] = k
+	}
+	return cols
+}
+
+// radixOrder returns the indexes of the rows in the lexicographic order of
+// their columns cols[0], cols[1], …: a stable LSD radix sort of the row
+// indexes, one pass per byte, the last column first. A column is swept once
+// to count all eight of its byte histograms, and a byte every row shares
+// (one bucket holds them all) is skipped, so a column of values below 2^16
+// costs two passes. Keys are compared as signed values (the sign bit
+// flipped).
+func radixOrder(rows []int64, arity int, cols []int) []int32 {
+	n := len(rows) / arity
+	idx, tmp := make([]int32, n), make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	if n == 0 {
+		return idx
+	}
+	var counts [8][256]int32
+	for c := len(cols) - 1; c >= 0; c-- {
+		col := cols[c]
+		counts = [8][256]int32{}
+		for i := col; i < len(rows); i += arity {
+			k := uint64(rows[i]) ^ 1<<63
+			for b := range counts {
+				counts[b][byte(k>>(8*b))]++
+			}
+		}
+		for b := range counts {
+			count := &counts[b]
+			if count[byte((uint64(rows[col])^1<<63)>>(8*b))] == int32(n) {
+				continue // every row shares this byte
+			}
+			sum := int32(0)
+			for v, c := range count {
+				count[v] = sum
+				sum += c
+			}
+			shift := 8 * b
+			for _, r := range idx {
+				v := byte((uint64(rows[int(r)*arity+col]) ^ 1<<63) >> shift)
+				tmp[count[v]] = r
+				count[v]++
+			}
+			idx, tmp = tmp, idx
+		}
+	}
+	return idx
+}
+
+// gatherRows returns a new row-major slice holding rows in the order idx
+// gives, each with its columns cols[0], cols[1], … (a permutation of the
+// columns).
+func gatherRows(rows []int64, arity int, cols []int, idx []int32) []int64 {
+	out := make([]int64, len(idx)*arity)
+	for i, r := range idx {
+		src, dst := rows[int(r)*arity:int(r+1)*arity], out[i*arity:(i+1)*arity]
+		for k, c := range cols {
+			dst[k] = src[c]
+		}
+	}
+	return out
 }
 
 func (r *Relation) dedup() {
@@ -290,7 +373,9 @@ func (r *Relation) dedup() {
 }
 
 // Permute returns a new relation whose columns are reordered so that output
-// column k holds input column perm[k], re-sorted lexicographically. It is
+// column k holds input column perm[k], re-sorted lexicographically: from
+// radixMinRows rows on, by radix-sorting the row indexes on the permuted
+// columns and writing each permuted row once, in its final place. It is
 // how the engine realizes the GAO-consistency assumption (§4.1): each atom
 // gets an index whose attribute order follows the global attribute order.
 func (r *Relation) Permute(perm []int) *Relation {
@@ -307,6 +392,11 @@ func (r *Relation) Permute(perm []int) *Relation {
 	if identity {
 		return r
 	}
+	if r.n >= radixMinRows && r.n <= math.MaxInt32 {
+		// Sort the row indexes by the permuted columns and write each row
+		// once, permuted, in its final place.
+		return fromSortedRows(r.name, r.arity, gatherRows(r.rows, r.arity, perm, radixOrder(r.rows, r.arity, perm)))
+	}
 	rows := make([]int64, len(r.rows))
 	for i := 0; i < r.n; i++ {
 		src := r.rows[i*r.arity : (i+1)*r.arity]
@@ -315,9 +405,7 @@ func (r *Relation) Permute(perm []int) *Relation {
 			dst[k] = src[p]
 		}
 	}
-	out := &Relation{name: r.name, arity: r.arity, rows: rows, n: r.n}
-	sortRows(out.rows, out.arity)
-	return out
+	return fromSortedRows(r.name, r.arity, sortRows(rows, r.arity))
 }
 
 // lowerBound returns the first row index in [lo, hi) whose value at column

@@ -146,11 +146,12 @@ type Atom struct {
 }
 
 // Query is a join query on the wire: the name, the output variables (the
-// plain head), the body atoms, and — since protocol version 2 — the body
-// comparison predicates and the aggregate head terms. It reconstructs
-// losslessly via ToQuery: projection, constant-carrying atoms (their
-// desugared placeholder variables travel as ordinary variables), predicates,
-// and aggregates all survive the round trip.
+// plain head; empty for a query without a head, since protocol version 8),
+// the body atoms, and — since protocol version 2 — the body comparison
+// predicates and the aggregate head terms. It reconstructs losslessly via
+// ToQuery: projection, constant-carrying atoms (their desugared placeholder
+// variables travel as ordinary variables), predicates, aggregates and the
+// absence of a head all survive the round trip.
 type Query struct {
 	Name  string
 	Head  []string
@@ -161,7 +162,10 @@ type Query struct {
 
 // FromQuery converts the in-memory representation for transport.
 func FromQuery(q *query.Query) Query {
-	wq := Query{Name: q.Name, Head: q.Out(), Preds: q.Preds, Aggs: q.Aggs}
+	wq := Query{Name: q.Name, Preds: q.Preds, Aggs: q.Aggs}
+	if q.Headed() {
+		wq.Head = q.Out()
+	}
 	wq.Atoms = make([]Atom, len(q.Atoms))
 	for i, a := range q.Atoms {
 		wq.Atoms[i] = Atom{Rel: a.Rel, Vars: a.Vars}
@@ -177,9 +181,14 @@ func (wq Query) ToQuery() (*query.Query, error) {
 	for i, a := range wq.Atoms {
 		atoms[i] = query.Atom{Rel: a.Rel, Vars: a.Vars}
 	}
-	q, err := query.NewRule(wq.Name, wq.Head, wq.Aggs, wq.Preds, atoms...)
-	if err != nil {
-		return nil, err
+	var q *query.Query
+	if len(wq.Head) == 0 && len(wq.Aggs) == 0 && len(wq.Preds) == 0 {
+		q = query.New(wq.Name, atoms...)
+	} else {
+		var err error
+		if q, err = query.NewRule(wq.Name, wq.Head, wq.Aggs, wq.Preds, atoms...); err != nil {
+			return nil, err
+		}
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -38,7 +38,9 @@ import (
 // the ablation flag word and the row cap from them: the options are the
 // algorithm, the workers, the GAO and the shard. Version 7 makes the shard
 // "part i of n" of the leading attribute, cut from the data by every host.
-const ProtocolVersion = 7
+// Version 8 sends a query without a head with an empty head list, so a
+// server chooses its attribute order as a local store would.
+const ProtocolVersion = 8
 
 // MaxFrame bounds a frame's payload (64 MiB). Oversized frames indicate a
 // corrupt or malicious peer; both ends drop the connection.

@@ -208,13 +208,15 @@ func explainAnchor(t *testing.T, s *Store, c planAnchorCase, alg Algorithm) plan
 
 // planAnchors are the plans the exhaustive chain-order planner compiled for
 // planAnchorCases, keyed "algorithm: case": the order, whether the query is
-// β-cyclic, and the skeleton membership of each atom.
+// β-cyclic, and the skeleton membership of each atom. An LFTJ query without
+// a head has its order priced on TestPlanAnchors' graph, so its cell
+// records the order the data chose.
 var planAnchors = map[string]planAnchor{
-	"lftj: fwd(a, b), fwd(a, c), fwd(b, c)":                                                                                   {"a b c", true, "111"},
+	"lftj: fwd(a, b), fwd(a, c), fwd(b, c)":                                                                                   {"c b a", true, "111"},
 	"ms: fwd(a, b), fwd(a, c), fwd(b, c)":                                                                                     {"b a c", true, "110"},
-	"lftj: fwd(a, b), fwd(a, c), fwd(a, d), fwd(b, c), fwd(b, d), fwd(c, d)":                                                  {"a b c d", true, "111111"},
+	"lftj: fwd(a, b), fwd(a, c), fwd(a, d), fwd(b, c), fwd(b, d), fwd(c, d)":                                                  {"a c b d", true, "111111"},
 	"ms: fwd(a, b), fwd(a, c), fwd(a, d), fwd(b, c), fwd(b, d), fwd(c, d)":                                                    {"b a c d", true, "111000"},
-	"lftj: fwd(a, b), fwd(b, c), fwd(c, d), fwd(a, d)":                                                                        {"a b c d", true, "1111"},
+	"lftj: fwd(a, b), fwd(b, c), fwd(c, d), fwd(a, d)":                                                                        {"c b d a", true, "1111"},
 	"ms: fwd(a, b), fwd(b, c), fwd(c, d), fwd(a, d)":                                                                          {"a b c d", true, "1110"},
 	"lftj: v1(a), v2(d), edge(a, b), edge(b, c), edge(c, d)":                                                                  {"a b c d", false, "11111"},
 	"ms: v1(a), v2(d), edge(a, b), edge(b, c), edge(c, d)":                                                                    {"a b c d", false, "11111"},
@@ -222,7 +224,7 @@ var planAnchors = map[string]planAnchor{
 	"ms: v1(a), v2(e), edge(a, b), edge(b, c), edge(c, d), edge(d, e)":                                                        {"a b c d e", false, "111111"},
 	"lftj: v1(b), v2(c), edge(a, b), edge(a, c)":                                                                              {"b a c", false, "1111"},
 	"ms: v1(b), v2(c), edge(a, b), edge(a, c)":                                                                                {"b a c", false, "1111"},
-	"lftj: v1(d), v2(e), v3(f), v4(g), edge(a, b), edge(a, c), edge(b, d), edge(b, e), edge(c, f), edge(c, g)":                {"d b e a c f g", false, "1111111111"},
+	"lftj: v1(d), v2(e), v3(f), v4(g), edge(a, b), edge(a, c), edge(b, d), edge(b, e), edge(c, f), edge(c, g)":                {"e b d a c f g", false, "1111111111"},
 	"ms: v1(d), v2(e), v3(f), v4(g), edge(a, b), edge(a, c), edge(b, d), edge(b, e), edge(c, f), edge(c, g)":                  {"d b a c f e g", false, "1111111111"},
 	"lftj: v1(c), v2(d), edge(a, b), edge(a, c), edge(b, d)":                                                                  {"c a b d", false, "11111"},
 	"ms: v1(c), v2(d), edge(a, b), edge(a, c), edge(b, d)":                                                                    {"c a b d", false, "11111"},
@@ -234,9 +236,9 @@ var planAnchors = map[string]planAnchor{
 	"ms: v1(a), v2(h), edge(a, b), edge(b, c), edge(c, d), edge(d, e), edge(e, f), edge(f, g), edge(g, h)":                    {"a b c d e f g h", false, "111111111"},
 	"lftj: v1(a), v2(i), edge(a, b), edge(b, c), edge(c, d), edge(d, e), edge(e, f), edge(f, g), edge(g, h), edge(h, i)":      {"a b c d e f g h i", false, "1111111111"},
 	"ms: v1(a), v2(i), edge(a, b), edge(b, c), edge(c, d), edge(d, e), edge(e, f), edge(f, g), edge(g, h), edge(h, i)":        {"a b c d e f g h i", false, "1111111111"},
-	"lftj: fwd(a, b), fwd(b, c), fwd(c, d), fwd(d, e), fwd(e, f), fwd(f, g), fwd(g, h), fwd(a, h)":                            {"a b c d e f g h", true, "11111111"},
+	"lftj: fwd(a, b), fwd(b, c), fwd(c, d), fwd(d, e), fwd(e, f), fwd(f, g), fwd(g, h), fwd(a, h)":                            {"g f e d c b h a", true, "11111111"},
 	"ms: fwd(a, b), fwd(b, c), fwd(c, d), fwd(d, e), fwd(e, f), fwd(f, g), fwd(g, h), fwd(a, h)":                              {"a b c d e f g h", true, "11111110"},
-	"lftj: fwd(a, b), fwd(b, c), fwd(c, d), fwd(d, e), fwd(e, f), fwd(f, g), fwd(g, h), fwd(h, i), fwd(a, i)":                 {"a b c d e f g h i", true, "111111111"},
+	"lftj: fwd(a, b), fwd(b, c), fwd(c, d), fwd(d, e), fwd(e, f), fwd(f, g), fwd(g, h), fwd(h, i), fwd(a, i)":                 {"h g f e d c b i a", true, "111111111"},
 	"ms: fwd(a, b), fwd(b, c), fwd(c, d), fwd(d, e), fwd(e, f), fwd(f, g), fwd(g, h), fwd(h, i), fwd(a, i)":                   {"a b c d e f g h i", true, "111111110"},
 	"lftj: out(a) :- edge(a, b)":                                      {"a b", false, "1"},
 	"ms: out(a) :- edge(a, b)":                                        {"a b", false, "1"},
@@ -294,7 +296,7 @@ var planAnchors = map[string]planAnchor{
 	"ms: deg2(a, count(c)) :- edge(a, b), edge(b, c) under [c b a]":   {"c b a", false, "11"},
 	"lftj: edge(3, b), edge(b, c) under [c b $1]":                     {"c b $1", false, "11"},
 	"ms: edge(3, b), edge(b, c) under [c b $1]":                       {"c b $1", false, "11"},
-	"lftj: fwd(a,b), fwd(b,c), fwd(a,c)":                              {"a b c", true, "111"},
+	"lftj: fwd(a,b), fwd(b,c), fwd(a,c)":                              {"c b a", true, "111"},
 	"ms: fwd(a,b), fwd(b,c), fwd(a,c)":                                {"a b c", true, "110"},
 	"lftj: v1(a), edge(a,b), edge(b,c), edge(c,d), v2(d)":             {"a b c d", false, "11111"},
 	"ms: v1(a), edge(a,b), edge(b,c), edge(c,d), v2(d)":               {"a b c d", false, "11111"},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 
 	"repro/internal/agm"
@@ -261,10 +262,21 @@ type Explanation struct {
 	// only), distance from the query's own variable order.
 	Score GAOScore
 	// RunnerUp is the best order the planner ranked below GAO, and
-	// RunnerUpScore its score; nil when the order was user-supplied or had
-	// no competitor.
+	// RunnerUpScore its score; nil when the order was user-supplied, had
+	// no competitor or was priced.
 	RunnerUp      []string
 	RunnerUpScore GAOScore
+	// Priced reports that GAO was chosen on the data: an LFTJ query without
+	// a head prices its candidate orders by a sampled count and runs the
+	// cheapest. Price is GAO's sampled price in leapfrog seeks, and
+	// Structural and StructuralPrice are the structural order's
+	// (hypergraph.ChooseGAO's, the one a router cuts on) and its price;
+	// Orders is how many orders pricing ran.
+	Priced          bool
+	Price           int64
+	Structural      []string
+	StructuralPrice int64
+	Orders          int
 	// BetaCyclic reports whether the query needed Minesweeper's skeleton
 	// split (and drives the §4.10 parallel-granularity default).
 	BetaCyclic bool
@@ -311,6 +323,10 @@ func (e Explanation) String() string {
 		fmt.Fprintf(&b, "  (runner-up %s: %s)", strings.Join(e.RunnerUp, " < "), scoreString(e.RunnerUpScore))
 	}
 	b.WriteString("\n")
+	if e.Priced {
+		fmt.Fprintf(&b, "priced %d seeks (structural %s: %d seeks; %d orders priced)\n",
+			e.Price, strings.Join(e.Structural, " < "), e.StructuralPrice, e.Orders)
+	}
 	for _, a := range e.Atoms {
 		skel := ""
 		if !a.InSkeleton {
@@ -364,6 +380,15 @@ func (p *Prepared) Explain() Explanation {
 	e.GAO = append([]string(nil), plan.GAO...)
 	if e.UserGAO = p.opts.GAO != nil; e.UserGAO {
 		e.Score = hypergraph.ScoreGAO(p.q, plan.Algorithm, plan.GAO)
+	} else if pr := plan.Pricing; pr != nil {
+		e.Score = hypergraph.ScoreGAO(p.q, plan.Algorithm, plan.GAO)
+		e.Priced, e.Price, e.Orders = true, pr.Seeks, pr.Priced
+		e.Structural, e.StructuralPrice = slices.Clone(pr.Structural), pr.StructuralSeeks
+		if e.StructuralPrice < 0 {
+			// Pricing gave the structural order up once it cost more than
+			// the chosen one; price it to the end now.
+			e.StructuralPrice, _ = engine.Price(p.q, p.s.db, pr.Structural)
+		}
 	} else {
 		best, second := hypergraph.RankGAO(p.q, plan.Algorithm)
 		e.Score, e.RunnerUp, e.RunnerUpScore = best.Score, second.GAO, second.Score

@@ -1,0 +1,200 @@
+package repro
+
+import (
+	"context"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/hypergraph"
+	"repro/internal/query"
+)
+
+// lftjSeeks prepares q under gao (nil: the planner's order) and returns the
+// order it ran and the seeks of one count.
+func lftjSeeks(t *testing.T, s *Store, q *Query, gao []string) ([]string, int64) {
+	t.Helper()
+	p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1, GAO: gao})
+	if err != nil {
+		t.Fatalf("%s under %v: %v", q, gao, err)
+	}
+	before := p.Stats().Seeks
+	if _, err := p.Count(context.Background()); err != nil {
+		t.Fatalf("%s under %v: %v", q, gao, err)
+	}
+	return p.Explain().GAO, p.Stats().Seeks - before
+}
+
+// crossFree lists every order of q's variables without a cross-join level.
+func crossFree(q *Query) [][]string {
+	var out [][]string
+	permuteStrings(slices.Clone(q.Vars()), 0, func(p []string) {
+		if hypergraph.ScoreGAO(q, string(LFTJ), p).Cross == 0 {
+			out = append(out, slices.Clone(p))
+		}
+	})
+	return out
+}
+
+// TestPricedGAOAnchorsOnBenchmarkData is TestChosenGAOAnchors on the
+// benchmark's data (Holme–Kim, 5 242 nodes, 28 980 edges, seed 107): for
+// triangle and clique4 over fwd, every cross-free order is counted, and the
+// order pricing chooses must cost at most 1.25 times the seeks of the
+// cheapest. The structural order (the first variable leads) costs about
+// twice the cheapest on this data, where low ids are hubs.
+func TestPricedGAOAnchorsOnBenchmarkData(t *testing.T) {
+	if testing.Short() {
+		t.Skip("counts 30 orders on the benchmark graph")
+	}
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 5242, 28980, 107), 80, 107)
+	for _, src := range []string{
+		"fwd(a,b), fwd(b,c), fwd(a,c)",
+		"fwd(a,b), fwd(a,c), fwd(a,d), fwd(b,c), fwd(b,d), fwd(c,d)",
+	} {
+		q, err := s.ParseQuery("q", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen, got := lftjSeeks(t, s, q, nil)
+		best, bestOrder := int64(-1), []string(nil)
+		for _, gao := range crossFree(q) {
+			if _, n := lftjSeeks(t, s, q, gao); best < 0 || n < best {
+				best, bestOrder = n, gao
+			}
+		}
+		if 4*got > 5*best {
+			t.Errorf("%s: priced order %v costs %d seeks, best order %v costs %d", src, chosen, got, bestOrder, best)
+		}
+		structural, _ := hypergraph.ChooseGAO(q, string(LFTJ))
+		_, base := lftjSeeks(t, s, q, structural)
+		t.Logf("%s: priced %v %d seeks, best %v %d, structural %v %d", src, chosen, got, bestOrder, best, structural, base)
+	}
+}
+
+// TestPricedGAONoWorseThanStructural is the regression guard on the corpus
+// graph of TestChosenGAOAnchors: for every query whose order is priced, the
+// priced order costs at most 1.1 times the seeks of the structural one.
+func TestPricedGAONoWorseThanStructural(t *testing.T) {
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 25, 5)
+	queries := corpusQueries()
+	for _, src := range benchmarkTexts {
+		q, err := s.ParseQuery("q", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	priced := 0
+	for _, q := range queries {
+		p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Explain().Priced {
+			continue
+		}
+		priced++
+		chosen, got := lftjSeeks(t, s, q, nil)
+		structural, _ := hypergraph.ChooseGAO(q, string(LFTJ))
+		if _, base := lftjSeeks(t, s, q, structural); 10*got > 11*base {
+			t.Errorf("%s: priced order %v costs %d seeks, structural %v costs %d", q, chosen, got, structural, base)
+		}
+	}
+	if priced == 0 {
+		t.Fatal("no corpus query had its order priced")
+	}
+}
+
+// TestPricingDeterministicAcrossStorage prices the same contents held three
+// ways — loaded whole, loaded short with the rest in a live overlay log, and
+// loaded short with the rest applied past the compaction threshold — and
+// every store must choose the same order for every query.
+func TestPricingDeterministicAcrossStorage(t *testing.T) {
+	g := dataset.Generate(dataset.HolmeKim, 400, 1600, 9)
+	whole := graphStore(t, g, 10, 1)
+	short := func(cut int) *Store {
+		sg := &dataset.Graph{N: g.N, Edges: g.Edges[:len(g.Edges)-cut]}
+		s := graphStore(t, sg, 10, 1)
+		if err := applyEdges(s, g.Edges[len(g.Edges)-cut:], nil); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	logged, compacted := short(20), short(len(g.Edges)/2)
+	if logged.OverlayDepth() == 0 {
+		t.Fatal("the logged store holds no live log")
+	}
+	if compacted.OverlayDepth() != 0 {
+		t.Fatal("the compacted store still holds a log")
+	}
+	for _, q := range corpusQueries() {
+		var orders [][]string
+		for _, s := range []*Store{whole, logged, compacted} {
+			p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			orders = append(orders, p.Explain().GAO)
+		}
+		if !slices.Equal(orders[0], orders[1]) || !slices.Equal(orders[0], orders[2]) {
+			t.Errorf("%s: equal contents chose %v (whole), %v (live log), %v (compacted)", q, orders[0], orders[1], orders[2])
+		}
+	}
+}
+
+// TestPricingBounded prepares the widest corpus queries, the 6-clique and
+// the 3-lollipop, whose cross-free orders are too many to price one by one:
+// pricing builds the order a variable at a time, so it prices at most
+// n(n+1)/2 orders, and preparing takes under two seconds.
+func TestPricingBounded(t *testing.T) {
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 25, 5)
+	for _, q := range []*Query{query.Clique(6), query.Lollipop(3)} {
+		start := time.Now()
+		p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		e := p.Explain()
+		n := q.NumVars()
+		if e.Priced && e.Orders > n*(n+1)/2 {
+			t.Errorf("%s: priced %d orders, want at most %d", q, e.Orders, n*(n+1)/2)
+		}
+		if took > 2*time.Second {
+			t.Errorf("%s: prepare took %v", q, took)
+		}
+		t.Logf("%s: prepared in %v, order %v, priced %v over %d orders", q, took, e.GAO, e.Priced, e.Orders)
+	}
+}
+
+// TestExplainReportsPricing checks the pricing line of Explain: a priced
+// plan names its sampled price and the structural order's, which costs at
+// least as much (or pricing would have kept it), and a headed query is not
+// priced.
+func TestExplainReportsPricing(t *testing.T) {
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 250, 900, 3), 25, 5)
+	q, err := s.ParseQuery("q", "fwd(a,b), fwd(b,c), fwd(a,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := p.Explain()
+	structural, _ := hypergraph.ChooseGAO(q, string(LFTJ))
+	if !e.Priced || e.Price <= 0 || !slices.Equal(e.Structural, structural) || e.StructuralPrice < e.Price {
+		t.Fatalf("explain pricing: priced %v, price %d, structural %v at %d", e.Priced, e.Price, e.Structural, e.StructuralPrice)
+	}
+	headed, err := s.ParseQuery("q", "out(a,b,c) :- fwd(a,b), fwd(b,c), fwd(a,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err = s.Prepare(headed, Options{Algorithm: LFTJ, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if e := p.Explain(); e.Priced || !slices.Equal(e.GAO, structural) {
+		t.Errorf("headed query: priced %v, order %v, want the structural %v", e.Priced, e.GAO, structural)
+	}
+}

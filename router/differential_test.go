@@ -104,6 +104,23 @@ func cluster(t *testing.T, n int) (*repro.Store, *router.Router) {
 	return oracle, r
 }
 
+// routedOrder returns opts with the attribute order a router runs q under.
+// Rows of a query without a head come in the order of the plan's GAO: a
+// single store prices its orders on the data, a router runs the structural
+// order it cuts on (repro.ResolveGAO), so the oracle streams under that one.
+func routedOrder(t *testing.T, q *repro.Query, opts repro.Options) repro.Options {
+	t.Helper()
+	if q.Headed() || opts.GAO != nil {
+		return opts
+	}
+	gao, err := repro.ResolveGAO(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.GAO = gao
+	return opts
+}
+
 func collectRows(ctx context.Context, enumerate func(context.Context, func([]int64) bool) error) ([][]int64, error) {
 	var rows [][]int64
 	err := enumerate(ctx, func(row []int64) bool {
@@ -151,7 +168,7 @@ func wallDifferential(t *testing.T, oracle *repro.Store, r *router.Router, alg r
 			t.Errorf("%s: routed count %d, oracle %d", src, gotN, wantN)
 		}
 		want, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-			return oracle.Enumerate(ctx, q, opts, emit)
+			return oracle.Enumerate(ctx, q, routedOrder(t, q, opts), emit)
 		})
 		if err != nil {
 			t.Fatalf("%s: oracle rows: %v", src, err)
@@ -410,7 +427,7 @@ func TestRouterBatch(t *testing.T) {
 			t.Errorf("batch request %d: count %d, oracle %d", i, res[i].Count, wantN)
 		}
 		want, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-			return oracle.Enumerate(ctx, q, repro.Options{Workers: 1}, emit)
+			return oracle.Enumerate(ctx, q, routedOrder(t, q, repro.Options{Workers: 1}), emit)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -816,7 +833,7 @@ func TestRouterDivergedReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, err := collectRows(ctx, func(ctx context.Context, emit func([]int64) bool) error {
-			return oracle.Enumerate(ctx, q, repro.Options{Workers: 1}, emit)
+			return oracle.Enumerate(ctx, q, routedOrder(t, q, repro.Options{Workers: 1}), emit)
 		})
 		if err != nil {
 			t.Fatal(err)

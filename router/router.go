@@ -26,7 +26,13 @@
 // cross-host data movement at query time. Each host cuts its part from its
 // own copy, under a snapshot that pins the same write prefix on every host
 // (see Consistency), so the parts are disjoint, cover the domain, and
-// concatenate into a stream byte-identical to a single store's.
+// concatenate into a stream byte-identical to a single store's running the
+// same order. Legs carry the router's order: the router cuts on the
+// structural order (repro.ResolveGAO) and sets it as every leg's
+// Options.GAO for a query without a head, whose order a host would
+// otherwise price on its own data. Such a query's routed rows therefore
+// come in the structural order, where a single store streams them in the
+// order it priced.
 //
 // # Consistency
 //
@@ -381,6 +387,12 @@ func (r *Router) Prepare(q *repro.Query, opts repro.Options) (repro.PreparedQuer
 	gao, err := repro.ResolveGAO(q, opts)
 	if err != nil {
 		return nil, err
+	}
+	// Every leg of a query without a head runs the order the router cuts
+	// on: a host left to choose would price its orders on its own copy of
+	// the data. A headed query's order is structural on every host.
+	if !q.Headed() {
+		opts.GAO = gao
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
