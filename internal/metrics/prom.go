@@ -117,9 +117,9 @@ type Sample struct {
 }
 
 // ParseText parses Prometheus text exposition output — the inverse of
-// WritePrometheus, used by the load harness to cross-check server-side
-// counters against its client-side ledger. Comment and blank lines are
-// skipped; a malformed sample line is an error.
+// WritePrometheus, used to read server-side counters back, as the benchmark
+// and `graphjoin -stats` do. Comment and blank lines are skipped; a
+// malformed sample line is an error.
 func ParseText(r io.Reader) ([]Sample, error) {
 	var out []Sample
 	sc := bufio.NewScanner(r)
