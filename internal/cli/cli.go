@@ -52,7 +52,7 @@ func SetupSchema(q repro.Querier, relations, loads []string) error {
 		if !ok {
 			return fmt.Errorf("-load %q: want name=path", spec)
 		}
-		tuples, err := ReadTuples(path)
+		tuples, err := readTuples(path)
 		if err != nil {
 			return fmt.Errorf("-load %s: %w", name, err)
 		}
@@ -81,9 +81,9 @@ func DescribeSchema(ctx context.Context, q repro.Querier) string {
 	return strings.Join(parts, ", ")
 }
 
-// ReadTuples reads integer rows, one tuple per line, columns separated by
+// readTuples reads integer rows, one tuple per line, columns separated by
 // whitespace or commas; blank lines and #-comments are skipped.
-func ReadTuples(path string) ([][]int64, error) {
+func readTuples(path string) ([][]int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

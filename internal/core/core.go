@@ -368,12 +368,12 @@ type AtomIndex struct {
 	VarPos []int
 }
 
-// AtomOrder is the column-order rule of §4.1: the atom's columns sorted by
+// atomOrder is the column-order rule of §4.1: the atom's columns sorted by
 // the GAO position of their variables (order[k] is the source column stored
 // at index position k, the perm DB.TrieIndex takes), and the GAO
 // position of each index column (varPos). gaoPos maps variable name to GAO
 // position.
-func AtomOrder(a query.Atom, gaoPos map[string]int) (order, varPos []int, err error) {
+func atomOrder(a query.Atom, gaoPos map[string]int) (order, varPos []int, err error) {
 	order = make([]int, len(a.Vars))
 	for k := range order {
 		order[k] = k
@@ -392,9 +392,9 @@ func AtomOrder(a query.Atom, gaoPos map[string]int) (order, varPos []int, err er
 	return order, varPos, nil
 }
 
-// GAOPositions maps each variable of a global attribute order to its
+// gaoPositions maps each variable of a global attribute order to its
 // position.
-func GAOPositions(gao []string) map[string]int {
+func gaoPositions(gao []string) map[string]int {
 	pos := make(map[string]int, len(gao))
 	for i, v := range gao {
 		pos[v] = i
@@ -411,10 +411,10 @@ func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
 // bindAtoms binds each atom of q to the index index returns for its
 // relation and GAO-consistent column order.
 func bindAtoms(q *query.Query, gao []string, index func(name string, perm []int) (*Index, error)) ([]AtomIndex, error) {
-	pos := GAOPositions(gao)
+	pos := gaoPositions(gao)
 	out := make([]AtomIndex, len(q.Atoms))
 	for i, a := range q.Atoms {
-		order, varPos, err := AtomOrder(a, pos)
+		order, varPos, err := atomOrder(a, pos)
 		if err != nil {
 			return nil, err
 		}

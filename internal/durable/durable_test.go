@@ -272,29 +272,6 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	_ = old
 }
 
-func TestChunkCutsAlignFirstAttribute(t *testing.T) {
-	// 3 distinct first attributes, each with enough rows to span chunks.
-	var tuples [][]int64
-	for a := int64(0); a < 3; a++ {
-		for b := int64(0); b < snapChunkRows; b++ {
-			tuples = append(tuples, []int64{a, b})
-		}
-	}
-	r := relation.FromTuples("e", 2, tuples)
-	cuts := chunkCuts(relation.NewOverlay(r))
-	if len(cuts) < 3 {
-		t.Fatalf("cuts = %v, want multiple chunks", cuts)
-	}
-	for _, c := range cuts[1 : len(cuts)-1] {
-		if r.Value(c-1, 0) == r.Value(c, 0) {
-			t.Fatalf("cut at %d splits first-attribute group %d", c, r.Value(c, 0))
-		}
-	}
-	if cuts[len(cuts)-1] != r.Len() {
-		t.Fatalf("last cut %d != Len %d", cuts[len(cuts)-1], r.Len())
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
 	for s, want := range map[string]SyncPolicy{"": SyncGroup, "group": SyncGroup, "always": SyncAlways, "none": SyncNone} {
 		got, err := ParsePolicy(s)

@@ -22,16 +22,12 @@ import (
 //	body     uvarint lsn, relation count, then per relation: name, arity,
 //	         chunk count, and row chunks (wire varint tuple lists)
 //
-// Rows are split into chunks of roughly snapChunkRows tuples, with each cut
-// grown forward to the next first-attribute boundary, so a chunk holds whole
-// first-level subtrees of the trie and is a self-contained unit a later
-// out-of-core index can page independently.
+// A relation is written as one chunk of all its rows. Readers concatenate
+// the chunks, so files whose relations are cut into several chunks read the
+// same.
 // Snapshots are written to a temp file, fsynced, and renamed into place, so
 // a crash mid-checkpoint leaves at most a stale *.tmp file and never a
 // half-written snapshot under the live name.
-
-// snapChunkRows is the target rows per snapshot chunk.
-const snapChunkRows = 32 << 10
 
 // snapFlushBytes is how much encoded body a checkpoint holds before writing
 // it to the file: its whole buffer, however large the snapshot, so a
@@ -110,24 +106,15 @@ func encodeSnapshot(w io.Writer, lsn uint64, rels []*relation.Overlay) (n int64,
 	for _, r := range sorted {
 		e.Str(r.Name())
 		e.Int(r.Arity())
-		cuts := chunkCuts(r)
-		e.Int(len(cuts) - 1)
-		i, c := 0, 0
+		e.Int(1) // one chunk
+		e.U64(uint64(r.Len()))
 		r.Rows(func(row []int64) bool {
-			if i == cuts[c] {
-				e.U64(uint64(cuts[c+1] - i))
-				c++
-			}
 			e.Tuple(row)
-			i++
 			if len(e.Bytes()) >= snapFlushBytes {
 				flush()
 			}
 			return err == nil
 		})
-		if c == 0 { // an empty relation is one empty chunk
-			e.U64(0)
-		}
 	}
 	flush()
 	return n, err
@@ -141,25 +128,6 @@ func snapHeader(n uint64, crc uint32) []byte {
 	binary.BigEndian.PutUint64(hdr[len(snapMagic):], n)
 	binary.BigEndian.PutUint32(hdr[len(snapMagic)+8:], crc)
 	return hdr
-}
-
-// chunkCuts returns row-index boundaries [0, ..., Len] splitting r into
-// chunks of about snapChunkRows rows: a chunk ends at the first
-// first-attribute boundary at or past snapChunkRows rows, so no key's row
-// group straddles two chunks. It reads the first-attribute run lengths
-// (Overlay.Runs), not the rows.
-func chunkCuts(r *relation.Overlay) []int {
-	cuts := []int{0}
-	due, i := snapChunkRows, 0 // the row a cut is due at, the row at hand
-	r.Runs(func(_ int64, rows int) bool {
-		if i >= due {
-			cuts = append(cuts, i)
-			due = i + snapChunkRows
-		}
-		i += rows
-		return true
-	})
-	return append(cuts, i)
 }
 
 // readSnapshot loads and validates one snapshot file.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,11 +19,23 @@ import (
 	"repro/internal/relation"
 )
 
-// flatSnapshot is the snapshot file as it was encoded from flat relations
-// before checkpoints streamed from overlays: each relation's rows cut into
-// chunks by scanning its first column. Snapshots must stay byte-identical to
-// it for the same contents.
+// flatSnapshot is the snapshot file of the flat relations rels at lsn:
+// each relation one chunk of all its rows. A checkpoint encoded from
+// overlays must be byte-identical to it for the same contents.
 func flatSnapshot(lsn uint64, rels []*relation.Relation) []byte {
+	return chunkedSnapshot(lsn, rels, math.MaxInt)
+}
+
+// oldChunkRows is the rows per chunk that snapshot writers once cut
+// relations into.
+const oldChunkRows = 32 << 10
+
+// chunkedSnapshot is the snapshot file of rels at lsn with each relation's
+// rows cut into chunks of about chunkRows: a chunk ends at the first
+// first-attribute boundary at or past chunkRows rows, and an empty relation
+// is one empty chunk. With chunkRows = oldChunkRows it is the layout
+// snapshots were written in before each relation became one chunk.
+func chunkedSnapshot(lsn uint64, rels []*relation.Relation, chunkRows int) []byte {
 	sorted := append([]*relation.Relation(nil), rels...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
 	var e codec.Enc
@@ -33,10 +47,10 @@ func flatSnapshot(lsn uint64, rels []*relation.Relation) []byte {
 		n := r.Len()
 		cuts := []int{0}
 		for end := 0; end < n; {
-			end += snapChunkRows
-			if end >= n {
+			if end >= n-chunkRows {
 				end = n
 			} else {
+				end += chunkRows
 				for end < n && r.Value(end, 0) == r.Value(end-1, 0) {
 					end++
 				}
@@ -74,33 +88,40 @@ func encodedFile(t testing.TB, lsn uint64, rels []*relation.Overlay) []byte {
 	return snapFile(body.Bytes())
 }
 
-// TestSnapshotStreamsFlatBytes: a checkpoint encoded straight from overlays
-// is byte-identical to the flat encoding of the same rows — for pristine
-// overlays, overlays with live logs and compacted ones, over a relation of
-// several chunks whose first-attribute runs cross the 32 K cut (so cuts
-// grow past it), an arity-1 and an arity-3 relation and an empty one.
-func TestSnapshotStreamsFlatBytes(t *testing.T) {
+// snapRelations are the snapshot tests' relations, named, with their
+// arities: one of three old chunks whose first-attribute run crosses the
+// first old cut (so that cut grew past it), an arity-3 one of two, an
+// arity-1 one just past one, and an empty one.
+func snapRelations() (rels map[string][][]int64, arity map[string]int) {
 	var big [][]int64
 	run := func(a int64, n int) {
 		for b := 0; b < n; b++ {
 			big = append(big, []int64{a, int64(b)})
 		}
 	}
-	run(0, snapChunkRows-768) // ends 768 rows short of the first cut
-	run(1, 5000)              // crosses it
-	for a := int64(2); len(big) < 3*snapChunkRows; a++ {
+	run(0, oldChunkRows-768) // ends 768 rows short of the first cut
+	run(1, 5000)             // crosses it
+	for a := int64(2); len(big) < 3*oldChunkRows; a++ {
 		run(a, int(1+a%7))
 	}
 	var wide [][]int64
-	for i := int64(0); i < 2*snapChunkRows; i++ {
+	for i := int64(0); i < 2*oldChunkRows; i++ {
 		wide = append(wide, []int64{i / 3000, i % 17, i})
 	}
-	unary := make([][]int64, snapChunkRows+5)
+	unary := make([][]int64, oldChunkRows+5)
 	for i := range unary {
 		unary[i] = []int64{int64(i)}
 	}
-	rels := map[string][][]int64{"big": big, "wide": wide, "unary": unary, "empty": nil}
-	arity := map[string]int{"big": 2, "wide": 3, "unary": 1, "empty": 2}
+	return map[string][][]int64{"big": big, "wide": wide, "unary": unary, "empty": nil},
+		map[string]int{"big": 2, "wide": 3, "unary": 1, "empty": 2}
+}
+
+// TestSnapshotStreamsFlatBytes: a checkpoint encoded straight from overlays
+// is byte-identical to the one-chunk encoding of the same flat rows — for
+// pristine overlays, overlays with live logs and compacted ones, over
+// relations of arity 1, 2 and 3 and an empty one.
+func TestSnapshotStreamsFlatBytes(t *testing.T) {
+	rels, arity := snapRelations()
 
 	// Each case applies a batch to every relation's overlay and keeps the
 	// contents that batch leaves.
@@ -141,11 +162,6 @@ func TestSnapshotStreamsFlatBytes(t *testing.T) {
 			if !tc.state(ov) {
 				t.Fatalf("%s: %s's overlay has a log of %d", tc.name, name, ov.LogLen())
 			}
-			if name == "big" {
-				if chunks := len(chunkCuts(ov)) - 1; chunks < 3 {
-					t.Fatalf("%s: big is %d chunks, want several", tc.name, chunks)
-				}
-			}
 			ovs = append(ovs, ov)
 			deleted := map[[3]int64]bool{}
 			for _, d := range dels {
@@ -166,6 +182,45 @@ func TestSnapshotStreamsFlatBytes(t *testing.T) {
 		}
 		if want := flatSnapshot(42, flats); !bytes.Equal(got, want) {
 			t.Errorf("%s: the streamed snapshot (%d bytes) differs from the flat encoding (%d bytes)", tc.name, len(got), len(want))
+		}
+	}
+}
+
+// TestChunkedSnapshotRecovers: a snapshot whose relations are cut into
+// chunks of oldChunkRows, as writers once cut them, recovers the same
+// relations as the one-chunk snapshot of the same rows.
+func TestChunkedSnapshotRecovers(t *testing.T) {
+	rels, arity := snapRelations()
+	var flats []*relation.Relation
+	for name, tuples := range rels {
+		flats = append(flats, relation.FromTuples(name, arity[name], tuples))
+	}
+	var recovered [][]SnapRelation
+	for _, file := range [][]byte{chunkedSnapshot(9, flats, oldChunkRows), flatSnapshot(9, flats)} {
+		dir := t.TempDir()
+		if err := os.WriteFile(snapPath(dir, 9), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		if rec.SnapshotLSN != 9 || len(rec.Relations) != len(rels) {
+			t.Fatalf("recovered lsn %d and %d relations, want 9 and %d", rec.SnapshotLSN, len(rec.Relations), len(rels))
+		}
+		recovered = append(recovered, rec.Relations)
+	}
+	if bytes.Equal(chunkedSnapshot(9, flats, oldChunkRows), flatSnapshot(9, flats)) {
+		t.Fatal("the chunked snapshot is one chunk per relation")
+	}
+	if !reflect.DeepEqual(recovered[0], recovered[1]) {
+		t.Fatal("the chunked snapshot recovers other relations than the one-chunk snapshot")
+	}
+	for i, r := range recovered[0] {
+		want := flats[slices.IndexFunc(flats, func(f *relation.Relation) bool { return f.Name() == r.Name })]
+		if r.Arity != want.Arity() || len(r.Tuples) != want.Len() || want.Len() > 0 && !reflect.DeepEqual(r.Tuples, want.Tuples()) {
+			t.Fatalf("relation %d, %s, recovered %d rows of arity %d, want %d of %d", i, r.Name, len(r.Tuples), r.Arity, want.Len(), want.Arity())
 		}
 	}
 }

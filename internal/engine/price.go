@@ -31,42 +31,38 @@ const budget = int64(1) << 19
 const unpriced = int64(1) << 60
 
 // pricedPlan chooses the attribute order of an LFTJ query without a head on
-// the data, and returns its plan; nil when the query has fewer than two
-// candidate orders (hypergraph.Candidates) and keeps ChooseGAO's. Each
-// candidate is priced by a sampled count (price) under the price of the
-// cheapest candidate so far, visited cheapest by a proxy first so that the
-// bound is tight early; past the number of orders Candidates lists, the
-// order is built a variable at a time from hypergraph.Extensions. Ties go to
-// the better structural rank, so the choice does not depend on the visit
-// order, and equal contents choose equal orders. Every index pricing built
-// and the chosen plan does not bind is dropped (core.Trial).
+// the data, and returns its plan; nil when the query has a head, or when no
+// order was priced to the end (a single variable, a disconnected query, or a
+// budget spent before any order completed), and keeps ChooseGAO's. The order
+// is built a variable at a time: at each step every variable that may come
+// next without a cross-join level is completed greedily
+// (hypergraph.Extensions), each completion is priced by a sampled count
+// (price) under the price of the cheapest so far, and the cheapest one's
+// next variable is kept — at most n(n+1)/2 orders for n variables.
+// Completions are visited cheapest by a proxy first, so that the bound is
+// tight early; ties go to the earlier completion, so the choice does not
+// depend on the visit order, and equal contents choose equal orders. Every
+// index pricing built and the chosen plan does not bind is dropped
+// (core.Trial).
 func pricedPlan(q *query.Query, db *core.DB) (*core.Plan, error) {
-	cands, all := hypergraph.Candidates(q)
-	if all && cands == nil {
+	if q.Headed() {
 		return nil, nil
 	}
 	pr := newPricer(q, db, budget)
 	var best []string
-	if all {
+	for prefix := []string(nil); len(prefix) < q.NumVars(); prefix = best[:len(prefix)+1] {
+		exts := hypergraph.Extensions(q, prefix)
+		if len(exts) == 1 {
+			best = exts[0]
+			continue
+		}
 		var err error
-		if best, err = pr.cheapest(cands); err != nil || best == nil {
+		if best, err = pr.cheapest(exts); err != nil || best == nil {
 			return nil, err
 		}
-	} else {
-		for prefix := []string(nil); len(prefix) < q.NumVars(); prefix = best[:len(prefix)+1] {
-			exts := hypergraph.Extensions(q, prefix)
-			if len(exts) == 1 {
-				best = exts[0]
-				continue
-			}
-			var err error
-			if best, err = pr.cheapest(exts); err != nil || best == nil {
-				return nil, err
-			}
-		}
-		if _, ok := pr.prices[key(best)]; !ok {
-			return nil, nil
-		}
+	}
+	if _, ok := pr.prices[key(best)]; !ok {
+		return nil, nil
 	}
 	structural, _ := hypergraph.ChooseGAO(q, string(LFTJ))
 	pricing := &core.Pricing{Seeks: pr.prices[key(best)], Structural: structural, StructuralSeeks: -1, Priced: pr.priced}
@@ -116,7 +112,7 @@ type sample struct {
 
 func key(gao []string) string { return strings.Join(gao, ",") }
 
-// cheapest prices orders, listed best structural rank first, and returns
+// cheapest prices orders, ties going to the one listed first, and returns
 // the cheapest priced to the end; nil when the budget ran out before any
 // was.
 func (pr *pricer) cheapest(orders [][]string) ([]string, error) {

@@ -105,7 +105,7 @@ func ScoreGAO(q *query.Query, alg string, gao []string) OrderScore {
 // variables displaced from the key prefix, then (Minesweeper) chain
 // validity, then closeness to q.Vars() — so a query whose own variable
 // order is already cross-join-free keeps it. Plain queries under
-// Minesweeper take a nested elimination order outright (FindChainGAO): the
+// Minesweeper take a nested elimination order outright (findChainGAO): the
 // query's own or, when it is β-cyclic, its skeleton's.
 func ChooseGAO(q *query.Query, alg string) (gao []string, keys int) {
 	best, _ := RankGAO(q, alg)
@@ -258,70 +258,22 @@ func (pl *planner) greedy(order []int, fixed int) {
 	}
 }
 
-// maxPricedOrders bounds the orders Candidates lists: a triangle's 6 and a
-// 4-cycle's 8 fit. A query with more cross-free orders (clique4 has 24) is
-// priced a variable at a time (Extensions), at most n(n+1)/2 orders for n
-// variables.
-const maxPricedOrders = 8
-
-// Candidates returns the orders a data-aware choice prices (engine.Compile)
-// for an LFTJ query without a head, best structural rank first: every order
-// of the query's variables without a cross-join level. ChooseGAO's step
-// that leads with the first emitted variable is dropped, because such a
-// query emits every variable and promises its rows in no order but its
-// GAO's. all is false, and orders nil, when there are more than
-// maxPricedOrders of them; the choice then goes by Extensions. A query with
-// a head, or with fewer than two such orders, gets none: its order stays
-// ChooseGAO's.
-func Candidates(q *query.Query) (orders [][]string, all bool) {
-	pl := newPlanner(q, "lftj")
-	if q.Headed() || !pl.connected() {
-		return nil, true
-	}
-	order := make([]int, len(pl.vars))
-	for i := range order {
-		order[i] = i
-	}
-	var ranked []RankedGAO
-	var visit func(d int) bool
-	visit = func(d int) bool {
-		if d == len(order) {
-			r := pl.rank(slices.Clone(order))
-			ranked = append(ranked, r)
-			return len(ranked) <= maxPricedOrders
-		}
-		for i := d; i < len(order); i++ {
-			order[d], order[i] = order[i], order[d]
-			if pl.joins(order[:d], order[d]) && !visit(d+1) {
-				return false
-			}
-			order[d], order[i] = order[i], order[d]
-		}
-		return true
-	}
-	if !visit(0) {
-		return nil, false
-	}
-	if len(ranked) < 2 {
-		return nil, true
-	}
-	slices.SortFunc(ranked, func(a, b RankedGAO) int {
-		if a.before(b) {
-			return -1
-		}
-		return 1
-	})
-	for _, r := range ranked {
-		orders = append(orders, r.GAO)
-	}
-	return orders, true
-}
-
-// Extensions returns, for each variable that may follow prefix without a
-// cross-join level, in q.Vars() order, the order that places it next and
-// completes the rest as ChooseGAO completes queries too wide to enumerate
-// (greedy). A data-aware choice over more than maxPricedOrders orders
-// prices these and keeps the cheapest one's next variable.
+// Extensions returns the orders a data-aware choice (engine.Compile) prices
+// to place the next variable of an LFTJ query without a head: for each
+// variable that may follow prefix without a cross-join level, in q.Vars()
+// order, the order that places it next and completes the rest greedily, as
+// ChooseGAO completes queries too wide to enumerate. ChooseGAO's step that
+// leads with the first emitted variable is dropped, because such a query
+// emits every variable and promises its rows in no order but its GAO's. The
+// choice keeps the cheapest order's next variable and extends the prefix
+// by it, so a query of n variables prices at most n(n+1)/2 orders.
+//
+// An order with a cross-join level is left out: that level walks a whole
+// relation per binding above it without a seek, so the seek budget that
+// bounds pricing does not bound it. When the atoms connect the query's
+// variables and prefix has no cross-join level, no order has one; when
+// they do not, the orders left cross between the parts only at pinned
+// variables, and there are often none.
 func Extensions(q *query.Query, prefix []string) [][]string {
 	pl := newPlanner(q, "lftj")
 	placed := make([]int, 0, len(pl.vars))
@@ -340,7 +292,9 @@ func Extensions(q *query.Query, prefix []string) [][]string {
 			}
 		}
 		pl.greedy(order, len(placed)+1)
-		out = append(out, pl.rank(order).GAO)
+		if r := pl.rank(order); r.Score.Cross == 0 {
+			out = append(out, r.GAO)
+		}
 	}
 	return out
 }
@@ -357,23 +311,4 @@ func (pl *planner) joins(placed []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// connected reports whether every variable is reachable from the first
-// through shared atoms, so that some order has no cross-join level.
-func (pl *planner) connected() bool {
-	seen := make([]bool, len(pl.vars))
-	stack := []int{0}
-	seen[0] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for w, adj := range pl.adj[v] {
-			if adj && !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return !slices.Contains(seen, false)
 }

@@ -11,8 +11,14 @@ import (
 // both engines. The invariants: the order is a permutation of q.Vars();
 // the pinned variables form its prefix; keys counts leading emitted columns
 // that — pinned ones aside — the order enumerates right after that prefix,
-// in output order; and the choice is deterministic. Minesweeper skips
-// eight- and nine-variable queries: picking their chain order (FindChainGAO)
+// in output order; and the choice is deterministic. For every prefix of
+// the LFTJ order, Extensions lists permutations of q.Vars() without a
+// cross-join level, each starting with the prefix and then a variable that
+// may come next: one that leads (the prefix is empty), is pinned, or
+// shares an atom with the prefix. They place distinct variables next, in
+// q.Vars() order, and every such variable when the atoms connect the
+// variables and the prefix has no cross-join level. Minesweeper skips
+// eight- and nine-variable queries: picking their chain order (findChainGAO)
 // searches every permutation for the longest path, at seconds per input.
 // Wider queries take the greedy path under LFTJ and nest-point elimination
 // under Minesweeper.
@@ -25,6 +31,7 @@ func FuzzChooseGAO(f *testing.F) {
 		"hop3(a, d) :- edge(a, b), edge(b, c), edge(c, d)",
 		"e(137, b), e(b, c)",
 		"e(a, 3), e(7, b)",
+		"e(3, b), e(b, 5)",
 		"out(b, a) :- e(a, b), a = 4",
 		"agg(a, count(c)) :- v1(a), edge(a, b), edge(b, c)",
 		"both(count(a), count(c)) :- edge(a, b), edge(b, c)",
@@ -71,15 +78,77 @@ func FuzzChooseGAO(f *testing.F) {
 			if len(free) > len(gao)-lead || !slices.Equal(gao[lead:lead+len(free)], free) {
 				t.Fatalf("%s [%s]: keys %v do not follow the pinned prefix of %v", src, alg, free, gao)
 			}
+			if alg == "lftj" {
+				checkExtensions(t, src, q, gao)
+			}
 		}
 	})
+}
+
+// checkExtensions holds Extensions to its contract for every prefix of gao.
+func checkExtensions(t *testing.T, src string, q *query.Query, gao []string) {
+	vars := slices.Sorted(slices.Values(q.Vars()))
+	joins := func(prefix []string, v string) bool {
+		if _, ok := q.Pinned(v); ok || len(prefix) == 0 {
+			return true
+		}
+		for _, a := range q.Atoms {
+			if slices.Contains(a.Vars, v) && slices.ContainsFunc(a.Vars, func(w string) bool { return slices.Contains(prefix, w) }) {
+				return true
+			}
+		}
+		return false
+	}
+	// reach grows from the first variable through shared atoms.
+	reach := slices.Clone(q.Vars()[:min(1, q.NumVars())])
+	for grown := true; grown; {
+		grown = false
+		for _, a := range q.Atoms {
+			if slices.ContainsFunc(a.Vars, func(w string) bool { return slices.Contains(reach, w) }) {
+				for _, v := range a.Vars {
+					if !slices.Contains(reach, v) {
+						reach, grown = append(reach, v), true
+					}
+				}
+			}
+		}
+	}
+	// all: every variable that may come next gets an order, because the
+	// atoms connect the variables and the prefix has no cross-join level.
+	all := len(reach) == q.NumVars()
+	for d := range gao {
+		prefix := gao[:d]
+		var want, got []string
+		for _, v := range q.Vars() {
+			if !slices.Contains(prefix, v) && joins(prefix, v) {
+				want = append(want, v)
+			}
+		}
+		for _, ext := range Extensions(q, prefix) {
+			if !slices.Equal(slices.Sorted(slices.Values(ext)), vars) {
+				t.Fatalf("%s: extension %v of %v is not a permutation of %v", src, ext, prefix, q.Vars())
+			}
+			if !slices.Equal(ext[:d], prefix) {
+				t.Fatalf("%s: extension %v does not start with %v", src, ext, prefix)
+			}
+			if ScoreGAO(q, "lftj", ext).Cross != 0 {
+				t.Fatalf("%s: extension %v has a cross-join level", src, ext)
+			}
+			got = append(got, ext[d])
+		}
+		next := slices.DeleteFunc(slices.Clone(want), func(v string) bool { return !slices.Contains(got, v) })
+		if !slices.Equal(got, next) || all && !slices.Equal(got, want) {
+			t.Fatalf("%s: extensions of %v place %v next, want %v", src, prefix, got, want)
+		}
+		all = all && slices.Contains(want, gao[d])
+	}
 }
 
 // FuzzBetaAcyclic holds the β-acyclicity verdict to its definition: for
 // every parsed query of at most seven variables, BetaAcyclic must agree with
 // an exhaustive search for an order that satisfies the chain condition
 // (Prop 4.2). Whenever the verdict is β-acyclic — at any width up to twelve
-// variables but the exhaustive eight and nine — the order FindChainGAO picks
+// variables but the exhaustive eight and nine — the order findChainGAO picks
 // must be a chain order of every variable.
 func FuzzBetaAcyclic(f *testing.F) {
 	for _, src := range []string{
@@ -115,9 +184,9 @@ func FuzzBetaAcyclic(f *testing.F) {
 		if !beta {
 			return
 		}
-		gao := FindChainGAO(q.Vars(), q.Atoms)
+		gao := findChainGAO(q.Vars(), q.Atoms)
 		if len(gao) != n || !IsChainGAO(gao, q.Atoms) {
-			t.Fatalf("%s: FindChainGAO = %v, not a chain order of %v", src, gao, q.Vars())
+			t.Fatalf("%s: findChainGAO = %v, not a chain order of %v", src, gao, q.Vars())
 		}
 	})
 }

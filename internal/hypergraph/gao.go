@@ -56,11 +56,11 @@ func IsChainGAO(gao []string, atoms []query.Atom) bool {
 	return true
 }
 
-// GAOScore is the paper's §4.9 selection criterion, concretized: the number
+// gaoScore is the paper's §4.9 selection criterion, concretized: the number
 // of consecutive GAO pairs that co-occur in some atom ("the NEO with the
 // longest path length ... longer paths allow for more caching"). For the
 // 4-path query this ranks A,B,C,D,E above the other NEOs, matching Table 4.
-func GAOScore(gao []string, atoms []query.Atom) int {
+func gaoScore(gao []string, atoms []query.Atom) int {
 	score := 0
 	for i := 0; i+1 < len(gao); i++ {
 		if coOccur(gao[i], gao[i+1], atoms) {
@@ -92,14 +92,14 @@ func coOccur(x, y string, atoms []query.Atom) bool {
 // at most 7 variables.
 const maxExhaustiveVars = 9
 
-// FindChainGAO picks the chain order (IsChainGAO) of vars that Minesweeper
+// findChainGAO picks the chain order (IsChainGAO) of vars that Minesweeper
 // runs the atoms under, or nil when there is none (the atoms are
-// β-cyclic). Up to maxExhaustiveVars variables it is the best by GAOScore
+// β-cyclic). Up to maxExhaustiveVars variables it is the best by gaoScore
 // over every permutation (§4.9's longest path). Wider, it is the
 // nest-point elimination order, or its reverse when that order is not a
 // chain order: reversed, each variable's earlier variables are the ones
 // still present when it was a nest point, so the reverse always is.
-func FindChainGAO(vars []string, atoms []query.Atom) []string {
+func findChainGAO(vars []string, atoms []query.Atom) []string {
 	if len(vars) <= maxExhaustiveVars {
 		best, bestScore := []string(nil), -1
 		perm := append([]string(nil), vars...)
@@ -107,7 +107,7 @@ func FindChainGAO(vars []string, atoms []query.Atom) []string {
 			if !IsChainGAO(p, atoms) {
 				return
 			}
-			if s := GAOScore(p, atoms); s > bestScore {
+			if s := gaoScore(p, atoms); s > bestScore {
 				bestScore = s
 				best = append([]string(nil), p...)
 			}
@@ -144,7 +144,7 @@ func permute[T any](p []T, k int, visit func([]T)) {
 // Those come last, so the order is still a chain order of the skeleton.
 func chainOrder(q *query.Query) []string {
 	if BetaAcyclic(q.Atoms) {
-		return FindChainGAO(q.Vars(), q.Atoms)
+		return findChainGAO(q.Vars(), q.Atoms)
 	}
 	var kept []query.Atom
 	for _, a := range q.Atoms {
@@ -152,7 +152,7 @@ func chainOrder(q *query.Query) []string {
 			kept = trial
 		}
 	}
-	gao := FindChainGAO(varsOf(kept), kept)
+	gao := findChainGAO(varsOf(kept), kept)
 	for _, v := range q.Vars() {
 		if !slices.Contains(gao, v) {
 			gao = append(gao, v)

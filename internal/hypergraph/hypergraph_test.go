@@ -103,23 +103,23 @@ func split(s string) []string {
 // best NEO is the path order A,B,C,D,E (Table 4).
 func TestFindChainGAOPicksLongestPath(t *testing.T) {
 	q := query.Path(4)
-	gao := FindChainGAO(q.Vars(), q.Atoms)
+	gao := findChainGAO(q.Vars(), q.Atoms)
 	if gao == nil {
 		t.Fatal("4-path should have a chain GAO")
 	}
 	if got := strings.Join(gao, ""); got != "abcde" && got != "edcba" {
 		// Both directions are full paths; our scoring ties them, and the
 		// exhaustive search visits identity first.
-		t.Errorf("FindChainGAO(4-path) = %v, want a full path order", gao)
+		t.Errorf("findChainGAO(4-path) = %v, want a full path order", gao)
 	}
-	if GAOScore(gao, q.Atoms) != 4 {
-		t.Errorf("GAOScore = %d, want 4", GAOScore(gao, q.Atoms))
+	if gaoScore(gao, q.Atoms) != 4 {
+		t.Errorf("gaoScore = %d, want 4", gaoScore(gao, q.Atoms))
 	}
 }
 
 func TestFindChainGAOCyclicFails(t *testing.T) {
 	q := query.Clique(3)
-	if gao := FindChainGAO(q.Vars(), q.Atoms); gao != nil {
+	if gao := findChainGAO(q.Vars(), q.Atoms); gao != nil {
 		t.Error("3-clique should not admit a chain GAO")
 	}
 }
@@ -133,7 +133,7 @@ func TestChainGAOMatchesBetaAcyclicity(t *testing.T) {
 		query.Path(3), query.Path(4), query.Tree(1), query.Tree(2),
 		query.Comb(), query.Lollipop(2), query.Lollipop(3),
 	} {
-		hasGAO := FindChainGAO(q.Vars(), q.Atoms) != nil
+		hasGAO := findChainGAO(q.Vars(), q.Atoms) != nil
 		beta := BetaAcyclic(q.Atoms)
 		if hasGAO != beta {
 			t.Errorf("%s: chain GAO exists = %v but β-acyclic = %v", q.Name, hasGAO, beta)

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 )
 
@@ -393,13 +392,4 @@ func withAtom(err error, rel string) error {
 		se.Atom = rel
 	}
 	return err
-}
-
-// Format renders the query back to the paper's Datalog-style syntax.
-// Extended queries (projection, constants, predicates, aggregates) render as
-// a full rule and round-trip through Parse.
-func Format(q *Query) string {
-	var b strings.Builder
-	b.WriteString(q.String())
-	return b.String()
 }

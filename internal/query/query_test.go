@@ -55,7 +55,7 @@ func TestParseErrors(t *testing.T) {
 func TestFormatRoundTrip(t *testing.T) {
 	src := "v1(a), edge(a, b), edge(b, c)"
 	q := mustParse("q", src)
-	q2, err := Parse("q", Format(q))
+	q2, err := Parse("q", q.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestCycleBuilder(t *testing.T) {
 func TestPathBuilder(t *testing.T) {
 	q := Path(3)
 	want := mustParse("3-path", "v1(a), v2(d), edge(a, b), edge(b, c), edge(c, d)")
-	if Format(q) != Format(want) {
-		t.Errorf("3-path = %s, want %s", Format(q), Format(want))
+	if q.String() != want.String() {
+		t.Errorf("3-path = %s, want %s", q.String(), want.String())
 	}
 	if q4 := Path(4); q4.NumVars() != 5 || len(q4.Atoms) != 6 {
 		t.Errorf("4-path shape: %v", q4)
@@ -130,8 +130,8 @@ func TestLollipopBuilder(t *testing.T) {
 	if q.NumVars() != 5 || len(q.Atoms) != 6 {
 		t.Fatalf("2-lollipop shape: %v", q)
 	}
-	if !strings.Contains(Format(q), "edge(c, e)") {
-		t.Errorf("2-lollipop missing closing triangle edge: %s", Format(q))
+	if !strings.Contains(q.String(), "edge(c, e)") {
+		t.Errorf("2-lollipop missing closing triangle edge: %s", q.String())
 	}
 	q3 := Lollipop(3)
 	// 1 sample + 3 path edges + 6 clique edges over 7 vars.

@@ -32,7 +32,7 @@ func (in *fuzzInput) tuple(arity, domain int) []int64 {
 // every batch a full walk, a walk with seeks, and gap probes — each checked
 // against TrieIterator and Relation.ProbeGap over a flat relation holding
 // the same contents, a walk checking every level PureLevel exposes against
-// the cursor, and Flat checked against the reference merge (MergeDelta of
+// the cursor, and Flat checked against the reference merge (mergeDelta of
 // the base trie's rows and the logs) — on pristine, live-log and just
 // compacted overlays alike. Every overlay is walked by a fresh cursor and by one
 // cursor Reset from overlay to overlay (dirty→pristine, pristine→dirty, and
@@ -106,7 +106,7 @@ func FuzzOverlayCursor(f *testing.F) {
 					state = "pristine"
 				}
 				base := FromTuples("R", arity, cursorRows(NewCSRCursor(ov.base), arity))
-				if got, ref := ov.Flat(), MergeDelta(base, ov.adds, ov.dels); !reflect.DeepEqual(got.Tuples(), ref.Tuples()) {
+				if got, ref := ov.Flat(), mergeDelta(base, ov.adds, ov.dels); !reflect.DeepEqual(got.Tuples(), ref.Tuples()) {
 					t.Fatalf("batch %d (%s): Flat %v, reference merge %v", batch, state, got.Tuples(), ref.Tuples())
 				}
 			}

@@ -117,7 +117,7 @@ func (o *Overlay) ApplySorted(ins, dels *Relation) *Overlay {
 func mergeLog(log, add, remove *Relation) *Relation {
 	merged := add
 	if log != nil {
-		merged = MergeDelta(log, add, remove)
+		merged = mergeDelta(log, add, remove)
 	}
 	if merged.n == 0 {
 		return nil
@@ -127,7 +127,7 @@ func mergeLog(log, add, remove *Relation) *Relation {
 
 // Rows calls yield with every tuple of the overlay's contents, base ∪ adds ∖
 // dels, in lexicographic order, until yield returns false: the base trie's
-// rows, walked off its levels, merged with the two logs as MergeDelta merges
+// rows, walked off its levels, merged with the two logs as mergeDelta merges
 // flat rows — allocating no copy of the contents. The slice yield receives
 // is read-only and valid only until yield returns. Checkpoints encode the
 // rows straight from here.

@@ -246,7 +246,7 @@ func TestMergeDelta(t *testing.T) {
 	}
 	insRel := FromTuples("R", 2, ins)
 	delsRel := FromTuples("R", 2, dels)
-	got := MergeDelta(r, insRel, delsRel)
+	got := mergeDelta(r, insRel, delsRel)
 	b := NewBuilder("R", 2)
 	for i := 0; i < r.Len(); i++ {
 		if !delsRel.Contains(r.Tuple(i)) {
@@ -258,7 +258,7 @@ func TestMergeDelta(t *testing.T) {
 	}
 	want := b.Build()
 	if got.Len() != want.Len() {
-		t.Fatalf("MergeDelta Len = %d, want %d", got.Len(), want.Len())
+		t.Fatalf("mergeDelta Len = %d, want %d", got.Len(), want.Len())
 	}
 	for i := 0; i < want.Len(); i++ {
 		if CompareTuples(got.Tuple(i), want.Tuple(i)) != 0 {

@@ -135,13 +135,13 @@ func fromSortedRows(name string, arity int, rows []int64) *Relation {
 	return &Relation{name: name, arity: arity, rows: rows, n: len(rows) / arity}
 }
 
-// MergeDelta returns r ∪ ins \ dels as a new relation by one linear merge
+// mergeDelta returns r ∪ ins \ dels as a new relation by one linear merge
 // of the three sorted row sets — no re-sort, so the cost is O(n) copying
 // instead of O(n log n). ins must be disjoint from r and dels a subset of r
 // (both may be nil). The overlay merges its small logs with it; its contents
 // come out of the base trie through Overlay.Rows, the same merge over the
 // trie's row walk.
-func MergeDelta(r, ins, dels *Relation) *Relation {
+func mergeDelta(r, ins, dels *Relation) *Relation {
 	insN, delsN := ins.size(), dels.size()
 	if insN == 0 && delsN == 0 {
 		return r

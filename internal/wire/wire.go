@@ -115,10 +115,10 @@ func WriteFrame(w io.Writer, typ byte, reqID uint64, body []byte) error {
 	return err
 }
 
-// AppendFrame appends one frame to dst, so a connection can send it with a
+// appendFrame appends one frame to dst, so a connection can send it with a
 // single write. An oversized frame returns ErrFrameTooLarge with dst as it
 // was.
-func AppendFrame(dst []byte, typ byte, reqID uint64, body []byte) ([]byte, error) {
+func appendFrame(dst []byte, typ byte, reqID uint64, body []byte) ([]byte, error) {
 	dst, err := appendHeader(dst, typ, reqID, len(body))
 	if err != nil {
 		return dst, err
@@ -140,7 +140,7 @@ func (f *FrameWriter) Write(typ byte, reqID uint64, body []byte) (err error) {
 	if len(body) > 64<<10 {
 		return WriteFrame(f.W, typ, reqID, body)
 	}
-	if f.buf, err = AppendFrame(f.buf[:0], typ, reqID, body); err == nil {
+	if f.buf, err = appendFrame(f.buf[:0], typ, reqID, body); err == nil {
 		_, err = f.W.Write(f.buf)
 	}
 	return err

@@ -99,7 +99,7 @@ func TestFrameOversize(t *testing.T) {
 		t.Fatalf("write oversize: got %v, want ErrFrameTooLarge", err)
 	}
 	dst := []byte("kept")
-	if got, err := AppendFrame(dst, TLoad, 1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) || string(got) != "kept" {
+	if got, err := appendFrame(dst, TLoad, 1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) || string(got) != "kept" {
 		t.Fatalf("append oversize: got %q, %v; want dst unchanged and ErrFrameTooLarge", got, err)
 	}
 	hdr := []byte{0xff, 0xff, 0xff, 0xff, TLoad}

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,5 +197,61 @@ func TestExplainReportsPricing(t *testing.T) {
 	}
 	if e := p.Explain(); e.Priced || !slices.Equal(e.GAO, structural) {
 		t.Errorf("headed query: priced %v, order %v, want the structural %v", e.Priced, e.GAO, structural)
+	}
+}
+
+// TestPricedOrdersGolden pins the order LFTJ prepares every corpus query and
+// every benchmark text under, and whether pricing chose it, on the corpus
+// graph of TestPricedGAONoWorseThanStructural and on the benchmark graph of
+// TestPricedGAOAnchorsOnBenchmarkData. The seek bounds of those tests leave
+// room for a different order; this test does not, so a change to the order
+// search that moves any choice shows here. Headed queries (the last four
+// benchmark texts) and queries no order of which was priced to the end keep
+// the structural order.
+func TestPricedOrdersGolden(t *testing.T) {
+	type choice struct {
+		gao    string
+		priced bool
+	}
+	for _, c := range []struct {
+		name string
+		g    *dataset.Graph
+		sel  int
+		seed int64
+		want []choice // corpusQueries(), then benchmarkTexts
+	}{
+		{"corpus", dataset.Generate(dataset.HolmeKim, 250, 900, 3), 25, 5, []choice{
+			{"b c a", true}, {"c b a d", true}, {"c d b a", true}, {"a b c d", true}, {"a b c d e", true},
+			{"b a c", true}, {"d b e a c f g", true}, {"c a b d", true}, {"a b c d e", true}, {"a b c d e f g", true},
+			{"b c a", true}, {"a b c d", true}, {"a b c", false}, {"$1 b c", false}, {"a b c", false}, {"a b c", false},
+		}},
+		{"benchmark", dataset.Generate(dataset.HolmeKim, 5242, 28980, 107), 80, 107, []choice{
+			{"c b a", true}, {"d c b a", true}, {"c b a d", true}, {"a b c d", true}, {"a b c d e", true},
+			{"b a c", true}, {"d b e a c f g", false}, {"c a b d", true}, {"a b c d e", true}, {"a b c d e f g", false},
+			{"c b a", true}, {"a b c d", true}, {"a b c", false}, {"$1 b c", false}, {"a b c", false}, {"a b c", false},
+		}},
+	} {
+		s := graphStore(t, c.g, c.sel, c.seed)
+		queries := corpusQueries()
+		for _, src := range benchmarkTexts {
+			q, err := s.ParseQuery("q", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries = append(queries, q)
+		}
+		if len(queries) != len(c.want) {
+			t.Fatalf("%s graph: %d queries, %d golden orders", c.name, len(queries), len(c.want))
+		}
+		for i, q := range queries {
+			p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := p.Explain()
+			if got := (choice{strings.Join(e.GAO, " "), e.Priced}); got != c.want[i] {
+				t.Errorf("%s graph, %s: order %q priced %v, want %q priced %v", c.name, q, got.gao, got.priced, c.want[i].gao, c.want[i].priced)
+			}
+		}
 	}
 }
