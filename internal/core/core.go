@@ -432,9 +432,17 @@ func bindAtoms(q *query.Query, gao []string, index func(name string, perm []int)
 const CheckEvery = 4096
 
 // ErrOverBudget reports an execution stopped because its seeks passed the
-// limit its Ticker was given (Ticker.Limit): a priced order that already
-// costs more than the cheapest one found.
+// limit its Ticker was given (Ticker.Limit), or its steps passed
+// TicksPerSeek times that limit: a priced order that already costs more
+// than the cheapest one found.
 var ErrOverBudget = errors.New("seek budget exhausted")
+
+// TicksPerSeek bounds the steps of a seek-limited execution: it gives up
+// once its Ticks pass this many per seek of its limit. A level walked by
+// Next, or sized without a visit, spends steps without seeking, so a seek
+// limit alone would not bound the work of an order that walks many keys per
+// binding.
+const TicksPerSeek = 16
 
 // Ticker counts engine steps and surfaces context cancellation with low
 // overhead.
@@ -448,7 +456,8 @@ type Ticker struct {
 // NewTicker returns a Ticker for ctx.
 func NewTicker(ctx context.Context) *Ticker { return &Ticker{ctx: ctx} }
 
-// Limit makes Tick fail with ErrOverBudget once *seeks passes limit.
+// Limit makes Tick fail with ErrOverBudget once *seeks passes limit, or
+// the Ticks counted pass TicksPerSeek·limit.
 func (t *Ticker) Limit(seeks *int64, limit int64) { t.seeks, t.limit = seeks, limit }
 
 // Tick reports a non-nil error when the context is done or the seek budget
@@ -465,7 +474,7 @@ func (t *Ticker) Tick() error {
 //
 //go:noinline
 func (t *Ticker) check() error {
-	if t.seeks != nil && *t.seeks > t.limit {
+	if t.seeks != nil && (*t.seeks > t.limit || int64(t.n)/TicksPerSeek > t.limit) {
 		return ErrOverBudget
 	}
 	return t.ctx.Err()

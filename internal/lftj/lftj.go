@@ -61,8 +61,9 @@ func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Rang
 
 // Seeks runs plan in count mode over the first-variable values in r, as Run
 // does, and returns the seeks it makes: the price engine.Compile compares
-// attribute orders by. It gives up once they pass limit (checked every
-// core.CheckEvery steps) and then returns a count past limit.
+// attribute orders by. It gives up once they pass limit, or once its steps
+// pass core.TicksPerSeek times limit (both checked every core.CheckEvery
+// steps), and then returns a count past limit.
 func Seeks(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Range, limit int64) (int64, error) {
 	ex := takeFrame()
 	defer ex.release()
@@ -70,8 +71,11 @@ func Seeks(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Ra
 		return 0, err
 	}
 	ex.tick.Limit(&ex.seeks, limit)
-	if _, err := ex.run(0); err != nil && !errors.Is(err, core.ErrOverBudget) {
-		return 0, err
+	if _, err := ex.run(0); err != nil {
+		if !errors.Is(err, core.ErrOverBudget) {
+			return 0, err
+		}
+		return max(ex.seeks, limit+1), nil
 	}
 	return ex.seeks, nil
 }
@@ -246,7 +250,7 @@ func (ex *frame) open(d int) []member {
 	for i := range ms {
 		m := &ms[i]
 		m.c.Open()
-		m.vals, m.pos, m.hi, _ = m.c.PureLevel()
+		m.vals, m.pos, m.hi, m.dir, _ = m.c.PureLevel()
 	}
 	return ms
 }
@@ -398,17 +402,19 @@ func (ex *frame) output() bool {
 // member is one atom's cursor in the leapfrog of one depth. While the
 // cursor reads its base trie alone (OverlayCursor.PureLevel) the member is
 // a lane: the level's key array, a pointer to the cursor's own position in
-// it and the end of its sibling range, moved by array arithmetic and
-// GallopGE with no cursor call. Otherwise (pos nil) it goes through the
-// cursor, which merges the overlay's live log. Both make the same moves
-// over the same keys, so the seek sequence does not depend on which one a
-// member is, and the cursor rests where the lane left it when the next
-// depth opens below it.
+// it and the end of its sibling range, moved by array arithmetic with no
+// cursor call — a seek by the trie's rank directory on a first level that
+// has one, by GallopGE elsewhere. Otherwise (pos nil) it goes through the
+// cursor, which merges the overlay's live log. All of them make the same
+// moves over the same keys, so the seek sequence does not depend on which
+// one a member is, and the cursor rests where the lane left it when the
+// next depth opens below it.
 type member struct {
 	c    *relation.OverlayCursor
 	vals []int64
 	pos  *int32 // nil: not a lane
 	hi   int32
+	dir  *relation.RankDir // a lane's first-level directory; nil: gallop
 }
 
 func (m *member) atEnd() bool {
@@ -437,7 +443,11 @@ func (m *member) next() {
 
 func (m *member) seekGE(v int64) {
 	if m.pos != nil {
-		*m.pos = relation.GallopGE(m.vals, *m.pos, m.hi, v)
+		if m.dir != nil {
+			*m.pos = m.dir.SeekGE(*m.pos, v)
+		} else {
+			*m.pos = relation.GallopGE(m.vals, *m.pos, m.hi, v)
+		}
 		return
 	}
 	m.c.SeekGE(v)

@@ -98,6 +98,49 @@ func BenchmarkTrieIteratorSeek(b *testing.B) {
 	}
 }
 
+// BenchmarkCSRCursorSeek times one SeekGE from the start of a freshly
+// opened level, the seek LFTJ makes at a trie's root for every binding of
+// the variables before it. root seeks the first level of a dense trie,
+// through its rank directory; level1 seeks a child list of about 1 600
+// keys, by GallopGE.
+func BenchmarkCSRCursorSeek(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	targets := make([]int64, 1024)
+	for i := range targets {
+		targets[i] = int64(rng.Intn(25_000))
+	}
+	b.Run("root", func(b *testing.B) {
+		c := NewCSRCursor(NewCSRTrie(benchRelation(b, 100_000)))
+		if c.t.root == nil {
+			b.Fatal("the first level has no rank directory")
+		}
+		c.Open()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Up()
+			c.Open()
+			c.SeekGE(targets[i%len(targets)])
+		}
+	})
+	b.Run("level1", func(b *testing.B) {
+		bl := NewBuilder("R", 2)
+		for i := 0; i < 100_000; i++ {
+			bl.Add(int64(rng.Intn(64)), int64(rng.Intn(25_000)))
+		}
+		c := NewCSRCursor(NewCSRTrie(bl.Build()))
+		c.Open()
+		c.Open()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Up()
+			c.Open()
+			c.SeekGE(targets[i%len(targets)])
+		}
+	})
+}
+
 func BenchmarkProbeGap(b *testing.B) {
 	r := benchRelation(b, 100_000)
 	rng := rand.New(rand.NewSource(3))

@@ -21,6 +21,9 @@ type CSRTrie struct {
 	n     int
 	// levels[d] materializes trie depth d (attribute column d).
 	levels []csrLevel
+	// root answers every search of level 0 in O(1) where that level is
+	// dense; nil on a sparse first level and on a log trie (see RankDir).
+	root *RankDir
 }
 
 // csrLevel is one materialized trie level: vals holds the keys of every node
@@ -29,6 +32,8 @@ type CSRTrie struct {
 // parent, so start is [0, len(vals)]). Nothing else is stored: a tuple costs
 // 8 bytes at the leaf and an inner node 12 (its key and its children's
 // offset), and a node's row span follows from start (CSRTrie.firstRow).
+// Searches of level 0 go through the trie's RankDir where it has one, and
+// GallopGE or lowerBound64 elsewhere.
 type csrLevel struct {
 	vals  []int64
 	start []int32
@@ -54,8 +59,17 @@ func (t *CSRTrie) span(d int, pos int32) int32 {
 // NewCSRTrie materializes the attribute trie of a sorted, deduplicated
 // relation in two linear passes over the rows: the first counts each level's
 // nodes so every array is allocated once at its final size (no append
-// growth, no slack left on the built trie), the second fills them.
+// growth, no slack left on the built trie), the second fills them. A dense
+// first level gets a RankDir (newRankDir says when).
 func NewCSRTrie(r *Relation) *CSRTrie {
+	t := newCSRTrie(r)
+	t.root = newRankDir(t.levels[0].vals)
+	return t
+}
+
+// newCSRTrie is NewCSRTrie without the rank directory: the overlay's log
+// tries, rebuilt on every Apply and searched rarely, are built here.
+func newCSRTrie(r *Relation) *CSRTrie {
 	if int64(r.Len()) > math.MaxInt32 {
 		panic(fmt.Sprintf("relation: CSR trie over %d tuples exceeds int32 offsets", r.Len()))
 	}
@@ -105,6 +119,67 @@ func NewCSRTrie(r *Relation) *CSRTrie {
 		t.levels[d+1].start[next[d]] = int32(next[d+1])
 	}
 	return t
+}
+
+// RankDir is a rank directory over a trie's dense first level: one bit per
+// value in [min, max], set where the value is a key, and per 64-bit word the
+// number of keys in the words before it. The number of keys below v — the
+// position lowerBound64 finds over the whole level — is then one word's
+// popcount plus its prefix count: two loads, where a bisection of the level
+// touches about log₂ n keys spread over the array. It costs 12 bytes per
+// word, and newRankDir builds one only where the level has at least one key
+// per word, so never more than 12 bytes per key (the keys themselves take
+// 8); on a graph's node ids, whose first level is nearly every id, it is
+// about 1.5 bits per key.
+type RankDir struct {
+	min    int64
+	n      int32    // the level's key count: the rank of any v past the last word
+	words  []uint64 // bit i of words[w]: min + 64w + i is a key
+	before []int32  // before[w]: the keys in words[:w]
+}
+
+// newRankDir returns the rank directory of the sorted, distinct keys vals,
+// or nil when they are too sparse for one: more 64-bit words than keys.
+func newRankDir(vals []int64) *RankDir {
+	n := len(vals)
+	if n == 0 {
+		return nil
+	}
+	lo := vals[0]
+	nw := (uint64(vals[n-1])-uint64(lo))/64 + 1
+	if nw > uint64(n) {
+		return nil
+	}
+	r := &RankDir{min: lo, n: int32(n), words: make([]uint64, nw), before: make([]int32, nw)}
+	for _, v := range vals {
+		off := uint64(v) - uint64(lo)
+		r.words[off/64] |= 1 << (off % 64)
+	}
+	for w, c := 1, int32(0); w < len(r.words); w++ {
+		c += int32(bits.OnesCount64(r.words[w-1]))
+		r.before[w] = c
+	}
+	return r
+}
+
+// rank returns the number of keys < v.
+func (r *RankDir) rank(v int64) int32 {
+	if v <= r.min {
+		return 0
+	}
+	off := uint64(v) - uint64(r.min)
+	w := off / 64
+	if w >= uint64(len(r.before)) {
+		return r.n
+	}
+	return r.before[w] + int32(bits.OnesCount64(r.words[w]&(1<<(off%64)-1)))
+}
+
+// SeekGE returns the first position at or after pos whose key is >= v (the
+// level's length when none): exactly what GallopGE returns over the whole
+// level, since the keys below v are a prefix of it.
+func (r *RankDir) SeekGE(pos int32, v int64) int32 {
+	return max(pos, r.rank(v))
 }
 
 // trieRows pulls a trie's rows in lexicographic order, rebuilt from the
@@ -234,19 +309,19 @@ func (t *CSRTrie) descend(point []int64, f *ProbeFinger) (gap Gap, found bool, l
 	for d := range point {
 		vals := t.levels[d].vals
 		v := point[d]
+		// At d < same the child range is last time's, so the old position
+		// bounds the search on one side; the root directory needs no bound.
 		var pos int32
-		if d < same {
-			// Same child range as last time: the old position bounds the
-			// search on one side.
-			switch old := path[d]; {
-			case v == old.key:
-				pos = old.pos
-			case v > old.key:
-				pos, same = GallopGE(vals, old.pos, hi, v), d
-			default:
-				pos, same = lowerBound64(vals, lo, old.pos, v), d
-			}
-		} else {
+		switch {
+		case d < same && v == path[d].key:
+			pos = path[d].pos
+		case d == 0 && t.root != nil:
+			pos, same = t.root.rank(v), 0
+		case d < same && v > path[d].key:
+			pos, same = GallopGE(vals, path[d].pos, hi, v), d
+		case d < same:
+			pos, same = lowerBound64(vals, lo, path[d].pos, v), d
+		default:
 			pos = lowerBound64(vals, lo, hi, v)
 		}
 		if path != nil {
@@ -301,7 +376,7 @@ func lessMask(x, y int64) int32 {
 // none, pos when pos >= hi), probing keys 0, 1, 3, 7, … past pos before it
 // bisects: O(log distance) for a target near pos. The leapfrog loop's
 // SeekGE and LFTJ's loop over the levels OverlayCursor.PureLevel exposes
-// call it.
+// call it below the first level, and at a first level without a RankDir.
 func GallopGE(vals []int64, pos, hi int32, v int64) int32 {
 	// The target lies in [lo, bound]: every key before lo is < v.
 	lo, bound, step := pos, pos, int32(1)
@@ -443,9 +518,13 @@ func (c *CSRCursor) Span() int32 {
 // countIn returns how many keys of the current level's whole sibling range —
 // the children the last Open entered, wherever the cursor has moved since —
 // lie in [lo, hi): two binary searches, the second from where the first
-// stopped.
+// stopped, or two ranks at a first level with a directory.
 func (c *CSRCursor) countIn(lo, hi int64) int64 {
 	cur := c.depth - 1
+	if cur == 0 && c.t.root != nil {
+		first := c.t.root.rank(lo)
+		return int64(c.t.root.SeekGE(first, hi) - first)
+	}
 	first, end := int32(0), c.lv[cur].hi
 	if cur > 0 {
 		first = c.t.levels[cur].start[c.lv[cur-1].pos]
@@ -464,12 +543,17 @@ func (c *CSRCursor) Next() {
 	}
 }
 
-// SeekGE positions at the least key >= v at the current level, galloping
-// from the current position (leapfrog seeks are usually near misses, so the
-// exponential probe touches O(log distance) keys of one contiguous array).
-// Seeking backwards is a no-op.
+// SeekGE positions at the least key >= v at the current level: by the rank
+// directory at a first level that has one, else galloping from the current
+// position (leapfrog seeks are usually near misses, so the exponential probe
+// touches O(log distance) keys of one contiguous array). Seeking backwards
+// is a no-op.
 func (c *CSRCursor) SeekGE(v int64) {
 	cur := c.depth - 1
 	f := &c.lv[cur]
+	if cur == 0 && c.t.root != nil {
+		f.pos = c.t.root.SeekGE(f.pos, v)
+		return
+	}
 	f.pos = GallopGE(c.t.levels[cur].vals, f.pos, f.hi, v)
 }

@@ -394,3 +394,103 @@ func TestIntersectCount(t *testing.T) {
 		}
 	}
 }
+
+// TestRootRankMatchesSearch checks every search the rank directory answers
+// against the search it replaces, on the same first level: RankDir.SeekGE
+// and CSRCursor.SeekGE against GallopGE from positions before, at and after
+// the answer; countIn against a trie without a directory; ProbeGap, with a
+// finger and without, against that trie; and the merged probe of an overlay
+// with a live log against its flat contents. The roots are dense and
+// sparse, a single key, keys on both sides of 64-bit word boundaries, and
+// keys at the top of the domain, probed below the first key, past the last
+// and at the int64 extremes.
+func TestRootRankMatchesSearch(t *testing.T) {
+	span := func(lo, hi, step int64) (keys []int64) {
+		for k := lo; k <= hi; k += step {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	for _, tc := range []struct {
+		name  string
+		keys  []int64
+		dense bool
+	}{
+		{"every id", span(0, 199, 1), true},
+		{"every other id", span(5, 405, 2), true},
+		{"word boundaries", []int64{0, 62, 63, 64, 65, 127, 128, 129}, true},
+		{"word boundaries past min", []int64{1000, 1063, 1064, 1065}, true},
+		{"one word per key", span(0, 256, 64), true},
+		{"top of the domain", []int64{PosInf - 130, PosInf - 65, PosInf - 64, PosInf - 63, PosInf - 2, PosInf - 1}, true},
+		{"one key", []int64{7}, true},
+		{"sparse", []int64{0, 1000}, false},
+		{"just too sparse", []int64{0, 64, 128, 192, 320}, false},
+	} {
+		var tuples [][]int64
+		for _, k := range tc.keys {
+			for c := int64(0); c <= (k&3)%3; c++ {
+				tuples = append(tuples, []int64{k, c})
+			}
+		}
+		r := FromTuples("R", 2, tuples)
+		trie, ref := NewCSRTrie(r), newCSRTrie(r)
+		if (trie.root != nil) != tc.dense || ref.root != nil {
+			t.Fatalf("%s: directory %v, want %v", tc.name, trie.root != nil, tc.dense)
+		}
+		vals, n := trie.levels[0].vals, int32(len(tc.keys))
+		first, last := tc.keys[0], tc.keys[len(tc.keys)-1]
+		probes := append(span(first-3, last+3, 1), math.MinInt64, NegInf, PosInf, math.MaxInt64)
+		var finger ProbeFinger
+		for _, v := range probes {
+			want := lowerBound64(vals, 0, n, v)
+			for _, pos := range []int32{0, want - 1, want, want + 1, n} {
+				pos = min(max(pos, 0), n)
+				gallop := GallopGE(vals, pos, n, v)
+				if trie.root != nil {
+					if got := trie.root.SeekGE(pos, v); got != gallop {
+						t.Fatalf("%s: RankDir.SeekGE(%d, %d) = %d, GallopGE %d", tc.name, pos, v, got, gallop)
+					}
+				}
+				c := NewCSRCursor(trie)
+				c.Open()
+				c.lv[0].pos = pos
+				if c.SeekGE(v); c.lv[0].pos != gallop {
+					t.Fatalf("%s: CSRCursor.SeekGE(%d) from %d = %d, GallopGE %d", tc.name, v, pos, c.lv[0].pos, gallop)
+				}
+			}
+			c, rc := NewCSRCursor(trie), NewCSRCursor(ref)
+			c.Open()
+			rc.Open()
+			for _, hi := range []int64{v - 1, v, v + 1, v + 64, first, last + 1, PosInf} {
+				if got, want := c.countIn(v, hi), rc.countIn(v, hi); got != want {
+					t.Fatalf("%s: countIn(%d, %d) = %d, want %d", tc.name, v, hi, got, want)
+				}
+			}
+			for c := int64(-1); c <= 2; c++ {
+				point := []int64{v, c}
+				wg, wfound := ref.ProbeGap(point)
+				if g, found := trie.ProbeGap(point); g != wg || found != wfound {
+					t.Fatalf("%s: ProbeGap(%v) = %v, %v; want %v, %v", tc.name, point, g, found, wg, wfound)
+				}
+				if g, found := trie.probeGap(point, &finger); g != wg || found != wfound {
+					t.Fatalf("%s: fingered ProbeGap(%v) = %v, %v; want %v, %v", tc.name, point, g, found, wg, wfound)
+				}
+			}
+		}
+		// A live log: the base side of the merged probe reads the directory.
+		ov := NewOverlay(r).Apply([][]int64{{last, 7}}, [][]int64{{first, 0}})
+		if ov.LogLen() == 0 {
+			t.Fatalf("%s: the overlay compacted its one-tuple log", tc.name)
+		}
+		flat := ov.Flat()
+		for _, v := range probes {
+			for c := int64(-1); c <= 2; c++ {
+				point := []int64{v, c}
+				wg, wfound := flat.ProbeGap(point)
+				if g, found := ov.ProbeGap(point); g != wg || found != wfound {
+					t.Fatalf("%s: overlay ProbeGap(%v) = %v, %v; want %v, %v", tc.name, point, g, found, wg, wfound)
+				}
+			}
+		}
+	}
+}

@@ -102,11 +102,13 @@ func (o *Overlay) ApplySorted(ins, dels *Relation) *Overlay {
 		compactions.Add(1)
 		return NewOverlay(next.Flat())
 	}
+	// The log tries carry no rank directory: they are rebuilt on every
+	// batch and searched only where a delta landed.
 	if next.adds != nil {
-		next.addsT = NewCSRTrie(next.adds)
+		next.addsT = newCSRTrie(next.adds)
 	}
 	if next.dels != nil {
-		next.delsT = NewCSRTrie(next.dels)
+		next.delsT = newCSRTrie(next.dels)
 	}
 	return next
 }
@@ -454,18 +456,23 @@ func (c *OverlayCursor) SeekGE(v int64) {
 // alone — every level of a pristine overlay, and every level below the
 // point where both logs leave the path: vals is the base trie's key array
 // at this depth, *pos the cursor's own position in it and hi the end of the
-// current sibling range, so Key is vals[*pos] and AtEnd is *pos >= hi. A
-// caller may move *pos forward within [*pos, hi] — by one for Next, by
-// GallopGE for SeekGE — in place of those calls. The level stays exposed
-// while the cursor opens levels below it and comes back, until it goes up
-// from this level or is Reset. ok is false at the root and while this
-// level merges a live log; vals and pos are then nil.
-func (c *OverlayCursor) PureLevel() (vals []int64, pos *int32, hi int32, ok bool) {
+// current sibling range, so Key is vals[*pos] and AtEnd is *pos >= hi. dir
+// is the base trie's rank directory when this is its first level and it
+// has one, else nil. A caller may move *pos forward within [*pos, hi] — by
+// one for Next, by dir.SeekGE or else GallopGE for SeekGE — in place of
+// those calls. The level stays exposed while the cursor opens levels below
+// it and comes back, until it goes up from this level or is Reset. ok is
+// false at the root and while this level merges a live log; vals, pos and
+// dir are then nil.
+func (c *OverlayCursor) PureLevel() (vals []int64, pos *int32, hi int32, dir *RankDir, ok bool) {
 	if c.depth == 0 || c.depth < c.pure {
-		return nil, nil, 0, false
+		return nil, nil, 0, nil, false
+	}
+	if c.depth == 1 {
+		dir = c.b.t.root
 	}
 	f := &c.b.lv[c.depth-1]
-	return c.b.t.levels[c.depth-1].vals, &f.pos, f.hi, true
+	return c.b.t.levels[c.depth-1].vals, &f.pos, f.hi, dir, true
 }
 
 // CountLeaf returns the number of visible keys in [lo, hi) among the
@@ -528,7 +535,11 @@ func (o *Overlay) ProbeGap(point []int64) (Gap, bool) {
 		var bvals, avals, dvals []int64
 		if bOk {
 			bvals = o.base.levels[col].vals
-			bPos = lowerBound64(bvals, bLo, bHi, v)
+			if col == 0 && o.base.root != nil {
+				bPos = o.base.root.rank(v)
+			} else {
+				bPos = lowerBound64(bvals, bLo, bHi, v)
+			}
 			bHas = bPos < bHi && bvals[bPos] == v
 		}
 		if dOk {

@@ -197,6 +197,31 @@ func TestOverlayCompaction(t *testing.T) {
 	}
 }
 
+// TestOverlayLogTriesHaveNoDirectory: the adds and dels tries ApplySorted
+// builds on every batch carry no rank directory, though their first levels
+// are dense; the base a compaction builds carries one.
+func TestOverlayLogTriesHaveNoDirectory(t *testing.T) {
+	base := FromTuples("R", 2, [][]int64{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}})
+	ov := NewOverlay(base)
+	if ov.base.root == nil {
+		t.Fatal("a dense base has no directory")
+	}
+	ov = ov.ApplySorted(FromTuples("R", 2, [][]int64{{1, 1}, {2, 1}, {3, 1}}), FromTuples("R", 2, [][]int64{{4, 0}, {5, 0}}))
+	if ov.addsT == nil || ov.delsT == nil {
+		t.Fatalf("logs adds %v, dels %v: want both live", ov.addsT, ov.delsT)
+	}
+	if ov.addsT.root != nil || ov.delsT.root != nil {
+		t.Error("a log trie carries a rank directory")
+	}
+	var ins [][]int64
+	for i := 0; i < overlayCompactMin; i++ {
+		ins = append(ins, []int64{int64(i), 2})
+	}
+	if ov = ov.Apply(ins, nil); ov.LogLen() != 0 || ov.base.root == nil {
+		t.Errorf("compacted overlay: log %d, directory %v; want 0 and one", ov.LogLen(), ov.base.root != nil)
+	}
+}
+
 // TestOverlayPristineFastPath: a cursor over an overlay without deltas is
 // pure from the root down — every operation is the base CSR cursor's — and
 // Reset re-targets one cursor between pristine and dirty overlays in place.
