@@ -58,6 +58,7 @@ bench-smoke:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query
+	go test -run '^$$' -fuzz '^FuzzCountMemo$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzChooseGAO$$' -fuzztime $(FUZZTIME) ./internal/hypergraph
 	go test -run '^$$' -fuzz '^FuzzBetaAcyclic$$' -fuzztime $(FUZZTIME) ./internal/hypergraph
 	go test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/wire

@@ -145,8 +145,7 @@
 //
 // Both execute pinned compiled plans, inside read transactions and as one
 // shard of a routed fan-out. The paper's outside systems — the psql and
-// monetdb pairwise baselines, yannakakis, graphlab and the §4.12 hybrid —
-// are not served: they run in internal/bench, which regenerates Tables 6–7
+// monetdb pairwise baselines, yannakakis and graphlab — are not served: they run in internal/bench, which regenerates Tables 6–7
 // and Figures 3–7 with them (go run ./cmd/benchtables -table 6).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -1,9 +1,8 @@
 // Command lollipop runs the paper's §4.12 experiment: lollipop queries
 // (a path feeding into a clique) stress both engines in different ways —
-// Minesweeper suffers on the clique part, LFTJ on the path part. The paper's
-// hybrid, which runs Minesweeper on the path and LFTJ on the clique and
-// beats both, is a baseline of the benchmark harness:
-// go run ./cmd/benchtables -table 7 prints it beside the two engines.
+// Minesweeper suffers on the clique part, plain LFTJ on the path part. The
+// paper's hybrid counts the clique once per attachment vertex; LFTJ's count
+// memo does the same wherever its order puts the path first.
 package main
 
 import (

@@ -8,15 +8,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graphengine"
-	"repro/internal/hybrid"
 	"repro/internal/pairwise"
 	"repro/internal/query"
 	"repro/internal/yannakakis"
 )
 
 // The systems the paper measures the LogicBlox engines against (§5.1), plus
-// Yannakakis and the §4.12 hybrid. They run only here: the serving surface
-// knows engine.LFTJ and engine.MS alone.
+// Yannakakis. They run only here: the serving surface knows engine.LFTJ and
+// engine.MS alone.
 const (
 	// PSQL and MonetDB are the pairwise-join baselines: a Selinger-style DP
 	// row store and a greedy bulk column store.
@@ -26,9 +25,6 @@ const (
 	Yannakakis engine.Algorithm = "yannakakis"
 	// GraphLab is a specialised parallel clique counter.
 	GraphLab engine.Algorithm = "graphlab"
-	// Hybrid is the paper's lb/hybrid (§4.12): Minesweeper on the acyclic
-	// part of a lollipop, LFTJ on its clique.
-	Hybrid engine.Algorithm = "hybrid"
 )
 
 // errPlainJoinsOnly reports an extended query (projection, predicates or
@@ -84,8 +80,6 @@ func baseline(opts engine.Options, q *query.Query) (counter, error) {
 		return yannakakis.Engine{}, nil
 	case GraphLab:
 		return graphengine.Engine{Workers: opts.Workers}, nil
-	case Hybrid:
-		return hybrid.Engine{}, nil
 	}
 	return nil, fmt.Errorf("bench: %w %q", engine.ErrUnknownAlgorithm, opts.Algorithm)
 }

@@ -39,6 +39,10 @@ type Plan struct {
 	Push *Pushdown
 	// Pricing records how GAO was chosen on the data; nil when it was not.
 	Pricing *Pricing
+	// Memo[d], for an LFTJ count, is the GAO position whose value keys the
+	// count memo of the subtree below depth d, or -1 where depth d keeps
+	// none; nil when no depth keeps one (countMemo).
+	Memo []int
 	// db is the database the atoms are bound in.
 	db *DB
 }
@@ -169,6 +173,7 @@ func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bo
 		InSkel:     inSkel,
 		BetaCyclic: betaCyclic,
 		Push:       push,
+		Memo:       countMemo(atoms, push, len(gao)),
 		db:         db,
 	}, nil
 }

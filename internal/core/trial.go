@@ -64,7 +64,7 @@ func (t *Trial) Plan(q *query.Query, algorithm string, gao []string) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Query: q, Algorithm: algorithm, GAO: gao, Atoms: atoms, Push: push, db: t.db}, nil
+	return &Plan{Query: q, Algorithm: algorithm, GAO: gao, Atoms: atoms, Push: push, Memo: countMemo(atoms, push, len(gao)), db: t.db}, nil
 }
 
 // index returns the relation's index in the attribute order perm: the

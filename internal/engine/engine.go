@@ -5,9 +5,9 @@
 // attribute, submitted to a worker pool; idle workers grab the next
 // unclaimed job (work stealing), because on skewed graphs "the parts are not
 // born equal". The same cut divides a distributed fan-out: Options.Part runs
-// one part of it. The paper's outside baselines (psql, MonetDB, GraphLab,
-// Yannakakis and the §4.12 hybrid) are not served;
-// internal/bench runs them.
+// one part of it. The paper's outside baselines (psql, MonetDB, GraphLab and
+// Yannakakis) are not served; internal/bench runs them. The §4.12 hybrid is
+// LFTJ's count memo (core.Plan.Memo) under a path-first order.
 package engine
 
 import (

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"strings"
 
@@ -191,9 +190,10 @@ func (pr *pricer) price(gao []string, bound int64) (p int64, ok bool, err error)
 		return 0, false, err
 	}
 	s := pr.sample(plan)
-	gen := pr.trial.Gen()
+	sk := lftj.NewSeeker(plan, pr.trial.Gen())
+	defer sk.Close()
 	run := func(k, weight int64) (bool, error) {
-		n, err := lftj.Seeks(context.Background(), plan, gen, core.Range{Lo: k, Hi: k + 1}, min((bound-p)/weight, pr.left))
+		n, err := sk.Seeks(core.Range{Lo: k, Hi: k + 1}, min((bound-p)/weight, pr.left))
 		p += weight * n
 		pr.left -= n
 		return err == nil && p <= bound && pr.left >= 0, err

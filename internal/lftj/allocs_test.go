@@ -19,8 +19,9 @@ import (
 // frame, so the count is 0 for every row on go1.24. range2hop and merged
 // count their last level as a span (frame.countLeaf), merged over a leaf
 // whose node holds base keys, a tombstone and an insert, as a Count right
-// after a write reads it. The test logs the counts. The race detector
-// changes allocation counts, hence the build tag.
+// after a write reads it. path3 memoises its subtree counts at b and c
+// (core.Plan.Memo) in tables the frame keeps. The test logs the counts. The
+// race detector changes allocation counts, hence the build tag.
 func TestLFTJExecAllocs(t *testing.T) {
 	db := dataset.DB(dataset.Generate(dataset.HolmeKim, 1000, 5500, 107), 8, 107)
 	ctx := context.Background()
@@ -48,9 +49,13 @@ func TestLFTJExecAllocs(t *testing.T) {
 		{"pinned", mustParse("pinned", "out(b,c) :- edge(a,b), edge(b,c), a = 7"), nil, 2},
 		{"range2hop", mustParse("range2hop", "out(a,b,c) :- edge(a,b), edge(b,c), a >= 100, a < 110"), nil, 2},
 		{"merged", merged, mergedPlan, 2},
+		{"path3", query.Path(3), nil, 2},
 	} {
 		if tc.plan == nil {
 			tc.plan = compile(t, tc.q, db, nil)
+		}
+		if tc.name == "path3" && tc.plan.Memo == nil {
+			t.Fatal("path3: no memo depth, the gate measures no memo")
 		}
 		eng := Engine{Opts: Options{Plan: tc.plan}}
 		var n int64

@@ -3,7 +3,6 @@
 package lftj
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -24,7 +23,9 @@ func TestSeeksLimitBoundsSteps(t *testing.T) {
 	plan := compile(t, mustParse("cross", "edge(a,b), edge(c,d)"), db, []string{"a", "b", "c", "d"})
 	const limit = 1 << 19
 	start := time.Now()
-	n, err := Seeks(context.Background(), plan, plan.Pin(), core.FullRange, limit)
+	sk := NewSeeker(plan, plan.Pin())
+	defer sk.Close()
+	n, err := sk.Seeks(core.FullRange, limit)
 	took := time.Since(start)
 	if err != nil || n <= limit {
 		t.Fatalf("Seeks = %d, %v; want a count past %d", n, err, limit)

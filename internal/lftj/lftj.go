@@ -45,6 +45,9 @@ func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Rang
 	if err := ex.reset(ctx, plan, gen, r, emit); err != nil {
 		return 0, err
 	}
+	if emit == nil {
+		ex.resetMemo(plan)
+	}
 	_, err := ex.run(0)
 	if ex.buffered {
 		if err == nil {
@@ -52,22 +55,37 @@ func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Rang
 		}
 		ex.outputs = ex.sink.Rows
 	}
-	sc.Add(core.Stats{Outputs: ex.outputs, Seeks: ex.seeks})
+	sc.Add(core.Stats{Outputs: ex.outputs, Seeks: ex.seeks, ReuseHits: ex.reuseHits, MemoStores: ex.memoStores})
 	if err != nil {
 		return 0, err
 	}
 	return ex.outputs, nil
 }
 
-// Seeks runs plan in count mode over the first-variable values in r, as Run
-// does, and returns the seeks it makes: the price engine.Compile compares
-// attribute orders by. It gives up once they pass limit, or once its steps
-// pass core.TicksPerSeek times limit (both checked every core.CheckEvery
-// steps), and then returns a count past limit.
-func Seeks(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Range, limit int64) (int64, error) {
+// Seeker counts the seeks of plan on gen in count mode, as Run would: the
+// price engine.Compile compares attribute orders by. Its runs share one
+// frame and so one count memo, as within a single run: a subtree counted in
+// one is a memo hit in the next. Close releases the frame.
+type Seeker struct {
+	plan *core.Plan
+	gen  *core.Generation
+	ex   *frame
+}
+
+// NewSeeker returns a Seeker of plan on gen.
+func NewSeeker(plan *core.Plan, gen *core.Generation) *Seeker {
 	ex := takeFrame()
-	defer ex.release()
-	if err := ex.reset(ctx, plan, gen, r, nil); err != nil {
+	ex.resetMemo(plan)
+	return &Seeker{plan: plan, gen: gen, ex: ex}
+}
+
+// Seeks counts over the first-variable values in r and returns the seeks
+// it makes. It gives up once they pass limit, or once its steps pass
+// core.TicksPerSeek times limit (both checked every core.CheckEvery steps),
+// and then returns a count past limit.
+func (s *Seeker) Seeks(r core.Range, limit int64) (int64, error) {
+	ex := s.ex
+	if err := ex.reset(context.Background(), s.plan, s.gen, r, nil); err != nil {
 		return 0, err
 	}
 	ex.tick.Limit(&ex.seeks, limit)
@@ -80,14 +98,17 @@ func Seeks(ctx context.Context, plan *core.Plan, gen *core.Generation, r core.Ra
 	return ex.seeks, nil
 }
 
+// Close returns the Seeker's frame.
+func (s *Seeker) Close() { s.ex.release() }
+
 // frame is one execution's state: the run's parameters, the binding, the
 // per-depth bounds and residuals, one cursor per atom, the members of every
-// depth's leapfrog, the output row and the group sink. Frames live in a
-// sync.Pool: a run takes one, resets it (lengths set, capacity kept) and
-// gives it back, so steady-state executions allocate nothing here and every
-// concurrent execution has its own. An idle frame is the garbage
-// collector's to drop, all but the one most recently released, which
-// hotFrame keeps.
+// depth's leapfrog, the output row, the group sink and the count memo.
+// Frames live in a sync.Pool: a run takes one, resets it (lengths set,
+// capacity kept) and gives it back, so steady-state executions allocate
+// nothing here and every concurrent execution has its own. An idle frame is
+// the garbage collector's to drop, all but the one most recently released,
+// which hotFrame keeps.
 type frame struct {
 	n     int
 	last  int // deepest level a row reads; below it one witness suffices
@@ -106,9 +127,15 @@ type frame struct {
 	lo, hi   []int64               // per-depth seek bounds [lo, hi); nil when unbounded
 	bounds   []int64               // backs lo and hi
 	resAt    [][]core.ResidualPred // residual predicates decided at each depth; empty when none
-	out      []int64
-	outputs  int64
-	seeks    int64
+	// memo[d] holds depth d's subtree counts by the value at memoKey[d]:
+	// core.Plan.Memo in count mode (resetMemo), else nil.
+	memoKey    []int
+	memo       []core.MemoTable
+	out        []int64
+	outputs    int64
+	seeks      int64
+	reuseHits  int64
+	memoStores int64
 }
 
 var frames = sync.Pool{New: func() any { return new(frame) }}
@@ -130,7 +157,7 @@ func (ex *frame) reset(ctx context.Context, plan *core.Plan, gen *core.Generatio
 	gao, push, atoms := plan.GAO, plan.Push, plan.Atoms
 	n := len(gao)
 	ex.n, ex.last, ex.emit = n, push.EmitDepth(n)-1, emit
-	ex.outputs, ex.seeks = 0, 0
+	ex.outputs, ex.seeks, ex.reuseHits, ex.memoStores = 0, 0, 0, 0
 	ex.tick = *core.NewTicker(ctx)
 	ex.binding = zeroed(ex.binding, n)
 	ex.emitPos = core.EmitPositions(ex.emitPos[:0], plan.Query, gao, push)
@@ -200,6 +227,23 @@ func (ex *frame) reset(ctx context.Context, plan *core.Plan, gen *core.Generatio
 	return nil
 }
 
+// resetMemo turns on plan's count memo (core.Plan.Memo), empty: a count
+// calls it after reset.
+func (ex *frame) resetMemo(plan *core.Plan) {
+	if ex.memoKey = plan.Memo; ex.memoKey == nil {
+		return
+	}
+	if have := cap(ex.memo); have < len(plan.Memo) {
+		ex.memo = append(ex.memo[:have], make([]core.MemoTable, len(plan.Memo)-have)...)
+	}
+	ex.memo = ex.memo[:len(plan.Memo)]
+	for d, p := range plan.Memo {
+		if p >= 0 {
+			ex.memo[d].Reset(1)
+		}
+	}
+}
+
 // zeroed returns buf resized to n zero values, reusing its storage when it
 // can.
 func zeroed[T any](buf []T, n int) []T {
@@ -214,9 +258,12 @@ func zeroed[T any](buf []T, n int) []T {
 // release drops the run's references — the consumer, the context, the
 // plan's residuals and every overlay and trie of the run's generation — and
 // returns the frame to the pool, so a pooled frame never pins a superseded
-// generation.
+// generation. Memo tables past core.MaxPooledFrame go to the collector.
 func (ex *frame) release() {
-	ex.emit = nil
+	ex.emit, ex.memoKey = nil, nil
+	if core.MemoBytes(ex.memo) > core.MaxPooledFrame {
+		ex.memo = nil
+	}
 	ex.tick = core.Ticker{}
 	ex.sink.Release()
 	clear(ex.resAt)
@@ -263,12 +310,19 @@ func up(ms []member) {
 }
 
 // run executes the triejoin at GAO depth d; it returns false when
-// enumeration should stop (emit returned false).
+// enumeration should stop (emit returned false). At a memo depth of a count
+// (core.Plan.Memo) each binding's subtree count is looked up by the value
+// keying it, and counted below and stored only on a miss.
 func (ex *frame) run(d int) (bool, error) {
 	ms := ex.open(d)
 	defer up(ms)
 	if ex.span && d == ex.last {
 		return true, ex.countLeaf(d, &ms[0])
+	}
+	var memo *core.MemoTable
+	var by []int // the position keying memo
+	if ex.memoKey != nil && ex.memoKey[d] >= 0 {
+		memo, by = &ex.memo[d], ex.memoKey[d:d+1]
 	}
 	lf := leapfrog{ms: ms, seeks: &ex.seeks}
 	if !lf.init() {
@@ -308,11 +362,21 @@ func (ex *frame) run(d int) (bool, error) {
 			if found && !ex.output() {
 				return false, nil
 			}
-		} else {
+		} else if memo == nil {
 			cont, err := ex.run(d + 1)
 			if err != nil || !cont {
 				return cont, err
 			}
+		} else if c, ok := memo.Get(by, ex.binding); ok {
+			ex.outputs += c
+			ex.reuseHits++
+		} else {
+			before := ex.outputs
+			if _, err := ex.run(d + 1); err != nil {
+				return false, err
+			}
+			memo.Put(by, ex.binding, ex.outputs-before)
+			ex.memoStores++
 		}
 		if !lf.next() {
 			return true, nil

@@ -1,6 +1,7 @@
 package minesweeper
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,27 +23,17 @@ func TestCounterSubtreeReuse(t *testing.T) {
 	})
 	q := query.Path(4)
 	plain := countOpts(t, q, db, Options{DisableCountMemo: true})
-	var reuses, stores int
-	counterTrace = func(ev string, args ...interface{}) {
-		switch ev {
-		case "reuse":
-			reuses++
-		case "store":
-			stores++
-		}
-	}
-	defer func() { counterTrace = nil }()
-	if memo := count(t, q, db); memo != plain {
-		t.Fatalf("memo count = %d, plain = %d", memo, plain)
+	var sc core.StatsCollector
+	plan := compile(t, q, db, nil, Options{})
+	memo, err := Run(context.Background(), plan, plan.Pin(), Options{}, core.FullRange, &sc, nil)
+	if err != nil || memo != plain {
+		t.Fatalf("memo count = %d, %v; plain = %d", memo, err, plain)
 	}
 	if plain != 28 {
 		t.Errorf("plain count = %d, want 28 (hand-checked)", plain)
 	}
-	if reuses == 0 {
-		t.Error("expected at least one subtree reuse on this instance")
-	}
-	if stores == 0 {
-		t.Error("expected memo stores")
+	if st := sc.Snapshot(); st.ReuseHits == 0 || st.MemoStores == 0 {
+		t.Errorf("%d subtree reuses and %d memo stores, want some of each on this instance", st.ReuseHits, st.MemoStores)
 	}
 }
 
@@ -65,12 +56,8 @@ func TestCounterContextShape(t *testing.T) {
 	// low-selectivity reuse): it is {that position} plus at most one earlier
 	// position.
 	d := len(gao) - 2
-	if len(c.ctxPos(d)) > 2 {
-		t.Errorf("ctx(%d) = %v, want at most 2 positions", d, c.ctxPos(d))
-	}
-	// Depth 0 contains v1 only when a sample is the sole prefix atom.
-	if len(c.contained(len(gao)-1)) != len(q.Atoms) {
-		t.Errorf("all atoms must be contained at the last depth, got %v", c.contained(len(gao)-1))
+	if len(c.ctx.At(d)) > 2 {
+		t.Errorf("ctx(%d) = %v, want at most 2 positions", d, c.ctx.At(d))
 	}
 }
 

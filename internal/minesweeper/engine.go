@@ -77,7 +77,7 @@ var frames = sync.Pool{New: func() any { return new(exec) }}
 // empties within two collections: a steady stream of executions would then
 // re-grow its frame (0.7 MiB on the benchmark's path3) whenever scheduling
 // and GC cadence lined up, which made bytes allocated per operation depend
-// on the heap size. One frame — at most maxPooledFrame bytes — stays
+// on the heap size. One frame — at most core.MaxPooledFrame bytes — stays
 // reachable for the life of the process; every further concurrent frame is
 // still the pool's, and the collector's.
 var hotFrame atomic.Pointer[exec]
@@ -88,11 +88,6 @@ func takeFrame() *exec {
 	}
 	return frames.Get().(*exec)
 }
-
-// maxPooledFrame bounds the bytes a pooled frame may keep: a run that grew
-// its slabs past it (a huge certificate) returns them to the collector
-// instead of pinning them for the next, probably smaller, run.
-const maxPooledFrame = 16 << 20
 
 // reset prepares the frame for a run of plan on gen.
 func (ex *exec) reset(ctx context.Context, plan *core.Plan, gen *core.Generation, emit func([]int64) bool, opts Options) {
@@ -182,7 +177,7 @@ func zeroed(buf []int64, n int) []int64 {
 }
 
 // release drops the run's references and returns the frame to the pool
-// unless it outgrew maxPooledFrame.
+// unless it outgrew core.MaxPooledFrame.
 func (ex *exec) release() {
 	ex.atoms, ex.inSkel, ex.push, ex.emit = nil, nil, nil, nil
 	clear(ex.ovs)
@@ -192,7 +187,7 @@ func (ex *exec) release() {
 	}
 	ex.sink.Release()
 	ex.tick = core.Ticker{}
-	if ex.cds.retained()+ex.counter.retained() > maxPooledFrame {
+	if ex.cds.retained()+core.MemoBytes(ex.counter.memo) > core.MaxPooledFrame {
 		return
 	}
 	if !hotFrame.CompareAndSwap(nil, ex) {

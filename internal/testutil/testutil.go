@@ -4,7 +4,9 @@
 package testutil
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -95,3 +97,62 @@ func BenchmarkQueries() []*query.Query {
 // K4 is the complete graph on vertices 0..3: 3 oriented triangles per
 // 3-subset etc.; handy for hand-counted expectations.
 var K4 = [][2]int64{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
+
+// RandomQuery returns a random query over the benchmark schema, in Datalog,
+// for property tests: a path, tree, comb, lollipop, cycle or clique of edge
+// and fwd atoms over variables a, b, ..., each sampled by one of v1..v4 with
+// probability 1/4; when ext, maybe with an x >= K bound, an x < y residual,
+// and a projection or a count aggregate.
+func RandomQuery(rng *rand.Rand, ext bool) string {
+	shape, n := rng.Intn(6), 2+rng.Intn(4)
+	if shape >= 3 { // lollipops, cycles and cliques close a triangle
+		n = max(n, 3)
+	}
+	x := func(i int) string { return string(rune('a' + i)) }
+	var body []string
+	link := func(u, v int) {
+		if rng.Intn(2) == 0 {
+			u, v = v, u
+		}
+		body = append(body, fmt.Sprintf("%s(%s,%s)", [2]string{query.Edge, query.Fwd}[rng.Intn(2)], x(u), x(v)))
+	}
+	for v := 1; v < n; v++ {
+		switch shape {
+		case 1: // tree: each variable hangs off an earlier one
+			link(rng.Intn(v), v)
+		case 2: // comb: the even variables form a spine, each odd one a tooth
+			link(v-2+v%2, v)
+		case 5: // clique
+			for u := 0; u < v; u++ {
+				link(u, v)
+			}
+		default: // a path, alone or closed below
+			link(v-1, v)
+		}
+	}
+	if shape == 3 { // lollipop: the path ends in a triangle
+		link(n-3, n-1)
+	} else if shape == 4 { // cycle
+		link(n-1, 0)
+	}
+	for v := 0; v < n; v++ {
+		if rng.Intn(4) == 0 {
+			body = append(body, fmt.Sprintf("v%d(%s)", 1+rng.Intn(4), x(v)))
+		}
+	}
+	u, v := x(rng.Intn(n)), x(rng.Intn(n))
+	if ext && rng.Intn(3) == 0 {
+		body = append(body, fmt.Sprintf("%s >= %d", u, rng.Intn(20)))
+	}
+	if ext && u != v && rng.Intn(2) == 0 {
+		body = append(body, u+" < "+v)
+	}
+	src := strings.Join(body, ", ")
+	switch {
+	case ext && rng.Intn(4) == 0:
+		return "agg(" + u + ", count(" + v + ")) :- " + src
+	case ext && u != v && rng.Intn(3) == 0:
+		return "out(" + v + ", " + u + ") :- " + src
+	}
+	return src
+}

@@ -224,7 +224,7 @@ var planAnchors = map[string]planAnchor{
 	"ms: v1(a), v2(e), edge(a, b), edge(b, c), edge(c, d), edge(d, e)":                                                        {"a b c d e", false, "111111"},
 	"lftj: v1(b), v2(c), edge(a, b), edge(a, c)":                                                                              {"b a c", false, "1111"},
 	"ms: v1(b), v2(c), edge(a, b), edge(a, c)":                                                                                {"b a c", false, "1111"},
-	"lftj: v1(d), v2(e), v3(f), v4(g), edge(a, b), edge(a, c), edge(b, d), edge(b, e), edge(c, f), edge(c, g)":                {"e b d a c f g", false, "1111111111"},
+	"lftj: v1(d), v2(e), v3(f), v4(g), edge(a, b), edge(a, c), edge(b, d), edge(b, e), edge(c, f), edge(c, g)":                {"d b e a c f g", false, "1111111111"},
 	"ms: v1(d), v2(e), v3(f), v4(g), edge(a, b), edge(a, c), edge(b, d), edge(b, e), edge(c, f), edge(c, g)":                  {"d b a c f e g", false, "1111111111"},
 	"lftj: v1(c), v2(d), edge(a, b), edge(a, c), edge(b, d)":                                                                  {"c a b d", false, "11111"},
 	"ms: v1(c), v2(d), edge(a, b), edge(a, c), edge(b, d)":                                                                    {"c a b d", false, "11111"},

@@ -280,6 +280,10 @@ type Explanation struct {
 	// BetaCyclic reports whether the query needed Minesweeper's skeleton
 	// split (and drives the §4.10 parallel-granularity default).
 	BetaCyclic bool
+	// Memo names the depths whose subtree counts an LFTJ count memoises,
+	// each as "c by b": the count of the bindings below c is stored once per
+	// value of b, and reused wherever b repeats.
+	Memo []string
 	// Atoms describes each atom's physical binding.
 	Atoms []AtomPlan
 	// Output names the result columns when the query projects or
@@ -333,6 +337,9 @@ func (e Explanation) String() string {
 			skel = "  [off-skeleton]"
 		}
 		fmt.Fprintf(&b, "  %-24s -> %s (%d tuples)%s\n", a.Atom, a.Index, a.Rows, skel)
+	}
+	if len(e.Memo) > 0 {
+		fmt.Fprintf(&b, "memo %s  [subtree counts]\n", strings.Join(e.Memo, ", "))
 	}
 	if len(e.Bounds) > 0 {
 		fmt.Fprintf(&b, "pushdown %s\n", strings.Join(e.Bounds, ", "))
@@ -394,6 +401,13 @@ func (p *Prepared) Explain() Explanation {
 		e.Score, e.RunnerUp, e.RunnerUpScore = best.Score, second.GAO, second.Score
 	}
 	e.BetaCyclic = plan.BetaCyclic
+	if plan.Algorithm == string(engine.LFTJ) {
+		for d, p := range plan.Memo {
+			if p >= 0 {
+				e.Memo = append(e.Memo, plan.GAO[d]+" by "+plan.GAO[p])
+			}
+		}
+	}
 	gen := plan.Pin()
 	for i, a := range plan.Atoms {
 		cols := make([]string, len(a.VarPos))
