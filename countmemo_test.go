@@ -53,6 +53,28 @@ func TestLFTJMemoObservable(t *testing.T) {
 	}
 }
 
+// TestLFTJMemoCountsOneJob checks that a count with memo depths is not split
+// into §4.10 jobs, each of which would store the same subtree counts again:
+// the 3-path on four workers makes the seeks and memo stores of one worker.
+func TestLFTJMemoCountsOneJob(t *testing.T) {
+	s := graphStore(t, dataset.Generate(dataset.HolmeKim, 400, 1600, 9), 10, 1)
+	var stats [2]ExecStats
+	for i, w := range []int{1, 4} {
+		p, err := s.Prepare(query.Path(3), Options{Algorithm: LFTJ, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Count(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = p.Stats()
+	}
+	one, four := stats[0], stats[1]
+	if one.MemoStores == 0 || four.MemoStores != one.MemoStores || four.Seeks != one.Seeks {
+		t.Errorf("memo stores %d on one worker, %d on four; seeks %d, %d", one.MemoStores, four.MemoStores, one.Seeks, four.Seeks)
+	}
+}
+
 // FuzzCountMemo is the property over LFTJ's count memo and every other
 // count path: for a random query (testutil.RandomQuery: paths, trees, combs,
 // lollipops, cycles and cliques, with bounds, residuals, projections and

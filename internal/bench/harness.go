@@ -144,6 +144,7 @@ type result struct {
 	seconds float64
 	count   int64
 	status  status
+	memo    bool // a finished run's plan has count-memo depths (core.Plan.Memo)
 }
 
 type status int
@@ -217,6 +218,8 @@ func (h *Harness) run(opts engine.Options, q *query.Query, db *core.DB) result {
 			return result{status: failed}
 		}
 	}
+	c, ok := eng.(*compiled)
+	best.memo = ok && c.plan.Memo != nil
 	return best
 }
 

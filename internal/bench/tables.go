@@ -234,6 +234,7 @@ func (h *Harness) Table7() error {
 		}
 		engines = append(engines, PSQL, MonetDB)
 		m := newMatrix(fmt.Sprintf("Table 7 (%s): seconds by selectivity", q.Name), "engine/sel", sets)
+		memo, cells := 0, 0 // lftj cells, and those whose plan memoises
 		for _, alg := range engines {
 			for _, sel := range sels {
 				r := m.addRow(fmt.Sprintf("%s s=%d", alg, sel))
@@ -245,11 +246,17 @@ func (h *Harness) Table7() error {
 					h.setSelectivity(s, sel)
 					res := h.run(engine.Options{Algorithm: alg, Workers: h.cfg.Workers}, q, s.db)
 					m.set(r, j, res.String())
+					if alg == engine.LFTJ {
+						cells++
+						if res.memo {
+							memo++
+						}
+					}
 				}
 			}
 		}
 		if lollipop {
-			m.note("lftj is §4.12's lb/hybrid computation: its count memoises the clique's count once per attachment vertex")
+			m.note(fmt.Sprintf("in %d of its %d cells lftj's order memoises the clique's count once per attachment vertex, §4.12's lb/hybrid computation", memo, cells))
 		} else {
 			m.note("yannakakis stands in for a classical acyclic-join yardstick")
 		}

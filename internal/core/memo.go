@@ -43,15 +43,16 @@ func (c *Ctx) Reset(atoms []AtomIndex, n int, self bool) {
 // At returns ctx(d).
 func (c *Ctx) At(d int) []int { return c.pos[c.end[d]:c.end[d+1]] }
 
-// countMemo returns, for an LFTJ count of a plan, the position keying each
+// countMemo returns, for a plan LFTJ counts, the position keying each
 // depth's subtree-count memo, or -1 for a depth that keeps none; nil when
-// none does. Depth d memoises when d >= 1 and ctx(d) is one position (paths,
+// none does or the plan is another engine's. Depth d memoises when d >= 1 and ctx(d) is one position (paths,
 // trees, combs and lollipops; no cycle or clique), rows are full bindings
 // with no group sink, no residual is decided below d (it could read a prefix
 // position outside ctx(d)), and the subtree below d is more than a last
 // level one atom binds, which a count sizes as a span in one lookup.
-func countMemo(atoms []AtomIndex, push *Pushdown, n int) []int {
-	if push.Buffered() || push.EmitDepth(n) != n {
+func countMemo(p *Plan) []int {
+	atoms, push, n := p.Atoms, p.Push, len(p.GAO)
+	if p.Algorithm != "lftj" || push.Buffered() || push.EmitDepth(n) != n {
 		return nil
 	}
 	from := 1 // no residual is decided below from

@@ -39,9 +39,9 @@ type Plan struct {
 	Push *Pushdown
 	// Pricing records how GAO was chosen on the data; nil when it was not.
 	Pricing *Pricing
-	// Memo[d], for an LFTJ count, is the GAO position whose value keys the
-	// count memo of the subtree below depth d, or -1 where depth d keeps
-	// none; nil when no depth keeps one (countMemo).
+	// Memo[d], in an LFTJ plan's count, is the GAO position whose value
+	// keys the count memo of the subtree below depth d, or -1 where depth d
+	// keeps none; nil when no depth keeps one (countMemo).
 	Memo []int
 	// db is the database the atoms are bound in.
 	db *DB
@@ -165,7 +165,7 @@ func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bo
 		return nil, err
 	}
 	sc.Add(Stats{IndexBindings: int64(len(atoms))})
-	return &Plan{
+	p := &Plan{
 		Query:      q,
 		Algorithm:  algorithm,
 		GAO:        gao,
@@ -173,7 +173,8 @@ func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bo
 		InSkel:     inSkel,
 		BetaCyclic: betaCyclic,
 		Push:       push,
-		Memo:       countMemo(atoms, push, len(gao)),
 		db:         db,
-	}, nil
+	}
+	p.Memo = countMemo(p)
+	return p, nil
 }

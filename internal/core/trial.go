@@ -64,7 +64,9 @@ func (t *Trial) Plan(q *query.Query, algorithm string, gao []string) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Query: q, Algorithm: algorithm, GAO: gao, Atoms: atoms, Push: push, Memo: countMemo(atoms, push, len(gao)), db: t.db}, nil
+	p := &Plan{Query: q, Algorithm: algorithm, GAO: gao, Atoms: atoms, Push: push, db: t.db}
+	p.Memo = countMemo(p)
+	return p, nil
 }
 
 // index returns the relation's index in the attribute order perm: the

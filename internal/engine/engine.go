@@ -99,9 +99,10 @@ type Part struct {
 // Run executes plan, which Compile built, on generation gen, and returns the
 // number of rows. A nil gen reads the database's current generation, pinned
 // once, here; a transaction passes its lease's. A nil emit counts, split into
-// §4.10 jobs when opts.Workers allows more than one. A non-nil emit
-// enumerates single-threaded, so rows arrive in order; it returns false to
-// stop. opts.Part restricts the run to its part, cut from gen. Run adds one
+// §4.10 jobs when opts.Workers allows more than one, unless the count
+// memoises (plan.Memo): every job would count again the subtrees the others
+// have stored, so it runs as one. A non-nil emit enumerates single-threaded,
+// so rows arrive in order; it returns false to stop. opts.Part restricts the run to its part, cut from gen. Run adds one
 // execution and the run's counters to opts.Stats.
 func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, opts *Options, emit func([]int64) bool) (int64, error) {
 	opts.Stats.Add(core.Stats{Executions: 1})
@@ -111,6 +112,9 @@ func Run(ctx context.Context, plan *core.Plan, gen *core.Generation, opts *Optio
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if plan.Memo != nil {
+		workers = 1
 	}
 	if opts.Part == nil && (emit != nil || workers == 1) {
 		return run(ctx, plan, gen, opts, core.FullRange, emit)

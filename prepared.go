@@ -401,11 +401,9 @@ func (p *Prepared) Explain() Explanation {
 		e.Score, e.RunnerUp, e.RunnerUpScore = best.Score, second.GAO, second.Score
 	}
 	e.BetaCyclic = plan.BetaCyclic
-	if plan.Algorithm == string(engine.LFTJ) {
-		for d, p := range plan.Memo {
-			if p >= 0 {
-				e.Memo = append(e.Memo, plan.GAO[d]+" by "+plan.GAO[p])
-			}
+	for d, p := range plan.Memo {
+		if p >= 0 {
+			e.Memo = append(e.Memo, plan.GAO[d]+" by "+plan.GAO[p])
 		}
 	}
 	gen := plan.Pin()
